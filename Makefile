@@ -3,12 +3,19 @@
 
 GO ?= go
 
-.PHONY: all build test test-full bench bench-compare loadtest lint examples docs-check torture fuzz-short
+.PHONY: all build benchmark-check test test-full bench bench-compare loadtest lint examples docs-check torture fuzz-short
 
-all: lint build test
+all: lint build benchmark-check test
 
 build:
 	$(GO) build ./...
+
+# benchmark/ is a module of its own (replace repro => ../), so ./... in
+# build, test and lint skips it: this keeps every identifier it imports
+# from the root module compiling, and runs its harness unit tests (< 1 s).
+benchmark-check:
+	$(GO) vet -C benchmark .
+	$(GO) test -C benchmark .
 
 # The CI test job: race detector on, slow experiment tables skipped,
 # plus the portable affinity-fallback build tag (including the

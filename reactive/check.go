@@ -36,10 +36,11 @@ func (m *Mutex) CheckInvariants() error {
 // CheckInvariants verifies the RWMutex's quiescent-state invariants:
 // the embedded writer mutex is free and sound, no reader is registered
 // in any of the three registration structures (central count zero,
-// sharded slot deltas and epoch cell deltas both summing to zero), the
-// epoch gate carries no writer claim and its mode bit agrees with the
-// registration engine, and both waiter queues are empty and
-// structurally sound. It returns the first violation found, or nil.
+// sharded slot deltas summing to zero, and the epoch kernel's own check:
+// no writer claim on the gate, its mode bit agreeing with the
+// registration engine, cell deltas summing to zero), and both waiter
+// queues are empty and structurally sound. It returns the first
+// violation found, or nil.
 func (rw *RWMutex) CheckInvariants() error {
 	if err := rw.w.CheckInvariants(); err != nil {
 		return fmt.Errorf("reactive: RWMutex writer mutex: %w", err)
@@ -47,33 +48,14 @@ func (rw *RWMutex) CheckInvariants() error {
 	if r := rw.readerCount.Load(); r != 0 {
 		return fmt.Errorf("reactive: RWMutex readerCount %d at quiescence, want 0", r)
 	}
-	// Raw delta sums, not slotSum/epochSum: those run under a writer
-	// claim and treat a negative sum as caller misuse; here any nonzero
+	// The raw delta sum, not cellsDrained: that runs under a writer
+	// claim and treats a negative sum as caller misuse; here any nonzero
 	// residue — positive or negative — is the violation.
-	if rw.slotsUp.Load() {
-		var sum int64
-		for i := range rw.slots {
-			sum += rw.slots[i].N.Load()
-		}
-		if sum != 0 {
-			return fmt.Errorf("reactive: RWMutex sharded slot deltas sum to %d at quiescence, want 0", sum)
-		}
+	if sum := rw.slots.Sum(); sum != 0 {
+		return fmt.Errorf("reactive: RWMutex sharded slot deltas sum to %d at quiescence, want 0", sum)
 	}
-	g := rw.rgate.Load()
-	if rw.ecellsUp.Load() {
-		var sum int64
-		for i := range rw.ecells {
-			sum += rw.ecells[i].Cnt.Load()
-		}
-		if sum != 0 {
-			return fmt.Errorf("reactive: RWMutex epoch cell deltas sum to %d at quiescence, want 0", sum)
-		}
-	}
-	if g&rgClaim != 0 {
-		return fmt.Errorf("reactive: RWMutex epoch gate carries a writer claim at quiescence (gate %#x)", uint64(g))
-	}
-	if gateEpoch, engEpoch := g&rgEpoch != 0, rw.reng.Mode() == rEpoch; gateEpoch != engEpoch {
-		return fmt.Errorf("reactive: RWMutex epoch gate mode bit %v disagrees with registration mode %d", gateEpoch, rw.reng.Mode())
+	if err := rw.ek.Check(rw.reng.Mode() == rEpoch); err != nil {
+		return fmt.Errorf("reactive: RWMutex %w", err)
 	}
 	for _, q := range []struct {
 		name string

@@ -79,20 +79,23 @@ func TestRWMutexCheckInvariants(t *testing.T) {
 	}
 }
 
+// TestRWMutexCheckCatchesGateSkew pins the wiring between RWMutex's
+// checker and the epoch kernel's: kernel states that disagree with the
+// lock's quiescent state surface through CheckInvariants. The kernel's
+// own Check cases live in reactive/internal/epoch.
 func TestRWMutexCheckCatchesGateSkew(t *testing.T) {
 	rw := NewRWMutex(WithInitialReaderMode(ModeEpoch))
-	rw.RLock() // force the cells up
+	rw.RLock()
 	rw.RUnlock()
-	g := rw.rgate.Load()
-	rw.rgate.Store(g &^ rgEpoch) // mode bit off while the engine says epoch
+	rw.ek.Select(false, false) // mode bit off while the engine says epoch
 	if err := rw.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "mode bit") {
 		t.Fatalf("gate/engine skew not caught: %v", err)
 	}
-	rw.rgate.Store(g | rgClaim)
+	rw.ek.Select(true, true) // a claim no writer holds
 	if err := rw.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "claim") {
 		t.Fatalf("stale claim not caught: %v", err)
 	}
-	rw.rgate.Store(g)
+	rw.ek.Release()
 	if err := rw.CheckInvariants(); err != nil {
 		t.Fatalf("restored: %v", err)
 	}

@@ -372,41 +372,15 @@ func (f *FetchOp) noteCombineBatch(n int64) {
 	}
 }
 
-// acquireSweep takes the sweepLock with two-phase waiting: poll through
-// the (deadline-aware) budget, then park on the sweep-window waiter
-// queue until the releasing sweeper grants. Announce-then-check plus
-// handoff-or-abandon make the park airtight against releases and
-// cancellations racing each other — the same protocol Mutex's park path
-// runs (DESIGN.md §5).
+// acquireSweep takes the sweepLock through the shared two-phase wait:
+// poll through the (deadline-aware) budget, then park on the
+// sweep-window waiter queue until the releasing sweeper grants — the
+// same wait Mutex's park path runs (DESIGN.md §5).
 func (f *FetchOp) acquireSweep(ctx context.Context, done <-chan struct{}) error {
-	ok, aborted := modal.PollCh(f.cfg.pollBudget(), done, func() bool {
-		return f.sweepLock.CompareAndSwap(0, 1)
-	})
-	if ok {
-		return nil
-	}
-	if aborted {
+	if f.vq.Wait(f.cfg.pollBudget(), done, func(bool) bool { return f.sweepLock.CompareAndSwap(0, 1) }) {
 		return ctx.Err()
 	}
-	w := waitq.Get()
-	defer waitq.Put(w)
-	for {
-		f.vq.Push(w)
-		if f.sweepLock.CompareAndSwap(0, 1) {
-			f.vq.Abandon(w)
-			return nil
-		}
-		if done == nil {
-			<-w.Ready()
-			continue
-		}
-		select {
-		case <-w.Ready():
-		case <-done:
-			f.vq.Abandon(w)
-			return ctx.Err()
-		}
-	}
+	return nil
 }
 
 // releaseSweep releases the sweepLock and hands the sweep window to the

@@ -1,6 +1,7 @@
 // Package affinity is the per-P shard-index substrate shared by the
 // sharded protocols of package reactive (FetchOp/Counter cells, RWMutex
-// reader slots).
+// reader slots, and the reactive/internal/epoch kernel's reader cells
+// behind RWMutex's and Map's epoch modes).
 //
 // A sharded protocol scales only if concurrently-updating processors
 // land on different shards. The Go runtime does not expose a processor
@@ -32,6 +33,7 @@ package affinity
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 )
 
@@ -43,28 +45,56 @@ import (
 // false-share.
 const CacheLineSize = 128
 
-// Cell is one per-P shard: an accumulator word padded out to a full
-// coherence granule so adjacent cells never false-share. Both sharded
-// protocols in package reactive (FetchOp/Counter cells, RWMutex reader
-// slots) use this one type, so the layout rule lives in one place.
+// Cell is one per-P shard: a word padded out to a full coherence granule
+// so adjacent cells never false-share. Every per-P structure in package
+// reactive — FetchOp/Counter cells, RWMutex reader slots, the epoch
+// kernel's reader cells — is this one type, so the layout rule lives in
+// one place. Where N holds registration deltas (slots and epoch cells)
+// a reader may deposit its +1 on one cell and its -1 on another after
+// migrating, so only the sum across cells is meaningful.
 type Cell struct {
 	N atomic.Int64
 	_ [CacheLineSize - 8]byte
 }
 
-// EpochCell is one per-P epoch-reader stamp: an online-delta count and
-// the last global grace epoch a reader on this cell observed, padded
-// out to one coherence granule so adjacent cells never false-share.
-// Like Cell.N, Cnt holds deltas, not occupancies — a reader may
-// deposit its +1 on one cell and its -1 on another after migrating —
-// so only the sum across cells is meaningful. Seen is telemetry for
-// the grace-period protocol: writers advance a global epoch and sweep
-// the cells, and Seen records how far each cell's readers have
-// observed that advance.
-type EpochCell struct {
-	Cnt  atomic.Int64
-	Seen atomic.Uint64
-	_    [CacheLineSize - 16]byte
+// Cells is a lazily built per-P cell array with a sum — the helper
+// behind RWMutex's reader slots and the epoch kernel's cells. The zero
+// value is an unbuilt array; a Cells must not be copied after first use.
+type Cells struct {
+	cells []Cell
+	once  sync.Once
+	up    atomic.Bool
+}
+
+// Build returns the array, creating it on first use, sized to Shards().
+// Owners build it before publishing the mode whose fast path indexes
+// it, so that path may use Built without a nil check.
+func (a *Cells) Build() []Cell {
+	a.once.Do(func() {
+		a.cells = make([]Cell, Shards())
+		a.up.Store(true)
+	})
+	return a.cells
+}
+
+// Built returns the array if it has ever been built, else nil.
+func (a *Cells) Built() []Cell {
+	if !a.up.Load() {
+		return nil
+	}
+	return a.cells
+}
+
+// Sum adds up the cells; zero until the array is built. A sweep is not a
+// snapshot: the owning protocol's ordering argument (DESIGN.md §4, §8)
+// is what makes a zero read meaningful.
+func (a *Cells) Sum() int64 {
+	var sum int64
+	cells := a.Built()
+	for i := range cells {
+		sum += cells[i].N.Load()
+	}
+	return sum
 }
 
 // Shards returns the shard-array size the current process warrants: the

@@ -21,8 +21,8 @@
 // replaying it re-opens the same racy windows with the same bias.
 //
 // The catalog of instrumented points is a package-level table kept in
-// lockstep with the source by a sync test that scans package reactive
-// for hook calls, so a schedule always covers every window and the
+// lockstep with the source by a sync test that scans everything under
+// reactive/ for hook calls, so a schedule always covers every window and the
 // DESIGN.md point inventory cannot rot.
 package chaos
 
@@ -51,14 +51,18 @@ const (
 	PtMutexParkAnnounced = "mutex.park.announced"
 	PtMutexUnlockRelease = "mutex.unlock.release"
 
-	// RWMutex: the deposit/stamp-to-gate-validation windows of the
-	// sharded and epoch registration proofs (DESIGN.md §4, §8), the
-	// writer's claim-to-sweep window, and the three undo paths that
-	// retract a claim.
+	// epoch kernel (RWMutex's and Map's epoch modes alike): a reader's
+	// deposit-to-gate-validation window, and its decrement-to-claim-check
+	// window on exit — the two reader-side windows of the grace-period
+	// proof (DESIGN.md §8).
+	PtEpochStamp   = "epoch.stamp"
+	PtEpochOffline = "epoch.offline"
+
+	// RWMutex: the deposit-to-claim-validation window of the sharded
+	// registration proof (DESIGN.md §4) and its undo, the writer's
+	// claim-to-sweep window, and the three paths that retract a claim.
 	PtRWShardedDeposit = "rwmutex.sharded.deposit"
 	PtRWShardedUndo    = "rwmutex.sharded.undo"
-	PtRWEpochStamp     = "rwmutex.epoch.stamp"
-	PtRWEpochOffline   = "rwmutex.epoch.offline"
 	PtRWWriterClaimed  = "rwmutex.writer.claimed"
 	PtRWDrainUndo      = "rwmutex.drain.undo"
 	PtRWTryLockUndo    = "rwmutex.trylock.undo"
@@ -75,8 +79,10 @@ const (
 	// Map: the three proof-critical windows of the epoch-mode republish
 	// protocol — a mutation resting in the journal before it reaches any
 	// table, the instant a new table version is published while readers
-	// may still hold the old one, and the grace-period sweep that proves
-	// the retired table reader-free before it is mutated in place.
+	// may still hold the old one, and the grace period that proves the
+	// retired table reader-free before it is mutated in place (the point
+	// fires before every cell sweep: in the claim-to-first-sweep window,
+	// then between re-sweeps).
 	PtMapJournalDeposit = "map.journal.deposit"
 	PtMapTablePublish   = "map.table.publish"
 	PtMapGraceSweep     = "map.grace.sweep"
@@ -92,8 +98,8 @@ var catalog = func() []string {
 		PtWaitqPush, PtWaitqGrant, PtWaitqAbandon,
 		PtModalCommit,
 		PtMutexParkAnnounced, PtMutexUnlockRelease,
+		PtEpochStamp, PtEpochOffline,
 		PtRWShardedDeposit, PtRWShardedUndo,
-		PtRWEpochStamp, PtRWEpochOffline,
 		PtRWWriterClaimed, PtRWDrainUndo, PtRWTryLockUndo, PtRWUnlockRelease,
 		PtFopCombineDeposit, PtFopFoldHarvest, PtFopValueSweep, PtFopSweepRelease,
 		PtMapJournalDeposit, PtMapTablePublish, PtMapGraceSweep,

@@ -18,10 +18,14 @@
 // Grants are wakeup hints, not ownership transfers: the primitives built on
 // this package are barging (acquisition is always a CAS on the caller's own
 // state word), so a spurious or stale grant costs a re-check, never
-// correctness. The invariant callers must maintain is announce-then-check:
+// correctness. The invariant a waiter must maintain is announce-then-check:
 // Push the node, then re-test the awaited condition (or attempt the
 // acquisition) before blocking on Ready, so a peer that changed the
 // condition before observing the queue cannot strand the waiter.
+// Queue.Wait is the one place in the tree that choreography is written
+// out — every primitive's blocking wait is a call to it — so Get, Put,
+// Push, Abandon, and Ready have no other caller outside this package's
+// tests.
 //
 // All queue state is guarded by a small randomized-backoff spin lock; the
 // critical sections are a handful of pointer moves and one non-blocking
@@ -223,4 +227,47 @@ func (q *Queue) Abandon(w *Waiter) bool {
 	}
 	q.release()
 	panic("waitq: Abandon of a Waiter that is not waiting")
+}
+
+// Wait is the two-phase wait of the thesis's Chapter 4, the only park
+// loop in the tree. Phase one polls try through budget iterations
+// (modal.PollCh, so a closed done stops the polling at once). Phase two
+// signals: announce a pooled Waiter on q, re-test try — the
+// announce-then-check step, so a peer that made try succeed before it
+// could observe the queue cannot strand this waiter — and block until a
+// grant or done, re-announcing after every grant (grants are hints; try
+// alone decides). A waiter that stops being one — try succeeded while
+// queued, or done closed — leaves through Abandon, so a grant that raced
+// in is passed on, never lost.
+//
+// try reports whether the awaited condition now holds (for a lock: was
+// just acquired). Its argument says which phase is asking: false while
+// polling, true for the post-announce re-tests, where a caller whose
+// release side must learn that a waiter is announced (Mutex's contended
+// word) records that before reporting false. Wait reports only whether
+// the wait was aborted by done; a nil done never aborts.
+func (q *Queue) Wait(budget int32, done <-chan struct{}, try func(announced bool) bool) (aborted bool) {
+	ok, aborted := modal.PollCh(budget, done, func() bool { return try(false) })
+	if ok || aborted {
+		return aborted
+	}
+	w := Get()
+	defer Put(w)
+	for {
+		q.Push(w)
+		if try(true) {
+			q.Abandon(w)
+			return false
+		}
+		if done == nil {
+			<-w.Ready()
+			continue
+		}
+		select {
+		case <-w.Ready():
+		case <-done:
+			q.Abandon(w)
+			return true
+		}
+	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/reactive/internal/affinity"
 	"repro/reactive/internal/chaos"
+	"repro/reactive/internal/epoch"
 	"repro/reactive/internal/waitq"
 	"repro/reactive/modal"
 )
@@ -93,15 +94,16 @@ type mapMut[K comparable, V any] struct {
 //     shards proceed in parallel; contention on one key's shard is the
 //     detection signal in both directions.
 //   - ModeEpoch — a read-mostly copy-on-write table in the userspace-
-//     RCU style: Get pins, stamps a per-P epoch cell, and reads an
-//     atomically published immutable table, writing nothing outside
-//     its own cache-line-padded cell — contended reads generate zero
-//     shared-cacheline coherence traffic. Put and Delete buffer the
-//     mutation into a journal under the writer lock, fold it into the
-//     off-line table copy, publish that copy as the new version, and
-//     run a grace-period sweep (the RWMutex epoch protocol's sweep,
-//     reused structurally) proving the retired copy reader-free before
-//     it is mutated in place for the next round.
+//     RCU style: Get enters the grace-period kernel (a deposit in its
+//     per-P cell) and reads an atomically published immutable table,
+//     writing nothing outside its own cache-line-padded cell —
+//     contended reads generate zero shared-cacheline coherence
+//     traffic. Put and Delete buffer the mutation into a journal under
+//     the writer lock, fold it into the off-line table copy, publish
+//     that copy as the new version, and run a grace period (the same
+//     reactive/internal/epoch kernel RWMutex's epoch mode runs on)
+//     proving the retired copy reader-free before it is mutated in
+//     place for the next round.
 //
 // Reads that arrive during an epoch-mode writer's grace claim fall back
 // to the writer lock, so writers cannot starve; a Get never blocks a
@@ -146,22 +148,16 @@ type Map[K comparable, V any] struct {
 	// Epoch-mode state: the published table (cur), the off-line copy
 	// the next writer folds into (spare, guarded by wl), the mutation
 	// journal (guarded by wl; entries deposited but not yet folded into
-	// both copies), and the gate/cell grace-period machinery, laid out
-	// exactly as RWMutex's (rgClaim/rgEpoch/rgGraceMask packing).
+	// both copies), the grace-period kernel readers enter and writers
+	// claim (ek), and the queue a grace period parks on (gq; the last
+	// reader out grants into it).
 	cur     atomic.Pointer[mapVersion[K, V]]
 	spare   *mapVersion[K, V]
 	journal []mapMut[K, V]
 	jdepth  atomic.Int64
 	version atomic.Uint64
-	gate    atomic.Int64
+	ek      epoch.Kernel
 	gq      waitq.Queue
-
-	ecells     []affinity.EpochCell
-	ecellsOnce sync.Once
-	ecellsUp   atomic.Bool
-
-	graces      atomic.Uint64
-	quietGraces atomic.Uint64
 }
 
 // NewMap builds a Map with the given options. NewMap() is equivalent to
@@ -209,15 +205,6 @@ func (mp *Map[K, V]) shardsInit() {
 		mp.seed = maphash.MakeSeed()
 		mp.shards = make([]mapShard[K, V], affinity.Shards())
 		mp.shardsUp.Store(true)
-	})
-}
-
-// epochCellsInit lazily builds the per-P epoch cells, exactly once,
-// before the epoch mode is ever published.
-func (mp *Map[K, V]) epochCellsInit() {
-	mp.ecellsOnce.Do(func() {
-		mp.ecells = make([]affinity.EpochCell, affinity.Shards())
-		mp.ecellsUp.Store(true)
 	})
 }
 
@@ -364,7 +351,6 @@ func (mp *Map[K, V]) switchMap(want, next modal.Mode) {
 		mp.eng.TryCommit(mapModeTable, mapSharded, mapLocked)
 		mp.unlockAllShards()
 	case want == mapSharded && next == mapEpoch:
-		mp.epochCellsInit()
 		mp.lockAllShards()
 		n := int(mp.count.Load())
 		pub := make(map[K]V, n)
@@ -378,11 +364,11 @@ func (mp *Map[K, V]) switchMap(want, next modal.Mode) {
 		}
 		mp.cur.Store(&mapVersion[K, V]{m: pub, ver: mp.version.Add(1)})
 		mp.spare = &mapVersion[K, V]{m: off}
-		// Raise the gate's mode bit before the commit publishes the
-		// mode, so the first Get that dispatches to the epoch path
-		// validates successfully. No claim: the spare has never been
-		// published, so its in-place mutation needs no grace period.
-		mp.gate.Store(mp.gate.Load() | rgEpoch)
+		// Select the kernel before the commit publishes the mode, so the
+		// first Get that dispatches to the epoch path validates
+		// successfully. No claim: the spare has never been published, so
+		// its in-place mutation needs no grace period.
+		mp.ek.Select(true, false)
 		mp.eng.TryCommit(mapModeTable, mapSharded, mapEpoch)
 		mp.unlockAllShards()
 	}
@@ -441,11 +427,22 @@ func (mp *Map[K, V]) get(ctx context.Context, done <-chan struct{}, key K) (V, b
 			mp.noteSharded(contended, true)
 			return v, ok, nil
 		default: // mapEpoch
-			if v, ok, valid := mp.getEpoch(key); valid {
+			// One epoch-mode read: enter the kernel, read the published
+			// table, exit. Between a successful enter and its exit the
+			// kernel's exclusion argument (DESIGN.md §8) holds the table
+			// still: a writer retires a table only by publishing its
+			// successor and then running a grace period, which this
+			// reader's deposit blocks, so the table cannot be mutated in
+			// place while this reader is inside it.
+			c, claimed := mp.ek.Enter()
+			if c != nil {
+				v, ok := mp.cur.Load().m[key]
+				mp.wakeGrace(mp.ek.Exit(c))
 				return v, ok, nil
 			}
-			// A writer's grace claim is in place (or the mode just
-			// moved): read authoritatively under the writer lock, so
+			mp.wakeGrace(claimed)
+			// Refused: a writer's grace claim is in place (or the mode
+			// just moved). Read authoritatively under the writer lock, so
 			// writers cannot starve behind a read storm.
 			if _, err := mp.lockW(ctx, done); err != nil {
 				return zero, false, err
@@ -461,44 +458,11 @@ func (mp *Map[K, V]) get(ctx context.Context, done <-chan struct{}, key K) (V, b
 	}
 }
 
-// getEpoch attempts one epoch-mode read: publish an online stamp in
-// this P's cell, validate against the gate that the epoch mode is still
-// selected and no writer claim is in place, and read the published
-// table. Either validation failing undoes the stamp and reports invalid
-// (the caller falls back to the writer lock). The exclusion argument is
-// RWMutex's epoch registration argument verbatim: the cell increment is
-// a sequentially consistent RMW preceding this goroutine's gate load,
-// and a claiming writer stores the claim before its first cell sweep,
-// so a claim-free gate load proves the stamp visible to every sweep of
-// that grace period — the published table cannot be retired and mutated
-// while this reader is inside it.
-func (mp *Map[K, V]) getEpoch(key K) (v V, ok, valid bool) {
-	cells := mp.ecells // non-nil: built before mapEpoch was published
-	c := &cells[affinity.Pin()&(len(cells)-1)]
-	c.Cnt.Add(1)
-	g := mp.gate.Load()
-	if g < rgEpoch {
-		affinity.Unpin()
-		mp.unstamp(c)
-		return v, false, false
-	}
-	// Record the grace epoch observed; the store is to this P's own
-	// cell and skipped when already current, so steady-state reads keep
-	// the cell line exclusive and touch no shared line at all.
-	if e := uint64(g & rgGraceMask); c.Seen.Load() != e {
-		c.Seen.Store(e)
-	}
-	affinity.Unpin()
-	v, ok = mp.cur.Load().m[key]
-	mp.unstamp(c)
-	return v, ok, true
-}
-
-// unstamp takes one epoch reader offline and nudges a writer whose
-// grace period is parked waiting for the cell sum to drain.
-func (mp *Map[K, V]) unstamp(c *affinity.EpochCell) {
-	c.Cnt.Add(-1)
-	if mp.gate.Load() < 0 {
+// wakeGrace follows every epoch-cell decrement (an exit, or a refused
+// entry's undo): if the kernel reported a claim pending, the writer's
+// grace period may be parked waiting for the cell sum to drain.
+func (mp *Map[K, V]) wakeGrace(claimed bool) {
+	if claimed {
 		mp.gq.Grant()
 	}
 }
@@ -657,85 +621,52 @@ func (mp *Map[K, V]) putEpoch(key K, val V, del bool) {
 	mp.jdepth.Store(0)
 }
 
-// graceSweep runs one grace period, under wl: claim the gate (advancing
-// the global grace epoch), wait until every reader that might hold the
-// retired table has gone offline, run the epoch protocol's scale-down
-// detection, and release the claim. The wait is two-phase (poll through
-// the budget, then park on gq, granted by unstamp) and uncancellable —
-// epoch read sections run no user code, so it is bounded. Reports
-// whether detection demoted the map out of the epoch mode; in that case
-// the commit ran here, under the claim, where reader exclusion is
-// already proved, and the gate's mode bit was lowered with the claim.
+// graceSweep runs one grace period, under wl: claim the kernel, wait
+// until every reader that might hold the retired table has exited, run
+// the epoch protocol's scale-down detection, and release the claim. The
+// wait is the shared two-phase wait on gq (granted by wakeGrace) and
+// uncancellable — epoch read sections run no user code, so it is
+// bounded. At most one writer sweeps at a time (wl is held), so gq holds
+// at most one node. Reports whether detection demoted the map out of
+// the epoch mode; in that case the commit ran here, under the claim,
+// where reader exclusion is already proved.
 func (mp *Map[K, V]) graceSweep() (demoted bool) {
-	g := mp.gate.Load()
-	mp.gate.Store((g &^ rgGraceMask) | rgClaim | ((g + 1) & rgGraceMask))
-	chaos.Point("map.grace.sweep")
-	idle := mp.cellSum() == 0
-	if !idle {
-		if ok, _ := modal.PollCh(mp.cfg.pollBudget(), nil, func() bool { return mp.cellSum() == 0 }); !ok {
-			mp.parkGrace()
-		}
+	mp.ek.Claim()
+	// Readers are internal enter/exit pairs, so unlike RWMutex a
+	// negative sum would be a package bug, not caller misuse;
+	// CheckInvariants verifies zero at quiescence.
+	swept := func(bool) bool {
+		chaos.Point("map.grace.sweep")
+		return mp.ek.Sum() == 0
 	}
-	mp.graces.Add(1)
-	if idle {
-		// A quiet grace period: the published table went unread across
-		// a whole writer round — the write-dominated regime where the
-		// copy-on-write machinery is pure overhead.
-		mp.quietGraces.Add(1)
-		if mp.eng.Vote(mapModeTable, mapEpoch, mapSharded, mp.cfg.emptyLim()) {
-			mp.shardsInit()
-			mp.lockAllShards()
-			for k, v := range mp.cur.Load().m {
-				sh := &mp.shards[mp.shardIndex(k)]
-				if sh.m == nil {
-					sh.m = make(map[K]V)
-				}
-				sh.m[k] = v
-			}
-			mp.eng.TryCommit(mapModeTable, mapEpoch, mapSharded)
-			mp.unlockAllShards()
-			mp.spare = nil
-			mp.gate.Store(mp.gate.Load() &^ (rgClaim | rgEpoch))
-			return true
-		}
-	} else {
+	quiet := swept(false)
+	if !quiet {
+		mp.gq.Wait(mp.cfg.pollBudget(), nil, swept)
+	}
+	mp.ek.Grace(quiet)
+	if !quiet {
 		mp.eng.Good(mapModeTable, mapEpoch, mapSharded)
-	}
-	mp.gate.Store(mp.gate.Load() &^ rgClaim)
-	return false
-}
-
-// parkGrace is the grace period's phase-two wait: park on gq until the
-// last online reader grants a re-sweep. At most one writer sweeps at a
-// time (wl is held), so the queue holds at most one node; announce-
-// then-check against the cell sum closes the race with a reader that
-// went offline before the announce.
-func (mp *Map[K, V]) parkGrace() {
-	w := waitq.Get()
-	defer waitq.Put(w)
-	for {
-		mp.gq.Push(w)
-		if mp.cellSum() == 0 {
-			mp.gq.Abandon(w)
-			return
+	} else if mp.eng.Vote(mapModeTable, mapEpoch, mapSharded, mp.cfg.emptyLim()) {
+		// A streak of quiet grace periods: the published table went
+		// unread across whole writer rounds — the write-dominated regime
+		// where the copy-on-write machinery is pure overhead.
+		mp.shardsInit()
+		mp.lockAllShards()
+		for k, v := range mp.cur.Load().m {
+			sh := &mp.shards[mp.shardIndex(k)]
+			if sh.m == nil {
+				sh.m = make(map[K]V)
+			}
+			sh.m[k] = v
 		}
-		<-w.Ready()
-		if mp.cellSum() == 0 {
-			return
-		}
+		mp.ek.Select(false, true)
+		mp.eng.TryCommit(mapModeTable, mapEpoch, mapSharded)
+		mp.unlockAllShards()
+		mp.spare = nil
+		demoted = true
 	}
-}
-
-// cellSum sweeps the epoch cells. Stamps are internal add-then-remove
-// pairs, so unlike RWMutex's epochSum a negative transient would be a
-// package bug, not caller misuse; CheckInvariants verifies zero at
-// quiescence.
-func (mp *Map[K, V]) cellSum() int64 {
-	var sum int64
-	for i := range mp.ecells {
-		sum += mp.ecells[i].Cnt.Load()
-	}
-	return sum
+	mp.ek.Release()
+	return demoted
 }
 
 // Len reports the number of keys in the map. It is an O(1) gauge read,
@@ -810,29 +741,21 @@ func (mp *Map[K, V]) snapshot() map[K]V {
 	}
 }
 
-// snapshotEpoch copies the published table under an online stamp — the
+// snapshotEpoch copies the published table as an epoch reader — the
 // copy (bounded, no user code) is the only work an epoch-mode grace
 // period ever waits on besides lookups.
 func (mp *Map[K, V]) snapshotEpoch() (map[K]V, bool) {
-	cells := mp.ecells
-	c := &cells[affinity.Pin()&(len(cells)-1)]
-	c.Cnt.Add(1)
-	g := mp.gate.Load()
-	if g < rgEpoch {
-		affinity.Unpin()
-		mp.unstamp(c)
+	c, claimed := mp.ek.Enter()
+	if c == nil {
+		mp.wakeGrace(claimed)
 		return nil, false
 	}
-	if e := uint64(g & rgGraceMask); c.Seen.Load() != e {
-		c.Seen.Store(e)
-	}
-	affinity.Unpin()
 	t := mp.cur.Load()
 	out := make(map[K]V, len(t.m))
 	for k, v := range t.m {
 		out[k] = v
 	}
-	mp.unstamp(c)
+	mp.wakeGrace(mp.ek.Exit(c))
 	return out, true
 }
 
@@ -873,8 +796,8 @@ func (mp *Map[K, V]) MapStats() MapStats {
 		Stats:       mp.Stats(),
 		Version:     mp.version.Load(),
 		Journal:     int(mp.jdepth.Load()),
-		Graces:      mp.graces.Load(),
-		QuietGraces: mp.quietGraces.Load(),
+		Graces:      mp.ek.Graces(),
+		QuietGraces: mp.ek.QuietGraces(),
 	}
 	if mp.shardsUp.Load() {
 		ms.Shards = len(mp.shards)
@@ -884,8 +807,8 @@ func (mp *Map[K, V]) MapStats() MapStats {
 
 // CheckInvariants verifies the map's quiescent-state invariants: the
 // writer lock is free and sound, every shard lock is free, the epoch
-// gate carries no claim and its mode bit agrees with the engine, the
-// epoch cells sum to zero, the journal is empty, no grace waiter is
+// kernel is quiescent (no claim, mode bit agreeing with the engine,
+// cells summing to zero), the journal is empty, no grace waiter is
 // parked, the published table's version equals the (monotone) version
 // counter, the off-line copy is a full replica of the published table,
 // and the live-key gauge equals the key count of the current mode's
@@ -905,17 +828,8 @@ func (mp *Map[K, V]) CheckInvariants() error {
 			}
 		}
 	}
-	g := mp.gate.Load()
-	if g&rgClaim != 0 {
-		return fmt.Errorf("reactive: Map epoch gate carries a writer claim at quiescence (gate %#x)", uint64(g))
-	}
-	if gateEpoch, engEpoch := g&rgEpoch != 0, mp.eng.Mode() == mapEpoch; gateEpoch != engEpoch {
-		return fmt.Errorf("reactive: Map epoch gate mode bit %v disagrees with mode %d", gateEpoch, mp.eng.Mode())
-	}
-	if mp.ecellsUp.Load() {
-		if sum := mp.cellSum(); sum != 0 {
-			return fmt.Errorf("reactive: Map epoch cell deltas sum to %d at quiescence, want 0", sum)
-		}
+	if err := mp.ek.Check(mp.eng.Mode() == mapEpoch); err != nil {
+		return fmt.Errorf("reactive: Map %w", err)
 	}
 	if n := len(mp.journal); n != 0 {
 		return fmt.Errorf("reactive: Map journal holds %d mutations at quiescence, want 0", n)

@@ -33,12 +33,12 @@
 // and LoadCtx bound an acquisition by a context's cancellation or
 // deadline (the semaphore.Weighted.Acquire idiom), returning ctx.Err()
 // promptly in either wait phase, while Lock, RLock, Value, and Load stay
-// thin zero-allocation wrappers over the same paths. All phase-two
-// parking goes through one shared waiter-queue engine
-// (reactive/internal/waitq): an intrusive FIFO of per-goroutine wait
-// nodes whose handoff-or-abandon discipline passes a wakeup delivered to
-// a cancelled waiter on to the next one, so cancellation can never
-// strand a waiter (DESIGN.md §5). Every primitive reports the same
+// thin zero-allocation wrappers over the same paths. Every blocking
+// wait is one call to the shared two-phase wait of the waiter-queue
+// engine (reactive/internal/waitq): an intrusive FIFO of per-goroutine
+// wait nodes whose handoff-or-abandon discipline passes a wakeup
+// delivered to a cancelled waiter on to the next one, so cancellation
+// can never strand a waiter (DESIGN.md §5). Every primitive reports the same
 // Stats shape: current mode, committed protocol changes, parked
 // waiters, and (for RWMutex) the reader-registration protocol. Stats
 // marshals to JSON, Stats.Sub turns two snapshots into an interval
@@ -57,9 +57,11 @@
 // residual-cost estimator.
 // All mode changes, in every primitive, go through the same
 // reactive/modal transition engine the simulator's algorithms validate
-// against, and the sharded protocols select their per-processor shard
+// against, the sharded protocols select their per-processor shard
 // through one affinity substrate (reactive/internal/affinity, the
-// runtime's procPin pair with a portable fallback).
+// runtime's procPin pair with a portable fallback), and the epoch modes
+// of RWMutex and Map run on one grace-period kernel
+// (reactive/internal/epoch, DESIGN.md §8).
 package reactive
 
 import (
@@ -119,15 +121,14 @@ const (
 	// word is touched once per batch instead of once per operation. Best
 	// when heavy updates and frequent reads coincide.
 	ModeCombining
-	// ModeEpoch is RWMutex's most scalable reader registration protocol,
-	// the userspace-RCU read-side analogue: RLock publishes only a local
-	// online stamp (a count plus the global grace epoch it observed) in
-	// its per-P cell and RUnlock clears it — neither touches a shared
-	// word, so contended reads stop generating coherence traffic
-	// entirely. Writers advance the global grace epoch and sweep the
-	// cells until every online reader has observed the advance or gone
-	// offline. Best when reads vastly outnumber writes; writers pay a
-	// full grace period.
+	// ModeEpoch is RWMutex's most scalable reader registration protocol
+	// (and Map's most scalable protocol), the userspace-RCU read-side
+	// analogue: RLock deposits only a local online count in its per-P
+	// cell and RUnlock withdraws it — neither stores to a shared word,
+	// so contended reads stop generating coherence traffic entirely.
+	// Writers claim a gate word readers only load and sweep the cells
+	// until every registered reader has gone offline. Best when reads
+	// vastly outnumber writes; writers pay a full grace period.
 	ModeEpoch
 	// ModeLocked is Map's cheapest protocol: one hash table guarded by
 	// the adaptive Mutex, so every operation pays one lock word and the
@@ -277,14 +278,15 @@ func (c *config) pollBudget() int32 {
 //
 // A Stats value marshals to JSON with lower-case field names and the
 // Mode rendered as its protocol name ("spin", "park", "cas", "sharded",
-// "combining", "epoch"); Sub converts two snapshots into a delta whose monotonic
-// counters can be divided by the polling interval to obtain rates (see
-// DESIGN.md §6 and the reactive/reactivehttp package).
+// "combining", "epoch", "locked"); Sub converts two snapshots into a delta
+// whose monotonic counters can be divided by the polling interval to
+// obtain rates (see DESIGN.md §6 and the reactive/reactivehttp package).
 type Stats struct {
 	// Mode is the currently selected protocol: the wait protocol for
 	// Mutex and RWMutex (ModeSpin/ModePark), the update protocol for
-	// Counter and FetchOp (ModeCAS/ModeSharded/ModeCombining). A gauge:
-	// Sub keeps the newer snapshot's value.
+	// Counter and FetchOp (ModeCAS/ModeSharded/ModeCombining), the map
+	// protocol for Map (ModeLocked/ModeSharded/ModeEpoch). A gauge: Sub
+	// keeps the newer snapshot's value.
 	Mode Mode `json:"mode"`
 	// Switches counts the protocol changes committed by that mode's
 	// engine. Monotonic: Sub returns the difference.
@@ -295,9 +297,10 @@ type Stats struct {
 	// for RWMutex; reconciling readers waiting for the sweep window for
 	// Counter and FetchOp. A gauge: Sub keeps the newer snapshot's value.
 	Waiters int `json:"waiters"`
-	// Readers describes RWMutex's reader registration protocol
-	// (centralized CAS word vs BRAVO-style sharded per-P slots); nil for
-	// every other primitive.
+	// Readers describes RWMutex's reader registration protocol — the
+	// three-mode chain centralized CAS word ↔ BRAVO-style sharded per-P
+	// slots ↔ per-P epoch cells — and its grace-period counters; nil for
+	// every other primitive (Map reports its grace periods in MapStats).
 	Readers *ReaderStats `json:"readers,omitempty"`
 }
 
@@ -307,7 +310,7 @@ type Stats struct {
 type ReaderStats struct {
 	// Mode is ModeCAS while readers register on the centralized word,
 	// ModeSharded while they register in per-P slots, ModeEpoch while
-	// they publish per-P epoch stamps. A gauge under Sub.
+	// they register in the epoch kernel's per-P cells. A gauge under Sub.
 	Mode Mode `json:"mode"`
 	// Switches counts committed registration-protocol changes.
 	// Monotonic: Sub returns the difference.
@@ -318,9 +321,9 @@ type ReaderStats struct {
 	Shards int `json:"shards"`
 	// Graces counts completed writer grace periods: drains that ran
 	// while the epoch registration protocol was selected, each of which
-	// advanced the global grace epoch and swept the per-P cells until
-	// every online reader had observed the advance or gone offline.
-	// Monotonic: Sub returns the difference.
+	// claimed the epoch gate and swept the per-P cells until every
+	// registered reader had gone offline. Monotonic: Sub returns the
+	// difference.
 	Graces uint64 `json:"graces"`
 	// QuietGraces counts the grace periods that found no online epoch
 	// reader at all — the epoch machinery going unused across a whole
@@ -427,12 +430,19 @@ func (m *Mutex) LockCtx(ctx context.Context) error {
 // lockSlow dispatches a contended acquisition to the selected waiting
 // protocol. A nil ctx (and done) means the wait is uncancellable; the
 // nil-ness of done, not ctx, gates every cancellation check so Lock pays
-// nothing for the context plumbing.
+// nothing for the context plumbing, and ctx itself is consulted only
+// here, to name the error of an aborted wait.
 func (m *Mutex) lockSlow(ctx context.Context, done <-chan struct{}) error {
+	var aborted bool
 	if m.eng.Mode() == mSpin {
-		return m.lockSpin(ctx, done)
+		aborted = m.lockSpin(done)
+	} else {
+		aborted = m.lockPark(done)
 	}
-	return m.lockPark(ctx, done)
+	if aborted {
+		return ctx.Err()
+	}
+	return nil
 }
 
 // noteSpinAcquire records the outcome of one spin-mode acquisition with
@@ -465,87 +475,62 @@ func (m *Mutex) noteSpinAcquire(fails int) {
 // lockSpin is the test-and-test-and-set protocol with randomized
 // exponential backoff. It migrates to the parking protocol if the mode
 // changes mid-wait, and gives up between attempts once done closes.
-func (m *Mutex) lockSpin(ctx context.Context, done <-chan struct{}) error {
+func (m *Mutex) lockSpin(done <-chan struct{}) (aborted bool) {
 	var bo modal.Backoff
 	fails := 0
 	for {
 		// Read-poll (cached) before attempting the RMW.
 		if m.state.Load() == unlocked && m.state.CompareAndSwap(unlocked, locked) {
 			m.noteSpinAcquire(fails)
-			return nil
+			return false
 		}
 		if done != nil {
 			select {
 			case <-done:
-				return ctx.Err()
+				return true
 			default:
 			}
 		}
 		fails++
 		bo.Pause()
 		if m.eng.Mode() == mPark {
-			return m.lockPark(ctx, done)
+			return m.lockPark(done)
 		}
 	}
 }
 
-// lockPark is the parking protocol with two-phase waiting: poll through
-// the (deadline-aware) polling budget, then park on the waiter queue
-// until an unlocker grants a wakeup. Grants are hints, not ownership
+// lockPark is the parking protocol: the shared two-phase wait (poll
+// through the deadline-aware budget, then park on the waiter queue until
+// an unlocker grants a wakeup). Grants are hints, not ownership
 // transfers — the woken waiter re-competes for the state word — so the
 // protocol's invariant is purely about wakeups: whenever the lock is
 // released with a waiter announced, one grant is issued, and any waiter
 // that stops waiting while holding a grant (cancellation, or an
-// acquisition that raced the grant) passes it on via Abandon.
-func (m *Mutex) lockPark(ctx context.Context, done <-chan struct{}) error {
-	// Phase one: poll.
-	ok, aborted := modal.PollCh(m.cfg.pollBudget(), done, func() bool {
-		return m.state.CompareAndSwap(unlocked, locked)
-	})
-	if ok {
-		return nil
-	}
-	if aborted {
-		return ctx.Err()
-	}
-	// Phase two: signal. Announce the waiter, mark the lock contended,
-	// and park.
-	w := waitq.Get()
-	defer waitq.Put(w)
-	for {
-		// Announce-then-check: the node must be queued before the state
-		// word says "contended", so the unlock that observes contended
-		// (or a queued waiter) always has someone to grant to.
-		m.q.Push(w)
+// acquisition that raced the grant) passes it on via the wait's Abandon.
+func (m *Mutex) lockPark(done <-chan struct{}) (aborted bool) {
+	return m.q.Wait(m.cfg.pollBudget(), done, func(announced bool) bool {
+		if !announced {
+			return m.state.CompareAndSwap(unlocked, locked)
+		}
+		// Announce-then-check: the node is queued before the state word
+		// says "contended", so the unlock that observes contended (or a
+		// queued waiter) always has someone to grant to.
 		chaos.Point("mutex.park.announced")
 		for {
 			old := m.state.Load()
 			if old == unlocked {
+				// Acquire as contended: other waiters may be queued behind
+				// this one, and the next unlock must keep granting.
 				if m.state.CompareAndSwap(unlocked, contended) {
-					// Acquired while queued: leave, passing on any grant
-					// that already raced in.
-					m.q.Abandon(w)
-					return nil
+					return true
 				}
 				continue
 			}
 			if old == contended || m.state.CompareAndSwap(locked, contended) {
-				break
+				return false
 			}
 		}
-		if done == nil {
-			<-w.Ready()
-			continue
-		}
-		select {
-		case <-w.Ready():
-		case <-done:
-			// Handoff-or-abandon: if a grant already raced our
-			// cancellation, Abandon forwards it so no waiter is stranded.
-			m.q.Abandon(w)
-			return ctx.Err()
-		}
-	}
+	})
 }
 
 // Unlock releases the mutex. It must be called by the goroutine that holds

@@ -2,11 +2,11 @@ package reactive
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 
 	"repro/reactive/internal/affinity"
 	"repro/reactive/internal/chaos"
+	"repro/reactive/internal/epoch"
 	"repro/reactive/internal/waitq"
 	"repro/reactive/modal"
 )
@@ -37,34 +37,6 @@ func readerPublicMode(m modal.Mode) Mode {
 	}
 	return ModeCAS + Mode(m)
 }
-
-// rgate is the epoch registration gate word (RWMutex.rgate): one shared
-// word epoch readers *load* but never store. Bits 63 and 62 are flags,
-// the low 62 bits count global grace periods. Writers own every store —
-// serialized by the writer mutex, or performed under full writer
-// exclusion for the mode-bit flips — so the word is single-writer and
-// plain load/modify/store suffices on the writer side.
-//
-// The bit layout is chosen for the reader fast path: the claim flag is
-// the sign bit, so RUnlock's "is a writer draining" check is one signed
-// sign test, and "epoch selected and no claim" is the single signed
-// compare g >= rgEpoch (claim set makes g negative; epoch set without a
-// claim makes g at least 2⁶²; neither leaves only grace bits, below
-// 2⁶²). Both checks fit the compiler's inlining budget where the
-// two-instruction mask-and-test form did not.
-const (
-	// rgClaim mirrors the readerCount claim for epoch readers: set
-	// (with a grace-epoch advance) before a writer sweeps the epoch
-	// cells, cleared at its release. An epoch reader validates its
-	// deposit against this single word. Sign bit: test with g < 0.
-	rgClaim int64 = -1 << 63
-	// rgEpoch is set exactly while the registration protocol is rEpoch;
-	// it changes only under writer exclusion, together with the engine
-	// commit. Test "epoch and unclaimed" with g >= rgEpoch.
-	rgEpoch int64 = 1 << 62
-	// rgGraceMask extracts the global grace-period counter.
-	rgGraceMask = rgEpoch - 1
-)
 
 // readerShardTable is the 3-mode transition table of RWMutex's reader
 // registration protocol (centralized word ↔ BRAVO-style per-P slots ↔
@@ -113,13 +85,12 @@ func RWReaderTable() *modal.Table { return readerShardTable }
 //     slots. Read-dominated workloads scale with cores instead of
 //     serializing on coherence traffic; writers pay a slot sweep.
 //   - ModeEpoch — userspace-RCU-style epoch registration, the chain's
-//     high-contention endpoint: RLock publishes only a local online
-//     stamp (count plus observed grace epoch) in its per-P cell and
-//     validates it against one shared gate word it never stores to, so
-//     an epoch-mode read performs zero shared-cacheline writes. Writers
-//     advance the global grace epoch and sweep the cells (a grace
-//     period) until every online reader has observed the advance or
-//     gone offline.
+//     high-contention endpoint: RLock deposits only a local online
+//     count in its per-P cell and validates it against one shared gate
+//     word it never stores to, so an epoch-mode read performs zero
+//     shared-cacheline writes. Writers claim the gate and sweep the
+//     cells (a grace period) until every registered reader has gone
+//     offline.
 //
 // Wait-protocol detection mirrors Mutex: a reader whose wait exceeded
 // the polling budget votes toward ModePark (SpinFailLimit consecutive
@@ -178,8 +149,8 @@ type RWMutex struct {
 	readerCount atomic.Int32
 
 	// eng selects the reader *wait* protocol (spin ↔ park); reng selects
-	// the reader *registration* protocol (centralized ↔ sharded). All
-	// protocol changes go through the respective engine's consensus CAS.
+	// the reader *registration* protocol (centralized ↔ sharded ↔ epoch).
+	// All protocol changes go through the respective engine's consensus CAS.
 	eng  modal.Engine
 	reng modal.Engine
 
@@ -187,30 +158,16 @@ type RWMutex struct {
 	// coherence granule each). Slot values are deltas, not occupancies:
 	// a reader may deposit its +1 in one slot and its -1 in another
 	// after migrating, so only the sum is meaningful — zero iff no
-	// sharded reader is active (see drainReaders for why a sweep cannot
+	// sharded reader is active (see cellsDrained for why a sweep cannot
 	// misread that).
-	slots     []affinity.Cell
-	slotsOnce sync.Once
-	slotsUp   atomic.Bool
+	slots affinity.Cells
 
-	// rgate is the epoch registration gate: the one shared word epoch
-	// readers load (mode bit, writer claim, global grace epoch — see the
-	// rgEpoch/rgClaim constants). Only writers store to it.
-	rgate atomic.Int64
-
-	// ecells are the per-P epoch cells (online-delta count + observed
-	// grace epoch, one coherence granule each). Like the slots, the
-	// counts are deltas: only the sum is meaningful, zero iff no epoch
-	// reader is active.
-	ecells     []affinity.EpochCell
-	ecellsOnce sync.Once
-	ecellsUp   atomic.Bool
-
-	// graces and quietGraces are the grace-period counters surfaced in
-	// ReaderStats: completed epoch-mode drains, and the subset that
-	// found no online reader.
-	graces      atomic.Uint64
-	quietGraces atomic.Uint64
+	// ek is the epoch registration protocol: the grace-period kernel's
+	// gate word (which only writers store to), its per-P reader cells,
+	// and the grace counters surfaced in ReaderStats. Readers enter and
+	// exit through it; this type supplies the writer lock, the drain
+	// wait, and the mode commits (see reactive/internal/epoch).
+	ek epoch.Kernel
 
 	// rq holds parked readers (phase two of the reader wait protocol);
 	// a releasing writer broadcasts into it. wq holds the one draining
@@ -271,25 +228,31 @@ func NewRWMutex(opts ...Option) *RWMutex {
 // construction time. Sound without writer exclusion only because the
 // lock is not yet shared: no reader exists to span the commits.
 func (rw *RWMutex) forceReaderMode(m modal.Mode) {
-	for rw.reng.Mode() != m {
-		cur := rw.reng.Mode()
+	for cur := rw.reng.Mode(); cur != m; cur = rw.reng.Mode() {
 		next := cur + 1
 		if cur > m {
 			next = cur - 1
 		}
-		if next != rCentral {
-			rw.readerSlots()
-		}
-		if next == rEpoch {
-			rw.epochCells()
-		}
-		rw.reng.TryCommit(readerShardTable, cur, next)
+		rw.commitReaderMode(cur, next, false)
 	}
-	if m == rEpoch {
-		rw.rgate.Store(rgEpoch)
-	} else {
-		rw.rgate.Store(rw.rgate.Load() &^ rgEpoch)
+}
+
+// commitReaderMode commits one edge of the registration chain. The
+// caller has full writer exclusion (claimed: it is a writer inside its
+// critical section) or an unshared lock, which is what guarantees no
+// reader's RLock/RUnlock pair spans the change. Every site commits
+// through here so the order cannot vary: per-P arrays built, then the
+// epoch gate's mode bit, then the engine commit that publishes the mode
+// — a reader that observed a cell-based mode finds its array and, in
+// epoch mode, a gate that validates.
+func (rw *RWMutex) commitReaderMode(want, next modal.Mode, claimed bool) {
+	if next != rCentral {
+		rw.slots.Build()
 	}
+	if want == rEpoch || next == rEpoch {
+		rw.ek.Select(next == rEpoch, claimed)
+	}
+	rw.reng.TryCommit(readerShardTable, want, next)
 }
 
 // Stats returns a snapshot of the lock's adaptive state: the reader wait
@@ -298,11 +261,9 @@ func (rw *RWMutex) forceReaderMode(m modal.Mode) {
 // queued on the writer mutex), and the reader registration protocol in
 // Readers.
 func (rw *RWMutex) Stats() Stats {
-	shards := 0
-	if rw.ecellsUp.Load() {
-		shards = len(rw.ecells)
-	} else if rw.slotsUp.Load() {
-		shards = len(rw.slots)
+	shards := rw.ek.Cells()
+	if shards == 0 {
+		shards = len(rw.slots.Built())
 	}
 	return Stats{
 		Mode:     Mode(rw.eng.Mode()),
@@ -312,33 +273,10 @@ func (rw *RWMutex) Stats() Stats {
 			Mode:        readerPublicMode(rw.reng.Mode()),
 			Switches:    rw.reng.Switches(),
 			Shards:      shards,
-			Graces:      rw.graces.Load(),
-			QuietGraces: rw.quietGraces.Load(),
+			Graces:      rw.ek.Graces(),
+			QuietGraces: rw.ek.QuietGraces(),
 		},
 	}
-}
-
-// readerSlots returns the slot array, creating it on first use, sized to
-// affinity.Shards() (the next power of two ≥ GOMAXPROCS).
-func (rw *RWMutex) readerSlots() []affinity.Cell {
-	rw.slotsOnce.Do(func() {
-		rw.slots = make([]affinity.Cell, affinity.Shards())
-		rw.slotsUp.Store(true)
-	})
-	return rw.slots
-}
-
-// epochCells returns the epoch cell array, creating it on first use,
-// sized like the slots. The array is always built before rEpoch is
-// published (forceReaderMode, the drain's promotion, switchReaderMode),
-// so a reader that observed the epoch mode — an acquire of the engine's
-// commit — sees a non-nil rw.ecells without any further check.
-func (rw *RWMutex) epochCells() []affinity.EpochCell {
-	rw.ecellsOnce.Do(func() {
-		rw.ecells = make([]affinity.EpochCell, affinity.Shards())
-		rw.ecellsUp.Store(true)
-	})
-	return rw.ecells
 }
 
 // RLock acquires the lock for reading. It is the uncancellable special
@@ -381,7 +319,10 @@ func (rw *RWMutex) rlockFast() bool {
 	case rSharded:
 		return rw.rlockSharded()
 	case rEpoch:
-		return rw.rlockEpoch()
+		// rlockEpoch, spelled out to keep the fast path one call shallower.
+		c, claimed := rw.ek.Enter()
+		rw.wakeDrain(claimed)
+		return c != nil
 	}
 	if v := rw.readerCount.Load(); v >= 0 && rw.readerCount.CompareAndSwap(v, v+1) {
 		// Re-validate the mode: the read that chose the centralized
@@ -411,7 +352,7 @@ func (rw *RWMutex) rlockFast() bool {
 // this +1 blocks. RUnlock therefore always observes the same mode the
 // registration used.
 func (rw *RWMutex) rlockSharded() bool {
-	slots := rw.readerSlots()
+	slots := rw.slots.Build()
 	s := &slots[affinity.Pin()&(len(slots)-1)]
 	// Deposit and validate while still pinned (three atomic ops, no
 	// user code): preemption cannot widen the window in which a
@@ -440,56 +381,28 @@ func (rw *RWMutex) runlockSharded(s *affinity.Cell) {
 	}
 }
 
-// rlockEpoch attempts one epoch-mode registration: publish an online
-// stamp in this P's cell — bump the cell count and record the global
-// grace epoch being observed — then validate against the one shared
-// gate word that the epoch mode is still selected and no writer claim
-// is in place. Either validation failing undoes the stamp and reports
-// false (slow path), so a reader arriving during a writer's claim falls
-// back to the parked path and writers cannot starve.
-//
-// The exclusion argument is the sharded protocol's, compressed onto one
-// word: the cell increment is a sequentially consistent
-// read-modify-write, so it precedes this goroutine's gate load; a
-// claiming writer stores rgClaim before its first cell sweep. If the
-// gate load saw no claim, the load came before the writer's store, so
-// the increment is visible to every sweep of that grace period. The
-// gate load is the *only* shared-word access — an epoch read writes
-// nothing outside its own per-P cell.
-func (rw *RWMutex) rlockEpoch() bool {
-	cells := rw.ecells // non-nil: built before rEpoch was published
-	c := &cells[affinity.Pin()&(len(cells)-1)]
-	c.Cnt.Add(1)
-	chaos.PinnedPoint("rwmutex.epoch.stamp")
-	if g := rw.rgate.Load(); g >= rgEpoch {
-		// Registered: the mode is frozen until this reader goes offline
-		// (every registration commit runs under a drain this stamp
-		// blocks). Record the grace epoch observed — the store is to
-		// this P's own cell and is skipped when already current, so
-		// steady-state reads keep the cell line exclusive.
-		if e := uint64(g & rgGraceMask); c.Seen.Load() != e {
-			c.Seen.Store(e)
-		}
-		affinity.Unpin()
-		return true
-	}
-	affinity.Unpin()
-	rw.runlockEpoch(c)
-	return false
+// rlockEpoch attempts one epoch-mode registration through the kernel:
+// a per-P deposit validated against the one gate word readers never
+// store to, so an epoch read writes nothing outside its own cell
+// (epoch.Kernel.Enter carries the exclusion argument). A refused
+// registration — a writer's claim is in place (claimed), or the mode
+// moved — has already undone its deposit; the reader falls back to the
+// slow path, so writers cannot starve. Once registered, the mode is
+// frozen until this reader RUnlocks: every registration commit runs
+// under a drain this deposit blocks.
+func (rw *RWMutex) rlockEpoch() (ok, claimed bool) {
+	c, claimed := rw.ek.Enter()
+	rw.wakeDrain(claimed)
+	return c != nil, claimed
 }
 
-// runlockEpoch takes one epoch reader offline (or undoes a failed
-// registration) and nudges a draining writer to re-sweep. The claim
-// check orders after the decrement (a sequentially consistent RMW), so
-// a writer that swept before the decrement either sees the grant or was
-// still polling and re-sweeps on its own.
-func (rw *RWMutex) runlockEpoch(c *affinity.EpochCell) {
-	c.Cnt.Add(-1)
-	chaos.Point("rwmutex.epoch.offline")
-	if rw.rgate.Load() < 0 {
-		// A writer's grace period may be parked waiting for the cell
-		// sum to reach zero; wake it to re-sweep. A spurious grant is
-		// consumed harmlessly (the drain re-checks and re-parks).
+// wakeDrain follows every epoch-cell decrement (an exit, or a refused
+// entry's undo): if the kernel reported a writer's claim pending, that
+// writer's grace period may be parked waiting for the cell sum to reach
+// zero, so wake it to re-sweep. A spurious grant is consumed harmlessly
+// (the drain re-checks and re-parks).
+func (rw *RWMutex) wakeDrain(claimed bool) {
+	if claimed {
 		rw.wq.Grant()
 	}
 }
@@ -523,10 +436,11 @@ func (rw *RWMutex) TryRLock() bool {
 			}
 			continue // registration protocol changed under us: redispatch
 		case rEpoch:
-			if rw.rlockEpoch() {
+			ok, claimed := rw.rlockEpoch()
+			if ok {
 				return true
 			}
-			if rw.rgate.Load() < 0 || rw.readerCount.Load() < 0 {
+			if claimed || rw.readerCount.Load() < 0 {
 				return false // writer claim in place
 			}
 			continue // registration protocol changed under us: redispatch
@@ -581,7 +495,7 @@ func (rw *RWMutex) rlockSlow(ctx context.Context, done <-chan struct{}) error {
 				}
 				continue
 			case rEpoch:
-				if rw.rlockEpoch() {
+				if ok, _ := rw.rlockEpoch(); ok {
 					rw.noteReadWait(blocked, budget)
 					return nil
 				}
@@ -628,8 +542,8 @@ func (rw *RWMutex) rlockSlow(ctx context.Context, done <-chan struct{}) error {
 			continue
 		}
 		if rw.eng.Mode() == mPark && blocked >= budget {
-			if err := rw.rlockPark(ctx, done); err != nil {
-				return err
+			if rw.rlockPark(done) {
+				return ctx.Err()
 			}
 			continue // woken with the claim cleared: retry registration
 		}
@@ -670,35 +584,17 @@ func (rw *RWMutex) noteReadWait(blocked, budget int) {
 	}
 }
 
-// rlockPark is the reader's phase-two wait: park on the shared waiter
-// queue until a releasing writer (or a protocol change) broadcasts, or
-// done closes. Announce-then-check makes the wakeup airtight: the claim
-// is re-tested after the node is queued, and writers broadcast after
-// clearing the claim, so a reader can never park on a claim that was
-// already released. A cancelled reader leaves through Abandon, which
-// passes on any grant that raced in (harmless here — writer releases
-// broadcast — but it keeps one leave protocol for every queue).
-func (rw *RWMutex) rlockPark(ctx context.Context, done <-chan struct{}) error {
-	w := waitq.Get()
-	defer waitq.Put(w)
-	rw.rq.Push(w)
-	if rw.readerCount.Load() >= 0 {
-		// Claim cleared between the slow-path check and the announce:
-		// don't park on a release that already happened.
-		rw.rq.Abandon(w)
-		return nil
-	}
-	if done == nil {
-		<-w.Ready()
-		return nil
-	}
-	select {
-	case <-w.Ready():
-		return nil
-	case <-done:
-		rw.rq.Abandon(w)
-		return ctx.Err()
-	}
+// rlockPark is the reader's phase-two wait (rlockSlow's backoff loop was
+// phase one, so no budget is left to poll): park on the reader queue
+// while the claim stands and the parking protocol is selected, until a
+// releasing writer or a protocol change broadcasts, or done closes. The
+// claim is re-tested after the node is queued, and writers broadcast
+// after clearing the claim, so a reader can never park on a claim that
+// was already released.
+func (rw *RWMutex) rlockPark(done <-chan struct{}) (aborted bool) {
+	return rw.rq.Wait(0, done, func(bool) bool {
+		return rw.readerCount.Load() >= 0 || rw.eng.Mode() != mPark
+	})
 }
 
 // RUnlock releases one read hold. The registration mode it observes is
@@ -707,59 +603,41 @@ func (rw *RWMutex) rlockPark(ctx context.Context, done <-chan struct{}) error {
 func (rw *RWMutex) RUnlock() {
 	switch rw.reng.Mode() {
 	case rSharded:
-		slots := rw.readerSlots()
+		slots := rw.slots.Build()
 		s := &slots[affinity.Pin()&(len(slots)-1)]
 		affinity.Unpin()
 		rw.runlockSharded(s)
 	case rEpoch:
-		cells := rw.ecells
-		c := &cells[affinity.Pin()&(len(cells)-1)]
+		c := rw.ek.Cell(affinity.Pin())
 		affinity.Unpin()
-		rw.runlockEpoch(c)
+		rw.wakeDrain(rw.ek.Exit(c))
 	default:
 		rw.runlockCentral()
 	}
 }
 
-// claimEpochGate places the writer's claim on the epoch gate and
-// advances the global grace epoch, before the caller's first cell
-// sweep. A no-op until the epoch cells exist. The caller holds the
-// writer mutex (or, in switchReaderMode's promotion, full writer
-// exclusion), so the plain load/modify/store pair is single-writer; the
-// store is sequentially consistent, so it precedes every sweep load
-// that follows it.
-func (rw *RWMutex) claimEpochGate() {
-	if rw.ecellsUp.Load() {
-		g := rw.rgate.Load()
-		rw.rgate.Store((g &^ rgGraceMask) | rgClaim | ((g + 1) & rgGraceMask))
-	}
-}
-
-// releaseEpochGate retracts the writer's claim from the epoch gate — at
-// release, or when a cancelled LockCtx or failed TryLock undoes its
-// transient claim. A no-op until the epoch cells exist.
-func (rw *RWMutex) releaseEpochGate() {
-	if rw.ecellsUp.Load() {
-		rw.rgate.Store(rw.rgate.Load() &^ rgClaim)
-	}
+// claim places the writer's claim — on the centralized word, which new
+// centralized and sharded readers validate against, and on the epoch
+// gate, which epoch readers do — and reports whether active readers may
+// exist and must be drained. The caller holds the writer mutex. Once the
+// slots (or epoch cells) exist the sweep is permanent, whatever the
+// current registration mode: a reader that observed the sharded or
+// epoch mode may deposit into its cell arbitrarily late, so no later
+// drain may skip the cells without risking lost exclusion (the same
+// reasoning as FetchOp.Value's permanent reconciliation).
+func (rw *RWMutex) claim() (drain bool) {
+	busy := rw.readerCount.Add(-rwBias) != -rwBias
+	rw.ek.Claim()
+	chaos.Point("rwmutex.writer.claimed")
+	return busy || rw.slots.Built() != nil || rw.ek.Cells() != 0
 }
 
 // Lock acquires the lock for writing. It is the uncancellable special
 // case of LockCtx.
 func (rw *RWMutex) Lock() {
 	rw.w.Lock()
-	// Claim the lock; new readers now wait. Then drain active readers.
-	// Once the slots (or epoch cells) exist the sweep is permanent,
-	// whatever the current registration mode: a reader that observed the
-	// sharded or epoch mode may deposit into its cell arbitrarily late,
-	// so no later drain may skip the cells without risking lost
-	// exclusion (the same reasoning as FetchOp.Value's permanent
-	// reconciliation).
-	busy := rw.readerCount.Add(-rwBias) != -rwBias
-	rw.claimEpochGate()
-	chaos.Point("rwmutex.writer.claimed")
-	if busy || rw.slotsUp.Load() || rw.ecellsUp.Load() {
-		rw.drainReaders(nil, nil)
+	if rw.claim() {
+		rw.drainReaders(nil)
 	}
 }
 
@@ -777,21 +655,16 @@ func (rw *RWMutex) LockCtx(ctx context.Context) error {
 	if err := rw.w.LockCtx(ctx); err != nil {
 		return err
 	}
-	busy := rw.readerCount.Add(-rwBias) != -rwBias
-	rw.claimEpochGate()
-	chaos.Point("rwmutex.writer.claimed")
-	if busy || rw.slotsUp.Load() || rw.ecellsUp.Load() {
-		if err := rw.drainReaders(ctx, ctx.Done()); err != nil {
-			// Cancelled mid-drain: retract both claims and wake the
-			// readers the transient claim may have parked (the same undo
-			// TryLock performs), then release the writer mutex.
-			rw.readerCount.Add(rwBias)
-			rw.releaseEpochGate()
-			chaos.Point("rwmutex.drain.undo")
-			rw.rq.GrantAll()
-			rw.w.Unlock()
-			return err
-		}
+	if rw.claim() && rw.drainReaders(ctx.Done()) {
+		// Cancelled mid-drain: retract both claims and wake the readers
+		// the transient claim may have parked (the same undo TryLock
+		// performs), then release the writer mutex.
+		rw.readerCount.Add(rwBias)
+		rw.ek.Release()
+		chaos.Point("rwmutex.drain.undo")
+		rw.rq.GrantAll()
+		rw.w.Unlock()
+		return ctx.Err()
 	}
 	return nil
 }
@@ -805,15 +678,13 @@ func (rw *RWMutex) TryLock() bool {
 		rw.w.Unlock()
 		return false
 	}
-	rw.claimEpochGate()
-	if rw.slotSum() != 0 || rw.epochSum() != 0 {
+	rw.ek.Claim()
+	if !cellsDrained(rw.slots.Sum()) || !cellsDrained(rw.ek.Sum()) {
 		// Active sharded or epoch readers (or a transient deposit): with
 		// the claims already in place a single sweep reading zero proves
 		// quiescence, so a nonzero read means waiting — undo and fail.
-		// The epoch advance stands even though the claim is retracted:
-		// a TryLock-undo still moves the global epoch forward.
 		rw.readerCount.Add(rwBias)
-		rw.releaseEpochGate()
+		rw.ek.Release()
 		chaos.Point("rwmutex.trylock.undo")
 		// A park-mode reader may have parked during the transient
 		// claim; without this wake only a later writer's release would
@@ -825,66 +696,39 @@ func (rw *RWMutex) TryLock() bool {
 	return true
 }
 
-// slotSum sweeps the reader slots. With the writer claim in place the
-// sum cannot misread zero while a sharded reader is active: registered
-// deposits all precede the claim (a reader validates the gate after
-// depositing), so every sweep read includes them, and each release
-// decrement is paired with a deposit the sweep also saw. Transient
-// deposit/undo pairs can only inflate the sum — a conservative re-sweep,
-// never a lost reader.
-func (rw *RWMutex) slotSum() int64 {
-	if !rw.slotsUp.Load() {
-		return 0
-	}
-	var sum int64
-	for i := range rw.slots {
-		sum += rw.slots[i].N.Load()
-	}
-	// With the claim in place every registered deposit is in the sum and
-	// transient deposit/undo pairs only inflate it, so a negative read
-	// proves an RUnlock that never deposited: caller misuse, reported
-	// with the same message the centralized mode panics with.
+// cellsDrained judges one sweep of the reader slots or the epoch cells,
+// taken with the writer's claim in place. The sum cannot misread zero
+// while a cell-registered reader is active: registered deposits all
+// precede the claim (a reader validates the claim after depositing), so
+// every sweep read includes them, and each release decrement is paired
+// with a deposit the sweep also saw. Transient deposit/undo pairs can
+// only inflate the sum — a conservative re-sweep, never a lost reader
+// (DESIGN.md §4 for the slots; epoch.Kernel states the same argument
+// over its gate). A negative sum therefore proves an RUnlock that never
+// deposited: caller misuse, reported with the message the centralized
+// mode panics with.
+func cellsDrained(sum int64) bool {
 	if sum < 0 {
 		panic("reactive: RUnlock of unlocked RWMutex")
 	}
-	return sum
-}
-
-// epochSum sweeps the epoch cells. The exclusion argument is slotSum's:
-// with the epoch-gate claim in place, registered stamps all precede the
-// claim (a reader validates the gate after depositing), so every sweep
-// read includes them; transient deposit/undo pairs can only inflate the
-// sum. A zero read therefore proves no epoch reader is online — the
-// grace period is over.
-func (rw *RWMutex) epochSum() int64 {
-	if !rw.ecellsUp.Load() {
-		return 0
-	}
-	var sum int64
-	for i := range rw.ecells {
-		sum += rw.ecells[i].Cnt.Load()
-	}
-	// As in slotSum: under the claim a negative sum proves an RUnlock
-	// with no matching RLock.
-	if sum < 0 {
-		panic("reactive: RUnlock of unlocked RWMutex")
-	}
-	return sum
+	return sum == 0
 }
 
 // drained reports whether every active reader — centrally registered,
-// slot-registered, or epoch-stamped — has released. As the drain's poll
-// predicate it runs inside modal.Poll's yield-per-attempt loop, so the
-// repeated cell sweeps stay scheduler-cooperative on small-GOMAXPROCS
-// hosts (a non-yielding sweep could freeze the very readers it waits
-// on).
+// slot-registered, or epoch-registered — has released. As the drain's
+// poll predicate it runs inside modal.Poll's yield-per-attempt loop, so
+// the repeated cell sweeps stay scheduler-cooperative on
+// small-GOMAXPROCS hosts (a non-yielding sweep could freeze the very
+// readers it waits on).
 func (rw *RWMutex) drained() bool {
-	return rw.readerCount.Load() == -rwBias && rw.slotSum() == 0 && rw.epochSum() == 0
+	return rw.readerCount.Load() == -rwBias && cellsDrained(rw.slots.Sum()) && cellsDrained(rw.ek.Sum())
 }
 
-// drainReaders waits for the active readers to release, two-phase: poll
-// through the (deadline-aware) budget, then park on the writer-drain
-// queue that the last draining reader (central or sharded) grants into.
+// drainReaders waits for the active readers to release — the shared
+// two-phase wait on the writer-drain queue, which the last draining
+// reader of any registration protocol grants into. At most one writer
+// drains at a time (the writer mutex is held), so the queue holds at
+// most one node. In epoch mode a completed drain is one grace period.
 // It also runs the registration protocol's promotion and scale-down
 // detection: a drain that found the lock already quiet means the cell
 // machinery went unused across a whole writer round — EmptyLimit
@@ -893,20 +737,11 @@ func (rw *RWMutex) drained() bool {
 // read-saturation signal, SpinFailLimit consecutive of which promote to
 // the epoch protocol. Commits happen right here, under the writer's own
 // exclusion (claim in place, drain complete), so no reader can span
-// them. A non-nil done aborts the wait with ctx.Err(); the caller
-// retracts the claim.
-func (rw *RWMutex) drainReaders(ctx context.Context, done <-chan struct{}) error {
+// them. A closed done aborts the wait; the caller retracts the claim.
+func (rw *RWMutex) drainReaders(done <-chan struct{}) (aborted bool) {
 	idle := rw.drained()
-	if !idle {
-		ok, aborted := modal.PollCh(rw.cfg.pollBudget(), done, rw.drained)
-		if aborted {
-			return ctx.Err()
-		}
-		if !ok {
-			if err := rw.parkDrain(ctx, done); err != nil {
-				return err
-			}
-		}
+	if !idle && rw.wq.Wait(rw.cfg.pollBudget(), done, func(bool) bool { return rw.drained() }) {
+		return true
 	}
 	switch rw.reng.Mode() {
 	case rSharded:
@@ -916,7 +751,7 @@ func (rw *RWMutex) drainReaders(ctx context.Context, done <-chan struct{}) error
 			// the epoch protocol.
 			rw.reng.Good(readerShardTable, rSharded, rEpoch)
 			if rw.reng.Vote(readerShardTable, rSharded, rCentral, rw.cfg.emptyLim()) {
-				rw.reng.TryCommit(readerShardTable, rSharded, rCentral)
+				rw.commitReaderMode(rSharded, rCentral, true)
 			}
 		} else {
 			// Active sharded readers at writer arrival: the
@@ -926,67 +761,18 @@ func (rw *RWMutex) drainReaders(ctx context.Context, done <-chan struct{}) error
 			// word.
 			rw.reng.Good(readerShardTable, rSharded, rCentral)
 			if rw.reng.Vote(readerShardTable, rSharded, rEpoch, rw.cfg.failLimit()) {
-				// Commit under this writer's own exclusion: build the
-				// cells and raise the gate's mode bit — with the claim,
-				// since this writer is still inside its critical
-				// section and epoch readers validate only the gate —
-				// before the commit publishes the mode.
-				rw.epochCells()
-				g := rw.rgate.Load()
-				rw.rgate.Store(g | rgEpoch | rgClaim)
-				rw.reng.TryCommit(readerShardTable, rSharded, rEpoch)
+				rw.commitReaderMode(rSharded, rEpoch, true)
 			}
 		}
 	case rEpoch:
-		// Every epoch-mode drain is one grace period: the claim advanced
-		// the global epoch, and the sweep above waited until every
-		// online reader observed it or went offline.
-		rw.graces.Add(1)
-		if idle {
-			rw.quietGraces.Add(1)
-			if rw.reng.Vote(readerShardTable, rEpoch, rSharded, rw.cfg.emptyLim()) {
-				// Demote under this writer's own exclusion: ensure the
-				// slots exist (a forced-epoch lock may never have built
-				// them), lower the mode bit, then publish the commit.
-				rw.readerSlots()
-				rw.rgate.Store(rw.rgate.Load() &^ rgEpoch)
-				rw.reng.TryCommit(readerShardTable, rEpoch, rSharded)
-			}
-		} else {
+		rw.ek.Grace(idle)
+		if !idle {
 			rw.reng.Good(readerShardTable, rEpoch, rSharded)
+		} else if rw.reng.Vote(readerShardTable, rEpoch, rSharded, rw.cfg.emptyLim()) {
+			rw.commitReaderMode(rEpoch, rSharded, true)
 		}
 	}
-	return nil
-}
-
-// parkDrain is the draining writer's phase-two wait: park on the
-// writer-drain queue until the last active reader grants a re-sweep, or
-// done closes. At most one writer drains at a time (the writer mutex is
-// held), so the queue holds at most one node; announce-then-check against
-// drained() closes the race with a reader that left before the announce.
-func (rw *RWMutex) parkDrain(ctx context.Context, done <-chan struct{}) error {
-	w := waitq.Get()
-	defer waitq.Put(w)
-	for {
-		rw.wq.Push(w)
-		if rw.drained() {
-			rw.wq.Abandon(w)
-			return nil
-		}
-		if done == nil {
-			<-w.Ready()
-		} else {
-			select {
-			case <-w.Ready():
-			case <-done:
-				rw.wq.Abandon(w)
-				return ctx.Err()
-			}
-		}
-		if rw.drained() {
-			return nil
-		}
-	}
+	return false
 }
 
 // Unlock releases the write hold, waking parked readers so they can
@@ -998,7 +784,7 @@ func (rw *RWMutex) Unlock() {
 	if rw.readerCount.Add(rwBias) != 0 {
 		panic("reactive: Unlock of unlocked RWMutex")
 	}
-	rw.releaseEpochGate()
+	rw.ek.Release()
 	chaos.Point("rwmutex.unlock.release")
 	// Broadcast after the claims clear: a reader that announces later
 	// re-checks the claim after queuing and leaves on its own.
@@ -1034,33 +820,16 @@ func (rw *RWMutex) switchRWMode(want, next Mode) {
 
 // switchReaderMode performs a registration-protocol change from want to
 // next by taking the write lock: commits are sound only under full
-// writer exclusion (claim in place, all registration paths drained),
-// which is what guarantees no reader's RLock/RUnlock pair spans a
-// change. The per-P arrays are built before a cell-based mode is
-// published so readers never observe a nil array, and the epoch gate's
-// mode bit flips with the commit, still under the exclusion (epoch
-// cells are built before Lock so its claim covers the gate). Callers
-// already holding the write lock (the drain's detection) commit
+// writer exclusion (claim in place, all registration paths drained).
+// Callers already holding the write lock (the drain's detection) commit
 // directly instead.
 func (rw *RWMutex) switchReaderMode(want, next modal.Mode) {
-	if next != rCentral {
-		rw.readerSlots()
-	}
-	if next == rEpoch {
-		rw.epochCells()
-	}
 	rw.Lock()
 	// Holding the write lock freezes the mode (commits happen only under
 	// writer exclusion), so a re-check here decides the whole critical
 	// section.
 	if rw.reng.Mode() == want {
-		switch {
-		case next == rEpoch:
-			rw.rgate.Store(rw.rgate.Load() | rgEpoch)
-		case want == rEpoch:
-			rw.rgate.Store(rw.rgate.Load() &^ rgEpoch)
-		}
-		rw.reng.TryCommit(readerShardTable, want, next)
+		rw.commitReaderMode(want, next, true)
 	}
 	rw.Unlock()
 }
