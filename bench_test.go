@@ -22,6 +22,7 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"sync"
@@ -466,17 +467,63 @@ func BenchmarkNativeCounter(b *testing.B) {
 			}
 		})
 	})
+	// Mixed-read: parallel Adds with a reconciling Load every 64 ops —
+	// the default counter against atomic.Int64, then each protocol
+	// forced (the limits keep detection from moving it), so the row a
+	// default counter should be tracking is on the same page.
+	dc := reactive.NewCounter()
+	b.Run("mixed-read/reactive", mixedRead(dc.Add, dc.Load, dc.Stats))
+	var ac atomic.Int64
+	b.Run("mixed-read/atomic.Int64", mixedRead(func(d int64) { ac.Add(d) }, ac.Load, nil))
+	for _, m := range []reactive.Mode{reactive.ModeCAS, reactive.ModeSharded, reactive.ModeCombining} {
+		fc := reactive.NewCounter(reactive.WithInitialMode(m),
+			reactive.WithSpinFailLimit(1<<30), reactive.WithEmptyLimit(1<<30))
+		b.Run("mixed-read-"+m.String()+"-forced/reactive", mixedRead(fc.Add, fc.Load, fc.Stats))
+	}
 }
 
-// BenchmarkNativeFetchOp measures the N=3 fetch-op across its three
-// regimes, against the atomic.Int64 baseline: serial Applies (the CAS
-// protocol's regime), parallel write-only Applies (the sharded
-// protocol's regime), and parallel Applies with periodic reconciling
-// Values (the combining protocol's regime). The reported switches metric
-// confirms which protocol the accumulator settled in, so the
-// bench_results trajectory captures the three-way crossover.
+// mixedRead is the mixed-read workload of BenchmarkNativeCounter and
+// BenchmarkNativeFetchOp: parallel goroutines each calling update(1) per
+// op and read every 64th. With stats, the protocol the primitive ended
+// in is reported as endmode (its reactive.Mode: 2 cas, 3 sharded,
+// 4 combining).
+func mixedRead(update func(int64), read func() int64, stats func() reactive.Stats) func(*testing.B) {
+	return func(b *testing.B) {
+		b.RunParallel(func(pb *testing.PB) {
+			i := 0
+			for pb.Next() {
+				update(1)
+				if i++; i%64 == 0 {
+					read()
+				}
+			}
+		})
+		if stats != nil {
+			b.ReportMetric(float64(stats().Mode), "endmode")
+		}
+	}
+}
+
+// BenchmarkNativeFetchOp measures the fetch-op against hand-written
+// atomics on four workloads: serial Applies (the CAS protocol's
+// regime), parallel write-only Applies (the sharded protocol's regime),
+// parallel Applies with a reconciling Value every 64 ops (mixed-read:
+// the default accumulator beside each protocol forced — combining is
+// constructible but never detected into, and loses this row to sharded),
+// and a running max whose operands are mostly below it (max-saturated:
+// what test-before-write is for). The endmode metric is the protocol
+// the accumulator ended in (its reactive.Mode: 2 cas, 3 sharded,
+// 4 combining), so the bench_results trajectory shows the CAS ↔ sharded
+// crossover.
 func BenchmarkNativeFetchOp(b *testing.B) {
 	add := func(a, x int64) int64 { return a + x }
+	fopMixed := func(f *reactive.FetchOp) func(*testing.B) { return mixedRead(f.Apply, f.Value, f.Stats) }
+	// forced holds a protocol for the whole measurement: detection still
+	// counts its votes, but no streak reaches these limits.
+	forced := func(m reactive.Mode) *reactive.FetchOp {
+		return reactive.NewFetchOp(add, 0, reactive.WithInitialMode(m),
+			reactive.WithSpinFailLimit(1<<30), reactive.WithEmptyLimit(1<<30))
+	}
 	b.Run("cas-regime/reactive", func(b *testing.B) {
 		f := reactive.NewFetchOp(add, 0)
 		for i := 0; i < b.N; i++ {
@@ -507,53 +554,53 @@ func BenchmarkNativeFetchOp(b *testing.B) {
 			}
 		})
 	})
-	b.Run("combining-regime/reactive", func(b *testing.B) {
-		f := reactive.NewFetchOp(add, 0)
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				f.Apply(1)
-				if i++; i%64 == 0 {
-					f.Value()
+	b.Run("mixed-read/reactive", fopMixed(reactive.NewFetchOp(add, 0)))
+	var ai atomic.Int64
+	b.Run("mixed-read/atomic.Int64", mixedRead(func(d int64) { ai.Add(d) }, ai.Load, nil))
+	b.Run("mixed-read-cas-forced/reactive", fopMixed(forced(reactive.ModeCAS)))
+	b.Run("mixed-read-sharded-forced/reactive", fopMixed(forced(reactive.ModeSharded)))
+	// The mixed-read mix on forced combining; the row keeps the name its
+	// bench_results trajectory has had since PR 4.
+	b.Run("combining-forced/reactive", fopMixed(forced(reactive.ModeCombining)))
+	// Max-saturated: a running max fed operands that are almost always
+	// below it, so nearly every Apply is absorbed and should cost a load.
+	saturated := func(apply func(x int64)) func(*testing.B) {
+		return func(b *testing.B) {
+			b.RunParallel(func(pb *testing.PB) {
+				r := uint64(1)
+				for pb.Next() {
+					r = r*6364136223846793005 + 1442695040888963407
+					apply(int64(r >> 40))
 				}
+			})
+		}
+	}
+	maxOp := func(a, x int64) int64 {
+		if x > a {
+			return x
+		}
+		return a
+	}
+	mf := reactive.NewFetchOp(maxOp, math.MinInt64)
+	b.Run("max-saturated/reactive", saturated(mf.Apply))
+	var am atomic.Int64
+	am.Store(math.MinInt64)
+	b.Run("max-saturated/atomic-cas-max", saturated(func(x int64) {
+		for {
+			old := am.Load()
+			if x <= old || am.CompareAndSwap(old, x) {
+				return
 			}
-		})
-		b.ReportMetric(float64(f.Stats().Mode), "endmode")
-	})
-	b.Run("combining-regime/atomic.Int64", func(b *testing.B) {
-		var c atomic.Int64
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				c.Add(1)
-				if i++; i%64 == 0 {
-					c.Load()
-				}
-			}
-		})
-	})
-	// Forced-regime variants: WithInitialMode pins the protocol under
-	// measurement, so the sharded/combining fast paths are exercised
-	// even on hosts whose parallelism never triggers detection.
+		}
+	}))
+	// Write-only Applies on the forced sharded protocol: the per-P fast
+	// path is exercised even on hosts whose parallelism never triggers
+	// detection.
 	b.Run("sharded-forced/reactive", func(b *testing.B) {
 		f := reactive.NewFetchOp(add, 0, reactive.WithInitialMode(reactive.ModeSharded))
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
 				f.Apply(1)
-			}
-		})
-		b.ReportMetric(float64(f.Stats().Mode), "endmode")
-	})
-	b.Run("combining-forced/reactive", func(b *testing.B) {
-		f := reactive.NewFetchOp(add, 0,
-			reactive.WithInitialMode(reactive.ModeCombining), reactive.WithEmptyLimit(1<<30))
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				f.Apply(1)
-				if i++; i%64 == 0 {
-					f.Value()
-				}
 			}
 		})
 		b.ReportMetric(float64(f.Stats().Mode), "endmode")

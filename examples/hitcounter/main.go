@@ -1,12 +1,12 @@
 // Hitcounter: a shared event counter under a load ramp — the fetch-and-op
 // scenario from the thesis's introduction, on the native reactive.Counter
-// (the add-only specialization of reactive.FetchOp's three-protocol modal
-// object). As offered load ramps up, the counter walks the protocol
-// chain: a single CAS word at one client, per-processor sharded cells
-// once update contention appears, and batched combining once heavy
-// updates meet frequent reconciling reads — then back down the chain as
-// the load drops. Each phase prints the protocol the counter crossed
-// into, so the three-way crossover is visible; the same ramp is repeated
+// (the add-only specialization of reactive.FetchOp's modal object). As
+// offered load ramps up, the counter moves from a single CAS word at one
+// client to per-processor sharded cells once update contention appears —
+// and stays sharded when reconciling reads join the burst, because
+// nothing above the sharded protocol pays for itself — then back to the
+// CAS word as the load drops. Each phase prints the protocol the counter
+// crossed into, so the crossover is visible; the same ramp is repeated
 // with the passive alternatives (a bare atomic.Int64 and a
 // sync.Mutex-guarded int) for comparison.
 //
@@ -27,8 +27,7 @@ const opsPerGoroutine = 30000
 
 // phase is one step of the load ramp: clients concurrent writers, plus
 // (for the reactive counter) a reconciling reader when readers is set —
-// the read pressure that distinguishes the combining regime from the
-// write-only sharded regime.
+// read pressure on top of the write-only sharded regime.
 type phase struct {
 	name    string
 	clients int

@@ -60,8 +60,8 @@ func measureNative(name string, n int, fn func(per int)) NativeResult {
 // NativePrimitives measures the reactive library's Mutex, Counter,
 // RWMutex, and FetchOp against sync.Mutex, atomic.Int64, and
 // sync.RWMutex, uncontended (one goroutine) and contended (2×GOMAXPROCS
-// goroutines), plus a mixed update+read fetch-op workload exercising the
-// combining protocol's regime.
+// goroutines), plus a mixed update+read fetch-op workload (mixed-read)
+// on the default accumulator and on each forced protocol.
 func NativePrimitives() []NativeResult {
 	contenders := 2 * runtime.GOMAXPROCS(0)
 	if contenders < 2 {
@@ -175,20 +175,31 @@ func NativePrimitives() []NativeResult {
 			sf.Apply(1)
 		}
 	}))
-	// Combining regime with reconciling reads; the huge empty limit
-	// keeps the idle-sweep detection from demoting the protocol
-	// mid-measurement on a serial host (votes are still counted, so the
-	// detection cost stays on the measured path).
-	cf := reactive.NewFetchOp(func(a, b int64) int64 { return a + b }, 0,
-		reactive.WithInitialMode(reactive.ModeCombining), reactive.WithEmptyLimit(1<<30))
-	out = append(out, measureNative("fetchop/combining-forced/reactive", contenders, func(per int) {
-		for i := 0; i < per; i++ {
-			cf.Apply(1)
-			if i%64 == 0 {
-				cf.Value()
+	// Mixed-read (an Apply per op, a reconciling Value every 64) on each
+	// forced protocol; the huge limits keep detection from moving the
+	// protocol mid-measurement (votes are still counted, so the
+	// detection cost stays on the measured path). The default
+	// accumulator's fetchop/mixed-read rows below should track the best
+	// of these; combining is constructible but never detected into.
+	for _, fm := range []struct {
+		row  string
+		mode reactive.Mode
+	}{
+		{"fetchop/mixed-read-cas-forced/reactive", reactive.ModeCAS},
+		{"fetchop/mixed-read-sharded-forced/reactive", reactive.ModeSharded},
+		{"fetchop/combining-forced/reactive", reactive.ModeCombining},
+	} {
+		ff := reactive.NewFetchOp(func(a, b int64) int64 { return a + b }, 0, reactive.WithInitialMode(fm.mode),
+			reactive.WithSpinFailLimit(1<<30), reactive.WithEmptyLimit(1<<30))
+		out = append(out, measureNative(fm.row, contenders, func(per int) {
+			for i := 0; i < per; i++ {
+				ff.Apply(1)
+				if i%64 == 0 {
+					ff.Value()
+				}
 			}
-		}
-	}))
+		}))
+	}
 	// Congestion-policy rows, one per primitive: the cheap paths
 	// (uncontended Lock/RLock, where the policy's Quiescent state lets
 	// the primitive elide its bookkeeping) and the forced sharded fast
@@ -362,10 +373,11 @@ func NativePrimitives() []NativeResult {
 			ctlAdd.Add(1)
 		}
 	}))
-	// Mixed update+read pressure: the regime FetchOp's combining protocol
-	// targets (heavy Applies with frequent reconciling Values).
+	// Mixed update+read pressure on the default accumulator: heavy
+	// Applies with a reconciling Value every 64, where detection has to
+	// settle between CAS and sharded.
 	rf := reactive.NewFetchOp(func(a, b int64) int64 { return a + b }, 0)
-	out = append(out, measureNative("fetchop/mixed/reactive", contenders, func(per int) {
+	out = append(out, measureNative("fetchop/mixed-read/reactive", contenders, func(per int) {
 		for i := 0; i < per; i++ {
 			rf.Apply(1)
 			if i%64 == 0 {
@@ -374,7 +386,7 @@ func NativePrimitives() []NativeResult {
 		}
 	}))
 	var af atomic.Int64
-	out = append(out, measureNative("fetchop/mixed/atomic.Int64", contenders, func(per int) {
+	out = append(out, measureNative("fetchop/mixed-read/atomic.Int64", contenders, func(per int) {
 		for i := 0; i < per; i++ {
 			af.Add(1)
 			if i%64 == 0 {

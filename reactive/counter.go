@@ -7,11 +7,10 @@ import "context"
 // specialized atomic-add fast paths that operation enables. Under low
 // contention it is a single shared word updated by compare-and-swap
 // (ModeCAS); under update contention it shards across per-processor
-// cells reconciled by Load (ModeSharded); and when heavy updates meet
-// frequent reconciling Loads it batch-folds the cells into the shared
-// word (ModeCombining). All three protocols and the transitions between
-// them are FetchOp's — see its documentation for the protocol and
-// detection details.
+// cells reconciled by Load (ModeSharded). ModeCombining is constructible
+// with WithInitialMode but never selected by detection. The protocols
+// and the transitions between them are FetchOp's — see its documentation
+// for the protocol and detection details.
 //
 // The zero value is a zero Counter in CAS mode with the package-default
 // tunables; NewCounter builds one with explicit Options. A Counter must

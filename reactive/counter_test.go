@@ -156,6 +156,47 @@ func TestCounterConcurrentMixed(t *testing.T) {
 	}
 }
 
+// TestCounterAddLoadMixStaysOffCombining runs the mix that used to park
+// a default Counter in its slowest protocol: oversubscribed adders that
+// each reconcile every 64 ops. Every Load sweeps cells that all have
+// writers — the wide fan-in that promoted sharded → combining — so the
+// counter must end in CAS or sharded mode, with an exact total and no
+// Load below its caller's own completed adds.
+func TestCounterAddLoadMixStaysOffCombining(t *testing.T) {
+	var c Counter
+	goroutines := 4 * runtime.GOMAXPROCS(0)
+	iters := 40000
+	if testing.Short() {
+		iters = 10000
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 1; i <= iters; i++ {
+				c.Add(1)
+				if i%64 == 0 {
+					if got := c.Load(); got < int64(i) {
+						t.Errorf("goroutine %d: Load = %d after %d completed adds of its own", g, got, i)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got, want := c.Load(), int64(goroutines)*int64(iters); got != want {
+		t.Fatalf("Load = %d, want %d", got, want)
+	}
+	if st := c.Stats(); st.Mode == ModeCombining {
+		t.Fatalf("Stats = %+v: detection promoted into the combining protocol", st)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCounterLoadRacesModeSwitches pins the reconciliation/consensus
 // race: goroutines hammer Add while a forcer flips the counter across
 // every edge of the fetch-op transition chain and a dedicated reader

@@ -24,7 +24,8 @@ const (
 // from the cheap single-word protocol through the sharded middle
 // protocol to batched combining, with no shortcut edges — a primitive
 // scales up and down one protocol at a time, exactly as the simulated
-// algorithm moves TTS ↔ queue ↔ combining tree.
+// algorithm moves TTS ↔ queue ↔ combining tree. Detection never takes
+// the sharded → combining edge; construction (WithInitialMode) does.
 var fopTable = modal.NewTable(3, []modal.Transition{
 	{From: fCAS, To: fSharded, Dir: dirScaleUp, Residual: ResidualCheapHigh},
 	{From: fSharded, To: fCAS, Dir: dirScaleDown, Residual: ResidualScalableLow},
@@ -46,28 +47,41 @@ func FetchOpTable() *modal.Table { return fopTable }
 // window).
 const combineBatchPerCell = 2
 
+// harvestBuf is how many harvested operands a user-op fold keeps on its
+// stack frame before spilling to the heap: enough for one value per cell
+// on hosts of up to 32 processors.
+const harvestBuf = 32
+
 // FetchOp is a reactive fetch-and-op accumulator — the native analogue
 // of the thesis's reactive fetch-and-op, and the first N>2 modal object
 // in this package. It folds operands into a single value under a
 // user-supplied associative, commutative operation with an identity
 // element (fetch&add with op = +, identity 0; running max with op = max,
-// identity MinInt64; bitwise-or with identity 0; ...), selecting among
-// three protocols as contention changes:
+// identity MinInt64; bitwise-or with identity 0; ...), moving between two
+// protocols as contention changes:
 //
 //   - ModeCAS — one shared word updated by compare-and-swap. Cheapest
-//     uncontended; collapses under update contention.
+//     uncontended; collapses under update contention (contended Applies
+//     promote to sharded).
 //   - ModeSharded — operands land in per-processor cells; only Value
-//     reconciles them into the shared word. Updates scale, but every
-//     Value pays a full serialized sweep — best when reads are rare.
-//   - ModeCombining — operands still land in cells, but updaters fold
-//     the cells into the shared word in batches once enough operations
-//     accumulate, so the shared word is touched once per batch and Value
-//     stays cheap — best when heavy updates meet frequent reads.
+//     reconciles them into the shared word, in a serialized sweep
+//     (sweeps that find at most one active cell demote to CAS).
 //
-// The transition chain (CAS ↔ sharded ↔ combining, no shortcuts) mirrors
-// the simulator's reactive fetch-and-op (TTS lock ↔ queue lock ↔
-// combining tree) and runs on the same reactive/modal engine. Counter is
-// the add-only specialization of this type.
+// The transition table has a third stage, ModeCombining (deposit in a
+// cell; the depositor that completes a batch folds the cells into the
+// shared word), mirroring the simulator's TTS lock ↔ queue lock ↔
+// combining tree chain. Natively it is dominated by ModeSharded by
+// construction — its Apply is the sharded Apply plus a read-modify-write
+// on a shared deposit count plus a share of the folds, its Value the
+// same sweep — so it is constructible (WithInitialMode), self-demoting
+// (idle sweeps retire it) and never selected by detection.
+//
+// Every protocol tests before it writes: an update whose operand the
+// target already absorbs (op(v, x) == v: a max fed a smaller value, an
+// add of zero) returns after the load. The load is its linearization
+// point — op is associative and commutative, so op(v, x) == v implies
+// op(op(v, r), x) == op(v, r) for every later state — and it is no
+// detection event. Counter is the add-only specialization of this type.
 //
 // FetchOp accumulates; it does not return per-operation fetch values
 // (the sharded and combining protocols deliberately avoid serializing
@@ -201,9 +215,14 @@ func (f *FetchOp) builtCells() []affinity.Cell {
 func (f *FetchOp) Apply(x int64) {
 	switch f.eng.Mode() {
 	case fCAS:
-		// Cheap protocol fast path: one CAS on the shared word.
+		// Cheap protocol fast path: test, then one CAS on the shared
+		// word. An absorbed operand writes nothing and votes nothing.
 		v := f.base.Load()
-		if f.base.CompareAndSwap(v, f.comb(v, x)) {
+		n := f.comb(v, x)
+		if n == v {
+			return
+		}
+		if f.base.CompareAndSwap(v, n) {
 			f.eng.Good(fopTable, fCAS, fSharded)
 			return
 		}
@@ -227,7 +246,11 @@ func (f *FetchOp) applyContended(x int64) {
 			return
 		}
 		v := f.base.Load()
-		if f.base.CompareAndSwap(v, f.comb(v, x)) {
+		n := f.comb(v, x)
+		if n == v {
+			return
+		}
+		if f.base.CompareAndSwap(v, n) {
 			f.noteContendedApply()
 			return
 		}
@@ -303,11 +326,28 @@ func (f *FetchOp) combineBatch() int64 {
 // reading base would miss them.
 func (f *FetchOp) foldCells() (active int) {
 	cells := f.shardCells()
+	if f.op == nil {
+		// Addition cannot panic, so nothing is ever banked and the
+		// harvest needs no slice: sum the cells and add once.
+		var sum int64
+		for i := range cells {
+			if v := cells[i].N.Swap(0); v != 0 {
+				sum += v
+				active++
+			}
+		}
+		chaos.Point("fetchop.fold.harvest")
+		if sum != 0 {
+			f.base.Add(sum)
+		}
+		return active
+	}
 	// Harvest first — the rescue bank (operands stranded by a previous
 	// fold whose user op panicked), then the cells. Folding is deferred
 	// until everything harvested is in vals so a panicking op can bank
-	// the lot.
-	vals := f.rescue
+	// the lot. vals starts on this frame, so a sweep does not allocate.
+	var buf [harvestBuf]int64
+	vals := append(buf[:0], f.rescue...)
 	f.rescue = nil
 	for i := range cells {
 		if v := cells[i].N.Swap(f.id); v != f.id {
@@ -335,14 +375,10 @@ func (f *FetchOp) foldCells() (active int) {
 		}
 	}()
 	for idx < len(vals) {
-		moved = f.comb(moved, vals[idx])
+		moved = f.op(moved, vals[idx])
 		idx++
 	}
-	if f.op == nil {
-		f.base.Add(moved)
-	} else {
-		casFold(&f.base, f.op, moved)
-	}
+	casFold(&f.base, f.op, moved)
 	return active
 }
 
@@ -351,7 +387,7 @@ func (f *FetchOp) foldCells() (active int) {
 func casFold(target *atomic.Int64, op func(a, b int64) int64, x int64) {
 	for {
 		v := target.Load()
-		if target.CompareAndSwap(v, op(v, x)) {
+		if n := op(v, x); n == v || target.CompareAndSwap(v, n) {
 			return
 		}
 	}
@@ -392,12 +428,12 @@ func (f *FetchOp) releaseSweep() {
 }
 
 // Value returns the accumulated result. Once the accumulator has ever
-// left ModeCAS, Value reconciles permanently: every cell's pending
-// operand is folded into the shared word, and what the sweep observes is
-// the contention signal — the number of distinct active cells in the
-// sharded protocol (≤1 active writer votes down toward CAS, a sweep
-// touching at least half the cells votes up toward combining), the
-// pending-deposit count in the combining protocol (see noteCombineBatch).
+// left ModeCAS, Value reconciles permanently: under the sweep lock every
+// cell's pending operand is folded into the shared word — the same
+// sweep in ModeSharded and ModeCombining — and what the sweep observes
+// is the contention signal: at most one active cell votes the sharded
+// protocol down toward CAS, the pending-deposit count judges the
+// combining protocol (see noteCombineBatch), and no sweep votes up.
 // The permanent sweep is deliberate: an update that observed a
 // cell-based mode may deposit into a cell arbitrarily late, so no
 // post-burst Value may skip the cells without risking a lost operand.
@@ -455,16 +491,6 @@ func (f *FetchOp) value(ctx context.Context, done <-chan struct{}) (int64, error
 			}
 		} else {
 			f.eng.Good(fopTable, fSharded, fCAS)
-			if 2*active >= len(cells) {
-				// A reconciling read swept a wide fan-in of writers: reads
-				// are paying full sweeps while updates pour in — the regime
-				// batched combining is built for.
-				if f.eng.Vote(fopTable, fSharded, fCombining, f.cfg.failLimit()) {
-					f.switchFop(fSharded, fCombining)
-				}
-			} else {
-				f.eng.Good(fopTable, fSharded, fCombining)
-			}
 		}
 	case fCombining:
 		// A combiner's fold may have swapped pending to 0 just before this

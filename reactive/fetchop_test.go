@@ -101,13 +101,28 @@ func TestFetchOpChainOnly(t *testing.T) {
 	}
 }
 
-// TestFetchOpDetectionChain walks the full detection chain end to end
-// with the built-in streaks: contended Applies promote CAS→sharded,
-// wide-fan-in reconciling Values promote sharded→combining, idle sweeps
-// demote combining→sharded, and single-writer Values demote back to CAS.
+// TestFetchOpDetectionChain pins the chain detection walks: contended
+// Applies promote CAS→sharded, single-writer reconciling Values demote
+// sharded→CAS, and a combining instance (only ever constructed, never
+// detected into) demotes itself to sharded on idle sweeps. Wide-fan-in
+// sweeps — every cell active on every Value, the signal that used to
+// promote sharded→combining — keep the accumulator sharded, at these
+// limits and at the defaults.
 func TestFetchOpDetectionChain(t *testing.T) {
-	f := NewFetchOp(func(a, b int64) int64 { return a + b }, 0,
-		WithSpinFailLimit(2), WithEmptyLimit(2))
+	add := func(a, b int64) int64 { return a + b }
+	wideFanIn := func(f *FetchOp, rounds int) (applied int64) {
+		cells := f.shardCells()
+		for round := 0; round < rounds; round++ {
+			for i := range cells {
+				cells[i].N.Add(1)
+			}
+			f.Value()
+			applied += int64(len(cells))
+		}
+		return applied
+	}
+
+	f := NewFetchOp(add, 0, WithSpinFailLimit(2), WithEmptyLimit(2))
 	// Up: contended CAS applies.
 	for i := 0; i < 2; i++ {
 		f.noteContendedApply()
@@ -115,24 +130,10 @@ func TestFetchOpDetectionChain(t *testing.T) {
 	if f.Stats().Mode != ModeSharded {
 		t.Fatalf("mode = %v after contended streak, want sharded", f.Stats().Mode)
 	}
-	// Up: every cell active across consecutive reconciling Values.
-	cells := f.shardCells()
-	for round := 0; round < 2; round++ {
-		for i := range cells {
-			cells[i].N.Add(1)
-		}
-		f.Value()
-	}
-	if f.Stats().Mode != ModeCombining {
-		t.Fatalf("mode = %v after wide-fan-in Values, want combining", f.Stats().Mode)
-	}
-	// Down: sweeps that find ≤1 pending deposit.
-	for i := 0; i < 2; i++ {
-		f.Apply(1)
-		f.Value()
-	}
-	if f.Stats().Mode != ModeSharded {
-		t.Fatalf("mode = %v after idle combining sweeps, want sharded", f.Stats().Mode)
+	// No further up: wide-fan-in sweeps, many times the limit.
+	want := wideFanIn(f, 16)
+	if st := f.Stats(); st.Mode != ModeSharded || st.Switches != 1 {
+		t.Fatalf("Stats = %+v after wide-fan-in Values, want sharded and 1 switch", st)
 	}
 	// Down: single-writer Values.
 	for i := 0; i < 2; i++ {
@@ -142,11 +143,31 @@ func TestFetchOpDetectionChain(t *testing.T) {
 	if f.Stats().Mode != ModeCAS {
 		t.Fatalf("mode = %v after single-writer Values, want cas", f.Stats().Mode)
 	}
-	if got, want := f.Value(), int64(2+2+2*len(cells)); got != want {
-		t.Fatalf("Value = %d after the full chain, want %d", got, want)
+	if got := f.Value(); got != want+2 {
+		t.Fatalf("Value = %d after the walk, want %d", got, want+2)
 	}
-	if f.Stats().Switches != 4 {
-		t.Fatalf("switches = %d, want 4", f.Stats().Switches)
+
+	// A forced-combining instance retires itself on sweeps that find ≤1
+	// pending deposit, and detection never brings it back.
+	fc := NewFetchOp(add, 0, WithInitialMode(ModeCombining), WithEmptyLimit(2))
+	for i := 0; i < 2; i++ {
+		fc.Apply(1)
+		fc.Value()
+	}
+	if fc.Stats().Mode != ModeSharded {
+		t.Fatalf("mode = %v after idle combining sweeps, want sharded", fc.Stats().Mode)
+	}
+	wideFanIn(fc, 16)
+	if st := fc.Stats(); st.Mode != ModeSharded || st.Switches != 3 {
+		t.Fatalf("Stats = %+v after wide-fan-in Values, want sharded and 3 switches", st)
+	}
+
+	// Default limits: four times the scale-up streak of wide-fan-in
+	// sweeps leaves a sharded accumulator sharded.
+	fd := NewFetchOp(add, 0, WithInitialMode(ModeSharded))
+	wideFanIn(fd, 4*DefaultSpinFailLimit)
+	if st := fd.Stats(); st.Mode != ModeSharded || st.Switches != 1 {
+		t.Fatalf("Stats = %+v under default limits, want sharded and 1 switch", st)
 	}
 }
 
@@ -181,6 +202,102 @@ func TestFetchOpCombiningFoldsEagerly(t *testing.T) {
 	}
 	if got := f.Value(); got != 4*batch {
 		t.Fatalf("Value = %d, want %d", got, 4*batch)
+	}
+}
+
+// TestFetchOpAbsorbedOperands covers test-before-write in every protocol
+// of the chain: an Apply whose operand the accumulated value already
+// absorbs returns after a load, in the CAS fast path, in a per-P cell
+// and in the sweep's fold into the shared word. Concurrent appliers mix
+// absorbed and fresh operands while reconciling; no Value may miss an
+// operand its caller already applied, and the result is exact at
+// quiescence. The limits hold each instance in its forced protocol. Run
+// with -race.
+func TestFetchOpAbsorbedOperands(t *testing.T) {
+	idempotent := func(op func(a, b int64) int64) func(v, acc int64) bool {
+		return func(v, acc int64) bool { return op(v, acc) == v }
+	}
+	max := func(a, b int64) int64 {
+		if a > b {
+			return a
+		}
+		return b
+	}
+	min := func(a, b int64) int64 { return -max(-a, -b) }
+	or := func(a, b int64) int64 { return a | b }
+	and := func(a, b int64) int64 { return a & b }
+	add := func(a, b int64) int64 { return a + b }
+	sparse := func(r uint64, _ int) int64 { // mostly the identity of +
+		if r&7 != 0 {
+			return 0
+		}
+		return int64(r>>3)%5 + 1
+	}
+	ops := []struct {
+		name    string
+		op      func(a, b int64) int64 // nil: Counter's addition
+		id      int64
+		operand func(r uint64, i int) int64
+		covers  func(v, acc int64) bool // v accounts for everything folded into acc
+	}{
+		{"max", max, math.MinInt64, func(r uint64, i int) int64 { return int64(r % uint64(i+2)) }, idempotent(max)},
+		{"min", min, math.MaxInt64, func(r uint64, i int) int64 { return -int64(r % uint64(i+2)) }, idempotent(min)},
+		{"or", or, 0, func(r uint64, _ int) int64 { return 1 << (r % 48) }, idempotent(or)},
+		{"and", and, -1, func(r uint64, _ int) int64 { return ^(1 << (r % 48)) }, idempotent(and)},
+		{"add-with-zeros", add, 0, sparse, func(v, acc int64) bool { return v >= acc }},
+		{"counter-with-zeros", nil, 0, sparse, func(v, acc int64) bool { return v >= acc }},
+	}
+	const goroutines = 8
+	iters := 4000
+	if testing.Short() {
+		iters = 1000
+	}
+	for _, mode := range []Mode{ModeCAS, ModeSharded, ModeCombining} {
+		for _, tc := range ops {
+			t.Run(mode.String()+"/"+tc.name, func(t *testing.T) {
+				opts := []Option{WithInitialMode(mode), WithSpinFailLimit(1 << 30), WithEmptyLimit(1 << 30)}
+				f, comb := &NewCounter(opts...).f, add
+				if tc.op != nil {
+					f, comb = NewFetchOp(tc.op, tc.id, opts...), tc.op
+				}
+				accs := make([]int64, goroutines)
+				var wg sync.WaitGroup
+				for g := 0; g < goroutines; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						acc, r := tc.id, uint64(g+1)
+						for i := 0; i < iters; i++ {
+							r = r*6364136223846793005 + 1442695040888963407
+							x := tc.operand(r>>33, i)
+							f.Apply(x)
+							acc = comb(acc, x)
+							if i%32 == g%32 {
+								if v := f.Value(); !tc.covers(v, acc) {
+									t.Errorf("goroutine %d op %d: Value = %d misses own applied operands (fold %d)", g, i, v, acc)
+									return
+								}
+							}
+						}
+						accs[g] = acc
+					}(g)
+				}
+				wg.Wait()
+				want := tc.id
+				for _, acc := range accs {
+					want = comb(want, acc)
+				}
+				if got := f.Value(); got != want {
+					t.Fatalf("Value = %d at quiescence, want %d", got, want)
+				}
+				if err := f.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				if got := f.Stats().Mode; got != mode {
+					t.Fatalf("mode = %v at the end, want the forced %v", got, mode)
+				}
+			})
+		}
 	}
 }
 

@@ -25,9 +25,8 @@ type Option func(*config)
 
 // WithSpinFailLimit sets how many consecutive scale-up observations —
 // contended acquisitions for Mutex and RWMutex, contended CAS updates
-// (and wide-fan-in reconciliations) for Counter and FetchOp — the
-// built-in detection tolerates before switching to the next, more
-// scalable protocol. n must be positive. Default: DefaultSpinFailLimit.
+// for Counter and FetchOp — the built-in detection tolerates before
+// switching to the next, more scalable protocol. n must be positive. Default: DefaultSpinFailLimit.
 // Ignored when WithPolicy installs an explicit switching policy.
 func WithSpinFailLimit(n int) Option {
 	if n <= 0 {

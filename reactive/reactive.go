@@ -18,11 +18,10 @@
 //
 //   - protocol-mode selection among the modes of a modal object (the
 //     reactive/modal engine): a cheap protocol (best uncontended), a
-//     scalable protocol (best contended) — and, for FetchOp, a third,
-//     batching protocol beyond that — switched by the thesis's detection
-//     heuristics. Mutex selects between barging spin and FIFO parking,
-//     Counter and FetchOp among a single compare-and-swap word, sharded
-//     per-processor cells, and batched combining, and RWMutex between
+//     scalable protocol (best contended), switched by the thesis's
+//     detection heuristics. Mutex selects between barging spin and FIFO
+//     parking, Counter and FetchOp between a single compare-and-swap
+//     word and sharded per-processor cells, and RWMutex between
 //     spinning and parking readers and, orthogonally, between a
 //     centralized reader count and BRAVO-style sharded per-processor
 //     reader slots; and
@@ -89,8 +88,9 @@ const (
 type Mode uint32
 
 // Protocol modes. Mutex and RWMutex alternate between ModeSpin and
-// ModePark; Counter and FetchOp move along the chain ModeCAS ↔
-// ModeSharded ↔ ModeCombining; RWMutex's reader registration protocol
+// ModePark; Counter and FetchOp move between ModeCAS and ModeSharded
+// (their table's third stage, ModeCombining, is constructible but never
+// selected by detection); RWMutex's reader registration protocol
 // (Stats().Readers) moves along its own chain ModeCAS (centralized
 // word) ↔ ModeSharded (per-P slots) ↔ ModeEpoch (per-P epoch stamps);
 // Map moves along the chain ModeLocked (one table under the adaptive
@@ -114,12 +114,15 @@ const (
 	// fetch-and-op: larger fixed cost than ModeCAS, far better under
 	// update contention, but every read pays a full reconciling sweep.
 	ModeSharded
-	// ModeCombining is FetchOp's (and Counter's) most scalable protocol,
-	// the combining-tree analogue: updates still land in per-processor
-	// cells, but updaters batch-fold the cells into the shared word once
-	// enough operations accumulate, so reads stay cheap and the shared
-	// word is touched once per batch instead of once per operation. Best
-	// when heavy updates and frequent reads coincide.
+	// ModeCombining is the third stage of FetchOp's (and Counter's)
+	// transition table, the combining-tree analogue: updates land in
+	// per-processor cells and updaters batch-fold the cells into the
+	// shared word once enough operations accumulate. It is dominated by
+	// ModeSharded by construction — an update is the sharded update plus
+	// a read-modify-write on a shared deposit count plus a share of the
+	// folds, and a read runs the same serialized sweep — so it is
+	// constructible (WithInitialMode) and self-demoting (idle sweeps
+	// retire it to ModeSharded), but never selected by detection.
 	ModeCombining
 	// ModeEpoch is RWMutex's most scalable reader registration protocol
 	// (and Map's most scalable protocol), the userspace-RCU read-side

@@ -6,6 +6,7 @@ package reactive
 // and the BRAVO-style sharded reader registration of RWMutex.
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -59,6 +60,35 @@ func TestFetchOpApplyZeroAllocs(t *testing.T) {
 	combining.switchFop(fCAS, fSharded)
 	combining.switchFop(fSharded, fCombining)
 	assertZeroAllocs(t, "FetchOp.Apply/combining", func() { combining.Apply(1) })
+}
+
+// TestFetchOpSweepZeroAllocs pins the reconciling sweep at zero
+// allocations while no rescue is banked: a sharded Load or Value that
+// finds every cell non-empty harvests onto its own frame.
+func TestFetchOpSweepZeroAllocs(t *testing.T) {
+	fill := func(f *FetchOp, x int64) {
+		cells := f.shardCells()
+		for i := range cells {
+			cells[i].N.Store(x)
+		}
+	}
+	c := NewCounter(WithInitialMode(ModeSharded), WithEmptyLimit(1<<30))
+	assertZeroAllocs(t, "Counter.Load/sharded", func() { fill(&c.f, 1); c.Load() })
+
+	x := int64(0)
+	f := NewFetchOp(func(a, b int64) int64 {
+		if b > a {
+			return b
+		}
+		return a
+	}, math.MinInt64, WithInitialMode(ModeSharded), WithEmptyLimit(1<<30))
+	assertZeroAllocs(t, "FetchOp.Value/sharded", func() {
+		x++
+		fill(f, x)
+		if got := f.Value(); got != x {
+			t.Fatalf("Value = %d, want %d", got, x)
+		}
+	})
 }
 
 // TestCongestionPolicyZeroAllocs pins the uncontended fast paths at
