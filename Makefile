@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build benchmark-check test test-full bench bench-compare loadtest lint examples docs-check torture fuzz-short
+.PHONY: all build benchmark-check test test-full sim-digests bench bench-compare loadtest lint examples docs-check torture fuzz-short
 
 all: lint build benchmark-check test
 
@@ -33,9 +33,17 @@ examples:
 	$(GO) vet ./examples/...
 	@set -e; for d in examples/*/; do echo "== $$d"; timeout 120 $(GO) run ./$$d > /dev/null; done
 
-# The tier-1 gate: every test at full scale (slower).
+# The tier-1 gate and CI's tier1 job: every test at full scale, the
+# slow experiment specs and TestRegistryDigestsGolden over the whole
+# registry included (about a minute on two cores).
 test-full:
 	$(GO) build ./... && $(GO) test ./...
+
+# Rewrite internal/experiments/testdata/registry_digests.json from this
+# build's tables. Only for a change that is meant to move a simulated
+# table; one that is meant to cost host time alone must pass unchanged.
+sim-digests:
+	$(GO) test ./internal/experiments -run 'TestRegistryDigestsGolden$$' -count=1 -update
 
 # One pass over every benchmark; deterministic simulated-cycle metrics,
 # plus the machine-readable experiment-matrix results in bench_results.json.

@@ -2,9 +2,13 @@ package experiments
 
 import (
 	"errors"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/machine"
 	"repro/internal/stats"
 )
 
@@ -25,6 +29,25 @@ var slowSpecs = map[string]bool{
 	"fig3.24-fetchop-apps":  true,
 	"fig3.25-spinlock-apps": true,
 }
+
+// matrixSpecs is the registry as the matrix tests run it: all of it, less
+// the slow specs under -short.
+func matrixSpecs() []Spec {
+	var specs []Spec
+	for _, s := range Default.Specs() {
+		if testing.Short() && slowSpecs[s.Name] {
+			continue
+		}
+		specs = append(specs, s)
+	}
+	return specs
+}
+
+// parallelMatrix is one parallel pass over matrixSpecs at tiny sizes and
+// the default base seed, made once however many tests compare against it.
+var parallelMatrix = sync.OnceValue(func() []Result {
+	return (&Runner{Sizes: tinySizes(), Parallel: 8}).Run(matrixSpecs())
+})
 
 func TestRegistryMetadata(t *testing.T) {
 	specs := Default.Specs()
@@ -128,16 +151,9 @@ func TestSelect(t *testing.T) {
 // every registered experiment runs, and a parallel run of the matrix is
 // byte-identical to a serial run at the same base seed.
 func TestMatrixSerialParallelIdentical(t *testing.T) {
-	var specs []Spec
-	for _, s := range Default.Specs() {
-		if testing.Short() && slowSpecs[s.Name] {
-			continue
-		}
-		specs = append(specs, s)
-	}
-	sz := tinySizes()
-	serial := (&Runner{Sizes: sz, Parallel: 1}).Run(specs)
-	parallel := (&Runner{Sizes: sz, Parallel: 8}).Run(specs)
+	specs := matrixSpecs()
+	serial := (&Runner{Sizes: tinySizes(), Parallel: 1}).Run(specs)
+	parallel := parallelMatrix()
 	if len(serial) != len(specs) || len(parallel) != len(specs) {
 		t.Fatalf("result counts: serial %d parallel %d want %d", len(serial), len(parallel), len(specs))
 	}
@@ -189,6 +205,43 @@ func TestRunnerRecoversPanics(t *testing.T) {
 		t.Fatal("expected error")
 	}
 	_ = errors.Unwrap(wrapped) // must not panic
+}
+
+// TestRunnerCapturesSimulatedPanic: a panic raised inside the simulated
+// machine — on an actor's stack, not the worker's — still comes back as
+// that spec's Err, and the specs around it still produce their tables.
+func TestRunnerCapturesSimulatedPanic(t *testing.T) {
+	healthy, ok := Default.Lookup("fig3.16-prototype")
+	if !ok {
+		t.Fatal("fig3.16-prototype not registered")
+	}
+	bomb := Spec{Name: "bomb", Figure: "f", Title: "t", Tool: ToolReactsim, Run: func(sz Sizes) *stats.Table {
+		m := machine.New(machine.DefaultConfig(2))
+		m.SpawnCPU(0, 0, "idle", func(c *machine.CPU) { c.Actor().Park() })
+		m.SpawnCPU(1, 0, "bomb", func(c *machine.CPU) {
+			c.Advance(10)
+			c.Actor().Wake(c.Actor(), 0) // waking an actor that is not parked panics
+		})
+		m.Run()
+		return &stats.Table{}
+	}}
+	before := runtime.NumGoroutine()
+	results := (&Runner{Sizes: tinySizes(), Parallel: 2}).Run([]Spec{healthy, bomb, healthy})
+	if err := results[1].Err; err == nil || !strings.Contains(err.Error(), "not parked") {
+		t.Errorf("panicking spec should surface the simulator's panic, got %v", err)
+	}
+	for _, i := range []int{0, 2} {
+		if results[i].Err != nil || results[i].Table == nil || len(results[i].Table.Rows) == 0 {
+			t.Errorf("spec %d beside the panicking one did not produce its table: %v", i, results[i].Err)
+		}
+	}
+	// The Runner's workers may still be returning: give them a moment.
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 100 {
+			t.Fatalf("%d goroutines after the run, %d before: the failed machine's actors leaked", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func TestWriteJSONRoundTrips(t *testing.T) {

@@ -245,51 +245,57 @@ type HandlerFunc func(h *Handler)
 // Handler gives a message handler its limited execution environment:
 // it can read the clock, mutate node-private protocol state (ordinary Go
 // data captured by the closure), send further messages, and wake waiters.
-// Handlers must not block.
+// Handlers must not block: they run as inline engine events, on the stack
+// of whichever actor (or Run itself) holds control when they come up.
 type Handler struct {
 	m    *Machine
 	proc *Proc
-	a    *sim.Actor
 }
 
 // ProcID returns the node the handler runs on.
 func (h *Handler) ProcID() int { return h.proc.id }
 
 // Now returns the handler's completion instant.
-func (h *Handler) Now() Time { return h.a.Now() }
+func (h *Handler) Now() Time { return h.m.Eng.Now() }
 
 // Send relays a message from within a handler (no extra sender overhead:
 // launch cost is part of the handler occupancy already charged).
 func (h *Handler) Send(dst int, f HandlerFunc) {
-	h.m.deliver(dst, h.a.Now()+h.m.cfg.MsgNetwork, f)
+	h.m.deliver(dst, h.Now()+h.m.cfg.MsgNetwork, f)
 }
 
 // Wake schedules a parked actor to resume d cycles from now. The threads
 // and spin-wait layers use this to deliver reply notifications.
 func (h *Handler) Wake(a *sim.Actor, d Time) {
-	h.a.Wake(a, h.a.Now()+d)
+	h.m.Eng.WakeAt(a, h.Now()+d)
 }
 
 // After schedules f to execute as an atomic handler on node dst, d cycles
 // from now (a software timer; used e.g. for message-combining windows).
 func (h *Handler) After(d Time, dst int, f HandlerFunc) {
-	h.m.deliver(dst, h.a.Now()+d, f)
+	h.m.deliver(dst, h.Now()+d, f)
 }
 
 // deliver schedules an atomic handler execution on node dst at time at.
-// Handlers on one node serialize: each reserves the node's handler
-// interface for MsgHandler cycles before yielding, so two handlers can
-// never observe each other mid-flight.
+// Handlers on one node serialize: on arrival each reserves the node's
+// handler interface for MsgHandler cycles and runs when that occupancy
+// ends, so two handlers can never observe each other mid-flight.
+//
+// A delivery is two inline engine events, arrival and completion, and no
+// actor. It takes an actor id all the same, and one queue sequence number
+// per event: exactly what an actor spawned at the arrival and advanced to
+// the completion takes. The committed table digests were cut with
+// deliveries in that form, and actor RNG streams derive from ids.
 func (m *Machine) deliver(dst int, at Time, f HandlerFunc) {
-	p := m.procs[dst]
-	m.Eng.Spawn(fmt.Sprintf("msg->%d", dst), at, func(a *sim.Actor) {
-		start := a.Now()
-		if p.handlerFree > start {
-			start = p.handlerFree
+	h := &Handler{m: m, proc: m.procs[dst]}
+	m.Eng.NewActorID()
+	m.Eng.At(at, func() {
+		done := max(m.Eng.Now(), h.proc.handlerFree) + m.cfg.MsgHandler
+		h.proc.handlerFree = done
+		if done > m.Eng.Now() {
+			m.Eng.At(done, func() { f(h) })
+		} else {
+			f(h)
 		}
-		done := start + m.cfg.MsgHandler
-		p.handlerFree = done
-		a.AdvanceTo(done)
-		f(&Handler{m: m, proc: p, a: a})
 	})
 }

@@ -160,3 +160,51 @@ func TestContentionSlowsRMW(t *testing.T) {
 		t.Fatal("contention did not slow down hot-spot RMWs")
 	}
 }
+
+// TestHandlerAfterAndZeroOccupancy: a handler's software timer fires as
+// another handler d cycles later, occupancy included; with MsgHandler 0 a
+// handler completes at its arrival instant.
+func TestHandlerAfterAndZeroOccupancy(t *testing.T) {
+	for _, occupancy := range []Time{34, 0} {
+		cfg := DefaultConfig(2)
+		cfg.MsgHandler = occupancy
+		m := New(cfg)
+		var first, timer Time
+		m.SpawnCPU(0, 0, "client", func(c *CPU) {
+			c.Send(1, func(h *Handler) {
+				first = h.Now()
+				h.After(100, 0, func(h2 *Handler) { timer = h2.Now() })
+			})
+		})
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if want := cfg.MsgSend + cfg.MsgNetwork + occupancy; first != want {
+			t.Errorf("occupancy %d: handler ran at %d, want %d", occupancy, first, want)
+		}
+		if want := first + 100 + occupancy; timer != want {
+			t.Errorf("occupancy %d: timer handler ran at %d, want %d", occupancy, timer, want)
+		}
+	}
+}
+
+// BenchmarkDeliver is the host cost of one message: a chain of handlers
+// each relaying to the next node, two inline events apiece (arrival,
+// completion) and no actor anywhere.
+func BenchmarkDeliver(b *testing.B) {
+	const nodes = 4
+	m := New(DefaultConfig(nodes))
+	left := b.N
+	var relay HandlerFunc
+	relay = func(h *Handler) {
+		if left--; left > 0 {
+			h.Send((h.ProcID()+1)%nodes, relay)
+		}
+	}
+	m.deliver(0, 0, relay)
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := m.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

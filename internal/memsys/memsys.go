@@ -20,7 +20,10 @@
 // running on this memory observe a sequentially consistent memory.
 package memsys
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Time is simulated cycles (mirrors sim.Time without importing it).
 type Time = uint64
@@ -196,16 +199,13 @@ func (l *line) ownedExclusively(proc int) bool {
 // is responsible for setting the final directory state.
 func (s *System) invalidateCost(l *line, keep int) Time {
 	var cost Time
-	n := 0
+	n := l.sharers.count()
+	if l.sharers.has(keep) {
+		n--
+	}
 	overflowed := 0
-	for _, p := range l.sharers.members() {
-		if p == keep {
-			continue
-		}
-		n++
-		if s.cfg.HWPointers >= 0 && n > s.cfg.HWPointers {
-			overflowed++
-		}
+	if s.cfg.HWPointers >= 0 && n > s.cfg.HWPointers {
+		overflowed = n - s.cfg.HWPointers
 	}
 	if l.owner != -1 && l.owner != keep {
 		cost += s.cfg.OwnerFetch
@@ -339,29 +339,17 @@ func (b *bitset) add(p int) {
 	b[p/64] |= 1 << uint(p%64)
 }
 
-func (b bitset) has(p int) bool {
+func (b *bitset) has(p int) bool {
 	if p < 0 || p >= maxNodes {
 		return false
 	}
 	return b[p/64]&(1<<uint(p%64)) != 0
 }
 
-func (b bitset) count() int {
+func (b *bitset) count() int {
 	n := 0
 	for _, w := range b {
-		for x := w; x != 0; x &= x - 1 {
-			n++
-		}
+		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-func (b bitset) members() []int {
-	out := make([]int, 0, b.count())
-	for i := 0; i < maxNodes; i++ {
-		if b.has(i) {
-			out = append(out, i)
-		}
-	}
-	return out
 }

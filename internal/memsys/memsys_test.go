@@ -229,8 +229,61 @@ func TestBitset(t *testing.T) {
 				return false
 			}
 		}
-		return len(b.members()) == len(ref)
+		return true
 	}, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// refInvalidateCost is invalidateCost as it was before it counted sharers
+// with popcount: it walks the sharers one node id at a time. It stays here
+// as the reference the differential test holds the fast version to.
+func refInvalidateCost(s *System, l *line, keep int) Time {
+	var cost Time
+	n := 0
+	overflowed := 0
+	for p := 0; p < maxNodes; p++ {
+		if !l.sharers.has(p) || p == keep {
+			continue
+		}
+		n++
+		if s.cfg.HWPointers >= 0 && n > s.cfg.HWPointers {
+			overflowed++
+		}
+	}
+	if l.owner != -1 && l.owner != keep {
+		cost += s.cfg.OwnerFetch
+		s.Invals++
+	}
+	if n > 0 {
+		if s.cfg.Broadcast {
+			cost += s.cfg.Invalidate
+		} else {
+			cost += Time(n) * s.cfg.Invalidate
+		}
+		s.Invals += uint64(n)
+	}
+	if overflowed > 0 {
+		cost += Time(overflowed) * s.cfg.LimitLESSTrap
+		s.Traps += uint64(overflowed)
+	}
+	return cost
+}
+
+func TestInvalidateCostMatchesReference(t *testing.T) {
+	if err := quick.Check(func(sharers []uint8, owner uint16, keep, ptrs uint8, broadcast bool) bool {
+		cfg := DefaultConfig(maxNodes)
+		cfg.HWPointers = int(ptrs%8) - 1 // -1 (full map) .. 6
+		cfg.Broadcast = broadcast
+		l := &line{owner: int(owner%(maxNodes+1)) - 1} // -1 (none) .. maxNodes-1
+		for _, p := range sharers {
+			l.sharers.add(int(p))
+		}
+		k := int(keep)
+		got, want := New(cfg), New(cfg)
+		gc, wc := got.invalidateCost(l, k), refInvalidateCost(want, l, k)
+		return gc == wc && got.Invals == want.Invals && got.Traps == want.Traps
+	}, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }
