@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build benchmark-check test test-full sim-digests bench bench-compare loadtest lint examples docs-check torture fuzz-short
+.PHONY: all build benchmark-check test test-full sim-digests bench loadtest lint examples docs-check torture fuzz-short
 
 all: lint build benchmark-check test
 
@@ -45,23 +45,14 @@ test-full:
 sim-digests:
 	$(GO) test ./internal/experiments -run 'TestRegistryDigestsGolden$$' -count=1 -update
 
-# One pass over every benchmark; deterministic simulated-cycle metrics,
-# plus the machine-readable experiment-matrix results in bench_results.json.
+# The CI bench job: one pass over every benchmark, kept as bench.txt —
+# Go benchmark text, benchstat's own input. The simulator rows report
+# deterministic simulated cycles; the BenchmarkNative* rows are host
+# ns/op, and one 1x pass of them is a smoke run, not a measurement
+# (for a local A/B: go test -bench=Native -count=10 on each side, into
+# benchstat; for "did a primitive get slower": bash benchmark/run.sh).
 bench:
-	BENCH_RESULTS_JSON=$(CURDIR)/bench_results.json $(GO) test -bench=. -benchtime=1x -run='^$$' .
-
-# Compare a fresh bench_results.json against the committed baseline
-# (bench_baseline.json): benchstat-style report via cmd/benchcmp, which
-# also invokes the real benchstat on the native sections when the tool
-# is installed. Mirrors CI's non-blocking bench-compare step, including
-# its regression threshold (exit code 1 when a native fast path
-# regressed beyond THRESHOLD percent). -normalize divides the control/
-# rows' host-drift ratio out of the gated deltas, so a slower machine
-# than the baseline's does not read as a library regression.
-THRESHOLD ?= 25
-bench-compare: bench
-	@$(GO) run ./cmd/benchcmp -old bench_baseline.json -new bench_results.json -threshold $(THRESHOLD) -normalize > bench_compare.txt; \
-	st=$$?; cat bench_compare.txt; exit $$st
+	bash -o pipefail -c '$(GO) test -bench=. -benchtime=1x -run="^$$" . | tee bench.txt'
 
 # The CI loadtest job: the open-loop service-scale harness. Smoke the
 # loadsvc package (short mode keeps it seconds-scale), regenerate
@@ -73,7 +64,7 @@ TAIL_THRESHOLD ?= 25
 loadtest:
 	$(GO) test -short ./internal/loadsvc/
 	$(GO) run ./cmd/loadgen -scenario all -duration 2s -json bench_tail.json
-	@$(GO) run ./cmd/benchcmp -tail -threshold $(TAIL_THRESHOLD) > bench_tail_compare.txt; \
+	@$(GO) run ./cmd/benchcmp -threshold $(TAIL_THRESHOLD) > bench_tail_compare.txt; \
 	st=$$?; cat bench_tail_compare.txt; exit $$st
 
 # The CI torture job: the locktorture-style scenario matrix with the

@@ -12,18 +12,17 @@
 // recommended: repeated iterations reproduce identical simulated cycles.
 //
 // BenchmarkExperimentMatrix additionally drives the whole registry
-// through the parallel runner and, when BENCH_RESULTS_JSON is set,
-// writes the machine-readable results document CI uploads as an
-// artifact on every run — including the native-primitive measurements
-// (reactive vs the standard library) from the BenchmarkNative* group,
-// whose host ns/op numbers ARE the measured quantity.
+// through the parallel runner. The BenchmarkNative* group measures
+// package reactive against the standard library, and its host ns/op
+// numbers ARE the measured quantity: it is the one list of native rows,
+// for a local A/B (-bench=Native -count=10 into benchstat). Whether a
+// primitive got slower is decided by benchmark/run.sh's paired runs.
 package repro_test
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -38,8 +37,7 @@ import (
 
 // BenchmarkExperimentMatrix runs every registered experiment at
 // smoke scale across the bounded worker pool and reports matrix-level
-// metrics. With BENCH_RESULTS_JSON=path it also writes the runner's
-// JSON results document (the BENCH_* trajectory artifact).
+// metrics.
 func BenchmarkExperimentMatrix(b *testing.B) {
 	sz := experiments.Tiny()
 	specs := experiments.Default.Specs()
@@ -52,18 +50,6 @@ func BenchmarkExperimentMatrix(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(len(results)), "experiments")
-	if path := os.Getenv("BENCH_RESULTS_JSON"); path != "" {
-		f, err := os.Create(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer f.Close()
-		// Append the native-primitive measurements so the results
-		// document tracks the adoptable library, not just the simulator.
-		if err := experiments.WriteJSONNative(f, sz, results, experiments.NativePrimitives()); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // reportSim reports a simulated-cycles metric.
@@ -353,12 +339,7 @@ func BenchmarkFig3_14_CompetitiveWorstCase(b *testing.B) {
 //
 // Unlike the simulator benchmarks above, these measure real host ns/op:
 // the adoptable reactive library against its stdlib baseline, uncontended
-// and contended, via testing.B's RunParallel harness. The bench_results
-// artifact carries its own independent measurement of the same primitives
-// (experiments.NativePrimitives: fixed 100k ops, 2×GOMAXPROCS goroutines,
-// one wall-clock division) — the two harnesses differ by design, so
-// expect their absolute ns/op to diverge; each is only comparable to
-// itself across runs.
+// and contended, via testing.B's RunParallel harness.
 
 func BenchmarkNativeMutex(b *testing.B) {
 	b.Run("uncontended/reactive", func(b *testing.B) {
@@ -480,6 +461,23 @@ func BenchmarkNativeCounter(b *testing.B) {
 			reactive.WithSpinFailLimit(1<<30), reactive.WithEmptyLimit(1<<30))
 		b.Run("mixed-read-"+m.String()+"-forced/reactive", mixedRead(fc.Add, fc.Load, fc.Stats))
 	}
+	// Write-only Adds on the forced sharded protocol, plain and carrying
+	// policy.Congestion: BenchmarkNativeFetchOp's pair of the same names,
+	// on the Counter's nil-op (plain atomic add) path.
+	writeOnly := func(c *reactive.Counter) func(*testing.B) {
+		return func(b *testing.B) {
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					c.Add(1)
+				}
+			})
+			b.ReportMetric(float64(c.Stats().Mode), "endmode")
+		}
+	}
+	b.Run("sharded-forced/reactive", writeOnly(reactive.NewCounter(
+		reactive.WithInitialMode(reactive.ModeSharded))))
+	b.Run("sharded-forced-congestion/reactive", writeOnly(reactive.NewCounter(
+		reactive.WithInitialMode(reactive.ModeSharded), reactive.WithPolicy(policy.NewCongestion()))))
 }
 
 // mixedRead is the mixed-read workload of BenchmarkNativeCounter and
@@ -513,8 +511,7 @@ func mixedRead(update func(int64), read func() int64, stats func() reactive.Stat
 // and a running max whose operands are mostly below it (max-saturated:
 // what test-before-write is for). The endmode metric is the protocol
 // the accumulator ended in (its reactive.Mode: 2 cas, 3 sharded,
-// 4 combining), so the bench_results trajectory shows the CAS ↔ sharded
-// crossover.
+// 4 combining), so a run shows the CAS ↔ sharded crossover.
 func BenchmarkNativeFetchOp(b *testing.B) {
 	add := func(a, x int64) int64 { return a + x }
 	fopMixed := func(f *reactive.FetchOp) func(*testing.B) { return mixedRead(f.Apply, f.Value, f.Stats) }
@@ -559,8 +556,8 @@ func BenchmarkNativeFetchOp(b *testing.B) {
 	b.Run("mixed-read/atomic.Int64", mixedRead(func(d int64) { ai.Add(d) }, ai.Load, nil))
 	b.Run("mixed-read-cas-forced/reactive", fopMixed(forced(reactive.ModeCAS)))
 	b.Run("mixed-read-sharded-forced/reactive", fopMixed(forced(reactive.ModeSharded)))
-	// The mixed-read mix on forced combining; the row keeps the name its
-	// bench_results trajectory has had since PR 4.
+	// The mixed-read mix on forced combining; the row keeps the name it
+	// has had since PR 4.
 	b.Run("combining-forced/reactive", fopMixed(forced(reactive.ModeCombining)))
 	// Max-saturated: a running max fed operands that are almost always
 	// below it, so nearly every Apply is absorbed and should cost a load.

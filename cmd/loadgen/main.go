@@ -8,7 +8,7 @@
 // queueing delay and the p99/p999 quantiles show it (the open-loop
 // methodology; DESIGN.md §7). The run prints a per-scenario summary
 // table and, with -json, writes the bench_tail/v1 document whose flat
-// "tail" rows cmd/benchcmp -tail diffs against the committed
+// "tail" rows cmd/benchcmp diffs against the committed
 // bench_tail_baseline.json.
 //
 // Scenarios: read-heavy, write-burst, cancellation-storm,

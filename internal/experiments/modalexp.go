@@ -4,7 +4,7 @@ package experiments
 // reactive/modal engine over the native FetchOp's 3-mode transition
 // shape (CAS ↔ sharded ↔ combining — the native analogue of the
 // simulator's TTS ↔ queue ↔ combining tree). Unlike the wall-clock
-// NativePrimitives measurements, these exercise the pure
+// BenchmarkNative* measurements, these exercise the pure
 // protocol-selection state machine on a seeded synthetic contention
 // trace, so their tables are bit-deterministic and participate in the
 // registry's serial==parallel contract like every simulator experiment.

@@ -121,12 +121,10 @@ type jsonResult struct {
 }
 
 // jsonDoc is the top-level JSON document: the parameters the matrix ran
-// with plus one entry per experiment, and optionally the native-primitive
-// measurements. It feeds the BENCH_*.json trajectory uploaded by CI.
+// with plus one entry per experiment.
 type jsonDoc struct {
-	Params  any            `json:"params"`
-	Results []jsonResult   `json:"results"`
-	Native  []NativeResult `json:"native,omitempty"`
+	Params  any          `json:"params"`
+	Results []jsonResult `json:"results"`
 }
 
 // WriteJSON emits results as an indented, deterministic JSON document.
@@ -134,15 +132,7 @@ type jsonDoc struct {
 // registry commands, lockstat's flag values for its sweep) so the
 // document alone suffices to reproduce it.
 func WriteJSON(w io.Writer, params any, results []Result) error {
-	return WriteJSONNative(w, params, results, nil)
-}
-
-// WriteJSONNative is WriteJSON plus the wall-clock native-primitive
-// measurements (NativePrimitives), which CI's bench smoke job appends so
-// bench_results.json tracks the adoptable library alongside the simulator
-// matrix.
-func WriteJSONNative(w io.Writer, params any, results []Result, native []NativeResult) error {
-	doc := jsonDoc{Params: params, Results: make([]jsonResult, 0, len(results)), Native: native}
+	doc := jsonDoc{Params: params, Results: make([]jsonResult, 0, len(results))}
 	for _, res := range results {
 		jr := jsonResult{
 			Name:   res.Spec.Name,

@@ -170,7 +170,7 @@ func (r *Report) finish() {
 
 // TailRow is one gate-ready measurement of the tail-latency trajectory:
 // a slash-separated name and a value in microseconds — the flat unit
-// cmd/benchcmp -tail diffs and thresholds.
+// cmd/benchcmp diffs and thresholds.
 type TailRow struct {
 	Name string  `json:"name"`
 	Us   float64 `json:"us"`

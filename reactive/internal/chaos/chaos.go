@@ -8,7 +8,7 @@
 // and its fold into the base word, ...). By default the hooks are empty
 // functions the compiler inlines away: a build without the
 // reactive_chaos tag carries zero overhead, verified by the package's
-// zero-allocation pins and the benchcmp gate.
+// zero-allocation pins.
 //
 // Under the reactive_chaos build tag the hooks consult an active
 // Schedule: a pure function of a 64-bit seed mapping every cataloged

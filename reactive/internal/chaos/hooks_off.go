@@ -6,8 +6,8 @@ package chaos
 // machinery. Without the reactive_chaos build tag the hooks below are
 // empty functions: the compiler inlines them away and dead-codes their
 // constant-string arguments, so an instrumented fast path costs exactly
-// what an uninstrumented one does (pinned by the zero-allocation tests
-// and the benchcmp gate).
+// what an uninstrumented one does (pinned by the zero-allocation
+// tests).
 const Built = false
 
 // Point is a fault point: a no-op in this build.

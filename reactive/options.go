@@ -18,9 +18,10 @@ type config struct {
 }
 
 // An Option configures an adaptive primitive built by New, NewCounter,
-// NewRWMutex, or NewFetchOp. Options not meaningful for a primitive are
-// accepted and ignored (e.g. WithPollIters on a Counter), so one option
-// slice can configure a family of primitives uniformly.
+// NewRWMutex, NewFetchOp, or NewMap. Options not meaningful for a
+// primitive are accepted and ignored (e.g. WithInitialReaderMode on a
+// Counter), so one option slice can configure a family of primitives
+// uniformly.
 type Option func(*config)
 
 // WithSpinFailLimit sets how many consecutive scale-up observations —
@@ -51,11 +52,11 @@ func WithEmptyLimit(n int) Option {
 // WithPollIters sets the two-phase polling budget, in spin iterations,
 // that a waiter spends polling before parking (Lpoll expressed in
 // iterations). n must be positive. Default: DefaultPollIters. Used by
-// Mutex (park-mode lockers), RWMutex (readers and writers), and Counter
-// and FetchOp (reconciling reads waiting for the sweep window). The
-// budget is deadline-aware: a waiter whose context ends mid-poll stops
-// consuming it immediately, so a short Lpoll and a short deadline
-// compose instead of competing.
+// Mutex (park-mode lockers), RWMutex (readers and writers), Counter and
+// FetchOp (reconciling reads waiting for the sweep window), and Map (its
+// writer lock inherits the budget). The budget is deadline-aware: a
+// waiter whose context ends mid-poll stops consuming it immediately, so
+// a short Lpoll and a short deadline compose instead of competing.
 func WithPollIters(n int) Option {
 	if n <= 0 {
 		panic("reactive: WithPollIters requires n > 0")
@@ -65,10 +66,10 @@ func WithPollIters(n int) Option {
 
 // WithPolicy installs an explicit protocol-switching policy from the
 // reactive/policy package (3-competitive, hysteresis, weighted-average,
-// always-switch), replacing the built-in streak detection that
-// WithSpinFailLimit and WithEmptyLimit parameterize. The primitive
-// serializes all calls into p; p must not be shared with any other
-// primitive or goroutine. A nil p restores the built-in detection.
+// always-switch, policy.Congestion), replacing the built-in streak
+// detection that WithSpinFailLimit and WithEmptyLimit parameterize. The
+// primitive serializes all calls into p; p must not be shared with any
+// other primitive or goroutine. A nil p restores the built-in detection.
 //
 // Detection events are mapped onto the policy as in the simulator's
 // reactive algorithms: direction 0 is cheap→scalable (contention
