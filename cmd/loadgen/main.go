@@ -7,9 +7,9 @@
 // never wait for completions, so an overloaded service accumulates
 // queueing delay and the p99/p999 quantiles show it (the open-loop
 // methodology; DESIGN.md §7). The run prints a per-scenario summary
-// table and, with -json, writes the bench_tail/v1 document whose flat
-// "tail" rows cmd/benchcmp diffs against the committed
-// bench_tail_baseline.json.
+// table and, with -json, writes the bench_tail/v1 document: the rich
+// per-scenario reports plus flat "tail" rows, the artifact CI's loadtest
+// job uploads.
 //
 // Scenarios: read-heavy, write-burst, cancellation-storm,
 // goroutine-churn, gomaxprocs-sweep (see -list or EXPERIMENTS.md's

@@ -56,16 +56,14 @@ const (
 type ReactiveFetchOp struct {
 	mode      machine.Addr
 	tts       machine.Addr // TTS lock: 0 free, 1 busy/invalid
-	tail      machine.Addr // MCS tail: 0 empty, invalidTail invalid, else node
+	invQueue               // the queue protocol: tail word, queue nodes, change bookkeeping
 	central   machine.Addr // the fetch-and-op variable (shared by protocols)
 	treeValid machine.Addr // combining-tree valid bit (root lock guards it)
 
 	tree *fetchop.CombTree
 
-	mem   *memsys.System
-	nodes []spinlock.QNode
-	bo    spinlock.Backoff
-	mean  []machine.Time
+	bo   spinlock.Backoff
+	mean []machine.Time
 
 	// Policy decides when to act on detected sub-optimality.
 	Policy policy.Policy
@@ -83,9 +81,6 @@ type ReactiveFetchOp struct {
 	ResidualCheap    uint64
 	ResidualScalable uint64
 
-	// Changes counts protocol changes.
-	Changes uint64
-
 	emptyStreak []int
 	combineEMA  float64 // moving average of ops reaching the root together
 
@@ -95,9 +90,6 @@ type ReactiveFetchOp struct {
 	// time, and the decider enforces it.
 	d      *modal.Decider
 	dResid [2]uint64 // residuals the current table was built with
-
-	// Check optionally records protocol changes for verification.
-	Check *HistoryChecker
 }
 
 // dec returns the fetch-and-op's modal decider over its 3-mode
@@ -125,12 +117,10 @@ func NewReactiveFetchOp(mem *memsys.System, home int, nleaves int) *ReactiveFetc
 	f := &ReactiveFetchOp{
 		mode:             mem.Alloc(home, 1),
 		tts:              mem.Alloc(home, 1),
-		tail:             mem.Alloc(home, 1),
+		invQueue:         newInvQueue(mem, home, fopModeName[:]),
 		central:          mem.Alloc(home, 1),
 		treeValid:        mem.Alloc(home, 1),
 		tree:             fetchop.NewCombTree(mem, nleaves, reactiveTreePatience),
-		mem:              mem,
-		nodes:            make([]spinlock.QNode, procs),
 		bo:               spinlock.DefaultBackoff,
 		mean:             make([]machine.Time, procs),
 		Policy:           policy.AlwaysSwitch{},
@@ -145,7 +135,6 @@ func NewReactiveFetchOp(mem *memsys.System, home int, nleaves int) *ReactiveFetc
 	// Initial state: TTS mode; queue and tree invalid.
 	mem.Poke(f.mode, fopTTS)
 	mem.Poke(f.tts, 0)
-	mem.Poke(f.tail, invalidTail)
 	mem.Poke(f.treeValid, 0)
 	// The reactive algorithm interposes on the tree's root action: check
 	// validity, apply to the shared central variable, monitor the
@@ -162,13 +151,6 @@ func (f *ReactiveFetchOp) Mode() uint64 { return f.mem.Peek(f.mode) }
 
 // Value returns the current counter value (test use).
 func (f *ReactiveFetchOp) Value() uint64 { return f.mem.Peek(f.central) }
-
-func (f *ReactiveFetchOp) node(proc int) spinlock.QNode {
-	if f.nodes[proc].Base == 0 {
-		f.nodes[proc] = spinlock.NewQNode(f.mem, proc)
-	}
-	return f.nodes[proc]
-}
 
 // FetchAdd implements fetchop.FetchOp: the top-level dispatch of Figure C.3.
 func (f *ReactiveFetchOp) FetchAdd(c machine.Context, delta uint64) uint64 {
@@ -317,14 +299,14 @@ func (f *ReactiveFetchOp) changeTTSToQueue(c machine.Context) {
 	f.acquireInvalidQueue(c, i)
 	c.Write(f.mode, fopQueue)
 	f.releaseQueue(c, i) // tts stays busy (= invalid)
-	f.finishChange(c, fopTTS, fopQueue)
+	f.finishChange(c, f.dec(), fopTTS, fopQueue)
 }
 
 func (f *ReactiveFetchOp) changeQueueToTTS(c machine.Context, i spinlock.QNode) {
 	c.Write(f.mode, fopTTS)
 	f.invalidateQueue(c, i)
 	c.Write(f.tts, 0)
-	f.finishChange(c, fopQueue, fopTTS)
+	f.finishChange(c, f.dec(), fopQueue, fopTTS)
 }
 
 func (f *ReactiveFetchOp) changeQueueToTree(c machine.Context, i spinlock.QNode) {
@@ -334,7 +316,7 @@ func (f *ReactiveFetchOp) changeQueueToTree(c machine.Context, i spinlock.QNode)
 	c.Write(f.tree.RootLock(), 0)
 	c.Write(f.mode, fopTree)
 	f.invalidateQueue(c, i) // waiters get INVALID and re-dispatch to the tree
-	f.finishChange(c, fopQueue, fopTree)
+	f.finishChange(c, f.dec(), fopQueue, fopTree)
 }
 
 // changeTreeToQueue runs with the tree's root lock already held.
@@ -344,28 +326,8 @@ func (f *ReactiveFetchOp) changeTreeToQueue(c machine.Context) {
 	f.acquireInvalidQueue(c, i)
 	c.Write(f.mode, fopQueue)
 	f.releaseQueue(c, i)
-	f.finishChange(c, fopTree, fopQueue)
+	f.finishChange(c, f.dec(), fopTree, fopQueue)
 }
-
-// finishChange records bookkeeping for a completed protocol change,
-// validating the transition against the modal table (the decider panics
-// on an edge the table does not permit — e.g. a TTS↔tree shortcut). The
-// changer holds both protocols' consensus objects across the transition,
-// so from other processes' perspective the validity swap is atomic; it
-// is recorded at a single serialization instant (the completion time).
-func (f *ReactiveFetchOp) finishChange(c machine.Context, from, to uint64) {
-	f.Changes++
-	f.dec().Switched(modal.Mode(from), modal.Mode(to))
-	if f.Check != nil {
-		now := c.Now()
-		f.Check.RecordValidity(fopModeName[from], now, false, c.ProcID())
-		f.Check.RecordValidity(fopModeName[to], now, true, c.ProcID())
-		f.Check.RecordInterval(fopModeName[from], ChangeInterval, c.ProcID(), now, now)
-		f.Check.RecordInterval(fopModeName[to], ChangeInterval, c.ProcID(), now, now)
-	}
-}
-
-// --- queue-lock plumbing (shared with the reactive lock's algorithms) ---
 
 func (f *ReactiveFetchOp) lockWord(c machine.Context, a machine.Addr) {
 	for {
@@ -377,55 +339,4 @@ func (f *ReactiveFetchOp) lockWord(c machine.Context, a machine.Addr) {
 		}
 		c.Advance(c.Rand().Uint64n(16) + 1)
 	}
-}
-
-func (f *ReactiveFetchOp) releaseQueue(c machine.Context, i spinlock.QNode) {
-	c.Advance(4) // successor-check bookkeeping
-	next := c.Read(i.Next())
-	if next == 0 {
-		oldTail := c.FetchAndStore(f.tail, 0)
-		if oldTail == uint64(i.Base) {
-			return
-		}
-		usurper := c.FetchAndStore(f.tail, oldTail)
-		for next = c.Read(i.Next()); next == 0; next = c.Read(i.Next()) {
-			c.Advance(2)
-		}
-		if usurper != 0 && usurper != invalidTail {
-			c.Write(spinlock.QNode{Base: memsys.Addr(usurper)}.Next(), next)
-			return
-		}
-		c.Write(spinlock.QNode{Base: memsys.Addr(next)}.Status(), stGo)
-		return
-	}
-	c.Write(spinlock.QNode{Base: memsys.Addr(next)}.Status(), stGo)
-}
-
-func (f *ReactiveFetchOp) acquireInvalidQueue(c machine.Context, i spinlock.QNode) {
-	for {
-		c.Write(i.Next(), 0)
-		pred := c.FetchAndStore(f.tail, uint64(i.Base))
-		if pred == invalidTail {
-			return
-		}
-		c.Write(i.Status(), stWaiting)
-		c.Write(spinlock.QNode{Base: memsys.Addr(pred)}.Next(), uint64(i.Base))
-		for c.Read(i.Status()) == stWaiting {
-			c.Advance(2)
-		}
-	}
-}
-
-func (f *ReactiveFetchOp) invalidateQueue(c machine.Context, head spinlock.QNode) {
-	tail := c.FetchAndStore(f.tail, invalidTail)
-	cur := head
-	for uint64(cur.Base) != tail {
-		var next uint64
-		for next = c.Read(cur.Next()); next == 0; next = c.Read(cur.Next()) {
-			c.Advance(2)
-		}
-		c.Write(cur.Status(), stInvalid)
-		cur = spinlock.QNode{Base: memsys.Addr(next)}
-	}
-	c.Write(cur.Status(), stInvalid)
 }

@@ -18,21 +18,6 @@ const (
 // lockModeName names the reactive lock's modes for history checking.
 var lockModeName = [...]string{modeTTS: "tts", modeQueue: "queue"}
 
-// Queue-node status values.
-const (
-	stWaiting uint64 = 0
-	stGo      uint64 = 1
-	stInvalid uint64 = 2
-)
-
-// invalidTail marks the queue lock's tail pointer invalid: the
-// test-and-test-and-set lock is the valid protocol. The tail pointer is the
-// queue protocol's consensus object; the TTS flag is the TTS protocol's
-// consensus object (Section 3.3.1) — an invalid lock is simply left in a
-// busy/invalid state, removing any separate valid-bit check from the
-// common path.
-const invalidTail = ^uint64(0)
-
 // ReleaseMode tells Release which protocol to release and whether to
 // perform a protocol change (the release_mode of Figure 3.27).
 type ReleaseMode int
@@ -53,12 +38,11 @@ const (
 type ReactiveLock struct {
 	mode machine.Addr // hint: modeTTS or modeQueue (own cache line)
 	tts  machine.Addr // TTS flag: 0 free, 1 busy
-	tail machine.Addr // MCS tail: 0 empty, invalidTail invalid, else node
 
-	mem   *memsys.System
-	nodes []spinlock.QNode
-	bo    spinlock.Backoff
-	mean  []machine.Time // per-proc backoff state
+	invQueue // the queue protocol: tail word, queue nodes, change bookkeeping
+
+	bo   spinlock.Backoff
+	mean []machine.Time // per-proc backoff state
 
 	// Policy decides when to act on detected sub-optimality. Default:
 	// policy.AlwaysSwitch.
@@ -80,9 +64,6 @@ type ReactiveLock struct {
 	// before reading the mode variable (ablation; default true).
 	Optimistic bool
 
-	// Changes counts protocol changes performed.
-	Changes uint64
-
 	emptyStreak []int
 
 	// d routes detection events and transition validation through the
@@ -91,9 +72,6 @@ type ReactiveLock struct {
 	// the memory effects stay here.
 	d      *modal.Decider
 	dResid [2]uint64 // residuals the current table was built with
-
-	// Check optionally records protocol changes for C-serial verification.
-	Check *HistoryChecker
 }
 
 // dec returns the lock's modal decider over the 2-mode transition table
@@ -132,9 +110,7 @@ func NewReactiveLock(mem *memsys.System, home int) *ReactiveLock {
 	l := &ReactiveLock{
 		mode:             mem.Alloc(home, 1),
 		tts:              mem.Alloc(home, 1),
-		tail:             mem.Alloc(home, 1),
-		mem:              mem,
-		nodes:            make([]spinlock.QNode, procs),
+		invQueue:         newInvQueue(mem, home, lockModeName[:]),
 		bo:               spinlock.DefaultBackoff,
 		mean:             make([]machine.Time, procs),
 		Policy:           policy.AlwaysSwitch{},
@@ -148,19 +124,11 @@ func NewReactiveLock(mem *memsys.System, home int) *ReactiveLock {
 	// Initial state: TTS mode; TTS lock free, queue invalid.
 	mem.Poke(l.mode, modeTTS)
 	mem.Poke(l.tts, 0)
-	mem.Poke(l.tail, invalidTail)
 	return l
 }
 
 // Name implements spinlock.Lock.
 func (l *ReactiveLock) Name() string { return "reactive" }
-
-func (l *ReactiveLock) node(proc int) spinlock.QNode {
-	if l.nodes[proc].Base == 0 {
-		l.nodes[proc] = spinlock.NewQNode(l.mem, proc)
-	}
-	return l.nodes[proc]
-}
 
 // Acquire implements spinlock.Lock: the top-level dispatch of Figure 3.27.
 func (l *ReactiveLock) Acquire(c machine.Context) spinlock.Handle {
@@ -276,30 +244,6 @@ func (l *ReactiveLock) acquireQueue(c machine.Context, i spinlock.QNode) *Handle
 	return l.acquireTTS(c, i)
 }
 
-// releaseQueue is the MCS release (Figure 3.28's release_queue), using the
-// fetch&store-only race resolution.
-func (l *ReactiveLock) releaseQueue(c machine.Context, i spinlock.QNode) {
-	c.Advance(4) // successor-check bookkeeping
-	next := c.Read(i.Next())
-	if next == 0 {
-		oldTail := c.FetchAndStore(l.tail, 0)
-		if oldTail == uint64(i.Base) {
-			return
-		}
-		usurper := c.FetchAndStore(l.tail, oldTail)
-		for next = c.Read(i.Next()); next == 0; next = c.Read(i.Next()) {
-			c.Advance(2)
-		}
-		if usurper != 0 && usurper != invalidTail {
-			c.Write(spinlock.QNode{Base: memsys.Addr(usurper)}.Next(), next)
-			return
-		}
-		c.Write(spinlock.QNode{Base: memsys.Addr(next)}.Status(), stGo)
-		return
-	}
-	c.Write(spinlock.QNode{Base: memsys.Addr(next)}.Status(), stGo)
-}
-
 // releaseTTSToQueue performs the TTS→QUEUE protocol change (Figure 3.29).
 // Called only by the holder of the (valid) TTS lock, which makes protocol
 // changes serializable: the holder has the consensus object.
@@ -308,7 +252,7 @@ func (l *ReactiveLock) releaseTTSToQueue(c machine.Context, i spinlock.QNode) {
 	c.Write(l.mode, modeQueue)
 	// Release the queue lock; the TTS lock is left busy (= invalid).
 	l.releaseQueue(c, i)
-	l.finishChange(c, modeTTS, modeQueue)
+	l.finishChange(c, l.dec(), modeTTS, modeQueue)
 }
 
 // releaseQueueToTTS performs the QUEUE→TTS protocol change (Figure 3.29).
@@ -317,62 +261,7 @@ func (l *ReactiveLock) releaseQueueToTTS(c machine.Context, i spinlock.QNode) {
 	c.Write(l.mode, modeTTS)
 	l.invalidateQueue(c, i)
 	c.Write(l.tts, 0)
-	l.finishChange(c, modeQueue, modeTTS)
-}
-
-// finishChange records bookkeeping for a completed protocol change,
-// validating the transition against the modal table (the decider panics
-// on an edge the table does not permit). The changer holds both
-// protocols' consensus objects across the transition, so from other
-// processes' perspective the validity swap is atomic; it is recorded at
-// a single serialization instant (the completion time).
-func (l *ReactiveLock) finishChange(c machine.Context, from, to uint64) {
-	l.Changes++
-	l.dec().Switched(modal.Mode(from), modal.Mode(to))
-	if l.Check != nil {
-		now := c.Now()
-		l.Check.RecordValidity(lockModeName[from], now, false, c.ProcID())
-		l.Check.RecordValidity(lockModeName[to], now, true, c.ProcID())
-		l.Check.RecordInterval(lockModeName[from], ChangeInterval, c.ProcID(), now, now)
-		l.Check.RecordInterval(lockModeName[to], ChangeInterval, c.ProcID(), now, now)
-	}
-}
-
-// acquireInvalidQueue is Figure 3.29's acquire_invalid_queue: take
-// ownership of the invalid queue (tail must be INVALID or point to the
-// tail of an invalid queue). On return, this process is the queue holder.
-func (l *ReactiveLock) acquireInvalidQueue(c machine.Context, i spinlock.QNode) {
-	for {
-		c.Write(i.Next(), 0)
-		pred := c.FetchAndStore(l.tail, uint64(i.Base))
-		if pred == invalidTail {
-			return
-		}
-		// Got onto the tail of an invalid queue: wait for the INVALID
-		// signal and retry.
-		c.Write(i.Status(), stWaiting)
-		c.Write(spinlock.QNode{Base: memsys.Addr(pred)}.Next(), uint64(i.Base))
-		for c.Read(i.Status()) == stWaiting {
-			c.Advance(2)
-		}
-	}
-}
-
-// invalidateQueue is Figure 3.29's invalidate_queue: mark the tail invalid
-// and signal INVALID to every node from head through the old tail. Called
-// only by a process that owns the queue (validly or invalidly).
-func (l *ReactiveLock) invalidateQueue(c machine.Context, head spinlock.QNode) {
-	tail := c.FetchAndStore(l.tail, invalidTail)
-	cur := head
-	for uint64(cur.Base) != tail {
-		var next uint64
-		for next = c.Read(cur.Next()); next == 0; next = c.Read(cur.Next()) {
-			c.Advance(2)
-		}
-		c.Write(cur.Status(), stInvalid)
-		cur = spinlock.QNode{Base: memsys.Addr(next)}
-	}
-	c.Write(cur.Status(), stInvalid)
+	l.finishChange(c, l.dec(), modeQueue, modeTTS)
 }
 
 // Mode returns the current protocol hint (test use).

@@ -1,9 +1,9 @@
 package experiments
 
 // Native RWMutex reader-registration modal experiment: a deterministic
-// drive of the reactive/modal engine over the native RWMutex's 2-mode
-// reader registration shape (centralized CAS word ↔ BRAVO-style per-P
-// slots). Like the fetch-op traces in modalexp.go, this exercises the
+// drive of the reactive/modal engine over the native RWMutex's 3-mode
+// reader registration chain (centralized CAS word ↔ BRAVO-style per-P
+// cells ↔ per-P epoch stamps). Like the fetch-op traces in modalexp.go, this exercises the
 // pure protocol-selection state machine on a seeded synthetic
 // contention trace, so its table is bit-deterministic and participates
 // in the registry's serial==parallel contract.

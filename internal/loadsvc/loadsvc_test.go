@@ -233,7 +233,7 @@ func TestWriteBurstStaleReads(t *testing.T) {
 	}
 }
 
-// TestTailDoc pins the bench_tail/v1 row layout benchcmp gates.
+// TestTailDoc pins the bench_tail/v1 row layout.
 func TestTailDoc(t *testing.T) {
 	o := shortOpts(t)
 	o.Virtual = true

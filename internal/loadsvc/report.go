@@ -168,9 +168,9 @@ func (r *Report) finish() {
 	r.P999Us = clamp(r.Hist.Quantile(0.999) / us)
 }
 
-// TailRow is one gate-ready measurement of the tail-latency trajectory:
-// a slash-separated name and a value in microseconds — the flat unit
-// cmd/benchcmp diffs and thresholds.
+// TailRow is one measurement of the tail-latency trajectory: a
+// slash-separated name and a value in microseconds — a flat unit two
+// documents can be diffed by.
 type TailRow struct {
 	Name string  `json:"name"`
 	Us   float64 `json:"us"`
@@ -203,7 +203,7 @@ func (r *Report) TailRows() []TailRow {
 }
 
 // TailDoc is the bench_tail.json document: the rich per-scenario
-// reports plus the flat µs rows benchcmp gates. Schema names the layout
+// reports plus the flat µs rows. Schema names the layout
 // so future format changes stay detectable.
 type TailDoc struct {
 	Schema    string    `json:"schema"`

@@ -127,9 +127,8 @@ func Lookup(name string) (Spec, bool) {
 }
 
 // sweepProcs is the GOMAXPROCS sweep set: the fixed rungs 1, 2, 4 so
-// baselines stay row-comparable across hosts, plus the host's NumCPU
-// when it is larger (that row is host-specific; benchcmp reports
-// it as new/removed rather than erroring when hosts differ).
+// documents stay row-comparable across hosts, plus the host's NumCPU
+// when it is larger (that row is host-specific).
 func sweepProcs() []int {
 	procs := []int{1, 2, 4}
 	if n := runtime.NumCPU(); n > 4 {

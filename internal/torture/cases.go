@@ -97,7 +97,7 @@ var cases = []Case{
 	},
 	{
 		Name: "map/epoch-churn",
-		Desc: "Epoch-mode readers racing table republish and in-place journal folds",
+		Desc: "Epoch-mode readers racing table republish and the in-place update of the retired copy",
 		run: func(rc runCtx) error {
 			return mapEpochChurnCase(rc,
 				reactive.WithInitialMode(reactive.ModeEpoch),

@@ -35,24 +35,20 @@ func (m *Mutex) CheckInvariants() error {
 
 // CheckInvariants verifies the RWMutex's quiescent-state invariants:
 // the embedded writer mutex is free and sound, no reader is registered
-// in any of the three registration structures (central count zero,
-// sharded slot deltas summing to zero, and the epoch kernel's own check:
-// no writer claim on the gate, its mode bit agreeing with the
-// registration engine, cell deltas summing to zero), and both waiter
-// queues are empty and structurally sound. It returns the first
-// violation found, or nil.
+// in either registration structure (central count zero, and the epoch
+// kernel's own check: no writer claim on the gate, its mode bit agreeing
+// with the registration engine, and the cell deltas of the sharded and
+// epoch modes summing to zero — any residue, positive or negative, is the
+// violation there, unlike under a writer's claim, where cellsDrained
+// reads a negative sum as caller misuse), and both waiter queues are
+// empty and structurally sound. It returns the first violation found,
+// or nil.
 func (rw *RWMutex) CheckInvariants() error {
 	if err := rw.w.CheckInvariants(); err != nil {
 		return fmt.Errorf("reactive: RWMutex writer mutex: %w", err)
 	}
 	if r := rw.readerCount.Load(); r != 0 {
 		return fmt.Errorf("reactive: RWMutex readerCount %d at quiescence, want 0", r)
-	}
-	// The raw delta sum, not cellsDrained: that runs under a writer
-	// claim and treats a negative sum as caller misuse; here any nonzero
-	// residue — positive or negative — is the violation.
-	if sum := rw.slots.Sum(); sum != 0 {
-		return fmt.Errorf("reactive: RWMutex sharded slot deltas sum to %d at quiescence, want 0", sum)
 	}
 	if err := rw.ek.Check(rw.reng.Mode() == rEpoch); err != nil {
 		return fmt.Errorf("reactive: RWMutex %w", err)

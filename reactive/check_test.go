@@ -4,6 +4,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/reactive/internal/affinity"
+	"repro/reactive/modal"
 )
 
 // The invariant checkers must hold on fresh primitives, keep holding
@@ -75,6 +78,41 @@ func TestRWMutexCheckInvariants(t *testing.T) {
 		wg.Wait()
 		if err := rw.CheckInvariants(); err != nil {
 			t.Fatalf("%v after contention: %v", mode, err)
+		}
+	}
+}
+
+// TestRWMutexChainWalkOneCellArray walks the registration chain
+// central → sharded → epoch → sharded → central by forced commits. Both
+// cell-based protocols register in the kernel's one per-P array, so
+// Shards reports that array's size in every mode from the first
+// cell-based one on, a read held in either of them shows in the same
+// sum, and the lock checks clean at every step.
+func TestRWMutexChainWalkOneCellArray(t *testing.T) {
+	var rw RWMutex
+	if got := rw.Stats().Readers.Shards; got != 0 {
+		t.Fatalf("Shards = %d before any cell-based mode, want 0", got)
+	}
+	walk := []modal.Mode{rCentral, rSharded, rEpoch, rSharded, rCentral}
+	for i, to := range walk[1:] {
+		rw.switchReaderMode(walk[i], to)
+		st := rw.Stats().Readers
+		if st.Mode != readerModes[to] {
+			t.Fatalf("step %d: registration mode = %v, want %v", i, st.Mode, readerModes[to])
+		}
+		if st.Shards != rw.ek.Cells() || st.Shards != affinity.Shards() {
+			t.Fatalf("step %d (%v): Shards = %d, want the kernel's %d cells (affinity.Shards() = %d)",
+				i, st.Mode, st.Shards, rw.ek.Cells(), affinity.Shards())
+		}
+		rw.RLock()
+		if sum := rw.ek.Sum(); to != rCentral && sum != 1 {
+			t.Fatalf("step %d (%v): a held read lock left the kernel's cell sum at %d, want 1", i, st.Mode, sum)
+		}
+		rw.RUnlock()
+		rw.Lock()
+		rw.Unlock()
+		if err := rw.CheckInvariants(); err != nil {
+			t.Fatalf("step %d (%v): %v", i, st.Mode, err)
 		}
 	}
 }

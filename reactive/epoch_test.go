@@ -87,93 +87,6 @@ func TestRWMutexReadEpochZeroAllocs(t *testing.T) {
 	})
 }
 
-// TestRWMutexEpochParallelReaders: two readers hold the lock
-// simultaneously under epoch registration.
-func TestRWMutexEpochParallelReaders(t *testing.T) {
-	rw := NewRWMutex(WithInitialReaderMode(ModeEpoch))
-	rw.RLock()
-	second := make(chan struct{})
-	go func() {
-		rw.RLock()
-		close(second)
-		rw.RUnlock()
-	}()
-	select {
-	case <-second:
-	case <-time.After(5 * time.Second):
-		t.Fatal("second epoch reader blocked by first")
-	}
-	rw.RUnlock()
-}
-
-// TestRWMutexEpochTryLocks: TryLock must observe epoch readers via the
-// cell sweep, and TryRLock must validate against the gate word.
-func TestRWMutexEpochTryLocks(t *testing.T) {
-	rw := NewRWMutex(WithInitialReaderMode(ModeEpoch))
-	if !rw.TryRLock() {
-		t.Fatal("TryRLock on free epoch RWMutex failed")
-	}
-	if rw.TryLock() {
-		t.Fatal("TryLock with an active epoch reader succeeded")
-	}
-	rw.RUnlock()
-	if !rw.TryLock() {
-		t.Fatal("TryLock on free epoch RWMutex failed")
-	}
-	if rw.TryRLock() {
-		t.Fatal("TryRLock on write-held epoch RWMutex succeeded")
-	}
-	rw.Unlock()
-	// The failed TryLock above retracted its claim; readers must be
-	// admitted again.
-	rw.RLock()
-	rw.RUnlock()
-}
-
-// TestRWMutexEpochExclusion re-runs the classic exclusion invariant
-// with the registration protocol pinned to epoch stamps.
-func TestRWMutexEpochExclusion(t *testing.T) {
-	rw := NewRWMutex(WithInitialReaderMode(ModeEpoch))
-	var readers, writers atomic.Int32
-	var wg sync.WaitGroup
-	iters := 1000
-	if testing.Short() {
-		iters = 300
-	}
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				rw.Lock()
-				if writers.Add(1) != 1 || readers.Load() != 0 {
-					t.Error("writer overlapped a writer or reader")
-				}
-				runtime.Gosched()
-				writers.Add(-1)
-				rw.Unlock()
-			}
-		}()
-	}
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				rw.RLock()
-				readers.Add(1)
-				if writers.Load() != 0 {
-					t.Error("reader overlapped a writer")
-				}
-				runtime.Gosched()
-				readers.Add(-1)
-				rw.RUnlock()
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // --- Grace periods and detection ------------------------------------
 
 // TestRWMutexEpochQuietGracesDemote pins the scale-down detection

@@ -2,7 +2,6 @@ package reactive
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 
 	"repro/reactive/internal/affinity"
@@ -18,6 +17,8 @@ const (
 	fSharded   modal.Mode = 1
 	fCombining modal.Mode = 2
 )
+
+var fopModes = []Mode{ModeCAS, ModeSharded, ModeCombining}
 
 // fopTable is the 3-mode transition table of the native fetch-and-op,
 // mirroring the simulator's reactive fetch-and-op (Appendix C): a chain
@@ -103,9 +104,7 @@ type FetchOp struct {
 	// fopTable.
 	eng modal.Engine
 
-	cells      []affinity.Cell // cell array (lazily created; cells hold id when empty)
-	cellsOnce  sync.Once
-	cellsBuilt atomic.Bool
+	cells affinity.Cells // lazily built; a cell holds id (its fill) when empty
 
 	pending atomic.Int64 // combining mode: deposits since the last sweep
 
@@ -153,17 +152,7 @@ func NewFetchOp(op func(a, b int64) int64, identity int64, opts ...Option) *Fetc
 // WithInitialMode-built primitive skips the detection ramp; see the
 // option's documentation).
 func (f *FetchOp) applyInitMode() {
-	if !f.cfg.initModeSet {
-		return
-	}
-	switch f.cfg.initMode {
-	case ModeCAS: // the zero mode
-	case ModeSharded:
-		f.switchFop(fCAS, fSharded)
-	case ModeCombining:
-		f.switchFop(fCAS, fSharded)
-		f.switchFop(fSharded, fCombining)
-	default:
+	if f.cfg.initModeSet && !walkTo(&f.eng, fopModes, f.cfg.initMode, f.switchFop) {
 		panic("reactive: Counter and FetchOp support initial modes ModeCAS, ModeSharded, and ModeCombining")
 	}
 }
@@ -179,35 +168,10 @@ func (f *FetchOp) comb(a, b int64) int64 {
 // Stats returns a snapshot of the accumulator's adaptive state.
 func (f *FetchOp) Stats() Stats {
 	return Stats{
-		Mode:     ModeCAS + Mode(f.eng.Mode()),
+		Mode:     fopModes[f.eng.Mode()],
 		Switches: f.eng.Switches(),
 		Waiters:  f.vq.Len(),
 	}
-}
-
-// shardCells returns the cell array, creating it on first use. The array
-// is sized to affinity.Shards() (the next power of two ≥ GOMAXPROCS) at
-// creation time, and every cell starts at the identity element.
-func (f *FetchOp) shardCells() []affinity.Cell {
-	f.cellsOnce.Do(func() {
-		cells := make([]affinity.Cell, affinity.Shards())
-		if f.id != 0 {
-			for i := range cells {
-				cells[i].N.Store(f.id)
-			}
-		}
-		f.cells = cells
-		f.cellsBuilt.Store(true)
-	})
-	return f.cells
-}
-
-// builtCells returns the cell array if it has ever been created, else nil.
-func (f *FetchOp) builtCells() []affinity.Cell {
-	if !f.cellsBuilt.Load() {
-		return nil
-	}
-	return f.cells
 }
 
 // Apply folds x into the accumulator, adapting its protocol to
@@ -278,7 +242,7 @@ func (f *FetchOp) noteContendedApply() {
 // generic path unpins after selecting the cell and lets casFold's retry
 // loop absorb the rare migration collision.
 func (f *FetchOp) applyCell(x int64) {
-	cells := f.shardCells()
+	cells := f.cells.Build(f.id)
 	c := &cells[affinity.Pin()&(len(cells)-1)]
 	if f.op == nil {
 		c.N.Add(x)
@@ -316,7 +280,7 @@ func (f *FetchOp) applyCombining(x int64) {
 }
 
 func (f *FetchOp) combineBatch() int64 {
-	return combineBatchPerCell * int64(len(f.shardCells()))
+	return combineBatchPerCell * int64(len(f.cells.Build(f.id)))
 }
 
 // foldCells sweeps every cell into the shared word. Callers must hold
@@ -325,7 +289,7 @@ func (f *FetchOp) combineBatch() int64 {
 // values live only in this frame, so an unserialized concurrent sweep
 // reading base would miss them.
 func (f *FetchOp) foldCells() (active int) {
-	cells := f.shardCells()
+	cells := f.cells.Build(f.id)
 	if f.op == nil {
 		// Addition cannot panic, so nothing is ever banked and the
 		// harvest needs no slice: sum the cells and add once.
@@ -460,7 +424,7 @@ func (f *FetchOp) ValueCtx(ctx context.Context) (int64, error) {
 }
 
 func (f *FetchOp) value(ctx context.Context, done <-chan struct{}) (int64, error) {
-	cells := f.builtCells()
+	cells := f.cells.Built()
 	if cells == nil {
 		return f.base.Load(), nil
 	}
@@ -515,7 +479,7 @@ func (f *FetchOp) value(ctx context.Context, done <-chan struct{}) (int64, error
 // "common location" optimization of Section 3.3.2).
 func (f *FetchOp) switchFop(want, next modal.Mode) {
 	if next != fCAS {
-		f.shardCells()
+		f.cells.Build(f.id)
 	}
 	if f.eng.TryCommit(fopTable, want, next) && next == fCombining {
 		// A fresh combining epoch starts a fresh batch window.

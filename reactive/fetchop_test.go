@@ -111,7 +111,7 @@ func TestFetchOpChainOnly(t *testing.T) {
 func TestFetchOpDetectionChain(t *testing.T) {
 	add := func(a, b int64) int64 { return a + b }
 	wideFanIn := func(f *FetchOp, rounds int) (applied int64) {
-		cells := f.shardCells()
+		cells := f.cells.Build(f.id)
 		for round := 0; round < rounds; round++ {
 			for i := range cells {
 				cells[i].N.Add(1)

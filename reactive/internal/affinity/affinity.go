@@ -1,7 +1,7 @@
 // Package affinity is the per-P shard-index substrate shared by the
-// sharded protocols of package reactive (FetchOp/Counter cells, RWMutex
-// reader slots, and the reactive/internal/epoch kernel's reader cells
-// behind RWMutex's and Map's epoch modes).
+// sharded protocols of package reactive (FetchOp/Counter cells and the
+// reactive/internal/epoch kernel's reader cells, which RWMutex's sharded
+// and epoch registration and Map's epoch mode deposit in).
 //
 // A sharded protocol scales only if concurrently-updating processors
 // land on different shards. The Go runtime does not expose a processor
@@ -47,31 +47,40 @@ const CacheLineSize = 128
 
 // Cell is one per-P shard: a word padded out to a full coherence granule
 // so adjacent cells never false-share. Every per-P structure in package
-// reactive — FetchOp/Counter cells, RWMutex reader slots, the epoch
-// kernel's reader cells — is this one type, so the layout rule lives in
-// one place. Where N holds registration deltas (slots and epoch cells)
-// a reader may deposit its +1 on one cell and its -1 on another after
-// migrating, so only the sum across cells is meaningful.
+// reactive — FetchOp/Counter cells, the epoch kernel's reader cells —
+// is this one type, so the layout rule lives in one place. Where N holds
+// registration deltas (the kernel's cells) a reader may deposit its +1
+// on one cell and its -1 on another after migrating, so only the sum
+// across cells is meaningful.
 type Cell struct {
 	N atomic.Int64
 	_ [CacheLineSize - 8]byte
 }
 
-// Cells is a lazily built per-P cell array with a sum — the helper
-// behind RWMutex's reader slots and the epoch kernel's cells. The zero
-// value is an unbuilt array; a Cells must not be copied after first use.
+// Cells is a lazily built per-P cell array with a fill value and a sum
+// — the one lazy array behind FetchOp/Counter's operand cells and the
+// epoch kernel's reader cells. The zero value is an unbuilt array; a Cells must not be
+// copied after first use.
 type Cells struct {
 	cells []Cell
 	once  sync.Once
 	up    atomic.Bool
 }
 
-// Build returns the array, creating it on first use, sized to Shards().
-// Owners build it before publishing the mode whose fast path indexes
-// it, so that path may use Built without a nil check.
-func (a *Cells) Build() []Cell {
+// Build returns the array, creating it on first use, sized to Shards(),
+// every cell holding fill: zero for registration deltas (the only cells
+// Sum is meaningful for), FetchOp's identity element for its operand
+// cells. An owner passes the same fill every time. Owners build it before
+// publishing the mode whose fast path indexes it, so that path may use
+// Built without a nil check.
+func (a *Cells) Build(fill int64) []Cell {
 	a.once.Do(func() {
 		a.cells = make([]Cell, Shards())
+		if fill != 0 {
+			for i := range a.cells {
+				a.cells[i].N.Store(fill)
+			}
+		}
 		a.up.Store(true)
 	})
 	return a.cells
@@ -86,7 +95,7 @@ func (a *Cells) Built() []Cell {
 }
 
 // Sum adds up the cells; zero until the array is built. A sweep is not a
-// snapshot: the owning protocol's ordering argument (DESIGN.md §4, §8)
+// snapshot: the owning protocol's ordering argument (DESIGN.md §8)
 // is what makes a zero read meaningful.
 func (a *Cells) Sum() int64 {
 	var sum int64

@@ -54,15 +54,16 @@ const (
 	// epoch kernel (RWMutex's and Map's epoch modes alike): a reader's
 	// deposit-to-gate-validation window, and its decrement-to-claim-check
 	// window on exit — the two reader-side windows of the grace-period
-	// proof (DESIGN.md §8).
+	// proof (DESIGN.md §8). RWMutex's sharded registration exits through
+	// the kernel too, so the second is its exit window as well.
 	PtEpochStamp   = "epoch.stamp"
 	PtEpochOffline = "epoch.offline"
 
 	// RWMutex: the deposit-to-claim-validation window of the sharded
-	// registration proof (DESIGN.md §4) and its undo, the writer's
-	// claim-to-sweep window, and the three paths that retract a claim.
+	// registration (the kernel's proof with readerCount as the validated
+	// word, DESIGN.md §4), the writer's claim-to-sweep window, and the
+	// three paths that retract a claim.
 	PtRWShardedDeposit = "rwmutex.sharded.deposit"
-	PtRWShardedUndo    = "rwmutex.sharded.undo"
 	PtRWWriterClaimed  = "rwmutex.writer.claimed"
 	PtRWDrainUndo      = "rwmutex.drain.undo"
 	PtRWTryLockUndo    = "rwmutex.trylock.undo"
@@ -76,16 +77,14 @@ const (
 	PtFopValueSweep     = "fetchop.value.sweep"
 	PtFopSweepRelease   = "fetchop.sweep.release"
 
-	// Map: the three proof-critical windows of the epoch-mode republish
-	// protocol — a mutation resting in the journal before it reaches any
-	// table, the instant a new table version is published while readers
-	// may still hold the old one, and the grace period that proves the
-	// retired table reader-free before it is mutated in place (the point
-	// fires before every cell sweep: in the claim-to-first-sweep window,
-	// then between re-sweeps).
-	PtMapJournalDeposit = "map.journal.deposit"
-	PtMapTablePublish   = "map.table.publish"
-	PtMapGraceSweep     = "map.grace.sweep"
+	// Map: the two proof-critical windows of the epoch-mode republish
+	// protocol — the instant a new table version is published while
+	// readers may still hold the old one, and the grace period that
+	// proves the retired table reader-free before it is mutated in place
+	// (the point fires before every cell sweep: in the
+	// claim-to-first-sweep window, then between re-sweeps).
+	PtMapTablePublish = "map.table.publish"
+	PtMapGraceSweep   = "map.grace.sweep"
 )
 
 // catalog is the canonical ordered list of instrumented fault points. A
@@ -99,10 +98,10 @@ var catalog = func() []string {
 		PtModalCommit,
 		PtMutexParkAnnounced, PtMutexUnlockRelease,
 		PtEpochStamp, PtEpochOffline,
-		PtRWShardedDeposit, PtRWShardedUndo,
+		PtRWShardedDeposit,
 		PtRWWriterClaimed, PtRWDrainUndo, PtRWTryLockUndo, PtRWUnlockRelease,
 		PtFopCombineDeposit, PtFopFoldHarvest, PtFopValueSweep, PtFopSweepRelease,
-		PtMapJournalDeposit, PtMapTablePublish, PtMapGraceSweep,
+		PtMapTablePublish, PtMapGraceSweep,
 	}
 	sort.Strings(pts)
 	return pts

@@ -1,7 +1,11 @@
 // Package epoch is the grace-period kernel behind the epoch modes of
 // package reactive: RWMutex's third reader-registration protocol and
 // Map's published-table protocol are both this one userspace-RCU-style
-// machine, written down once (DESIGN.md §8 is its proof).
+// machine, written down once (DESIGN.md §8 is its proof). RWMutex's
+// sharded registration borrows the cells and the exit (Build, Cell,
+// Exit) and validates its deposit against a word of RWMutex's own, which
+// the same writers claim alongside the gate — the proof with that word
+// read for "the gate".
 //
 // The machine has two sides. Readers Enter and Exit: a reader deposits
 // +1 in its processor's padded cell, validates the deposit against one
@@ -109,11 +113,17 @@ func (k *Kernel) Cell(p int) *affinity.Cell {
 	return &cells[p&(len(cells)-1)]
 }
 
+// Build creates the cells without touching the gate: the owner is about
+// to publish a mode whose readers deposit in them (through Cell) but
+// validate against a word of the owner's own. From here on Claim and
+// Release take effect and Sum sweeps.
+func (k *Kernel) Build() { k.cells.Build(0) }
+
 // Claim places the writer's claim on the gate, before the caller's first
 // Sum. A no-op until the cells exist — no reader can be registered, and
-// a writer of an owner that never selected the epoch mode pays one load.
-// Once they exist every writer claims, whatever mode is selected: a
-// reader that observed the epoch mode may Enter arbitrarily late.
+// a writer of an owner that never built them pays one load. Once they
+// exist every writer claims, whatever mode is selected: a reader that
+// observed a cell-based mode may deposit arbitrarily late.
 func (k *Kernel) Claim() {
 	if k.cells.Built() != nil {
 		k.gate.Store(k.gate.Load() | claim)
@@ -141,7 +151,7 @@ func (k *Kernel) Release() {
 func (k *Kernel) Select(on, claimed bool) {
 	g := k.gate.Load() &^ selected
 	if on {
-		k.cells.Build()
+		k.cells.Build(0)
 		g |= selected
 	}
 	if claimed {

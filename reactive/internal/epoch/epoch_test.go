@@ -92,6 +92,53 @@ func TestSelectUnderClaim(t *testing.T) {
 	}
 }
 
+// TestBuildIsGateNeutral: Build is how an owner whose readers validate
+// against a word of its own (RWMutex's sharded registration) gets the
+// cells without selecting the epoch mode. The gate stays unselected — an
+// epoch reader is still refused — while deposits through Cell are swept,
+// and Claim and Release stop being the no-ops they are before the cells
+// exist, so an exit under a claim reports it.
+func TestBuildIsGateNeutral(t *testing.T) {
+	var k Kernel
+	k.Build()
+	if k.Cells() == 0 {
+		t.Fatal("Build left the kernel without cells")
+	}
+	if err := k.Check(false); err != nil {
+		t.Fatalf("Build moved the gate: %v", err)
+	}
+	if c, claimed := k.Enter(); c != nil || claimed {
+		t.Fatalf("Enter after Build alone = (%v, %v), want refused with no claim", c, claimed)
+	}
+
+	c := deposit(&k)
+	k.Claim()
+	if sum := k.Sum(); sum != 1 {
+		t.Fatalf("sweep under the claim read %d, want the deposit's 1", sum)
+	}
+	if err := k.Check(false); err == nil {
+		t.Fatal("Claim after Build left no claim on the gate")
+	}
+	if !k.Exit(c) {
+		t.Fatal("Exit under a claim did not report it")
+	}
+	k.Release()
+	if k.Exit(deposit(&k)) {
+		t.Fatal("Exit reported a claim after Release")
+	}
+	if err := k.Check(false); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// deposit registers one reader the way an owner that validates against
+// its own word does: straight into the caller's cell.
+func deposit(k *Kernel) *affinity.Cell {
+	c := here(k)
+	c.N.Add(1)
+	return c
+}
+
 // TestEpochClaimExcludesReaders is the exclusion property under the race
 // detector: writers that claim and wait for a zero sum, and readers
 // that touch shared only between a successful Enter and its Exit, never

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/maphash"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -14,14 +15,15 @@ import (
 	"repro/reactive/modal"
 )
 
-// Map's engine-local mode indices (the public modes they correspond to
-// are ModeLocked, ModeSharded, and ModeEpoch; see mapPublicMode and
-// MapTable).
+// Map's engine-local mode indices, and the public modes they surface
+// as, in chain order (see MapTable).
 const (
 	mapLocked  modal.Mode = 0
 	mapSharded modal.Mode = 1
 	mapEpoch   modal.Mode = 2
 )
+
+var mapModes = []Mode{ModeLocked, ModeSharded, ModeEpoch}
 
 // mapModeTable is Map's 3-mode transition table: a chain from the
 // single-lock protocol through hash-sharded locks to the published
@@ -43,17 +45,6 @@ var mapModeTable = modal.NewTable(3, []modal.Transition{
 // exact state machine the map uses rather than a hand-maintained copy.
 func MapTable() *modal.Table { return mapModeTable }
 
-// mapPublicMode maps an engine-local mode index to the public Mode.
-func mapPublicMode(m modal.Mode) Mode {
-	switch m {
-	case mapSharded:
-		return ModeSharded
-	case mapEpoch:
-		return ModeEpoch
-	}
-	return ModeLocked
-}
-
 // mapShard is one sharded-mode partition: a spin word and the partition
 // map, padded so neighboring shard locks never share a coherence
 // granule. The lock is a plain test-and-set word (not a Mutex): shard
@@ -70,13 +61,6 @@ type mapShard[K comparable, V any] struct {
 type mapVersion[K comparable, V any] struct {
 	m   map[K]V
 	ver uint64
-}
-
-// mapMut is one journaled epoch-mode mutation.
-type mapMut[K comparable, V any] struct {
-	key K
-	val V
-	del bool
 }
 
 // Map is a reactive concurrent hash map — the first adaptive *data
@@ -98,12 +82,12 @@ type mapMut[K comparable, V any] struct {
 //     per-P cell) and reads an atomically published immutable table,
 //     writing nothing outside its own cache-line-padded cell —
 //     contended reads generate zero shared-cacheline coherence
-//     traffic. Put and Delete buffer the mutation into a journal under
-//     the writer lock, fold it into the off-line table copy, publish
-//     that copy as the new version, and run a grace period (the same
-//     reactive/internal/epoch kernel RWMutex's epoch mode runs on)
-//     proving the retired copy reader-free before it is mutated in
-//     place for the next round.
+//     traffic. Put and Delete, under the writer lock, apply the
+//     mutation to the off-line table copy, publish that copy as the new
+//     version, and run a grace period (the same reactive/internal/epoch
+//     kernel RWMutex's cell-based modes run on) proving the retired copy
+//     reader-free before the mutation is applied to it in place, for
+//     the next round.
 //
 // Reads that arrive during an epoch-mode writer's grace claim fall back
 // to the writer lock, so writers cannot starve; a Get never blocks a
@@ -146,15 +130,12 @@ type Map[K comparable, V any] struct {
 	shardsUp   atomic.Bool
 
 	// Epoch-mode state: the published table (cur), the off-line copy
-	// the next writer folds into (spare, guarded by wl), the mutation
-	// journal (guarded by wl; entries deposited but not yet folded into
-	// both copies), the grace-period kernel readers enter and writers
-	// claim (ek), and the queue a grace period parks on (gq; the last
-	// reader out grants into it).
+	// the next writer mutates and publishes (spare, guarded by wl), the
+	// grace-period kernel readers enter and writers claim (ek), and the
+	// queue a grace period parks on (gq; the last reader out grants into
+	// it).
 	cur     atomic.Pointer[mapVersion[K, V]]
 	spare   *mapVersion[K, V]
-	journal []mapMut[K, V]
-	jdepth  atomic.Int64
 	version atomic.Uint64
 	ek      epoch.Kernel
 	gq      waitq.Queue
@@ -167,35 +148,11 @@ func NewMap[K comparable, V any](opts ...Option) *Map[K, V] {
 	mp := &Map[K, V]{}
 	mp.cfg.apply(opts)
 	mp.eng.SetPolicy(mp.cfg.pol)
-	// The writer lock inherits the tunables but never the policy: a
-	// policy.Policy is single-primitive state, and it belongs to the
-	// map's own engine.
-	mp.wl.cfg = config{
-		spinFailLimit: mp.cfg.spinFailLimit,
-		emptyLimit:    mp.cfg.emptyLimit,
-		pollIters:     mp.cfg.pollIters,
-	}
-	mp.applyInitMode()
-	return mp
-}
-
-// applyInitMode walks the transition chain to the configured initial
-// mode at construction time, before the map is shared (see
-// WithInitialMode).
-func (mp *Map[K, V]) applyInitMode() {
-	if !mp.cfg.initModeSet {
-		return
-	}
-	switch mp.cfg.initMode {
-	case ModeLocked: // the zero mode
-	case ModeSharded:
-		mp.switchMap(mapLocked, mapSharded)
-	case ModeEpoch:
-		mp.switchMap(mapLocked, mapSharded)
-		mp.switchMap(mapSharded, mapEpoch)
-	default:
+	mp.wl.cfg = mp.cfg.tunables()
+	if mp.cfg.initModeSet && !walkTo(&mp.eng, mapModes, mp.cfg.initMode, mp.switchMap) {
 		panic("reactive: Map supports initial modes ModeLocked, ModeSharded, and ModeEpoch")
 	}
+	return mp
 }
 
 // shardsInit lazily builds the shard array and the hash seed, exactly
@@ -273,6 +230,54 @@ func (mp *Map[K, V]) unlockAllShards() {
 	}
 }
 
+// scatter moves every key of src into its shard — the key mover of both
+// edges into the sharded mode. The caller holds every shard lock.
+func (mp *Map[K, V]) scatter(src map[K]V) {
+	for k, v := range src {
+		sh := &mp.shards[mp.shardIndex(k)]
+		if sh.m == nil {
+			sh.m = make(map[K]V)
+		}
+		sh.m[k] = v
+	}
+}
+
+// gather empties the shards into one fresh table — the key mover of both
+// edges out of the sharded mode. The caller holds every shard lock.
+func (mp *Map[K, V]) gather() map[K]V {
+	out := make(map[K]V, mp.count.Load())
+	for i := range mp.shards {
+		maps.Copy(out, mp.shards[i].m)
+		mp.shards[i].m = nil
+	}
+	return out
+}
+
+// mutate applies one Put (or, with del, one Delete) to *store, creating
+// the map on first use, and returns the change in live keys: the one
+// place a mutation and its count accounting are spelled, for the locked
+// table, a shard's partition and both epoch-mode copies. The caller
+// holds store's exclusion, and adds a nonzero delta to the count gauge —
+// skipping the zero keeps an overwrite off the gauge's shared cache line.
+func mutate[K comparable, V any](store *map[K]V, key K, val V, del bool) (delta int64) {
+	_, had := (*store)[key]
+	if del {
+		delete(*store, key)
+		if had {
+			return -1
+		}
+		return 0
+	}
+	if *store == nil {
+		*store = make(map[K]V)
+	}
+	(*store)[key] = val
+	if had {
+		return 0
+	}
+	return 1
+}
+
 // noteLocked runs ModeLocked's detection after the operation released
 // wl: a contended acquisition is the scale-up signal, an uncontended
 // one breaks the streak.
@@ -328,42 +333,20 @@ func (mp *Map[K, V]) switchMap(want, next modal.Mode) {
 	case want == mapLocked && next == mapSharded:
 		mp.shardsInit()
 		mp.lockAllShards()
-		for k, v := range mp.table {
-			sh := &mp.shards[mp.shardIndex(k)]
-			if sh.m == nil {
-				sh.m = make(map[K]V)
-			}
-			sh.m[k] = v
-		}
+		mp.scatter(mp.table)
 		mp.eng.TryCommit(mapModeTable, mapLocked, mapSharded)
 		mp.unlockAllShards()
 		mp.table = nil
 	case want == mapSharded && next == mapLocked:
 		mp.lockAllShards()
-		merged := make(map[K]V, mp.count.Load())
-		for i := range mp.shards {
-			for k, v := range mp.shards[i].m {
-				merged[k] = v
-			}
-			mp.shards[i].m = nil
-		}
-		mp.table = merged
+		mp.table = mp.gather()
 		mp.eng.TryCommit(mapModeTable, mapSharded, mapLocked)
 		mp.unlockAllShards()
 	case want == mapSharded && next == mapEpoch:
 		mp.lockAllShards()
-		n := int(mp.count.Load())
-		pub := make(map[K]V, n)
-		off := make(map[K]V, n)
-		for i := range mp.shards {
-			for k, v := range mp.shards[i].m {
-				pub[k] = v
-				off[k] = v
-			}
-			mp.shards[i].m = nil
-		}
+		pub := mp.gather()
 		mp.cur.Store(&mapVersion[K, V]{m: pub, ver: mp.version.Add(1)})
-		mp.spare = &mapVersion[K, V]{m: off}
+		mp.spare = &mapVersion[K, V]{m: maps.Clone(pub)}
 		// Select the kernel before the commit publishes the mode, so the
 		// first Get that dispatches to the epoch path validates
 		// successfully. No claim: the spare has never been published, so
@@ -502,19 +485,8 @@ func (mp *Map[K, V]) put(ctx context.Context, done <-chan struct{}, key K, val V
 				mp.wl.Unlock()
 				continue
 			}
-			if del {
-				if _, ok := mp.table[key]; ok {
-					delete(mp.table, key)
-					mp.count.Add(-1)
-				}
-			} else {
-				if mp.table == nil {
-					mp.table = make(map[K]V)
-				}
-				if _, ok := mp.table[key]; !ok {
-					mp.count.Add(1)
-				}
-				mp.table[key] = val
+			if d := mutate(&mp.table, key, val, del); d != 0 {
+				mp.count.Add(d)
 			}
 			mp.wl.Unlock()
 			mp.noteLocked(contended)
@@ -529,19 +501,8 @@ func (mp *Map[K, V]) put(ctx context.Context, done <-chan struct{}, key K, val V
 				mp.unlockShard(&sh.lock)
 				continue
 			}
-			if del {
-				if _, ok := sh.m[key]; ok {
-					delete(sh.m, key)
-					mp.count.Add(-1)
-				}
-			} else {
-				if sh.m == nil {
-					sh.m = make(map[K]V)
-				}
-				if _, ok := sh.m[key]; !ok {
-					mp.count.Add(1)
-				}
-				sh.m[key] = val
+			if d := mutate(&sh.m, key, val, del); d != 0 {
+				mp.count.Add(d)
 			}
 			mp.unlockShard(&sh.lock)
 			mp.noteSharded(contended, false)
@@ -562,37 +523,18 @@ func (mp *Map[K, V]) put(ctx context.Context, done <-chan struct{}, key K, val V
 }
 
 // putEpoch applies one epoch-mode mutation, under wl. The republish
-// round trip: deposit the mutation in the journal, fold the journal
-// into the off-line copy, publish that copy as the new table version,
-// run a grace period proving the retired copy reader-free, then fold
-// the journal into the retired copy so both copies are equal again and
-// the journal empties. Between writers the journal is empty and the
-// spare is a full replica — the invariant CheckInvariants verifies.
+// round trip: apply the mutation to the off-line copy, publish that copy
+// as the new table version, run a grace period proving the retired copy
+// reader-free, then apply the same mutation to the retired copy so both
+// copies are equal again. Between writers the spare is a full replica of
+// the published table — the invariant CheckInvariants verifies.
 func (mp *Map[K, V]) putEpoch(key K, val V, del bool) {
-	// Deposit. Until the fold below, the mutation exists only here —
-	// the window the map.journal.deposit fault point opens.
-	mp.journal = append(mp.journal, mapMut[K, V]{key: key, val: val, del: del})
-	mp.jdepth.Store(int64(len(mp.journal)))
-	chaos.Point("map.journal.deposit")
-
-	// Fold into the off-line copy. In-place mutation is safe because
-	// the grace period that retired this copy proved it reader-free,
-	// and no reader has been able to reach it since (cur no longer
-	// points at it).
+	// In-place mutation of the off-line copy is safe because the grace
+	// period that retired it proved it reader-free, and no reader has
+	// been able to reach it since (cur no longer points at it).
 	spare := mp.spare
-	for i := range mp.journal {
-		mu := &mp.journal[i]
-		if mu.del {
-			if _, ok := spare.m[mu.key]; ok {
-				delete(spare.m, mu.key)
-				mp.count.Add(-1)
-			}
-		} else {
-			if _, ok := spare.m[mu.key]; !ok {
-				mp.count.Add(1)
-			}
-			spare.m[mu.key] = mu.val
-		}
+	if d := mutate(&spare.m, key, val, del); d != 0 {
+		mp.count.Add(d)
 	}
 
 	// Publish: one atomic store installs the new version; readers that
@@ -605,20 +547,10 @@ func (mp *Map[K, V]) putEpoch(key K, val V, del bool) {
 	chaos.Point("map.table.publish")
 
 	if demoted := mp.graceSweep(); !demoted {
-		// Bring the retired copy up to date for the next round. No
-		// count accounting: the fold above already counted these
-		// mutations once.
-		for i := range mp.journal {
-			mu := &mp.journal[i]
-			if mu.del {
-				delete(mp.spare.m, mu.key)
-			} else {
-				mp.spare.m[mu.key] = mu.val
-			}
-		}
+		// Bring the retired copy up to date for the next round. The delta
+		// is dropped: the gauge already moved once, above.
+		mutate(&retired.m, key, val, del)
 	}
-	mp.journal = mp.journal[:0]
-	mp.jdepth.Store(0)
 }
 
 // graceSweep runs one grace period, under wl: claim the kernel, wait
@@ -652,13 +584,7 @@ func (mp *Map[K, V]) graceSweep() (demoted bool) {
 		// where the copy-on-write machinery is pure overhead.
 		mp.shardsInit()
 		mp.lockAllShards()
-		for k, v := range mp.cur.Load().m {
-			sh := &mp.shards[mp.shardIndex(k)]
-			if sh.m == nil {
-				sh.m = make(map[K]V)
-			}
-			sh.m[k] = v
-		}
+		mp.scatter(mp.cur.Load().m)
 		mp.ek.Select(false, true)
 		mp.eng.TryCommit(mapModeTable, mapEpoch, mapSharded)
 		mp.unlockAllShards()
@@ -696,10 +622,7 @@ func (mp *Map[K, V]) snapshot() map[K]V {
 				mp.wl.Unlock()
 				continue
 			}
-			out := make(map[K]V, len(mp.table))
-			for k, v := range mp.table {
-				out[k] = v
-			}
+			out := maps.Clone(mp.table)
 			mp.wl.Unlock()
 			return out
 		case mapSharded:
@@ -713,9 +636,7 @@ func (mp *Map[K, V]) snapshot() map[K]V {
 					ok = false
 					break
 				}
-				for k, v := range sh.m {
-					out[k] = v
-				}
+				maps.Copy(out, sh.m)
 				mp.unlockShard(&sh.lock)
 			}
 			if ok {
@@ -730,11 +651,7 @@ func (mp *Map[K, V]) snapshot() map[K]V {
 				mp.wl.Unlock()
 				continue
 			}
-			t := mp.cur.Load()
-			out := make(map[K]V, len(t.m))
-			for k, v := range t.m {
-				out[k] = v
-			}
+			out := maps.Clone(mp.cur.Load().m)
 			mp.wl.Unlock()
 			return out
 		}
@@ -750,11 +667,7 @@ func (mp *Map[K, V]) snapshotEpoch() (map[K]V, bool) {
 		mp.wakeGrace(claimed)
 		return nil, false
 	}
-	t := mp.cur.Load()
-	out := make(map[K]V, len(t.m))
-	for k, v := range t.m {
-		out[k] = v
-	}
+	out := maps.Clone(mp.cur.Load().m)
 	mp.wakeGrace(mp.ek.Exit(c))
 	return out, true
 }
@@ -769,9 +682,6 @@ type MapStats struct {
 	// Version is the published-table version: how many epoch-mode
 	// tables have ever been installed. Monotonic.
 	Version uint64 `json:"version"`
-	// Journal is the pending mutation-journal depth — nonzero only
-	// inside an epoch-mode writer's republish round trip. A gauge.
-	Journal int `json:"journal"`
 	// Graces counts completed epoch-mode grace periods; QuietGraces
 	// counts those that found no online reader at all (the scale-down
 	// signal). Monotonic.
@@ -784,7 +694,7 @@ type MapStats struct {
 // number of goroutines parked on the writer lock or a grace period.
 func (mp *Map[K, V]) Stats() Stats {
 	return Stats{
-		Mode:     mapPublicMode(mp.eng.Mode()),
+		Mode:     mapModes[mp.eng.Mode()],
 		Switches: mp.eng.Switches(),
 		Waiters:  mp.wl.Stats().Waiters + mp.gq.Len(),
 	}
@@ -795,7 +705,6 @@ func (mp *Map[K, V]) MapStats() MapStats {
 	ms := MapStats{
 		Stats:       mp.Stats(),
 		Version:     mp.version.Load(),
-		Journal:     int(mp.jdepth.Load()),
 		Graces:      mp.ek.Graces(),
 		QuietGraces: mp.ek.QuietGraces(),
 	}
@@ -808,8 +717,8 @@ func (mp *Map[K, V]) MapStats() MapStats {
 // CheckInvariants verifies the map's quiescent-state invariants: the
 // writer lock is free and sound, every shard lock is free, the epoch
 // kernel is quiescent (no claim, mode bit agreeing with the engine,
-// cells summing to zero), the journal is empty, no grace waiter is
-// parked, the published table's version equals the (monotone) version
+// cells summing to zero), no grace waiter is parked, the published
+// table's version equals the (monotone) version
 // counter, the off-line copy is a full replica of the published table,
 // and the live-key gauge equals the key count of the current mode's
 // authoritative store. See the package note in check.go: quiescent
@@ -830,9 +739,6 @@ func (mp *Map[K, V]) CheckInvariants() error {
 	}
 	if err := mp.ek.Check(mp.eng.Mode() == mapEpoch); err != nil {
 		return fmt.Errorf("reactive: Map %w", err)
-	}
-	if n := len(mp.journal); n != 0 {
-		return fmt.Errorf("reactive: Map journal holds %d mutations at quiescence, want 0", n)
 	}
 	if n := mp.gq.Len(); n != 0 {
 		return fmt.Errorf("reactive: Map has %d grace waiters at quiescence", n)

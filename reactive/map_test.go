@@ -3,6 +3,8 @@ package reactive
 import (
 	"context"
 	"fmt"
+	"maps"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -88,6 +90,60 @@ func TestMapForcedModesBasicOps(t *testing.T) {
 			// The mode must not have moved during single-threaded use.
 			if got := m.Stats().Mode; got != mode {
 				t.Fatalf("mode drifted to %v during uncontended use", got)
+			}
+			if err := m.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestMapDifferentialAgainstOracle drives one seeded random sequence —
+// inserts, overwrites, deletes of present and of missing keys, Gets,
+// Len, Range — through a map forced into each protocol and through a
+// plain map, and compares after every operation: the returned value,
+// the Len gauge, and (every so often, and at the end) the whole contents
+// by Range. All three protocols mutate through the one mutate routine
+// and count through its delta; this is the test that pins it.
+func TestMapDifferentialAgainstOracle(t *testing.T) {
+	const ops, keys = 4000, 48 // few keys: overwrites and real deletes dominate
+	for _, mode := range []Mode{ModeLocked, ModeSharded, ModeEpoch} {
+		t.Run(mode.String(), func(t *testing.T) {
+			// The large empty limit pins the forced mode, as in
+			// TestMapForcedModesBasicOps.
+			m := NewMap[int, int](WithInitialMode(mode), WithEmptyLimit(1<<20))
+			oracle := map[int]int{}
+			rng := rand.New(rand.NewPCG(0x6d6170, uint64(mode)))
+			for i := 0; i < ops; i++ {
+				k := rng.IntN(keys)
+				switch r := rng.IntN(10); {
+				case r < 4:
+					m.Put(k, i)
+					oracle[k] = i
+				case r < 6:
+					m.Delete(k)
+					delete(oracle, k)
+				case r < 7:
+					m.Delete(keys + k) // never present
+				default:
+					got, ok := m.Get(k)
+					if want, had := oracle[k]; ok != had || got != want {
+						t.Fatalf("op %d: Get(%d) = %d,%v, oracle has %d,%v", i, k, got, ok, want, had)
+					}
+				}
+				if got := m.Len(); got != len(oracle) {
+					t.Fatalf("op %d: Len = %d, oracle holds %d", i, got, len(oracle))
+				}
+				if i%257 == 0 || i == ops-1 {
+					seen := map[int]int{}
+					m.Range(func(k, v int) bool { seen[k] = v; return true })
+					if !maps.Equal(seen, oracle) {
+						t.Fatalf("op %d: Range yielded %v, oracle holds %v", i, seen, oracle)
+					}
+				}
+			}
+			if got := m.Stats().Mode; got != mode {
+				t.Fatalf("mode drifted to %v during single-threaded use", got)
 			}
 			if err := m.CheckInvariants(); err != nil {
 				t.Fatal(err)
@@ -364,9 +420,6 @@ func TestMapEpochChurnStress(t *testing.T) {
 	if got := m.Stats().Mode; got != ModeEpoch {
 		t.Fatalf("mode = %v, want epoch (emptyLimit should have pinned it)", got)
 	}
-	if ms := m.MapStats(); ms.Journal != 0 {
-		t.Fatalf("journal depth %d at quiescence", ms.Journal)
-	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +520,7 @@ func TestMapStatsShape(t *testing.T) {
 		t.Fatalf("fresh Stats = %+v", s)
 	}
 	ms := m.MapStats()
-	if ms.Shards != 0 || ms.Version != 0 || ms.Journal != 0 {
+	if ms.Shards != 0 || ms.Version != 0 {
 		t.Fatalf("fresh MapStats = %+v", ms)
 	}
 	e := NewMap[string, int](WithInitialMode(ModeEpoch))

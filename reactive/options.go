@@ -1,6 +1,11 @@
 package reactive
 
-import "repro/reactive/policy"
+import (
+	"slices"
+
+	"repro/reactive/modal"
+	"repro/reactive/policy"
+)
 
 // config carries the tunables shared by every adaptive primitive in this
 // package. The zero value means "use the package defaults", so
@@ -108,7 +113,7 @@ func WithInitialMode(m Mode) Option {
 
 // WithInitialReaderMode starts NewRWMutex's reader registration
 // protocol in mode m — ModeCAS (the centralized word), ModeSharded
-// (per-P slots), or ModeEpoch (per-P epoch stamps) — walking the
+// (per-P cells), or ModeEpoch (per-P epoch stamps) — walking the
 // registration chain at construction time, exactly as WithInitialMode
 // does for the primary engine. Unlike WithInitialMode it addresses the
 // registration engine specifically, so it composes with a
@@ -132,6 +137,40 @@ func (c *config) apply(opts []Option) {
 	for _, o := range opts {
 		o(c)
 	}
+}
+
+// tunables returns the config an embedded writer mutex inherits from its
+// owner: the thresholds and the polling budget, never the policy (a
+// policy.Policy is single-primitive state and belongs to the owner's own
+// engine) nor an initial mode (it addresses the owner's engines).
+func (c *config) tunables() config {
+	return config{spinFailLimit: c.spinFailLimit, emptyLimit: c.emptyLimit, pollIters: c.pollIters}
+}
+
+// walkTo is WithInitialMode's construction-time chain walk, shared by
+// every constructor: it drives eng from wherever it is to m's position in
+// modes — the engine's public modes in chain order — one edge per step,
+// so the tables' no-shortcut rule holds, and reports false, leaving eng
+// alone, when modes has no m (the constructor's panic). step is the
+// primitive's own switch routine, which builds the target protocol's
+// state before committing; it runs without the exclusion a live switch
+// needs, sound only because the primitive is not yet shared. M lets step
+// be spelled over engine indices or public modes (for the spin/park
+// engines they coincide).
+func walkTo[M ~uint32](eng *modal.Engine, modes []Mode, m Mode, step func(from, to M)) bool {
+	i := slices.Index(modes, m)
+	if i < 0 {
+		return false
+	}
+	target := modal.Mode(i)
+	for cur := eng.Mode(); cur != target; cur = eng.Mode() {
+		next := cur + 1
+		if cur > target {
+			next = cur - 1
+		}
+		step(M(cur), M(next))
+	}
+	return true
 }
 
 // Residual costs fed to injected policies (policy.Policy.Suboptimal), in

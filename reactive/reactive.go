@@ -9,7 +9,8 @@
 // expected waiting cost is within e/(e−1) ≈ 1.58 of optimal for
 // exponentially distributed waits.
 //
-// Four primitives realize both ideas to the extent the Go runtime allows.
+// Five primitives — Mutex, RWMutex, Counter, FetchOp, and Map — realize
+// both ideas to the extent the Go runtime allows.
 // The Go scheduler owns thread placement and preemption, so cycle-exact
 // spin-lock protocol behavior (the cache-invalidation effects the thesis
 // measures on Alewife) is not observable here — the faithful reproduction
@@ -23,8 +24,10 @@
 //     parking, Counter and FetchOp between a single compare-and-swap
 //     word and sharded per-processor cells, and RWMutex between
 //     spinning and parking readers and, orthogonally, between a
-//     centralized reader count and BRAVO-style sharded per-processor
-//     reader slots; and
+//     centralized reader count, BRAVO-style per-processor deposits
+//     validated against it, and the same deposits validated against an
+//     epoch gate no reader writes; Map among one locked table,
+//     hash-sharded tables, and a published immutable table; and
 //   - two-phase waiting wherever a primitive blocks, with Lpoll expressed
 //     in spin iterations calibrated against the parking cost.
 //
@@ -46,8 +49,8 @@
 // primitives over expvar and a /debug/reactive HTTP endpoint.
 //
 // The zero value of each type is ready to use with the package-default
-// tunables. New, NewCounter, NewRWMutex, and NewFetchOp accept Options
-// that change the detection thresholds (WithSpinFailLimit,
+// tunables. New, NewRWMutex, NewCounter, NewFetchOp, and NewMap accept
+// Options that change the detection thresholds (WithSpinFailLimit,
 // WithEmptyLimit), the polling budget (WithPollIters), the starting
 // protocol (WithInitialMode), or replace the built-in streak detection
 // with any policy from the reactive/policy package (WithPolicy) — the
@@ -92,10 +95,11 @@ type Mode uint32
 // (their table's third stage, ModeCombining, is constructible but never
 // selected by detection); RWMutex's reader registration protocol
 // (Stats().Readers) moves along its own chain ModeCAS (centralized
-// word) ↔ ModeSharded (per-P slots) ↔ ModeEpoch (per-P epoch stamps);
-// Map moves along the chain ModeLocked (one table under the adaptive
-// mutex) ↔ ModeSharded (per-shard locks) ↔ ModeEpoch (published
-// immutable table, journaled writers).
+// word) ↔ ModeSharded (per-P cells validated against that word) ↔
+// ModeEpoch (the same cells validated against the epoch gate); Map
+// moves along the chain ModeLocked (one table under the adaptive mutex)
+// ↔ ModeSharded (per-shard locks) ↔ ModeEpoch (published immutable
+// table, republishing writers).
 const (
 	// ModeSpin is the test-and-test-and-set analogue: waiters spin with
 	// randomized exponential backoff; unlock releases the lock word for
@@ -176,6 +180,8 @@ const (
 	mPark modal.Mode = 1
 )
 
+var spinParkModes = []Mode{ModeSpin, ModePark}
+
 // spinParkTable is the 2-mode transition table shared by Mutex and
 // RWMutex: the degenerate — but still consensus-serialized — modal
 // object of the thesis's reactive spin lock.
@@ -238,14 +244,8 @@ func New(opts ...Option) *Mutex {
 	m := &Mutex{}
 	m.cfg.apply(opts)
 	m.eng.SetPolicy(m.cfg.pol)
-	if m.cfg.initModeSet {
-		switch m.cfg.initMode {
-		case ModeSpin: // the zero mode
-		case ModePark:
-			m.eng.TryCommit(spinParkTable, mSpin, mPark)
-		default:
-			panic("reactive: New supports initial modes ModeSpin and ModePark")
-		}
+	if m.cfg.initModeSet && !walkTo(&m.eng, spinParkModes, m.cfg.initMode, m.switchMode) {
+		panic("reactive: New supports initial modes ModeSpin and ModePark")
 	}
 	return m
 }
@@ -301,9 +301,10 @@ type Stats struct {
 	// Counter and FetchOp. A gauge: Sub keeps the newer snapshot's value.
 	Waiters int `json:"waiters"`
 	// Readers describes RWMutex's reader registration protocol — the
-	// three-mode chain centralized CAS word ↔ BRAVO-style sharded per-P
-	// slots ↔ per-P epoch cells — and its grace-period counters; nil for
-	// every other primitive (Map reports its grace periods in MapStats).
+	// three-mode chain centralized CAS word ↔ per-P cells validated
+	// against it ↔ the same cells validated against the epoch gate — and
+	// its grace-period counters; nil for every other primitive (Map
+	// reports its grace periods in MapStats).
 	Readers *ReaderStats `json:"readers,omitempty"`
 }
 
@@ -312,15 +313,16 @@ type Stats struct {
 // how they wait when one is.
 type ReaderStats struct {
 	// Mode is ModeCAS while readers register on the centralized word,
-	// ModeSharded while they register in per-P slots, ModeEpoch while
-	// they register in the epoch kernel's per-P cells. A gauge under Sub.
+	// ModeSharded while they register in the epoch kernel's per-P cells
+	// and validate against that word, ModeEpoch while they validate
+	// against the kernel's gate instead. A gauge under Sub.
 	Mode Mode `json:"mode"`
 	// Switches counts committed registration-protocol changes.
 	// Monotonic: Sub returns the difference.
 	Switches uint64 `json:"switches"`
-	// Shards is the per-P cell count once a per-P array (sharded slots
-	// or epoch cells) exists, 0 while the lock has only ever registered
-	// readers centrally. A gauge under Sub.
+	// Shards is the per-P cell count once the one per-P array (shared
+	// by the sharded and epoch protocols) exists, 0 while the lock has
+	// only ever registered readers centrally. A gauge under Sub.
 	Shards int `json:"shards"`
 	// Graces counts completed writer grace periods: drains that ran
 	// while the epoch registration protocol was selected, each of which
@@ -330,7 +332,7 @@ type ReaderStats struct {
 	Graces uint64 `json:"graces"`
 	// QuietGraces counts the grace periods that found no online epoch
 	// reader at all — the epoch machinery going unused across a whole
-	// writer round, the scale-down signal back toward sharded slots.
+	// writer round, the scale-down signal back toward sharded mode.
 	// Monotonic: Sub returns the difference.
 	QuietGraces uint64 `json:"quiet_graces"`
 }

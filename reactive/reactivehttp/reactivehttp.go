@@ -28,8 +28,8 @@ import (
 )
 
 // Source is the telemetry surface every adaptive primitive in package
-// reactive provides: Mutex, RWMutex, Counter, and FetchOp all satisfy
-// it. Stats must be safe to call concurrently with the primitive's use
+// reactive provides: Mutex, RWMutex, Counter, FetchOp, and Map all
+// satisfy it. Stats must be safe to call concurrently with the primitive's use
 // (package reactive's are).
 type Source interface {
 	Stats() reactive.Stats

@@ -17,29 +17,22 @@ import (
 // readers.
 const rwBias = 1 << 29
 
-// Engine-local mode indices for the reader-registration modal object.
-// The public Stats mapping (Stats().Readers) is ModeCAS + index for the
-// first two, matching FetchOp's convention (the centralized word is the
-// cheap single-word protocol, the per-P slots the sharded one); index 2
-// maps to ModeEpoch, the registration chain's own third protocol (see
-// readerPublicMode).
+// Engine-local mode indices for the reader-registration modal object,
+// and the public modes they surface as (Stats().Readers), in chain
+// order: the first two follow FetchOp's ModeCAS + index convention (the
+// centralized word is the cheap single-word protocol, the per-P cells
+// validated against it the sharded one), the third is the registration
+// chain's own.
 const (
 	rCentral modal.Mode = 0
 	rSharded modal.Mode = 1
 	rEpoch   modal.Mode = 2
 )
 
-// readerPublicMode converts a registration-engine mode index to its
-// public Mode: rCentral→ModeCAS, rSharded→ModeSharded, rEpoch→ModeEpoch.
-func readerPublicMode(m modal.Mode) Mode {
-	if m == rEpoch {
-		return ModeEpoch
-	}
-	return ModeCAS + Mode(m)
-}
+var readerModes = []Mode{ModeCAS, ModeSharded, ModeEpoch}
 
 // readerShardTable is the 3-mode transition table of RWMutex's reader
-// registration protocol (centralized word ↔ BRAVO-style per-P slots ↔
+// registration protocol (centralized word ↔ BRAVO-style per-P deposits ↔
 // per-P epoch stamps — a chain with no shortcut edge, mirroring
 // FetchOp's N=3 chain), orthogonal to the spin↔park wait table the
 // same type also runs on.
@@ -52,12 +45,12 @@ var readerShardTable = modal.NewTable(3, []modal.Transition{
 
 // RWReaderTable returns the transition table RWMutex's reader
 // registration protocol runs on: mode index 0 = ModeCAS (centralized
-// word), 1 = ModeSharded (per-P slots), 2 = ModeEpoch (per-P epoch
-// stamps) — the first two follow FetchOpTable's ModeCAS + i
-// convention, index 2 is the public ModeEpoch. The table is immutable
-// and shared; it is exported so harnesses and experiments can drive
-// the exact state machine the primitive uses rather than a
-// hand-maintained copy.
+// word), 1 = ModeSharded (per-P cells validated against that word),
+// 2 = ModeEpoch (the same cells validated against the epoch gate) — the
+// first two follow FetchOpTable's ModeCAS + i convention, index 2 is the
+// public ModeEpoch. The table is immutable and shared; it is exported so
+// harnesses and experiments can drive the exact state machine the
+// primitive uses rather than a hand-maintained copy.
 func RWReaderTable() *modal.Table { return readerShardTable }
 
 // RWMutex is a reactive reader/writer lock. Writers are serialized by an
@@ -80,17 +73,18 @@ func RWReaderTable() *modal.Table { return readerShardTable }
 //     Cheapest for occasional reads, but every RLock/RUnlock from every
 //     core bounces that one cache line.
 //   - ModeSharded — BRAVO-style sharded registration: each reader
-//     deposits a +1 in its processor's padded slot (selected through the
-//     per-P affinity substrate) and a writer drains by sweeping the
-//     slots. Read-dominated workloads scale with cores instead of
-//     serializing on coherence traffic; writers pay a slot sweep.
+//     deposits a +1 in its processor's padded cell (selected through the
+//     per-P affinity substrate), validates it against the centralized
+//     word's writer claim, and a writer drains by sweeping the cells.
+//     Read-dominated workloads scale with cores instead of serializing
+//     on coherence traffic; writers pay a cell sweep.
 //   - ModeEpoch — userspace-RCU-style epoch registration, the chain's
-//     high-contention endpoint: RLock deposits only a local online
-//     count in its per-P cell and validates it against one shared gate
-//     word it never stores to, so an epoch-mode read performs zero
-//     shared-cacheline writes. Writers claim the gate and sweep the
-//     cells (a grace period) until every registered reader has gone
-//     offline.
+//     high-contention endpoint: RLock makes the same per-P deposit but
+//     validates it against one shared gate word no reader ever stores
+//     to, so an epoch-mode read performs zero shared-cacheline writes
+//     and loads no line a centralized reader could have dirtied. Writers
+//     claim the gate and sweep the cells (a grace period) until every
+//     registered reader has gone offline.
 //
 // Wait-protocol detection mirrors Mutex: a reader whose wait exceeded
 // the polling budget votes toward ModePark (SpinFailLimit consecutive
@@ -99,7 +93,7 @@ func RWReaderTable() *modal.Table { return readerShardTable }
 // back). Registration detection: a reader whose centralized CAS lost to
 // another *reader* votes toward ModeSharded (SpinFailLimit consecutive
 // losses switch); a writer whose sharded drain found active readers —
-// the read-saturated regime where even the slot deposits bounce against
+// the read-saturated regime where even the cell deposits bounce against
 // the drain — votes toward ModeEpoch (SpinFailLimit consecutive busy
 // drains switch); a writer whose drain found the lock already quiet
 // votes one step back down the chain (EmptyLimit consecutive quiet
@@ -108,10 +102,10 @@ func RWReaderTable() *modal.Table { return readerShardTable }
 // writer exclusion, so no reader's RLock/RUnlock pair ever spans one.
 //
 // Readers register by compare-and-swap from a non-negative count (or by
-// a slot deposit re-validated against the writer claim), never by a
+// a cell deposit re-validated against the writer claim), never by a
 // blind increment, so a reader can become active only while no writer
 // claim is in place, and a writer enters its critical section only
-// after the centralized count and every slot show zero active readers —
+// after the centralized count and the cell sum show zero active readers —
 // mutual exclusion holds by construction. The cost is that writers are
 // strictly preferred: readers arriving during a writer's drain or hold
 // wait for its release, and a stream of back-to-back writers can keep
@@ -134,7 +128,7 @@ func RWReaderTable() *modal.Table { return readerShardTable }
 // Calling RUnlock without a matching RLock panics, as with
 // sync.RWMutex. In centralized mode the panic is immediate (the
 // reader count goes negative); in the sharded and epoch modes the
-// slots admit no cheap per-reader check, so the violation surfaces at
+// cells admit no cheap per-reader check, so the violation surfaces at
 // the next writer's drain sweep — the one point where a negative delta
 // sum is provable misuse rather than a transient — and the panic fires
 // on the writer's goroutine.
@@ -145,7 +139,7 @@ type RWMutex struct {
 	// centrally-registered active readers, minus rwBias while a writer
 	// has claimed the lock. The claim bit doubles as the gate sharded
 	// readers validate against, so the word stays authoritative for
-	// writer exclusion in both registration modes.
+	// writer exclusion in both of those registration modes.
 	readerCount atomic.Int32
 
 	// eng selects the reader *wait* protocol (spin ↔ park); reng selects
@@ -154,19 +148,17 @@ type RWMutex struct {
 	eng  modal.Engine
 	reng modal.Engine
 
-	// slots are the per-P reader-registration slots (lazily built, one
-	// coherence granule each). Slot values are deltas, not occupancies:
-	// a reader may deposit its +1 in one slot and its -1 in another
-	// after migrating, so only the sum is meaningful — zero iff no
-	// sharded reader is active (see cellsDrained for why a sweep cannot
-	// misread that).
-	slots affinity.Cells
-
-	// ek is the epoch registration protocol: the grace-period kernel's
-	// gate word (which only writers store to), its per-P reader cells,
-	// and the grace counters surfaced in ReaderStats. Readers enter and
-	// exit through it; this type supplies the writer lock, the drain
-	// wait, and the mode commits (see reactive/internal/epoch).
+	// ek is the grace-period kernel (reactive/internal/epoch): the one
+	// lazily built per-P cell array both cell-based registration modes
+	// deposit in, the gate word (which only writers store to) that epoch
+	// readers validate against — sharded readers validate against
+	// readerCount instead, the two modes' only difference — and the
+	// grace counters surfaced in ReaderStats. Cell values are deltas, not
+	// occupancies: a reader may deposit its +1 in one cell and its -1 in
+	// another after migrating, so only the sum is meaningful — zero iff
+	// no cell-registered reader is active (see cellsDrained for why a
+	// sweep cannot misread that). This type supplies the writer lock,
+	// the drain wait, and the mode commits.
 	ek epoch.Kernel
 
 	// rq holds parked readers (phase two of the reader wait protocol);
@@ -192,62 +184,38 @@ func NewRWMutex(opts ...Option) *RWMutex {
 	rw := &RWMutex{}
 	rw.cfg.apply(opts)
 	rw.eng.SetPolicy(rw.cfg.pol)
-	rw.w.cfg = rw.cfg
-	rw.w.cfg.pol = nil
-	rw.w.cfg.initModeSet = false
-	if rw.cfg.initModeSet {
-		switch rw.cfg.initMode {
-		case ModeSpin, ModeCAS: // the zero modes of the two engines
-		case ModePark:
-			rw.eng.TryCommit(spinParkTable, mSpin, mPark)
-		case ModeSharded:
-			rw.forceReaderMode(rSharded)
-		case ModeEpoch:
-			rw.forceReaderMode(rEpoch)
-		default:
-			panic("reactive: NewRWMutex supports initial modes ModeSpin, ModePark, ModeCAS, ModeSharded, and ModeEpoch")
-		}
+	rw.w.cfg = rw.cfg.tunables()
+	// Registration commits at construction time are sound without writer
+	// exclusion only because the lock is not yet shared: no reader exists
+	// to span them.
+	stepReg := func(from, to modal.Mode) { rw.commitReaderMode(from, to, false) }
+	// The two engines' mode spaces are disjoint, so WithInitialMode
+	// addresses whichever of them has the mode.
+	if m := rw.cfg.initMode; rw.cfg.initModeSet &&
+		!walkTo(&rw.eng, spinParkModes, m, rw.switchRWMode) && !walkTo(&rw.reng, readerModes, m, stepReg) {
+		panic("reactive: NewRWMutex supports initial modes ModeSpin, ModePark, ModeCAS, ModeSharded, and ModeEpoch")
 	}
 	if rw.cfg.initRModeSet {
 		// WithInitialReaderMode addresses the registration engine
-		// specifically; applied after WithInitialMode, so when both name
-		// a registration mode the reader-specific option wins.
-		switch rw.cfg.initRMode {
-		case ModeCAS:
-			rw.forceReaderMode(rCentral)
-		case ModeSharded:
-			rw.forceReaderMode(rSharded)
-		case ModeEpoch:
-			rw.forceReaderMode(rEpoch)
-		}
+		// specifically (and has validated its mode); applied after
+		// WithInitialMode, so when both name a registration mode the
+		// reader-specific option wins.
+		walkTo(&rw.reng, readerModes, rw.cfg.initRMode, stepReg)
 	}
 	return rw
-}
-
-// forceReaderMode walks the registration chain to m edge by edge at
-// construction time. Sound without writer exclusion only because the
-// lock is not yet shared: no reader exists to span the commits.
-func (rw *RWMutex) forceReaderMode(m modal.Mode) {
-	for cur := rw.reng.Mode(); cur != m; cur = rw.reng.Mode() {
-		next := cur + 1
-		if cur > m {
-			next = cur - 1
-		}
-		rw.commitReaderMode(cur, next, false)
-	}
 }
 
 // commitReaderMode commits one edge of the registration chain. The
 // caller has full writer exclusion (claimed: it is a writer inside its
 // critical section) or an unshared lock, which is what guarantees no
 // reader's RLock/RUnlock pair spans the change. Every site commits
-// through here so the order cannot vary: per-P arrays built, then the
+// through here so the order cannot vary: per-P cells built, then the
 // epoch gate's mode bit, then the engine commit that publishes the mode
-// — a reader that observed a cell-based mode finds its array and, in
+// — a reader that observed a cell-based mode finds its cell and, in
 // epoch mode, a gate that validates.
 func (rw *RWMutex) commitReaderMode(want, next modal.Mode, claimed bool) {
 	if next != rCentral {
-		rw.slots.Build()
+		rw.ek.Build()
 	}
 	if want == rEpoch || next == rEpoch {
 		rw.ek.Select(next == rEpoch, claimed)
@@ -261,18 +229,14 @@ func (rw *RWMutex) commitReaderMode(want, next modal.Mode, claimed bool) {
 // queued on the writer mutex), and the reader registration protocol in
 // Readers.
 func (rw *RWMutex) Stats() Stats {
-	shards := rw.ek.Cells()
-	if shards == 0 {
-		shards = len(rw.slots.Built())
-	}
 	return Stats{
 		Mode:     Mode(rw.eng.Mode()),
 		Switches: rw.eng.Switches(),
 		Waiters:  rw.rq.Len() + rw.wq.Len() + rw.w.q.Len(),
 		Readers: &ReaderStats{
-			Mode:        readerPublicMode(rw.reng.Mode()),
+			Mode:        readerModes[rw.reng.Mode()],
 			Switches:    rw.reng.Switches(),
-			Shards:      shards,
+			Shards:      rw.ek.Cells(),
 			Graces:      rw.ek.Graces(),
 			QuietGraces: rw.ek.QuietGraces(),
 		},
@@ -292,7 +256,7 @@ func (rw *RWMutex) Stats() Stats {
 // detection likewise lives in the slow path: only a CAS lost to another
 // reader signals that the centralized word is the bottleneck.
 func (rw *RWMutex) RLock() {
-	if rw.rlockFast() {
+	if rw.register() == regOK {
 		return
 	}
 	rw.rlockSlow(nil, nil)
@@ -306,101 +270,98 @@ func (rw *RWMutex) RLockCtx(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if rw.rlockFast() {
+	if rw.register() == regOK {
 		return nil
 	}
 	return rw.rlockSlow(ctx, ctx.Done())
 }
 
-// rlockFast attempts one uncontended read registration under the current
-// registration protocol; false sends the caller to the slow path.
-func (rw *RWMutex) rlockFast() bool {
+// regResult says how one registration attempt ended: the reason a
+// failure carries is what lets RLock's slow path, TryRLock and the
+// detection share the one attempt routine.
+type regResult uint8
+
+const (
+	regOK      regResult = iota
+	regClaimed           // a writer's claim is in place: wait for its release (a Try fails)
+	regLost              // the centralized CAS lost to another reader: retry — and the sharded protocol's signal
+	regMoved             // the registration protocol changed under the attempt: redispatch
+)
+
+// register attempts one read registration under the current
+// registration protocol, never waiting.
+//
+// The cell-based protocols deposit +1 in this P's cell and then validate
+// — the sharded one that the centralized word carries no writer claim
+// and the mode is still sharded, the epoch one (epoch.Kernel.Enter)
+// against the single gate word readers never store to, so an epoch read
+// writes nothing outside its own cell. Either validation failing undoes
+// the deposit, so writers cannot starve. The order is what makes the
+// writer's sweep exclusion-safe: the deposit happens before the
+// validating load, and the writer places its claims before sweeping, so
+// a reader that observed no claim has its +1 visible to every sweep of
+// that drain (DESIGN.md §8). The sharded deposit and validation run
+// pinned, as Enter's do (three atomic ops, no user code): preemption
+// cannot widen the window in which a sweeping writer sees a deposit
+// whose validation is still pending.
+//
+// Once registered, under any protocol, the mode cannot change until
+// this reader RUnlocks: every registration-protocol commit happens under
+// a full writer drain that the registration blocks. RUnlock therefore
+// always observes the mode the registration used.
+func (rw *RWMutex) register() regResult {
 	switch rw.reng.Mode() {
 	case rSharded:
-		return rw.rlockSharded()
-	case rEpoch:
-		// rlockEpoch, spelled out to keep the fast path one call shallower.
-		c, claimed := rw.ek.Enter()
-		rw.wakeDrain(claimed)
-		return c != nil
-	}
-	if v := rw.readerCount.Load(); v >= 0 && rw.readerCount.CompareAndSwap(v, v+1) {
-		// Re-validate the mode: the read that chose the centralized
-		// protocol may predate a commit to sharded whose writer has
-		// since released. Our +1 is registered, so the mode is frozen
-		// from here until RUnlock (a commit's drain cannot pass it);
-		// if the re-check still says centralized, RUnlock will too.
-		if rw.reng.Mode() == rCentral {
-			return true
-		}
-		rw.runlockCentral()
-	}
-	return false
-}
-
-// rlockSharded attempts one sharded-mode registration: deposit a +1 in
-// this P's slot, then validate that no writer claim is in place and the
-// registration protocol is still sharded. Either validation failing
-// undoes the deposit and reports false (slow path).
-//
-// The validation order is what makes the writer's sweep exclusion-safe:
-// the deposit happens before the gate load, and the writer sets the
-// gate before sweeping, so a reader that observed the gate clear has
-// its +1 visible to every sweep of that drain — and once registered,
-// the mode cannot change until this reader RUnlocks, because every
-// registration-protocol commit happens under a full writer drain that
-// this +1 blocks. RUnlock therefore always observes the same mode the
-// registration used.
-func (rw *RWMutex) rlockSharded() bool {
-	slots := rw.slots.Build()
-	s := &slots[affinity.Pin()&(len(slots)-1)]
-	// Deposit and validate while still pinned (three atomic ops, no
-	// user code): preemption cannot widen the window in which a
-	// sweeping writer sees a deposit whose gate check is still pending.
-	s.N.Add(1)
-	chaos.PinnedPoint("rwmutex.sharded.deposit")
-	if rw.readerCount.Load() >= 0 && rw.reng.Mode() == rSharded {
+		c := rw.ek.Cell(affinity.Pin())
+		c.N.Add(1)
+		chaos.PinnedPoint("rwmutex.sharded.deposit")
+		ok := rw.readerCount.Load() >= 0 && rw.reng.Mode() == rSharded
 		affinity.Unpin()
-		return true
+		if ok {
+			return regOK
+		}
+		rw.wakeDrain(rw.ek.Exit(c))
+	case rEpoch:
+		c, claimed := rw.ek.Enter()
+		if c != nil {
+			return regOK
+		}
+		rw.wakeDrain(claimed)
+		if claimed {
+			return regClaimed
+		}
+	default:
+		v := rw.readerCount.Load()
+		if v >= 0 && rw.readerCount.CompareAndSwap(v, v+1) {
+			// Re-validate the mode: the read that chose the centralized
+			// protocol may predate a commit to sharded whose writer has
+			// since released. Our +1 is registered, so the mode is frozen
+			// from here until RUnlock (a commit's drain cannot pass it);
+			// if the re-check still says centralized, RUnlock will too.
+			if rw.reng.Mode() == rCentral {
+				return regOK
+			}
+			rw.runlockCentral()
+			return regMoved
+		}
+		if v >= 0 && rw.readerCount.Load() >= 0 {
+			return regLost
+		}
+		return regClaimed
 	}
-	affinity.Unpin()
-	rw.runlockSharded(s)
-	return false
-}
-
-// runlockSharded releases one sharded registration (or undoes a failed
-// one) and nudges a draining writer to re-sweep.
-func (rw *RWMutex) runlockSharded(s *affinity.Cell) {
-	s.N.Add(-1)
-	chaos.Point("rwmutex.sharded.undo")
+	// A refused cell registration: a writer's claim, or the mode moved.
 	if rw.readerCount.Load() < 0 {
-		// A writer is draining and may be parked waiting for the slot
-		// sum to reach zero; wake it to re-sweep. A spurious grant is
-		// consumed harmlessly (the drain re-checks and re-parks).
-		rw.wq.Grant()
+		return regClaimed
 	}
+	return regMoved
 }
 
-// rlockEpoch attempts one epoch-mode registration through the kernel:
-// a per-P deposit validated against the one gate word readers never
-// store to, so an epoch read writes nothing outside its own cell
-// (epoch.Kernel.Enter carries the exclusion argument). A refused
-// registration — a writer's claim is in place (claimed), or the mode
-// moved — has already undone its deposit; the reader falls back to the
-// slow path, so writers cannot starve. Once registered, the mode is
-// frozen until this reader RUnlocks: every registration commit runs
-// under a drain this deposit blocks.
-func (rw *RWMutex) rlockEpoch() (ok, claimed bool) {
-	c, claimed := rw.ek.Enter()
-	rw.wakeDrain(claimed)
-	return c != nil, claimed
-}
-
-// wakeDrain follows every epoch-cell decrement (an exit, or a refused
-// entry's undo): if the kernel reported a writer's claim pending, that
-// writer's grace period may be parked waiting for the cell sum to reach
-// zero, so wake it to re-sweep. A spurious grant is consumed harmlessly
-// (the drain re-checks and re-parks).
+// wakeDrain follows every cell decrement (an RUnlock, or a refused
+// registration's undo): if the kernel reported a writer's claim pending
+// — every writer claims the gate once the cells exist, whichever mode is
+// selected — that writer's drain may be parked waiting for the cell sum
+// to reach zero, so wake it to re-sweep. A spurious grant is consumed
+// harmlessly (the drain re-checks and re-parks).
 func (rw *RWMutex) wakeDrain(claimed bool) {
 	if claimed {
 		rw.wq.Grant()
@@ -426,35 +387,14 @@ func (rw *RWMutex) runlockCentral() {
 // TryRLock attempts to acquire the lock for reading without waiting.
 func (rw *RWMutex) TryRLock() bool {
 	for {
-		switch rw.reng.Mode() {
-		case rSharded:
-			if rw.rlockSharded() {
-				return true
-			}
-			if rw.readerCount.Load() < 0 {
-				return false // writer claim in place
-			}
-			continue // registration protocol changed under us: redispatch
-		case rEpoch:
-			ok, claimed := rw.rlockEpoch()
-			if ok {
-				return true
-			}
-			if claimed || rw.readerCount.Load() < 0 {
-				return false // writer claim in place
-			}
-			continue // registration protocol changed under us: redispatch
-		}
-		v := rw.readerCount.Load()
-		if v < 0 {
+		switch rw.register() {
+		case regOK:
+			return true
+		case regClaimed:
 			return false
 		}
-		if rw.readerCount.CompareAndSwap(v, v+1) {
-			if rw.reng.Mode() == rCentral {
-				return true
-			}
-			rw.runlockCentral() // stale centralized registration: redispatch
-		}
+		// Lost to another reader, or the registration protocol changed
+		// under us: neither is a writer, so go again.
 	}
 }
 
@@ -483,40 +423,15 @@ func (rw *RWMutex) rlockSlow(ctx context.Context, done <-chan struct{}) error {
 			default:
 			}
 		}
-		if rw.readerCount.Load() >= 0 {
+		claimed := rw.readerCount.Load() < 0
+		if !claimed {
 			// No writer claim: attempt a registration under the current
-			// protocol. Failures here are races (a claiming writer, a
-			// protocol change, another reader's CAS), not waits.
-			switch rw.reng.Mode() {
-			case rSharded:
-				if rw.rlockSharded() {
-					rw.noteReadWait(blocked, budget)
-					return nil
-				}
-				continue
-			case rEpoch:
-				if ok, _ := rw.rlockEpoch(); ok {
-					rw.noteReadWait(blocked, budget)
-					return nil
-				}
-				// The epoch gate can lag the centralized claim by two
-				// stores on the release path; yield between retries so a
-				// releasing writer that was preempted mid-release gets
-				// the P back (a non-yielding retry loop could stall on a
-				// small-GOMAXPROCS host for a whole preemption quantum).
-				bo.Pause()
-				continue
-			}
-			v := rw.readerCount.Load()
-			if v < 0 {
-				continue
-			}
-			if rw.readerCount.CompareAndSwap(v, v+1) {
-				if rw.reng.Mode() != rCentral {
-					rw.runlockCentral() // stale: redispatch sharded
-					continue
-				}
-				if casLosses == 0 {
+			// protocol. Failures here are races (a protocol change, another
+			// reader's CAS), not waits — unless a claim landed under the
+			// attempt.
+			switch rw.register() {
+			case regOK:
+				if casLosses == 0 && rw.reng.Mode() == rCentral {
 					// A loss-free registration breaks the reader-contention
 					// streak, so only *consecutive* losses — not losses
 					// accumulated over the lock's lifetime — reach the
@@ -525,23 +440,27 @@ func (rw *RWMutex) rlockSlow(ctx context.Context, done <-chan struct{}) error {
 				}
 				rw.noteReadWait(blocked, budget)
 				return nil
-			}
-			if rw.readerCount.Load() < 0 {
-				// The CAS lost to a writer's claim, not to another
-				// reader: that is the wait protocol's signal (counted at
-				// the top of the loop), not registration contention.
+			case regMoved:
+				continue
+			case regLost:
+				// Lost the centralized word to another reader: the cheap
+				// registration protocol is serializing readers on one cache
+				// line — the regime sharded cells are built for.
+				casLosses++
+				if rw.reng.Vote(readerShardTable, rCentral, rSharded, rw.cfg.failLimit()) {
+					rw.switchReaderMode(rCentral, rSharded)
+				}
 				continue
 			}
-			// Lost the centralized word to another reader: the cheap
-			// registration protocol is serializing readers on one cache
-			// line — the regime sharded slots are built for.
-			casLosses++
-			if rw.reng.Vote(readerShardTable, rCentral, rSharded, rw.cfg.failLimit()) {
-				rw.switchReaderMode(rCentral, rSharded)
-			}
-			continue
+			// regClaimed: that is the wait protocol's signal, not
+			// registration contention. It falls through to a pause rather
+			// than retrying at once: the epoch gate can lag the centralized
+			// claim by two stores on the release path, and a releasing
+			// writer that was preempted mid-release must get the P back (a
+			// non-yielding retry loop could stall on a small-GOMAXPROCS
+			// host for a whole preemption quantum).
 		}
-		if rw.eng.Mode() == mPark && blocked >= budget {
+		if claimed && rw.eng.Mode() == mPark && blocked >= budget {
 			if rw.rlockPark(done) {
 				return ctx.Err()
 			}
@@ -599,37 +518,31 @@ func (rw *RWMutex) rlockPark(done <-chan struct{}) (aborted bool) {
 
 // RUnlock releases one read hold. The registration mode it observes is
 // the one RLock registered under: a registered reader blocks every
-// registration-protocol commit until it releases (see rlockSharded).
+// registration-protocol commit until it releases (see register).
 func (rw *RWMutex) RUnlock() {
-	switch rw.reng.Mode() {
-	case rSharded:
-		slots := rw.slots.Build()
-		s := &slots[affinity.Pin()&(len(slots)-1)]
-		affinity.Unpin()
-		rw.runlockSharded(s)
-	case rEpoch:
-		c := rw.ek.Cell(affinity.Pin())
-		affinity.Unpin()
-		rw.wakeDrain(rw.ek.Exit(c))
-	default:
+	if rw.reng.Mode() == rCentral {
 		rw.runlockCentral()
+		return
 	}
+	c := rw.ek.Cell(affinity.Pin())
+	affinity.Unpin()
+	rw.wakeDrain(rw.ek.Exit(c))
 }
 
 // claim places the writer's claim — on the centralized word, which new
 // centralized and sharded readers validate against, and on the epoch
 // gate, which epoch readers do — and reports whether active readers may
 // exist and must be drained. The caller holds the writer mutex. Once the
-// slots (or epoch cells) exist the sweep is permanent, whatever the
-// current registration mode: a reader that observed the sharded or
-// epoch mode may deposit into its cell arbitrarily late, so no later
-// drain may skip the cells without risking lost exclusion (the same
-// reasoning as FetchOp.Value's permanent reconciliation).
+// cells exist the sweep is permanent, whatever the current registration
+// mode: a reader that observed the sharded or epoch mode may deposit
+// into its cell arbitrarily late, so no later drain may skip the cells
+// without risking lost exclusion (the same reasoning as FetchOp.Value's
+// permanent reconciliation).
 func (rw *RWMutex) claim() (drain bool) {
 	busy := rw.readerCount.Add(-rwBias) != -rwBias
 	rw.ek.Claim()
 	chaos.Point("rwmutex.writer.claimed")
-	return busy || rw.slots.Built() != nil || rw.ek.Cells() != 0
+	return busy || rw.ek.Cells() != 0
 }
 
 // Lock acquires the lock for writing. It is the uncancellable special
@@ -679,7 +592,7 @@ func (rw *RWMutex) TryLock() bool {
 		return false
 	}
 	rw.ek.Claim()
-	if !cellsDrained(rw.slots.Sum()) || !cellsDrained(rw.ek.Sum()) {
+	if !cellsDrained(rw.ek.Sum()) {
 		// Active sharded or epoch readers (or a transient deposit): with
 		// the claims already in place a single sweep reading zero proves
 		// quiescence, so a nonzero read means waiting — undo and fail.
@@ -696,15 +609,16 @@ func (rw *RWMutex) TryLock() bool {
 	return true
 }
 
-// cellsDrained judges one sweep of the reader slots or the epoch cells,
-// taken with the writer's claim in place. The sum cannot misread zero
-// while a cell-registered reader is active: registered deposits all
-// precede the claim (a reader validates the claim after depositing), so
-// every sweep read includes them, and each release decrement is paired
-// with a deposit the sweep also saw. Transient deposit/undo pairs can
-// only inflate the sum — a conservative re-sweep, never a lost reader
-// (DESIGN.md §4 for the slots; epoch.Kernel states the same argument
-// over its gate). A negative sum therefore proves an RUnlock that never
+// cellsDrained judges one sweep of the reader cells, taken with the
+// writer's claims in place. The sum cannot misread zero while a
+// cell-registered reader is active: registered deposits all precede the
+// claim their reader validated against (a reader validates after
+// depositing), so every sweep read includes them, and each release
+// decrement is paired with a deposit the sweep also saw. Transient
+// deposit/undo pairs can only inflate the sum — a conservative re-sweep,
+// never a lost reader (epoch.Kernel states the argument once, DESIGN.md
+// §8; the sharded mode swaps the gate for readerCount and nothing
+// else). A negative sum therefore proves an RUnlock that never
 // deposited: caller misuse, reported with the message the centralized
 // mode panics with.
 func cellsDrained(sum int64) bool {
@@ -714,14 +628,13 @@ func cellsDrained(sum int64) bool {
 	return sum == 0
 }
 
-// drained reports whether every active reader — centrally registered,
-// slot-registered, or epoch-registered — has released. As the drain's
-// poll predicate it runs inside modal.Poll's yield-per-attempt loop, so
-// the repeated cell sweeps stay scheduler-cooperative on
-// small-GOMAXPROCS hosts (a non-yielding sweep could freeze the very
-// readers it waits on).
+// drained reports whether every active reader — centrally registered or
+// cell-registered — has released. As the drain's poll predicate it runs
+// inside modal.Poll's yield-per-attempt loop, so the repeated cell sweeps
+// stay scheduler-cooperative on small-GOMAXPROCS hosts (a non-yielding
+// sweep could freeze the very readers it waits on).
 func (rw *RWMutex) drained() bool {
-	return rw.readerCount.Load() == -rwBias && cellsDrained(rw.slots.Sum()) && cellsDrained(rw.ek.Sum())
+	return rw.readerCount.Load() == -rwBias && cellsDrained(rw.ek.Sum())
 }
 
 // drainReaders waits for the active readers to release — the shared
@@ -746,7 +659,7 @@ func (rw *RWMutex) drainReaders(done <-chan struct{}) (aborted bool) {
 	switch rw.reng.Mode() {
 	case rSharded:
 		if idle {
-			// The slot machinery went unused across a whole writer
+			// The cell machinery went unused across a whole writer
 			// round: vote down, and break any busy-drain streak toward
 			// the epoch protocol.
 			rw.reng.Good(readerShardTable, rSharded, rEpoch)
@@ -755,7 +668,7 @@ func (rw *RWMutex) drainReaders(done <-chan struct{}) (aborted bool) {
 			}
 		} else {
 			// Active sharded readers at writer arrival: the
-			// read-saturated regime where even slot deposits contend
+			// read-saturated regime where even cell deposits contend
 			// with the drain — the epoch protocol's regime. Vote up,
 			// and break the quiet-drain streak toward the centralized
 			// word.

@@ -39,8 +39,25 @@ func TestRWMutexZeroValue(t *testing.T) {
 	}
 }
 
-func TestRWMutexTryLocks(t *testing.T) {
-	var rw RWMutex
+// Three properties hold under every reader-registration protocol. Each
+// is written once, over WithInitialReaderMode, and entered once per
+// protocol under the test names CI's -run selections (Makefile `test`)
+// and the tier-1 floor already know.
+func TestRWMutexTryLocks(t *testing.T)               { rwTryLocks(t, ModeCAS) }
+func TestRWMutexShardedTryLocks(t *testing.T)        { rwTryLocks(t, ModeSharded) }
+func TestRWMutexEpochTryLocks(t *testing.T)          { rwTryLocks(t, ModeEpoch) }
+func TestRWMutexExclusion(t *testing.T)              { rwExclusion(t, ModeCAS) }
+func TestRWMutexShardedExclusion(t *testing.T)       { rwExclusion(t, ModeSharded) }
+func TestRWMutexEpochExclusion(t *testing.T)         { rwExclusion(t, ModeEpoch) }
+func TestRWMutexParallelReaders(t *testing.T)        { rwParallelReaders(t, ModeCAS) }
+func TestRWMutexShardedParallelReaders(t *testing.T) { rwParallelReaders(t, ModeSharded) }
+func TestRWMutexEpochParallelReaders(t *testing.T)   { rwParallelReaders(t, ModeEpoch) }
+
+// rwTryLocks: TryLock must observe readers of the given registration
+// protocol (the centralized count, or the cell sweep) and TryRLock must
+// register through it; a failed TryLock retracts its claims.
+func rwTryLocks(t *testing.T, reg Mode) {
+	rw := NewRWMutex(WithInitialReaderMode(reg))
 	if !rw.TryLock() {
 		t.Fatal("TryLock on free RWMutex failed")
 	}
@@ -62,28 +79,24 @@ func TestRWMutexTryLocks(t *testing.T) {
 	}
 	rw.RUnlock()
 	rw.RUnlock()
-}
-
-func TestRWMutexPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"Unlock":  func() { var rw RWMutex; rw.Unlock() },
-		"RUnlock": func() { var rw RWMutex; rw.RUnlock() },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s of unlocked RWMutex did not panic", name)
-				}
-			}()
-			f()
-		}()
+	// The failed TryLock above retracted its claim; readers must be
+	// admitted again.
+	rw.RLock()
+	rw.RUnlock()
+	if got := rw.Stats().Readers.Mode; got != reg {
+		t.Fatalf("registration mode = %v after try-locks alone, want %v", got, reg)
+	}
+	if err := rw.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestRWMutexExclusion: writers exclude writers and readers; readers
-// admit each other. The classic invariant check, run with -race in CI.
-func TestRWMutexExclusion(t *testing.T) {
-	var rw RWMutex
+// rwExclusion: writers exclude writers and readers; readers admit each
+// other. The classic invariant check, run with -race in CI. (Detection
+// may move the registration protocol under the run; the property holds
+// across the moves.)
+func rwExclusion(t *testing.T, reg Mode) {
+	rw := NewRWMutex(WithInitialReaderMode(reg))
 	var readers, writers atomic.Int32
 	var wg sync.WaitGroup
 	iters := 1000
@@ -122,11 +135,14 @@ func TestRWMutexExclusion(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if err := rw.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// TestRWMutexParallelReaders: two readers hold the lock simultaneously.
-func TestRWMutexParallelReaders(t *testing.T) {
-	var rw RWMutex
+// rwParallelReaders: two readers hold the lock simultaneously.
+func rwParallelReaders(t *testing.T, reg Mode) {
+	rw := NewRWMutex(WithInitialReaderMode(reg))
 	rw.RLock()
 	second := make(chan struct{})
 	go func() {
@@ -140,6 +156,22 @@ func TestRWMutexParallelReaders(t *testing.T) {
 		t.Fatal("second reader blocked by first")
 	}
 	rw.RUnlock()
+}
+
+func TestRWMutexPanics(t *testing.T) {
+	for name, f := range map[string]func(){
+		"Unlock":  func() { var rw RWMutex; rw.Unlock() },
+		"RUnlock": func() { var rw RWMutex; rw.RUnlock() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s of unlocked RWMutex did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
 }
 
 // TestRWMutexSwitchesToParkOnLongWrites: a writer hold longer than the

@@ -67,7 +67,7 @@ func TestFetchOpApplyZeroAllocs(t *testing.T) {
 // finds every cell non-empty harvests onto its own frame.
 func TestFetchOpSweepZeroAllocs(t *testing.T) {
 	fill := func(f *FetchOp, x int64) {
-		cells := f.shardCells()
+		cells := f.cells.Build(f.id)
 		for i := range cells {
 			cells[i].N.Store(x)
 		}
@@ -330,92 +330,6 @@ func TestRWMutexQuietDrainsDemoteToCentral(t *testing.T) {
 	// The slots stay built, and reads still work.
 	rw.RLock()
 	rw.RUnlock()
-}
-
-// TestRWMutexShardedParallelReaders: two readers hold the lock
-// simultaneously under sharded registration.
-func TestRWMutexShardedParallelReaders(t *testing.T) {
-	var rw RWMutex
-	rw.switchReaderMode(rCentral, rSharded)
-	rw.RLock()
-	second := make(chan struct{})
-	go func() {
-		rw.RLock()
-		close(second)
-		rw.RUnlock()
-	}()
-	select {
-	case <-second:
-	case <-time.After(5 * time.Second):
-		t.Fatal("second sharded reader blocked by first")
-	}
-	rw.RUnlock()
-}
-
-// TestRWMutexShardedTryLocks: TryLock must observe sharded readers via
-// the slot sweep, and TryRLock must register through the slots.
-func TestRWMutexShardedTryLocks(t *testing.T) {
-	var rw RWMutex
-	rw.switchReaderMode(rCentral, rSharded)
-	if !rw.TryRLock() {
-		t.Fatal("TryRLock on free sharded RWMutex failed")
-	}
-	if rw.TryLock() {
-		t.Fatal("TryLock with an active sharded reader succeeded")
-	}
-	rw.RUnlock()
-	if !rw.TryLock() {
-		t.Fatal("TryLock on free sharded RWMutex failed")
-	}
-	if rw.TryRLock() {
-		t.Fatal("TryRLock on write-held sharded RWMutex succeeded")
-	}
-	rw.Unlock()
-}
-
-// TestRWMutexShardedExclusion re-runs the classic exclusion invariant
-// with the registration protocol pinned to sharded slots.
-func TestRWMutexShardedExclusion(t *testing.T) {
-	var rw RWMutex
-	rw.switchReaderMode(rCentral, rSharded)
-	var readers, writers atomic.Int32
-	var wg sync.WaitGroup
-	iters := 1000
-	if testing.Short() {
-		iters = 300
-	}
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				rw.Lock()
-				if writers.Add(1) != 1 || readers.Load() != 0 {
-					t.Error("writer overlapped a writer or reader")
-				}
-				runtime.Gosched()
-				writers.Add(-1)
-				rw.Unlock()
-			}
-		}()
-	}
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				rw.RLock()
-				readers.Add(1)
-				if writers.Load() != 0 {
-					t.Error("reader overlapped a writer")
-				}
-				runtime.Gosched()
-				readers.Add(-1)
-				rw.RUnlock()
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // TestRWMutexStressShardedRegistration is the race-detector stress test
