@@ -28,10 +28,15 @@ test:
 	$(GO) test -tags reactive_noprocpin -short ./reactive/...
 	$(GO) test -tags reactive_noprocpin -race -short -run 'Ctx|Cancel|Handoff|Stress|Epoch|GOMAXPROCS|Misuse|Panic|Invariants|Fuzz|Map|FetchOp|Counter' ./reactive/...
 
-# The CI examples job: every example vets clean and runs to completion.
+# The CI examples job: every example vets clean and runs to completion,
+# and so do the two commands no test executes — lockstat at one lock and
+# one fetch-and-op protocol, reactsim over the ablation group.
 examples:
 	$(GO) vet ./examples/...
 	@set -e; for d in examples/*/; do echo "== $$d"; timeout 120 $(GO) run ./$$d > /dev/null; done
+	$(GO) run ./cmd/lockstat -kind lock -proto reactive -procs 1,4 -iters 8
+	$(GO) run ./cmd/lockstat -kind fop -proto combining-tree -procs 1,4 -iters 8
+	$(GO) run ./cmd/reactsim -exp ablations
 
 # The tier-1 gate and CI's tier1 job: every test at full scale, the
 # slow experiment specs and TestRegistryDigestsGolden over the whole
@@ -46,9 +51,9 @@ sim-digests:
 	$(GO) test ./internal/experiments -run 'TestRegistryDigestsGolden$$' -count=1 -update
 
 # The CI bench job: one pass over every benchmark, kept as bench.txt —
-# Go benchmark text, benchstat's own input. The simulator rows report
-# deterministic simulated cycles; the BenchmarkNative* rows are host
-# ns/op, and one 1x pass of them is a smoke run, not a measurement
+# Go benchmark text, benchstat's own input. Every row is host ns/op —
+# one per registered experiment, then the BenchmarkNative* rows — and
+# one 1x pass of them is a smoke run, not a measurement
 # (for a local A/B: go test -bench=Native -count=10 on each side, into
 # benchstat; for "did a primitive get slower": bash benchmark/run.sh).
 bench:

@@ -1,27 +1,20 @@
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// thesis's evaluation (see DESIGN.md's per-experiment index). Each
-// iteration runs the corresponding experiment on the simulated machine and
-// reports the simulated-cycle metric the paper plots as "simcycles/op" (or
-// elapsed simulated cycles for whole-application experiments), so
+// Benchmark harness. BenchmarkExperiments has one sub-benchmark per
+// registered experiment (see DESIGN.md's per-experiment index) and
+// BenchmarkExperimentMatrix drives the whole registry through the
+// parallel runner; their host ns/op measure only the simulator's speed.
+// The reproduced quantity — simulated cycles — is in the tables the
+// registry prints (reactsim, waitsim) and the golden digests pin, not
+// here. Simulation runs are deterministic, so -benchtime 1x suffices.
 //
-//	go test -bench=. -benchmem
-//
-// regenerates every row/series of the evaluation. Host ns/op numbers
-// measure only the simulator's speed and are not the reproduced quantity.
-// Simulation runs are deterministic, so -benchtime 1x is sufficient and
-// recommended: repeated iterations reproduce identical simulated cycles.
-//
-// BenchmarkExperimentMatrix additionally drives the whole registry
-// through the parallel runner. The BenchmarkNative* group measures
-// package reactive against the standard library, and its host ns/op
-// numbers ARE the measured quantity: it is the one list of native rows,
-// for a local A/B (-bench=Native -count=10 into benchstat). Whether a
-// primitive got slower is decided by benchmark/run.sh's paired runs.
+// The BenchmarkNative* group measures package reactive against the
+// standard library, and its host ns/op numbers ARE the measured
+// quantity: it is the one list of native rows, for a local A/B
+// (-bench=Native -count=10 into benchstat). Whether a primitive got
+// slower is decided by benchmark/run.sh's paired runs.
 package repro_test
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -30,7 +23,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/waitanalysis"
 	"repro/reactive"
 	"repro/reactive/policy"
 )
@@ -52,287 +44,22 @@ func BenchmarkExperimentMatrix(b *testing.B) {
 	b.ReportMetric(float64(len(results)), "experiments")
 }
 
-// reportSim reports a simulated-cycles metric.
-func reportSim(b *testing.B, cycles uint64, unit string) {
-	b.ReportMetric(float64(cycles), unit)
-}
-
-// --- Chapter 3: protocol selection ---
-
-func BenchmarkFig3_15_SpinLockBaseline(b *testing.B) {
-	for _, proto := range experiments.LockProtocols() {
-		for _, procs := range []int{1, 2, 4, 8, 16, 32} {
-			b.Run(fmt.Sprintf("%s/p%d", proto, procs), func(b *testing.B) {
-				var last uint64
-				for i := 0; i < b.N; i++ {
-					last = experiments.LockOverhead(proto, 32, procs, 25)
-				}
-				reportSim(b, last, "simcycles/cs")
-			})
-		}
-	}
-}
-
-func BenchmarkFig3_15_FetchOpBaseline(b *testing.B) {
-	for _, proto := range []string{"tts-lock", "queue-lock", "combining-tree", "reactive"} {
-		for _, procs := range []int{1, 4, 16, 32} {
-			b.Run(fmt.Sprintf("%s/p%d", proto, procs), func(b *testing.B) {
-				var last uint64
-				for i := 0; i < b.N; i++ {
-					last = experiments.FopOverhead(proto, 32, procs, 25)
-				}
-				reportSim(b, last, "simcycles/op")
-			})
-		}
-	}
-}
-
-func BenchmarkFig3_16_Prototype16(b *testing.B) {
-	for _, proto := range []string{"test&set", "mcs-queue", "reactive"} {
-		for _, procs := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("%s/p%d", proto, procs), func(b *testing.B) {
-				var last uint64
-				for i := 0; i < b.N; i++ {
-					last = experiments.LockOverhead(proto, 16, procs, 40)
-				}
-				reportSim(b, last, "simcycles/cs")
-			})
-		}
-	}
-}
-
-func BenchmarkFig3_2_DirNNB(b *testing.B) {
-	b.Run("tts/limitless/p16", func(b *testing.B) {
-		var last uint64
-		for i := 0; i < b.N; i++ {
-			last = experiments.LockOverhead("test&test&set", 32, 16, 25)
-		}
-		reportSim(b, last, "simcycles/cs")
-	})
-	b.Run("tts/fullmap/p16", func(b *testing.B) {
-		var last uint64
-		for i := 0; i < b.N; i++ {
-			last = experiments.LockOverheadFullMap("test&test&set", 32, 16, 25)
-		}
-		reportSim(b, last, "simcycles/cs")
-	})
-}
-
-func BenchmarkFig3_17_MultipleLocks(b *testing.B) {
-	for pi, pat := range []string{"1", "5", "9"} {
-		_ = pat
-		for _, alg := range []string{"optimal", "test&set", "mcs-queue", "reactive"} {
-			b.Run(fmt.Sprintf("pattern%s/%s", pat, alg), func(b *testing.B) {
-				var last uint64
-				for i := 0; i < b.N; i++ {
-					last = experiments.MultiLockElapsed(pi*4, alg, 2048)
-				}
-				reportSim(b, last, "simcycles/run")
-			})
-		}
-	}
-}
-
-func BenchmarkFig3_21_TimeVarying(b *testing.B) {
-	for _, alg := range []string{"test&set", "mcs-queue", "reactive"} {
-		for _, pct := range []int{10, 50, 90} {
-			b.Run(fmt.Sprintf("%s/cont%d", alg, pct), func(b *testing.B) {
-				var last uint64
-				for i := 0; i < b.N; i++ {
-					last = experiments.TimeVaryElapsed(alg, 1024, pct, 3)
-				}
-				reportSim(b, last, "simcycles/run")
-			})
-		}
-	}
-}
-
-func BenchmarkFig3_22_Competitive(b *testing.B) {
-	sz := experiments.Quick()
-	b.Run("table", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = experiments.Fig3_22Competitive(sz)
-		}
-	})
-}
-
-func BenchmarkFig3_23_Hysteresis(b *testing.B) {
-	sz := experiments.Quick()
-	sz.TimeVaryPeriods = 2
-	b.Run("table", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = experiments.Fig3_23Hysteresis(sz)
-		}
-	})
-}
-
-func BenchmarkFig3_24_FetchOpApps(b *testing.B) {
-	sz := experiments.Quick()
-	b.Run("table", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = experiments.Fig3_24FetchOpApps(sz)
-		}
-	})
-}
-
-func BenchmarkFig3_25_SpinLockApps(b *testing.B) {
-	sz := experiments.Quick()
-	b.Run("table", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = experiments.Fig3_25SpinLockApps(sz)
-		}
-	})
-}
-
-func BenchmarkFig3_26_MessagePassing(b *testing.B) {
-	for _, proto := range []string{"mcs-queue", "mp-queue"} {
-		b.Run(fmt.Sprintf("lock/%s/p16", proto), func(b *testing.B) {
-			var last uint64
+// BenchmarkExperiments runs each registered experiment at Quick() sizes
+// and its own ExperimentSeed, one sub-benchmark per spec — the registry
+// is the one list of simulator cases, so -bench 'Experiments/<name>'
+// times exactly the table reactsim/waitsim print and EXPERIMENTS.md
+// documents.
+func BenchmarkExperiments(b *testing.B) {
+	for _, spec := range experiments.Default.Specs() {
+		b.Run(spec.Name, func(b *testing.B) {
+			runner := experiments.Runner{Sizes: experiments.Quick(), Parallel: 1}
 			for i := 0; i < b.N; i++ {
-				last = experiments.LockOverhead(proto, 32, 16, 25)
+				if err := experiments.FirstErr(runner.Run([]experiments.Spec{spec})); err != nil {
+					b.Fatal(err)
+				}
 			}
-			reportSim(b, last, "simcycles/cs")
 		})
 	}
-	for _, proto := range []string{"combining-tree", "mp-central", "mp-combining-tree"} {
-		b.Run(fmt.Sprintf("fop/%s/p16", proto), func(b *testing.B) {
-			var last uint64
-			for i := 0; i < b.N; i++ {
-				last = experiments.FopOverhead(proto, 32, 16, 25)
-			}
-			reportSim(b, last, "simcycles/op")
-		})
-	}
-}
-
-// --- Chapter 4: waiting algorithms ---
-
-func BenchmarkTable4_1_BlockingCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = experiments.Table4_1BlockingCost()
-	}
-}
-
-func BenchmarkFig4_4_ExpFactors(b *testing.B) {
-	var worst float64
-	for i := 0; i < b.N; i++ {
-		worst = waitanalysis.ExpWorstFactor(waitanalysis.AlphaExpOptimal, 1)
-	}
-	b.ReportMetric(worst, "competitive-factor")
-}
-
-func BenchmarkFig4_5_UniformFactors(b *testing.B) {
-	var worst float64
-	for i := 0; i < b.N; i++ {
-		worst = waitanalysis.UniformWorstFactor(waitanalysis.OptimalAlphaUniform(1), 1)
-	}
-	b.ReportMetric(worst, "competitive-factor")
-}
-
-func BenchmarkFig4_6to4_11_WaitProfiles(b *testing.B) {
-	sz := experiments.Quick()
-	for i := 0; i < b.N; i++ {
-		_ = experiments.WaitProfiles(sz)
-	}
-}
-
-func BenchmarkFig4_12_ProducerConsumer(b *testing.B) {
-	sz := experiments.Quick()
-	for i := 0; i < b.N; i++ {
-		_ = experiments.Fig4_12ProducerConsumer(sz)
-	}
-}
-
-func BenchmarkFig4_13_Barrier(b *testing.B) {
-	sz := experiments.Quick()
-	for i := 0; i < b.N; i++ {
-		_ = experiments.Fig4_13Barrier(sz)
-	}
-}
-
-func BenchmarkFig4_14_Mutex(b *testing.B) {
-	sz := experiments.Quick()
-	for i := 0; i < b.N; i++ {
-		_ = experiments.Fig4_14Mutex(sz)
-	}
-}
-
-func BenchmarkTable4_6_HalfB(b *testing.B) {
-	sz := experiments.Quick()
-	for i := 0; i < b.N; i++ {
-		_ = experiments.Table4_6HalfB(sz)
-	}
-}
-
-// --- Ablations (DESIGN.md §13) ---
-
-func BenchmarkAblationOptimisticTAS(b *testing.B) {
-	for _, proto := range []string{"reactive", "reactive-nonoptimistic"} {
-		for _, procs := range []int{1, 16} {
-			b.Run(fmt.Sprintf("%s/p%d", proto, procs), func(b *testing.B) {
-				var last uint64
-				for i := 0; i < b.N; i++ {
-					last = experiments.LockOverhead(proto, 32, procs, 25)
-				}
-				reportSim(b, last, "simcycles/cs")
-			})
-		}
-	}
-}
-
-func BenchmarkAblationBroadcastInvalidation(b *testing.B) {
-	b.Run("tts/sequential/p16", func(b *testing.B) {
-		var last uint64
-		for i := 0; i < b.N; i++ {
-			last = experiments.LockOverhead("test&test&set", 32, 16, 25)
-		}
-		reportSim(b, last, "simcycles/cs")
-	})
-	b.Run("tts/broadcast/p16", func(b *testing.B) {
-		var last uint64
-		for i := 0; i < b.N; i++ {
-			last = experiments.LockOverheadBroadcast("test&test&set", 32, 16, 25)
-		}
-		reportSim(b, last, "simcycles/cs")
-	})
-}
-
-func BenchmarkAblationCombiningPatience(b *testing.B) {
-	for _, pat := range []uint64{40, 160, 640} {
-		for _, procs := range []int{1, 32} {
-			b.Run(fmt.Sprintf("patience%d/p%d", pat, procs), func(b *testing.B) {
-				var last uint64
-				for i := 0; i < b.N; i++ {
-					last = experiments.CombTreePatienceOverhead(pat, 32, procs, 25)
-				}
-				reportSim(b, last, "simcycles/op")
-			})
-		}
-	}
-}
-
-// --- Extension: reactive barrier (thesis §6.2 future work) ---
-
-func BenchmarkExtensionReactiveBarrier(b *testing.B) {
-	for _, proto := range []string{"central", "combining-tree", "reactive"} {
-		for _, procs := range []int{4, 64} {
-			b.Run(fmt.Sprintf("%s/p%d", proto, procs), func(b *testing.B) {
-				var last uint64
-				for i := 0; i < b.N; i++ {
-					last = experiments.BarrierOverhead(proto, procs, 4)
-				}
-				reportSim(b, last, "simcycles/episode")
-			})
-		}
-	}
-}
-
-func BenchmarkFig3_14_CompetitiveWorstCase(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		ratio = experiments.CompetitiveWorstCaseRatio(5000)
-	}
-	b.ReportMetric(ratio, "online/offline-ratio")
 }
 
 // --- Native primitives (package reactive vs the standard library) ---

@@ -3,9 +3,10 @@
 // detailed statistics: per-operation cycles, protocol changes, and
 // memory-system counters. It is the tuning tool Section 3.7.2 prescribes
 // for profiling component protocols on a new machine before configuring a
-// reactive algorithm's switching policy. Protocol construction and the
-// parallel sweep come from the shared experiment harness, so lockstat
-// accepts the same protocol names and flags as the other commands.
+// reactive algorithm's switching policy. The protocol catalog, the
+// Section 3.5.1 contention loop and the parallel sweep come from the
+// shared experiment harness, so lockstat accepts the same protocol names
+// and runs the same loop as the figures it tunes for.
 //
 // Usage:
 //
@@ -142,48 +143,33 @@ func main() {
 func measure(sz experiments.Sizes, kind, proto string, machineProcs, procs, iters int, cs uint64, think int) *stats.Table {
 	m := sz.NewMachine(machineProcs, nil)
 
-	var end machine.Time
+	var op func(c *machine.CPU)
 	changes := func() uint64 { return 0 }
-	work := func(c *machine.CPU, op func(c *machine.CPU)) {
-		for i := 0; i < iters; i++ {
-			op(c)
-			if think > 0 {
-				c.Advance(machine.Time(c.Rand().Intn(think)))
-			}
-		}
-		if c.Now() > end {
-			end = c.Now()
-		}
-	}
 	switch kind {
 	case "lock":
 		l := experiments.MakeLock(m, proto, 0)
 		if rl, ok := l.(*core.ReactiveLock); ok {
 			changes = func() uint64 { return rl.Changes }
 		}
-		for p := 0; p < procs; p++ {
-			m.SpawnCPU(p, 0, "w", func(c *machine.CPU) {
-				work(c, func(c *machine.CPU) {
-					h := l.Acquire(c)
-					c.Advance(cs)
-					l.Release(c, h)
-				})
-			})
+		op = func(c *machine.CPU) {
+			h := l.Acquire(c)
+			c.Advance(cs)
+			l.Release(c, h)
 		}
 	default: // fop
 		f := experiments.MakeFop(m, proto, machineProcs)
 		if rf, ok := f.(*core.ReactiveFetchOp); ok {
 			changes = func() uint64 { return rf.Changes }
 		}
-		for p := 0; p < procs; p++ {
-			m.SpawnCPU(p, 0, "w", func(c *machine.CPU) {
-				work(c, func(c *machine.CPU) { f.FetchAdd(c, 1) })
-			})
+		op = func(c *machine.CPU) { f.FetchAdd(c, 1) }
+	}
+	// A panic from the run is reported by the runner as this level's error.
+	end := experiments.ContentionLoop(m, procs, iters, op, func(c *machine.CPU) machine.Time {
+		if think <= 0 {
+			return 0
 		}
-	}
-	if err := m.Run(); err != nil {
-		panic(err) // the runner reports it as this level's error
-	}
+		return machine.Time(c.Rand().Intn(think))
+	})
 	total := uint64(procs) * uint64(iters)
 	t := &stats.Table{Header: []string{
 		"procs", "elapsed", "cycles/op", "changes",

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/apps"
-	"repro/internal/core"
 	"repro/internal/fetchop"
-	"repro/internal/machine"
 	"repro/internal/spinlock"
 	"repro/internal/stats"
 )
@@ -16,75 +14,40 @@ import (
 // the reactive fetch-and-op, across processor counts. Values are
 // normalized to the queue-lock protocol at each processor count.
 func Fig3_24FetchOpApps(sz Sizes) *stats.Table {
-	t := &stats.Table{Header: []string{"app", "procs", "queue-lock", "combining-tree", "reactive"}}
-	kinds := []string{"queue-lock", "combining-tree", "reactive"}
-	mkFop := func(m *machine.Machine, kind string) fetchop.FetchOp {
-		switch kind {
-		case "queue-lock":
-			return fetchop.NewQueueLockFOP(m.Mem, 0)
-		case "combining-tree":
-			return fetchop.NewCombTree(m.Mem, m.NumProcs(), 0)
-		default:
-			return core.NewReactiveFetchOp(m.Mem, 0, m.NumProcs())
-		}
-	}
-	procsList := []int{16, 32, 64}
-	run := func(app string, procs int, kind string) Time {
+	run := func(app string, procs int, mk fopMaker) Time {
 		m := sz.NewMachine(procs, nil)
 		switch app {
 		case "gamteb":
 			counters := make([]fetchop.FetchOp, 9)
 			for i := range counters {
-				counters[i] = mkFop(m, kind)
+				counters[i] = mk(m, procs)
 			}
 			g := &apps.Gamteb{Particles: 256 * sz.AppScale, Counters: counters}
 			return g.Run(m)
 		case "tsp":
-			b := apps.NewTSP(mkFop(m, kind))
+			b := apps.NewTSP(mk(m, procs))
 			b.Depth = 7 + sz.AppScale/2
 			return b.Run(m)
 		default: // aq
-			b := apps.NewAQ(mkFop(m, kind))
+			b := apps.NewAQ(mk(m, procs))
 			b.Depth = 6 + sz.AppScale/2
 			return b.Run(m)
 		}
 	}
+	t := newNormalized(fopCatalog.pick("queue-lock", "combining-tree", "reactive"), "app", "procs")
 	for _, app := range []string{"gamteb", "tsp", "aq"} {
-		for _, procs := range procsList {
-			row := []string{app, fmt.Sprintf("%d", procs)}
-			var base Time
-			for i, kind := range kinds {
-				el := run(app, procs, kind)
-				if i == 0 {
-					base = el
-					row = append(row, "1.00")
-					continue
-				}
-				row = append(row, fmt.Sprintf("%.2f", float64(el)/float64(base)))
-			}
-			t.AddRow(row...)
+		for _, procs := range []int{16, 32, 64} {
+			t.row(func(mk fopMaker) Time { return run(app, procs, mk) }, app, fmt.Sprintf("%d", procs))
 		}
 	}
-	return t
+	return t.Table
 }
 
 // Fig3_25SpinLockApps regenerates Figure 3.25: execution times of MP3D
 // (two problem sizes) and Cholesky under the test-and-set lock, the MCS
 // queue lock, and the reactive lock, normalized to the test-and-set lock.
 func Fig3_25SpinLockApps(sz Sizes) *stats.Table {
-	t := &stats.Table{Header: []string{"app", "procs", "test&set", "mcs-queue", "reactive"}}
-	kinds := []string{"test&set", "mcs-queue", "reactive"}
-	mkLock := func(m *machine.Machine, kind string, home int) spinlock.Lock {
-		switch kind {
-		case "test&set":
-			return spinlock.NewTAS(m.Mem, home, spinlock.DefaultBackoff)
-		case "mcs-queue":
-			return spinlock.NewMCS(m.Mem, home)
-		default:
-			return core.NewReactiveLock(m.Mem, home)
-		}
-	}
-	run := func(app string, procs int, kind string) Time {
+	run := func(app string, procs int, mk lockMaker) Time {
 		m := sz.NewMachine(procs, nil)
 		switch app {
 		case "mp3d-small", "mp3d-large":
@@ -94,11 +57,11 @@ func Fig3_25SpinLockApps(sz Sizes) *stats.Table {
 			}
 			cells := make([]spinlock.Lock, 32)
 			for i := range cells {
-				cells[i] = mkLock(m, kind, i%procs)
+				cells[i] = mk(m, i%procs)
 			}
 			a := &apps.MP3D{
 				CellLocks: cells,
-				Collision: mkLock(m, kind, 0),
+				Collision: mk(m, 0),
 				Particles: particles,
 				Iters:     5,
 			}
@@ -106,10 +69,10 @@ func Fig3_25SpinLockApps(sz Sizes) *stats.Table {
 		default: // cholesky
 			cols := make([]spinlock.Lock, 64)
 			for i := range cols {
-				cols[i] = mkLock(m, kind, i%procs)
+				cols[i] = mk(m, i%procs)
 			}
 			a := &apps.Cholesky{
-				TaskLock:      mkLock(m, kind, 0),
+				TaskLock:      mk(m, 0),
 				ColLocks:      cols,
 				Columns:       48 * sz.AppScale,
 				UpdatesPerCol: 3,
@@ -117,29 +80,18 @@ func Fig3_25SpinLockApps(sz Sizes) *stats.Table {
 			return a.Run(m)
 		}
 	}
-	cases := []struct {
+	t := newNormalized(lockCatalog.pick("test&set", "mcs-queue", "reactive"), "app", "procs")
+	for _, cse := range []struct {
 		app   string
 		procs []int
 	}{
 		{"mp3d-small", []int{16, 64}},
 		{"mp3d-large", []int{16, 64}},
 		{"cholesky", []int{4, 16}},
-	}
-	for _, cse := range cases {
+	} {
 		for _, procs := range cse.procs {
-			row := []string{cse.app, fmt.Sprintf("%d", procs)}
-			var base Time
-			for i, kind := range kinds {
-				el := run(cse.app, procs, kind)
-				if i == 0 {
-					base = el
-					row = append(row, "1.00")
-					continue
-				}
-				row = append(row, fmt.Sprintf("%.2f", float64(el)/float64(base)))
-			}
-			t.AddRow(row...)
+			t.row(func(mk lockMaker) Time { return run(cse.app, procs, mk) }, cse.app, fmt.Sprintf("%d", procs))
 		}
 	}
-	return t
+	return t.Table
 }

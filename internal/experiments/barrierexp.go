@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/barrier"
 	"repro/internal/machine"
 	"repro/internal/stats"
@@ -36,42 +34,26 @@ func barrierEpisodes(sz Sizes, mk func(m *machine.Machine) barrier.Barrier, proc
 	return avg - skew
 }
 
+// barrierCatalog is the barrier kind's protocol catalog.
+var barrierCatalog = catalog[func(m *machine.Machine) barrier.Barrier]{
+	{"central", func(m *machine.Machine) barrier.Barrier { return barrier.NewCentral(m.Mem, 0, m.NumProcs()) }},
+	{"combining-tree", func(m *machine.Machine) barrier.Barrier { return barrier.NewTree(m.Mem, m.NumProcs(), 0) }},
+	{"reactive", func(m *machine.Machine) barrier.Barrier { return barrier.NewReactive(m.Mem, 0, m.NumProcs()) }},
+}
+
 // BarrierBaseline regenerates the reactive-barrier extension experiment
 // (thesis Section 6.2 future work): per-episode overhead of the central,
 // combining-tree, and reactive barriers versus participant count.
 func BarrierBaseline(sz Sizes) *stats.Table {
-	t := &stats.Table{Header: []string{"procs", "central", "combining-tree", "reactive"}}
 	rounds := 4 * sz.AppScale
 	if rounds < 4 {
 		rounds = 4
 	}
-	for _, procs := range []int{2, 4, 8, 16, 32, 64} {
-		row := []string{fmt.Sprintf("%d", procs)}
-		for _, mk := range []func(m *machine.Machine) barrier.Barrier{
-			func(m *machine.Machine) barrier.Barrier { return barrier.NewCentral(m.Mem, 0, m.NumProcs()) },
-			func(m *machine.Machine) barrier.Barrier { return barrier.NewTree(m.Mem, m.NumProcs(), 0) },
-			func(m *machine.Machine) barrier.Barrier { return barrier.NewReactive(m.Mem, 0, m.NumProcs()) },
-		} {
-			row = append(row, fmt.Sprintf("%d", barrierEpisodes(sz, mk, procs, rounds)))
-		}
-		t.AddRow(row...)
+	var cols []column
+	for _, p := range barrierCatalog {
+		cols = append(cols, column{p.name, func(procs int) Time {
+			return barrierEpisodes(sz, p.mk, procs, rounds)
+		}})
 	}
-	return t
-}
-
-// BarrierOverhead is the exported single-measurement entry point for the
-// benchmark harness.
-func BarrierOverhead(proto string, procs, rounds int) Time {
-	return barrierEpisodes(seedOnly(), func(m *machine.Machine) barrier.Barrier {
-		switch proto {
-		case "central":
-			return barrier.NewCentral(m.Mem, 0, m.NumProcs())
-		case "combining-tree":
-			return barrier.NewTree(m.Mem, m.NumProcs(), 0)
-		case "reactive":
-			return barrier.NewReactive(m.Mem, 0, m.NumProcs())
-		default:
-			panic("experiments: unknown barrier protocol " + proto)
-		}
-	}, procs, rounds)
+	return sweepTable([]int{2, 4, 8, 16, 32, 64}, cols)
 }

@@ -9,7 +9,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/stats"
 	"repro/reactive"
@@ -26,28 +25,12 @@ import (
 // the window widens when the ramp phases provoke premature flips and
 // relaxes back once a phase holds the engine in one protocol.
 func NativeCongestionTrace(sz Sizes) *stats.Table {
-	tab := reactive.FetchOpTable()
 	var e modal.Engine
 	pol := policy.NewCongestion()
 	e.SetPolicy(pol)
-	rng := rand.New(rand.NewSource(int64(sz.Seed)))
-	t := &stats.Table{Header: []string{"phase", "contention", "end-mode",
-		"%cas", "%sharded", "%combining", "switches", "window", "srtt"}}
-	for _, ph := range modalPhases(sz) {
-		var st modalTraceStats
-		before := e.Switches()
-		for i := 0; i < ph.steps; i++ {
-			stepModalEngine(&e, tab, rng, ph.p)
-			st.residency[e.Mode()]++
-		}
-		st.switches = e.Switches() - before
-		t.AddRow(ph.name, fmt.Sprintf("%.2f", ph.p), modeName(e.Mode()),
-			st.pct(nmCAS), st.pct(nmSharded), st.pct(nmCombining),
-			fmt.Sprintf("%d", st.switches),
-			fmt.Sprintf("%d", pol.Window()),
-			fmt.Sprintf("%d", pol.SRTT()))
-	}
-	return t
+	return modalTrace(sz, &e, reactive.FetchOpTable(), fopModes, stepModalEngine,
+		traceColumn{"window", func() string { return fmt.Sprintf("%d", pol.Window()) }},
+		traceColumn{"srtt", func() string { return fmt.Sprintf("%d", pol.SRTT()) }})
 }
 
 // telemetryStep is one primitive of the telemetry experiment: a named

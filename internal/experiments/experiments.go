@@ -10,10 +10,9 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/spinlock"
 	"repro/internal/stats"
 )
 
@@ -21,8 +20,7 @@ import (
 type Time = machine.Time
 
 // DefaultSeed is the base seed of the experiment matrix. It matches
-// machine.DefaultConfig's seed, so the exported single-measurement entry
-// points (LockOverhead etc.) reproduce the seed harness's numbers;
+// machine.DefaultConfig's seed, and LockOverhead measures at it directly;
 // registry runs derive a distinct per-experiment seed from it via
 // ExperimentSeed, so their absolute values differ from a fixed-seed run
 // (deterministically — same table on every run at the same base seed).
@@ -80,8 +78,8 @@ func Full() Sizes {
 	}
 }
 
-// seedOnly returns a Sizes carrying just a machine seed, for the exported
-// single-measurement entry points whose iteration counts are explicit.
+// seedOnly returns a Sizes carrying just the default machine seed, for
+// single measurements whose iteration counts are explicit.
 func seedOnly() Sizes { return Sizes{Seed: DefaultSeed} }
 
 // NewMachine builds one experiment machine: the default config at procs
@@ -99,55 +97,35 @@ func (sz Sizes) NewMachine(procs int, mod func(*machine.Config)) *machine.Machin
 	return machine.New(cfg)
 }
 
-// lockMaker builds a lock on a fresh machine.
-type lockMaker struct {
-	name string
-	mk   func(m *machine.Machine) spinlock.Lock
-}
+// maxProcs is the widest contention level swept: the machine size of the
+// baseline figures.
+func (sz Sizes) maxProcs() int { return sz.BaselineProcs[len(sz.BaselineProcs)-1] }
 
-func baselineLockMakers() []lockMaker {
-	return []lockMaker{
-		{"test&set", func(m *machine.Machine) spinlock.Lock {
-			return spinlock.NewTAS(m.Mem, 0, spinlock.DefaultBackoff)
-		}},
-		{"test&test&set", func(m *machine.Machine) spinlock.Lock {
-			return spinlock.NewTTS(m.Mem, 0, spinlock.DefaultBackoff)
-		}},
-		{"mcs-queue", func(m *machine.Machine) spinlock.Lock {
-			return spinlock.NewMCS(m.Mem, 0)
-		}},
-		{"reactive", func(m *machine.Machine) spinlock.Lock {
-			return core.NewReactiveLock(m.Mem, 0)
-		}},
+// uniformThink draws the baseline think time U(0,500) of Section 3.5.1.
+func uniformThink(c *machine.CPU) Time { return Time(c.Rand().Intn(500)) }
+
+// aboveLoop converts a run's makespan into the average overhead per
+// operation: makespan/ops less the test-loop latency, floored at zero.
+func aboveLoop(end Time, ops int, loop Time) Time {
+	avg := end / Time(ops)
+	if avg <= loop {
+		return 0
 	}
+	return avg - loop
 }
 
 // lockOverhead runs the baseline test loop of Section 3.5.1 — acquire,
-// 100-cycle critical section, release, think U(0,500) — with contenders
+// 100-cycle critical section, release, think — with contenders
 // processors on a machineProcs-node machine, and returns the average
 // overhead per critical section after subtracting the test-loop latency.
-func lockOverhead(sz Sizes, mk func(m *machine.Machine) spinlock.Lock, machineProcs, contenders, iters int, cfgMod func(*machine.Config)) Time {
+func lockOverhead(sz Sizes, mk lockMaker, machineProcs, contenders, iters int, think func(*machine.CPU) Time, cfgMod func(*machine.Config)) Time {
 	m := sz.NewMachine(machineProcs, cfgMod)
-	l := mk(m)
-	var end Time
-	for p := 0; p < contenders; p++ {
-		m.SpawnCPU(p, 0, "w", func(c *machine.CPU) {
-			for i := 0; i < iters; i++ {
-				h := l.Acquire(c)
-				c.Advance(100)
-				l.Release(c, h)
-				c.Advance(Time(c.Rand().Intn(500)))
-			}
-			if c.Now() > end {
-				end = c.Now()
-			}
-		})
-	}
-	if err := m.Run(); err != nil {
-		panic(err)
-	}
-	total := contenders * iters
-	avg := end / Time(total)
+	l := mk(m, 0)
+	end := ContentionLoop(m, contenders, iters, func(c *machine.CPU) {
+		h := l.Acquire(c)
+		c.Advance(100)
+		l.Release(c, h)
+	}, think)
 	// Test-loop latency per critical section (Section 3.5.1): with P
 	// contenders the 250-cycle mean think time overlaps P-ways.
 	var loop Time
@@ -159,103 +137,111 @@ func lockOverhead(sz Sizes, mk func(m *machine.Machine) spinlock.Lock, machinePr
 	default:
 		loop = 100
 	}
-	if avg <= loop {
-		return 0
-	}
-	return avg - loop
+	return aboveLoop(end, contenders*iters, loop)
 }
+
+// column is one protocol series of a sweep table: its header and the
+// measurement at a contention level.
+type column struct {
+	name string
+	cell func(procs int) Time
+}
+
+// sweepTable builds a "row per contention level, column per protocol"
+// table of simulated cycles.
+func sweepTable(levels []int, cols []column) *stats.Table {
+	t := &stats.Table{Header: []string{"procs"}}
+	for _, col := range cols {
+		t.Header = append(t.Header, col.name)
+	}
+	for _, p := range levels {
+		row := []string{fmt.Sprintf("%d", p)}
+		for _, col := range cols {
+			row = append(row, fmt.Sprintf("%d", col.cell(p)))
+		}
+		t.AddRow(row...)
+	}
+	return t
+}
+
+// baselineLock is the column of a Figure 3.15-style sweep for one lock:
+// the baseline loop on a machine as wide as the widest level, cfgMod
+// applied to the machine.
+func baselineLock(sz Sizes, header string, mk lockMaker, cfgMod func(*machine.Config)) column {
+	return column{header, func(p int) Time {
+		return lockOverhead(sz, mk, sz.maxProcs(), p, sz.BaselineIters, uniformThink, cfgMod)
+	}}
+}
+
+// baselineLocks returns one baselineLock column per named catalog
+// protocol.
+func baselineLocks(sz Sizes, protos ...string) []column {
+	var cols []column
+	for _, p := range lockCatalog.pick(protos...) {
+		cols = append(cols, baselineLock(sz, p.name, p.mk, nil))
+	}
+	return cols
+}
+
+// normalized builds a "normalize each row to its first column" table of
+// elapsed times: one column per algorithm in algs, after the label
+// columns.
+type normalized[M any] struct {
+	algs catalog[M]
+	*stats.Table
+}
+
+func newNormalized[M any](algs catalog[M], labels ...string) normalized[M] {
+	return normalized[M]{algs, &stats.Table{Header: slices.Concat(labels, algs.names())}}
+}
+
+// row measures one case under every algorithm and appends its row: the
+// label cells, then each elapsed time over the first algorithm's.
+func (n normalized[M]) row(elapsed func(mk M) Time, labels ...string) {
+	cells := slices.Clone(labels)
+	var base Time
+	for i, alg := range n.algs {
+		el := elapsed(alg.mk)
+		if i == 0 {
+			base = el
+			cells = append(cells, "1.00")
+			continue
+		}
+		cells = append(cells, fmt.Sprintf("%.2f", float64(el)/float64(base)))
+	}
+	n.AddRow(cells...)
+}
+
+// spinLockFigure names the four protocols Figures 3.15 and 3.16 plot.
+var spinLockFigure = []string{"test&set", "test&test&set", "mcs-queue", "reactive"}
 
 // Fig3_15SpinLocks regenerates the spin-lock half of Figure 3.15 (and
 // Figures 1.1/3.2): overhead per critical section versus contending
 // processors for each protocol.
 func Fig3_15SpinLocks(sz Sizes) *stats.Table {
-	t := &stats.Table{Header: []string{"procs"}}
-	makers := baselineLockMakers()
-	for _, mk := range makers {
-		t.Header = append(t.Header, mk.name)
-	}
-	maxP := sz.BaselineProcs[len(sz.BaselineProcs)-1]
-	for _, p := range sz.BaselineProcs {
-		row := []string{fmt.Sprintf("%d", p)}
-		for _, mk := range makers {
-			ov := lockOverhead(sz, mk.mk, maxP, p, sz.BaselineIters, nil)
-			row = append(row, fmt.Sprintf("%d", ov))
-		}
-		t.AddRow(row...)
-	}
-	return t
+	return sweepTable(sz.BaselineProcs, baselineLocks(sz, spinLockFigure...))
 }
 
 // Fig3_16Prototype regenerates the 16-processor "Alewife prototype" run:
 // the same baseline on a 16-node machine with a fixed 250-cycle think time.
 func Fig3_16Prototype(sz Sizes) *stats.Table {
-	t := &stats.Table{Header: []string{"procs"}}
-	makers := baselineLockMakers()
-	for _, mk := range makers {
-		t.Header = append(t.Header, mk.name)
+	fixedThink := func(*machine.CPU) Time { return 250 }
+	var cols []column
+	for _, p := range lockCatalog.pick(spinLockFigure...) {
+		cols = append(cols, column{p.name, func(procs int) Time {
+			return lockOverhead(sz, p.mk, 16, procs, sz.BaselineIters*2, fixedThink, nil)
+		}})
 	}
-	for _, p := range []int{1, 2, 4, 8, 16} {
-		row := []string{fmt.Sprintf("%d", p)}
-		for _, mk := range makers {
-			ov := fixedThinkOverhead(sz, mk.mk, 16, p, sz.BaselineIters*2)
-			row = append(row, fmt.Sprintf("%d", ov))
-		}
-		t.AddRow(row...)
-	}
-	return t
-}
-
-func fixedThinkOverhead(sz Sizes, mk func(m *machine.Machine) spinlock.Lock, machineProcs, contenders, iters int) Time {
-	m := sz.NewMachine(machineProcs, nil)
-	l := mk(m)
-	var end Time
-	for p := 0; p < contenders; p++ {
-		m.SpawnCPU(p, 0, "w", func(c *machine.CPU) {
-			for i := 0; i < iters; i++ {
-				h := l.Acquire(c)
-				c.Advance(100)
-				l.Release(c, h)
-				c.Advance(250)
-			}
-			if c.Now() > end {
-				end = c.Now()
-			}
-		})
-	}
-	if err := m.Run(); err != nil {
-		panic(err)
-	}
-	avg := end / Time(contenders*iters)
-	var loop Time
-	switch contenders {
-	case 1:
-		loop = 350
-	case 2:
-		loop = 175
-	default:
-		loop = 100
-	}
-	if avg <= loop {
-		return 0
-	}
-	return avg - loop
+	return sweepTable([]int{1, 2, 4, 8, 16}, cols)
 }
 
 // Fig3_2DirNNB regenerates the DirNNB ablation of Figure 3.2: the
 // test-and-test-and-set lock on the LimitLESS directory versus a full-map
 // directory that handles all coherence in hardware.
 func Fig3_2DirNNB(sz Sizes) *stats.Table {
-	t := &stats.Table{Header: []string{"procs", "tts-limitless", "tts-dirnnb"}}
-	maxP := sz.BaselineProcs[len(sz.BaselineProcs)-1]
-	mkTTS := func(m *machine.Machine) spinlock.Lock {
-		return spinlock.NewTTS(m.Mem, 0, spinlock.DefaultBackoff)
-	}
-	for _, p := range sz.BaselineProcs {
-		limitless := lockOverhead(sz, mkTTS, maxP, p, sz.BaselineIters, nil)
-		fullmap := lockOverhead(sz, mkTTS, maxP, p, sz.BaselineIters, func(cfg *machine.Config) {
-			cfg.Mem.HWPointers = -1
-		})
-		t.AddRow(fmt.Sprintf("%d", p), fmt.Sprintf("%d", limitless), fmt.Sprintf("%d", fullmap))
-	}
-	return t
+	tts := lockCatalog.named("test&test&set")
+	return sweepTable(sz.BaselineProcs, []column{
+		baselineLock(sz, "tts-limitless", tts, nil),
+		baselineLock(sz, "tts-dirnnb", tts, func(cfg *machine.Config) { cfg.Mem.HWPointers = -1 }),
+	})
 }

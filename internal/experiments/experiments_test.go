@@ -1,41 +1,33 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/fetchop"
 	"repro/internal/machine"
 	"repro/internal/spinlock"
 	"repro/internal/waiting"
 )
-
-func mkTTS(m *machine.Machine) spinlock.Lock {
-	return spinlock.NewTTS(m.Mem, 0, spinlock.DefaultBackoff)
-}
-func mkMCS(m *machine.Machine) spinlock.Lock { return spinlock.NewMCS(m.Mem, 0) }
-func mkReactive(m *machine.Machine) spinlock.Lock {
-	return core.NewReactiveLock(m.Mem, 0)
-}
 
 func TestBaselineShapeSpinLocks(t *testing.T) {
 	// The Figure 3.15 crossover: TTS wins at 1 processor, MCS wins at 16;
 	// the reactive lock tracks the winner within a modest factor at both
 	// extremes.
 	iters := 30
-	tts1 := lockOverhead(seedOnly(), mkTTS, 32, 1, iters, nil)
-	mcs1 := lockOverhead(seedOnly(), mkMCS, 32, 1, iters, nil)
-	re1 := lockOverhead(seedOnly(), mkReactive, 32, 1, iters, nil)
+	tts1 := LockOverhead("test&test&set", 32, 1, iters)
+	mcs1 := LockOverhead("mcs-queue", 32, 1, iters)
+	re1 := LockOverhead("reactive", 32, 1, iters)
 	if !(tts1 < mcs1) {
 		t.Errorf("P=1: tts %d should beat mcs %d", tts1, mcs1)
 	}
 	if float64(re1) > 1.5*float64(tts1) {
 		t.Errorf("P=1: reactive %d too far above tts %d", re1, tts1)
 	}
-	tts16 := lockOverhead(seedOnly(), mkTTS, 32, 16, iters, nil)
-	mcs16 := lockOverhead(seedOnly(), mkMCS, 32, 16, iters, nil)
-	re16 := lockOverhead(seedOnly(), mkReactive, 32, 16, iters, nil)
+	tts16 := LockOverhead("test&test&set", 32, 16, iters)
+	mcs16 := LockOverhead("mcs-queue", 32, 16, iters)
+	re16 := LockOverhead("reactive", 32, 16, iters)
 	if !(mcs16 < tts16) {
 		t.Errorf("P=16: mcs %d should beat tts %d", mcs16, tts16)
 	}
@@ -44,16 +36,112 @@ func TestBaselineShapeSpinLocks(t *testing.T) {
 	}
 }
 
+// TestLockOverheadPinned pins the default-seed readings of the reactive
+// lock on the Figure 3.15 loop (LockOverhead is what benchmark/'s
+// core.lockoverhead_reactive_32p row times): a change to the shared
+// contention loop or the catalog that moved them would move every
+// fixed-seed caller.
+func TestLockOverheadPinned(t *testing.T) {
+	for _, tc := range []struct {
+		procs int
+		want  Time
+	}{{1, 62}, {2, 107}, {4, 105}, {8, 95}, {16, 95}, {32, 95}} {
+		if tc.procs > 4 && testing.Short() {
+			continue
+		}
+		if got := LockOverhead("reactive", 32, tc.procs, 25); got != tc.want {
+			t.Errorf("LockOverhead(reactive, 32, %d, 25) = %d simulated cycles, want %d", tc.procs, got, tc.want)
+		}
+	}
+}
+
+// TestProtocolListsMatchConstructors: LockProtocols/FopProtocols list
+// exactly what MakeLock/MakeFop construct — every listed name builds a
+// working object on a 4-node machine (one operation per processor), and
+// a name off the list panics rather than falling back to some default.
+func TestProtocolListsMatchConstructors(t *testing.T) {
+	if !slices.Contains(LockProtocols(), "reactive-nonoptimistic") {
+		t.Errorf("LockProtocols() = %v omits reactive-nonoptimistic, which MakeLock constructs", LockProtocols())
+	}
+	if l := MakeLock(seedOnly().NewMachine(4, nil), "reactive-nonoptimistic", 0).(*core.ReactiveLock); l.Optimistic {
+		t.Error("reactive-nonoptimistic built an optimistic lock")
+	}
+	for _, name := range LockProtocols() {
+		m := seedOnly().NewMachine(4, nil)
+		l := MakeLock(m, name, 3)
+		held := 0
+		ContentionLoop(m, 4, 1, func(c *machine.CPU) {
+			h := l.Acquire(c)
+			if held++; held != 1 {
+				t.Errorf("lock %s: %d holders", name, held)
+			}
+			c.Advance(10)
+			held--
+			l.Release(c, h)
+		}, uniformThink)
+	}
+	for _, name := range FopProtocols() {
+		m := seedOnly().NewMachine(4, nil)
+		f := MakeFop(m, name, 4)
+		var sum uint64
+		ContentionLoop(m, 4, 1, func(c *machine.CPU) { sum += f.FetchAdd(c, 1) }, uniformThink)
+		if sum != 0+1+2+3 {
+			t.Errorf("fop %s: fetched values sum to %d, want 6", name, sum)
+		}
+	}
+	for _, mk := range []func(){
+		func() { MakeLock(seedOnly().NewMachine(4, nil), "mcs", 0) },
+		func() { MakeFop(seedOnly().NewMachine(4, nil), "mcs-queue", 4) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("constructing an unlisted protocol name should panic")
+				}
+			}()
+			mk()
+		}()
+	}
+}
+
+// TestFigureColumnsAreCatalogNames: the protocol columns of Figures
+// 3.15, 3.16 and 3.26 are headed by the catalog names they were selected
+// by — a column picked by position could drift from its header.
+func TestFigureColumnsAreCatalogNames(t *testing.T) {
+	known := map[string][]string{
+		"fig3.15-spinlocks": LockProtocols(),
+		"fig3.15-fetchop":   FopProtocols(),
+		"fig3.16-prototype": LockProtocols(),
+		"fig3.26-messages":  append(LockProtocols(), FopProtocols()...),
+	}
+	for _, res := range parallelMatrix() {
+		names, ok := known[res.Spec.Name]
+		if !ok {
+			continue
+		}
+		delete(known, res.Spec.Name)
+		if res.Err != nil {
+			t.Fatalf("%s: %v", res.Spec.Name, res.Err)
+		}
+		for _, h := range res.Table.Header[1:] {
+			if !slices.Contains(names, h) {
+				t.Errorf("%s: column %q is not a catalog name (%v)", res.Spec.Name, h, names)
+			}
+		}
+	}
+	for name := range known {
+		t.Errorf("%s did not run", name)
+	}
+}
+
 func TestBaselineShapeFetchOp(t *testing.T) {
 	// Figure 3.15 right: lock-based wins at P=1; the combining tree wins at
 	// P=32; the reactive algorithm is near the winner at both.
 	iters := 25
-	mkTTSF := func(m *machine.Machine, _ int) fetchop.FetchOp { return fetchop.NewTTSLockFOP(m.Mem, 0) }
-	mkTree := func(m *machine.Machine, n int) fetchop.FetchOp { return fetchop.NewCombTree(m.Mem, n, 0) }
-	mkRe := func(m *machine.Machine, n int) fetchop.FetchOp { return core.NewReactiveFetchOp(m.Mem, 0, n) }
-	l1 := fopOverhead(seedOnly(), mkTTSF, 32, 1, iters)
-	t1 := fopOverhead(seedOnly(), mkTree, 32, 1, iters)
-	r1 := fopOverhead(seedOnly(), mkRe, 32, 1, iters)
+	lockBased, tree, reactive := fopCatalog.named("tts-lock"), fopCatalog.named("combining-tree"), fopCatalog.named("reactive")
+	l1 := fopOverhead(seedOnly(), lockBased, 32, 1, iters)
+	t1 := fopOverhead(seedOnly(), tree, 32, 1, iters)
+	r1 := fopOverhead(seedOnly(), reactive, 32, 1, iters)
 	if !(l1 < t1) {
 		t.Errorf("P=1: lock-based %d should beat tree %d", l1, t1)
 	}
@@ -62,9 +150,9 @@ func TestBaselineShapeFetchOp(t *testing.T) {
 	}
 	// Longer run at P=32 so the reactive algorithm's TTS→QUEUE→TREE
 	// transition transient amortizes (the paper measures steady state).
-	l32 := fopOverhead(seedOnly(), mkTTSF, 32, 32, iters)
-	t32 := fopOverhead(seedOnly(), mkTree, 32, 32, 80)
-	r32 := fopOverhead(seedOnly(), mkRe, 32, 32, 80)
+	l32 := fopOverhead(seedOnly(), lockBased, 32, 32, iters)
+	t32 := fopOverhead(seedOnly(), tree, 32, 32, 80)
+	r32 := fopOverhead(seedOnly(), reactive, 32, 32, 80)
 	if !(t32 < l32) {
 		t.Errorf("P=32: tree %d should beat lock-based %d", t32, l32)
 	}
@@ -77,14 +165,14 @@ func TestDirNNBAblation(t *testing.T) {
 	// Figure 3.2: the full-map directory reduces TTS overhead at high
 	// contention but TTS still scales poorly (stays above MCS).
 	iters := 25
-	limitless := lockOverhead(seedOnly(), mkTTS, 32, 32, iters, nil)
-	fullmap := lockOverhead(seedOnly(), mkTTS, 32, 32, iters, func(cfg *machine.Config) {
+	limitless := LockOverhead("test&test&set", 32, 32, iters)
+	fullmap := lockOverhead(seedOnly(), lockCatalog.named("test&test&set"), 32, 32, iters, uniformThink, func(cfg *machine.Config) {
 		cfg.Mem.HWPointers = -1
 	})
 	if fullmap >= limitless {
 		t.Errorf("full-map (%d) should reduce TTS overhead vs LimitLESS (%d)", fullmap, limitless)
 	}
-	mcs := lockOverhead(seedOnly(), mkMCS, 32, 32, iters, nil)
+	mcs := LockOverhead("mcs-queue", 32, 32, iters)
 	if fullmap <= mcs {
 		t.Errorf("even full-map TTS (%d) should not beat MCS (%d) at 32 procs", fullmap, mcs)
 	}
@@ -95,25 +183,18 @@ func TestMultiLockReactiveNearOptimal(t *testing.T) {
 	// factor of the simulated-optimal static assignment on mixed patterns.
 	pat := Patterns()[0] // 1 lock x32 + 32 locks x1
 	total := 2048
-	opt := multiLockElapsed(seedOnly(), pat, total, func(m *machine.Machine, contenders, home int) spinlock.Lock {
-		if contenders < 2 {
-			return spinlock.NewTTS(m.Mem, home, spinlock.DefaultBackoff)
-		}
-		return spinlock.NewMCS(m.Mem, home)
-	})
-	re := multiLockElapsed(seedOnly(), pat, total, func(m *machine.Machine, _, home int) spinlock.Lock {
-		return core.NewReactiveLock(m.Mem, home)
-	})
+	uniformly := func(proto string) Time {
+		return multiLockElapsed(seedOnly(), pat, total, func(m *machine.Machine, _, home int) spinlock.Lock {
+			return MakeLock(m, proto, home)
+		})
+	}
+	opt := multiLockElapsed(seedOnly(), pat, total, simulatedOptimal)
+	re := uniformly("reactive")
 	if float64(re) > 1.35*float64(opt) {
 		t.Errorf("reactive %d vs optimal %d: more than 35%% off", re, opt)
 	}
 	// And the reactive lock beats at least one of the static choices.
-	tas := multiLockElapsed(seedOnly(), pat, total, func(m *machine.Machine, _, home int) spinlock.Lock {
-		return spinlock.NewTAS(m.Mem, home, spinlock.DefaultBackoff)
-	})
-	mcs := multiLockElapsed(seedOnly(), pat, total, func(m *machine.Machine, _, home int) spinlock.Lock {
-		return spinlock.NewMCS(m.Mem, home)
-	})
+	tas, mcs := uniformly("test&set"), uniformly("mcs-queue")
 	if re > tas && re > mcs {
 		t.Errorf("reactive %d worse than both static choices (tas %d, mcs %d)", re, tas, mcs)
 	}
@@ -122,13 +203,10 @@ func TestMultiLockReactiveNearOptimal(t *testing.T) {
 func TestTimeVaryingMixedContention(t *testing.T) {
 	// Figure 3.21, 30-70%% contention band with long periods: the reactive
 	// lock should beat or match both passive locks.
-	mkTAS := func(m *machine.Machine) spinlock.Lock {
-		return spinlock.NewTAS(m.Mem, 0, spinlock.DefaultBackoff)
+	elapsed := func(proto string) Time {
+		return timeVaryElapsed(seedOnly(), lockCatalog.named(proto), 4096, 50, 3)
 	}
-	periods := 3
-	tas := timeVaryElapsed(seedOnly(), mkTAS, 4096, 50, periods)
-	mcs := timeVaryElapsed(seedOnly(), mkMCS, 4096, 50, periods)
-	re := timeVaryElapsed(seedOnly(), mkReactive, 4096, 50, periods)
+	tas, mcs, re := elapsed("test&set"), elapsed("mcs-queue"), elapsed("reactive")
 	worst := tas
 	if mcs > worst {
 		worst = mcs

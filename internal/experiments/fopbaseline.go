@@ -1,118 +1,48 @@
 package experiments
 
 import (
-	"fmt"
-
-	"repro/internal/core"
-	"repro/internal/fetchop"
 	"repro/internal/machine"
-	"repro/internal/spinlock"
 	"repro/internal/stats"
 )
-
-type fopMaker struct {
-	name string
-	mk   func(m *machine.Machine, nleaves int) fetchop.FetchOp
-}
-
-func baselineFopMakers() []fopMaker {
-	return []fopMaker{
-		{"tts-lock", func(m *machine.Machine, _ int) fetchop.FetchOp {
-			return fetchop.NewTTSLockFOP(m.Mem, 0)
-		}},
-		{"queue-lock", func(m *machine.Machine, _ int) fetchop.FetchOp {
-			return fetchop.NewQueueLockFOP(m.Mem, 0)
-		}},
-		{"combining-tree", func(m *machine.Machine, nleaves int) fetchop.FetchOp {
-			return fetchop.NewCombTree(m.Mem, nleaves, 0)
-		}},
-		{"reactive", func(m *machine.Machine, nleaves int) fetchop.FetchOp {
-			return core.NewReactiveFetchOp(m.Mem, 0, nleaves)
-		}},
-	}
-}
-
-func mpFopMakers() []fopMaker {
-	return []fopMaker{
-		{"mp-central", func(m *machine.Machine, _ int) fetchop.FetchOp {
-			return fetchop.NewMPCentral(0)
-		}},
-		{"mp-combining-tree", func(m *machine.Machine, nleaves int) fetchop.FetchOp {
-			return fetchop.NewMPCombTree(m, nleaves, 0)
-		}},
-	}
-}
 
 // fopOverhead runs the fetch-and-op baseline loop of Section 3.5.1 —
 // fetch&increment then think U(0,500) — and returns the average overhead
 // per operation after subtracting the 250/P test-loop latency.
-func fopOverhead(sz Sizes, mk func(m *machine.Machine, nleaves int) fetchop.FetchOp, machineProcs, contenders, iters int) Time {
+func fopOverhead(sz Sizes, mk fopMaker, machineProcs, contenders, iters int) Time {
 	m := sz.NewMachine(machineProcs, nil)
 	f := mk(m, machineProcs)
-	var end Time
-	for p := 0; p < contenders; p++ {
-		m.SpawnCPU(p, 0, "w", func(c *machine.CPU) {
-			for i := 0; i < iters; i++ {
-				f.FetchAdd(c, 1)
-				c.Advance(Time(c.Rand().Intn(500)))
-			}
-			if c.Now() > end {
-				end = c.Now()
-			}
-		})
+	end := ContentionLoop(m, contenders, iters, func(c *machine.CPU) { f.FetchAdd(c, 1) }, uniformThink)
+	return aboveLoop(end, contenders*iters, Time(250/contenders))
+}
+
+// baselineFop is baselineLock for a fetch-and-op object.
+func baselineFop(sz Sizes, header string, mk fopMaker) column {
+	return column{header, func(p int) Time {
+		return fopOverhead(sz, mk, sz.maxProcs(), p, sz.BaselineIters)
+	}}
+}
+
+// baselineFops returns one baselineFop column per named catalog protocol.
+func baselineFops(sz Sizes, protos ...string) []column {
+	var cols []column
+	for _, p := range fopCatalog.pick(protos...) {
+		cols = append(cols, baselineFop(sz, p.name, p.mk))
 	}
-	if err := m.Run(); err != nil {
-		panic(err)
-	}
-	avg := end / Time(contenders*iters)
-	loop := Time(250 / contenders)
-	if avg <= loop {
-		return 0
-	}
-	return avg - loop
+	return cols
 }
 
 // Fig3_15FetchOp regenerates the fetch-and-op half of Figure 3.15:
 // overhead per fetch&increment versus contending processors.
 func Fig3_15FetchOp(sz Sizes) *stats.Table {
-	t := &stats.Table{Header: []string{"procs"}}
-	makers := baselineFopMakers()
-	for _, mk := range makers {
-		t.Header = append(t.Header, mk.name)
-	}
-	maxP := sz.BaselineProcs[len(sz.BaselineProcs)-1]
-	for _, p := range sz.BaselineProcs {
-		row := []string{fmt.Sprintf("%d", p)}
-		for _, mk := range makers {
-			ov := fopOverhead(sz, mk.mk, maxP, p, sz.BaselineIters)
-			row = append(row, fmt.Sprintf("%d", ov))
-		}
-		t.AddRow(row...)
-	}
-	return t
+	return sweepTable(sz.BaselineProcs, baselineFops(sz, "tts-lock", "queue-lock", "combining-tree", "reactive"))
 }
 
 // Fig3_26MessagePassing regenerates Figure 3.26: shared-memory versus
-// message-passing protocols for spin locks and fetch-and-op, including the
-// reactive algorithms.
+// message-passing protocols — the MCS and message-passing queue locks,
+// then the shared-memory combining tree and the two message-passing
+// fetch-and-op kinds.
 func Fig3_26MessagePassing(sz Sizes) *stats.Table {
-	t := &stats.Table{Header: []string{"procs", "mcs-queue", "mp-queue", "combining-tree", "mp-central", "mp-combining-tree"}}
-	maxP := sz.BaselineProcs[len(sz.BaselineProcs)-1]
-	for _, p := range sz.BaselineProcs {
-		row := []string{fmt.Sprintf("%d", p)}
-		// Spin locks: shared-memory MCS vs message-passing queue lock.
-		row = append(row, fmt.Sprintf("%d", lockOverhead(sz, baselineLockMakers()[2].mk, maxP, p, sz.BaselineIters, nil)))
-		row = append(row, fmt.Sprintf("%d", lockOverhead(sz, mpLockMaker, maxP, p, sz.BaselineIters, nil)))
-		// Fetch-and-op: shared-memory combining tree vs the two MP kinds.
-		row = append(row, fmt.Sprintf("%d", fopOverhead(sz, baselineFopMakers()[2].mk, maxP, p, sz.BaselineIters)))
-		for _, mk := range mpFopMakers() {
-			row = append(row, fmt.Sprintf("%d", fopOverhead(sz, mk.mk, maxP, p, sz.BaselineIters)))
-		}
-		t.AddRow(row...)
-	}
-	return t
-}
-
-func mpLockMaker(m *machine.Machine) spinlock.Lock {
-	return spinlock.NewMPQueue(0)
+	return sweepTable(sz.BaselineProcs, append(
+		baselineLocks(sz, "mcs-queue", "mp-queue"),
+		baselineFops(sz, "combining-tree", "mp-central", "mp-combining-tree")...))
 }

@@ -9,7 +9,6 @@ package experiments
 // registry's serial==parallel contract.
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/stats"
@@ -25,17 +24,8 @@ const (
 	amEpoch   modal.Mode = 2
 )
 
-// amModeName renders a Map engine index as its public mode name.
-func amModeName(m modal.Mode) string {
-	switch m {
-	case amLocked:
-		return reactive.ModeLocked.String()
-	case amSharded:
-		return reactive.ModeSharded.String()
-	default:
-		return reactive.ModeEpoch.String()
-	}
-}
+// mapModes is the Map chain by engine index.
+var mapModes = []reactive.Mode{reactive.ModeLocked, reactive.ModeSharded, reactive.ModeEpoch}
 
 // amReadFrac is the trace's read mix: the fraction of contended sharded
 // operations that are lookups. Only contended *reads* vote the sharded
@@ -107,27 +97,5 @@ func stepMapEngine(e *modal.Engine, t *modal.Table, rng *rand.Rand, p float64) {
 // sharded between the locked table and the epoch protocol, in both
 // directions.
 func NativeMapTrace(sz Sizes) *stats.Table {
-	tab := reactive.MapTable()
-	var e modal.Engine
-	rng := rand.New(rand.NewSource(int64(sz.Seed)))
-	t := &stats.Table{Header: []string{"phase", "contention", "end-mode", "%locked", "%sharded", "%epoch", "switches"}}
-	for _, ph := range modalPhases(sz) {
-		var residency [3]int
-		before := e.Switches()
-		for i := 0; i < ph.steps; i++ {
-			stepMapEngine(&e, tab, rng, ph.p)
-			residency[e.Mode()]++
-		}
-		total := residency[0] + residency[1] + residency[2]
-		pct := func(m modal.Mode) string {
-			if total == 0 {
-				return "0.0"
-			}
-			return fmt.Sprintf("%.1f", 100*float64(residency[m])/float64(total))
-		}
-		t.AddRow(ph.name, fmt.Sprintf("%.2f", ph.p), amModeName(e.Mode()),
-			pct(amLocked), pct(amSharded), pct(amEpoch),
-			fmt.Sprintf("%d", e.Switches()-before))
-	}
-	return t
+	return modalTrace(sz, new(modal.Engine), reactive.MapTable(), mapModes, stepMapEngine)
 }

@@ -12,6 +12,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/stats"
 	"repro/reactive"
@@ -48,22 +49,77 @@ func modalPhases(sz Sizes) []modalPhase {
 	}
 }
 
-// modalTraceStats accumulates one engine drive.
-type modalTraceStats struct {
-	residency [3]int
-	switches  uint64
-}
+// stepFunc feeds the engine one synthetic detection event drawn from
+// contention level p: one primitive's detection wiring, emulated.
+type stepFunc func(e *modal.Engine, t *modal.Table, rng *rand.Rand, p float64)
 
-func (s *modalTraceStats) pct(m modal.Mode) string {
-	total := s.residency[0] + s.residency[1] + s.residency[2]
-	if total == 0 {
-		return "0.0"
+// drive steps the engine through one phase, adding the steps spent in
+// each mode to residency.
+func drive(e *modal.Engine, tab *modal.Table, step stepFunc, rng *rand.Rand, ph modalPhase, residency []int) {
+	for i := 0; i < ph.steps; i++ {
+		step(e, tab, rng, ph.p)
+		residency[e.Mode()]++
 	}
-	return fmt.Sprintf("%.1f", 100*float64(s.residency[m])/float64(total))
 }
 
-// modeName renders an engine mode with the public reactive mode names.
-func modeName(m modal.Mode) string { return (reactive.ModeCAS + reactive.Mode(m)).String() }
+// residencyPcts renders per-mode step counts as percentages of their sum.
+func residencyPcts(residency []int) []string {
+	total := 0
+	for _, n := range residency {
+		total += n
+	}
+	cells := make([]string, len(residency))
+	for i, n := range residency {
+		cells[i] = "0.0"
+		if total > 0 {
+			cells[i] = fmt.Sprintf("%.1f", 100*float64(n)/float64(total))
+		}
+	}
+	return cells
+}
+
+// pctHeaders names the residency columns of modes: "%cas", "%sharded", ...
+func pctHeaders(modes []reactive.Mode) []string {
+	hs := make([]string, len(modes))
+	for i, m := range modes {
+		hs[i] = "%" + m.String()
+	}
+	return hs
+}
+
+// traceColumn is a caller's extra column of a trace table, sampled at
+// the end of each phase.
+type traceColumn struct {
+	name string
+	at   func() string
+}
+
+// modalTrace drives e over the phased contention trace and tabulates one
+// row per phase: where the engine ended, the share of the phase's steps
+// it spent in each mode, and the transitions the phase drove. modes
+// lists the chain's public mode per engine index.
+func modalTrace(sz Sizes, e *modal.Engine, tab *modal.Table, modes []reactive.Mode, step stepFunc, extra ...traceColumn) *stats.Table {
+	rng := rand.New(rand.NewSource(int64(sz.Seed)))
+	t := &stats.Table{Header: slices.Concat([]string{"phase", "contention", "end-mode"}, pctHeaders(modes), []string{"switches"})}
+	for _, col := range extra {
+		t.Header = append(t.Header, col.name)
+	}
+	for _, ph := range modalPhases(sz) {
+		residency := make([]int, len(modes))
+		before := e.Switches()
+		drive(e, tab, step, rng, ph, residency)
+		row := slices.Concat([]string{ph.name, fmt.Sprintf("%.2f", ph.p), modes[e.Mode()].String()},
+			residencyPcts(residency), []string{fmt.Sprintf("%d", e.Switches()-before)})
+		for _, col := range extra {
+			row = append(row, col.at())
+		}
+		t.AddRow(row...)
+	}
+	return t
+}
+
+// fopModes is the native fetch-op chain by engine index.
+var fopModes = []reactive.Mode{reactive.ModeCAS, reactive.ModeSharded, reactive.ModeCombining}
 
 // stepModalEngine feeds the engine one synthetic detection event drawn
 // from contention level p, emulating FetchOp's per-mode detection
@@ -117,23 +173,7 @@ func stepModalEngine(e *modal.Engine, t *modal.Table, rng *rand.Rand, p float64)
 // mirrors the simulator's reactive fetch-and-op experiments: CAS at idle,
 // combining at saturation, and a return to CAS when contention subsides.
 func NativeFopTrace(sz Sizes) *stats.Table {
-	tab := reactive.FetchOpTable()
-	var e modal.Engine
-	rng := rand.New(rand.NewSource(int64(sz.Seed)))
-	t := &stats.Table{Header: []string{"phase", "contention", "end-mode", "%cas", "%sharded", "%combining", "switches"}}
-	for _, ph := range modalPhases(sz) {
-		var st modalTraceStats
-		before := e.Switches()
-		for i := 0; i < ph.steps; i++ {
-			stepModalEngine(&e, tab, rng, ph.p)
-			st.residency[e.Mode()]++
-		}
-		st.switches = e.Switches() - before
-		t.AddRow(ph.name, fmt.Sprintf("%.2f", ph.p), modeName(e.Mode()),
-			st.pct(nmCAS), st.pct(nmSharded), st.pct(nmCombining),
-			fmt.Sprintf("%d", st.switches))
-	}
-	return t
+	return modalTrace(sz, new(modal.Engine), reactive.FetchOpTable(), fopModes, stepModalEngine)
 }
 
 // NativeFopPolicies replays the same contention trace through the modal
@@ -156,22 +196,17 @@ func NativeFopPolicies(sz Sizes) *stats.Table {
 		{"congestion", func() policy.Policy { return policy.NewCongestion() }},
 	}
 	tab := reactive.FetchOpTable()
-	t := &stats.Table{Header: []string{"policy", "end-mode", "%cas", "%sharded", "%combining", "switches"}}
+	t := &stats.Table{Header: slices.Concat([]string{"policy", "end-mode"}, pctHeaders(fopModes), []string{"switches"})}
 	for _, pc := range pols {
 		var e modal.Engine
 		e.SetPolicy(pc.mk())
 		rng := rand.New(rand.NewSource(int64(sz.Seed)))
-		var st modalTraceStats
+		residency := make([]int, len(fopModes))
 		for _, ph := range modalPhases(sz) {
-			for i := 0; i < ph.steps; i++ {
-				stepModalEngine(&e, tab, rng, ph.p)
-				st.residency[e.Mode()]++
-			}
+			drive(&e, tab, stepModalEngine, rng, ph, residency)
 		}
-		st.switches = e.Switches()
-		t.AddRow(pc.name, modeName(e.Mode()),
-			st.pct(nmCAS), st.pct(nmSharded), st.pct(nmCombining),
-			fmt.Sprintf("%d", st.switches))
+		t.AddRow(slices.Concat([]string{pc.name, fopModes[e.Mode()].String()},
+			residencyPcts(residency), []string{fmt.Sprintf("%d", e.Switches())})...)
 	}
 	return t
 }

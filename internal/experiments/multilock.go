@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/spinlock"
 	"repro/internal/stats"
@@ -43,7 +42,7 @@ func Patterns() []Pattern {
 // release / think, for total acquisitions split evenly. mk receives the
 // number of processors that will contend for the lock it creates, so a
 // "simulated optimal" maker can statically pick the best protocol.
-func multiLockElapsed(sz Sizes, pat Pattern, total int, mk func(m *machine.Machine, contenders, home int) spinlock.Lock) Time {
+func multiLockElapsed(sz Sizes, pat Pattern, total int, mk multiLockMaker) Time {
 	const procs = 64
 	m := sz.NewMachine(procs, nil)
 	type assignment struct {
@@ -90,50 +89,37 @@ func multiLockElapsed(sz Sizes, pat Pattern, total int, mk func(m *machine.Machi
 	return end
 }
 
+// multiLockMaker builds the lock a group of contenders processors will
+// share, homed on node home.
+type multiLockMaker = func(m *machine.Machine, contenders, home int) spinlock.Lock
+
+// simulatedOptimal is the static best choice as measured on *this*
+// machine: the TTS lock wins only uncontended; from two contenders up the
+// queue lock's fair handoff wins on makespan (the TTS lock's unfairness
+// lets one processor hog the lock, stretching the slowest processor's
+// completion — the effect Section 3.5.2 discusses).
+func simulatedOptimal(m *machine.Machine, contenders, home int) spinlock.Lock {
+	if contenders < 2 {
+		return MakeLock(m, "test&test&set", home)
+	}
+	return MakeLock(m, "mcs-queue", home)
+}
+
 // Fig3_17MultipleLocks regenerates Figures 3.17-3.19: elapsed times for
 // the twelve contention patterns under four algorithms, normalized to the
 // simulated-optimal static assignment.
 func Fig3_17MultipleLocks(sz Sizes) *stats.Table {
-	t := &stats.Table{Header: []string{"pattern", "optimal(sim)", "test&set", "mcs-queue", "reactive"}}
-	algs := []struct {
-		name string
-		mk   func(m *machine.Machine, contenders, home int) spinlock.Lock
-	}{
-		{"optimal(sim)", func(m *machine.Machine, contenders, home int) spinlock.Lock {
-			// Static best choice as measured on *this* machine: the TTS
-			// lock wins only uncontended; from two contenders up the
-			// queue lock's fair handoff wins on makespan (the TTS lock's
-			// unfairness lets one processor hog the lock, stretching the
-			// slowest processor's completion — the effect Section 3.5.2
-			// discusses).
-			if contenders < 2 {
-				return spinlock.NewTTS(m.Mem, home, spinlock.DefaultBackoff)
-			}
-			return spinlock.NewMCS(m.Mem, home)
-		}},
-		{"test&set", func(m *machine.Machine, _, home int) spinlock.Lock {
-			return spinlock.NewTAS(m.Mem, home, spinlock.DefaultBackoff)
-		}},
-		{"mcs-queue", func(m *machine.Machine, _, home int) spinlock.Lock {
-			return spinlock.NewMCS(m.Mem, home)
-		}},
-		{"reactive", func(m *machine.Machine, _, home int) spinlock.Lock {
-			return core.NewReactiveLock(m.Mem, home)
-		}},
+	algs := catalog[multiLockMaker]{{"optimal(sim)", simulatedOptimal}}
+	for _, p := range lockCatalog.pick("test&set", "mcs-queue", "reactive") {
+		algs = append(algs, entry[multiLockMaker]{p.name, func(m *machine.Machine, _, home int) spinlock.Lock {
+			return p.mk(m, home)
+		}})
 	}
+	t := newNormalized(algs, "pattern")
 	for _, pat := range Patterns() {
-		var base Time
-		row := []string{pat.Name}
-		for i, alg := range algs {
-			el := multiLockElapsed(sz, pat, sz.MultiLockTotal, alg.mk)
-			if i == 0 {
-				base = el
-				row = append(row, "1.00")
-				continue
-			}
-			row = append(row, fmt.Sprintf("%.2f", float64(el)/float64(base)))
-		}
-		t.AddRow(row...)
+		t.row(func(mk multiLockMaker) Time {
+			return multiLockElapsed(sz, pat, sz.MultiLockTotal, mk)
+		}, pat.Name)
 	}
-	return t
+	return t.Table
 }

@@ -246,6 +246,26 @@ var Default = func() *Registry {
 		Run:    BarrierBaseline,
 	})
 
+	// Design-choice ablations (DESIGN.md §13).
+	r.Register(Spec{
+		Name: "ablation-optimistic-tas", Figure: "Ablation (DESIGN §13)", Tool: ToolReactsim,
+		Title:  "Ablation: reactive lock with and without the optimistic test&set",
+		Groups: []string{"ablations"},
+		Run:    ablationOptimisticTAS,
+	})
+	r.Register(Spec{
+		Name: "ablation-broadcast-invalidation", Figure: "Ablation (DESIGN §13)", Tool: ToolReactsim,
+		Title:  "Ablation: sequential vs broadcast invalidation under test&test&set",
+		Groups: []string{"ablations"},
+		Run:    ablationBroadcastInvalidation,
+	})
+	r.Register(Spec{
+		Name: "ablation-combining-patience", Figure: "Ablation (DESIGN §13)", Tool: ToolReactsim,
+		Title:  "Ablation: combining-tree patience window (cycles), overhead per operation",
+		Groups: []string{"ablations"},
+		Run:    ablationCombiningPatience,
+	})
+
 	// Native modal engine: the reactive/modal state machine behind the
 	// native FetchOp's N=3 protocol chain, driven deterministically.
 	r.Register(Spec{

@@ -9,7 +9,6 @@ package experiments
 // in the registry's serial==parallel contract.
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/stats"
@@ -26,16 +25,9 @@ const (
 	rrEpoch   modal.Mode = 2
 )
 
-// rwModeName renders a reader-registration engine index as its public
-// mode name. The fetch-op modeName helper's ModeCAS+i arithmetic would
-// map index 2 to "combining"; the reader chain's third protocol is
-// ModeEpoch.
-func rwModeName(m modal.Mode) string {
-	if m == rrEpoch {
-		return reactive.ModeEpoch.String()
-	}
-	return (reactive.ModeCAS + reactive.Mode(m)).String()
-}
+// rwModes is the reader-registration chain by engine index. (The
+// fetch-op chain's third protocol is combining; this one's is epoch.)
+var rwModes = []reactive.Mode{reactive.ModeCAS, reactive.ModeSharded, reactive.ModeEpoch}
 
 // stepRWReaderEngine feeds the engine one synthetic detection event
 // drawn from contention level p, emulating RWMutex's registration
@@ -75,29 +67,7 @@ func stepRWReaderEngine(e *modal.Engine, t *modal.Table, rng *rand.Rand, p float
 // centralized word at idle, sharded slots under read saturation, and a
 // return to the centralized word when reader contention subsides.
 func NativeRWReaderTrace(sz Sizes) *stats.Table {
-	tab := reactive.RWReaderTable()
-	var e modal.Engine
-	rng := rand.New(rand.NewSource(int64(sz.Seed)))
-	t := &stats.Table{Header: []string{"phase", "contention", "end-mode", "%cas", "%sharded", "switches"}}
-	for _, ph := range modalPhases(sz) {
-		var residency [2]int
-		before := e.Switches()
-		for i := 0; i < ph.steps; i++ {
-			stepRWReaderEngine(&e, tab, rng, ph.p)
-			residency[e.Mode()]++
-		}
-		total := residency[0] + residency[1]
-		pct := func(m modal.Mode) string {
-			if total == 0 {
-				return "0.0"
-			}
-			return fmt.Sprintf("%.1f", 100*float64(residency[m])/float64(total))
-		}
-		t.AddRow(ph.name, fmt.Sprintf("%.2f", ph.p), modeName(e.Mode()),
-			pct(rrCentral), pct(rrSharded),
-			fmt.Sprintf("%d", e.Switches()-before))
-	}
-	return t
+	return modalTrace(sz, new(modal.Engine), reactive.RWReaderTable(), rwModes[:2], stepRWReaderEngine)
 }
 
 // stepRWReaderEpochEngine feeds the engine one synthetic detection
@@ -162,27 +132,5 @@ func stepRWReaderEpochEngine(e *modal.Engine, t *modal.Table, rng *rand.Rand, p 
 // the engine always passes through sharded on the way between the
 // centralized word and epoch stamps.
 func NativeRWReaderEpochTrace(sz Sizes) *stats.Table {
-	tab := reactive.RWReaderTable()
-	var e modal.Engine
-	rng := rand.New(rand.NewSource(int64(sz.Seed)))
-	t := &stats.Table{Header: []string{"phase", "contention", "end-mode", "%cas", "%sharded", "%epoch", "switches"}}
-	for _, ph := range modalPhases(sz) {
-		var residency [3]int
-		before := e.Switches()
-		for i := 0; i < ph.steps; i++ {
-			stepRWReaderEpochEngine(&e, tab, rng, ph.p)
-			residency[e.Mode()]++
-		}
-		total := residency[0] + residency[1] + residency[2]
-		pct := func(m modal.Mode) string {
-			if total == 0 {
-				return "0.0"
-			}
-			return fmt.Sprintf("%.1f", 100*float64(residency[m])/float64(total))
-		}
-		t.AddRow(ph.name, fmt.Sprintf("%.2f", ph.p), rwModeName(e.Mode()),
-			pct(rrCentral), pct(rrSharded), pct(rrEpoch),
-			fmt.Sprintf("%d", e.Switches()-before))
-	}
-	return t
+	return modalTrace(sz, new(modal.Engine), reactive.RWReaderTable(), rwModes, stepRWReaderEpochEngine)
 }

@@ -16,10 +16,10 @@ import (
 // think) and a high-contention phase (16 processors; 100-cycle critical
 // sections, 250-cycle think). periodLen is the number of lock acquisitions
 // per period; pctContention the percentage acquired under high contention.
-func timeVaryElapsed(sz Sizes, mk func(m *machine.Machine) spinlock.Lock, periodLen, pctContention, periods int) Time {
+func timeVaryElapsed(sz Sizes, mk lockMaker, periodLen, pctContention, periods int) Time {
 	const procs = 16
 	m := sz.NewMachine(procs, nil)
-	l := mk(m)
+	l := mk(m, 0)
 	high := periodLen * pctContention / 100
 	low := periodLen - high
 	perHigh := high / procs
@@ -78,86 +78,59 @@ func timeVaryElapsed(sz Sizes, mk func(m *machine.Machine) spinlock.Lock, period
 }
 
 // timeVaryTable runs the time-varying test for the given algorithms across
-// period lengths and contention mixes, normalizing to the MCS queue lock.
-func timeVaryTable(sz Sizes, algs []struct {
-	name string
-	mk   func(m *machine.Machine) spinlock.Lock
-}) *stats.Table {
-	t := &stats.Table{Header: []string{"%cont", "period"}}
-	for _, a := range algs {
-		t.Header = append(t.Header, a.name)
-	}
-	periodLens := []int{256, 1024, 4096}
+// period lengths and contention mixes, normalizing to the first (the MCS
+// queue lock in every figure).
+func timeVaryTable(sz Sizes, algs catalog[lockMaker]) *stats.Table {
+	t := newNormalized(algs, "%cont", "period")
 	for _, pct := range []int{10, 50, 90} {
-		for _, pl := range periodLens {
-			row := []string{fmt.Sprintf("%d", pct), fmt.Sprintf("%d", pl)}
-			var mcs Time
-			for i, a := range algs {
-				el := timeVaryElapsed(sz, a.mk, pl, pct, sz.TimeVaryPeriods)
-				if i == 0 {
-					mcs = el
-					row = append(row, "1.00")
-					continue
-				}
-				row = append(row, fmt.Sprintf("%.2f", float64(el)/float64(mcs)))
-			}
-			t.AddRow(row...)
+		for _, pl := range []int{256, 1024, 4096} {
+			t.row(func(mk lockMaker) Time {
+				return timeVaryElapsed(sz, mk, pl, pct, sz.TimeVaryPeriods)
+			}, fmt.Sprintf("%d", pct), fmt.Sprintf("%d", pl))
 		}
 	}
-	return t
+	return t.Table
+}
+
+// reactiveWith is a policy variant of the catalog's reactive lock: each
+// lock built gets a fresh policy from mkPolicy.
+func reactiveWith(name string, mkPolicy func() policy.Policy) entry[lockMaker] {
+	reactive := lockCatalog.named("reactive")
+	return entry[lockMaker]{name, func(m *machine.Machine, home int) spinlock.Lock {
+		l := reactive(m, home).(*core.ReactiveLock)
+		l.Policy = mkPolicy()
+		return l
+	}}
+}
+
+// reactiveAlways is the catalog's reactive lock under the name the
+// policy figures give its default always-switch policy.
+func reactiveAlways() entry[lockMaker] {
+	return entry[lockMaker]{"reactive-always", lockCatalog.named("reactive")}
 }
 
 // Fig3_21TimeVarying regenerates Figure 3.21: test&set, MCS and the
 // reactive lock (always-switch policy) under time-varying contention,
 // normalized to MCS.
 func Fig3_21TimeVarying(sz Sizes) *stats.Table {
-	return timeVaryTable(sz, []struct {
-		name string
-		mk   func(m *machine.Machine) spinlock.Lock
-	}{
-		{"mcs-queue", func(m *machine.Machine) spinlock.Lock { return spinlock.NewMCS(m.Mem, 0) }},
-		{"test&set", func(m *machine.Machine) spinlock.Lock {
-			return spinlock.NewTAS(m.Mem, 0, spinlock.DefaultBackoff)
-		}},
-		{"reactive-always", func(m *machine.Machine) spinlock.Lock { return core.NewReactiveLock(m.Mem, 0) }},
-	})
+	return timeVaryTable(sz, append(lockCatalog.pick("mcs-queue", "test&set"), reactiveAlways()))
 }
 
 // Fig3_22Competitive regenerates Figure 3.22: the always-switch policy
 // versus the 3-competitive policy (switch when the cumulative residual
 // exceeds the 8800-cycle round-trip switching cost).
 func Fig3_22Competitive(sz Sizes) *stats.Table {
-	return timeVaryTable(sz, []struct {
-		name string
-		mk   func(m *machine.Machine) spinlock.Lock
-	}{
-		{"mcs-queue", func(m *machine.Machine) spinlock.Lock { return spinlock.NewMCS(m.Mem, 0) }},
-		{"reactive-always", func(m *machine.Machine) spinlock.Lock { return core.NewReactiveLock(m.Mem, 0) }},
-		{"reactive-3competitive", func(m *machine.Machine) spinlock.Lock {
-			l := core.NewReactiveLock(m.Mem, 0)
-			l.Policy = policy.NewCompetitive(8800)
-			return l
-		}},
-	})
+	return timeVaryTable(sz, append(lockCatalog.pick("mcs-queue"), reactiveAlways(),
+		reactiveWith("reactive-3competitive", func() policy.Policy { return policy.NewCompetitive(8800) })))
 }
 
 // Fig3_23Hysteresis regenerates Figure 3.23: hysteresis policies
 // Hysteresis(20,55), Hysteresis(500,4) and Hysteresis(4,500).
 func Fig3_23Hysteresis(sz Sizes) *stats.Table {
-	mkHyst := func(x, y uint64) func(m *machine.Machine) spinlock.Lock {
-		return func(m *machine.Machine) spinlock.Lock {
-			l := core.NewReactiveLock(m.Mem, 0)
-			l.Policy = policy.NewHysteresis(x, y)
-			return l
-		}
+	algs := lockCatalog.pick("mcs-queue")
+	for _, h := range [][2]uint64{{20, 55}, {500, 4}, {4, 500}} {
+		algs = append(algs, reactiveWith(fmt.Sprintf("hysteresis(%d,%d)", h[0], h[1]),
+			func() policy.Policy { return policy.NewHysteresis(h[0], h[1]) }))
 	}
-	return timeVaryTable(sz, []struct {
-		name string
-		mk   func(m *machine.Machine) spinlock.Lock
-	}{
-		{"mcs-queue", func(m *machine.Machine) spinlock.Lock { return spinlock.NewMCS(m.Mem, 0) }},
-		{"hysteresis(20,55)", mkHyst(20, 55)},
-		{"hysteresis(500,4)", mkHyst(500, 4)},
-		{"hysteresis(4,500)", mkHyst(4, 500)},
-	})
+	return timeVaryTable(sz, algs)
 }
