@@ -64,8 +64,8 @@ bench:
 # bench_tail.json across all scenarios. It fails on what it can decide:
 # a loadsvc test, a worker stranded past loadgen's -guard timeout, a lost
 # wakeup or a request error. The quantiles themselves are an artifact,
-# not a gate — they are ~580 µs of time.Sleep overshoot in every scenario
-# until the pacing dispatcher of ROADMAP item 4 lands.
+# not a gate — a single run's p99 is queueing noise, and a timing gate
+# waits for paired runs over primitive-attributable rows (ROADMAP item 4).
 loadtest:
 	$(GO) test -short ./internal/loadsvc/
 	$(GO) run ./cmd/loadgen -scenario all -duration 2s -json bench_tail.json

@@ -7,14 +7,12 @@
 // never wait for completions, so an overloaded service accumulates
 // queueing delay and the p99/p999 quantiles show it (the open-loop
 // methodology; DESIGN.md §7). The run prints a per-scenario summary
-// table and, with -json, writes the bench_tail/v1 document: the rich
-// per-scenario reports plus flat "tail" rows, the artifact CI's loadtest
-// job uploads.
+// table and, with -json, writes the bench_tail/v2 document — one report
+// per scenario — the artifact CI's loadtest job uploads.
 //
-// Scenarios: read-heavy, write-burst, cancellation-storm,
-// goroutine-churn, gomaxprocs-sweep (see -list or EXPERIMENTS.md's
-// "Load scenarios" table). -scenario accepts a comma-separated subset
-// or "all".
+// -list prints the scenario matrix (EXPERIMENTS.md's "Load scenarios"
+// table documents it). -scenario accepts a comma-separated subset or
+// "all".
 //
 // The exit code is nonzero when any scenario strands a worker past the
 // -guard timeout (a lost wakeup inside a primitive — must never happen)
@@ -41,8 +39,7 @@ func main() {
 	workers := flag.Int("workers", 0, "worker lanes pulling dispatched requests (0: default 16)")
 	seed := flag.Uint64("seed", 1, "base seed; per-scenario seeds derive from it")
 	guard := flag.Duration("guard", loadsvc.GuardDefault, "stranded-waiter timeout after the last arrival")
-	jsonPath := flag.String("json", "", "write the bench_tail/v1 document here")
-	virtual := flag.Bool("virtual", false, "deterministic replay instead of live driving (plan/plumbing check)")
+	jsonPath := flag.String("json", "", "write the "+loadsvc.TailSchema+" document here")
 	list := flag.Bool("list", false, "list scenarios and exit")
 	flag.Parse()
 
@@ -65,7 +62,6 @@ func main() {
 		Workers:  *workers,
 		Seed:     *seed,
 		Guard:    *guard,
-		Virtual:  *virtual,
 	}
 
 	var reports []*loadsvc.Report
@@ -75,9 +71,6 @@ func main() {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "loadgen:", err)
 			failed = true
-			if rep == nil {
-				continue
-			}
 		}
 		reports = append(reports, rep)
 		if rep.LostWaiters > 0 || rep.Errors > 0 {
@@ -88,7 +81,7 @@ func main() {
 	printSummary(reports)
 
 	if *jsonPath != "" {
-		doc := loadsvc.BuildTailDoc(reports)
+		doc := loadsvc.TailDoc{Schema: loadsvc.TailSchema, Scenarios: reports}
 		data, err := json.MarshalIndent(doc, "", "  ")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "loadgen:", err)
@@ -99,7 +92,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "loadgen:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("\nwrote %s (%d tail rows)\n", *jsonPath, len(doc.Tail))
+		fmt.Printf("\nwrote %s (%d scenarios)\n", *jsonPath, len(reports))
 	}
 
 	if failed {

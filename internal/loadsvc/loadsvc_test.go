@@ -2,10 +2,14 @@ package loadsvc
 
 import (
 	"context"
+	"encoding/json"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // shortOpts are the bounded options every test runs under: a fraction
@@ -39,57 +43,6 @@ func TestPlanDeterministic(t *testing.T) {
 		if reflect.DeepEqual(a, BuildPlan(sc, other)) {
 			t.Errorf("%s: different seeds produced the same plan", sc.Name)
 		}
-	}
-}
-
-// TestVirtualRunDeterministic is the loadgen determinism guarantee: a
-// seeded short-duration scenario replayed twice produces identical
-// request counts, class tallies, and histogram bucket totals.
-func TestVirtualRunDeterministic(t *testing.T) {
-	o := shortOpts(t)
-	o.Virtual = true
-	for _, sc := range Scenarios() {
-		a, err := Run(sc, o)
-		if err != nil {
-			t.Fatalf("%s: %v", sc.Name, err)
-		}
-		b, err := Run(sc, o)
-		if err != nil {
-			t.Fatalf("%s: %v", sc.Name, err)
-		}
-		if a.Requests == 0 {
-			t.Errorf("%s: no requests", sc.Name)
-		}
-		if a.Requests != b.Requests || a.Fresh != b.Fresh || a.Stale != b.Stale ||
-			a.Cancelled != b.Cancelled || a.Errors != b.Errors {
-			t.Errorf("%s: request counts differ between identical virtual runs:\n%+v\nvs\n%+v",
-				sc.Name, a, b)
-		}
-		if a.Hist.Buckets != b.Hist.Buckets {
-			t.Errorf("%s: histogram bucket totals differ between identical virtual runs", sc.Name)
-		}
-		if a.P50Us != b.P50Us || a.P99Us != b.P99Us || a.P999Us != b.P999Us {
-			t.Errorf("%s: quantiles differ between identical virtual runs", sc.Name)
-		}
-	}
-}
-
-// TestVirtualStormCancels checks the virtual classification path sees
-// what the live one must: the cancellation storm cancels requests, the
-// others mostly complete.
-func TestVirtualStormCancels(t *testing.T) {
-	o := shortOpts(t)
-	o.Virtual = true
-	sc, _ := Lookup("cancellation-storm")
-	rep, err := Run(sc, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Cancelled == 0 {
-		t.Error("virtual cancellation-storm cancelled nothing")
-	}
-	if rep.CancelledRate <= 0 {
-		t.Error("cancelled rate not derived")
 	}
 }
 
@@ -180,32 +133,85 @@ func TestLiveChurnSpawnsWorkers(t *testing.T) {
 	}
 }
 
-// TestLiveSweep runs the GOMAXPROCS sweep end to end (restoring the
-// setting) and checks per-setting sub-rows plus merged accounting.
+// TestLiveSweep runs both multi-variant scenarios end to end: one
+// sub-row per variant, tagged with what the variant set, the sub-rows'
+// requests summing to the merged report's, and GOMAXPROCS restored.
 func TestLiveSweep(t *testing.T) {
-	prev := runtime.GOMAXPROCS(0)
+	for _, name := range []string{"gomaxprocs-sweep", "map-read-heavy"} {
+		t.Run(name, func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(0)
+			o := shortOpts(t)
+			o.Rate = 1000
+			sc, _ := Lookup(name)
+			rep, err := Run(sc, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := runtime.GOMAXPROCS(0); got != prev {
+				t.Fatalf("run leaked GOMAXPROCS=%d (was %d)", got, prev)
+			}
+			if rep.LostWaiters != 0 {
+				t.Fatalf("lost waiters: %d", rep.LostWaiters)
+			}
+			if len(rep.Sub) != len(sc.Variants) {
+				t.Fatalf("%d sub-reports for %d variants", len(rep.Sub), len(sc.Variants))
+			}
+			var subTotal int64
+			for i, s := range rep.Sub {
+				v := sc.Variants[i]
+				wantMode := ""
+				if v.RouterMode != 0 {
+					wantMode = v.RouterMode.String()
+				}
+				if s.Procs != v.Procs || s.Mode != wantMode {
+					t.Errorf("sub-row %d tagged procs=%d mode=%q, variant is %+v", i, s.Procs, s.Mode, v)
+				}
+				subTotal += s.Requests
+			}
+			if subTotal != rep.Requests {
+				t.Errorf("sub-report requests sum to %d, merged report says %d", subTotal, rep.Requests)
+			}
+		})
+	}
+}
+
+// TestSweepGuardTripIsReported strands the sweep's second slice for
+// real — its plan opens with a rebuild that outlasts the guard, so the
+// puts queued behind it keep their lanes blocked — and checks that the
+// report returned with the stranded-waiter error says so: lost waiters
+// counted, the slice that completed before the trip merged, quantiles
+// derived from it. (The loop used to return before merging, so such a
+// run printed zero requests and zero lost waiters beside its error.)
+func TestSweepGuardTripIsReported(t *testing.T) {
 	o := shortOpts(t)
 	o.Rate = 1000
+	o.Guard = 50 * time.Millisecond
 	sc, _ := Lookup("gomaxprocs-sweep")
+	draw, plans := sc.Draw, 0
+	sc.Draw = func(at time.Duration, rng *sim.Rand) Req {
+		r := draw(at, rng)
+		if at == 0 {
+			if plans++; plans == 2 {
+				// ~0.3 s of yielding spin here; past slice + guard on any host.
+				return Req{Kind: OpRebuild, Work: 200_000_000}
+			}
+		}
+		return r
+	}
 	rep, err := Run(sc, o)
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		t.Fatal("a rebuild outlasting the guard did not trip it")
 	}
-	if got := runtime.GOMAXPROCS(0); got != prev {
-		t.Fatalf("sweep leaked GOMAXPROCS=%d (was %d)", got, prev)
+	if rep.LostWaiters == 0 {
+		line, _, _ := strings.Cut(err.Error(), "\n") // the rest is a goroutine dump
+		t.Errorf("guard tripped but the report counts no lost waiters: %s", line)
 	}
-	if len(rep.Sub) != len(sc.Procs) {
-		t.Fatalf("%d sub-reports for %d sweep settings", len(rep.Sub), len(sc.Procs))
+	if len(rep.Sub) != 2 {
+		t.Skipf("the trip came in slice %d, not the stalled second one (loaded host?)", len(rep.Sub))
 	}
-	var subTotal int64
-	for _, s := range rep.Sub {
-		subTotal += s.Requests
-	}
-	if subTotal != rep.Requests {
-		t.Errorf("sub-report requests sum to %d, merged report says %d", subTotal, rep.Requests)
-	}
-	if rep.LostWaiters != 0 {
-		t.Fatalf("lost waiters: %d", rep.LostWaiters)
+	if rep.Requests == 0 || rep.Requests != rep.Sub[0].Requests || rep.P50Us <= 0 || rep.P99Us < rep.P50Us {
+		t.Errorf("first slice completed %d requests, report has requests=%d p50=%v p99=%v",
+			rep.Sub[0].Requests, rep.Requests, rep.P50Us, rep.P99Us)
 	}
 }
 
@@ -233,39 +239,112 @@ func TestWriteBurstStaleReads(t *testing.T) {
 	}
 }
 
-// TestTailDoc pins the bench_tail/v1 row layout.
+// TestTailDoc pins the bench_tail/v2 layout: the schema tag and one
+// "scenarios" entry per report, nothing flattened beside them.
 func TestTailDoc(t *testing.T) {
-	o := shortOpts(t)
-	o.Virtual = true
 	var reports []*Report
 	for _, sc := range Scenarios() {
-		rep, err := Run(sc, o)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := newReport(sc.Name, Options{}.withDefaults(sc))
+		rep.finish()
 		reports = append(reports, rep)
 	}
-	doc := BuildTailDoc(reports)
-	if doc.Schema != TailSchema {
-		t.Fatalf("schema %q", doc.Schema)
+	data, err := json.Marshal(TailDoc{Schema: TailSchema, Scenarios: reports})
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := map[string]bool{}
-	for _, name := range ScenarioNames() {
-		for _, q := range []string{"p50", "p99", "p999", "max"} {
-			want[name+"/"+q] = true
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if string(doc["schema"]) != `"bench_tail/v2"` {
+		t.Errorf("schema %s, want \"bench_tail/v2\"", doc["schema"])
+	}
+	if _, ok := doc["tail"]; ok || len(doc) != 2 {
+		t.Errorf("document keys are not exactly schema + scenarios: %s", data)
+	}
+	var rows []struct {
+		Scenario string   `json:"scenario"`
+		P99Us    *float64 `json:"p99_us"`
+	}
+	if err := json.Unmarshal(doc["scenarios"], &rows); err != nil {
+		t.Fatal(err)
+	}
+	names := ScenarioNames()
+	if len(rows) != len(names) {
+		t.Fatalf("%d scenarios entries for %d specs", len(rows), len(names))
+	}
+	for i, row := range rows {
+		if row.Scenario != names[i] || row.P99Us == nil {
+			t.Errorf("entry %d is %q (p99_us present: %v), want %q with quantiles", i, row.Scenario, row.P99Us != nil, names[i])
 		}
 	}
-	got := map[string]bool{}
-	for _, row := range doc.Tail {
-		if got[row.Name] {
-			t.Errorf("duplicate tail row %q", row.Name)
-		}
-		got[row.Name] = true
+}
+
+// TestReportArithmetic drives absorb, merge and finish from hand-built
+// tallies — the report arithmetic with no service and no clock under it.
+func TestReportArithmetic(t *testing.T) {
+	o := Options{}.withDefaults(Spec{DefaultRate: 100})
+	// slice builds one variant's finished report from per-lane tallies,
+	// each a list of (class, latency ns) observations.
+	type obs struct {
+		class int
+		ns    int64
 	}
-	for name := range want {
-		if !got[name] {
-			t.Errorf("missing tail row %q", name)
+	slice := func(switches uint64, lanes ...[]obs) *Report {
+		r := newReport("arith", o)
+		for _, lane := range lanes {
+			tl := &tally{spawned: 1}
+			for _, ob := range lane {
+				tl.record(ob.class, ob.ns)
+			}
+			r.absorb(tl)
 		}
+		r.Primitives = map[string]PrimitiveDelta{"router": {Mode: "sharded", Switches: switches}}
+		r.finish()
+		return r
+	}
+	a := slice(3,
+		[]obs{{classFresh, 1000}, {classFresh, 2000}, {classStale, 4000}, {classCancelled, 9e9}},
+		[]obs{{classFresh, 3000}, {classError, 0}})
+	b := slice(4, []obs{{classFresh, 500}, {classStale, 250_000}, {classCancelled, 0}})
+	b.LostWaiters = 2
+
+	if a.Requests != 6 || a.Fresh != 3 || a.Stale != 1 || a.Cancelled != 1 || a.Errors != 1 || a.WorkersSpawned != 2 {
+		t.Errorf("absorbed counts wrong: %+v", a)
+	}
+	if a.MaxUs != 4 {
+		t.Errorf("a.MaxUs = %v, want 4 (a cancelled request's latency is not a completion)", a.MaxUs)
+	}
+
+	m := newReport("arith", o)
+	m.merge(a)
+	m.merge(b)
+	m.finish()
+	if m.Requests != a.Requests+b.Requests || m.Requests != m.Fresh+m.Stale+m.Cancelled+m.Errors {
+		t.Errorf("merged requests %d do not sum the slices (%d + %d) or the classes", m.Requests, a.Requests, b.Requests)
+	}
+	if m.CancelledRate != float64(m.Cancelled)/float64(m.Requests) || m.StaleRate != float64(m.Stale)/float64(m.Requests) {
+		t.Errorf("rates %v / %v do not derive from counts %d, %d of %d", m.CancelledRate, m.StaleRate, m.Cancelled, m.Stale, m.Requests)
+	}
+	if m.MaxUs != 250 || m.MaxUs != max(a.MaxUs, b.MaxUs) {
+		t.Errorf("merged MaxUs = %v, want 250: the larger slice's max, in µs", m.MaxUs)
+	}
+	for _, r := range []*Report{a, b, m} {
+		if !(0 < r.P50Us && r.P50Us <= r.P99Us && r.P99Us <= r.P999Us && r.P999Us <= r.MaxUs) {
+			t.Errorf("quantiles not monotone: p50=%v p99=%v p999=%v max=%v", r.P50Us, r.P99Us, r.P999Us, r.MaxUs)
+		}
+	}
+	if got := m.Primitives["router"].Switches; got != 7 {
+		t.Errorf("router switches %d, want 3+4 summed across variants", got)
+	}
+	if m.LostWaiters != 2 || m.WorkersSpawned != 3 {
+		t.Errorf("lost=%d spawned=%d, want 2 and 3", m.LostWaiters, m.WorkersSpawned)
+	}
+	// finish derives from the accumulators, so it can run again.
+	before := *m
+	m.finish()
+	if m.MaxUs != before.MaxUs || m.P99Us != before.P99Us || m.Requests != before.Requests {
+		t.Errorf("second finish moved the report: max %v→%v", before.MaxUs, m.MaxUs)
 	}
 }
 

@@ -1,11 +1,6 @@
 package loadsvc
 
-import (
-	"fmt"
-	"time"
-
-	"repro/internal/stats"
-)
+import "repro/internal/stats"
 
 // Report is one scenario run's result set: request accounting, the
 // open-loop latency quantiles, the service-side aggregates, and the
@@ -17,7 +12,6 @@ type Report struct {
 	RatePerSec      int     `json:"rate_per_sec"`
 	DurationSeconds float64 `json:"duration_seconds"`
 	Workers         int     `json:"workers"`
-	Virtual         bool    `json:"virtual,omitempty"`
 
 	Requests       int64 `json:"requests"`
 	Fresh          int64 `json:"fresh"`
@@ -51,13 +45,17 @@ type Report struct {
 	// scraped through /debug/reactive.
 	Primitives map[string]PrimitiveDelta `json:"primitives,omitempty"`
 
-	// Sub holds per-GOMAXPROCS rows for sweep scenarios.
+	// Sub holds one row per variant for multi-variant scenarios.
 	Sub []SubReport `json:"sub,omitempty"`
 
 	// Hist is the merged latency histogram (nanosecond log₂ buckets);
 	// quantiles above derive from it. Not serialized: the JSON schema
 	// carries the quantiles, the tests compare the buckets.
 	Hist *stats.WaitProfile `json:"-"`
+
+	// maxNs is the largest completed latency, nanoseconds like Hist;
+	// finish derives MaxUs from it, so MaxUs is microseconds only.
+	maxNs float64
 }
 
 // PrimitiveDelta summarizes one primitive's scraped telemetry over the
@@ -72,9 +70,9 @@ type PrimitiveDelta struct {
 	ReaderSwitches uint64 `json:"reader_switches,omitempty"`
 }
 
-// SubReport is one slice of a sweep scenario: a GOMAXPROCS setting
-// (Procs) or a forced routing-map protocol (Mode), whichever the sweep
-// varies.
+// SubReport is one variant's slice of a multi-variant scenario, tagged
+// with what the variant set: a GOMAXPROCS setting (Procs) or a forced
+// routing-map protocol (Mode).
 type SubReport struct {
 	Procs    int     `json:"procs,omitempty"`
 	Mode     string  `json:"mode,omitempty"`
@@ -91,7 +89,6 @@ func newReport(scenario string, o Options) *Report {
 		RatePerSec:      o.Rate,
 		DurationSeconds: o.Duration.Seconds(),
 		Workers:         o.Workers,
-		Virtual:         o.Virtual,
 		Hist:            &stats.WaitProfile{Name: scenario},
 	}
 }
@@ -106,12 +103,10 @@ func (r *Report) absorb(t *tally) {
 	for i, c := range t.hist.Buckets {
 		r.Hist.Buckets[i] += c
 	}
-	if m := t.hist.Sample.Max(); m > r.MaxUs {
-		r.MaxUs = m // still in ns here; finish converts
-	}
+	r.maxNs = max(r.maxNs, t.hist.Sample.Max())
 }
 
-// merge folds a completed sub-run into an aggregate report (sweeps).
+// merge folds one variant's run into the scenario's report.
 func (r *Report) merge(sub *Report) {
 	r.Seed = sub.Seed
 	r.Fresh += sub.Fresh
@@ -121,15 +116,11 @@ func (r *Report) merge(sub *Report) {
 	r.WorkersSpawned += sub.WorkersSpawned
 	r.LostWaiters += sub.LostWaiters
 	r.HitCount += sub.HitCount
-	if sub.PeakLatencyNs > r.PeakLatencyNs {
-		r.PeakLatencyNs = sub.PeakLatencyNs
-	}
+	r.PeakLatencyNs = max(r.PeakLatencyNs, sub.PeakLatencyNs)
 	for i, c := range sub.Hist.Buckets {
 		r.Hist.Buckets[i] += c
 	}
-	if sub.MaxUs*1000 > r.MaxUs { // sub is finished (µs); r.MaxUs still ns
-		r.MaxUs = sub.MaxUs * 1000
-	}
+	r.maxNs = max(r.maxNs, sub.maxNs)
 	if r.Primitives == nil {
 		r.Primitives = make(map[string]PrimitiveDelta, len(sub.Primitives))
 	}
@@ -144,8 +135,7 @@ func (r *Report) merge(sub *Report) {
 }
 
 // finish derives the counters and quantiles that depend on the full
-// merged histogram. MaxUs is accumulated in nanoseconds during
-// absorb/merge and converted here.
+// merged histogram.
 func (r *Report) finish() {
 	r.Requests = r.Fresh + r.Stale + r.Cancelled + r.Errors
 	if r.Requests > 0 {
@@ -153,7 +143,7 @@ func (r *Report) finish() {
 		r.StaleRate = float64(r.Stale) / float64(r.Requests)
 	}
 	const us = 1000.0
-	r.MaxUs /= us
+	r.MaxUs = r.maxNs / us
 	// A quantile interpolated inside the top bucket can land past the
 	// true maximum (the bucket's ceiling is its upper bound); clamp so
 	// the reported trajectory stays monotone: p50 ≤ p99 ≤ p999 ≤ max.
@@ -168,61 +158,12 @@ func (r *Report) finish() {
 	r.P999Us = clamp(r.Hist.Quantile(0.999) / us)
 }
 
-// TailRow is one measurement of the tail-latency trajectory: a
-// slash-separated name and a value in microseconds — a flat unit two
-// documents can be diffed by.
-type TailRow struct {
-	Name string  `json:"name"`
-	Us   float64 `json:"us"`
-}
-
-// TailRows flattens the report's quantiles into gate rows:
-// scenario/p50, /p99, /p999, /max, plus per-slice rows for sweep
-// sub-reports (scenario/procs=N/p99 for GOMAXPROCS sweeps,
-// scenario/mode=epoch/p99 for routing-map protocol sweeps).
-func (r *Report) TailRows() []TailRow {
-	rows := []TailRow{
-		{r.Scenario + "/p50", r.P50Us},
-		{r.Scenario + "/p99", r.P99Us},
-		{r.Scenario + "/p999", r.P999Us},
-		{r.Scenario + "/max", r.MaxUs},
-	}
-	for _, s := range r.Sub {
-		prefix := fmt.Sprintf("%s/procs=%d/", r.Scenario, s.Procs)
-		if s.Mode != "" {
-			prefix = fmt.Sprintf("%s/mode=%s/", r.Scenario, s.Mode)
-		}
-		rows = append(rows,
-			TailRow{prefix + "p50", s.P50Us},
-			TailRow{prefix + "p99", s.P99Us},
-			TailRow{prefix + "p999", s.P999Us},
-			TailRow{prefix + "max", s.MaxUs},
-		)
-	}
-	return rows
-}
-
-// TailDoc is the bench_tail.json document: the rich per-scenario
-// reports plus the flat µs rows. Schema names the layout
-// so future format changes stay detectable.
+// TailDoc is the bench_tail.json document: one report per scenario
+// run. Schema names the layout so format changes stay detectable.
 type TailDoc struct {
 	Schema    string    `json:"schema"`
 	Scenarios []*Report `json:"scenarios"`
-	Tail      []TailRow `json:"tail"`
 }
 
 // TailSchema is the current bench_tail.json schema tag.
-const TailSchema = "bench_tail/v1"
-
-// BuildTailDoc assembles the document for a set of scenario reports.
-func BuildTailDoc(reports []*Report) *TailDoc {
-	doc := &TailDoc{Schema: TailSchema, Scenarios: reports}
-	for _, r := range reports {
-		doc.Tail = append(doc.Tail, r.TailRows()...)
-	}
-	return doc
-}
-
-// GuardDefault is the default stranded-waiter guard, exported for
-// cmd/loadgen's flag help.
-const GuardDefault = 10 * time.Second
+const TailSchema = "bench_tail/v2"

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/stats"
 	"repro/internal/watchdog"
+	"repro/reactive"
 	"repro/reactive/reactivehttp"
 )
 
@@ -48,86 +49,43 @@ type item struct {
 	due time.Time
 }
 
-// Run executes scenario sc under o and reports the run. Virtual options
-// replay the plan deterministically (see runVirtual); a Spec with a
-// Procs sweep runs the plan once per GOMAXPROCS setting and merges.
+// Run executes scenario sc under o: the plan is driven once per variant
+// (once, setting nothing, for a scenario with none) against a fresh
+// service, the duration split evenly, and the slices' counts and
+// histograms merge into one report; a multi-variant scenario also keeps
+// each slice's quantiles in Report.Sub. A slice is merged before its
+// error is looked at, so a run the stranded-waiter guard cut short still
+// reports its lost waiters and the slices that completed.
 func Run(sc Spec, o Options) (*Report, error) {
 	o = o.withDefaults(sc)
-	if o.Virtual {
-		return runVirtual(sc, o), nil
+	variants := sc.Variants
+	if len(variants) == 0 {
+		variants = []Variant{{}}
 	}
-	if len(sc.Procs) > 0 {
-		return runSweep(sc, o)
-	}
-	if len(sc.RouterModes) > 0 {
-		return runModeSweep(sc, o)
-	}
-	return runLive(sc, o)
-}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
-// runModeSweep splits the duration across the sweep's forced routing-map
-// protocols, runs the (identical) plan once per protocol against a fresh
-// service, and merges; per-protocol quantiles land in Report.Sub tagged
-// with the forced mode. The GOMAXPROCS analogue of runSweep, but the
-// variable is the Map's protocol, not the host's parallelism.
-func runModeSweep(sc Spec, o Options) (*Report, error) {
 	sub := o
-	sub.Duration = o.Duration / time.Duration(len(sc.RouterModes))
-	flat := sc
-	flat.RouterModes = nil
-
+	sub.Duration = o.Duration / time.Duration(len(variants))
 	merged := newReport(sc.Name, o)
-	for _, mode := range sc.RouterModes {
-		flat.RouterMode = mode
-		r, err := runLive(flat, sub)
+	defer merged.finish()
+	for _, v := range variants {
+		if v.Procs > 0 {
+			runtime.GOMAXPROCS(v.Procs)
+		}
+		r, err := runLive(sc, v.RouterMode, sub)
+		merged.merge(r)
+		if len(variants) > 1 {
+			s := SubReport{Procs: v.Procs, Requests: r.Requests,
+				P50Us: r.P50Us, P99Us: r.P99Us, P999Us: r.P999Us, MaxUs: r.MaxUs}
+			if v.RouterMode != 0 {
+				s.Mode = v.RouterMode.String()
+			}
+			merged.Sub = append(merged.Sub, s)
+		}
 		if err != nil {
 			return merged, err
 		}
-		merged.merge(r)
-		merged.Sub = append(merged.Sub, SubReport{
-			Mode:     mode.String(),
-			Requests: r.Requests,
-			P50Us:    r.P50Us,
-			P99Us:    r.P99Us,
-			P999Us:   r.P999Us,
-			MaxUs:    r.MaxUs,
-		})
 	}
-	merged.finish()
-	return merged, nil
-}
-
-// runSweep splits the duration across the sweep's GOMAXPROCS settings,
-// runs the (identical) plan once per setting against a fresh service,
-// and merges counts and histograms; per-setting quantiles land in
-// Report.Sub.
-func runSweep(sc Spec, o Options) (*Report, error) {
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-
-	sub := o
-	sub.Duration = o.Duration / time.Duration(len(sc.Procs))
-	flat := sc
-	flat.Procs = nil
-
-	merged := newReport(sc.Name, o)
-	for _, procs := range sc.Procs {
-		runtime.GOMAXPROCS(procs)
-		r, err := runLive(flat, sub)
-		if err != nil {
-			return merged, err
-		}
-		merged.merge(r)
-		merged.Sub = append(merged.Sub, SubReport{
-			Procs:    procs,
-			Requests: r.Requests,
-			P50Us:    r.P50Us,
-			P99Us:    r.P99Us,
-			P999Us:   r.P999Us,
-			MaxUs:    r.MaxUs,
-		})
-	}
-	merged.finish()
 	return merged, nil
 }
 
@@ -138,17 +96,21 @@ func runSweep(sc Spec, o Options) (*Report, error) {
 // execute, and latency is measured from the scheduled arrival — the
 // queueing delay of an overloaded service is part of the measurement.
 // Primitive telemetry is scraped through a real reactivehttp endpoint
-// before and after the run.
-func runLive(sc Spec, o Options) (*Report, error) {
+// before and after the run. The report is never nil, and is finished
+// whatever the error.
+func runLive(sc Spec, mode reactive.Mode, o Options) (*Report, error) {
 	plan := BuildPlan(sc, o)
-	svc := NewServiceFor(sc)
+	svc := NewServiceFor(mode)
+	rep := newReport(sc.Name, o)
+	rep.Seed = plan.Seed
+	defer rep.finish()
 
 	mux := http.NewServeMux()
 	reactivehttp.Handle(mux, svc.Registry())
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 	if _, err := scrape(srv.URL); err != nil { // baseline poll: deltas start here
-		return nil, err
+		return rep, err
 	}
 
 	work := make(chan item, len(plan.Reqs))
@@ -163,15 +125,15 @@ func runLive(sc Spec, o Options) (*Report, error) {
 	start := time.Now()
 	for _, r := range plan.Reqs {
 		due := start.Add(r.At)
-		if d := time.Until(due); d > 0 {
-			time.Sleep(d)
+		// Spin, yielding, to the arrival instant: a sleep cannot pace
+		// sub-millisecond arrivals (DESIGN.md §7 has this host's timer
+		// numbers), and its overshoot would sit under every quantile.
+		for time.Until(due) > 0 {
+			runtime.Gosched()
 		}
 		work <- item{req: r, due: due}
 	}
 	close(work)
-
-	rep := newReport(sc.Name, o)
-	rep.Seed = plan.Seed
 
 	// The stranded-waiter guard: every lane must drain within Guard of
 	// the last arrival. A lane that never returns means a waiter was
@@ -185,7 +147,6 @@ func runLive(sc Spec, o Options) (*Report, error) {
 			svc.Hits(), svc.JournalLen(), svc.PeakLatency())
 	}); err != nil {
 		rep.LostWaiters = o.Workers // at least one; lanes cannot be inspected safely
-		rep.finish()
 		return rep, fmt.Errorf("loadsvc: %s: worker fleet still blocked %v after the last arrival (stranded waiter?): %w",
 			sc.Name, o.Guard, err)
 	}
@@ -198,10 +159,9 @@ func runLive(sc Spec, o Options) (*Report, error) {
 
 	final, err := scrape(srv.URL)
 	if err != nil {
-		return nil, err
+		return rep, err
 	}
 	rep.Primitives = primitiveDeltas(final)
-	rep.finish()
 	return rep, nil
 }
 
@@ -255,30 +215,24 @@ func execute(svc *Service, it item, t *tally) {
 		ctx = c
 	}
 
-	class := classError
+	var res GetResult
+	var err error
+	class := classFresh
 	switch it.req.Kind {
 	case OpGet:
-		res, err := svc.Get(ctx, it.req.Key, it.req.Work)
-		switch {
-		case err != nil:
-			class = classCancelled
-		case res.Stale:
-			class = classStale
-		default:
-			class = classFresh
-		}
+		res, err = svc.Get(ctx, it.req.Key, it.req.Work)
 	case OpPut:
-		if err := svc.Put(ctx, it.req.Key, it.req.Val, it.req.Work); err != nil {
-			class = classCancelled
-		} else {
-			class = classFresh
-		}
+		err = svc.Put(ctx, it.req.Key, it.req.Val, it.req.Work)
 	case OpRebuild:
-		if err := svc.Rebuild(ctx, it.req.Val, it.req.Work); err != nil {
-			class = classCancelled
-		} else {
-			class = classFresh
-		}
+		err = svc.Rebuild(ctx, it.req.Val, it.req.Work)
+	default:
+		class = classError
+	}
+	switch {
+	case err != nil:
+		class = classCancelled
+	case res.Stale:
+		class = classStale
 	}
 
 	latNs := time.Since(it.due).Nanoseconds()

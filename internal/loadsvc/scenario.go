@@ -3,7 +3,6 @@ package loadsvc
 import (
 	"math"
 	"runtime"
-	"sort"
 	"time"
 
 	"repro/internal/experiments"
@@ -45,13 +44,22 @@ type Req struct {
 // test keeps the two lists identical.
 type Spec struct {
 	Name        string
-	Mix         string          // op mix, one line, for -list and the docs table
-	Stress      string          // what the scenario is designed to expose
-	DefaultRate int             // arrivals per second when Options.Rate == 0
-	ChurnEvery  int             // > 0: worker goroutines retire after this many requests
-	Procs       []int           // non-empty: run the plan once per GOMAXPROCS setting
-	RouterMode  reactive.Mode   // nonzero: force the routing map's initial protocol
-	RouterModes []reactive.Mode // non-empty: run the plan once per forced routing-map protocol
+	Mix         string    // op mix, one line, for -list and the docs table
+	Stress      string    // what the scenario is designed to expose
+	DefaultRate int       // arrivals per second when Options.Rate == 0
+	ChurnEvery  int       // > 0: worker goroutines retire after this many requests
+	Variants    []Variant // non-empty: the plan runs once per variant, the duration split evenly
+	// Draw draws the request arriving at offset at. All randomness
+	// comes from rng, in a fixed per-request draw order, so the plan is
+	// reproducible.
+	Draw func(at time.Duration, rng *sim.Rand) Req
+}
+
+// Variant is what one slice of a scenario's run sets before driving
+// the (identical) plan against a fresh service; zero fields set nothing.
+type Variant struct {
+	Procs      int           // > 0: GOMAXPROCS for the slice
+	RouterMode reactive.Mode // nonzero: force the routing map's initial protocol
 }
 
 // Scenarios returns the load-scenario matrix in its canonical order.
@@ -62,25 +70,29 @@ func Scenarios() []Spec {
 			Mix:         "95% get (2ms deadline) / 5% put",
 			Stress:      "reader-path adaptivity: sharded registration and spin/park under steady load",
 			DefaultRate: 3000,
+			Draw:        readHeavyMix,
 		},
 		{
 			Name:        "read-heavy-epoch",
 			Mix:         "95% get (2ms deadline) / 5% put; routing map forced to epoch",
 			Stress:      "epoch-stamp read path and writer grace periods under steady load",
 			DefaultRate: 3000,
-			RouterMode:  reactive.ModeEpoch,
+			Variants:    []Variant{{RouterMode: reactive.ModeEpoch}},
+			Draw:        readHeavyMix,
 		},
 		{
 			Name:        "write-burst",
 			Mix:         "steady 90/10 get/put; every 250ms a 40ms burst of puts + bulk rebuilds",
 			Stress:      "stale-snapshot degradation while rebuilds hold the write lock",
 			DefaultRate: 2500,
+			Draw:        writeBurstMix,
 		},
 		{
 			Name:        "cancellation-storm",
 			Mix:         "70% get with client disconnects (3% pre-cancelled) / 20% put / 10% rebuild",
 			Stress:      "LockCtx/RLockCtx cancellation racing handoffs; zero lost wakeups required",
 			DefaultRate: 2500,
+			Draw:        stormMix,
 		},
 		{
 			Name:        "goroutine-churn",
@@ -88,20 +100,23 @@ func Scenarios() []Spec {
 			Stress:      "park/wake and per-P affinity under constantly fresh goroutine identities",
 			DefaultRate: 2500,
 			ChurnEvery:  32,
+			Draw:        readHeavyMix,
 		},
 		{
 			Name:        "gomaxprocs-sweep",
 			Mix:         "read-heavy mix repeated at GOMAXPROCS 1, 2, 4 (and NumCPU if larger)",
 			Stress:      "trajectory of the same workload across parallelism levels",
 			DefaultRate: 2000,
-			Procs:       sweepProcs(),
+			Variants:    sweepProcs(),
+			Draw:        readHeavyMix,
 		},
 		{
 			Name:        "map-read-heavy",
 			Mix:         "95% get (2ms deadline) / 5% put, repeated with the routing map forced to locked, sharded, and epoch",
 			Stress:      "the same mix across all three Map protocols; epoch's published-table reads should erase degraded reads",
 			DefaultRate: 3000,
-			RouterModes: []reactive.Mode{reactive.ModeLocked, reactive.ModeSharded, reactive.ModeEpoch},
+			Variants:    []Variant{{RouterMode: reactive.ModeLocked}, {RouterMode: reactive.ModeSharded}, {RouterMode: reactive.ModeEpoch}},
+			Draw:        readHeavyMix,
 		},
 	}
 }
@@ -129,26 +144,28 @@ func Lookup(name string) (Spec, bool) {
 // sweepProcs is the GOMAXPROCS sweep set: the fixed rungs 1, 2, 4 so
 // documents stay row-comparable across hosts, plus the host's NumCPU
 // when it is larger (that row is host-specific).
-func sweepProcs() []int {
-	procs := []int{1, 2, 4}
+func sweepProcs() []Variant {
+	vs := []Variant{{Procs: 1}, {Procs: 2}, {Procs: 4}}
 	if n := runtime.NumCPU(); n > 4 {
-		procs = append(procs, n)
+		vs = append(vs, Variant{Procs: n})
 	}
-	sort.Ints(procs)
-	return procs
+	return vs
 }
 
 // Options shape one scenario run. The zero value means "scenario
 // defaults": DefaultRate arrivals/sec, 2s duration, 16 workers, seed 1,
-// a 10s stranded-waiter guard, live execution.
+// a GuardDefault stranded-waiter guard.
 type Options struct {
 	Rate     int           // arrivals per second (0: Spec.DefaultRate)
 	Duration time.Duration // scheduled arrival window (0: 2s)
 	Workers  int           // concurrent worker lanes (0: 16)
 	Seed     uint64        // base seed; per-scenario seeds derive from it (0: 1)
-	Virtual  bool          // replay deterministically instead of driving the live service
-	Guard    time.Duration // stranded-waiter timeout after the last arrival (0: 10s)
+	Guard    time.Duration // stranded-waiter timeout after the last arrival (0: GuardDefault)
 }
+
+// GuardDefault is the default stranded-waiter guard, exported for
+// cmd/loadgen's flag help.
+const GuardDefault = 10 * time.Second
 
 func (o Options) withDefaults(sc Spec) Options {
 	if o.Rate == 0 {
@@ -164,7 +181,7 @@ func (o Options) withDefaults(sc Spec) Options {
 		o.Seed = 1
 	}
 	if o.Guard == 0 {
-		o.Guard = 10 * time.Second
+		o.Guard = GuardDefault
 	}
 	return o
 }
@@ -206,7 +223,7 @@ func BuildPlan(sc Spec, o Options) Plan {
 	p.Reqs = make([]Req, 0, n)
 	for i := 0; i < n; i++ {
 		at := time.Duration(i) * step
-		r := buildReq(sc.Name, at, rng)
+		r := sc.Draw(at, rng)
 		r.At = at
 		p.Reqs = append(p.Reqs, r)
 	}
@@ -234,48 +251,46 @@ const (
 	cancelMean  = 300 * time.Microsecond
 )
 
-// buildReq draws one request for scenario name arriving at offset at.
-// All randomness comes from rng, in a fixed per-request draw order, so
-// the plan is reproducible.
-func buildReq(name string, at time.Duration, rng *sim.Rand) Req {
-	switch name {
-	case "read-heavy", "read-heavy-epoch", "goroutine-churn", "gomaxprocs-sweep", "map-read-heavy":
-		if rng.Intn(100) < 95 {
-			return getReq(rng, readDeadline)
-		}
-		return putReq(rng)
-	case "write-burst":
-		if at%burstPeriod < burstLen {
-			switch d := rng.Intn(100); {
-			case d < 40:
-				return putReq(rng)
-			case d < 45:
-				return rebuildReq(rng)
-			default:
-				return getReq(rng, burstDeadline)
-			}
-		}
-		if rng.Intn(100) < 10 {
-			return putReq(rng)
-		}
-		return getReq(rng, burstDeadline)
-	case "cancellation-storm":
+// readHeavyMix is the steady 95/5 get/put mix five scenarios share;
+// they differ in what runs it (churn, variants), not in the plan's shape.
+func readHeavyMix(_ time.Duration, rng *sim.Rand) Req {
+	if rng.Intn(100) < 95 {
+		return getReq(rng, readDeadline)
+	}
+	return putReq(rng)
+}
+
+func writeBurstMix(at time.Duration, rng *sim.Rand) Req {
+	if at%burstPeriod < burstLen {
 		switch d := rng.Intn(100); {
-		case d < 70:
-			r := getReq(rng, 0)
-			if rng.Intn(100) < 3 {
-				r.CancelNow = true
-			} else {
-				r.CancelAfter = cancelFloor + time.Duration(expDraw(rng)*float64(cancelMean))
-			}
-			return r
-		case d < 90:
+		case d < 40:
 			return putReq(rng)
-		default:
+		case d < 45:
 			return rebuildReq(rng)
+		default:
+			return getReq(rng, burstDeadline)
 		}
+	}
+	if rng.Intn(100) < 10 {
+		return putReq(rng)
+	}
+	return getReq(rng, burstDeadline)
+}
+
+func stormMix(_ time.Duration, rng *sim.Rand) Req {
+	switch d := rng.Intn(100); {
+	case d < 70:
+		r := getReq(rng, 0)
+		if rng.Intn(100) < 3 {
+			r.CancelNow = true
+		} else {
+			r.CancelAfter = cancelFloor + time.Duration(expDraw(rng)*float64(cancelMean))
+		}
+		return r
+	case d < 90:
+		return putReq(rng)
 	default:
-		panic("loadsvc: unknown scenario " + name)
+		return rebuildReq(rng)
 	}
 }
 

@@ -67,18 +67,18 @@ type Service struct {
 // NewService builds a Service with a fully populated routing table, a
 // published snapshot, and all four primitives registered for telemetry
 // under the names "router", "journal", "hits", and "peak".
-func NewService() *Service { return NewServiceFor(Spec{}) }
+func NewService() *Service { return NewServiceFor(0) }
 
-// NewServiceFor builds a Service shaped by scenario sc: a nonzero
-// Spec.RouterMode starts the routing map in that protocol (ModeLocked,
-// ModeSharded, or ModeEpoch — the epoch scenarios force ModeEpoch so
-// the harness measures the published-table read path regardless of
-// whether the host's parallelism would promote it). The map stays fully
-// adaptive afterward — the forcing is an initial condition, not a pin.
-func NewServiceFor(sc Spec) *Service {
+// NewServiceFor builds a Service whose routing map starts in protocol
+// mode when that is nonzero (ModeLocked, ModeSharded, or ModeEpoch — the
+// epoch scenarios force ModeEpoch so the harness measures the
+// published-table read path regardless of whether the host's
+// parallelism would promote it). The map stays fully adaptive
+// afterward — the forcing is an initial condition, not a pin.
+func NewServiceFor(mode reactive.Mode) *Service {
 	var ropts []reactive.Option
-	if sc.RouterMode != 0 {
-		ropts = append(ropts, reactive.WithInitialMode(sc.RouterMode))
+	if mode != 0 {
+		ropts = append(ropts, reactive.WithInitialMode(mode))
 	}
 	s := &Service{
 		routes:  reactive.NewMap[uint64, uint64](ropts...),

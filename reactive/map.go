@@ -300,7 +300,13 @@ func (mp *Map[K, V]) noteLocked(contended bool) {
 // with a grace period.
 func (mp *Map[K, V]) noteSharded(contended, read bool) {
 	if !contended {
-		mp.eng.Good(mapModeTable, mapSharded, mapEpoch)
+		// One policy event per observation: through the two-direction
+		// Policy interface an Optimal on the up-edge would erase the
+		// down-pressure the previous vote raised, and the map would
+		// never demote. Built-in streaks are per edge, so they take both.
+		if mp.eng.Policy() == nil {
+			mp.eng.Good(mapModeTable, mapSharded, mapEpoch)
+		}
 		if mp.eng.Vote(mapModeTable, mapSharded, mapLocked, mp.cfg.emptyLim()) {
 			mp.switchMap(mapSharded, mapLocked)
 		}

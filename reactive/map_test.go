@@ -172,6 +172,41 @@ func TestMapDemotesWhenUncontended(t *testing.T) {
 	}
 }
 
+// TestMapShardedDemotesUnderInjectedPolicy pins the same walk-down with
+// an injected policy in charge: an uncontended sharded operation is one
+// policy event (the down-vote), not an Optimal that erases the pressure
+// the previous operation's vote raised — with both, a two-direction
+// policy never accumulated a streak and the map stayed sharded forever.
+func TestMapShardedDemotesUnderInjectedPolicy(t *testing.T) {
+	cases := []struct {
+		name string
+		opts []Option
+	}{
+		{"builtin", nil},
+		{"hysteresis(3,8)", []Option{WithPolicy(policy.NewHysteresis(3, 8))}},
+		{"hysteresis(3,2)", []Option{WithPolicy(policy.NewHysteresis(3, 2))}},
+		{"congestion", []Option{WithPolicy(policy.NewCongestion())}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMap[int, int](append([]Option{WithInitialMode(ModeSharded)}, tc.opts...)...)
+			m.Put(1, 1)
+			const budget = 1000 // every case demotes within 16 operations here
+			ops := 0
+			for ; ops < budget && m.Stats().Mode != ModeLocked; ops++ {
+				m.Get(1)
+			}
+			if got := m.Stats().Mode; got != ModeLocked {
+				t.Fatalf("mode = %v after %d uncontended operations, want locked", got, budget)
+			}
+			t.Logf("locked after the Put and %d Gets", ops)
+			if err := m.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestMapRangeReentrant(t *testing.T) {
 	m := NewMap[int, int](WithInitialMode(ModeEpoch), WithEmptyLimit(1<<20))
 	for i := 0; i < 8; i++ {
