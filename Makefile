@@ -96,8 +96,13 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzWaitqOps -fuzztime $(FUZZTIME) ./reactive/internal/waitq/
 	$(GO) test -run '^$$' -fuzz FuzzEngineTransitions -fuzztime $(FUZZTIME) ./reactive/modal/
 
+# The grep keeps detection spelled once: which observation votes for
+# which edge is the tables' On column behind modal.Engine.Observe, so a
+# hand-wired Vote/Good call in the primitives or the experiment traces
+# is a second spelling coming back.
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -nE '\.(Vote|Good)\(' reactive/*.go internal/experiments/*.go | grep -v _test.go)"; if [ -n "$$out" ]; then echo "hand-wired detection (use Engine.Observe):"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 
 # The CI docs job: documentation that tests can check. The experiment

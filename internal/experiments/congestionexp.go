@@ -28,7 +28,7 @@ func NativeCongestionTrace(sz Sizes) *stats.Table {
 	var e modal.Engine
 	pol := policy.NewCongestion()
 	e.SetPolicy(pol)
-	return modalTrace(sz, &e, reactive.FetchOpTable(), fopModes, stepModalEngine,
+	return fopChain.trace(sz, &e,
 		traceColumn{"window", func() string { return fmt.Sprintf("%d", pol.Window()) }},
 		traceColumn{"srtt", func() string { return fmt.Sprintf("%d", pol.SRTT()) }})
 }

@@ -21,14 +21,13 @@ func TestCongestionInstanceDrivesSimAndNative(t *testing.T) {
 	pol := policy.NewCongestion()
 
 	// Half 1: the simulator-style drive of the registry experiment.
-	tab := reactive.FetchOpTable()
 	var e modal.Engine
 	e.SetPolicy(pol)
 	sz := Tiny()
 	rng := rand.New(rand.NewSource(int64(sz.Seed)))
 	for _, ph := range modalPhases(sz) {
 		for i := 0; i < ph.steps; i++ {
-			stepModalEngine(&e, tab, rng, ph.p)
+			fopChain.step(&e, rng, ph.p)
 		}
 	}
 	if e.Switches() == 0 {

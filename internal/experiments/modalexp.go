@@ -1,9 +1,13 @@
 package experiments
 
-// Native fetch-and-op modal experiments: deterministic drives of the
-// reactive/modal engine over the native FetchOp's 3-mode transition
-// shape (CAS ↔ sharded ↔ combining — the native analogue of the
-// simulator's TTS ↔ queue ↔ combining tree). Unlike the wall-clock
+// Native modal experiments: deterministic drives of the reactive/modal
+// engine over the transition tables the native primitives export —
+// FetchOp's (CAS ↔ sharded, plus the combining stage no observation
+// votes for), RWMutex's reader-registration chain (centralized word ↔
+// per-P cells ↔ epoch gate) and Map's (locked table ↔ shard locks ↔
+// published table). Detection is not emulated: each step classifies one
+// synthetic request and hands it to Engine.Observe on the primitive's
+// own table, the rule the primitive itself runs. Unlike the wall-clock
 // BenchmarkNative* measurements, these exercise the pure
 // protocol-selection state machine on a seeded synthetic contention
 // trace, so their tables are bit-deterministic and participate in the
@@ -20,18 +24,10 @@ import (
 	"repro/reactive/policy"
 )
 
-// Native fetch-op engine mode indices (reactive.FetchOpTable's contract:
-// index i is the public mode reactive.ModeCAS + i).
-const (
-	nmCAS       modal.Mode = 0
-	nmSharded   modal.Mode = 1
-	nmCombining modal.Mode = 2
-)
-
 // modalPhase is one segment of the synthetic contention trace: p is the
-// probability that a step observes contention (a failed CAS in mode CAS,
-// a wide reconciling fan-in in mode sharded, a non-trivial batch in mode
-// combining).
+// probability that a step's request meets contention (for FetchOp: a
+// failed CAS in mode CAS, a reconciliation that swept more than one
+// active cell in mode sharded, a non-trivial batch in mode combining).
 type modalPhase struct {
 	name  string
 	p     float64
@@ -49,15 +45,59 @@ func modalPhases(sz Sizes) []modalPhase {
 	}
 }
 
-// stepFunc feeds the engine one synthetic detection event drawn from
-// contention level p: one primitive's detection wiring, emulated.
-type stepFunc func(e *modal.Engine, t *modal.Table, rng *rand.Rand, p float64)
+// chain is one primitive's modal object as the traces drive it: the
+// table the primitive exports, the public mode per engine index, and the
+// share of contended requests that are reads — consulted only in a mode
+// whose table tells contended reads apart (an On: BusyRead edge).
+type chain struct {
+	tab      *modal.Table
+	modes    []reactive.Mode
+	readFrac float64
+}
+
+var (
+	fopChain = chain{tab: reactive.FetchOpTable(),
+		modes: []reactive.Mode{reactive.ModeCAS, reactive.ModeSharded, reactive.ModeCombining}}
+	rwChain = chain{tab: reactive.RWReaderTable(),
+		modes: []reactive.Mode{reactive.ModeCAS, reactive.ModeSharded, reactive.ModeEpoch}}
+	// Only contended *reads* vote Map's sharded store up to the epoch
+	// protocol (promoting a write-heavy map would tax every write with a
+	// grace period), so the trace models the read-mostly workload the
+	// epoch mode exists for.
+	mapChain = chain{tab: reactive.MapTable(),
+		modes:    []reactive.Mode{reactive.ModeLocked, reactive.ModeSharded, reactive.ModeEpoch},
+		readFrac: 0.9}
+)
+
+// defaultLimits are the package-default streak thresholds, as a
+// zero-value primitive uses them: SpinFailLimit on up-edges, EmptyLimit
+// on down-edges.
+var defaultLimits = [2]int32{reactive.DefaultSpinFailLimit, reactive.DefaultEmptyLimit}
+
+// step serves one synthetic request in the engine's current mode: it met
+// contention with probability p (and was then a read with probability
+// readFrac, where the mode tells reads apart), Observe turns that class
+// into the table's edge events, and a fired transition is committed.
+// With an injected policy the engine routes the same events to it.
+func (c chain) step(e *modal.Engine, rng *rand.Rand, p float64) {
+	from, s := e.Mode(), modal.Calm
+	if rng.Float64() < p {
+		s = modal.Busy
+		tellsReads := func(t modal.Transition) bool { return t.From == from && t.On == modal.BusyRead }
+		if c.readFrac > 0 && slices.ContainsFunc(c.tab.Transitions(), tellsReads) && rng.Float64() < c.readFrac {
+			s = modal.BusyRead
+		}
+	}
+	if to, fire := e.Observe(c.tab, from, s, defaultLimits); fire {
+		e.TryCommit(c.tab, from, to)
+	}
+}
 
 // drive steps the engine through one phase, adding the steps spent in
 // each mode to residency.
-func drive(e *modal.Engine, tab *modal.Table, step stepFunc, rng *rand.Rand, ph modalPhase, residency []int) {
+func (c chain) drive(e *modal.Engine, rng *rand.Rand, ph modalPhase, residency []int) {
 	for i := 0; i < ph.steps; i++ {
-		step(e, tab, rng, ph.p)
+		c.step(e, rng, ph.p)
 		residency[e.Mode()]++
 	}
 }
@@ -94,21 +134,20 @@ type traceColumn struct {
 	at   func() string
 }
 
-// modalTrace drives e over the phased contention trace and tabulates one
-// row per phase: where the engine ended, the share of the phase's steps
-// it spent in each mode, and the transitions the phase drove. modes
-// lists the chain's public mode per engine index.
-func modalTrace(sz Sizes, e *modal.Engine, tab *modal.Table, modes []reactive.Mode, step stepFunc, extra ...traceColumn) *stats.Table {
+// trace drives e over the phased contention trace and tabulates one row
+// per phase: where the engine ended, the share of the phase's steps it
+// spent in each mode, and the transitions the phase drove.
+func (c chain) trace(sz Sizes, e *modal.Engine, extra ...traceColumn) *stats.Table {
 	rng := rand.New(rand.NewSource(int64(sz.Seed)))
-	t := &stats.Table{Header: slices.Concat([]string{"phase", "contention", "end-mode"}, pctHeaders(modes), []string{"switches"})}
+	t := &stats.Table{Header: slices.Concat([]string{"phase", "contention", "end-mode"}, pctHeaders(c.modes), []string{"switches"})}
 	for _, col := range extra {
 		t.Header = append(t.Header, col.name)
 	}
 	for _, ph := range modalPhases(sz) {
-		residency := make([]int, len(modes))
+		residency := make([]int, len(c.modes))
 		before := e.Switches()
-		drive(e, tab, step, rng, ph, residency)
-		row := slices.Concat([]string{ph.name, fmt.Sprintf("%.2f", ph.p), modes[e.Mode()].String()},
+		c.drive(e, rng, ph, residency)
+		row := slices.Concat([]string{ph.name, fmt.Sprintf("%.2f", ph.p), c.modes[e.Mode()].String()},
 			residencyPcts(residency), []string{fmt.Sprintf("%d", e.Switches()-before)})
 		for _, col := range extra {
 			row = append(row, col.at())
@@ -118,67 +157,36 @@ func modalTrace(sz Sizes, e *modal.Engine, tab *modal.Table, modes []reactive.Mo
 	return t
 }
 
-// fopModes is the native fetch-op chain by engine index.
-var fopModes = []reactive.Mode{reactive.ModeCAS, reactive.ModeSharded, reactive.ModeCombining}
+// NativeFopTrace tabulates FetchOp's protocol selection across the
+// contention trace, one row per phase: CAS at idle, sharded from the
+// ramp through saturation, and a return to CAS when contention subsides.
+// The combining column stays at zero — no observation votes for the
+// sharded → combining edge, so detection cannot reach that mode.
+func NativeFopTrace(sz Sizes) *stats.Table { return fopChain.trace(sz, new(modal.Engine)) }
 
-// stepModalEngine feeds the engine one synthetic detection event drawn
-// from contention level p, emulating FetchOp's per-mode detection
-// wiring: contended CAS applies vote up, single-writer reconciliations
-// vote down, wide-fan-in reconciliations vote further up, and idle
-// combining sweeps vote back down. The streak limits are the package
-// defaults (SpinFailLimit for up-edges, EmptyLimit for down-edges);
-// with an injected policy the engine routes the same events to it.
-func stepModalEngine(e *modal.Engine, t *modal.Table, rng *rand.Rand, p float64) {
-	const (
-		failLimit  = reactive.DefaultSpinFailLimit
-		emptyLimit = reactive.DefaultEmptyLimit
-	)
-	u := rng.Float64()
-	switch e.Mode() {
-	case nmCAS:
-		if u < p {
-			if e.Vote(t, nmCAS, nmSharded, failLimit) {
-				e.TryCommit(t, nmCAS, nmSharded)
-			}
-		} else {
-			e.Good(t, nmCAS, nmSharded)
-		}
-	case nmSharded:
-		if u >= p {
-			if e.Vote(t, nmSharded, nmCAS, emptyLimit) {
-				e.TryCommit(t, nmSharded, nmCAS)
-			}
-		} else {
-			e.Good(t, nmSharded, nmCAS)
-			if u < p*p { // heavy tail: reconciliation swept a wide fan-in
-				if e.Vote(t, nmSharded, nmCombining, failLimit) {
-					e.TryCommit(t, nmSharded, nmCombining)
-				}
-			} else {
-				e.Good(t, nmSharded, nmCombining)
-			}
-		}
-	default:
-		if u < p {
-			e.Good(t, nmCombining, nmSharded)
-		} else if e.Vote(t, nmCombining, nmSharded, emptyLimit) {
-			e.TryCommit(t, nmCombining, nmSharded)
-		}
-	}
-}
+// NativeRWReaderEpochTrace tabulates RWMutex's 3-mode
+// reader-registration chain across the shared contention trace: p is
+// the probability a centralized registration loses its CAS to another
+// reader, and in the cell-based modes that a writer's drain finds
+// readers still active. Read saturation that keeps writer drains busy
+// pushes the engine through sharded cells into epoch stamps, and
+// sustained quiet drains walk it back down the chain — the
+// no-shortcut-edge contract means it always passes through sharded.
+func NativeRWReaderEpochTrace(sz Sizes) *stats.Table { return rwChain.trace(sz, new(modal.Engine)) }
 
-// NativeFopTrace tabulates the modal engine's protocol selection across
-// the contention trace, one row per phase: where the engine spent its
-// time and how many transitions each phase drove. The end-of-trace shape
-// mirrors the simulator's reactive fetch-and-op experiments: CAS at idle,
-// combining at saturation, and a return to CAS when contention subsides.
-func NativeFopTrace(sz Sizes) *stats.Table {
-	return modalTrace(sz, new(modal.Engine), reactive.FetchOpTable(), fopModes, stepModalEngine)
-}
+// NativeMapTrace tabulates the adaptive map's 3-mode chain across the
+// shared contention trace: p is the probability an operation found its
+// lock (the writer lock, its shard) held, and in the epoch mode that a
+// writer's grace period found a reader online. The idle phases hold the
+// single locked table, the ramp promotes to shards, read saturation
+// pushes through shards into the published-table epoch protocol, and the
+// cooldown/quiet phases walk the chain back down, through sharded in
+// both directions.
+func NativeMapTrace(sz Sizes) *stats.Table { return mapChain.trace(sz, new(modal.Engine)) }
 
 // NativeFopPolicies replays the same contention trace through the modal
 // engine once per switching policy, comparing how the built-in
-// hysteresis streaks and each injected policy.Policy track the N=3
+// hysteresis streaks and each injected policy.Policy track FetchOp's
 // protocol chain — the native counterpart of the simulator's
 // Figure 3.22/3.23 policy comparisons.
 func NativeFopPolicies(sz Sizes) *stats.Table {
@@ -195,17 +203,17 @@ func NativeFopPolicies(sz Sizes) *stats.Table {
 		{"weighted-average", func() policy.Policy { return policy.NewWeightedAverage(64, 192) }},
 		{"congestion", func() policy.Policy { return policy.NewCongestion() }},
 	}
-	tab := reactive.FetchOpTable()
-	t := &stats.Table{Header: slices.Concat([]string{"policy", "end-mode"}, pctHeaders(fopModes), []string{"switches"})}
+	modes := fopChain.modes
+	t := &stats.Table{Header: slices.Concat([]string{"policy", "end-mode"}, pctHeaders(modes), []string{"switches"})}
 	for _, pc := range pols {
 		var e modal.Engine
 		e.SetPolicy(pc.mk())
 		rng := rand.New(rand.NewSource(int64(sz.Seed)))
-		residency := make([]int, len(fopModes))
+		residency := make([]int, len(modes))
 		for _, ph := range modalPhases(sz) {
-			drive(&e, tab, stepModalEngine, rng, ph, residency)
+			fopChain.drive(&e, rng, ph, residency)
 		}
-		t.AddRow(slices.Concat([]string{pc.name, fopModes[e.Mode()].String()},
+		t.AddRow(slices.Concat([]string{pc.name, modes[e.Mode()].String()},
 			residencyPcts(residency), []string{fmt.Sprintf("%d", e.Switches())})...)
 	}
 	return t

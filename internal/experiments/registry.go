@@ -270,7 +270,7 @@ var Default = func() *Registry {
 	// native FetchOp's N=3 protocol chain, driven deterministically.
 	r.Register(Spec{
 		Name: "native-fetchop-trace", Figure: "Extension (modal engine)", Tool: ToolReactsim,
-		Title:  "Extension: native fetch-op modal engine over a contention trace (CAS ↔ sharded ↔ combining)",
+		Title:  "Extension: native fetch-op modal engine over a contention trace (CAS ↔ sharded; combining unreachable by detection)",
 		Groups: []string{"native"},
 		Run:    NativeFopTrace,
 	})
@@ -279,12 +279,6 @@ var Default = func() *Registry {
 		Title:  "Extension: switching policies on the native fetch-op modal engine",
 		Groups: []string{"native"},
 		Run:    NativeFopPolicies,
-	})
-	r.Register(Spec{
-		Name: "native-rwmutex-trace", Figure: "Extension (modal engine)", Tool: ToolReactsim,
-		Title:  "Extension: native RWMutex reader-registration engine over a contention trace (centralized ↔ sharded slots)",
-		Groups: []string{"native"},
-		Run:    NativeRWReaderTrace,
 	})
 	r.Register(Spec{
 		Name: "native-rwmutex-epoch-trace", Figure: "Extension (modal engine)", Tool: ToolReactsim,

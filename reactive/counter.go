@@ -1,6 +1,10 @@
 package reactive
 
-import "context"
+import (
+	"context"
+
+	"repro/reactive/modal"
+)
 
 // Counter is a reactive fetch-and-add counter: the add-only
 // specialization of FetchOp (operation +, identity 0), with the
@@ -49,4 +53,4 @@ func (c *Counter) LoadCtx(ctx context.Context) (int64, error) { return c.f.Value
 
 // noteContendedAdd records one contended CAS-mode Add with the detection
 // machinery (test hook shared with the forced-mode-switch stress tests).
-func (c *Counter) noteContendedAdd() { c.f.noteContendedApply() }
+func (c *Counter) noteContendedAdd() { c.f.observe(fCAS, modal.Busy) }

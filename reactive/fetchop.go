@@ -25,13 +25,14 @@ var fopModes = []Mode{ModeCAS, ModeSharded, ModeCombining}
 // from the cheap single-word protocol through the sharded middle
 // protocol to batched combining, with no shortcut edges — a primitive
 // scales up and down one protocol at a time, exactly as the simulated
-// algorithm moves TTS ↔ queue ↔ combining tree. Detection never takes
-// the sharded → combining edge; construction (WithInitialMode) does.
+// algorithm moves TTS ↔ queue ↔ combining tree. No observation votes for
+// the sharded → combining edge (On: modal.None), so detection never
+// takes it; construction (WithInitialMode) does.
 var fopTable = modal.NewTable(3, []modal.Transition{
-	{From: fCAS, To: fSharded, Dir: dirScaleUp, Residual: ResidualCheapHigh},
-	{From: fSharded, To: fCAS, Dir: dirScaleDown, Residual: ResidualScalableLow},
+	{From: fCAS, To: fSharded, Dir: dirScaleUp, Residual: ResidualCheapHigh, On: modal.Busy},
+	{From: fSharded, To: fCAS, Dir: dirScaleDown, Residual: ResidualScalableLow, On: modal.Calm},
 	{From: fSharded, To: fCombining, Dir: dirScaleUp, Residual: ResidualCheapHigh},
-	{From: fCombining, To: fSharded, Dir: dirScaleDown, Residual: ResidualScalableLow},
+	{From: fCombining, To: fSharded, Dir: dirScaleDown, Residual: ResidualScalableLow, On: modal.Calm},
 })
 
 // FetchOpTable returns the transition table FetchOp and Counter run on:
@@ -187,7 +188,11 @@ func (f *FetchOp) Apply(x int64) {
 			return
 		}
 		if f.base.CompareAndSwap(v, n) {
-			f.eng.Good(fopTable, fCAS, fSharded)
+			// Spelled out rather than f.observe: the helper does not
+			// inline, and this path is ten nanoseconds long.
+			if to, fire := f.eng.Observe(fopTable, fCAS, modal.Calm, f.cfg.limits()); fire {
+				f.switchFop(fCAS, to)
+			}
 			return
 		}
 		f.applyContended(x)
@@ -199,8 +204,9 @@ func (f *FetchOp) Apply(x int64) {
 }
 
 // applyContended retries the CAS-mode update after a failed first
-// attempt — a contended Apply — and runs the cheap→scalable detection on
-// completion.
+// attempt — a contended Apply, reported as Busy on completion:
+// SpinFailLimit consecutive contended Applies (built-in detection) or the
+// injected policy's say-so switch ModeCAS → ModeSharded.
 func (f *FetchOp) applyContended(x int64) {
 	var bo modal.Backoff
 	bo.Max = backoffCeiling
@@ -215,20 +221,18 @@ func (f *FetchOp) applyContended(x int64) {
 			return
 		}
 		if f.base.CompareAndSwap(v, n) {
-			f.noteContendedApply()
+			f.observe(fCAS, modal.Busy)
 			return
 		}
 		bo.Pause()
 	}
 }
 
-// noteContendedApply records one contended CAS-mode Apply with the
-// detection machinery: SpinFailLimit consecutive contended Applies
-// (built-in detection) or the injected policy's say-so switch ModeCAS →
-// ModeSharded.
-func (f *FetchOp) noteContendedApply() {
-	if f.eng.Vote(fopTable, fCAS, fSharded, f.cfg.failLimit()) {
-		f.switchFop(fCAS, fSharded)
+// observe reports one classified request served in mode from and carries
+// out the protocol change detection fires.
+func (f *FetchOp) observe(from modal.Mode, s modal.Signal) {
+	if to, fire := f.eng.Observe(fopTable, from, s, f.cfg.limits()); fire {
+		f.switchFop(from, to)
 	}
 }
 
@@ -357,19 +361,13 @@ func casFold(target *atomic.Int64, op func(a, b int64) int64, x int64) {
 	}
 }
 
-// noteCombineBatch runs the combining protocol's detection on one sweep
-// that found n deposits pending: a batch of at most one means the
-// combining machinery is idling (EmptyLimit consecutive such sweeps
-// retire it to the sharded protocol); a real batch breaks the streak.
-// This is the native analogue of the simulator's combining-rate monitor.
+// noteCombineBatch classifies one combining-mode sweep that found n
+// deposits pending: a batch of at most one means the combining machinery
+// is idling (EmptyLimit consecutive such sweeps retire it to the sharded
+// protocol); a real batch breaks the streak. This is the native analogue
+// of the simulator's combining-rate monitor.
 func (f *FetchOp) noteCombineBatch(n int64) {
-	if n <= 1 {
-		if f.eng.Vote(fopTable, fCombining, fSharded, f.cfg.emptyLim()) {
-			f.switchFop(fCombining, fSharded)
-		}
-	} else {
-		f.eng.Good(fopTable, fCombining, fSharded)
-	}
+	f.observe(fCombining, signalOf(n > 1))
 }
 
 // acquireSweep takes the sweepLock through the shared two-phase wait:
@@ -444,18 +442,10 @@ func (f *FetchOp) value(ctx context.Context, done <-chan struct{}) (int64, error
 	sum := f.base.Load()
 	switch f.eng.Mode() {
 	case fSharded:
-		if active <= 1 {
-			// At most one writer since the last reconciliation: the
-			// sharded protocol is sub-optimal for this load level. (No
-			// Good on the up-edge here: through the two-direction Policy
-			// interface an Optimal would erase the down-pressure this
-			// vote just raised.)
-			if f.eng.Vote(fopTable, fSharded, fCAS, f.cfg.emptyLim()) {
-				f.switchFop(fSharded, fCAS)
-			}
-		} else {
-			f.eng.Good(fopTable, fSharded, fCAS)
-		}
+		// A sweep that found at most one active cell saw at most one
+		// writer since the last reconciliation: Calm — the sharded
+		// protocol is sub-optimal for this load level.
+		f.observe(fSharded, signalOf(active > 1))
 	case fCombining:
 		// A combiner's fold may have swapped pending to 0 just before this
 		// sweep acquired the lock; under saturation that race would read

@@ -125,7 +125,7 @@ func TestFetchOpDetectionChain(t *testing.T) {
 	f := NewFetchOp(add, 0, WithSpinFailLimit(2), WithEmptyLimit(2))
 	// Up: contended CAS applies.
 	for i := 0; i < 2; i++ {
-		f.noteContendedApply()
+		f.observe(fCAS, modal.Busy)
 	}
 	if f.Stats().Mode != ModeSharded {
 		t.Fatalf("mode = %v after contended streak, want sharded", f.Stats().Mode)
@@ -176,7 +176,7 @@ func TestFetchOpDetectionChain(t *testing.T) {
 func TestFetchOpInjectedPolicy(t *testing.T) {
 	f := NewFetchOp(func(a, b int64) int64 { return a + b }, 0,
 		WithPolicy(policy.AlwaysSwitch{}))
-	f.noteContendedApply()
+	f.observe(fCAS, modal.Busy)
 	if f.Stats().Mode != ModeSharded {
 		t.Fatal("always-switch did not promote on first contended Apply")
 	}

@@ -33,10 +33,10 @@ var mapModes = []Mode{ModeLocked, ModeSharded, ModeEpoch}
 // than a synchronization primitive: the engine, the detection plumbing,
 // and the policy interface are reused unchanged.
 var mapModeTable = modal.NewTable(3, []modal.Transition{
-	{From: mapLocked, To: mapSharded, Dir: dirScaleUp, Residual: ResidualCheapHigh},
-	{From: mapSharded, To: mapLocked, Dir: dirScaleDown, Residual: ResidualScalableLow},
-	{From: mapSharded, To: mapEpoch, Dir: dirScaleUp, Residual: ResidualCheapHigh},
-	{From: mapEpoch, To: mapSharded, Dir: dirScaleDown, Residual: ResidualScalableLow},
+	{From: mapLocked, To: mapSharded, Dir: dirScaleUp, Residual: ResidualCheapHigh, On: modal.Busy},
+	{From: mapSharded, To: mapLocked, Dir: dirScaleDown, Residual: ResidualScalableLow, On: modal.Calm},
+	{From: mapSharded, To: mapEpoch, Dir: dirScaleUp, Residual: ResidualCheapHigh, On: modal.BusyRead},
+	{From: mapEpoch, To: mapSharded, Dir: dirScaleDown, Residual: ResidualScalableLow, On: modal.Calm},
 })
 
 // MapTable returns the transition table Map runs on: mode index 0 =
@@ -66,7 +66,7 @@ type mapVersion[K comparable, V any] struct {
 // Map is a reactive concurrent hash map — the first adaptive *data
 // structure* in this package, demonstrating that the modal engine
 // generalizes past locks: the same transition table, streak detection,
-// Vote/Good/TryCommit plumbing, and installable policy.Congestion that
+// Observe/TryCommit plumbing, and installable policy.Congestion that
 // drive Mutex and FetchOp here select among three map protocols as the
 // access pattern changes:
 //
@@ -278,47 +278,20 @@ func mutate[K comparable, V any](store *map[K]V, key K, val V, del bool) (delta 
 	return 1
 }
 
-// noteLocked runs ModeLocked's detection after the operation released
-// wl: a contended acquisition is the scale-up signal, an uncontended
-// one breaks the streak.
-func (mp *Map[K, V]) noteLocked(contended bool) {
-	if !contended {
-		mp.eng.Good(mapModeTable, mapLocked, mapSharded)
-		return
+// note classifies one ModeLocked or ModeSharded operation after it
+// released its lock (wl or its shard), by whether the acquisition
+// contended. Contended reads are told apart because only they vote the
+// sharded store up to the epoch protocol (readers colliding on a shard
+// word is exactly the coherence traffic the published-table mode
+// eliminates), while a contended write only breaks the down-streak —
+// promoting a write-heavy map would tax every write with a grace period.
+func (mp *Map[K, V]) note(from modal.Mode, contended, read bool) {
+	s := signalOf(contended)
+	if contended && read {
+		s = modal.BusyRead
 	}
-	if mp.eng.Vote(mapModeTable, mapLocked, mapSharded, mp.cfg.failLimit()) {
-		mp.switchMap(mapLocked, mapSharded)
-	}
-}
-
-// noteSharded runs ModeSharded's detection after the operation released
-// its shard. An uncontended operation votes down toward the single
-// lock; a contended *read* votes up toward the epoch protocol (readers
-// colliding on a shard word is exactly the coherence traffic the
-// published-table mode eliminates), while a contended write only breaks
-// the down-streak — promoting a write-heavy map would tax every write
-// with a grace period.
-func (mp *Map[K, V]) noteSharded(contended, read bool) {
-	if !contended {
-		// One policy event per observation: through the two-direction
-		// Policy interface an Optimal on the up-edge would erase the
-		// down-pressure the previous vote raised, and the map would
-		// never demote. Built-in streaks are per edge, so they take both.
-		if mp.eng.Policy() == nil {
-			mp.eng.Good(mapModeTable, mapSharded, mapEpoch)
-		}
-		if mp.eng.Vote(mapModeTable, mapSharded, mapLocked, mp.cfg.emptyLim()) {
-			mp.switchMap(mapSharded, mapLocked)
-		}
-		return
-	}
-	mp.eng.Good(mapModeTable, mapSharded, mapLocked)
-	if read {
-		if mp.eng.Vote(mapModeTable, mapSharded, mapEpoch, mp.cfg.failLimit()) {
-			mp.switchMap(mapSharded, mapEpoch)
-		}
-	} else {
-		mp.eng.Good(mapModeTable, mapSharded, mapEpoch)
+	if to, fire := mp.eng.Observe(mapModeTable, from, s, mp.cfg.limits()); fire {
+		mp.switchMap(from, to)
 	}
 }
 
@@ -399,7 +372,7 @@ func (mp *Map[K, V]) get(ctx context.Context, done <-chan struct{}, key K) (V, b
 			}
 			v, ok := mp.table[key]
 			mp.wl.Unlock()
-			mp.noteLocked(contended)
+			mp.note(mapLocked, contended, true)
 			return v, ok, nil
 		case mapSharded:
 			sh := &mp.shards[mp.shardIndex(key)]
@@ -413,7 +386,7 @@ func (mp *Map[K, V]) get(ctx context.Context, done <-chan struct{}, key K) (V, b
 			}
 			v, ok := sh.m[key]
 			mp.unlockShard(&sh.lock)
-			mp.noteSharded(contended, true)
+			mp.note(mapSharded, contended, true)
 			return v, ok, nil
 		default: // mapEpoch
 			// One epoch-mode read: enter the kernel, read the published
@@ -495,7 +468,7 @@ func (mp *Map[K, V]) put(ctx context.Context, done <-chan struct{}, key K, val V
 				mp.count.Add(d)
 			}
 			mp.wl.Unlock()
-			mp.noteLocked(contended)
+			mp.note(mapLocked, contended, false)
 			return nil
 		case mapSharded:
 			sh := &mp.shards[mp.shardIndex(key)]
@@ -511,7 +484,7 @@ func (mp *Map[K, V]) put(ctx context.Context, done <-chan struct{}, key K, val V
 				mp.count.Add(d)
 			}
 			mp.unlockShard(&sh.lock)
-			mp.noteSharded(contended, false)
+			mp.note(mapSharded, contended, false)
 			return nil
 		default: // mapEpoch
 			if _, err := mp.lockW(ctx, done); err != nil {
@@ -582,9 +555,7 @@ func (mp *Map[K, V]) graceSweep() (demoted bool) {
 		mp.gq.Wait(mp.cfg.pollBudget(), nil, swept)
 	}
 	mp.ek.Grace(quiet)
-	if !quiet {
-		mp.eng.Good(mapModeTable, mapEpoch, mapSharded)
-	} else if mp.eng.Vote(mapModeTable, mapEpoch, mapSharded, mp.cfg.emptyLim()) {
+	if _, fire := mp.eng.Observe(mapModeTable, mapEpoch, signalOf(!quiet), mp.cfg.limits()); fire {
 		// A streak of quiet grace periods: the published table went
 		// unread across whole writer rounds — the write-dominated regime
 		// where the copy-on-write machinery is pure overhead.

@@ -300,13 +300,13 @@ func TestMapChainWalkBothDirections(t *testing.T) {
 
 	// Up: contended locked acquisitions promote to sharded.
 	for i := 0; i < DefaultSpinFailLimit; i++ {
-		m.noteLocked(true)
+		m.note(mapLocked, true, false)
 	}
 	verify(ModeSharded)
 
 	// Up: contended sharded reads promote to epoch.
 	for i := 0; i < DefaultSpinFailLimit; i++ {
-		m.noteSharded(true, true)
+		m.note(mapSharded, true, true)
 	}
 	verify(ModeEpoch)
 
@@ -332,7 +332,7 @@ func TestMapChainWalkBothDirections(t *testing.T) {
 
 	// Down: an uncontended sharded operation demotes to locked.
 	m.cfg.emptyLimit = 1
-	m.noteSharded(false, true)
+	m.note(mapSharded, false, true)
 	m.cfg.emptyLimit = 1 << 20
 	verify(ModeLocked)
 

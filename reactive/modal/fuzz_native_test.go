@@ -3,12 +3,14 @@ package modal
 import "testing"
 
 // FuzzEngineTransitions drives an Engine with an arbitrary stream of
-// detection events and commit attempts over a 3-mode chain (the shape
-// FetchOp and the RWMutex reader registration use) and verifies the
+// detection events and commit attempts over a 3-mode chain (Map's shape:
+// the middle mode's up-edge takes contended reads only) and verifies the
 // consensus invariants against a model after every step: exactly the
 // attempts made in the current mode commit, the epoch counts committed
-// switches, and the built-in streaks reset on every commit (Vote fires
-// at its limit, immediately after a switch it never does).
+// switches, an observation votes the one out-edge whose On accepts it
+// and breaks the mode's other streaks, and the built-in streaks reset on
+// every commit (Vote fires at its limit, immediately after a switch it
+// never does).
 func FuzzEngineTransitions(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2})  // hammer one commit edge
@@ -16,8 +18,8 @@ func FuzzEngineTransitions(f *testing.F) {
 	f.Add([]byte{0, 2, 1, 5, 3, 8, 6, 11, 9, 2, 0, 2}) // walk the chain
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		tab := NewTable(3, []Transition{
-			{From: 0, To: 1}, {From: 1, To: 0},
-			{From: 1, To: 2}, {From: 2, To: 1},
+			{From: 0, To: 1, On: Busy}, {From: 1, To: 0, Dir: 1, On: Calm},
+			{From: 1, To: 2, On: BusyRead}, {From: 2, To: 1, Dir: 1, On: Calm},
 		})
 		edges := tab.Transitions()
 		const limit = 3
@@ -30,16 +32,30 @@ func FuzzEngineTransitions(f *testing.F) {
 		for _, b := range ops {
 			ei := int(b) % len(edges)
 			ed := edges[ei]
-			switch op := int(b) / len(edges) % 3; op {
+			switch op := int(b) / len(edges) % 4; op {
 			case 0: // Vote
 				streak[ei]++
 				want := streak[ei] >= limit
 				if got := e.Vote(tab, ed.From, ed.To, limit); got != want {
 					t.Fatalf("Vote(%d→%d) = %v, model streak %d/%d", ed.From, ed.To, got, streak[ei], limit)
 				}
-			case 1: // Good
-				streak[ei] = 0
-				e.Good(tab, ed.From, ed.To)
+			case 1, 3: // Observe in ed's source mode; the byte's top bits pick the signal
+				s := Signal(b >> 6)
+				wantTo, wantFire := Mode(0), false
+				for k, o := range edges {
+					if o.From != ed.From {
+						continue
+					}
+					if o.On.accepts(s) {
+						streak[k]++
+						wantTo, wantFire = o.To, streak[k] >= limit
+					} else {
+						streak[k] = 0
+					}
+				}
+				if to, fire := e.Observe(tab, ed.From, s, [2]int32{limit, limit}); to != wantTo || fire != wantFire {
+					t.Fatalf("Observe(%d, signal %d) = (%d, %v), model (%d, %v)", ed.From, s, to, fire, wantTo, wantFire)
+				}
 			case 2: // TryCommit
 				want := mode == ed.From
 				if got := e.TryCommit(tab, ed.From, ed.To); got != want {

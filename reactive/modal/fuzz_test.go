@@ -15,15 +15,15 @@ func chainTable(n int) *Table {
 	var ts []Transition
 	for m := 0; m < n-1; m++ {
 		ts = append(ts,
-			Transition{From: Mode(m), To: Mode(m + 1), Dir: 0, Residual: 150},
-			Transition{From: Mode(m + 1), To: Mode(m), Dir: 1, Residual: 15})
+			Transition{From: Mode(m), To: Mode(m + 1), Dir: 0, Residual: 150, On: Busy},
+			Transition{From: Mode(m + 1), To: Mode(m), Dir: 1, Residual: 15, On: Calm})
 	}
 	return NewTable(n, ts)
 }
 
 // TestEngineFuzzVoteSequences mirrors internal/core's fuzz tests for the
-// native engine: random single-threaded sequences of votes, goods, and
-// commit attempts over N-mode chain tables must never produce a torn
+// native engine: random single-threaded sequences of observations, votes,
+// and commit attempts over N-mode chain tables must never produce a torn
 // epoch (word inconsistent with the committed-transition count), a
 // skipped consensus step (mode changing without an epoch increment), or
 // a transition absent from the table.
@@ -56,7 +56,13 @@ func TestEngineFuzzVoteSequences(t *testing.T) {
 			}
 			switch (op >> 1) % 3 {
 			case 0:
-				e.Good(tab, from, to)
+				s := Calm
+				if up {
+					s = Busy
+				}
+				if next, fire := e.Observe(tab, from, s, [2]int32{2, 2}); fire && e.TryCommit(tab, from, next) {
+					commits++
+				}
 			case 1:
 				if e.Vote(tab, from, to, 2) && e.TryCommit(tab, from, to) {
 					commits++

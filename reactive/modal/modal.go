@@ -13,9 +13,10 @@
 //
 //   - Table — an immutable N×N transition table. Each permitted
 //     transition carries the policy direction it reports as
-//     (cheap→scalable or scalable→cheap) and the residual cost charged to
+//     (cheap→scalable or scalable→cheap), the residual cost charged to
 //     a competitive policy when the transition's source mode serves a
-//     request sub-optimally.
+//     request sub-optimally, and the Signal (class of observation) that
+//     votes for it.
 //   - Engine — the goroutine-safe selector used by the native primitives
 //     in package reactive: an epoch-packed mode word changed only by
 //     compare-and-swap (the consensus-object analogue — at most one
@@ -51,6 +52,31 @@ type Mode uint32
 // largest modal object has N=3 with 4 edges) fit comfortably.
 const MaxEdges = 16
 
+// Signal classifies one request a modal object served — the monitoring
+// half of the thesis's monitor/policy split (§3.4). A primitive's
+// detection sites only classify; which edge a class votes for is the
+// table's On column, applied by Engine.Observe.
+type Signal uint8
+
+const (
+	// None, the zero value, votes for nothing; as an edge's On it marks a
+	// transition only an explicit TryCommit takes.
+	None Signal = iota
+	// Calm: no contention met — a scalable protocol served sub-optimally.
+	Calm
+	// Busy: contention met — a cheap protocol served sub-optimally.
+	Busy
+	// BusyRead is Busy met by a read-only request. An edge declared
+	// On: BusyRead is voted for by contended reads alone; an edge
+	// declared On: Busy accepts both.
+	BusyRead
+)
+
+// accepts reports whether an edge declared On: on takes signal s's vote.
+func (on Signal) accepts(s Signal) bool {
+	return s != None && (on == s || on == Busy && s == BusyRead)
+}
+
 // Transition is one permitted protocol change in a Table.
 type Transition struct {
 	From, To Mode
@@ -64,6 +90,10 @@ type Transition struct {
 	// (policy.Policy.Suboptimal) each time the From protocol serves a
 	// request this edge's detection classifies as sub-optimal.
 	Residual uint64
+	// On is the observation that votes for this transition while From is
+	// selected (see Engine.Observe); every other observation confirms
+	// From over To.
+	On Signal
 }
 
 // Table is an immutable N×N transition table: which protocol changes a
@@ -74,12 +104,15 @@ type Transition struct {
 type Table struct {
 	n     int
 	edges []Transition
-	idx   []int8 // n*n entries, edge index + 1; 0 = transition absent
+	idx   []int8  // n*n entries, edge index + 1; 0 = transition absent
+	out   [][]int // per mode, the indices of its out-edges
 }
 
 // NewTable builds a transition table over n modes. It panics — at
 // package init time in practice — on n < 2, more than MaxEdges
-// transitions, an out-of-range or self-looping edge, or a duplicate edge.
+// transitions, an out-of-range or self-looping edge, a duplicate edge, a
+// Dir other than 0 or 1, or a mode with two out-edges one signal would
+// vote for (an observation votes for at most one transition).
 func NewTable(n int, ts []Transition) *Table {
 	if n < 2 {
 		panic("modal: a modal object needs at least 2 modes")
@@ -90,7 +123,7 @@ func NewTable(n int, ts []Transition) *Table {
 	if len(ts) > MaxEdges {
 		panic(fmt.Sprintf("modal: %d transitions exceed MaxEdges=%d", len(ts), MaxEdges))
 	}
-	t := &Table{n: n, edges: append([]Transition(nil), ts...), idx: make([]int8, n*n)}
+	t := &Table{n: n, edges: append([]Transition(nil), ts...), idx: make([]int8, n*n), out: make([][]int, n)}
 	for i, e := range t.edges {
 		if int(e.From) >= n || int(e.To) >= n {
 			panic(fmt.Sprintf("modal: transition %d→%d out of range for %d modes", e.From, e.To, n))
@@ -103,6 +136,15 @@ func NewTable(n int, ts []Transition) *Table {
 			panic(fmt.Sprintf("modal: duplicate transition %d→%d", e.From, e.To))
 		}
 		t.idx[at] = int8(i + 1)
+		if e.Dir != 0 && e.Dir != 1 {
+			panic(fmt.Sprintf("modal: transition %d→%d has direction %d, want 0 or 1", e.From, e.To, e.Dir))
+		}
+		for _, j := range t.out[e.From] {
+			if o := t.edges[j]; e.On.accepts(o.On) || o.On.accepts(e.On) {
+				panic(fmt.Sprintf("modal: one signal votes for both %d→%d and %d→%d", e.From, o.To, e.From, e.To))
+			}
+		}
+		t.out[e.From] = append(t.out[e.From], i)
 	}
 	return t
 }
@@ -199,9 +241,9 @@ func (e *Engine) Word() uint64 { return e.word.Load() }
 func (e *Engine) Switches() uint64 { return e.switches.Load() }
 
 // Dirty reports whether a sub-optimal vote has reached the injected
-// policy since the last transition or re-quiescence — i.e. whether Good
-// calls are currently being forwarded rather than elided. Always false
-// with built-in detection. Intended for tests and introspection.
+// policy since the last transition or re-quiescence — i.e. whether
+// Optimal events are currently being forwarded rather than elided. Always
+// false with built-in detection. Intended for tests and introspection.
 func (e *Engine) Dirty() bool { return e.dirty.Load() }
 
 // acquire takes the policy-serialization lock with randomized
@@ -216,12 +258,42 @@ func (e *Engine) acquire() {
 
 func (e *Engine) release() { e.lock.Store(0) }
 
-// Vote records one request served while mode from was sub-optimal in a
-// way the from→to transition would cure, and reports whether the caller
-// should attempt that transition now (via TryCommit, after any
-// mode-specific preparation). limit is the built-in detection's streak
-// threshold; with an injected policy the edge's Residual is charged and
-// the policy decides. Panics if the table does not permit from→to.
+// Observe is the whole detection rule: one request served in mode from
+// was classified as s. The out-edge of from whose On accepts s takes the
+// vote — from was sub-optimal in the way that transition cures — and
+// every other out-edge is confirmed, breaking its streak. fire reports
+// that the caller should attempt from→to now (via TryCommit, after any
+// mode-specific preparation). limits holds the built-in detection's
+// streak thresholds indexed by the voted edge's Dir: the fail limit for
+// cheap→scalable, the empty limit for scalable→cheap.
+//
+// An injected policy hears exactly one event per observation: the voted
+// edge's Suboptimal, or — when no edge accepts s — one Optimal. Never
+// both, and never one per edge: the Policy interface keeps no per-edge
+// state, so an Optimal sent for a confirmed edge would erase the
+// pressure the same observation's vote raised (Hysteresis.Optimal zeroes
+// both streaks), and two Optimals would age a WeightedAverage twice for
+// one request. Panics if from is out of range.
+func (e *Engine) Observe(t *Table, from Mode, s Signal, limits [2]int32) (to Mode, fire bool) {
+	out, voted := t.out[from], false
+	for _, i := range out {
+		if ed := &t.edges[i]; ed.On.accepts(s) {
+			to, fire, voted = ed.To, e.Vote(t, from, ed.To, limits[ed.Dir]), true
+		} else if st := &e.streaks[i]; e.pol == nil && st.Load() != 0 {
+			st.Store(0)
+		}
+	}
+	if e.pol != nil && !voted && len(out) > 0 {
+		e.optimal(t.edges[out[0]].Dir)
+	}
+	return to, fire
+}
+
+// Vote is Observe's vote alone, on a named edge: one request served
+// while mode from was sub-optimal in a way the from→to transition would
+// cure, judged against the streak threshold limit — or, with an injected
+// policy, charged the edge's Residual for the policy to decide. Panics if
+// the table does not permit from→to.
 func (e *Engine) Vote(t *Table, from, to Mode, limit int32) bool {
 	i := t.edge(from, to)
 	if e.pol == nil {
@@ -237,31 +309,22 @@ func (e *Engine) Vote(t *Table, from, to Mode, limit int32) bool {
 	return e.pol.Suboptimal(t.edges[i].Dir, t.edges[i].Residual)
 }
 
-// Good records one request served optimally with respect to the from→to
-// transition, breaking that edge's sub-optimal streak. With an injected
-// policy the call is elided while the engine is quiescent (no vote has
-// raised switching pressure): only Suboptimal moves a policy toward a
-// switch, so skipping Optimal notifications in that state cannot change
-// any decision. It is also elided when the lock is busy — another
-// goroutine is already feeding the policy, and Optimal events are a
-// stream, not a count — so a fast path calling Good can never serialize
-// on the engine lock. A policy implementing policy.Quiescer re-arms the
-// elision as soon as its pressure has decayed to zero, returning a
-// long-lived primitive's fast path to a single atomic load.
-func (e *Engine) Good(t *Table, from, to Mode) {
-	i := t.edge(from, to)
-	if e.pol == nil {
-		s := &e.streaks[i]
-		if s.Load() != 0 {
-			s.Store(0)
-		}
-		return
-	}
+// optimal forwards one optimally served request to the injected policy.
+// The call is elided while the engine is quiescent (no vote has raised
+// switching pressure): only Suboptimal moves a policy toward a switch,
+// so skipping Optimal notifications in that state cannot change any
+// decision. It is also elided when the lock is busy — another goroutine
+// is already feeding the policy, and Optimal events are a stream, not a
+// count — so a fast path observing Calm can never serialize on the
+// engine lock. A policy implementing policy.Quiescer re-arms the elision
+// as soon as its pressure has decayed to zero, returning a long-lived
+// primitive's fast path to a single atomic load.
+func (e *Engine) optimal(dir policy.Direction) {
 	if !e.dirty.Load() || !e.lock.CompareAndSwap(0, 1) {
 		return
 	}
 	defer e.release()
-	e.pol.Optimal(t.edges[i].Dir)
+	e.pol.Optimal(dir)
 	if q, ok := e.pol.(policy.Quiescer); ok && q.Quiescent() {
 		e.dirty.Store(false)
 	}

@@ -6,16 +6,20 @@ import (
 	"repro/reactive/policy"
 )
 
-// tab3 is a 3-mode chain table mirroring the reactive fetch-and-op:
-// 0↔1↔2, no direct 0↔2 edge.
+// tab3 is a 3-mode chain table mirroring the reactive Map: 0↔1↔2, no
+// direct 0↔2 edge, contention voting up, calm voting down, and the
+// middle mode's up-edge reserved for contended reads.
 func tab3() *Table {
 	return NewTable(3, []Transition{
-		{From: 0, To: 1, Dir: 0, Residual: 150},
-		{From: 1, To: 0, Dir: 1, Residual: 15},
-		{From: 1, To: 2, Dir: 0, Residual: 150},
-		{From: 2, To: 1, Dir: 1, Residual: 15},
+		{From: 0, To: 1, Dir: 0, Residual: 150, On: Busy},
+		{From: 1, To: 0, Dir: 1, Residual: 15, On: Calm},
+		{From: 1, To: 2, Dir: 0, Residual: 150, On: BusyRead},
+		{From: 2, To: 1, Dir: 1, Residual: 15, On: Calm},
 	})
 }
+
+// lim3 is a limits pair with the same threshold in both directions.
+var lim3 = [2]int32{3, 3}
 
 func TestNewTableValidation(t *testing.T) {
 	for name, bad := range map[string]func(){
@@ -24,6 +28,14 @@ func TestNewTableValidation(t *testing.T) {
 		"self-loop": func() { NewTable(2, []Transition{{From: 1, To: 1}}) },
 		"range":     func() { NewTable(2, []Transition{{From: 0, To: 2}}) },
 		"duplicate": func() { NewTable(2, []Transition{{From: 0, To: 1}, {From: 0, To: 1}}) },
+		"direction": func() { NewTable(2, []Transition{{From: 0, To: 1, Dir: 2}}) },
+		// One observation votes for at most one transition of a mode.
+		"same-signal": func() {
+			NewTable(3, []Transition{{From: 0, To: 1, On: Calm}, {From: 0, To: 2, On: Calm}})
+		},
+		"busy-takes-busyread": func() {
+			NewTable(3, []Transition{{From: 0, To: 1, On: BusyRead}, {From: 0, To: 2, On: Busy}})
+		},
 		"too-many": func() {
 			ts := make([]Transition, 0, MaxEdges+1)
 			for i := 0; i <= MaxEdges; i++ {
@@ -72,9 +84,9 @@ func TestEngineZeroValue(t *testing.T) {
 }
 
 // TestEngineStreakDetection pins the built-in hysteresis semantics:
-// limit consecutive votes on one edge approve the transition; a Good on
-// that edge breaks the streak; a committed transition resets every
-// streak.
+// limit consecutive votes on one edge approve the transition; an
+// observation the edge's On does not accept breaks the streak; a
+// committed transition resets every streak.
 func TestEngineStreakDetection(t *testing.T) {
 	tab := tab3()
 	var e Engine
@@ -84,14 +96,16 @@ func TestEngineStreakDetection(t *testing.T) {
 			t.Fatalf("switch approved after %d votes, want %d", i+1, limit)
 		}
 	}
-	e.Good(tab, 0, 1) // breaks the streak
+	if _, fire := e.Observe(tab, 0, Calm, lim3); fire { // breaks the streak
+		t.Fatal("a confirming observation fired a transition")
+	}
 	for i := 0; i < limit-1; i++ {
 		if e.Vote(tab, 0, 1, limit) {
 			t.Fatal("broken streak still counted")
 		}
 	}
-	if !e.Vote(tab, 0, 1, limit) {
-		t.Fatal("full streak did not approve the transition")
+	if to, fire := e.Observe(tab, 0, Busy, lim3); !fire || to != 1 {
+		t.Fatalf("Observe completing the streak = (%d, %v), want (1, true)", to, fire)
 	}
 	if !e.TryCommit(tab, 0, 1) {
 		t.Fatal("TryCommit failed from the current mode")
@@ -129,14 +143,14 @@ func TestEngineAbsentEdgePanics(t *testing.T) {
 	tab := tab3()
 	var e Engine
 	for name, call := range map[string]func(){
-		"vote":   func() { e.Vote(tab, 0, 2, 3) },
-		"good":   func() { e.Good(tab, 2, 0) },
-		"commit": func() { e.TryCommit(tab, 0, 2) },
+		"vote":    func() { e.Vote(tab, 0, 2, 3) },
+		"observe": func() { e.Observe(tab, 3, Calm, lim3) },
+		"commit":  func() { e.TryCommit(tab, 0, 2) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s on an absent edge should panic", name)
+					t.Errorf("%s on an absent edge or mode should panic", name)
 				}
 			}()
 			call()
@@ -145,8 +159,8 @@ func TestEngineAbsentEdgePanics(t *testing.T) {
 }
 
 // TestEnginePolicyIntegration: an injected policy receives per-edge
-// directions and residuals, Good elision re-arms on quiescence, and a
-// commit clears pressure.
+// directions and residuals, Optimal elision re-arms on quiescence, and
+// a commit clears pressure.
 func TestEnginePolicyIntegration(t *testing.T) {
 	tab := tab3()
 	var e Engine
@@ -157,7 +171,7 @@ func TestEnginePolicyIntegration(t *testing.T) {
 	if !e.Dirty() {
 		t.Fatal("vote did not mark the engine dirty")
 	}
-	e.Good(tab, 0, 1) // hysteresis resets → quiescent → elision re-arms
+	e.Observe(tab, 0, Calm, lim3) // hysteresis resets → quiescent → elision re-arms
 	if e.Dirty() {
 		t.Fatal("engine still dirty after the policy re-quiesced")
 	}

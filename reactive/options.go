@@ -81,7 +81,11 @@ func WithPollIters(n int) Option {
 // appeared), direction 1 is scalable→cheap (contention disappeared), and
 // the residual costs are ResidualCheapHigh and ResidualScalableLow —
 // the per-edge Dir/Residual values of the primitive's reactive/modal
-// transition table.
+// transition table. The policy hears exactly one event per observed
+// operation (modal.Engine.Observe): Suboptimal when the operation votes
+// for a transition out of the current protocol, otherwise one Optimal —
+// never both, and never one per transition the protocol could take, so
+// a contended write on a sharded Map ages a WeightedAverage once.
 func WithPolicy(p policy.Policy) Option {
 	return func(c *config) { c.pol = p }
 }

@@ -28,8 +28,8 @@
 //     validated against it, and the same deposits validated against an
 //     epoch gate no reader writes; Map among one locked table,
 //     hash-sharded tables, and a published immutable table; and
-//   - two-phase waiting wherever a primitive blocks, with Lpoll expressed
-//     in spin iterations calibrated against the parking cost.
+//   - two-phase waiting wherever a primitive blocks, with Lpoll a fixed
+//     count of polling iterations (WithPollIters), not calibrated per host.
 //
 // Every wait is cancellable: LockCtx, RLockCtx, TryLockFor, ValueCtx,
 // and LoadCtx bound an acquisition by a context's cancellation or
@@ -186,15 +186,24 @@ var spinParkModes = []Mode{ModeSpin, ModePark}
 // RWMutex: the degenerate — but still consensus-serialized — modal
 // object of the thesis's reactive spin lock.
 var spinParkTable = modal.NewTable(2, []modal.Transition{
-	{From: mSpin, To: mPark, Dir: dirScaleUp, Residual: ResidualCheapHigh},
-	{From: mPark, To: mSpin, Dir: dirScaleDown, Residual: ResidualScalableLow},
+	{From: mSpin, To: mPark, Dir: dirScaleUp, Residual: ResidualCheapHigh, On: modal.Busy},
+	{From: mPark, To: mSpin, Dir: dirScaleDown, Residual: ResidualScalableLow, On: modal.Calm},
 })
 
-// Default tunables; the defaults follow the thesis: switch to the scalable
-// protocol after a streak of contended acquisitions, back after a streak
-// of uncontended ones, and poll about half the cost of blocking before
-// parking (Lpoll = 0.54·B). Override per primitive with WithSpinFailLimit,
-// WithEmptyLimit, and WithPollIters.
+// signalOf classifies one request by whether it met contention — all a
+// detection site says; what that votes for is its table's On column.
+func signalOf(contended bool) modal.Signal {
+	if contended {
+		return modal.Busy
+	}
+	return modal.Calm
+}
+
+// Default tunables; the defaults follow the thesis's shape: switch to the
+// scalable protocol after a streak of contended acquisitions, back after
+// a streak of uncontended ones, and poll a bounded budget before parking
+// (the thesis's Lpoll = 0.54·B; here a constant, not a measurement of B).
+// Override with WithSpinFailLimit, WithEmptyLimit, and WithPollIters.
 const (
 	// DefaultSpinFailLimit is the number of consecutive contended lock
 	// acquisitions before switching ModeSpin → ModePark (and the analogous
@@ -204,8 +213,8 @@ const (
 	// before switching ModePark → ModeSpin (and the analogous scale-down
 	// thresholds of Counter, FetchOp, and RWMutex).
 	DefaultEmptyLimit = 8
-	// DefaultPollIters is the two-phase polling budget in spin iterations
-	// before parking (≈0.5·B worth of polling on current hardware).
+	// DefaultPollIters is the two-phase polling budget before parking: a
+	// constant 60 yields, not calibrated against this host's blocking cost.
 	DefaultPollIters = 60
 )
 
@@ -271,6 +280,12 @@ func (c *config) pollBudget() int32 {
 		return c.pollIters
 	}
 	return DefaultPollIters
+}
+
+// limits is the streak-threshold pair Observe indexes by an edge's
+// direction: the fail limit scaling up, the empty limit scaling down.
+func (c *config) limits() [2]int32 {
+	return [2]int32{dirScaleUp: c.failLimit(), dirScaleDown: c.emptyLim()}
 }
 
 // Stats is the one observability surface shared by every primitive in
@@ -385,11 +400,13 @@ func (m *Mutex) lockFast() bool {
 		// With an injected policy the notification runs under a
 		// panic guard — the lock is already held here, and a panicking
 		// policy must not strand it. The built-in path stays bare: it is
-		// pure atomics and the guard's defer would tax every
-		// uncontended acquisition.
+		// pure atomics, and the guard's defer — or m.observe's call
+		// frame, which does not inline — would tax every acquisition.
 		if m.eng.Mode() == mSpin {
 			if m.eng.Policy() == nil {
-				m.eng.Good(spinParkTable, mSpin, mPark)
+				if to, fire := m.eng.Observe(spinParkTable, mSpin, modal.Calm, m.cfg.limits()); fire {
+					m.switchMode(ModeSpin, Mode(to))
+				}
 			} else {
 				m.goodHolding()
 			}
@@ -397,6 +414,14 @@ func (m *Mutex) lockFast() bool {
 		return true
 	}
 	return false
+}
+
+// observe reports one classified request served in mode from and carries
+// out the protocol change detection fires.
+func (m *Mutex) observe(from modal.Mode, s modal.Signal) {
+	if to, fire := m.eng.Observe(spinParkTable, from, s, m.cfg.limits()); fire {
+		m.switchMode(Mode(from), Mode(to))
+	}
 }
 
 // goodHolding delivers a spin-mode Optimal notification while the
@@ -410,7 +435,7 @@ func (m *Mutex) goodHolding() {
 			panic(r)
 		}
 	}()
-	m.eng.Good(spinParkTable, mSpin, mPark)
+	m.observe(mSpin, modal.Calm)
 }
 
 // LockCtx acquires the mutex like Lock, but gives up when ctx is
@@ -450,12 +475,10 @@ func (m *Mutex) lockSlow(ctx context.Context, done <-chan struct{}) error {
 	return nil
 }
 
-// noteSpinAcquire records the outcome of one spin-mode acquisition with
-// the detection machinery: an acquisition that failed at least one
-// test&set before succeeding was contended and votes toward the parking
-// protocol; an immediate acquisition breaks the streak. With the built-in
-// detection, SpinFailLimit consecutive contended acquisitions switch
-// ModeSpin → ModePark — exactly the documented streak semantics.
+// noteSpinAcquire classifies one spin-mode acquisition: one that failed
+// at least one test&set before succeeding was contended. With the
+// built-in detection, SpinFailLimit consecutive contended acquisitions
+// switch ModeSpin → ModePark — exactly the documented streak semantics.
 func (m *Mutex) noteSpinAcquire(fails int) {
 	// The caller holds the lock; with an injected policy the
 	// notifications run under a panic guard (as in lockFast) so a
@@ -468,13 +491,7 @@ func (m *Mutex) noteSpinAcquire(fails int) {
 			}
 		}()
 	}
-	if fails == 0 {
-		m.eng.Good(spinParkTable, mSpin, mPark)
-		return
-	}
-	if m.eng.Vote(spinParkTable, mSpin, mPark, m.cfg.failLimit()) {
-		m.switchMode(ModeSpin, ModePark)
-	}
+	m.observe(mSpin, signalOf(fails > 0))
 }
 
 // lockSpin is the test-and-test-and-set protocol with randomized
@@ -547,24 +564,19 @@ func (m *Mutex) Unlock() {
 		panic("reactive: Unlock of unlocked Mutex")
 	}
 	chaos.Point("mutex.unlock.release")
-	if old == contended || m.q.Len() > 0 {
+	waiters := old == contended || m.q.Len() > 0
+	if waiters {
 		// Wake the oldest parked waiter (a no-op if every announced
 		// waiter is still pre-park: their post-announce state check
-		// covers this release) before notifying the engine: Good may call
-		// into an injected policy, and a panic there must not strand the
-		// waiter this release owes a wakeup.
+		// covers this release) before notifying the engine: the
+		// observation may call into an injected policy, and a panic there
+		// must not strand the waiter this release owes a wakeup.
 		m.q.Grant()
-		if mode == mPark {
-			m.eng.Good(spinParkTable, mPark, mSpin)
-		}
-		return
 	}
 	if mode == mPark {
-		// Uncontended unlock in the scalable protocol: vote to switch back
-		// to the cheap protocol.
-		if m.eng.Vote(spinParkTable, mPark, mSpin, m.cfg.emptyLim()) {
-			m.switchMode(ModePark, ModeSpin)
-		}
+		// An unlock that found nobody waiting is the scalable protocol
+		// going unused.
+		m.observe(mPark, signalOf(waiters))
 	}
 }
 

@@ -37,10 +37,10 @@ var readerModes = []Mode{ModeCAS, ModeSharded, ModeEpoch}
 // FetchOp's N=3 chain), orthogonal to the spin↔park wait table the
 // same type also runs on.
 var readerShardTable = modal.NewTable(3, []modal.Transition{
-	{From: rCentral, To: rSharded, Dir: dirScaleUp, Residual: ResidualCheapHigh},
-	{From: rSharded, To: rCentral, Dir: dirScaleDown, Residual: ResidualScalableLow},
-	{From: rSharded, To: rEpoch, Dir: dirScaleUp, Residual: ResidualCheapHigh},
-	{From: rEpoch, To: rSharded, Dir: dirScaleDown, Residual: ResidualScalableLow},
+	{From: rCentral, To: rSharded, Dir: dirScaleUp, Residual: ResidualCheapHigh, On: modal.Busy},
+	{From: rSharded, To: rCentral, Dir: dirScaleDown, Residual: ResidualScalableLow, On: modal.Calm},
+	{From: rSharded, To: rEpoch, Dir: dirScaleUp, Residual: ResidualCheapHigh, On: modal.Busy},
+	{From: rEpoch, To: rSharded, Dir: dirScaleDown, Residual: ResidualScalableLow, On: modal.Calm},
 })
 
 // RWReaderTable returns the transition table RWMutex's reader
@@ -86,18 +86,17 @@ func RWReaderTable() *modal.Table { return readerShardTable }
 //     claim the gate and sweep the cells (a grace period) until every
 //     registered reader has gone offline.
 //
-// Wait-protocol detection mirrors Mutex: a reader whose wait exceeded
-// the polling budget votes toward ModePark (SpinFailLimit consecutive
-// such waits switch); a writer release that found no parked readers
-// votes toward ModeSpin (EmptyLimit consecutive such releases switch
-// back). Registration detection: a reader whose centralized CAS lost to
-// another *reader* votes toward ModeSharded (SpinFailLimit consecutive
-// losses switch); a writer whose sharded drain found active readers —
-// the read-saturated regime where even the cell deposits bounce against
-// the drain — votes toward ModeEpoch (SpinFailLimit consecutive busy
-// drains switch); a writer whose drain found the lock already quiet
-// votes one step back down the chain (EmptyLimit consecutive quiet
-// drains, or quiet grace periods in epoch mode, switch).
+// Detection only classifies (modal.Busy or modal.Calm; the tables' On
+// columns say which transition each votes for, SpinFailLimit consecutive
+// Busy scaling up, EmptyLimit consecutive Calm scaling down). The wait
+// protocol mirrors Mutex: a slow-path read is Busy when its wait
+// exceeded the polling budget, a writer release is Busy when readers had
+// parked behind it. The registration protocol: a slow-path centralized
+// registration is Busy when its CAS lost to another *reader*; a writer's
+// drain in the cell-based modes is Busy when it found active readers —
+// from the sharded mode that is the read-saturated regime where even
+// the cell deposits bounce against the drain — and Calm when the lock
+// was already quiet (in epoch mode, a quiet grace period).
 // Registration-protocol changes are committed only under full
 // writer exclusion, so no reader's RLock/RUnlock pair ever spans one.
 //
@@ -436,7 +435,7 @@ func (rw *RWMutex) rlockSlow(ctx context.Context, done <-chan struct{}) error {
 					// streak, so only *consecutive* losses — not losses
 					// accumulated over the lock's lifetime — reach the
 					// switch threshold.
-					rw.reng.Good(readerShardTable, rCentral, rSharded)
+					rw.noteRegistration(false)
 				}
 				rw.noteReadWait(blocked, budget)
 				return nil
@@ -447,9 +446,7 @@ func (rw *RWMutex) rlockSlow(ctx context.Context, done <-chan struct{}) error {
 				// registration protocol is serializing readers on one cache
 				// line — the regime sharded cells are built for.
 				casLosses++
-				if rw.reng.Vote(readerShardTable, rCentral, rSharded, rw.cfg.failLimit()) {
-					rw.switchReaderMode(rCentral, rSharded)
-				}
+				rw.noteRegistration(true)
 				continue
 			}
 			// regClaimed: that is the wait protocol's signal, not
@@ -471,12 +468,28 @@ func (rw *RWMutex) rlockSlow(ctx context.Context, done <-chan struct{}) error {
 	}
 }
 
-// noteReadWait runs the wait-protocol detection on one completed
-// slow-path read acquisition: a wait that exceeded the polling budget
-// means a spinning reader burned more than Lpoll — sub-optimal, vote
-// toward the parking protocol; a within-budget wait breaks the streak.
-// Detection is mode-directional: spin mode monitors the cheap→scalable
-// direction only.
+// noteRegistration classifies one slow-path registration attempt on the
+// centralized word: lost to another reader, or completed loss-free. A
+// fired promotion takes the write lock itself (switchReaderMode).
+func (rw *RWMutex) noteRegistration(lost bool) {
+	if to, fire := rw.reng.Observe(readerShardTable, rCentral, signalOf(lost), rw.cfg.limits()); fire {
+		rw.switchReaderMode(rCentral, to)
+	}
+}
+
+// observeWait reports one classified request to the wait-protocol
+// detector and carries out the change it fires.
+func (rw *RWMutex) observeWait(from modal.Mode, s modal.Signal) {
+	if to, fire := rw.eng.Observe(spinParkTable, from, s, rw.cfg.limits()); fire {
+		rw.switchRWMode(Mode(from), Mode(to))
+	}
+}
+
+// noteReadWait classifies one completed slow-path read acquisition for
+// the wait-protocol detector: a wait that exceeded the polling budget
+// means a spinning reader burned more than Lpoll. Detection is
+// mode-directional: spin mode monitors the cheap→scalable direction
+// only.
 func (rw *RWMutex) noteReadWait(blocked, budget int) {
 	if rw.eng.Mode() != mSpin {
 		return
@@ -494,13 +507,7 @@ func (rw *RWMutex) noteReadWait(blocked, budget int) {
 			}
 		}()
 	}
-	if blocked > budget {
-		if rw.eng.Vote(spinParkTable, mSpin, mPark, rw.cfg.failLimit()) {
-			rw.switchRWMode(ModeSpin, ModePark)
-		}
-	} else {
-		rw.eng.Good(spinParkTable, mSpin, mPark)
-	}
+	rw.observeWait(mSpin, signalOf(blocked > budget))
 }
 
 // rlockPark is the reader's phase-two wait (rlockSlow's backoff loop was
@@ -642,13 +649,12 @@ func (rw *RWMutex) drained() bool {
 // reader of any registration protocol grants into. At most one writer
 // drains at a time (the writer mutex is held), so the queue holds at
 // most one node. In epoch mode a completed drain is one grace period.
-// It also runs the registration protocol's promotion and scale-down
-// detection: a drain that found the lock already quiet means the cell
-// machinery went unused across a whole writer round — EmptyLimit
-// consecutive such drains (or quiet grace periods) retire one step of
-// the chain — while a sharded drain that found active readers is the
-// read-saturation signal, SpinFailLimit consecutive of which promote to
-// the epoch protocol. Commits happen right here, under the writer's own
+// It is also the cell-based registration modes' detection site: a drain
+// that found the lock already quiet is Calm — the cell machinery went
+// unused across a whole writer round — and one that found active readers
+// is Busy, the read-saturation signal. The centralized mode's detector
+// listens to reader CAS losses only (noteRegistration), so a drain there
+// observes nothing. Commits happen right here, under the writer's own
 // exclusion (claim in place, drain complete), so no reader can span
 // them. A closed done aborts the wait; the caller retracts the claim.
 func (rw *RWMutex) drainReaders(done <-chan struct{}) (aborted bool) {
@@ -656,34 +662,15 @@ func (rw *RWMutex) drainReaders(done <-chan struct{}) (aborted bool) {
 	if !idle && rw.wq.Wait(rw.cfg.pollBudget(), done, func(bool) bool { return rw.drained() }) {
 		return true
 	}
-	switch rw.reng.Mode() {
-	case rSharded:
-		if idle {
-			// The cell machinery went unused across a whole writer
-			// round: vote down, and break any busy-drain streak toward
-			// the epoch protocol.
-			rw.reng.Good(readerShardTable, rSharded, rEpoch)
-			if rw.reng.Vote(readerShardTable, rSharded, rCentral, rw.cfg.emptyLim()) {
-				rw.commitReaderMode(rSharded, rCentral, true)
-			}
-		} else {
-			// Active sharded readers at writer arrival: the
-			// read-saturated regime where even cell deposits contend
-			// with the drain — the epoch protocol's regime. Vote up,
-			// and break the quiet-drain streak toward the centralized
-			// word.
-			rw.reng.Good(readerShardTable, rSharded, rCentral)
-			if rw.reng.Vote(readerShardTable, rSharded, rEpoch, rw.cfg.failLimit()) {
-				rw.commitReaderMode(rSharded, rEpoch, true)
-			}
-		}
-	case rEpoch:
+	from := rw.reng.Mode()
+	if from == rCentral {
+		return false
+	}
+	if from == rEpoch {
 		rw.ek.Grace(idle)
-		if !idle {
-			rw.reng.Good(readerShardTable, rEpoch, rSharded)
-		} else if rw.reng.Vote(readerShardTable, rEpoch, rSharded, rw.cfg.emptyLim()) {
-			rw.commitReaderMode(rEpoch, rSharded, true)
-		}
+	}
+	if to, fire := rw.reng.Observe(readerShardTable, from, signalOf(!idle), rw.cfg.limits()); fire {
+		rw.commitReaderMode(from, to, true)
 	}
 	return false
 }
@@ -702,20 +689,16 @@ func (rw *RWMutex) Unlock() {
 	// Broadcast after the claims clear: a reader that announces later
 	// re-checks the claim after queuing and leaves on its own.
 	rw.rq.GrantAll()
-	// Release the writer mutex before the detection calls: Good and Vote
-	// may call into an injected policy, and a panic there must unwind
-	// without the writer mutex held — otherwise every later Lock parks
-	// forever behind a lock nobody owns. Detection is still serialized
-	// by the engine's own policy lock.
+	// Release the writer mutex before the observation: it may call into
+	// an injected policy, and a panic there must unwind without the
+	// writer mutex held — otherwise every later Lock parks forever behind
+	// a lock nobody owns. Detection is still serialized by the engine's
+	// own policy lock.
 	rw.w.Unlock()
 	if rw.eng.Mode() == mPark {
-		if parked {
-			rw.eng.Good(spinParkTable, mPark, mSpin)
-		} else if rw.eng.Vote(spinParkTable, mPark, mSpin, rw.cfg.emptyLim()) {
-			// No reader parked across this writer hold: the parking
-			// protocol went unused; vote toward the cheap protocol.
-			rw.switchRWMode(ModePark, ModeSpin)
-		}
+		// No reader parked across this writer hold: the parking protocol
+		// went unused.
+		rw.observeWait(mPark, signalOf(parked))
 	}
 }
 

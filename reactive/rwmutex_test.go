@@ -206,11 +206,8 @@ func TestRWMutexSwitchesToParkOnLongWrites(t *testing.T) {
 // reach park mode), while a slow-path wait completed within the budget
 // breaks the streak.
 func TestRWMutexWaitStreakSemantics(t *testing.T) {
-	vote := func(rw *RWMutex) { // one over-budget wait, as rlockSlow reports it
-		if rw.eng.Vote(spinParkTable, mSpin, mPark, rw.cfg.failLimit()) {
-			rw.switchRWMode(ModeSpin, ModePark)
-		}
-	}
+	const budget = 4
+	vote := func(rw *RWMutex) { rw.noteReadWait(budget+1, budget) } // one over-budget wait, as rlockSlow reports it
 	// Fast-path reads interleaved with over-budget waits must not reset
 	// the streak.
 	var rw RWMutex
@@ -222,13 +219,13 @@ func TestRWMutexWaitStreakSemantics(t *testing.T) {
 	if got := rw.Stats().Mode; got != ModePark {
 		t.Fatalf("mode = %v: fast-path reads must not mask over-budget waits", got)
 	}
-	// A within-budget slow-path wait (reported via good) breaks it.
+	// A within-budget slow-path wait breaks it.
 	var rw2 RWMutex
 	for round := 0; round < 3; round++ {
 		for i := 0; i < DefaultSpinFailLimit-1; i++ {
 			vote(&rw2)
 		}
-		rw2.eng.Good(spinParkTable, mSpin, mPark) // within-budget wait, as rlockSlow reports it
+		rw2.noteReadWait(budget, budget) // within-budget wait, as rlockSlow reports it
 	}
 	if got := rw2.Stats().Mode; got != ModeSpin {
 		t.Fatalf("mode = %v after broken streaks, want spin", got)

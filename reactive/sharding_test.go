@@ -272,9 +272,7 @@ func TestCounterGOMAXPROCS1ModeTransitions(t *testing.T) {
 func TestRWMutexReaderContentionPromotesToSharded(t *testing.T) {
 	var rw RWMutex
 	for i := 0; i < DefaultSpinFailLimit; i++ {
-		if rw.reng.Vote(readerShardTable, rCentral, rSharded, rw.cfg.failLimit()) {
-			rw.switchReaderMode(rCentral, rSharded)
-		}
+		rw.noteRegistration(true)
 	}
 	if got := rw.Stats().Readers; got.Mode != ModeSharded || got.Switches != 1 {
 		t.Fatalf("Stats().Readers = %+v after %d CAS losses, want sharded after 1 switch",
@@ -296,19 +294,17 @@ func TestRWMutexReaderContentionPromotesToSharded(t *testing.T) {
 }
 
 // TestRWMutexRegistrationStreakSemantics pins the up-edge streak
-// semantics: a loss-free slow-path registration (reported as Good by
-// rlockSlow) breaks the reader-contention streak, so only consecutive
+// semantics: a loss-free slow-path registration (as rlockSlow reports
+// it) breaks the reader-contention streak, so only consecutive
 // CAS losses — never losses accumulated across the lock's lifetime —
 // reach the switch threshold.
 func TestRWMutexRegistrationStreakSemantics(t *testing.T) {
 	var rw RWMutex
 	for round := 0; round < 3; round++ {
 		for i := 0; i < DefaultSpinFailLimit-1; i++ {
-			if rw.reng.Vote(readerShardTable, rCentral, rSharded, rw.cfg.failLimit()) {
-				rw.switchReaderMode(rCentral, rSharded)
-			}
+			rw.noteRegistration(true)
 		}
-		rw.reng.Good(readerShardTable, rCentral, rSharded) // loss-free registration
+		rw.noteRegistration(false) // loss-free registration
 	}
 	if got := rw.Stats().Readers.Mode; got != ModeCAS {
 		t.Fatalf("reader mode = %v after broken loss streaks, want cas", got)

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"sync"
 	"testing"
+
+	"repro/reactive/modal"
 )
 
 func TestModeTextRoundTrip(t *testing.T) {
@@ -206,7 +208,7 @@ func TestStatsPollingRace(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < flips; i++ {
 			for j := 0; j < 2*DefaultSpinFailLimit; j++ {
-				f.noteContendedApply()
+				f.observe(fCAS, modal.Busy)
 			}
 			for j := 0; j < 2*DefaultEmptyLimit; j++ {
 				f.Apply(1)
