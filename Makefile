@@ -30,12 +30,14 @@ test:
 
 # The CI examples job: every example vets clean and runs to completion,
 # and so do the two commands no test executes — lockstat at one lock and
-# one fetch-and-op protocol, reactsim over the ablation group.
+# two fetch-and-op protocols (the reactive one at 12 contenders, where it
+# changes protocol), reactsim over the ablation group.
 examples:
 	$(GO) vet ./examples/...
 	@set -e; for d in examples/*/; do echo "== $$d"; timeout 120 $(GO) run ./$$d > /dev/null; done
 	$(GO) run ./cmd/lockstat -kind lock -proto reactive -procs 1,4 -iters 8
 	$(GO) run ./cmd/lockstat -kind fop -proto combining-tree -procs 1,4 -iters 8
+	$(GO) run ./cmd/lockstat -kind fop -proto reactive -procs 1,12 -iters 8
 	$(GO) run ./cmd/reactsim -exp ablations
 
 # The tier-1 gate and CI's tier1 job: every test at full scale, the
@@ -99,10 +101,15 @@ fuzz-short:
 # The grep keeps detection spelled once: which observation votes for
 # which edge is the tables' On column behind modal.Engine.Observe, so a
 # hand-wired Vote/Good call in the primitives or the experiment traces
-# is a second spelling coming back.
+# is a second spelling coming back. The second grep does the same for the
+# simulator: the TTS spin, the queue entry and the protocol changes are
+# internal/core/lockpair.go's, so the two reactive algorithms built on it
+# hold no fetch&store and one test&set (the lock's optimistic first try).
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -nE '\.(Vote|Good)\(' reactive/*.go internal/experiments/*.go | grep -v _test.go)"; if [ -n "$$out" ]; then echo "hand-wired detection (use Engine.Observe):"; echo "$$out"; exit 1; fi
+	@out="$$(cd internal/core && grep -n -e 'FetchAndStore(' -e 'TestAndSet(' reactivelock.go reactivefop.go)"; \
+	if echo "$$out" | grep -q 'FetchAndStore(' || [ "$$(echo "$$out" | grep -c .)" -gt 1 ]; then echo "TTS/queue protocol re-spelled outside lockpair.go:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 
 # The CI docs job: documentation that tests can check. The experiment

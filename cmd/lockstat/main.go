@@ -63,6 +63,10 @@ func main() {
 		os.Exit(2)
 	}
 
+	if *iters < 1 {
+		fmt.Fprintf(os.Stderr, "bad -iters %d: need at least one operation per processor\n", *iters)
+		os.Exit(2)
+	}
 	var levels []int
 	for _, f := range strings.Split(*procsFlag, ",") {
 		p, err := strconv.Atoi(strings.TrimSpace(f))

@@ -3,12 +3,17 @@
 //
 // It contains (1) the protocol-selection framework of Section 3.2 —
 // protocol objects, the concurrent protocol manager, consensus objects, and
-// a C-serializability checker; (2) the reactive spin lock of Section 3.7.3;
-// and (3) the reactive fetch-and-op of Appendix C.
+// a C-serializability checker — and the generic selectable locks of
+// Appendix B built from unmodified components; (2) lockPair, the TTS and
+// invalidatable-queue protocols of Section 3.7.3 with their monitoring and
+// the two changes between them; (3) the reactive spin lock, which is that
+// pair; and (4) the reactive fetch-and-op of Appendix C, which is that
+// pair around a central word plus the combining tree.
 package core
 
 import (
 	"repro/internal/machine"
+	"repro/internal/spinlock"
 )
 
 // ProtocolObject is the specification of Figure 3.5: a synchronization
@@ -77,10 +82,10 @@ func (m *Manager) DoChange(c machine.Context, target int) {
 // implementation and as the ablation baseline against consensus objects.
 
 // NaiveObject wraps a protocol with a test-and-set lock that brackets every
-// operation (Figure 3.7).
+// operation (Figure 3.7): a ConsensusObject every operation passes through,
+// where Figure 3.11's protocols pass through it once.
 type NaiveObject struct {
-	lock  machine.Addr
-	valid machine.Addr
+	co *ConsensusObject
 
 	// Run executes the underlying protocol (called with the lock held).
 	Run func(c machine.Context, arg uint64) uint64
@@ -90,35 +95,14 @@ type NaiveObject struct {
 
 // NewNaiveObject allocates the object's lock and valid flag on node home.
 func NewNaiveObject(m *machine.Machine, home int, valid bool) *NaiveObject {
-	o := &NaiveObject{
-		lock:  m.Mem.Alloc(home, 1),
-		valid: m.Mem.Alloc(home, 1),
-	}
-	if valid {
-		m.Mem.Poke(o.valid, 1)
-	}
-	return o
+	return &NaiveObject{co: NewConsensusObject(m, home, valid)}
 }
-
-func (o *NaiveObject) acquire(c machine.Context) {
-	for {
-		for c.Read(o.lock) != 0 {
-			c.Advance(2)
-		}
-		if c.TestAndSet(o.lock) == 0 {
-			return
-		}
-		c.Advance(c.Rand().Uint64n(32) + 1)
-	}
-}
-
-func (o *NaiveObject) release(c machine.Context) { c.Write(o.lock, 0) }
 
 // DoProtocol implements ProtocolObject.
 func (o *NaiveObject) DoProtocol(c machine.Context, arg uint64) (uint64, bool) {
-	o.acquire(c)
-	defer o.release(c)
-	if c.Read(o.valid) == 0 {
+	o.co.Acquire(c)
+	defer o.co.Release(c)
+	if !o.co.Valid(c) {
 		return 0, false
 	}
 	return o.Run(c, arg), true
@@ -126,31 +110,29 @@ func (o *NaiveObject) DoProtocol(c machine.Context, arg uint64) (uint64, bool) {
 
 // Invalidate implements ProtocolObject.
 func (o *NaiveObject) Invalidate(c machine.Context) bool {
-	o.acquire(c)
-	defer o.release(c)
-	if c.Read(o.valid) == 0 {
+	o.co.Acquire(c)
+	defer o.co.Release(c)
+	if !o.co.Valid(c) {
 		return false
 	}
-	c.Write(o.valid, 0)
+	o.co.SetValid(c, false)
 	return true
 }
 
 // Validate implements ProtocolObject.
 func (o *NaiveObject) Validate(c machine.Context) {
-	o.acquire(c)
-	defer o.release(c)
-	if c.Read(o.valid) == 0 {
+	o.co.Acquire(c)
+	defer o.co.Release(c)
+	if !o.co.Valid(c) {
 		if o.Update != nil {
 			o.Update(c)
 		}
-		c.Write(o.valid, 1)
+		o.co.SetValid(c, true)
 	}
 }
 
 // IsValid implements ProtocolObject.
-func (o *NaiveObject) IsValid(c machine.Context) bool {
-	return c.Read(o.valid) != 0
-}
+func (o *NaiveObject) IsValid(c machine.Context) bool { return o.co.Valid(c) }
 
 // --- Consensus-object-based protocol object (Figure 3.11) ---
 //
@@ -187,17 +169,7 @@ func NewConsensusObject(m *machine.Machine, home int, valid bool) *ConsensusObje
 }
 
 // Acquire obtains atomic access to the consensus object.
-func (o *ConsensusObject) Acquire(c machine.Context) {
-	for {
-		for c.Read(o.lock) != 0 {
-			c.Advance(2)
-		}
-		if c.TestAndSet(o.lock) == 0 {
-			return
-		}
-		c.Advance(c.Rand().Uint64n(32) + 1)
-	}
-}
+func (o *ConsensusObject) Acquire(c machine.Context) { spinlock.AcquireWord(c, o.lock, 32) }
 
 // Release relinquishes atomic access.
 func (o *ConsensusObject) Release(c machine.Context) { c.Write(o.lock, 0) }

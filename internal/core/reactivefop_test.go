@@ -65,7 +65,7 @@ func TestReactiveFOPCorrectness(t *testing.T) {
 func TestReactiveFOPStaysTTSUncontended(t *testing.T) {
 	f, got, _ := runFOP(t, 1, 120, 200, nil)
 	checkPerm(t, got, 120)
-	if f.Mode() != fopTTS {
+	if f.Mode() != modeTTS {
 		t.Fatalf("mode = %d after uncontended run, want TTS", f.Mode())
 	}
 	if f.Changes != 0 {
@@ -76,7 +76,7 @@ func TestReactiveFOPStaysTTSUncontended(t *testing.T) {
 func TestReactiveFOPPicksQueueAtModerateContention(t *testing.T) {
 	f, got, _ := runFOP(t, 8, 40, 500, nil)
 	checkPerm(t, got, 320)
-	if f.Mode() != fopQueue {
+	if f.Mode() != modeQueue {
 		t.Fatalf("mode = %d at 8-way contention, want QUEUE", f.Mode())
 	}
 }

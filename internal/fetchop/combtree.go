@@ -3,6 +3,7 @@ package fetchop
 import (
 	"repro/internal/machine"
 	"repro/internal/memsys"
+	"repro/internal/spinlock"
 )
 
 // Deposit-cell states (simulated words waiters spin on).
@@ -106,8 +107,10 @@ func (t *CombTree) Name() string { return "combining-tree" }
 // Central returns the address of the fetch-and-op variable.
 func (t *CombTree) Central() memsys.Addr { return t.central }
 
-// RootLock returns the root node's lock address — the consensus object.
-func (t *CombTree) RootLock() memsys.Addr { return t.nodes[1].lock }
+// LockRoot and UnlockRoot bracket atomic access to the root node — the
+// consensus object — by a process that is not climbing the tree.
+func (t *CombTree) LockRoot(c machine.Context)   { t.lockNode(c, t.nodes[1]) }
+func (t *CombTree) UnlockRoot(c machine.Context) { t.unlockNode(c, t.nodes[1]) }
 
 // leafParent returns the heap index of the internal node above proc's leaf.
 func (t *CombTree) leafParent(proc int) int {
@@ -115,21 +118,8 @@ func (t *CombTree) leafParent(proc int) int {
 	return leaf / 2
 }
 
-func (t *CombTree) lockNode(c machine.Context, n *ctNode) {
-	for {
-		for c.Read(n.lock) != 0 {
-			c.Advance(2)
-		}
-		if c.TestAndSet(n.lock) == 0 {
-			return
-		}
-		c.Advance(c.Rand().Uint64n(16) + 1)
-	}
-}
-
-func (t *CombTree) unlockNode(c machine.Context, n *ctNode) {
-	c.Write(n.lock, 0)
-}
+func (t *CombTree) lockNode(c machine.Context, n *ctNode)   { spinlock.AcquireWord(c, n.lock, 16) }
+func (t *CombTree) unlockNode(c machine.Context, n *ctNode) { c.Write(n.lock, 0) }
 
 // myReq returns proc's reusable request cell reset for a new operation.
 func (t *CombTree) myReq(c machine.Context, v uint64, count int) *ctReq {
