@@ -29,9 +29,10 @@ test:
 	$(GO) test -tags reactive_noprocpin -race -short -run 'Ctx|Cancel|Handoff|Stress|Epoch|GOMAXPROCS|Misuse|Panic|Invariants|Fuzz|Map|FetchOp|Counter' ./reactive/...
 
 # The CI examples job: every example vets clean and runs to completion,
-# and so do the two commands no test executes — lockstat at one lock and
-# two fetch-and-op protocols (the reactive one at 12 contenders, where it
-# changes protocol), reactsim over the ablation group.
+# and so do the commands as a user starts them — lockstat (which no test
+# executes) at one lock and two fetch-and-op protocols (the reactive one
+# at 12 contenders, where it changes protocol), reactsim over the ablation
+# group, waitsim with its one tool-specific flag.
 examples:
 	$(GO) vet ./examples/...
 	@set -e; for d in examples/*/; do echo "== $$d"; timeout 120 $(GO) run ./$$d > /dev/null; done
@@ -39,6 +40,7 @@ examples:
 	$(GO) run ./cmd/lockstat -kind fop -proto combining-tree -procs 1,4 -iters 8
 	$(GO) run ./cmd/lockstat -kind fop -proto reactive -procs 1,12 -iters 8
 	$(GO) run ./cmd/reactsim -exp ablations
+	$(GO) run ./cmd/waitsim -exp profiles -hist > /dev/null
 
 # The tier-1 gate and CI's tier1 job: every test at full scale, the
 # slow experiment specs and TestRegistryDigestsGolden over the whole
@@ -105,11 +107,18 @@ fuzz-short:
 # simulator: the TTS spin, the queue entry and the protocol changes are
 # internal/core/lockpair.go's, so the two reactive algorithms built on it
 # hold no fetch&store and one test&set (the lock's optimistic first try).
+# The last two do it for Chapter 4: there is one waiting algorithm, so
+# nothing can type-switch on it (always-spin is Lpoll == waiting.Forever),
+# and the waitBenches table in internal/experiments/waitexp.go is the only
+# place a waiting benchmark is constructed.
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -nE '\.(Vote|Good)\(' reactive/*.go internal/experiments/*.go | grep -v _test.go)"; if [ -n "$$out" ]; then echo "hand-wired detection (use Engine.Observe):"; echo "$$out"; exit 1; fi
 	@out="$$(cd internal/core && grep -n -e 'FetchAndStore(' -e 'TestAndSet(' reactivelock.go reactivefop.go)"; \
 	if echo "$$out" | grep -q 'FetchAndStore(' || [ "$$(echo "$$out" | grep -c .)" -gt 1 ]; then echo "TTS/queue protocol re-spelled outside lockpair.go:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rn '\.(\*waiting\.' --include='*.go' .)"; if [ -n "$$out" ]; then echo "type assertion on the one waiting algorithm (compare Lpoll instead):"; echo "$$out"; exit 1; fi
+	@out="$$(grep -ohE 'apps\.(JacobiJstr|FutureStream|FutureTree|NewJacobiBar|NewCGrad|FibHeap|MutexBench|CountNet)\b' $$(ls internal/experiments/*.go | grep -v _test.go) | sort | uniq -d)"; \
+	if [ -n "$$out" ]; then echo "waiting benchmark constructed a second time (use the waitBenches row):"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 
 # The CI docs job: documentation that tests can check. The experiment

@@ -28,6 +28,11 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command less the process exit.
+func run(args []string, stdout, stderr io.Writer) int {
 	cfg := expcli.Config{
 		Tool: experiments.ToolWaitsim,
 		ExtraFlags: func(fs *flag.FlagSet) func(io.Writer, experiments.Sizes, []experiments.Result) error {
@@ -36,13 +41,19 @@ func main() {
 				if !*hist {
 					return nil
 				}
-				// Histograms accompany the profiles experiment: print them
-				// only when it was selected, reusing its exact seed so
-				// they match the summary table just printed. This reruns
-				// WaitProfiles (~tens of ms at Quick scale) rather than
-				// caching side data in the registry result.
+				// Histograms accompany the profiles experiment, so -hist
+				// without it in the selection is a usage error. They reuse
+				// its exact seed so they match the summary table just
+				// printed. This reruns WaitProfiles (~tens of ms at Quick
+				// scale) rather than caching side data in the registry
+				// result.
+				selected := false
 				for _, res := range results {
-					if res.Spec.Name != experiments.ProfilesExperiment || res.Err != nil {
+					if res.Spec.Name != experiments.ProfilesExperiment {
+						continue
+					}
+					selected = true
+					if res.Err != nil {
 						continue
 					}
 					sz.Seed = res.Seed
@@ -52,9 +63,12 @@ func main() {
 						}
 					}
 				}
+				if !selected {
+					return expcli.UsageError("-hist: the selection has no " + experiments.ProfilesExperiment + " to draw histograms for (add -exp profiles)")
+				}
 				return nil
 			}
 		},
 	}
-	os.Exit(expcli.Main(cfg, os.Args[1:], os.Stdout, os.Stderr))
+	return expcli.Main(cfg, args, stdout, stderr)
 }

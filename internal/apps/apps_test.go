@@ -92,12 +92,12 @@ func newSched(procs int) *threads.Scheduler {
 	return threads.NewScheduler(machine.New(machine.DefaultConfig(procs)), threads.DefaultCosts())
 }
 
-func waitAlgs() []waiting.Algorithm {
+func waitAlgs() []*waiting.Algorithm {
 	costs := threads.DefaultCosts()
-	return []waiting.Algorithm{
-		&waiting.AlwaysSpin{},
-		&waiting.AlwaysBlock{},
-		waiting.NewTwoPhaseAlpha(0.54, costs),
+	return []*waiting.Algorithm{
+		waiting.Spin(),
+		waiting.Block(),
+		waiting.TwoPhaseAlpha(0.54, costs),
 	}
 }
 
@@ -118,9 +118,9 @@ func TestJacobiJstrMultiprogrammedBlocking(t *testing.T) {
 	// With 2 threads per processor, signaling algorithms stay live because
 	// blocked waiters free the processor for the not-yet-started threads.
 	costs := threads.DefaultCosts()
-	for _, alg := range []waiting.Algorithm{
-		&waiting.AlwaysBlock{},
-		waiting.NewTwoPhaseAlpha(0.54, costs),
+	for _, alg := range []*waiting.Algorithm{
+		waiting.Block(),
+		waiting.TwoPhaseAlpha(0.54, costs),
 	} {
 		s := newSched(4)
 		s.Machine().Eng.SetLimit(50_000_000)
@@ -136,10 +136,10 @@ func TestFutureTreeAlgorithms(t *testing.T) {
 	// descendants (the starvation hazard Section 2.2.4 notes), so it runs
 	// with signaling-capable algorithms only.
 	costs := threads.DefaultCosts()
-	for _, alg := range []waiting.Algorithm{
-		&waiting.AlwaysBlock{},
-		waiting.NewTwoPhaseAlpha(0.54, costs),
-		waiting.NewTwoPhaseAlpha(1.0, costs),
+	for _, alg := range []*waiting.Algorithm{
+		waiting.Block(),
+		waiting.TwoPhaseAlpha(0.54, costs),
+		waiting.TwoPhaseAlpha(1.0, costs),
 	} {
 		s := newSched(4)
 		s.Machine().Eng.SetLimit(100_000_000)
@@ -197,13 +197,13 @@ func TestBlockingBeatsSpinningWithMultiprogramming(t *testing.T) {
 	// Long producer intervals + a coworker sharing the consumer's
 	// processor: always-block must beat always-spin (the raison d'être of
 	// signaling mechanisms).
-	elapsed := func(alg waiting.Algorithm) Time {
+	elapsed := func(alg *waiting.Algorithm) Time {
 		s := newSched(4)
 		s.Machine().Eng.SetLimit(200_000_000)
 		return (&FutureStream{Items: 25, Mean: 4000, Work: 3000}).Run(s, alg)
 	}
-	spin := elapsed(&waiting.AlwaysSpin{})
-	block := elapsed(&waiting.AlwaysBlock{})
+	spin := elapsed(waiting.Spin())
+	block := elapsed(waiting.Block())
 	if block >= spin {
 		t.Fatalf("always-block (%d) should beat always-spin (%d)", block, spin)
 	}
@@ -212,7 +212,7 @@ func TestBlockingBeatsSpinningWithMultiprogramming(t *testing.T) {
 func TestDeterministicApps(t *testing.T) {
 	run := func() Time {
 		s := newSched(4)
-		return (&FibHeap{Threads: 8, Ops: 8, Mean: 500}).Run(s, &waiting.AlwaysBlock{})
+		return (&FibHeap{Threads: 8, Ops: 8, Mean: 500}).Run(s, waiting.Block())
 	}
 	if run() != run() {
 		t.Fatal("FibHeap non-deterministic")

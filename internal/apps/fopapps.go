@@ -22,14 +22,22 @@ import (
 // Time is simulated cycles.
 type Time = machine.Time
 
-// Elapsed runs the machine and returns the max completion time recorded by
-// the workers via the done callback.
+// tracker records the latest completion time among a benchmark's workers.
 type tracker struct{ end Time }
 
 func (tr *tracker) done(c machine.Context) {
 	if c.Now() > tr.end {
 		tr.end = c.Now()
 	}
+}
+
+// run runs the machine to completion and returns the elapsed cycles the
+// workers recorded via done.
+func (tr *tracker) run(m *machine.Machine) Time {
+	if err := m.Run(); err != nil {
+		panic(err)
+	}
+	return tr.end
 }
 
 // Gamteb is the photon-transport Monte Carlo benchmark: each particle's
@@ -71,10 +79,7 @@ func (g *Gamteb) Run(m *machine.Machine) Time {
 			tr.done(c)
 		})
 	}
-	if err := m.Run(); err != nil {
-		panic(err)
-	}
-	return tr.end
+	return tr.run(m)
 }
 
 // workQueue is the concurrent queue of TSP and AQ: multiple processes
@@ -165,10 +170,7 @@ func (b *BranchAndBound) Run(m *machine.Machine) Time {
 			tr.done(c)
 		})
 	}
-	if err := m.Run(); err != nil {
-		panic(err)
-	}
-	return tr.end
+	return tr.run(m)
 }
 
 // NewTSP returns the TSP configuration: fine-grained tree nodes, deep
@@ -240,10 +242,7 @@ func (a *MP3D) Run(m *machine.Machine) Time {
 			tr.done(c)
 		})
 	}
-	if err := m.Run(); err != nil {
-		panic(err)
-	}
-	return tr.end
+	return tr.run(m)
 }
 
 // Cholesky models the SPLASH sparse Cholesky factorization's locking: a
@@ -286,8 +285,5 @@ func (a *Cholesky) Run(m *machine.Machine) Time {
 			tr.done(c)
 		})
 	}
-	if err := m.Run(); err != nil {
-		panic(err)
-	}
-	return tr.end
+	return tr.run(m)
 }

@@ -15,6 +15,30 @@ import (
 // (Section 4.7.1) — the profiles are observable via the algorithms'
 // Profiler hooks.
 
+// runThreads runs n threads of body, thread t on processor t mod P, and
+// returns the cycle the last one finished.
+func runThreads(s *threads.Scheduler, n int, name string, body func(t int, th *threads.Thread)) Time {
+	m := s.Machine()
+	tr := &tracker{}
+	for t := 0; t < n; t++ {
+		s.Spawn(t%m.NumProcs(), 0, name, func(th *threads.Thread) {
+			body(t, th)
+			tr.done(th)
+		})
+	}
+	return tr.run(m)
+}
+
+// expDelay draws an exponentially distributed delay with the given mean,
+// capped at 20 means.
+func expDelay(th *threads.Thread, mean Time) Time {
+	d := Time(float64(mean) * th.Rand().ExpFloat64())
+	if d > 20*mean {
+		d = 20 * mean
+	}
+	return d
+}
+
 // JacobiJstr is the J-structure Jacobi relaxation: each thread computes a
 // chunk of a 1-D grid per iteration and publishes its boundary elements
 // through per-iteration J-structures; neighbors consume them
@@ -26,9 +50,8 @@ type JacobiJstr struct {
 }
 
 // Run executes the benchmark and returns elapsed cycles.
-func (a *JacobiJstr) Run(s *threads.Scheduler, alg waiting.Algorithm) Time {
+func (a *JacobiJstr) Run(s *threads.Scheduler, alg *waiting.Algorithm) Time {
 	m := s.Machine()
-	procs := m.NumProcs()
 	n := a.Threads
 	// bounds[i] holds thread t's boundary pair for iteration i at
 	// positions 2t (left) and 2t+1 (right).
@@ -36,35 +59,26 @@ func (a *JacobiJstr) Run(s *threads.Scheduler, alg waiting.Algorithm) Time {
 	for i := range bounds {
 		bounds[i] = constructs.NewJStructure(m.Mem, 2*n)
 	}
-	tr := &tracker{}
-	for t := 0; t < n; t++ {
-		t := t
-		s.Spawn(t%procs, 0, "jacobi", func(th *threads.Thread) {
-			// Publish iteration-0 boundaries.
-			bounds[0].Write(th, 2*t, uint64(t))
-			bounds[0].Write(th, 2*t+1, uint64(t))
-			for it := 1; it <= a.Iters; it++ {
-				// Read neighbors' previous-iteration boundaries.
-				var left, right uint64
-				if t > 0 {
-					left = bounds[it-1].Read(th, 2*(t-1)+1, alg)
-				}
-				if t < n-1 {
-					right = bounds[it-1].Read(th, 2*(t+1), alg)
-				}
-				// Relax the chunk.
-				th.Advance(a.Grain/2 + Time(th.Rand().Uint64n(uint64(a.Grain))))
-				v := (left + right) / 2
-				bounds[it].Write(th, 2*t, v)
-				bounds[it].Write(th, 2*t+1, v)
+	return runThreads(s, n, "jacobi", func(t int, th *threads.Thread) {
+		// Publish iteration-0 boundaries.
+		bounds[0].Write(th, 2*t, uint64(t))
+		bounds[0].Write(th, 2*t+1, uint64(t))
+		for it := 1; it <= a.Iters; it++ {
+			// Read neighbors' previous-iteration boundaries.
+			var left, right uint64
+			if t > 0 {
+				left = bounds[it-1].Read(th, 2*(t-1)+1, alg)
 			}
-			tr.done(th)
-		})
-	}
-	if err := m.Run(); err != nil {
-		panic(err)
-	}
-	return tr.end
+			if t < n-1 {
+				right = bounds[it-1].Read(th, 2*(t+1), alg)
+			}
+			// Relax the chunk.
+			th.Advance(a.Grain/2 + Time(th.Rand().Uint64n(uint64(a.Grain))))
+			v := (left + right) / 2
+			bounds[it].Write(th, 2*t, v)
+			bounds[it].Write(th, 2*t+1, v)
+		}
+	})
 }
 
 // FutureTree is the future benchmark: a binary tree of producer threads,
@@ -76,7 +90,7 @@ type FutureTree struct {
 }
 
 // Run executes the benchmark and returns elapsed cycles.
-func (a *FutureTree) Run(s *threads.Scheduler, alg waiting.Algorithm) Time {
+func (a *FutureTree) Run(s *threads.Scheduler, alg *waiting.Algorithm) Time {
 	m := s.Machine()
 	procs := m.NumProcs()
 	tr := &tracker{}
@@ -115,10 +129,7 @@ func (a *FutureTree) Run(s *threads.Scheduler, alg waiting.Algorithm) Time {
 		}
 		tr.done(th)
 	})
-	if err := m.Run(); err != nil {
-		panic(err)
-	}
-	return tr.end
+	return tr.run(m)
 }
 
 // FutureStream is the producer-consumer benchmark where blocking pays off:
@@ -136,7 +147,7 @@ type FutureStream struct {
 }
 
 // Run executes the benchmark and returns elapsed cycles.
-func (a *FutureStream) Run(s *threads.Scheduler, alg waiting.Algorithm) Time {
+func (a *FutureStream) Run(s *threads.Scheduler, alg *waiting.Algorithm) Time {
 	m := s.Machine()
 	procs := m.NumProcs()
 	pairs := procs / 2
@@ -152,11 +163,7 @@ func (a *FutureStream) Run(s *threads.Scheduler, alg waiting.Algorithm) Time {
 		prodProc, consProc := i, pairs+i
 		s.Spawn(prodProc, 0, "producer", func(th *threads.Thread) {
 			for k := 0; k < a.Items; k++ {
-				d := Time(float64(a.Mean) * th.Rand().ExpFloat64())
-				if d > 20*a.Mean {
-					d = 20 * a.Mean
-				}
-				th.Advance(d)
+				th.Advance(expDelay(th, a.Mean))
 				stream[k].Resolve(th, uint64(k))
 			}
 		})
@@ -177,10 +184,7 @@ func (a *FutureStream) Run(s *threads.Scheduler, alg waiting.Algorithm) Time {
 			tr.done(th)
 		})
 	}
-	if err := m.Run(); err != nil {
-		panic(err)
-	}
-	return tr.end
+	return tr.run(m)
 }
 
 // BarrierApp is the barrier benchmark skeleton shared by Jacobi-Bar and
@@ -196,30 +200,21 @@ type BarrierApp struct {
 }
 
 // Run executes the benchmark and returns elapsed cycles.
-func (a *BarrierApp) Run(s *threads.Scheduler, alg waiting.Algorithm) Time {
+func (a *BarrierApp) Run(s *threads.Scheduler, alg *waiting.Algorithm) Time {
 	m := s.Machine()
-	procs := m.NumProcs()
 	nb := a.Barriers
 	if nb == 0 {
 		nb = 1
 	}
 	b := constructs.NewBarrier(m.Mem, 0, a.Threads)
-	tr := &tracker{}
-	for t := 0; t < a.Threads; t++ {
-		s.Spawn(t%procs, 0, "bar", func(th *threads.Thread) {
-			for it := 0; it < a.Iters; it++ {
-				for k := 0; k < nb; k++ {
-					th.Advance(a.Grain + Time(th.Rand().Uint64n(uint64(a.Skew)+1)))
-					b.Wait(th, alg)
-				}
+	return runThreads(s, a.Threads, "bar", func(_ int, th *threads.Thread) {
+		for it := 0; it < a.Iters; it++ {
+			for k := 0; k < nb; k++ {
+				th.Advance(a.Grain + Time(th.Rand().Uint64n(uint64(a.Skew)+1)))
+				b.Wait(th, alg)
 			}
-			tr.done(th)
-		})
-	}
-	if err := m.Run(); err != nil {
-		panic(err)
-	}
-	return tr.end
+		}
+	})
 }
 
 // NewJacobiBar returns the Jacobi-Bar configuration.
@@ -258,41 +253,28 @@ func (h *intHeap) Pop() interface{} {
 }
 
 // Run executes the benchmark and returns elapsed cycles.
-func (a *FibHeap) Run(s *threads.Scheduler, alg waiting.Algorithm) Time {
+func (a *FibHeap) Run(s *threads.Scheduler, alg *waiting.Algorithm) Time {
 	m := s.Machine()
-	procs := m.NumProcs()
 	mu := constructs.NewMutex(m.Mem, 0)
 	h := &intHeap{}
 	heap.Init(h)
 	for i := 0; i < a.Threads; i++ {
 		heap.Push(h, uint64(i)*100)
 	}
-	tr := &tracker{}
-	for t := 0; t < a.Threads; t++ {
-		s.Spawn(t%procs, 0, "fibheap", func(th *threads.Thread) {
-			for op := 0; op < a.Ops; op++ {
-				mu.Lock(th, alg)
-				var key uint64
-				if h.Len() > 0 {
-					key = heap.Pop(h).(uint64)
-				}
-				th.Advance(Time(30 + th.Rand().Intn(40))) // heap manipulation
-				heap.Push(h, key+uint64(th.Rand().Intn(500)))
-				mu.Unlock(th)
-				// Process the event.
-				d := Time(float64(a.Mean) * th.Rand().ExpFloat64())
-				if d > 20*a.Mean {
-					d = 20 * a.Mean
-				}
-				th.Advance(d)
+	return runThreads(s, a.Threads, "fibheap", func(_ int, th *threads.Thread) {
+		for op := 0; op < a.Ops; op++ {
+			mu.Lock(th, alg)
+			var key uint64
+			if h.Len() > 0 {
+				key = heap.Pop(h).(uint64)
 			}
-			tr.done(th)
-		})
-	}
-	if err := m.Run(); err != nil {
-		panic(err)
-	}
-	return tr.end
+			th.Advance(Time(30 + th.Rand().Intn(40))) // heap manipulation
+			heap.Push(h, key+uint64(th.Rand().Intn(500)))
+			mu.Unlock(th)
+			// Process the event.
+			th.Advance(expDelay(th, a.Mean))
+		}
+	})
 }
 
 // MutexBench is the synthetic Mutex benchmark: lock, exponential critical
@@ -305,33 +287,17 @@ type MutexBench struct {
 }
 
 // Run executes the benchmark and returns elapsed cycles.
-func (a *MutexBench) Run(s *threads.Scheduler, alg waiting.Algorithm) Time {
+func (a *MutexBench) Run(s *threads.Scheduler, alg *waiting.Algorithm) Time {
 	m := s.Machine()
-	procs := m.NumProcs()
 	mu := constructs.NewMutex(m.Mem, 0)
-	tr := &tracker{}
-	expd := func(th *threads.Thread, mean Time) Time {
-		d := Time(float64(mean) * th.Rand().ExpFloat64())
-		if d > 20*mean {
-			d = 20 * mean
+	return runThreads(s, a.Threads, "mutex", func(_ int, th *threads.Thread) {
+		for op := 0; op < a.Ops; op++ {
+			mu.Lock(th, alg)
+			th.Advance(expDelay(th, a.CS))
+			mu.Unlock(th)
+			th.Advance(expDelay(th, a.Think))
 		}
-		return d
-	}
-	for t := 0; t < a.Threads; t++ {
-		s.Spawn(t%procs, 0, "mutex", func(th *threads.Thread) {
-			for op := 0; op < a.Ops; op++ {
-				mu.Lock(th, alg)
-				th.Advance(expd(th, a.CS))
-				mu.Unlock(th)
-				th.Advance(expd(th, a.Think))
-			}
-			tr.done(th)
-		})
-	}
-	if err := m.Run(); err != nil {
-		panic(err)
-	}
-	return tr.end
+	})
 }
 
 // CountNet is the counting-network benchmark: threads repeatedly take
@@ -344,22 +310,13 @@ type CountNet struct {
 }
 
 // Run executes the benchmark and returns elapsed cycles.
-func (a *CountNet) Run(s *threads.Scheduler, alg waiting.Algorithm) Time {
+func (a *CountNet) Run(s *threads.Scheduler, alg *waiting.Algorithm) Time {
 	m := s.Machine()
-	procs := m.NumProcs()
 	net := constructs.NewCountingNetwork(m.Mem, a.Width)
-	tr := &tracker{}
-	for t := 0; t < a.Threads; t++ {
-		s.Spawn(t%procs, 0, "countnet", func(th *threads.Thread) {
-			for op := 0; op < a.Ops; op++ {
-				net.Next(th, alg)
-				th.Advance(Time(50 + th.Rand().Intn(100)))
-			}
-			tr.done(th)
-		})
-	}
-	if err := m.Run(); err != nil {
-		panic(err)
-	}
-	return tr.end
+	return runThreads(s, a.Threads, "countnet", func(_ int, th *threads.Thread) {
+		for op := 0; op < a.Ops; op++ {
+			net.Next(th, alg)
+			th.Advance(Time(50 + th.Rand().Intn(100)))
+		}
+	})
 }

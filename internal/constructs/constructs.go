@@ -2,7 +2,7 @@
 // thesis's waiting-algorithm experiments exercise (Section 4.6.1): futures
 // and J-structures (producer-consumer, built on full/empty bits), barriers,
 // mutexes, and counting networks. Every construct is parameterized by a
-// waiting.Algorithm so the experiments can swap always-spin, always-block,
+// *waiting.Algorithm so the experiments can swap always-spin, always-block,
 // and two-phase waiting without touching the benchmark code.
 package constructs
 
@@ -12,81 +12,71 @@ import (
 	"repro/internal/waiting"
 )
 
-// Future is a single-assignment cell with a full/empty bit: the
-// producer-consumer synchronization of futures in Mul-T (Section 4.4.3).
-// Multiple consumers may touch it; one producer resolves it.
-type Future struct {
-	cell memsys.Addr
+// cell is one word with a full/empty bit plus the threads blocked on it:
+// the producer-consumer synchronization under both futures and
+// J-structures.
+type cell struct {
+	addr memsys.Addr
 	q    threads.WaitQueue
 }
 
-// NewFuture allocates a future homed on node home.
-func NewFuture(mem *memsys.System, home int) *Future {
-	f := &Future{cell: mem.Alloc(home, 1)}
-	mem.SetEmpty(f.cell)
-	return f
+// fill writes the value, sets the full bit, and wakes blocked consumers.
+func (c *cell) fill(t *threads.Thread, v uint64) {
+	t.WriteFull(c.addr, v)
+	c.q.WakeAll(t)
 }
 
-// Resolve writes the value, sets the full bit, and wakes blocked consumers.
-func (f *Future) Resolve(t *threads.Thread, v uint64) {
-	t.WriteFull(f.cell, v)
-	f.q.WakeAll(t)
-}
-
-// Resolved reports whether the future has been resolved (no waiting).
-func (f *Future) Resolved(t *threads.Thread) bool {
-	_, full := t.ReadFE(f.cell)
-	return full
-}
-
-// Touch waits (with alg) until the future is resolved and returns its
-// value. The poll is a read of the full/empty-tagged word, which caches
-// until the producer's write invalidates it.
-func (f *Future) Touch(t *threads.Thread, alg waiting.Algorithm) uint64 {
+// await waits (with alg) until the cell is full and returns its value. The
+// poll is a read of the full/empty-tagged word, which caches until the
+// producer's write invalidates it.
+func (c *cell) await(t *threads.Thread, alg *waiting.Algorithm) uint64 {
 	alg.Wait(t, func() bool {
-		_, full := t.ReadFE(f.cell)
+		_, full := t.ReadFE(c.addr)
 		return full
-	}, &f.q)
-	v, _ := t.ReadFE(f.cell)
+	}, &c.q)
+	v, _ := t.ReadFE(c.addr)
 	return v
 }
 
+// Future is a single-assignment cell: the producer-consumer
+// synchronization of futures in Mul-T (Section 4.4.3). Multiple consumers
+// may touch it; one producer resolves it.
+type Future struct{ c cell }
+
+// NewFuture allocates a future homed on node home.
+func NewFuture(mem *memsys.System, home int) *Future {
+	f := &Future{cell{addr: mem.Alloc(home, 1)}}
+	mem.SetEmpty(f.c.addr)
+	return f
+}
+
+// Resolve fills the future.
+func (f *Future) Resolve(t *threads.Thread, v uint64) { f.c.fill(t, v) }
+
+// Touch waits (with alg) until the future is resolved and returns its
+// value.
+func (f *Future) Touch(t *threads.Thread, alg *waiting.Algorithm) uint64 { return f.c.await(t, alg) }
+
 // JStructure is an array of single-assignment elements with full/empty
 // bits (I-structure-like; Section 4.6.1). Readers of empty elements wait.
-type JStructure struct {
-	cells []memsys.Addr
-	qs    []threads.WaitQueue
-}
+type JStructure struct{ cells []cell }
 
 // NewJStructure allocates n elements striped across the machine's nodes.
 func NewJStructure(mem *memsys.System, n int) *JStructure {
-	j := &JStructure{
-		cells: mem.AllocStriped(n),
-		qs:    make([]threads.WaitQueue, n),
-	}
-	for _, c := range j.cells {
-		mem.SetEmpty(c)
+	j := &JStructure{cells: make([]cell, n)}
+	for i, a := range mem.AllocStriped(n) {
+		j.cells[i].addr = a
+		mem.SetEmpty(a)
 	}
 	return j
 }
 
-// Len returns the number of elements.
-func (j *JStructure) Len() int { return len(j.cells) }
-
 // Write fills element i and wakes its waiting readers.
-func (j *JStructure) Write(t *threads.Thread, i int, v uint64) {
-	t.WriteFull(j.cells[i], v)
-	j.qs[i].WakeAll(t)
-}
+func (j *JStructure) Write(t *threads.Thread, i int, v uint64) { j.cells[i].fill(t, v) }
 
 // Read waits until element i is full and returns it.
-func (j *JStructure) Read(t *threads.Thread, i int, alg waiting.Algorithm) uint64 {
-	alg.Wait(t, func() bool {
-		_, full := t.ReadFE(j.cells[i])
-		return full
-	}, &j.qs[i])
-	v, _ := t.ReadFE(j.cells[i])
-	return v
+func (j *JStructure) Read(t *threads.Thread, i int, alg *waiting.Algorithm) uint64 {
+	return j.cells[i].await(t, alg)
 }
 
 // Barrier is a centralized phase-counting barrier: arrivals fetch&add a
@@ -109,7 +99,7 @@ func NewBarrier(mem *memsys.System, home int, n int) *Barrier {
 }
 
 // Wait blocks until all n participants have arrived.
-func (b *Barrier) Wait(t *threads.Thread, alg waiting.Algorithm) {
+func (b *Barrier) Wait(t *threads.Thread, alg *waiting.Algorithm) {
 	p := t.Read(b.phase)
 	pos := t.FetchAndAdd(b.count, 1)
 	if pos == uint64(b.n-1) {
@@ -135,7 +125,7 @@ func NewMutex(mem *memsys.System, home int) *Mutex {
 }
 
 // Lock acquires the mutex, waiting with alg while it is held.
-func (m *Mutex) Lock(t *threads.Thread, alg waiting.Algorithm) {
+func (m *Mutex) Lock(t *threads.Thread, alg *waiting.Algorithm) {
 	for {
 		if t.TestAndSet(m.flag) == 0 {
 			return
@@ -148,9 +138,4 @@ func (m *Mutex) Lock(t *threads.Thread, alg waiting.Algorithm) {
 func (m *Mutex) Unlock(t *threads.Thread) {
 	t.Write(m.flag, 0)
 	m.q.WakeOne(t)
-}
-
-// TryLock attempts the lock once without waiting.
-func (m *Mutex) TryLock(t *threads.Thread) bool {
-	return t.TestAndSet(m.flag) == 0
 }

@@ -13,15 +13,15 @@ func newSched(procs int) *threads.Scheduler {
 	return threads.NewScheduler(machine.New(machine.DefaultConfig(procs)), threads.DefaultCosts())
 }
 
-func algorithms() []waiting.Algorithm {
+func algorithms() []*waiting.Algorithm {
 	costs := threads.DefaultCosts()
-	return []waiting.Algorithm{
-		&waiting.AlwaysSpin{},
-		&waiting.AlwaysBlock{},
-		waiting.NewTwoPhaseAlpha(0.54, costs),
-		waiting.NewTwoPhaseAlpha(1.0, costs),
-		&waiting.SwitchSpin{},
-		&waiting.TwoPhaseSwitch{Lpoll: 250},
+	return []*waiting.Algorithm{
+		waiting.Spin(),
+		waiting.Block(),
+		waiting.TwoPhaseAlpha(0.54, costs),
+		waiting.TwoPhaseAlpha(1.0, costs),
+		waiting.SwitchSpin(),
+		waiting.TwoPhaseSwitch(250),
 	}
 }
 
@@ -65,7 +65,7 @@ func TestFutureAlreadyResolvedIsFast(t *testing.T) {
 	})
 	s.Spawn(1, 2000, "consumer", func(th *threads.Thread) {
 		start := th.Now()
-		v := f.Touch(th, &waiting.AlwaysBlock{})
+		v := f.Touch(th, waiting.Block())
 		if v != 7 {
 			t.Errorf("value %d", v)
 		}
@@ -190,7 +190,7 @@ func TestCountingNetworkPermutation(t *testing.T) {
 	for p := 0; p < procs; p++ {
 		s.Spawn(p, 0, "tok", func(th *threads.Thread) {
 			for i := 0; i < iters; i++ {
-				got = append(got, n.Next(th, &waiting.AlwaysSpin{}))
+				got = append(got, n.Next(th, waiting.Spin()))
 				th.Advance(machine.Time(th.Rand().Intn(200)))
 			}
 		})

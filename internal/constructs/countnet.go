@@ -79,7 +79,7 @@ func (n *CountingNetwork) Depth() int { return len(n.stages) }
 // network from input wire (threadID mod width), then fetch&add the output
 // wire's counter. The returned values across all concurrent callers are a
 // permutation of 0..N-1 (the counting property).
-func (n *CountingNetwork) Next(t *threads.Thread, alg waiting.Algorithm) uint64 {
+func (n *CountingNetwork) Next(t *threads.Thread, alg *waiting.Algorithm) uint64 {
 	wire := t.ProcID() % n.width
 	for _, stage := range n.stages {
 		for _, b := range stage {

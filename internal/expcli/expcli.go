@@ -7,6 +7,7 @@
 package expcli
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,6 +32,13 @@ type Config struct {
 	// actually ran, so it can key off the selection.
 	ExtraFlags func(fs *flag.FlagSet) func(w io.Writer, sz experiments.Sizes, results []experiments.Result) error
 }
+
+// UsageError is a hook's complaint about the command line (a tool flag
+// that does not fit the selection): Main exits 2 on it, as on a bad flag or
+// an unknown experiment, where any other hook error exits 1.
+type UsageError string
+
+func (e UsageError) Error() string { return string(e) }
 
 // Main runs the command: parse args, select experiments, run, render.
 // It returns the process exit code.
@@ -95,6 +103,9 @@ func Main(cfg Config, args []string, stdout, stderr io.Writer) int {
 	if after != nil && !*jsonOut && !*csvOut {
 		if err := after(stdout, sz, results); err != nil {
 			fmt.Fprintln(stderr, err)
+			if errors.As(err, new(UsageError)) {
+				return 2
+			}
 			return 1
 		}
 	}

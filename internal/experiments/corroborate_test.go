@@ -30,7 +30,7 @@ func TestTwoPhaseCostMatchesAnalysis(t *testing.T) {
 		{1.0, 1.0},
 		{0.25, 0.25},
 	} {
-		alg := waiting.NewTwoPhaseAlpha(tc.alpha, costs)
+		alg := waiting.TwoPhaseAlpha(tc.alpha, costs)
 		meanWait := b / tc.lambdaB // cycles
 
 		m := machine.New(machine.DefaultConfig(2))
@@ -82,7 +82,7 @@ func TestTwoPhaseCostMatchesAnalysis(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := measured / trials / b // in units of B
-		want := waitanalysis.ExpTwoPhaseCost(tc.alpha, tc.lambdaB, 1)
+		want := waitanalysis.Exponential.TwoPhaseCost(tc.alpha, tc.lambdaB, 1)
 		if math.Abs(got-want) > 0.25*want+0.08 {
 			t.Errorf("alpha=%.2f lambdaB=%.2f: measured E[C]=%.3fB, analysis %.3fB",
 				tc.alpha, tc.lambdaB, got, want)

@@ -8,6 +8,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/spinlock"
+	"repro/internal/stats"
+	"repro/internal/threads"
 	"repro/internal/waiting"
 )
 
@@ -262,16 +264,58 @@ func TestWaitTablesQuick(t *testing.T) {
 	}
 }
 
+// TestWaitBenchTableInSync holds the Chapter 4 tables to the one
+// waitBenches list: Figures 4.12-4.14 partition it, Table 4.6 is all of it
+// in table order, and every profile caption names a row.
+func TestWaitBenchTableInSync(t *testing.T) {
+	firstColumn := func(tb *stats.Table) []string {
+		var names []string
+		for _, r := range tb.Rows {
+			names = append(names, r[0])
+		}
+		return names
+	}
+	sz := Tiny()
+	var all []string
+	for _, b := range waitBenches {
+		all = append(all, b.name)
+	}
+	var figures []string
+	for _, tab := range []func(Sizes) *stats.Table{Fig4_12ProducerConsumer, Fig4_13Barrier, Fig4_14Mutex} {
+		tb := tab(sz)
+		if len(tb.Rows) == 0 {
+			t.Error("a figure of 4.12-4.14 has no benchmark")
+		}
+		figures = append(figures, firstColumn(tb)...)
+	}
+	if !slices.Equal(figures, all) {
+		t.Errorf("Figures 4.12-4.14 list %v, want each of %v once", figures, all)
+	}
+	if got := firstColumn(Table4_6HalfB(sz)); !slices.Equal(got, all) {
+		t.Errorf("Table 4.6 lists %v, want %v", got, all)
+	}
+	for _, row := range waitProfileRows {
+		if got := waitBenchNamed(row.bench).name; got != row.bench {
+			t.Errorf("profile %q resolved to %q", row.caption, got)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("waitBenchNamed accepted an unknown name")
+		}
+	}()
+	waitBenchNamed("no-such-benchmark")
+}
+
 func TestTwoPhaseNearBestInApps(t *testing.T) {
 	// The thesis's robustness claim (Section 4.7.2): two-phase waiting is
 	// close to the best static choice on each benchmark class. Verified on
 	// the future-stream benchmark, where spin and block differ sharply.
 	sz := Quick()
-	bench := producerConsumerBenches(sz)[1] // future-stream
-	costs := threadsCosts()
-	spin := bench.run(sz, &waiting.AlwaysSpin{})
-	block := bench.run(sz, &waiting.AlwaysBlock{})
-	two := bench.run(sz, waiting.NewTwoPhaseAlpha(0.54, costs))
+	bench := waitBenchNamed("future-stream")
+	spin := bench.elapsed(sz, waiting.Spin())
+	block := bench.elapsed(sz, waiting.Block())
+	two := bench.elapsed(sz, waiting.TwoPhaseAlpha(0.54, threads.DefaultCosts()))
 	best := spin
 	if block < best {
 		best = block

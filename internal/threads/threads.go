@@ -289,13 +289,4 @@ func (t *Thread) String() string {
 	return fmt.Sprintf("thread(%s@p%d,%v)", t.name, t.proc, t.state)
 }
 
-// Park exposes low-level parking for protocol implementations that manage
-// their own wakeups (message-passing replies delivered via handlers).
-func (t *Thread) Park() { t.park() }
-
-// WakeThread wakes a thread parked via Park from any simulation context.
-func (s *Scheduler) WakeThread(t *Thread, delay Time) {
-	s.m.Eng.WakeAt(t.CPU.Actor(), s.m.Eng.Now()+delay)
-}
-
 var _ machine.Context = (*Thread)(nil)

@@ -6,7 +6,19 @@
 //
 // All costs are expressed in units of B, the fixed cost of the signaling
 // mechanism. α denotes Lpoll/B. β is the polling-efficiency factor
-// (1 for spinning; ≈ number of hardware contexts for switch-spinning).
+// (1 for spinning; ≈ number of hardware contexts for switch-spinning), so
+// polling for wall time t costs t/β and a budget of αB runs out at wall
+// time αβB.
+//
+// The analysis is written once over a Distribution, which supplies two
+// integrals of its density f: the partial polling expectation
+// ∫₀ˣ (t/β) f(t) dt and the tail P[t ≥ x]. A wait that polls up to wall
+// time x and then pays (1+debt)·B costs partial(x) + (1+debt)·tail(x) in
+// expectation; two-phase waiting is x = αβ, debt = α, and the off-line
+// optimum, which polls iff t < βB and so never pays for polling it then
+// abandons, is x = β, debt = 0. Always-poll (α = ∞) and always-signal
+// (α = 0) are the corners. The factor, its supremum over the adversary's
+// parameter and the α minimizing that follow for any Distribution.
 //
 // Headline results reproduced here:
 //   - exponential waiting times: α* = ln(e−1) ≈ 0.5413 gives a worst-case
@@ -23,101 +35,86 @@ var AlphaExpOptimal = math.Log(math.E - 1)
 // FactorExpOptimal is e/(e-1), the optimal on-line competitive factor.
 var FactorExpOptimal = math.E / (math.E - 1)
 
-// --- Exponentially distributed waiting times, f(t) = λe^{-λt} ---
+// Distribution is a one-parameter family of waiting-time densities; the
+// restricted adversary picks the parameter p.
+type Distribution struct {
+	// partial returns ∫₀ˣ (t/β) f(t) dt, x = +Inf included.
+	partial func(p, x, beta float64) float64
+	// tail returns P[t ≥ x].
+	tail func(p, x float64) float64
+}
 
-// ExpTwoPhaseCost returns E[C_2phase/α] in units of B for exponentially
-// distributed waiting times with rate λ (lambda in units of 1/B) and
-// polling efficiency beta. Polling for wall-time t costs t/β, so the
-// polling phase ends at wall time αβB.
+// Exponential is f(t) = λe^{-λt}; its parameter is the rate λ in units of
+// 1/B.
+var Exponential = Distribution{
+	partial: func(lambda, x, beta float64) float64 {
+		if math.IsInf(x, 1) {
+			return 1 / (lambda * beta) // E[t]/β
+		}
+		e := math.Exp(-lambda * x)
+		return (1/lambda - e*(x+1/lambda)) / beta
+	},
+	tail: func(lambda, x float64) float64 { return math.Exp(-lambda * x) },
+}
+
+// Uniform is f(t) = 1/τ on [0, τB]; its parameter is the span τ.
+var Uniform = Distribution{
+	partial: func(tau, x, beta float64) float64 {
+		if x >= tau {
+			return tau / (2 * beta) // the whole support: E[t]/β
+		}
+		return x * x / (2 * beta * tau)
+	},
+	tail: func(tau, x float64) float64 {
+		if x >= tau {
+			return 0
+		}
+		return 1 - x/tau
+	},
+}
+
+// cost returns the expected cost of polling up to wall time x and then
+// signaling at (1+debt)·B.
+func (d Distribution) cost(p, x, debt, beta float64) float64 {
+	return d.partial(p, x, beta) + (1+debt)*d.tail(p, x)
+}
+
+// TwoPhaseCost returns E[C_2phase/α] in units of B:
 //
 //	E = ∫₀^{αβB} (t/β) f(t) dt + (1+α)B ∫_{αβB}^∞ f(t) dt
-func ExpTwoPhaseCost(alpha, lambda, beta float64) float64 {
+func (d Distribution) TwoPhaseCost(alpha, p, beta float64) float64 {
 	if math.IsInf(alpha, 1) {
-		// always-poll: E[t]/β = 1/(λβ)
-		return 1 / (lambda * beta)
+		return d.partial(p, alpha, beta) // always-poll never signals
 	}
 	if alpha <= 0 {
 		return 1 // always-signal: B
 	}
-	x := alpha * beta // polling phase length (in B units of wall time)
-	e := math.Exp(-lambda * x)
-	poll := (1/lambda - e*(x+1/lambda)) / beta
-	return poll + (1+alpha)*e
+	return d.cost(p, alpha*beta, alpha, beta)
 }
 
-// ExpOptCost returns E[C_opt] in units of B: the off-line algorithm polls
-// iff t < βB, so E = ∫₀^{βB} (t/β) f dt + B·P[t ≥ βB].
-func ExpOptCost(lambda, beta float64) float64 {
-	x := beta
-	e := math.Exp(-lambda * x)
-	poll := (1/lambda - e*(x+1/lambda)) / beta
-	return poll + e
+// OptCost returns E[C_opt] in units of B: the off-line algorithm polls iff
+// t < βB, so E = ∫₀^{βB} (t/β) f dt + B·P[t ≥ βB].
+func (d Distribution) OptCost(p, beta float64) float64 {
+	return d.cost(p, beta, 0, beta)
 }
 
-// ExpFactor returns the expected competitive factor
-// E[C_2phase/α]/E[C_opt] at rate λ.
-func ExpFactor(alpha, lambda, beta float64) float64 {
-	return ExpTwoPhaseCost(alpha, lambda, beta) / ExpOptCost(lambda, beta)
+// Factor returns the expected competitive factor E[C_2phase/α]/E[C_opt] at
+// the adversary's parameter p.
+func (d Distribution) Factor(alpha, p, beta float64) float64 {
+	return d.TwoPhaseCost(alpha, p, beta) / d.OptCost(p, beta)
 }
 
-// ExpWorstFactor returns sup over λ of ExpFactor — the competitive factor
-// against a restricted adversary that controls the arrival rate.
-func ExpWorstFactor(alpha, beta float64) float64 {
-	return supOverRate(func(lambda float64) float64 {
-		return ExpFactor(alpha, lambda, beta)
-	})
+// WorstFactor returns sup over p of Factor — the competitive factor against
+// a restricted adversary that controls the distribution's parameter.
+func (d Distribution) WorstFactor(alpha, beta float64) float64 {
+	return supOverRate(func(p float64) float64 { return d.Factor(alpha, p, beta) })
 }
 
-// OptimalAlphaExp numerically finds the α minimizing ExpWorstFactor
-// (Section 4.5.1 proves it equals ln(e−1) for β = 1).
-func OptimalAlphaExp(beta float64) float64 {
-	return argminAlpha(func(a float64) float64 { return ExpWorstFactor(a, beta) })
-}
-
-// --- Uniformly distributed waiting times, f(t) = 1/τ on [0, τ] ---
-
-// UniformTwoPhaseCost returns E[C_2phase/α] in units of B for waiting times
-// uniform on [0, τB].
-func UniformTwoPhaseCost(alpha, tau, beta float64) float64 {
-	if math.IsInf(alpha, 1) {
-		return tau / (2 * beta)
-	}
-	if alpha <= 0 {
-		return 1
-	}
-	x := alpha * beta // polling window (wall time, B units)
-	if x >= tau {
-		return tau / (2 * beta)
-	}
-	poll := x * x / (2 * beta * tau)
-	return poll + (1+alpha)*(1-x/tau)
-}
-
-// UniformOptCost returns E[C_opt] for waiting times uniform on [0, τB].
-func UniformOptCost(tau, beta float64) float64 {
-	x := beta
-	if x >= tau {
-		return tau / (2 * beta)
-	}
-	return x*x/(2*beta*tau) + (1 - x/tau)
-}
-
-// UniformFactor returns the expected competitive factor at span τ.
-func UniformFactor(alpha, tau, beta float64) float64 {
-	return UniformTwoPhaseCost(alpha, tau, beta) / UniformOptCost(tau, beta)
-}
-
-// UniformWorstFactor returns sup over τ of UniformFactor.
-func UniformWorstFactor(alpha, beta float64) float64 {
-	return supOverRate(func(tau float64) float64 {
-		return UniformFactor(alpha, tau, beta)
-	})
-}
-
-// OptimalAlphaUniform numerically finds the α minimizing UniformWorstFactor
-// (≈ 0.62 for β = 1, giving ≈ 1.62, Section 4.5.2).
-func OptimalAlphaUniform(beta float64) float64 {
-	return argminAlpha(func(a float64) float64 { return UniformWorstFactor(a, beta) })
+// OptimalAlpha numerically finds the α minimizing WorstFactor: ln(e−1) for
+// Exponential (Section 4.5.1 proves it for β = 1), ≈ 0.62 giving ≈ 1.62
+// for Uniform (Section 4.5.2).
+func (d Distribution) OptimalAlpha(beta float64) float64 {
+	return argminAlpha(func(a float64) float64 { return d.WorstFactor(a, beta) })
 }
 
 // --- numeric helpers ---

@@ -1,16 +1,23 @@
-// Package waiting implements the waiting mechanisms and waiting algorithms
-// of Chapter 4: spinning and switch-spinning (polling mechanisms), blocking
-// (the signaling mechanism), and the two-phase waiting algorithm that polls
-// until the cost of polling reaches Lpoll before blocking.
+// Package waiting implements Chapter 4's waiting algorithm. There is one:
+// two-phase waiting polls until the cost of polling reaches Lpoll, then
+// blocks (the signaling mechanism, B ≈ 500 cycles of Table 4.1, which
+// frees the processor for other threads). Always-poll and always-signal are
+// its Lpoll = ∞ and Lpoll = 0 corners, exactly as internal/waitanalysis
+// computes them, so Algorithm is one concrete type and Spin, Block,
+// TwoPhase, TwoPhaseAlpha, SwitchSpin and TwoPhaseSwitch only pick its
+// parameters.
 //
-// A waiting algorithm's job: given a condition and a wait queue, consume as
-// few processor cycles as possible until the condition holds. Polling costs
-// cycles proportional to the waiting time; blocking costs the fixed B ≈ 500
-// cycles of Table 4.1 but frees the processor for other threads.
+// The two polling mechanisms differ in what a poll costs. A spinning poll
+// holds the processor, so its cost is every cycle since the wait began —
+// the condition's own memory reads included. A switch-spinning poll yields
+// to the other loaded contexts of a block-multithreaded processor, so only
+// the context-switch overhead plus PollGrain counts; the cycles the other
+// contexts consume are useful work (cost ≈ t/β for β contexts).
 package waiting
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/machine"
 	"repro/internal/threads"
@@ -25,170 +32,105 @@ type Profiler interface {
 	Observe(wait Time)
 }
 
-// Algorithm is a waiting algorithm: it returns once cond() is true.
-// Implementations may block the thread on q; whoever makes cond true must
-// wake q's threads.
-type Algorithm interface {
-	// Name identifies the algorithm in experiment output.
-	Name() string
-	// Wait waits until cond() holds.
-	Wait(t *threads.Thread, cond func() bool, q *threads.WaitQueue)
-}
-
 // PollGrain is the cost of one poll iteration (a cached read plus loop
 // overhead).
 const PollGrain Time = 4
 
-// AlwaysSpin is the pure polling algorithm: Lpoll = ∞.
-type AlwaysSpin struct {
-	// Prof optionally records waiting times.
-	Prof Profiler
-}
+// Forever is the Lpoll = ∞ polling budget: the algorithm never blocks.
+const Forever Time = math.MaxUint64
 
-// Name implements Algorithm.
-func (a *AlwaysSpin) Name() string { return "always-spin" }
-
-// Wait implements Algorithm.
-func (a *AlwaysSpin) Wait(t *threads.Thread, cond func() bool, _ *threads.WaitQueue) {
-	start := t.Now()
-	for !cond() {
-		t.Advance(PollGrain)
-	}
-	if a.Prof != nil {
-		a.Prof.Observe(t.Now() - start)
-	}
-}
-
-// AlwaysBlock is the pure signaling algorithm: Lpoll = 0.
-type AlwaysBlock struct {
-	Prof Profiler
-}
-
-// Name implements Algorithm.
-func (a *AlwaysBlock) Name() string { return "always-block" }
-
-// Wait implements Algorithm.
-func (a *AlwaysBlock) Wait(t *threads.Thread, cond func() bool, q *threads.WaitQueue) {
-	start := t.Now()
-	for !cond() {
-		q.Block(t, cond)
-	}
-	if a.Prof != nil {
-		a.Prof.Observe(t.Now() - start)
-	}
-}
-
-// TwoPhase is the two-phase waiting algorithm: poll until the cost of
-// polling reaches Lpoll, then block. Lpoll = αB with α chosen per the
-// waiting-time distribution (Section 4.5): α = ln(e−1) ≈ 0.54 for
-// exponential waiting times (1.58-competitive), α ≈ 0.62 for uniform
-// (1.62-competitive), α = 1 for the classic 2-competitive bound.
-type TwoPhase struct {
+// Algorithm is the two-phase waiting algorithm: poll until the polling cost
+// reaches Lpoll, then block. Lpoll = αB with α chosen per the waiting-time
+// distribution (Section 4.5): α = ln(e−1) ≈ 0.54 for exponential waiting
+// times (1.58-competitive), α ≈ 0.62 for uniform (1.62-competitive), α = 1
+// for the classic 2-competitive bound.
+type Algorithm struct {
+	// Lpoll is the polling budget in cycles: 0 always blocks, Forever
+	// always polls.
 	Lpoll Time
-	Prof  Profiler
-	label string
-}
-
-// NewTwoPhase builds a two-phase algorithm with the given polling limit.
-func NewTwoPhase(lpoll Time) *TwoPhase {
-	return &TwoPhase{Lpoll: lpoll, label: fmt.Sprintf("2phase(L=%d)", lpoll)}
-}
-
-// NewTwoPhaseAlpha builds a two-phase algorithm with Lpoll = α·B for the
-// scheduler's blocking cost B.
-func NewTwoPhaseAlpha(alpha float64, costs threads.Costs) *TwoPhase {
-	l := Time(alpha * float64(costs.BlockCost()))
-	return &TwoPhase{Lpoll: l, label: fmt.Sprintf("2phase(%.2fB)", alpha)}
-}
-
-// Name implements Algorithm.
-func (a *TwoPhase) Name() string {
-	if a.label == "" {
-		return fmt.Sprintf("2phase(L=%d)", a.Lpoll)
-	}
-	return a.label
-}
-
-// Wait implements Algorithm.
-func (a *TwoPhase) Wait(t *threads.Thread, cond func() bool, q *threads.WaitQueue) {
-	start := t.Now()
-	deadline := start + a.Lpoll
-	for t.Now() < deadline {
-		if cond() {
-			if a.Prof != nil {
-				a.Prof.Observe(t.Now() - start)
-			}
-			return
-		}
-		t.Advance(PollGrain)
-	}
-	for !cond() {
-		q.Block(t, cond)
-	}
-	if a.Prof != nil {
-		a.Prof.Observe(t.Now() - start)
-	}
-}
-
-// SwitchSpin is the switch-spinning polling mechanism on a block-
-// multithreaded processor: between polls the thread yields to the other
-// loaded contexts, so the waiting cost is roughly t/β (β ≈ number of
-// contexts) instead of t. On an idle processor it degenerates to spinning.
-type SwitchSpin struct {
+	// Switch polls by switch-spinning instead of spinning. On an idle
+	// processor it degenerates to spinning.
+	Switch bool
+	// Prof optionally records waiting times, one observation per Wait.
 	Prof Profiler
+
+	label string // set by TwoPhaseAlpha, which prints α instead of cycles
 }
 
-// Name implements Algorithm.
-func (a *SwitchSpin) Name() string { return "switch-spin" }
+// Spin is the pure polling algorithm: Lpoll = ∞.
+func Spin() *Algorithm { return &Algorithm{Lpoll: Forever} }
 
-// Wait implements Algorithm.
-func (a *SwitchSpin) Wait(t *threads.Thread, cond func() bool, _ *threads.WaitQueue) {
+// Block is the pure signaling algorithm: Lpoll = 0.
+func Block() *Algorithm { return &Algorithm{} }
+
+// TwoPhase spins until lpoll cycles have gone by, then blocks.
+func TwoPhase(lpoll Time) *Algorithm { return &Algorithm{Lpoll: lpoll} }
+
+// TwoPhaseAlpha is TwoPhase with Lpoll = α·B for the scheduler's blocking
+// cost B.
+func TwoPhaseAlpha(alpha float64, costs threads.Costs) *Algorithm {
+	return &Algorithm{
+		Lpoll: Time(alpha * float64(costs.BlockCost())),
+		label: fmt.Sprintf("2phase(%.2fB)", alpha),
+	}
+}
+
+// SwitchSpin is pure polling by switch-spinning.
+func SwitchSpin() *Algorithm { return &Algorithm{Lpoll: Forever, Switch: true} }
+
+// TwoPhaseSwitch switch-spins until the switch overhead paid reaches lpoll,
+// then blocks.
+func TwoPhaseSwitch(lpoll Time) *Algorithm { return &Algorithm{Lpoll: lpoll, Switch: true} }
+
+// Name identifies the algorithm in experiment output.
+func (a *Algorithm) Name() string {
+	switch {
+	case a.label != "":
+		return a.label
+	case a.Lpoll == 0:
+		return "always-block"
+	case a.Lpoll == Forever && a.Switch:
+		return "switch-spin"
+	case a.Lpoll == Forever:
+		return "always-spin"
+	case a.Switch:
+		return fmt.Sprintf("2phase-switch(L=%d)", a.Lpoll)
+	}
+	return fmt.Sprintf("2phase(L=%d)", a.Lpoll)
+}
+
+// Wait returns once cond() is true. It may block the thread on q; whoever
+// makes cond true must wake q's threads.
+func (a *Algorithm) Wait(t *threads.Thread, cond func() bool, q *threads.WaitQueue) {
 	start := t.Now()
-	for !cond() {
-		t.Yield() // cost C per switch; other contexts use the processor
+	if !a.poll(t, cond, start) {
+		for !cond() {
+			q.Block(t, cond)
+		}
 	}
 	if a.Prof != nil {
 		a.Prof.Observe(t.Now() - start)
 	}
 }
 
-// TwoPhaseSwitch is two-phase waiting whose polling phase uses
-// switch-spinning: poll (yielding between polls) until the polling *cost*
-// (switch overhead, not wall time) reaches Lpoll, then block.
-type TwoPhaseSwitch struct {
-	Lpoll Time
-	Prof  Profiler
-}
-
-// Name implements Algorithm.
-func (a *TwoPhaseSwitch) Name() string { return fmt.Sprintf("2phase-switch(L=%d)", a.Lpoll) }
-
-// Wait implements Algorithm.
-func (a *TwoPhaseSwitch) Wait(t *threads.Thread, cond func() bool, q *threads.WaitQueue) {
-	start := t.Now()
-	var cost Time
-	sw := t.Scheduler().Costs().Switch
-	for cost < a.Lpoll {
+// poll is the polling phase: it reports whether it saw cond hold before the
+// polling cost reached Lpoll. cond is a simulated memory read and costs
+// cycles, so a successful poll must not be followed by the blocking phase's
+// own check. The cost is compared, never start+Lpoll formed, so Forever
+// cannot overflow.
+func (a *Algorithm) poll(t *threads.Thread, cond func() bool, start Time) bool {
+	for cost := Time(0); cost < a.Lpoll; {
 		if cond() {
-			if a.Prof != nil {
-				a.Prof.Observe(t.Now() - start)
-			}
-			return
+			return true
 		}
-		before := t.Now()
-		t.Yield()
-		// Only the switch overhead counts as polling cost; cycles consumed
-		// by other contexts are useful work.
-		if t.Now()-before > sw {
-			cost += sw + PollGrain
+		if a.Switch {
+			before := t.Now()
+			t.Yield() // cost C per switch; other contexts use the processor
+			cost += min(t.Now()-before, t.Scheduler().Costs().Switch) + PollGrain
 		} else {
-			cost += t.Now() - before + PollGrain
+			t.Advance(PollGrain)
+			cost = t.Now() - start
 		}
 	}
-	for !cond() {
-		q.Block(t, cond)
-	}
-	if a.Prof != nil {
-		a.Prof.Observe(t.Now() - start)
-	}
+	return false
 }
