@@ -110,7 +110,10 @@ fuzz-short:
 # The last two do it for Chapter 4: there is one waiting algorithm, so
 # nothing can type-switch on it (always-spin is Lpoll == waiting.Forever),
 # and the waitBenches table in internal/experiments/waitexp.go is the only
-# place a waiting benchmark is constructed.
+# place a waiting benchmark is constructed. The last two keep the grace
+# period in the epoch kernel (Kernel.Wait counts it, so no primitive
+# calls a Grace) and phase one of the native two-phase wait inside
+# waitq.Queue.Wait (modal.Poll is gone).
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -nE '\.(Vote|Good)\(' reactive/*.go internal/experiments/*.go | grep -v _test.go)"; if [ -n "$$out" ]; then echo "hand-wired detection (use Engine.Observe):"; echo "$$out"; exit 1; fi
@@ -119,6 +122,8 @@ lint:
 	@out="$$(grep -rn '\.(\*waiting\.' --include='*.go' .)"; if [ -n "$$out" ]; then echo "type assertion on the one waiting algorithm (compare Lpoll instead):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -ohE 'apps\.(JacobiJstr|FutureStream|FutureTree|NewJacobiBar|NewCGrad|FibHeap|MutexBench|CountNet)\b' $$(ls internal/experiments/*.go | grep -v _test.go) | sort | uniq -d)"; \
 	if [ -n "$$out" ]; then echo "waiting benchmark constructed a second time (use the waitBenches row):"; echo "$$out"; exit 1; fi
+	@out="$$(grep -nE '\.Grace\(' reactive/*.go | grep -v _test.go)"; if [ -n "$$out" ]; then echo "grace period counted outside the epoch kernel (Kernel.Wait counts it):"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rn 'modal\.Poll' --include='*.go' .)"; if [ -n "$$out" ]; then echo "modal.Poll re-spelled (phase one is waitq.Queue.Wait's):"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 
 # The CI docs job: documentation that tests can check. The experiment

@@ -53,19 +53,11 @@ func (rw *RWMutex) CheckInvariants() error {
 	if err := rw.ek.Check(rw.reng.Mode() == rEpoch); err != nil {
 		return fmt.Errorf("reactive: RWMutex %w", err)
 	}
-	for _, q := range []struct {
-		name string
-		q    interface {
-			Len() int
-			Check() error
-		}
-	}{{"reader queue", &rw.rq}, {"writer-drain queue", &rw.wq}} {
-		if n := q.q.Len(); n != 0 {
-			return fmt.Errorf("reactive: RWMutex %s has %d waiters at quiescence", q.name, n)
-		}
-		if err := q.q.Check(); err != nil {
-			return fmt.Errorf("reactive: RWMutex %s: %w", q.name, err)
-		}
+	if n := rw.rq.Len(); n != 0 {
+		return fmt.Errorf("reactive: RWMutex reader queue has %d waiters at quiescence", n)
+	}
+	if err := rw.rq.Check(); err != nil {
+		return fmt.Errorf("reactive: RWMutex reader queue: %w", err)
 	}
 	if err := rw.eng.Check(spinParkTable); err != nil {
 		return fmt.Errorf("reactive: RWMutex wait engine: %w", err)

@@ -194,8 +194,8 @@ func TestRWMutexEpochPromotionFromSharded(t *testing.T) {
 // TestRWMutexEpochGOMAXPROCS1ChainWalk walks the full registration
 // chain at GOMAXPROCS=1, where every pin resolves to the same cell and
 // the writer's grace-period sweep shares the one processor with the
-// readers it waits on — the sweep must yield (modal.Poll's contract)
-// or this test deadlocks.
+// readers it waits on — the sweep must yield (the poll phase of
+// Kernel.Wait yields between attempts) or this test deadlocks.
 func TestRWMutexEpochGOMAXPROCS1ChainWalk(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rw := NewRWMutex(WithInitialReaderMode(ModeEpoch))

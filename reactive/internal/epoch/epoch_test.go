@@ -6,7 +6,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+	"unsafe"
 
+	"repro/internal/watchdog"
 	"repro/reactive/internal/affinity"
 )
 
@@ -29,9 +32,8 @@ func mustEnter(t *testing.T, k *Kernel) *affinity.Cell {
 
 // TestEnterValidatesAgainstGate walks the reader side of the protocol
 // single-threaded: an accepted reader is in every sum taken after a
-// later claim until it exits, and its exit reports the pending claim; a
-// reader arriving under a claim — or on an unselected kernel — is
-// refused and leaves the sum at zero.
+// later claim until it exits; a reader arriving under a claim — or on an
+// unselected kernel — is refused, says which, and leaves the sum at zero.
 func TestEnterValidatesAgainstGate(t *testing.T) {
 	var k Kernel
 	k.Select(true, false)
@@ -49,18 +51,12 @@ func TestEnterValidatesAgainstGate(t *testing.T) {
 	if sum := k.Sum(); sum != 1 {
 		t.Fatalf("a refused Enter left the sum at %d, want its deposit undone (1)", sum)
 	}
-	if !k.Exit(c) {
-		t.Fatal("Exit under a claim did not report it: the sweeping writer would never be woken")
-	}
+	k.Exit(c)
 	if sum := k.Sum(); sum != 0 {
 		t.Fatalf("sum %d after the last reader exited, want 0", sum)
 	}
 	k.Release()
-
-	c = mustEnter(t, &k)
-	if k.Exit(c) {
-		t.Fatal("Exit reported a claim after Release")
-	}
+	k.Exit(mustEnter(t, &k))
 
 	k.Select(false, false)
 	if c, claimed := k.Enter(); c != nil || claimed {
@@ -97,7 +93,7 @@ func TestSelectUnderClaim(t *testing.T) {
 // cells without selecting the epoch mode. The gate stays unselected — an
 // epoch reader is still refused — while deposits through Cell are swept,
 // and Claim and Release stop being the no-ops they are before the cells
-// exist, so an exit under a claim reports it.
+// exist.
 func TestBuildIsGateNeutral(t *testing.T) {
 	var k Kernel
 	k.Build()
@@ -119,13 +115,9 @@ func TestBuildIsGateNeutral(t *testing.T) {
 	if err := k.Check(false); err == nil {
 		t.Fatal("Claim after Build left no claim on the gate")
 	}
-	if !k.Exit(c) {
-		t.Fatal("Exit under a claim did not report it")
-	}
+	k.Exit(c)
 	k.Release()
-	if k.Exit(deposit(&k)) {
-		t.Fatal("Exit reported a claim after Release")
-	}
+	k.Exit(deposit(&k))
 	if err := k.Check(false); err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +132,12 @@ func deposit(k *Kernel) *affinity.Cell {
 }
 
 // TestEpochClaimExcludesReaders is the exclusion property under the race
-// detector: writers that claim and wait for a zero sum, and readers
-// that touch shared only between a successful Enter and its Exit, never
-// overlap. shared is a plain variable on purpose — an admitted reader
-// the sweep missed is a data race the detector reports.
+// detector: writers that claim and Wait for a zero sum — the shipped
+// writer half, polling a short budget and then parking until an Exit
+// wakes them — and readers that touch shared only between a successful
+// Enter and its Exit, never overlap. shared is a plain variable on
+// purpose — an admitted reader the sweep missed is a data race the
+// detector reports.
 func TestEpochClaimExcludesReaders(t *testing.T) {
 	var k Kernel
 	k.Select(true, false)
@@ -183,15 +177,11 @@ func TestEpochClaimExcludesReaders(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				wl.Lock()
 				k.Claim()
-				quiet := k.Sum() == 0
-				for k.Sum() != 0 {
-					runtime.Gosched()
-				}
+				k.Wait(2, nil, func() bool { return k.Sum() == 0 })
 				if n := inside.Load(); n != 0 {
 					t.Errorf("%d readers inside after the sum read zero under a claim", n)
 				}
 				shared++
-				k.Grace(quiet)
 				k.Release()
 				wl.Unlock()
 			}
@@ -212,14 +202,110 @@ func TestEpochClaimExcludesReaders(t *testing.T) {
 	}
 }
 
-// TestGraceAccounting: every grace period counts, quiet ones twice over.
-func TestGraceAccounting(t *testing.T) {
+// TestExitWakesParkedWriter: a writer parked in Wait — budget 0, so it
+// announces at once, and its post-announce re-test has already seen the
+// reader — is woken by the last reader's Exit alone. Nothing else grants
+// into the kernel's queue, so if Exit stopped granting the writer would
+// sleep forever and the watchdog trips.
+func TestExitWakesParkedWriter(t *testing.T) {
 	var k Kernel
-	for _, quiet := range []bool{true, false, true, false, false} {
-		k.Grace(quiet)
+	k.Select(true, false)
+	c := mustEnter(t, &k)
+	k.Claim()
+	var evals atomic.Int32
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		k.Wait(0, nil, func() bool {
+			evals.Add(1)
+			return k.Sum() == 0
+		})
+	}()
+	// Two evaluations: the quiet check and the post-announce re-test. After
+	// the second the writer is committed to sleeping until a grant.
+	for evals.Load() < 2 || k.Waiters() != 1 {
+		time.Sleep(20 * time.Microsecond)
 	}
-	if g, q := k.Graces(), k.QuietGraces(); g != 5 || q != 2 {
-		t.Fatalf("Graces, QuietGraces = %d, %d, want 5, 2", g, q)
+	k.Exit(c)
+	if err := watchdog.Await(done, 10*time.Second, func() string { return "writer parked in Wait after the last Exit" }); err != nil {
+		t.Fatal(err)
+	}
+	k.Release()
+	if err := k.Check(true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWaitCountsGraces: a Wait counts a grace period only while the
+// gate's mode bit is set — an owner's cell mode that validates against a
+// word of its own (Build alone) drains without counting — and counts it
+// quiet when the first evaluation already held. An aborted Wait counts
+// nothing.
+func TestWaitCountsGraces(t *testing.T) {
+	var k Kernel
+	drained := func() bool { return k.Sum() == 0 }
+	wantGraces := func(g, q uint64) {
+		t.Helper()
+		if gg, qq := k.Graces(), k.QuietGraces(); gg != g || qq != q {
+			t.Fatalf("Graces, QuietGraces = %d, %d, want %d, %d", gg, qq, g, q)
+		}
+	}
+
+	k.Build()
+	k.Claim()
+	if quiet, aborted := k.Wait(0, nil, drained); !quiet || aborted {
+		t.Fatalf("Wait on an empty unselected kernel = (%v, %v), want quiet", quiet, aborted)
+	}
+	k.Release()
+	wantGraces(0, 0)
+
+	k.Select(true, false)
+	k.Claim()
+	if quiet, _ := k.Wait(0, nil, drained); !quiet {
+		t.Fatal("first sweep read zero but the grace was not quiet")
+	}
+	k.Release()
+	wantGraces(1, 1)
+
+	c := mustEnter(t, &k)
+	k.Claim()
+	evals := 0
+	quiet, aborted := k.Wait(4, nil, func() bool {
+		if evals++; evals == 2 {
+			k.Exit(c) // the reader leaves while the writer polls
+		}
+		return drained()
+	})
+	if quiet || aborted {
+		t.Fatalf("Wait past a reader = (%v, %v), want neither quiet nor aborted", quiet, aborted)
+	}
+	k.Release()
+	wantGraces(2, 1)
+
+	c = mustEnter(t, &k)
+	k.Claim()
+	closed := make(chan struct{})
+	close(closed)
+	if _, aborted := k.Wait(4, closed, drained); !aborted {
+		t.Fatal("a closed done did not abort the Wait")
+	}
+	wantGraces(2, 1)
+	k.Release()
+	k.Exit(c)
+	if err := k.Check(true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQueueOffTheGateLine pins the kernel's layout: every epoch reader
+// loads the gate's line, so the queue's lock (its first word), which a
+// parking writer and granting readers store to, starts at least one
+// 64-byte line (amd64's and arm64's) after the gate.
+func TestQueueOffTheGateLine(t *testing.T) {
+	const line = 64
+	var k Kernel
+	if d := unsafe.Offsetof(k.q) - unsafe.Offsetof(k.gate); d < line {
+		t.Fatalf("queue starts %d bytes after the gate, want >= %d", d, line)
 	}
 }
 
@@ -245,8 +331,8 @@ func TestEnterExitZeroAllocs(t *testing.T) {
 // TestCheckCatchesEachViolation: a checker that cannot fail verifies
 // nothing, so each violation Check names is staged and must be caught
 // (and must clear once undone): a claim nobody holds, a mode bit that
-// disagrees with the caller's mode in either direction, and a cell
-// residue of either sign.
+// disagrees with the caller's mode in either direction, a cell residue
+// of either sign, and a writer left parked.
 func TestCheckCatchesEachViolation(t *testing.T) {
 	wantErr := func(err error, frag string) {
 		t.Helper()
@@ -285,5 +371,23 @@ func TestCheckCatchesEachViolation(t *testing.T) {
 	k.Select(false, false)
 	if err := k.Check(false); err != nil {
 		t.Fatalf("deselected: %v", err)
+	}
+
+	stop := make(chan struct{})
+	aborted := make(chan bool)
+	go func() {
+		_, a := k.Wait(0, stop, func() bool { return false })
+		aborted <- a
+	}()
+	for k.Waiters() != 1 {
+		time.Sleep(20 * time.Microsecond)
+	}
+	wantErr(k.Check(false), "1 waiters")
+	close(stop)
+	if !<-aborted {
+		t.Fatal("closing done did not abort the parked Wait")
+	}
+	if err := k.Check(false); err != nil {
+		t.Fatalf("after the aborted Wait: %v", err)
 	}
 }

@@ -14,7 +14,7 @@ func (q *Queue) Check() error {
 	defer q.release()
 	var (
 		walked int32
-		prev   *Waiter
+		prev   *waiter
 	)
 	for w := q.head; w != nil; w = w.next {
 		if w.prev != prev {

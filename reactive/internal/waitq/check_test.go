@@ -10,23 +10,23 @@ func TestCheckOnLiveQueue(t *testing.T) {
 	if err := q.Check(); err != nil {
 		t.Fatalf("empty queue: %v", err)
 	}
-	ws := make([]*Waiter, 3)
+	ws := make([]*waiter, 3)
 	for i := range ws {
-		ws[i] = Get()
-		q.Push(ws[i])
+		ws[i] = get()
+		q.push(ws[i])
 	}
 	if err := q.Check(); err != nil {
 		t.Fatalf("queue of 3: %v", err)
 	}
 	q.Grant()
-	<-ws[0].Ready()
-	q.Abandon(ws[1])
+	<-ws[0].ready
+	q.abandon(ws[1])
 	if err := q.Check(); err != nil {
 		t.Fatalf("after grant+abandon: %v", err)
 	}
-	q.Abandon(ws[2])
+	q.abandon(ws[2])
 	for _, w := range ws {
-		Put(w)
+		put(w)
 	}
 	if err := q.Check(); err != nil {
 		t.Fatalf("drained queue: %v", err)
@@ -35,31 +35,31 @@ func TestCheckOnLiveQueue(t *testing.T) {
 
 func TestCheckCatchesLengthMirrorSkew(t *testing.T) {
 	var q Queue
-	w := Get()
-	q.Push(w)
+	w := get()
+	q.push(w)
 	q.n.Add(1) // corrupt the mirror
 	err := q.Check()
 	if err == nil || !strings.Contains(err.Error(), "length mirror") {
 		t.Fatalf("skewed mirror not caught: %v", err)
 	}
 	q.n.Add(-1)
-	q.Abandon(w)
-	Put(w)
+	q.abandon(w)
+	put(w)
 }
 
 func TestCheckCatchesBrokenBackLink(t *testing.T) {
 	var q Queue
-	a, b := Get(), Get()
-	q.Push(a)
-	q.Push(b)
+	a, b := get(), get()
+	q.push(a)
+	q.push(b)
 	b.prev = nil // corrupt the back link
 	err := q.Check()
 	if err == nil || !strings.Contains(err.Error(), "prev") {
 		t.Fatalf("broken back link not caught: %v", err)
 	}
 	b.prev = a
-	q.Abandon(b)
-	q.Abandon(a)
-	Put(a)
-	Put(b)
+	q.abandon(b)
+	q.abandon(a)
+	put(a)
+	put(b)
 }

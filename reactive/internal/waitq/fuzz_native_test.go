@@ -27,9 +27,9 @@ func FuzzWaitqOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const nw = 8
 		var q Queue
-		ws := make([]*Waiter, nw)
+		ws := make([]*waiter, nw)
 		for i := range ws {
-			ws[i] = &Waiter{ready: make(chan struct{}, 1)}
+			ws[i] = &waiter{ready: make(chan struct{}, 1)}
 		}
 		state := make([]int, nw) // model per-waiter state
 		var fifo []int           // model queue: waiter indices in FIFO order
@@ -59,7 +59,7 @@ func FuzzWaitqOps(f *testing.F) {
 				if state[w] != mIdle {
 					continue
 				}
-				q.Push(ws[w])
+				q.push(ws[w])
 				state[w] = mQueued
 				fifo = append(fifo, w)
 			case 1: // Grant
@@ -81,7 +81,7 @@ func FuzzWaitqOps(f *testing.F) {
 					continue
 				}
 				select {
-				case <-ws[w].Ready():
+				case <-ws[w].ready:
 				default:
 					t.Fatalf("waiter %d granted but no token delivered", w)
 				}
@@ -89,14 +89,14 @@ func FuzzWaitqOps(f *testing.F) {
 			case 4: // Abandon (cancellation / acquired-while-queued)
 				switch state[w] {
 				case mQueued:
-					if !q.Abandon(ws[w]) {
+					if !q.abandon(ws[w]) {
 						t.Fatalf("Abandon of queued waiter %d reported a grant", w)
 					}
 					popModel(w)
 					state[w] = mIdle
 				case mToken:
 					// Handoff: the token must be consumed and passed on.
-					if q.Abandon(ws[w]) {
+					if q.abandon(ws[w]) {
 						t.Fatalf("Abandon of granted waiter %d reported a clean leave", w)
 					}
 					state[w] = mIdle
@@ -127,7 +127,7 @@ func FuzzWaitqOps(f *testing.F) {
 			}
 			grantModel()
 			select {
-			case <-ws[h].Ready():
+			case <-ws[h].ready:
 			default:
 				t.Fatalf("FIFO head %d not granted", h)
 			}
@@ -135,7 +135,7 @@ func FuzzWaitqOps(f *testing.F) {
 		}
 		for i, st := range state {
 			if st == mToken {
-				<-ws[i].Ready()
+				<-ws[i].ready
 			}
 		}
 		if err := q.Check(); err != nil {

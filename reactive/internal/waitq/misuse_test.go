@@ -11,35 +11,35 @@ func TestWaiterMisusePanics(t *testing.T) {
 		want string
 		f    func()
 	}{
-		{"put of queued waiter", "waitq: Put of a Waiter whose wait has not ended", func() {
+		{"put of queued waiter", "waitq: put of a waiter whose wait has not ended", func() {
 			var q Queue
-			w := Get()
-			q.Push(w)
+			w := get()
+			q.push(w)
 			defer func() { // leave the queue consistent for the pool
 				recover()
-				q.Abandon(w)
-				Put(w)
-				panic("waitq: Put of a Waiter whose wait has not ended")
+				q.abandon(w)
+				put(w)
+				panic("waitq: put of a waiter whose wait has not ended")
 			}()
-			Put(w)
+			put(w)
 		}},
-		{"re-push of queued waiter", "waitq: Push of a Waiter whose previous wait has not ended", func() {
+		{"re-push of queued waiter", "waitq: push of a waiter whose previous wait has not ended", func() {
 			var q Queue
-			w := Get()
-			q.Push(w)
+			w := get()
+			q.push(w)
 			defer func() {
 				recover()
-				q.Abandon(w)
-				Put(w)
-				panic("waitq: Push of a Waiter whose previous wait has not ended")
+				q.abandon(w)
+				put(w)
+				panic("waitq: push of a waiter whose previous wait has not ended")
 			}()
-			q.Push(w)
+			q.push(w)
 		}},
-		{"abandon of idle waiter", "waitq: Abandon of a Waiter that is not waiting", func() {
+		{"abandon of idle waiter", "waitq: abandon of a waiter that is not waiting", func() {
 			var q Queue
-			w := Get()
-			defer Put(w)
-			q.Abandon(w)
+			w := get()
+			defer put(w)
+			q.abandon(w)
 		}},
 	}
 	for _, tc := range cases {

@@ -24,6 +24,72 @@ func (l *testLock) unlock() {
 	l.q.Grant()
 }
 
+// pollCalls counts the two kinds of try in one Wait: polls of phase one
+// and post-announce re-tests.
+type pollCalls struct{ polls, retests int }
+
+// pollCase is one run of Wait's poll phase: try succeeds on poll
+// succeedAt (0 never) and every re-test returns retest.
+type pollCase struct {
+	name      string
+	budget    int32
+	done      <-chan struct{}
+	succeedAt int
+	retest    bool
+	want      pollCalls
+	aborted   bool
+}
+
+func runPollCases(t *testing.T, cases []pollCase) {
+	t.Helper()
+	var q Queue
+	for _, tc := range cases {
+		var got pollCalls
+		aborted := q.Wait(tc.budget, tc.done, func(announced bool) bool {
+			if announced {
+				got.retests++
+				return tc.retest
+			}
+			got.polls++
+			return got.polls == tc.succeedAt
+		})
+		if n := q.Len(); n != 0 {
+			t.Fatalf("%s: %d waiters left queued", tc.name, n)
+		}
+		if got != tc.want || aborted != tc.aborted {
+			t.Errorf("%s: (polls, retests) = %v, aborted %v; want %v, %v", tc.name, got, aborted, tc.want, tc.aborted)
+		}
+	}
+}
+
+// TestWaitPoll pins phase one without a done channel: a zero budget never
+// polls, a success within the budget ends the wait without announcing,
+// and an exhausted budget announces — the post-announce re-test is the
+// first try(true).
+func TestWaitPoll(t *testing.T) {
+	runPollCases(t, []pollCase{
+		{"zero budget never polls", 0, nil, 1, true, pollCalls{0, 1}, false},
+		{"success within budget", 5, nil, 3, false, pollCalls{3, 0}, false},
+		{"nil done: the budget governs, then parks", 4, nil, 0, true, pollCalls{4, 1}, false},
+	})
+}
+
+// TestWaitPollCh pins phase one against a done channel: a nil done never
+// aborts, a closed done aborts after the first failed try (the try runs
+// first, so a success on that iteration wins), and an open done lets the
+// budget govern.
+func TestWaitPollCh(t *testing.T) {
+	closed := make(chan struct{})
+	close(closed)
+	open := make(chan struct{})
+	runPollCases(t, []pollCase{
+		{"nil done: success within budget", 5, nil, 3, false, pollCalls{3, 0}, false},
+		{"closed done aborts after one try", 1000, closed, 0, false, pollCalls{1, 0}, true},
+		{"success beats a closed done", 3, closed, 1, false, pollCalls{1, 0}, false},
+		{"open done: the budget governs, then parks", 4, open, 0, true, pollCalls{4, 1}, false},
+	})
+}
+
 // TestWaitGrantVsCancel is the grant-vs-cancel race of DESIGN.md §5 on
 // the shared wait alone: waiter A (cancellable) and waiter B (nil done)
 // park behind a holder, and the holder releases at the moment A is
@@ -81,14 +147,14 @@ func TestWaitGrantVsCancel(t *testing.T) {
 // in that window.
 func TestWaitTryAfterAnnouncePassesGrantOn(t *testing.T) {
 	var q Queue
-	next := Get()
+	next := get()
 	announcedCalls := 0
 	aborted := q.Wait(0, nil, func(announced bool) bool {
 		if !announced {
 			t.Fatal("budget 0 must not poll")
 		}
 		announcedCalls++
-		q.Push(next) // a second waiter queues behind the one under test
+		q.push(next) // a second waiter queues behind the one under test
 		if !q.Grant() {
 			t.Fatal("no waiter to grant to after the announce")
 		}
@@ -101,11 +167,11 @@ func TestWaitTryAfterAnnouncePassesGrantOn(t *testing.T) {
 		t.Fatalf("try(announced) ran %d times, want 1", announcedCalls)
 	}
 	select {
-	case <-next.Ready():
+	case <-next.ready:
 	default:
 		t.Fatal("the raced grant died with the leaving waiter instead of being passed on")
 	}
-	Put(next)
+	put(next)
 	if n := q.Len(); n != 0 {
 		t.Fatalf("%d waiters left queued", n)
 	}

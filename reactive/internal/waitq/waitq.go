@@ -1,15 +1,17 @@
-// Package waitq is the shared waiter-queue engine behind every phase-two
-// (signaling) wait in package reactive. It grew out of the modal package's
-// two-phase waiting helpers: modal.Poll is phase one everywhere, and this
-// package is the one parking mechanism that replaced the three ad-hoc ones
-// the primitives used to carry (Mutex's capacity-1 channel semaphore,
-// RWMutex's reader condition variable, and RWMutex's writer-drain channel).
+// Package waitq is the shared waiter-queue engine behind every two-phase
+// wait in package reactive that parks. Queue.Wait polls (phase one) and
+// then parks (phase two); it is the one parking mechanism that replaced
+// the three ad-hoc ones the primitives used to carry (Mutex's capacity-1
+// channel semaphore, RWMutex's reader condition variable, and RWMutex's
+// writer-drain channel). RWMutex's readers are the one waiter that polls
+// elsewhere — rlockSlow's backoff loop is their phase one — and reach
+// Wait with budget 0.
 //
-// The engine is an intrusive FIFO of per-goroutine wait nodes (Waiter)
+// The engine is an intrusive FIFO of per-goroutine wait nodes (waiter)
 // supporting handoff-or-abandon: a waiter that stops waiting — because its
 // context was cancelled, or because it acquired the resource by polling
-// while still enqueued — leaves through Queue.Abandon, which either unlinks
-// the node (the wait was never granted) or, when a grant had already been
+// while still enqueued — leaves through abandon, which either unlinks the
+// node (the wait was never granted) or, when a grant had already been
 // delivered, consumes the grant token and passes the wakeup on to the next
 // waiter. That pass-on rule is what makes cancellation safe against the
 // classic lost-wakeup race (the x/sync/semaphore problem): a wakeup handed
@@ -19,21 +21,21 @@
 // this package are barging (acquisition is always a CAS on the caller's own
 // state word), so a spurious or stale grant costs a re-check, never
 // correctness. The invariant a waiter must maintain is announce-then-check:
-// Push the node, then re-test the awaited condition (or attempt the
-// acquisition) before blocking on Ready, so a peer that changed the
-// condition before observing the queue cannot strand the waiter.
-// Queue.Wait is the one place in the tree that choreography is written
-// out — every primitive's blocking wait is a call to it — so Get, Put,
-// Push, Abandon, and Ready have no other caller outside this package's
-// tests.
+// push the node, then re-test the awaited condition (or attempt the
+// acquisition) before blocking on its ready channel, so a peer that
+// changed the condition before observing the queue cannot strand the
+// waiter. Queue.Wait is the one place that choreography is written out,
+// so the node and its lifecycle are unexported; the surface is Wait, Grant,
+// GrantAll, Len and Check.
 //
 // All queue state is guarded by a small randomized-backoff spin lock; the
 // critical sections are a handful of pointer moves and one non-blocking
-// channel send. Nodes are pooled (Get/Put), so steady-state parking
+// channel send. Nodes are pooled (get/put), so steady-state parking
 // allocates nothing.
 package waitq
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -41,44 +43,41 @@ import (
 	"repro/reactive/modal"
 )
 
-// Waiter states, guarded by the owning queue's lock.
+// waiter states, guarded by the owning queue's lock.
 const (
 	stateIdle    uint32 = iota // not linked; no grant pending
 	stateQueued                // linked in a queue
 	stateGranted               // unlinked by a grant; token in ready
 )
 
-// A Waiter is one goroutine's parked wait: an intrusive queue node plus the
+// A waiter is one goroutine's parked wait: an intrusive queue node plus the
 // capacity-1 channel its grant token is delivered on. Waiters come from the
-// package pool (Get/Put); a Waiter is owned by exactly one waiting
-// goroutine at a time and may be re-Pushed (on the same or another Queue)
-// once its previous wait has fully ended — token consumed, or Abandon
+// package pool (get/put); a waiter is owned by exactly one waiting
+// goroutine at a time and may be re-pushed (on the same or another Queue)
+// once its previous wait has fully ended — token consumed, or abandon
 // returned.
-type Waiter struct {
-	next, prev *Waiter
+type waiter struct {
+	next, prev *waiter
 	state      uint32
 	// ready delivers the grant token. Capacity 1, and a token is sent only
 	// by the grant that unlinks the node, so the send — performed under
-	// the queue lock — can never block.
+	// the queue lock — can never block. Receiving consumes the token; a
+	// waiter that instead stops waiting leaves via abandon, so a token it
+	// was already granted is passed on.
 	ready chan struct{}
 }
 
-// Ready returns the channel the grant token arrives on. Receiving from it
-// consumes the token; a waiter that instead stops waiting must leave via
-// Queue.Abandon so a token it was already granted is passed on.
-func (w *Waiter) Ready() <-chan struct{} { return w.ready }
+var pool = sync.Pool{New: func() any { return &waiter{ready: make(chan struct{}, 1)} }}
 
-var pool = sync.Pool{New: func() any { return &Waiter{ready: make(chan struct{}, 1)} }}
+// get returns a ready-to-push waiter from the package pool.
+func get() *waiter { return pool.Get().(*waiter) }
 
-// Get returns a ready-to-Push Waiter from the package pool.
-func Get() *Waiter { return pool.Get().(*Waiter) }
-
-// Put returns w to the pool. The caller must have fully ended w's wait:
+// put returns w to the pool. The caller must have fully ended w's wait:
 // a node with an unconsumed grant token would wake its next user spuriously
-// at best and corrupt the FIFO at worst, so Put panics on one.
-func Put(w *Waiter) {
+// at best and corrupt the FIFO at worst, so put panics on one.
+func put(w *waiter) {
 	if w.state == stateQueued || len(w.ready) != 0 {
-		panic("waitq: Put of a Waiter whose wait has not ended")
+		panic("waitq: put of a waiter whose wait has not ended")
 	}
 	w.state = stateIdle
 	pool.Put(w)
@@ -88,7 +87,7 @@ func Put(w *Waiter) {
 // ready to use. A Queue must not be copied after first use.
 type Queue struct {
 	lock       atomic.Uint32 // spin lock guarding the list and waiter states
-	head, tail *Waiter
+	head, tail *waiter
 	// n mirrors the list length so Len — the "any waiters?" fast check on
 	// every unlock path — is one atomic load, never a lock acquisition.
 	n atomic.Int32
@@ -110,19 +109,19 @@ func (q *Queue) release() { q.lock.Store(0) }
 // Len returns the number of queued waiters (parked or committing to park).
 func (q *Queue) Len() int { return int(q.n.Load()) }
 
-// Push appends w to the queue. The caller must then re-check the condition
+// push appends w to the queue. The caller must then re-check the condition
 // it is about to wait for (announce-then-check) before blocking on
-// w.Ready, and must eventually end the wait by consuming the token or by
-// calling Abandon.
-func (q *Queue) Push(w *Waiter) {
+// w.ready, and must eventually end the wait by consuming the token or by
+// calling abandon.
+func (q *Queue) push(w *waiter) {
 	chaos.Point("waitq.push.enter")
 	q.acquire()
 	// stateGranted with an empty channel is a consumed grant — a normal
-	// re-Push after a wakeup; only a still-queued node or an unconsumed
+	// re-push after a wakeup; only a still-queued node or an unconsumed
 	// token marks a wait that has not ended.
 	if w.state == stateQueued || len(w.ready) != 0 {
 		q.release()
-		panic("waitq: Push of a Waiter whose previous wait has not ended")
+		panic("waitq: push of a waiter whose previous wait has not ended")
 	}
 	w.state = stateQueued
 	w.prev = q.tail
@@ -139,7 +138,7 @@ func (q *Queue) Push(w *Waiter) {
 
 // unlink removes w from the list. Callers hold the lock and have checked
 // w.state == stateQueued.
-func (q *Queue) unlink(w *Waiter) {
+func (q *Queue) unlink(w *waiter) {
 	if w.prev == nil {
 		q.head = w.next
 	} else {
@@ -155,10 +154,10 @@ func (q *Queue) unlink(w *Waiter) {
 }
 
 // Grant wakes the oldest waiter: unlinks it and delivers its token, both
-// under the queue lock, so by the time any later Abandon observes the
+// under the queue lock, so by the time any later abandon observes the
 // granted state the token is already in the channel. It reports whether a
 // waiter was woken; an empty queue is a no-op (wakeups are hints — a
-// waiter yet to Push will re-check the condition after announcing).
+// waiter yet to push will re-check the condition after announcing).
 func (q *Queue) Grant() bool {
 	if q.n.Load() == 0 {
 		return false
@@ -197,17 +196,17 @@ func (q *Queue) GrantAll() int {
 	return woken
 }
 
-// Abandon ends w's wait from the waiter's side: the handoff-or-abandon
+// abandon ends w's wait from the waiter's side: the handoff-or-abandon
 // step a waiter runs when it stops waiting for any reason other than
 // consuming its token — context cancellation, or having acquired the
 // awaited resource while still enqueued. If w is still queued it is
-// unlinked and Abandon returns true (a clean abandon: no grant existed, so
+// unlinked and abandon returns true (a clean abandon: no grant existed, so
 // none can be lost). Otherwise a grant has already been delivered — the
-// race the no-lost-wakeup proof in DESIGN.md §5 is about — and Abandon
+// race the no-lost-wakeup proof in DESIGN.md §5 is about — and abandon
 // consumes the token and passes the wakeup on to the queue's next waiter,
 // returning false. Either way w's wait has fully ended on return and w may
-// be re-Pushed or Put back in the pool.
-func (q *Queue) Abandon(w *Waiter) bool {
+// be re-pushed or put back in the pool.
+func (q *Queue) abandon(w *waiter) bool {
 	chaos.Point("waitq.abandon.enter")
 	q.acquire()
 	switch w.state {
@@ -226,18 +225,20 @@ func (q *Queue) Abandon(w *Waiter) bool {
 		return false
 	}
 	q.release()
-	panic("waitq: Abandon of a Waiter that is not waiting")
+	panic("waitq: abandon of a waiter that is not waiting")
 }
 
 // Wait is the two-phase wait of the thesis's Chapter 4, the only park
-// loop in the tree. Phase one polls try through budget iterations
-// (modal.PollCh, so a closed done stops the polling at once). Phase two
-// signals: announce a pooled Waiter on q, re-test try — the
+// loop in the tree. Phase one polls try through budget iterations,
+// yielding the processor between attempts and checking done after each
+// failed one, so a cancelled waiter stops consuming its budget at once
+// instead of spinning it down. Phase two
+// signals: announce a pooled waiter on q, re-test try — the
 // announce-then-check step, so a peer that made try succeed before it
 // could observe the queue cannot strand this waiter — and block until a
 // grant or done, re-announcing after every grant (grants are hints; try
 // alone decides). A waiter that stops being one — try succeeded while
-// queued, or done closed — leaves through Abandon, so a grant that raced
+// queued, or done closed — leaves through abandon, so a grant that raced
 // in is passed on, never lost.
 //
 // try reports whether the awaited condition now holds (for a lock: was
@@ -247,26 +248,33 @@ func (q *Queue) Abandon(w *Waiter) bool {
 // word) records that before reporting false. Wait reports only whether
 // the wait was aborted by done; a nil done never aborts.
 func (q *Queue) Wait(budget int32, done <-chan struct{}, try func(announced bool) bool) (aborted bool) {
-	ok, aborted := modal.PollCh(budget, done, func() bool { return try(false) })
-	if ok || aborted {
-		return aborted
+	for i := int32(0); i < budget; i++ {
+		if try(false) {
+			return false
+		}
+		select {
+		case <-done: // a nil done is never ready
+			return true
+		default:
+		}
+		runtime.Gosched()
 	}
-	w := Get()
-	defer Put(w)
+	w := get()
+	defer put(w)
 	for {
-		q.Push(w)
+		q.push(w)
 		if try(true) {
-			q.Abandon(w)
+			q.abandon(w)
 			return false
 		}
 		if done == nil {
-			<-w.Ready()
+			<-w.ready
 			continue
 		}
 		select {
-		case <-w.Ready():
+		case <-w.ready:
 		case <-done:
-			q.Abandon(w)
+			q.abandon(w)
 			return true
 		}
 	}

@@ -10,10 +10,10 @@ import (
 
 func TestGrantFIFOOrder(t *testing.T) {
 	var q Queue
-	ws := make([]*Waiter, 4)
+	ws := make([]*waiter, 4)
 	for i := range ws {
-		ws[i] = Get()
-		q.Push(ws[i])
+		ws[i] = get()
+		q.push(ws[i])
 	}
 	if q.Len() != len(ws) {
 		t.Fatalf("Len = %d, want %d", q.Len(), len(ws))
@@ -23,11 +23,11 @@ func TestGrantFIFOOrder(t *testing.T) {
 			t.Fatalf("Grant %d failed with %d waiters queued", i, q.Len())
 		}
 		select {
-		case <-w.Ready():
+		case <-w.ready:
 		default:
 			t.Fatalf("grant %d did not wake the oldest waiter", i)
 		}
-		Put(w)
+		put(w)
 	}
 	if q.Grant() {
 		t.Fatal("Grant on an empty queue reported a wakeup")
@@ -36,10 +36,10 @@ func TestGrantFIFOOrder(t *testing.T) {
 
 func TestAbandonBeforeGrant(t *testing.T) {
 	var q Queue
-	a, b := Get(), Get()
-	q.Push(a)
-	q.Push(b)
-	if !q.Abandon(a) {
+	a, b := get(), get()
+	q.push(a)
+	q.push(b)
+	if !q.abandon(a) {
 		t.Fatal("Abandon of an ungranted waiter returned false")
 	}
 	if q.Len() != 1 {
@@ -48,12 +48,12 @@ func TestAbandonBeforeGrant(t *testing.T) {
 	// The remaining waiter still gets the next grant.
 	q.Grant()
 	select {
-	case <-b.Ready():
+	case <-b.ready:
 	default:
 		t.Fatal("grant after abandon missed the remaining waiter")
 	}
-	Put(a)
-	Put(b)
+	put(a)
+	put(b)
 }
 
 // TestAbandonAfterGrantPassesOn is the handoff-or-abandon contract: a
@@ -61,42 +61,42 @@ func TestAbandonBeforeGrant(t *testing.T) {
 // the wakeup to the next waiter, so no wakeup is lost.
 func TestAbandonAfterGrantPassesOn(t *testing.T) {
 	var q Queue
-	a, b := Get(), Get()
-	q.Push(a)
-	q.Push(b)
+	a, b := get(), get()
+	q.push(a)
+	q.push(b)
 	q.Grant() // a granted; token delivered
-	if q.Abandon(a) {
+	if q.abandon(a) {
 		t.Fatal("Abandon of a granted waiter returned true")
 	}
 	select {
-	case <-b.Ready():
+	case <-b.ready:
 	default:
 		t.Fatal("abandoned grant was not passed on to the next waiter")
 	}
 	if q.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", q.Len())
 	}
-	Put(a)
-	Put(b)
+	put(a)
+	put(b)
 }
 
 func TestGrantAll(t *testing.T) {
 	var q Queue
-	ws := make([]*Waiter, 5)
+	ws := make([]*waiter, 5)
 	for i := range ws {
-		ws[i] = Get()
-		q.Push(ws[i])
+		ws[i] = get()
+		q.push(ws[i])
 	}
 	if n := q.GrantAll(); n != len(ws) {
 		t.Fatalf("GrantAll woke %d, want %d", n, len(ws))
 	}
 	for i, w := range ws {
 		select {
-		case <-w.Ready():
+		case <-w.ready:
 		default:
 			t.Fatalf("waiter %d missed the broadcast", i)
 		}
-		Put(w)
+		put(w)
 	}
 	if n := q.GrantAll(); n != 0 {
 		t.Fatalf("GrantAll on empty queue woke %d", n)
@@ -105,30 +105,30 @@ func TestGrantAll(t *testing.T) {
 
 func TestPutPanicsOnUndeliveredGrant(t *testing.T) {
 	var q Queue
-	w := Get()
-	q.Push(w)
+	w := get()
+	q.push(w)
 	q.Grant()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Put with an unconsumed token did not panic")
 		}
-		<-w.Ready()
-		Put(w)
+		<-w.ready
+		put(w)
 	}()
-	Put(w)
+	put(w)
 }
 
 func TestReuseAcrossQueues(t *testing.T) {
 	var q1, q2 Queue
-	w := Get()
-	q1.Push(w)
+	w := get()
+	q1.push(w)
 	q1.Grant()
-	<-w.Ready()
-	q2.Push(w)
-	if !q2.Abandon(w) {
+	<-w.ready
+	q2.push(w)
+	if !q2.abandon(w) {
 		t.Fatal("abandon on second queue failed")
 	}
-	Put(w)
+	put(w)
 }
 
 // TestStressGrantVsAbandon hammers the grant-vs-cancel race: waiters park
@@ -150,23 +150,23 @@ func TestStressGrantVsAbandon(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			w := Get()
-			defer Put(w)
+			w := get()
+			defer put(w)
 			for i := 0; i < iters; i++ {
-				q.Push(w)
+				q.push(w)
 				if (i+g)%3 == 0 {
 					// Cancel path: may race an in-flight grant.
-					if !q.Abandon(w) {
+					if !q.abandon(w) {
 						abandoned.Add(1)
 					}
 					continue
 				}
 				select {
-				case <-w.Ready():
+				case <-w.ready:
 					granted.Add(1)
 				case <-time.After(10 * time.Second):
 					t.Errorf("waiter %d stranded at iter %d (len=%d)", g, i, q.Len())
-					q.Abandon(w)
+					q.abandon(w)
 					return
 				}
 			}

@@ -11,7 +11,6 @@ import (
 	"repro/reactive/internal/affinity"
 	"repro/reactive/internal/chaos"
 	"repro/reactive/internal/epoch"
-	"repro/reactive/internal/waitq"
 	"repro/reactive/modal"
 )
 
@@ -130,15 +129,13 @@ type Map[K comparable, V any] struct {
 	shardsUp   atomic.Bool
 
 	// Epoch-mode state: the published table (cur), the off-line copy
-	// the next writer mutates and publishes (spare, guarded by wl), the
-	// grace-period kernel readers enter and writers claim (ek), and the
-	// queue a grace period parks on (gq; the last reader out grants into
-	// it).
+	// the next writer mutates and publishes (spare, guarded by wl), and
+	// the grace-period kernel readers enter and writers claim and wait
+	// on (ek).
 	cur     atomic.Pointer[mapVersion[K, V]]
 	spare   *mapVersion[K, V]
 	version atomic.Uint64
 	ek      epoch.Kernel
-	gq      waitq.Queue
 }
 
 // NewMap builds a Map with the given options. NewMap() is equivalent to
@@ -396,13 +393,11 @@ func (mp *Map[K, V]) get(ctx context.Context, done <-chan struct{}, key K) (V, b
 			// successor and then running a grace period, which this
 			// reader's deposit blocks, so the table cannot be mutated in
 			// place while this reader is inside it.
-			c, claimed := mp.ek.Enter()
-			if c != nil {
+			if c, _ := mp.ek.Enter(); c != nil {
 				v, ok := mp.cur.Load().m[key]
-				mp.wakeGrace(mp.ek.Exit(c))
+				mp.ek.Exit(c)
 				return v, ok, nil
 			}
-			mp.wakeGrace(claimed)
 			// Refused: a writer's grace claim is in place (or the mode
 			// just moved). Read authoritatively under the writer lock, so
 			// writers cannot starve behind a read storm.
@@ -417,15 +412,6 @@ func (mp *Map[K, V]) get(ctx context.Context, done <-chan struct{}, key K) (V, b
 			mp.wl.Unlock()
 			return v, ok, nil
 		}
-	}
-}
-
-// wakeGrace follows every epoch-cell decrement (an exit, or a refused
-// entry's undo): if the kernel reported a claim pending, the writer's
-// grace period may be parked waiting for the cell sum to drain.
-func (mp *Map[K, V]) wakeGrace(claimed bool) {
-	if claimed {
-		mp.gq.Grant()
 	}
 }
 
@@ -533,28 +519,22 @@ func (mp *Map[K, V]) putEpoch(key K, val V, del bool) {
 }
 
 // graceSweep runs one grace period, under wl: claim the kernel, wait
-// until every reader that might hold the retired table has exited, run
-// the epoch protocol's scale-down detection, and release the claim. The
-// wait is the shared two-phase wait on gq (granted by wakeGrace) and
-// uncancellable — epoch read sections run no user code, so it is
-// bounded. At most one writer sweeps at a time (wl is held), so gq holds
-// at most one node. Reports whether detection demoted the map out of
-// the epoch mode; in that case the commit ran here, under the claim,
-// where reader exclusion is already proved.
+// (Kernel.Wait, which also counts the grace period) until every reader
+// that might hold the retired table has exited, run the epoch protocol's
+// scale-down detection, and release the claim. The wait is uncancellable
+// — epoch read sections run no user code, so it is bounded. Reports
+// whether detection demoted the map out of the epoch mode; in that case
+// the commit ran here, under the claim, where reader exclusion is
+// already proved.
 func (mp *Map[K, V]) graceSweep() (demoted bool) {
 	mp.ek.Claim()
 	// Readers are internal enter/exit pairs, so unlike RWMutex a
 	// negative sum would be a package bug, not caller misuse;
 	// CheckInvariants verifies zero at quiescence.
-	swept := func(bool) bool {
+	quiet, _ := mp.ek.Wait(mp.cfg.pollBudget(), nil, func() bool {
 		chaos.Point("map.grace.sweep")
 		return mp.ek.Sum() == 0
-	}
-	quiet := swept(false)
-	if !quiet {
-		mp.gq.Wait(mp.cfg.pollBudget(), nil, swept)
-	}
-	mp.ek.Grace(quiet)
+	})
 	if _, fire := mp.eng.Observe(mapModeTable, mapEpoch, signalOf(!quiet), mp.cfg.limits()); fire {
 		// A streak of quiet grace periods: the published table went
 		// unread across whole writer rounds — the write-dominated regime
@@ -639,13 +619,12 @@ func (mp *Map[K, V]) snapshot() map[K]V {
 // copy (bounded, no user code) is the only work an epoch-mode grace
 // period ever waits on besides lookups.
 func (mp *Map[K, V]) snapshotEpoch() (map[K]V, bool) {
-	c, claimed := mp.ek.Enter()
+	c, _ := mp.ek.Enter()
 	if c == nil {
-		mp.wakeGrace(claimed)
 		return nil, false
 	}
 	out := maps.Clone(mp.cur.Load().m)
-	mp.wakeGrace(mp.ek.Exit(c))
+	mp.ek.Exit(c)
 	return out, true
 }
 
@@ -673,7 +652,7 @@ func (mp *Map[K, V]) Stats() Stats {
 	return Stats{
 		Mode:     mapModes[mp.eng.Mode()],
 		Switches: mp.eng.Switches(),
-		Waiters:  mp.wl.Stats().Waiters + mp.gq.Len(),
+		Waiters:  mp.wl.Stats().Waiters + mp.ek.Waiters(),
 	}
 }
 
@@ -716,12 +695,6 @@ func (mp *Map[K, V]) CheckInvariants() error {
 	}
 	if err := mp.ek.Check(mp.eng.Mode() == mapEpoch); err != nil {
 		return fmt.Errorf("reactive: Map %w", err)
-	}
-	if n := mp.gq.Len(); n != 0 {
-		return fmt.Errorf("reactive: Map has %d grace waiters at quiescence", n)
-	}
-	if err := mp.gq.Check(); err != nil {
-		return fmt.Errorf("reactive: Map grace queue: %w", err)
 	}
 	live := 0
 	switch mp.eng.Mode() {

@@ -27,14 +27,10 @@ func mustPanicMsg(t *testing.T, want string, f func()) {
 // same goroutine, via TryLock).
 func TestMisusePanics(t *testing.T) {
 	const (
-		unlockMutex   = "reactive: Unlock of unlocked Mutex"
-		unlockRW      = "reactive: Unlock of unlocked RWMutex"
-		runlockRW     = "reactive: RUnlock of unlocked RWMutex"
-		putWaiter     = "waitq: Put of a Waiter whose wait has not ended"
-		pushWaiter    = "waitq: Push of a Waiter whose previous wait has not ended"
-		abandonWaiter = "waitq: Abandon of a Waiter that is not waiting"
+		unlockMutex = "reactive: Unlock of unlocked Mutex"
+		unlockRW    = "reactive: Unlock of unlocked RWMutex"
+		runlockRW   = "reactive: RUnlock of unlocked RWMutex"
 	)
-	_, _, _ = putWaiter, pushWaiter, abandonWaiter // pinned in waitq's own tests
 
 	cases := []struct {
 		name string

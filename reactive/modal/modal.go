@@ -29,8 +29,9 @@
 //
 // Memory and waiting effects — what a mode *is*, how waiters migrate
 // across a change — stay with the caller; the engine only decides and
-// serializes. The two-phase waiting helpers (Poll, Backoff) live here too
-// because every consumer's waiting loops share them.
+// serializes. Backoff, the randomized exponential backoff every spin loop
+// in package reactive pauses with, lives here too; the two-phase wait
+// itself (poll, then park) is reactive/internal/waitq's Queue.Wait.
 package modal
 
 import (

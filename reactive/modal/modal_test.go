@@ -241,56 +241,6 @@ func TestDeciderForwardsEdgeEvents(t *testing.T) {
 	}()
 }
 
-func TestPoll(t *testing.T) {
-	n := 0
-	if Poll(5, func() bool { n++; return n == 3 }) != true {
-		t.Fatal("Poll missed a success within budget")
-	}
-	if n != 3 {
-		t.Fatalf("Poll called try %d times, want 3", n)
-	}
-	n = 0
-	if Poll(4, func() bool { n++; return false }) {
-		t.Fatal("Poll reported success after budget exhaustion")
-	}
-	if n != 4 {
-		t.Fatalf("Poll called try %d times, want the full budget 4", n)
-	}
-	if Poll(0, func() bool { t.Fatal("zero budget must not call try"); return true }) {
-		t.Fatal("zero-budget Poll reported success")
-	}
-}
-
-func TestPollCh(t *testing.T) {
-	// nil done: identical to Poll.
-	n := 0
-	ok, aborted := PollCh(5, nil, func() bool { n++; return n == 3 })
-	if !ok || aborted || n != 3 {
-		t.Fatalf("PollCh(nil done) = (%v, %v) after %d tries, want (true, false) after 3", ok, aborted, n)
-	}
-	// A closed done channel aborts after the first failed try, without
-	// spinning the rest of the budget down.
-	done := make(chan struct{})
-	close(done)
-	n = 0
-	ok, aborted = PollCh(1000, done, func() bool { n++; return false })
-	if ok || !aborted || n != 1 {
-		t.Fatalf("PollCh(closed done) = (%v, %v) after %d tries, want (false, true) after 1", ok, aborted, n)
-	}
-	// A success on the same iteration done closes wins: try runs first.
-	ok, aborted = PollCh(3, done, func() bool { return true })
-	if !ok || aborted {
-		t.Fatalf("PollCh success with closed done = (%v, %v), want (true, false)", ok, aborted)
-	}
-	// An open done channel never aborts; the budget governs.
-	open := make(chan struct{})
-	n = 0
-	ok, aborted = PollCh(4, open, func() bool { n++; return false })
-	if ok || aborted || n != 4 {
-		t.Fatalf("PollCh(open done) = (%v, %v) after %d tries, want budget exhaustion after 4", ok, aborted, n)
-	}
-}
-
 func TestBackoffPausesAndDoubles(t *testing.T) {
 	var b Backoff
 	b.Max = 8

@@ -5,49 +5,6 @@ import (
 	"sync/atomic"
 )
 
-// Poll is phase one of two-phase waiting: call try up to budget times,
-// yielding the processor between attempts, and report whether try ever
-// succeeded. Callers express the polling budget (Lpoll) in iterations;
-// a false return means the budget is exhausted and phase two (a
-// signaling mechanism — parking, a condition variable, a semaphore) is
-// the cheaper way to keep waiting.
-func Poll(budget int32, try func() bool) bool {
-	for i := int32(0); i < budget; i++ {
-		if try() {
-			return true
-		}
-		runtime.Gosched()
-	}
-	return false
-}
-
-// PollCh polls like Poll but additionally gives up when done is closed —
-// the deadline-aware phase one of two-phase waiting: a cancelled context
-// stops consuming the polling budget at once instead of spinning it down.
-// A nil done never aborts, so PollCh(b, nil, try) behaves exactly like
-// Poll(b, try). The results are (ok, aborted): ok reports that try
-// succeeded, aborted that the wait was abandoned because done was closed;
-// they are never both true, and both false means the budget is exhausted
-// and phase two (a signaling mechanism) is the cheaper way to keep
-// waiting.
-func PollCh(budget int32, done <-chan struct{}, try func() bool) (ok, aborted bool) {
-	if done == nil {
-		return Poll(budget, try), false
-	}
-	for i := int32(0); i < budget; i++ {
-		if try() {
-			return true, false
-		}
-		select {
-		case <-done:
-			return false, true
-		default:
-		}
-		runtime.Gosched()
-	}
-	return false, false
-}
-
 // DefaultBackoffMax is the cap on Backoff's mean pause length, in
 // scheduler yields.
 const DefaultBackoffMax = 64

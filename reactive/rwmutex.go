@@ -156,17 +156,15 @@ type RWMutex struct {
 	// occupancies: a reader may deposit its +1 in one cell and its -1 in
 	// another after migrating, so only the sum is meaningful — zero iff
 	// no cell-registered reader is active (see cellsDrained for why a
-	// sweep cannot misread that). This type supplies the writer lock,
-	// the drain wait, and the mode commits.
+	// sweep cannot misread that). The kernel also owns the drain's wait
+	// and its wake (drainReaders); this type supplies the writer lock
+	// and the mode commits.
 	ek epoch.Kernel
 
-	// rq holds parked readers (phase two of the reader wait protocol);
-	// a releasing writer broadcasts into it. wq holds the one draining
-	// writer parked waiting for active readers to leave; the last
-	// reader out grants into it. Both run on the shared waiter-queue
-	// engine (reactive/internal/waitq).
+	// rq holds parked readers (phase two of the reader wait protocol, on
+	// the shared waiter-queue engine, reactive/internal/waitq); a
+	// releasing writer broadcasts into it.
 	rq waitq.Queue
-	wq waitq.Queue
 
 	cfg config
 }
@@ -231,7 +229,7 @@ func (rw *RWMutex) Stats() Stats {
 	return Stats{
 		Mode:     Mode(rw.eng.Mode()),
 		Switches: rw.eng.Switches(),
-		Waiters:  rw.rq.Len() + rw.wq.Len() + rw.w.q.Len(),
+		Waiters:  rw.rq.Len() + rw.ek.Waiters() + rw.w.q.Len(),
 		Readers: &ReaderStats{
 			Mode:        readerModes[rw.reng.Mode()],
 			Switches:    rw.reng.Switches(),
@@ -319,13 +317,12 @@ func (rw *RWMutex) register() regResult {
 		if ok {
 			return regOK
 		}
-		rw.wakeDrain(rw.ek.Exit(c))
+		rw.ek.Exit(c)
 	case rEpoch:
 		c, claimed := rw.ek.Enter()
 		if c != nil {
 			return regOK
 		}
-		rw.wakeDrain(claimed)
 		if claimed {
 			return regClaimed
 		}
@@ -355,18 +352,6 @@ func (rw *RWMutex) register() regResult {
 	return regMoved
 }
 
-// wakeDrain follows every cell decrement (an RUnlock, or a refused
-// registration's undo): if the kernel reported a writer's claim pending
-// — every writer claims the gate once the cells exist, whichever mode is
-// selected — that writer's drain may be parked waiting for the cell sum
-// to reach zero, so wake it to re-sweep. A spurious grant is consumed
-// harmlessly (the drain re-checks and re-parks).
-func (rw *RWMutex) wakeDrain(claimed bool) {
-	if claimed {
-		rw.wq.Grant()
-	}
-}
-
 // runlockCentral releases one centralized registration (or undoes a
 // stale one), waking a draining writer when the last reader leaves.
 func (rw *RWMutex) runlockCentral() {
@@ -378,8 +363,9 @@ func (rw *RWMutex) runlockCentral() {
 		panic("reactive: RUnlock of unlocked RWMutex")
 	}
 	// A writer is draining; if this was the last active reader, wake it.
+	// (A cell-registered reader's Exit wakes it on its own.)
 	if r == -rwBias {
-		rw.wq.Grant()
+		rw.ek.Wake()
 	}
 }
 
@@ -533,7 +519,7 @@ func (rw *RWMutex) RUnlock() {
 	}
 	c := rw.ek.Cell(affinity.Pin())
 	affinity.Unpin()
-	rw.wakeDrain(rw.ek.Exit(c))
+	rw.ek.Exit(c)
 }
 
 // claim places the writer's claim — on the centralized word, which new
@@ -636,43 +622,35 @@ func cellsDrained(sum int64) bool {
 }
 
 // drained reports whether every active reader — centrally registered or
-// cell-registered — has released. As the drain's poll predicate it runs
-// inside modal.Poll's yield-per-attempt loop, so the repeated cell sweeps
-// stay scheduler-cooperative on small-GOMAXPROCS hosts (a non-yielding
-// sweep could freeze the very readers it waits on).
+// cell-registered — has released. As the drain's predicate it runs
+// inside Kernel.Wait's yield-per-attempt poll, so the repeated cell
+// sweeps stay scheduler-cooperative on small-GOMAXPROCS hosts (a
+// non-yielding sweep could freeze the very readers it waits on).
 func (rw *RWMutex) drained() bool {
 	return rw.readerCount.Load() == -rwBias && cellsDrained(rw.ek.Sum())
 }
 
-// drainReaders waits for the active readers to release — the shared
-// two-phase wait on the writer-drain queue, which the last draining
-// reader of any registration protocol grants into. At most one writer
-// drains at a time (the writer mutex is held), so the queue holds at
-// most one node. In epoch mode a completed drain is one grace period.
-// It is also the cell-based registration modes' detection site: a drain
-// that found the lock already quiet is Calm — the cell machinery went
-// unused across a whole writer round — and one that found active readers
-// is Busy, the read-saturation signal. The centralized mode's detector
-// listens to reader CAS losses only (noteRegistration), so a drain there
-// observes nothing. Commits happen right here, under the writer's own
-// exclusion (claim in place, drain complete), so no reader can span
-// them. A closed done aborts the wait; the caller retracts the claim.
+// drainReaders waits for the active readers to release — the kernel's
+// Wait over drained, which the last reader out of any registration
+// protocol wakes (a cell reader's Exit, or runlockCentral's Wake). In
+// epoch mode a completed drain is one grace period, which the kernel
+// counts. It is also the cell-based registration modes' detection site:
+// a drain that found the lock already quiet is Calm — the cell machinery
+// went unused across a whole writer round — and one that found active
+// readers is Busy, the read-saturation signal. The centralized mode's
+// detector listens to reader CAS losses only (noteRegistration), so a
+// drain there observes nothing. Commits happen right here, under the
+// writer's own exclusion (claim in place, drain complete), so no reader
+// can span them. A closed done aborts the wait; the caller retracts the
+// claim.
 func (rw *RWMutex) drainReaders(done <-chan struct{}) (aborted bool) {
-	idle := rw.drained()
-	if !idle && rw.wq.Wait(rw.cfg.pollBudget(), done, func(bool) bool { return rw.drained() }) {
-		return true
+	idle, aborted := rw.ek.Wait(rw.cfg.pollBudget(), done, rw.drained)
+	if from := rw.reng.Mode(); !aborted && from != rCentral {
+		if to, fire := rw.reng.Observe(readerShardTable, from, signalOf(!idle), rw.cfg.limits()); fire {
+			rw.commitReaderMode(from, to, true)
+		}
 	}
-	from := rw.reng.Mode()
-	if from == rCentral {
-		return false
-	}
-	if from == rEpoch {
-		rw.ek.Grace(idle)
-	}
-	if to, fire := rw.reng.Observe(readerShardTable, from, signalOf(!idle), rw.cfg.limits()); fire {
-		rw.commitReaderMode(from, to, true)
-	}
-	return false
+	return aborted
 }
 
 // Unlock releases the write hold, waking parked readers so they can
