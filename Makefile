@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build benchmark-check test test-full sim-digests bench loadtest lint examples docs-check torture fuzz-short
+.PHONY: all build benchmark-check test test-full sim-digests sim-cmp bench loadtest lint examples docs-check torture fuzz-short
 
 all: lint build benchmark-check test
 
@@ -53,6 +53,36 @@ test-full:
 # table; one that is meant to cost host time alone must pass unchanged.
 sim-digests:
 	$(GO) test ./internal/experiments -run 'TestRegistryDigestsGolden$$' -count=1 -update
+
+# Compare simulated output with revision REV, for a change meant to keep
+# every simulated cycle: build reactsim, waitsim and lockstat at REV (a
+# `git archive` export in a temp dir) and in this tree, then cmp
+# `reactsim -exp all -json`, `waitsim -exp all -json`, and lockstat's
+# 32-processor sweep of the reactive lock and fetch-and-op and of the MCS
+# queue and combining tree under them. Fails if any output differs. Not
+# a CI job: CI has no second revision checked out. About two and a half
+# minutes on two cores, most of it reactsim at Quick sizes.
+sim-cmp:
+	@test -n "$(REV)" || { echo "usage: make sim-cmp REV=<rev>"; exit 2; }
+	@set -e; d="$$(mktemp -d)"; trap 'rm -rf "$$d"' EXIT; \
+	mkdir "$$d/src" "$$d/rev" "$$d/here"; \
+	git archive "$(REV)" | tar -x -C "$$d/src"; \
+	for c in reactsim waitsim lockstat; do \
+		$(GO) build -C "$$d/src" -o "$$d/rev/$$c" ./cmd/$$c; \
+		$(GO) build -o "$$d/here/$$c" ./cmd/$$c; \
+	done; \
+	for s in rev here; do \
+		b="$$d/$$s"; echo "sim-cmp: running $$s"; \
+		"$$b/reactsim" -exp all -json > "$$b/reactsim.json"; \
+		"$$b/waitsim" -exp all -json > "$$b/waitsim.json"; \
+		for k in lock:reactive fop:reactive lock:mcs-queue fop:combining-tree; do \
+			"$$b/lockstat" -kind "$${k%%:*}" -proto "$${k#*:}" -machine 32 -procs 1,2,4,12,16,24,32 -iters 80 \
+				> "$$b/lockstat-$${k%%:*}-$${k#*:}.txt"; \
+		done; \
+	done; \
+	bad=0; for f in reactsim.json waitsim.json $$(cd "$$d/here" && ls lockstat-*.txt); do \
+		if cmp -s "$$d/rev/$$f" "$$d/here/$$f"; then echo "identical: $$f"; else echo "DIFFERS:   $$f"; bad=1; fi; \
+	done; exit $$bad
 
 # The CI bench job: one pass over every benchmark, kept as bench.txt —
 # Go benchmark text, benchstat's own input. Every row is host ns/op —

@@ -1,8 +1,8 @@
 // Package repro reproduces Beng-Hong Lim's "Reactive Synchronization
 // Algorithms for Multiprocessors" (MIT, 1994; ASPLOS '94 with Agarwal): a
 // cycle-level Alewife-like multiprocessor simulator, the passive and
-// reactive spin-lock and fetch-and-op protocols, the consensus-object
-// protocol-selection framework, two-phase waiting algorithms with their
+// reactive spin-lock and fetch-and-op protocols, whose protocol changes
+// serialize at consensus objects, two-phase waiting algorithms with their
 // competitive analysis, and the full experiment harness that regenerates
 // every table and figure of the thesis's evaluation.
 //

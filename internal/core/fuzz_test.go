@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/machine"
-	"repro/internal/spinlock"
 )
 
 // TestReactiveLockFuzzSchedules drives the reactive lock with randomized
@@ -97,51 +96,6 @@ func TestReactiveFOPFuzzPermutation(t *testing.T) {
 		return len(got) == procs*iters
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSelectableLockFuzz exercises the generic Appendix B.5 lock under
-// random switch points.
-func TestSelectableLockFuzz(t *testing.T) {
-	f := func(seed uint64, switchMask uint8) bool {
-		procs := 6
-		cfg := machine.DefaultConfig(procs)
-		cfg.Seed = seed
-		m := machine.New(cfg)
-		m.Eng.SetLimit(200_000_000)
-		sl := NewSelectableLock(m, 0, []spinlock.Lock{
-			spinlock.NewTTS(m.Mem, 0, spinlock.DefaultBackoff),
-			spinlock.NewMCS(m.Mem, 1),
-		})
-		inCS := false
-		ok := true
-		for p := 0; p < procs; p++ {
-			p := p
-			m.SpawnCPU(p, 0, "w", func(c *machine.CPU) {
-				for i := 0; i < 10; i++ {
-					h := sl.Acquire(c)
-					if inCS {
-						ok = false
-					}
-					inCS = true
-					c.Advance(40)
-					inCS = false
-					if switchMask&(1<<uint((p+i)%8)) != 0 {
-						sl.ReleaseAndSwitch(c, h, (sl.Current(c)+1)%2)
-					} else {
-						sl.Release(c, h)
-					}
-					c.Advance(machine.Time(c.Rand().Intn(200)))
-				}
-			})
-		}
-		if err := m.Run(); err != nil {
-			return false
-		}
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
 }

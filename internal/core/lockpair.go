@@ -1,6 +1,16 @@
+// Package core holds the thesis's two reactive algorithms as the simulator
+// runs them: the reactive spin lock of Section 3.7.3 and the reactive
+// fetch-and-op of Appendix C. Both own one lockPair — the TTS and
+// invalidatable-queue protocols with their monitoring and the two changes
+// between them — and the fetch-and-op adds a central word and the
+// combining tree. Every protocol change passes through the pair's
+// finishChange, which checks on every run that the change starts from the
+// valid protocol.
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/machine"
 	"repro/internal/memsys"
 	"repro/internal/spinlock"
@@ -67,19 +77,19 @@ type lockPair struct {
 	// transition logic, the memory effects stay here. The simulator's
 	// event engine serializes all calls, so the unsynchronized Decider is
 	// the right engine variant.
-	d         *modal.Decider
-	modeNames []string // the owner's mode names, for history checking
+	d *modal.Decider
+
+	// valid is the protocol that is valid, kept host-side: finishChange
+	// moves it at each change's serialization point.
+	valid uint64
 
 	// Changes counts protocol changes performed.
 	Changes uint64
-
-	// Check optionally records protocol changes for C-serial verification.
-	Check *HistoryChecker
 }
 
 // init allocates the mode word, the TTS flag and the queue tail on node
 // home, in TTS mode: TTS lock free (fresh memory is zero), queue invalid.
-func (l *lockPair) init(mem *memsys.System, home int, tab *modal.Table, modeNames []string) {
+func (l *lockPair) init(mem *memsys.System, home int, tab *modal.Table) {
 	procs := mem.Config().NumNodes
 	*l = lockPair{
 		mode:            mem.Alloc(home, 1),
@@ -92,7 +102,7 @@ func (l *lockPair) init(mem *memsys.System, home int, tab *modal.Table, modeName
 		TTSRetryLimit:   3,
 		EmptyQueueLimit: 4,
 		emptyStreak:     make([]int, procs),
-		modeNames:       modeNames,
+		valid:           modeTTS,
 	}
 	l.d = modal.NewDecider(tab, &l.Policy)
 	mem.Poke(l.Tail, invalidTail)
@@ -188,9 +198,9 @@ func (l *lockPair) emptyQueueVote(proc int) bool {
 // busy (= invalid) — which makes protocol changes serializable.
 func (l *lockPair) changeToQueue(c machine.Context, i spinlock.QNode, from uint64) {
 	l.acquireInvalidQueue(c, i)
+	l.finishChange(c, from, modeQueue)
 	c.Write(l.mode, modeQueue)
 	l.Handoff(c, i, invalidTail)
-	l.finishChange(c, from, modeQueue)
 }
 
 // changeQueueToTTS performs the QUEUE→TTS protocol change (Figure 3.29).
@@ -198,27 +208,25 @@ func (l *lockPair) changeToQueue(c machine.Context, i spinlock.QNode, from uint6
 func (l *lockPair) changeQueueToTTS(c machine.Context, i spinlock.QNode) {
 	c.Write(l.mode, modeTTS)
 	l.invalidateQueue(c, i)
-	c.Write(l.tts, 0)
 	l.finishChange(c, modeQueue, modeTTS)
+	c.Write(l.tts, 0)
 }
 
-// finishChange records bookkeeping for a completed protocol change,
-// validating the transition against the owner's modal table (the decider
-// panics on an edge the table does not permit — for the fetch-and-op, a
-// TTS↔tree shortcut). The changer holds both protocols' consensus objects
-// across the transition, so from other processes' perspective the
-// validity swap is atomic; it is recorded at a single serialization
-// instant (the completion time).
+// finishChange is a protocol change's serialization point. The changer
+// calls it while holding both protocols' consensus objects, just before
+// releasing to's makes to acquirable by another process, so no other
+// change can come between. It panics unless from is the valid protocol,
+// then makes to the valid one; it also validates the edge against the
+// owner's modal table (the decider panics on an edge the table does not
+// permit — for the fetch-and-op, a TTS↔tree shortcut), tells the policy,
+// and counts the change.
 func (l *lockPair) finishChange(c machine.Context, from, to uint64) {
+	if from != l.valid {
+		panic(fmt.Sprintf("core: P%d changed protocol %d→%d while %d is valid", c.ProcID(), from, to, l.valid))
+	}
+	l.valid = to
 	l.Changes++
 	l.d.Switched(modal.Mode(from), modal.Mode(to))
-	if l.Check != nil {
-		now := c.Now()
-		l.Check.RecordValidity(l.modeNames[from], now, false, c.ProcID())
-		l.Check.RecordValidity(l.modeNames[to], now, true, c.ProcID())
-		l.Check.RecordInterval(l.modeNames[from], ChangeInterval, c.ProcID(), now, now)
-		l.Check.RecordInterval(l.modeNames[to], ChangeInterval, c.ProcID(), now, now)
-	}
 }
 
 // acquireInvalidQueue is Figure 3.29's acquire_invalid_queue: take

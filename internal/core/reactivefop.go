@@ -13,9 +13,6 @@ import (
 // the pair's modeTTS and modeQueue.
 const fopTree = 2
 
-// fopModeName names the fetch-and-op's modes for history checking.
-var fopModeName = [...]string{modeTTS: "tts", modeQueue: "queue", fopTree: "tree"}
-
 // reactiveTreePatience is the combining window of the reactive algorithm's
 // tree. It is much longer than the passive tree's default: a fresh tree
 // epoch inherits the queue protocol's serialized arrival pattern, and a
@@ -61,7 +58,7 @@ var fopTable = modal.NewTable(3, []modal.Transition{
 // Unlike the reactive lock there is no optimistic test&set: that would
 // serialize accesses under high contention and negate the combining tree's
 // parallelism, so dispatch always reads the mode variable first. Policy,
-// TTSRetryLimit, EmptyQueueLimit, Changes and Check are the pair's fields.
+// TTSRetryLimit, EmptyQueueLimit and Changes are the pair's fields.
 type ReactiveFetchOp struct {
 	lockPair // the TTS and queue protocols: the reactive spin lock's own
 
@@ -84,7 +81,7 @@ type ReactiveFetchOp struct {
 // tree invalid.
 func NewReactiveFetchOp(mem *memsys.System, home int, nleaves int) *ReactiveFetchOp {
 	f := &ReactiveFetchOp{QueueWaitLimit: 2400, CombineRateMin: 1.3}
-	f.init(mem, home, fopTable, fopModeName[:])
+	f.init(mem, home, fopTable)
 	f.central = mem.Alloc(home, 1)
 	f.treeValid = mem.Alloc(home, 1)
 	f.tree = fetchop.NewCombTree(mem, nleaves, reactiveTreePatience)
@@ -206,12 +203,15 @@ func (f *ReactiveFetchOp) rootApply(c machine.Context, combined uint64, ops int)
 
 // changeQueueToTree performs the QUEUE→TREE change; the caller holds the
 // valid queue lock. It validates the tree under its root lock, then
-// retires the queue: waiters get INVALID and re-dispatch to the tree.
+// retires the queue: waiters get INVALID and re-dispatch to the tree. The
+// change serializes before the root lock's release, since from there a
+// tree operation may retire the tree while the queue is still being
+// invalidated.
 func (f *ReactiveFetchOp) changeQueueToTree(c machine.Context, i spinlock.QNode) {
 	f.tree.LockRoot(c)
 	c.Write(f.treeValid, 1)
+	f.finishChange(c, modeQueue, fopTree)
 	f.tree.UnlockRoot(c)
 	c.Write(f.mode, fopTree)
 	f.invalidateQueue(c, i)
-	f.finishChange(c, modeQueue, fopTree)
 }

@@ -8,9 +8,6 @@ import (
 	"repro/reactive/policy"
 )
 
-// lockModeName names the reactive lock's modes for history checking.
-var lockModeName = [...]string{modeTTS: "tts", modeQueue: "queue"}
-
 // Direction indices for policy events.
 const (
 	dirToQueue policy.Direction = 0
@@ -43,7 +40,7 @@ const (
 // hints which sub-lock to use. The algorithm guarantees the two sub-locks
 // are never free at the same time; processes that follow a stale hint find
 // a busy or invalid sub-lock and retry with the other protocol. Policy, the
-// two thresholds, Changes and Check are the embedded pair's fields.
+// two thresholds and Changes are the embedded pair's fields.
 type ReactiveLock struct {
 	lockPair // both protocols, their monitoring and the changes between them
 
@@ -61,7 +58,7 @@ type Handle struct {
 // NewReactiveLock builds a reactive spin lock homed on node home.
 func NewReactiveLock(mem *memsys.System, home int) *ReactiveLock {
 	l := &ReactiveLock{Optimistic: true}
-	l.init(mem, home, lockTable, lockModeName[:])
+	l.init(mem, home, lockTable)
 	return l
 }
 

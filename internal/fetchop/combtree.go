@@ -118,7 +118,7 @@ func (t *CombTree) leafParent(proc int) int {
 	return leaf / 2
 }
 
-func (t *CombTree) lockNode(c machine.Context, n *ctNode)   { spinlock.AcquireWord(c, n.lock, 16) }
+func (t *CombTree) lockNode(c machine.Context, n *ctNode)   { spinlock.AcquireWord(c, n.lock) }
 func (t *CombTree) unlockNode(c machine.Context, n *ctNode) { c.Write(n.lock, 0) }
 
 // myReq returns proc's reusable request cell reset for a new operation.

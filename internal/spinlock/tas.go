@@ -123,12 +123,12 @@ func (l *TTSLock) Release(c machine.Context, _ Handle) {
 }
 
 // AcquireWord takes the one-word spin lock at a: read-poll while it is
-// busy, test&set when it reads free, and pause a uniformly random 1 to
-// maxPause cycles after losing the test&set. It is the lock under the
-// framework's consensus objects and the combining tree's nodes — short
-// critical sections with few contenders, so no exponential backoff and no
-// per-processor state. The holder releases with c.Write(a, 0).
-func AcquireWord(c machine.Context, a memsys.Addr, maxPause uint64) {
+// busy, test&set when it reads free, and pause a uniformly random 1 to 16
+// cycles after losing the test&set. It is the lock on the combining tree's
+// nodes — short critical sections with few contenders, so no exponential
+// backoff and no per-processor state. The holder releases with
+// c.Write(a, 0).
+func AcquireWord(c machine.Context, a memsys.Addr) {
 	for {
 		for c.Read(a) != 0 {
 			instr(c, 2)
@@ -136,6 +136,6 @@ func AcquireWord(c machine.Context, a memsys.Addr, maxPause uint64) {
 		if c.TestAndSet(a) == 0 {
 			return
 		}
-		c.Advance(c.Rand().Uint64n(maxPause) + 1)
+		c.Advance(c.Rand().Uint64n(16) + 1)
 	}
 }
