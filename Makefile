@@ -137,13 +137,16 @@ fuzz-short:
 # simulator: the TTS spin, the queue entry and the protocol changes are
 # internal/core/lockpair.go's, so the two reactive algorithms built on it
 # hold no fetch&store and one test&set (the lock's optimistic first try).
-# The last two do it for Chapter 4: there is one waiting algorithm, so
+# The next two do it for Chapter 4: there is one waiting algorithm, so
 # nothing can type-switch on it (always-spin is Lpoll == waiting.Forever),
 # and the waitBenches table in internal/experiments/waitexp.go is the only
-# place a waiting benchmark is constructed. The last two keep the grace
+# place a waiting benchmark is constructed. The next two keep the grace
 # period in the epoch kernel (Kernel.Wait counts it, so no primitive
 # calls a Grace) and phase one of the native two-phase wait inside
-# waitq.Queue.Wait (modal.Poll is gone).
+# waitq.Queue.Wait (modal.Poll is gone). The last two keep one spin/park
+# engine and one poll phase: spinParkTable is Mutex's alone (RWMutex and
+# Map run it through their embedded Mutex), and no primitive polls in a
+# loop of its own and then calls Wait with a zero budget.
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -nE '\.(Vote|Good)\(' reactive/*.go internal/experiments/*.go | grep -v _test.go)"; if [ -n "$$out" ]; then echo "hand-wired detection (use Engine.Observe):"; echo "$$out"; exit 1; fi
@@ -154,6 +157,8 @@ lint:
 	if [ -n "$$out" ]; then echo "waiting benchmark constructed a second time (use the waitBenches row):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -nE '\.Grace\(' reactive/*.go | grep -v _test.go)"; if [ -n "$$out" ]; then echo "grace period counted outside the epoch kernel (Kernel.Wait counts it):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rn 'modal\.Poll' --include='*.go' .)"; if [ -n "$$out" ]; then echo "modal.Poll re-spelled (phase one is waitq.Queue.Wait's):"; echo "$$out"; exit 1; fi
+	@out="$$(grep -Hn 'spinParkTable' $$(ls reactive/*.go | grep -v -e _test.go -e '^reactive/reactive.go$$'))"; if [ -n "$$out" ]; then echo "spinParkTable outside reactive.go (the spin/park table is Mutex's alone):"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rn --include='*.go' '\.Wait(0,' reactive | grep -v _test.go)"; if [ -n "$$out" ]; then echo "zero-budget Wait (phase one belongs to waitq.Queue.Wait):"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 
 # The CI docs job: documentation that tests can check. The experiment

@@ -6,9 +6,11 @@
 // reads the live table; when a slow bulk rebuild holds the write lock past
 // an item's deadline, the stage degrades to the last published immutable
 // snapshot instead of stalling the pipeline — stale routing beats no
-// routing. Meanwhile the lock itself adapts: readers that blow their
-// polling budget vote it into reader-parking mode, and a run of quick
-// updates brings it back.
+// routing. Meanwhile the lock itself adapts: a reader that meets a writer
+// polls through its budget and then parks until the release, and where
+// enough cores make readers collide on the shared reader count, their
+// registration protocol climbs toward per-processor cells and walks back
+// once the stages drain.
 //
 // The lock's decisions are watched the way an operator would: the
 // RWMutex is registered in a reactivehttp.Registry, published over
@@ -126,8 +128,9 @@ func main() {
 
 	// report scrapes /debug/reactive like a monitoring agent would and
 	// prints the pipeline's own counters next to the lock telemetry the
-	// endpoint computed for this poll interval: the mode, the protocol
-	// changes since the previous scrape, and the switch rate they imply.
+	// endpoint computed for this poll interval: the readers' registration
+	// protocol, the goroutines parked on the lock, the protocol changes so
+	// far, and the switch rate this interval implies.
 	report := func(name string) {
 		resp, err := http.Get(srv.URL + "/debug/reactive")
 		if err != nil {
@@ -140,14 +143,14 @@ func main() {
 		}
 		st := rep.Primitives["routes"]
 		hs := rep.Primitives["hot"]
-		fmt.Printf("%-28s mode=%-5v switches=%d (+%d this phase, %.1f/s) hot-map=%v items=%d fresh=%d stale=%d\n",
-			name, st.Mode, st.Switches, st.Delta.Switches, st.SwitchRate, hs.Mode,
+		fmt.Printf("%-31s readers=%-7v parked=%-2d switches=%d (%.1f/s) hot-map=%v items=%d fresh=%d stale=%d\n",
+			name, st.Readers.Mode, st.Waiters, st.Switches+st.Readers.Switches, st.SwitchRate, hs.Mode,
 			processed.Load(), fresh.Load(), degraded.Load())
 	}
 	report("startup")
 
-	// Phase 1: rare, quick config updates — readers stay in spin mode and
-	// essentially every lookup beats its deadline.
+	// Phase 1: rare, quick config updates — essentially every lookup beats
+	// its deadline, and a reader that meets a writer polls it out.
 	for i := 0; i < 50; i++ {
 		rw.Lock()
 		table[i%64]++
@@ -158,23 +161,26 @@ func main() {
 	report("quick updates")
 
 	// Phase 2: slow bulk rebuilds hold the write lock past the per-item
-	// deadline — lookups degrade to the snapshot instead of stalling, and
-	// readers that blow their polling budget vote the lock into parking.
+	// deadline and the polling budget — lookups degrade to the snapshot
+	// instead of stalling, and the readers that meet a rebuild park until
+	// its release (the last rebuild is scraped mid-hold to count them).
 	for i := 0; i < 20; i++ {
 		rw.Lock()
 		for k := range table { // simulate an expensive rebuild
 			table[k] = (table[k] + 1) % 7
 		}
 		time.Sleep(2 * time.Millisecond) // long hold
+		if i == 19 {
+			report("slow bulk updates (mid-hold)")
+		}
 		rw.Unlock()
 		publish()
 		time.Sleep(time.Millisecond)
 	}
-	report("slow bulk updates")
 
 	// Phase 3: the pipeline drains; config updates continue against an
-	// idle table. Writer releases that pass no waiting readers vote the
-	// lock back to reader-spin mode.
+	// idle table. Writer drains that find no reader walk a climbed
+	// registration protocol back toward the one shared counter.
 	close(stop)
 	wg.Wait()
 	for i := 0; i < 200; i++ {

@@ -52,7 +52,7 @@ var cases = []Case{
 	},
 	{
 		Name: "rwmutex/epoch-trylock",
-		Desc: "Epoch-mode readers racing a TryLock claim/retract/re-grant hammer",
+		Desc: "Epoch-mode readers racing a TryLock claim/retract/re-grant hammer, the writer mutex park-started",
 		run: func(rc runCtx) error {
 			return rwCase(rc, rwTryHeavy,
 				reactive.WithInitialReaderMode(reactive.ModeEpoch),
@@ -61,7 +61,7 @@ var cases = []Case{
 	},
 	{
 		Name: "rwmutex/cancel-storm",
-		Desc: "Parked readers and writers abandoned by microsecond deadlines mid-drain",
+		Desc: "Parked readers and writers abandoned by microsecond deadlines mid-drain, the writer mutex park-started under hysteresis",
 		run: func(rc runCtx) error {
 			return rwCase(rc, rwCancel,
 				reactive.WithInitialMode(reactive.ModePark),

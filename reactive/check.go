@@ -11,27 +11,8 @@ import "fmt"
 // cell mid-fold) as violations. Tests and the torture harness
 // (internal/torture) call them after their worker fleets join; they are
 // diagnostic surface, not production code, and the fast paths never pay
-// for them.
-
-// CheckInvariants verifies the mutex's quiescent-state invariants: the
-// lock is free, no waiter is queued, the waiter queue is structurally
-// sound, and the modal engine's epoch agrees with its switch counter.
-// It returns the first violation found, or nil.
-func (m *Mutex) CheckInvariants() error {
-	if s := m.state.Load(); s != unlocked {
-		return fmt.Errorf("reactive: Mutex state %d at quiescence, want unlocked", s)
-	}
-	if n := m.q.Len(); n != 0 {
-		return fmt.Errorf("reactive: Mutex has %d queued waiters at quiescence", n)
-	}
-	if err := m.q.Check(); err != nil {
-		return fmt.Errorf("reactive: Mutex waiter queue: %w", err)
-	}
-	if err := m.eng.Check(spinParkTable); err != nil {
-		return fmt.Errorf("reactive: Mutex engine: %w", err)
-	}
-	return nil
-}
+// for them. Mutex's sits in reactive.go, beside the spin/park table only
+// Mutex runs on.
 
 // CheckInvariants verifies the RWMutex's quiescent-state invariants:
 // the embedded writer mutex is free and sound, no reader is registered
@@ -58,9 +39,6 @@ func (rw *RWMutex) CheckInvariants() error {
 	}
 	if err := rw.rq.Check(); err != nil {
 		return fmt.Errorf("reactive: RWMutex reader queue: %w", err)
-	}
-	if err := rw.eng.Check(spinParkTable); err != nil {
-		return fmt.Errorf("reactive: RWMutex wait engine: %w", err)
 	}
 	if err := rw.reng.Check(readerShardTable); err != nil {
 		return fmt.Errorf("reactive: RWMutex registration engine: %w", err)

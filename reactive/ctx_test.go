@@ -279,8 +279,8 @@ func TestMutexCancellationStress(t *testing.T) {
 
 // TestRWMutexCancellationStress is the RWMutex version: RLockCtx and
 // LockCtx timeouts race writer drains, reader broadcasts, and forced
-// switches of BOTH modal objects (wait protocol and registration
-// protocol).
+// switches of BOTH modal objects (the writer mutex's spin/park protocol
+// and the registration protocol).
 func TestRWMutexCancellationStress(t *testing.T) {
 	rw := NewRWMutex(WithPollIters(2))
 	const writers, readers = 4, 12
@@ -301,11 +301,11 @@ func TestRWMutexCancellationStress(t *testing.T) {
 			}
 			switch i % 4 {
 			case 0:
-				rw.switchRWMode(ModeSpin, ModePark)
+				rw.w.switchMode(ModeSpin, ModePark)
 			case 1:
 				rw.switchReaderMode(rCentral, rSharded)
 			case 2:
-				rw.switchRWMode(ModePark, ModeSpin)
+				rw.w.switchMode(ModePark, ModeSpin)
 			default:
 				rw.switchReaderMode(rSharded, rCentral)
 			}

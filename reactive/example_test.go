@@ -154,9 +154,11 @@ func ExampleStats_Sub() {
 	// Output: mode=cas switches+1
 }
 
-// ExampleRWMutex shows the adaptive reader/writer lock: readers spin when
-// writer holds are short and park when they are long. Orthogonally,
-// reader *registration* adapts across three protocols (Stats().Readers):
+// ExampleRWMutex shows the adaptive reader/writer lock. A reader that
+// meets a writer waits two-phase: it polls through the budget
+// (WithPollIters), which covers a short writer hold, and parks when the
+// hold outlasts it. Reader *registration* adapts across three protocols
+// (Stats().Readers):
 // a centralized CAS word when readers are few, BRAVO-style sharded per-P
 // slots under read contention, and per-P epoch stamps under sustained
 // read saturation — where a reader writes no shared cache line at all

@@ -191,6 +191,10 @@ func (k *Kernel) Release() {
 	}
 }
 
+// Claimed reports whether a claim is on the gate: what a refused reader
+// waits out before it enters again.
+func (k *Kernel) Claimed() bool { return k.gate.Load() < 0 }
+
 // Select raises (building the cells first) or lowers the gate's mode
 // bit. The caller has writer exclusion — or an unshared owner — and
 // commits its engine afterwards, so the order every site gets is cells

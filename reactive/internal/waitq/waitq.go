@@ -3,9 +3,8 @@
 // then parks (phase two); it is the one parking mechanism that replaced
 // the three ad-hoc ones the primitives used to carry (Mutex's capacity-1
 // channel semaphore, RWMutex's reader condition variable, and RWMutex's
-// writer-drain channel). RWMutex's readers are the one waiter that polls
-// elsewhere — rlockSlow's backoff loop is their phase one — and reach
-// Wait with budget 0.
+// writer-drain channel). Every caller passes its configured polling
+// budget, so phase one, too, is Wait's alone.
 //
 // The engine is an intrusive FIFO of per-goroutine wait nodes (waiter)
 // supporting handoff-or-abandon: a waiter that stops waiting — because its

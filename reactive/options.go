@@ -30,8 +30,9 @@ type config struct {
 type Option func(*config)
 
 // WithSpinFailLimit sets how many consecutive scale-up observations —
-// contended acquisitions for Mutex and RWMutex, contended CAS updates
-// for Counter and FetchOp — the built-in detection tolerates before
+// contended acquisitions for Mutex and RWMutex's writer mutex, reader
+// CAS losses and busy drains for RWMutex's registration protocol,
+// contended CAS updates for Counter and FetchOp — the built-in detection tolerates before
 // switching to the next, more scalable protocol. n must be positive. Default: DefaultSpinFailLimit.
 // Ignored when WithPolicy installs an explicit switching policy.
 func WithSpinFailLimit(n int) Option {
@@ -42,7 +43,8 @@ func WithSpinFailLimit(n int) Option {
 }
 
 // WithEmptyLimit sets how many consecutive scale-down observations —
-// uncontended releases for Mutex and RWMutex, single-writer
+// uncontended releases for Mutex and RWMutex's writer mutex, quiet
+// drains for RWMutex's registration protocol, single-writer
 // reconciliations or idle combining sweeps for Counter and FetchOp —
 // the built-in detection tolerates before switching back to the next,
 // cheaper protocol. n must be positive. Default: DefaultEmptyLimit.
@@ -57,9 +59,11 @@ func WithEmptyLimit(n int) Option {
 // WithPollIters sets the two-phase polling budget, in spin iterations,
 // that a waiter spends polling before parking (Lpoll expressed in
 // iterations). n must be positive. Default: DefaultPollIters. Used by
-// Mutex (park-mode lockers), RWMutex (readers and writers), Counter and
+// every two-phase wait, each of which polls it through the one
+// waitq.Queue.Wait: Mutex (park-mode lockers), RWMutex (readers blocked
+// by a writer, the draining writer, and its writer mutex), Counter and
 // FetchOp (reconciling reads waiting for the sweep window), and Map (its
-// writer lock inherits the budget). The budget is deadline-aware: a
+// writer lock and grace periods). The budget is deadline-aware: a
 // waiter whose context ends mid-poll stops consuming it immediately, so
 // a short Lpoll and a short deadline compose instead of competing.
 func WithPollIters(n int) Option {
@@ -75,6 +79,8 @@ func WithPollIters(n int) Option {
 // detection that WithSpinFailLimit and WithEmptyLimit parameterize. The
 // primitive serializes all calls into p; p must not be shared with any
 // other primitive or goroutine. A nil p restores the built-in detection.
+// On NewRWMutex the policy governs the writer mutex's spin/park engine;
+// the registration protocol keeps the built-in streaks.
 //
 // Detection events are mapped onto the policy as in the simulator's
 // reactive algorithms: direction 0 is cheap→scalable (contention
@@ -102,8 +108,8 @@ func WithPolicy(p policy.Policy) Option {
 //
 // Valid modes per constructor: New accepts ModeSpin and ModePark;
 // NewCounter and NewFetchOp accept ModeCAS, ModeSharded, and
-// ModeCombining; NewRWMutex accepts ModeSpin/ModePark (the reader wait
-// protocol) or ModeCAS/ModeSharded/ModeEpoch (the reader registration
+// ModeCombining; NewRWMutex accepts ModeSpin/ModePark (its writer
+// mutex) or ModeCAS/ModeSharded/ModeEpoch (the reader registration
 // protocol) — the two mode spaces are disjoint, so one option
 // configures either engine; NewMap accepts ModeLocked, ModeSharded,
 // and ModeEpoch. The constructor panics on a mode the primitive has no
@@ -121,7 +127,7 @@ func WithInitialMode(m Mode) Option {
 // registration chain at construction time, exactly as WithInitialMode
 // does for the primary engine. Unlike WithInitialMode it addresses the
 // registration engine specifically, so it composes with a
-// WithInitialMode(ModeSpin/ModePark) wait-protocol choice, and it lets
+// WithInitialMode(ModeSpin/ModePark) writer-mutex choice, and it lets
 // benchmarks and small-GOMAXPROCS hosts pin any of the three reader
 // protocols regardless of whether the host's parallelism would trigger
 // detection. The lock stays fully adaptive afterward. Panics unless m
@@ -145,8 +151,8 @@ func (c *config) apply(opts []Option) {
 
 // tunables returns the config an embedded writer mutex inherits from its
 // owner: the thresholds and the polling budget, never the policy (a
-// policy.Policy is single-primitive state and belongs to the owner's own
-// engine) nor an initial mode (it addresses the owner's engines).
+// policy.Policy is single-engine state; the owner installs it on the one
+// engine it governs) nor an initial mode (the owner walks it).
 func (c *config) tunables() config {
 	return config{spinFailLimit: c.spinFailLimit, emptyLimit: c.emptyLimit, pollIters: c.pollIters}
 }

@@ -123,18 +123,16 @@ func TestMutexSurvivesPolicyPanicOnVote(t *testing.T) {
 }
 
 func TestRWMutexSurvivesPolicyPanicInUnlock(t *testing.T) {
-	// RWMutex.Unlock votes on the reader wait engine after releasing
-	// the writer mutex: the panic must reach the caller with the write
-	// lock already free.
+	// The policy lives on the writer mutex, whose park-mode Unlock votes
+	// after releasing its lock word — the last step of RWMutex.Unlock, so
+	// the panic must reach the caller with both claims retracted and the
+	// write lock free.
 	b := &bombPolicy{onSuboptimal: true, armed: true}
-	rw := NewRWMutex(WithPolicy(b))
+	rw := NewRWMutex(WithPolicy(b), WithInitialMode(ModePark))
 	msg := catchPanic(func() {
 		for i := 0; i < 100; i++ {
 			rw.Lock()
 			rw.Unlock()
-			if rw.eng.Mode() != mPark {
-				forceParkMode(rw)
-			}
 		}
 	})
 	if msg != "bomb: suboptimal" {
@@ -148,12 +146,6 @@ func TestRWMutexSurvivesPolicyPanicInUnlock(t *testing.T) {
 	if err := rw.CheckInvariants(); err != nil {
 		t.Fatalf("after policy panic: %v", err)
 	}
-}
-
-// forceParkMode drives the RWMutex wait engine into the parking
-// protocol so Unlock's empty-release Vote path runs.
-func forceParkMode(rw *RWMutex) {
-	rw.eng.TryCommit(spinParkTable, mSpin, mPark)
 }
 
 func TestFetchOpPanickingOpLosesNoOperand(t *testing.T) {

@@ -22,12 +22,12 @@
 //     scalable protocol (best contended), switched by the thesis's
 //     detection heuristics. Mutex selects between barging spin and FIFO
 //     parking, Counter and FetchOp between a single compare-and-swap
-//     word and sharded per-processor cells, and RWMutex between
-//     spinning and parking readers and, orthogonally, between a
-//     centralized reader count, BRAVO-style per-processor deposits
-//     validated against it, and the same deposits validated against an
-//     epoch gate no reader writes; Map among one locked table,
-//     hash-sharded tables, and a published immutable table; and
+//     word and sharded per-processor cells, and RWMutex (whose writers
+//     queue on a Mutex) between a centralized reader count,
+//     BRAVO-style per-processor deposits validated against it, and the
+//     same deposits validated against an epoch gate no reader writes;
+//     Map among one locked table, hash-sharded tables, and a published
+//     immutable table; and
 //   - two-phase waiting wherever a primitive blocks, with Lpoll a fixed
 //     count of polling iterations (WithPollIters), not calibrated per host.
 //
@@ -68,6 +68,7 @@ package reactive
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -90,16 +91,16 @@ const (
 // Mode identifies the protocol an adaptive primitive is currently using.
 type Mode uint32
 
-// Protocol modes. Mutex and RWMutex alternate between ModeSpin and
-// ModePark; Counter and FetchOp move between ModeCAS and ModeSharded
-// (their table's third stage, ModeCombining, is constructible but never
-// selected by detection); RWMutex's reader registration protocol
-// (Stats().Readers) moves along its own chain ModeCAS (centralized
-// word) ↔ ModeSharded (per-P cells validated against that word) ↔
-// ModeEpoch (the same cells validated against the epoch gate); Map
-// moves along the chain ModeLocked (one table under the adaptive mutex)
-// ↔ ModeSharded (per-shard locks) ↔ ModeEpoch (published immutable
-// table, republishing writers).
+// Protocol modes. Mutex (and so RWMutex's writer mutex) alternates
+// between ModeSpin and ModePark; Counter and FetchOp move between
+// ModeCAS and ModeSharded (their table's third stage, ModeCombining, is
+// constructible but never selected by detection); RWMutex's reader
+// registration protocol (Stats().Readers) moves along its own chain
+// ModeCAS (centralized word) ↔ ModeSharded (per-P cells validated
+// against that word) ↔ ModeEpoch (the same cells validated against the
+// epoch gate); Map moves along the chain ModeLocked (one table under the
+// adaptive mutex) ↔ ModeSharded (per-shard locks) ↔ ModeEpoch (published
+// immutable table, republishing writers).
 const (
 	// ModeSpin is the test-and-test-and-set analogue: waiters spin with
 	// randomized exponential backoff; unlock releases the lock word for
@@ -172,9 +173,9 @@ const (
 	contended uint32 = 2 // locked with (possibly) parked waiters
 )
 
-// Engine-local mode indices for the spin/park modal objects (Mutex,
-// RWMutex). They coincide with the public ModeSpin/ModePark values, so
-// Stats conversion is the identity.
+// Engine-local mode indices for Mutex's spin/park modal object. They
+// coincide with the public ModeSpin/ModePark values, so Stats conversion
+// is the identity.
 const (
 	mSpin modal.Mode = 0
 	mPark modal.Mode = 1
@@ -182,9 +183,10 @@ const (
 
 var spinParkModes = []Mode{ModeSpin, ModePark}
 
-// spinParkTable is the 2-mode transition table shared by Mutex and
-// RWMutex: the degenerate — but still consensus-serialized — modal
-// object of the thesis's reactive spin lock.
+// spinParkTable is Mutex's 2-mode transition table — and only Mutex's:
+// RWMutex and Map run it through their embedded writer Mutex. It is the
+// degenerate — but still consensus-serialized — modal object of the
+// thesis's reactive spin lock.
 var spinParkTable = modal.NewTable(2, []modal.Transition{
 	{From: mSpin, To: mPark, Dir: dirScaleUp, Residual: ResidualCheapHigh, On: modal.Busy},
 	{From: mPark, To: mSpin, Dir: dirScaleDown, Residual: ResidualScalableLow, On: modal.Calm},
@@ -220,10 +222,9 @@ const (
 
 // backoffCeiling caps the mean pause length (modal.Backoff.Max, in
 // scheduler yields) of every short-term retry loop in this package —
-// contended CAS-mode updates, reconciling-sweep lock acquisition, and
-// gate-blocked reader spins. It is deliberately below
-// modal.DefaultBackoffMax: these loops guard windows a peer exits
-// quickly (one CAS, one sweep, one writer critical section), so long
+// contended CAS-mode updates and Map's shard spin words. It is
+// deliberately below modal.DefaultBackoffMax: these loops guard windows
+// a peer exits quickly (one CAS, one bounded map operation), so long
 // pauses only add latency. One constant so the ceiling is tuned in one
 // place.
 const backoffCeiling = 16
@@ -301,7 +302,8 @@ func (c *config) limits() [2]int32 {
 // obtain rates (see DESIGN.md §6 and the reactive/reactivehttp package).
 type Stats struct {
 	// Mode is the currently selected protocol: the wait protocol for
-	// Mutex and RWMutex (ModeSpin/ModePark), the update protocol for
+	// Mutex and for RWMutex's writer mutex (ModeSpin/ModePark; RWMutex's
+	// readers always wait two-phase), the update protocol for
 	// Counter and FetchOp (ModeCAS/ModeSharded/ModeCombining), the map
 	// protocol for Map (ModeLocked/ModeSharded/ModeEpoch). A gauge: Sub
 	// keeps the newer snapshot's value.
@@ -325,7 +327,7 @@ type Stats struct {
 
 // ReaderStats describes RWMutex's reader registration modal object — the
 // protocol readers use to register when no writer is about, orthogonal to
-// how they wait when one is.
+// the writer mutex's spin/park protocol in Stats.Mode.
 type ReaderStats struct {
 	// Mode is ModeCAS while readers register on the centralized word,
 	// ModeSharded while they register in the epoch kernel's per-P cells
@@ -593,4 +595,25 @@ func (m *Mutex) switchMode(want, next Mode) {
 			m.q.Grant()
 		}
 	}
+}
+
+// CheckInvariants verifies the mutex's quiescent-state invariants (see
+// check.go for what "quiescent" means): the lock is free, no waiter is
+// queued, the waiter queue is structurally sound, and the modal engine's
+// epoch agrees with its switch counter. It returns the first violation
+// found, or nil.
+func (m *Mutex) CheckInvariants() error {
+	if s := m.state.Load(); s != unlocked {
+		return fmt.Errorf("reactive: Mutex state %d at quiescence, want unlocked", s)
+	}
+	if n := m.q.Len(); n != 0 {
+		return fmt.Errorf("reactive: Mutex has %d queued waiters at quiescence", n)
+	}
+	if err := m.q.Check(); err != nil {
+		return fmt.Errorf("reactive: Mutex waiter queue: %w", err)
+	}
+	if err := m.eng.Check(spinParkTable); err != nil {
+		return fmt.Errorf("reactive: Mutex engine: %w", err)
+	}
+	return nil
 }

@@ -34,8 +34,7 @@ var readerModes = []Mode{ModeCAS, ModeSharded, ModeEpoch}
 // readerShardTable is the 3-mode transition table of RWMutex's reader
 // registration protocol (centralized word ↔ BRAVO-style per-P deposits ↔
 // per-P epoch stamps — a chain with no shortcut edge, mirroring
-// FetchOp's N=3 chain), orthogonal to the spin↔park wait table the
-// same type also runs on.
+// FetchOp's N=3 chain).
 var readerShardTable = modal.NewTable(3, []modal.Transition{
 	{From: rCentral, To: rSharded, Dir: dirScaleUp, Residual: ResidualCheapHigh, On: modal.Busy},
 	{From: rSharded, To: rCentral, Dir: dirScaleDown, Residual: ResidualScalableLow, On: modal.Calm},
@@ -54,20 +53,13 @@ var readerShardTable = modal.NewTable(3, []modal.Transition{
 func RWReaderTable() *modal.Table { return readerShardTable }
 
 // RWMutex is a reactive reader/writer lock. Writers are serialized by an
-// embedded reactive Mutex (itself adaptive); on top of that this type
-// runs two orthogonal modal objects over its readers:
-//
-// How readers *wait* when a writer has claimed the lock (Stats().Mode):
-//
-//   - ModeSpin — readers spin with randomized exponential backoff until
-//     the writer's release lets them re-register. Cheapest when writer
-//     critical sections are short.
-//   - ModePark — readers poll through the two-phase polling budget and
-//     then park on the shared waiter queue the releasing writer
-//     broadcasts into. Scalable when writers hold the lock long enough
-//     that spinning readers burn whole scheduler quanta.
-//
-// How readers *register* when no writer is about (Stats().Readers):
+// embedded reactive Mutex, whose spin↔park engine Stats().Mode reports.
+// A reader that finds a writer's claim waits the way every waiter in
+// this package does: the two-phase wait, polling through the budget
+// (WithPollIters) and then parking on the queue the releasing writer
+// broadcasts into. On top of that this type runs one modal object of its
+// own, over how readers *register* when no writer is about
+// (Stats().Readers):
 //
 //   - ModeCAS — readers compare-and-swap one centralized reader count.
 //     Cheapest for occasional reads, but every RLock/RUnlock from every
@@ -86,19 +78,17 @@ func RWReaderTable() *modal.Table { return readerShardTable }
 //     claim the gate and sweep the cells (a grace period) until every
 //     registered reader has gone offline.
 //
-// Detection only classifies (modal.Busy or modal.Calm; the tables' On
-// columns say which transition each votes for, SpinFailLimit consecutive
-// Busy scaling up, EmptyLimit consecutive Calm scaling down). The wait
-// protocol mirrors Mutex: a slow-path read is Busy when its wait
-// exceeded the polling budget, a writer release is Busy when readers had
-// parked behind it. The registration protocol: a slow-path centralized
-// registration is Busy when its CAS lost to another *reader*; a writer's
-// drain in the cell-based modes is Busy when it found active readers —
-// from the sharded mode that is the read-saturated regime where even
-// the cell deposits bounce against the drain — and Calm when the lock
-// was already quiet (in epoch mode, a quiet grace period).
-// Registration-protocol changes are committed only under full
-// writer exclusion, so no reader's RLock/RUnlock pair ever spans one.
+// Detection only classifies (modal.Busy or modal.Calm; the table's On
+// column says which transition each votes for, SpinFailLimit consecutive
+// Busy scaling up, EmptyLimit consecutive Calm scaling down). A
+// slow-path centralized registration is Busy when its CAS lost to
+// another *reader*; a writer's drain in the cell-based modes is Busy
+// when it found active readers — from the sharded mode that is the
+// read-saturated regime where even the cell deposits bounce against the
+// drain — and Calm when the lock was already quiet (in epoch mode, a
+// quiet grace period). Registration-protocol changes are committed only
+// under full writer exclusion, so no reader's RLock/RUnlock pair ever
+// spans one.
 //
 // Readers register by compare-and-swap from a non-negative count (or by
 // a cell deposit re-validated against the writer claim), never by a
@@ -112,13 +102,14 @@ func RWReaderTable() *modal.Table { return readerShardTable }
 //
 // LockCtx and RLockCtx are the cancellation-aware acquisitions: both
 // return ctx.Err() promptly when ctx ends mid-wait, in either wait
-// protocol. A writer cancelled while draining readers retracts its claim
+// phase. A writer cancelled while draining readers retracts its claim
 // and wakes any readers it had parked, so a cancelled LockCtx leaves the
 // lock exactly as it found it.
 //
-// The zero value is an unlocked RWMutex in spin mode with centralized
-// registration and the package-default tunables; NewRWMutex builds one
-// with explicit Options. An RWMutex must not be copied after first use.
+// The zero value is an unlocked RWMutex with a spin-mode writer mutex,
+// centralized registration and the package-default tunables; NewRWMutex
+// builds one with explicit Options. An RWMutex must not be copied after
+// first use.
 // As with sync.RWMutex, recursive read locking is prohibited: if a
 // goroutine holds the read lock while anything performs a write
 // acquisition — an application writer, or a reader-driven registration
@@ -132,7 +123,7 @@ func RWReaderTable() *modal.Table { return readerShardTable }
 // sum is provable misuse rather than a transient — and the panic fires
 // on the writer's goroutine.
 type RWMutex struct {
-	w Mutex // serializes writers; adaptive in its own right
+	w Mutex // serializes writers; its spin↔park engine is Stats().Mode
 
 	// readerCount is the centralized registration word: the number of
 	// centrally-registered active readers, minus rwBias while a writer
@@ -141,10 +132,8 @@ type RWMutex struct {
 	// writer exclusion in both of those registration modes.
 	readerCount atomic.Int32
 
-	// eng selects the reader *wait* protocol (spin ↔ park); reng selects
-	// the reader *registration* protocol (centralized ↔ sharded ↔ epoch).
-	// All protocol changes go through the respective engine's consensus CAS.
-	eng  modal.Engine
+	// reng selects the reader registration protocol (centralized ↔
+	// sharded ↔ epoch); every change goes through its consensus CAS.
 	reng modal.Engine
 
 	// ek is the grace-period kernel (reactive/internal/epoch): the one
@@ -161,9 +150,9 @@ type RWMutex struct {
 	// and the mode commits.
 	ek epoch.Kernel
 
-	// rq holds parked readers (phase two of the reader wait protocol, on
-	// the shared waiter-queue engine, reactive/internal/waitq); a
-	// releasing writer broadcasts into it.
+	// rq holds readers parked behind a writer's claim (phase two of their
+	// two-phase wait, on the shared waiter-queue engine,
+	// reactive/internal/waitq); a releasing writer broadcasts into it.
 	rq waitq.Queue
 
 	cfg config
@@ -171,25 +160,26 @@ type RWMutex struct {
 
 // NewRWMutex builds an RWMutex configured by opts. NewRWMutex() with no
 // options is equivalent to a zero-value RWMutex. The threshold and
-// polling options also configure the embedded writer mutex and the
+// polling options configure both the embedded writer mutex and the
 // registration protocol's streaks. A policy installed with WithPolicy
-// governs only the reader wait protocol: policy instances must not be
-// shared between primitives — or between the engines of one primitive —
-// so the writer mutex and the registration engine always use the
-// built-in streak detection (with the same thresholds).
+// governs the writer mutex's spin↔park engine: policy instances must not
+// be shared between primitives — or between the engines of one
+// primitive — so the registration engine always uses the built-in streak
+// detection (with the same thresholds).
 func NewRWMutex(opts ...Option) *RWMutex {
 	rw := &RWMutex{}
 	rw.cfg.apply(opts)
-	rw.eng.SetPolicy(rw.cfg.pol)
 	rw.w.cfg = rw.cfg.tunables()
+	rw.w.eng.SetPolicy(rw.cfg.pol)
 	// Registration commits at construction time are sound without writer
 	// exclusion only because the lock is not yet shared: no reader exists
 	// to span them.
 	stepReg := func(from, to modal.Mode) { rw.commitReaderMode(from, to, false) }
-	// The two engines' mode spaces are disjoint, so WithInitialMode
-	// addresses whichever of them has the mode.
+	// The writer mutex's and the registration engine's mode spaces are
+	// disjoint, so WithInitialMode addresses whichever of them has the
+	// mode.
 	if m := rw.cfg.initMode; rw.cfg.initModeSet &&
-		!walkTo(&rw.eng, spinParkModes, m, rw.switchRWMode) && !walkTo(&rw.reng, readerModes, m, stepReg) {
+		!walkTo(&rw.w.eng, spinParkModes, m, rw.w.switchMode) && !walkTo(&rw.reng, readerModes, m, stepReg) {
 		panic("reactive: NewRWMutex supports initial modes ModeSpin, ModePark, ModeCAS, ModeSharded, and ModeEpoch")
 	}
 	if rw.cfg.initRModeSet {
@@ -220,15 +210,15 @@ func (rw *RWMutex) commitReaderMode(want, next modal.Mode, claimed bool) {
 	rw.reng.TryCommit(readerShardTable, want, next)
 }
 
-// Stats returns a snapshot of the lock's adaptive state: the reader wait
-// protocol (ModeSpin or ModePark) in Mode/Switches, everything blocked on
-// the lock in Waiters (parked readers, a draining writer, and writers
-// queued on the writer mutex), and the reader registration protocol in
-// Readers.
+// Stats returns a snapshot of the lock's adaptive state: the writer
+// mutex's protocol (ModeSpin or ModePark) in Mode/Switches, everything
+// blocked on the lock in Waiters (parked readers, a draining writer, and
+// writers queued on the writer mutex), and the reader registration
+// protocol in Readers.
 func (rw *RWMutex) Stats() Stats {
 	return Stats{
-		Mode:     Mode(rw.eng.Mode()),
-		Switches: rw.eng.Switches(),
+		Mode:     Mode(rw.w.eng.Mode()),
+		Switches: rw.w.eng.Switches(),
 		Waiters:  rw.rq.Len() + rw.ek.Waiters() + rw.w.q.Len(),
 		Readers: &ReaderStats{
 			Mode:        readerModes[rw.reng.Mode()],
@@ -243,15 +233,9 @@ func (rw *RWMutex) Stats() Stats {
 // RLock acquires the lock for reading. It is the uncancellable special
 // case of RLockCtx.
 //
-// The fast path records no wait-protocol detection event: unlike Mutex,
-// an unblocked read says nothing about how long readers wait *when they
-// do collide with a writer* — and the spin-vs-park choice depends on
-// that conditional waiting time (Chapter 4's two-phase analysis), not on
-// how often collisions happen. The over-budget streak is therefore
-// counted across slow-path waits only, and broken by a slow-path wait
-// that completed within the budget (see rlockSlow). Registration
-// detection likewise lives in the slow path: only a CAS lost to another
-// reader signals that the centralized word is the bottleneck.
+// The fast path records no detection event: only a CAS lost to another
+// reader signals that the centralized word is the bottleneck, and that
+// happens in the slow path (rlockSlow).
 func (rw *RWMutex) RLock() {
 	if rw.register() == regOK {
 		return
@@ -261,7 +245,7 @@ func (rw *RWMutex) RLock() {
 
 // RLockCtx acquires the lock for reading like RLock, but gives up when
 // ctx is cancelled or its deadline passes, returning ctx.Err() promptly
-// in both wait protocols. On a nil error the caller holds a read lock and
+// in both wait phases. On a nil error the caller holds a read lock and
 // must RUnlock it.
 func (rw *RWMutex) RLockCtx(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
@@ -383,24 +367,18 @@ func (rw *RWMutex) TryRLock() bool {
 	}
 }
 
-// rlockSlow waits for the writer claim to clear and re-registers under
-// whichever registration protocol is then selected. Only iterations
-// spent blocked by a writer (negative centralized count) consume the
-// polling budget; reader-reader CAS races retry immediately — but each
+// rlockSlow waits for the writer claims to clear and re-registers under
+// whichever registration protocol is then selected. The wait is the one
+// every waiter in this package makes, rq.Wait over noClaim: poll through
+// the budget, yielding between attempts, then park until a releasing
+// writer broadcasts. Reader-reader CAS races retry at once — but each
 // loss to another reader is exactly the coherence traffic the sharded
 // protocol removes, so it votes toward sharded registration. A non-nil
-// done aborts the wait — between backoff pauses while spinning, by
-// unparking while parked — with ctx.Err().
+// done aborts with ctx.Err(), checked before every attempt so the
+// registration races observe it too.
 func (rw *RWMutex) rlockSlow(ctx context.Context, done <-chan struct{}) error {
-	budget := int(rw.cfg.pollBudget())
-	blocked := 0
 	casLosses := 0
-	var bo modal.Backoff
-	bo.Max = backoffCeiling
 	for {
-		// The cancellation check leads the loop so every retry path —
-		// registration races included, which `continue` straight back
-		// here — observes it, not just the writer-blocked spin below.
 		if done != nil {
 			select {
 			case <-done:
@@ -408,50 +386,40 @@ func (rw *RWMutex) rlockSlow(ctx context.Context, done <-chan struct{}) error {
 			default:
 			}
 		}
-		claimed := rw.readerCount.Load() < 0
-		if !claimed {
-			// No writer claim: attempt a registration under the current
-			// protocol. Failures here are races (a protocol change, another
-			// reader's CAS), not waits — unless a claim landed under the
-			// attempt.
-			switch rw.register() {
-			case regOK:
-				if casLosses == 0 && rw.reng.Mode() == rCentral {
-					// A loss-free registration breaks the reader-contention
-					// streak, so only *consecutive* losses — not losses
-					// accumulated over the lock's lifetime — reach the
-					// switch threshold.
-					rw.noteRegistration(false)
-				}
-				rw.noteReadWait(blocked, budget)
-				return nil
-			case regMoved:
-				continue
-			case regLost:
-				// Lost the centralized word to another reader: the cheap
-				// registration protocol is serializing readers on one cache
-				// line — the regime sharded cells are built for.
-				casLosses++
-				rw.noteRegistration(true)
-				continue
+		switch rw.register() {
+		case regOK:
+			if casLosses == 0 && rw.reng.Mode() == rCentral {
+				// A loss-free registration breaks the reader-contention
+				// streak, so only *consecutive* losses — not losses
+				// accumulated over the lock's lifetime — reach the switch
+				// threshold.
+				rw.noteRegistration(false)
 			}
-			// regClaimed: that is the wait protocol's signal, not
-			// registration contention. It falls through to a pause rather
-			// than retrying at once: the epoch gate can lag the centralized
-			// claim by two stores on the release path, and a releasing
-			// writer that was preempted mid-release must get the P back (a
-			// non-yielding retry loop could stall on a small-GOMAXPROCS
-			// host for a whole preemption quantum).
-		}
-		if claimed && rw.eng.Mode() == mPark && blocked >= budget {
-			if rw.rlockPark(done) {
+			return nil
+		case regLost:
+			// Lost the centralized word to another reader: the cheap
+			// registration protocol is serializing readers on one cache
+			// line — the regime sharded cells are built for.
+			casLosses++
+			rw.noteRegistration(true)
+		case regClaimed:
+			if rw.rq.Wait(rw.cfg.pollBudget(), done, rw.noClaim) {
 				return ctx.Err()
 			}
-			continue // woken with the claim cleared: retry registration
 		}
-		blocked++
-		bo.Pause()
+		// regMoved — the registration protocol changed under the attempt —
+		// redispatches at once, like a loss.
 	}
+}
+
+// noClaim is the reader wait's predicate: neither of the writer's claims
+// is in place. Writers clear the centralized word's and then the epoch
+// gate's before broadcasting into rq (Unlock, and the undo of a failed or
+// cancelled acquisition), so a reader announced on rq either sees both
+// cleared or is woken after they are — and a reader that saw only the
+// first cleared never spins on a registration the lagging gate refuses.
+func (rw *RWMutex) noClaim(bool) bool {
+	return rw.readerCount.Load() >= 0 && !rw.ek.Claimed()
 }
 
 // noteRegistration classifies one slow-path registration attempt on the
@@ -461,52 +429,6 @@ func (rw *RWMutex) noteRegistration(lost bool) {
 	if to, fire := rw.reng.Observe(readerShardTable, rCentral, signalOf(lost), rw.cfg.limits()); fire {
 		rw.switchReaderMode(rCentral, to)
 	}
-}
-
-// observeWait reports one classified request to the wait-protocol
-// detector and carries out the change it fires.
-func (rw *RWMutex) observeWait(from modal.Mode, s modal.Signal) {
-	if to, fire := rw.eng.Observe(spinParkTable, from, s, rw.cfg.limits()); fire {
-		rw.switchRWMode(Mode(from), Mode(to))
-	}
-}
-
-// noteReadWait classifies one completed slow-path read acquisition for
-// the wait-protocol detector: a wait that exceeded the polling budget
-// means a spinning reader burned more than Lpoll. Detection is
-// mode-directional: spin mode monitors the cheap→scalable direction
-// only.
-func (rw *RWMutex) noteReadWait(blocked, budget int) {
-	if rw.eng.Mode() != mSpin {
-		return
-	}
-	// The caller holds a read registration; with an injected policy the
-	// notifications run under a panic guard so a panicking policy
-	// releases the registration before the crash surfaces — otherwise
-	// every later writer would park behind a reader that no longer
-	// exists.
-	if rw.eng.Policy() != nil {
-		defer func() {
-			if r := recover(); r != nil {
-				rw.RUnlock()
-				panic(r)
-			}
-		}()
-	}
-	rw.observeWait(mSpin, signalOf(blocked > budget))
-}
-
-// rlockPark is the reader's phase-two wait (rlockSlow's backoff loop was
-// phase one, so no budget is left to poll): park on the reader queue
-// while the claim stands and the parking protocol is selected, until a
-// releasing writer or a protocol change broadcasts, or done closes. The
-// claim is re-tested after the node is queued, and writers broadcast
-// after clearing the claim, so a reader can never park on a claim that
-// was already released.
-func (rw *RWMutex) rlockPark(done <-chan struct{}) (aborted bool) {
-	return rw.rq.Wait(0, done, func(bool) bool {
-		return rw.readerCount.Load() >= 0 || rw.eng.Mode() != mPark
-	})
 }
 
 // RUnlock releases one read hold. The registration mode it observes is
@@ -592,9 +514,8 @@ func (rw *RWMutex) TryLock() bool {
 		rw.readerCount.Add(rwBias)
 		rw.ek.Release()
 		chaos.Point("rwmutex.trylock.undo")
-		// A park-mode reader may have parked during the transient
-		// claim; without this wake only a later writer's release would
-		// free it.
+		// A reader may have parked during the transient claim; without
+		// this wake only a later writer's release would free it.
 		rw.rq.GrantAll()
 		rw.w.Unlock()
 		return false
@@ -656,40 +577,17 @@ func (rw *RWMutex) drainReaders(done <-chan struct{}) (aborted bool) {
 // Unlock releases the write hold, waking parked readers so they can
 // re-register.
 func (rw *RWMutex) Unlock() {
-	// Parked readers sampled before the claim clears: the signal for the
-	// scalable→cheap detection below.
-	parked := rw.rq.Len() > 0
 	if rw.readerCount.Add(rwBias) != 0 {
 		panic("reactive: Unlock of unlocked RWMutex")
 	}
 	rw.ek.Release()
 	chaos.Point("rwmutex.unlock.release")
-	// Broadcast after the claims clear: a reader that announces later
-	// re-checks the claim after queuing and leaves on its own.
+	// Broadcast after both claims clear: a reader that announces later
+	// re-checks them after queuing and leaves on its own.
 	rw.rq.GrantAll()
-	// Release the writer mutex before the observation: it may call into
-	// an injected policy, and a panic there must unwind without the
-	// writer mutex held — otherwise every later Lock parks forever behind
-	// a lock nobody owns. Detection is still serialized by the engine's
-	// own policy lock.
+	// The writer mutex goes last: its release may call into an injected
+	// policy, and a panic there must unwind with the claims already gone.
 	rw.w.Unlock()
-	if rw.eng.Mode() == mPark {
-		// No reader parked across this writer hold: the parking protocol
-		// went unused.
-		rw.observeWait(mPark, signalOf(parked))
-	}
-}
-
-// switchRWMode performs a reader wait-protocol change from want to next
-// through the engine's consensus word, at most once per detection round.
-// A change back to spin wakes any reader still parked so none sleeps
-// through the transition.
-func (rw *RWMutex) switchRWMode(want, next Mode) {
-	if rw.eng.TryCommit(spinParkTable, modal.Mode(want), modal.Mode(next)) {
-		if next == ModeSpin {
-			rw.rq.GrantAll()
-		}
-	}
 }
 
 // switchReaderMode performs a registration-protocol change from want to

@@ -1,30 +1,39 @@
 package reactive
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/watchdog"
 	"repro/reactive/policy"
 )
 
 // TestRWMutexOptionsReachWriterMutex: threshold and polling options
-// configure the embedded writer mutex too; an injected policy does not
-// (policy instances must not be shared between primitives).
+// configure the embedded writer mutex, and so do an injected policy and
+// a spin/park initial mode — the writer mutex's engine is the one
+// spin/park engine RWMutex runs. The registration engine keeps the
+// built-in streaks (policy instances must not be shared between
+// engines).
 func TestRWMutexOptionsReachWriterMutex(t *testing.T) {
+	p := policy.AlwaysSwitch{}
 	rw := NewRWMutex(WithSpinFailLimit(7), WithEmptyLimit(9), WithPollIters(11),
-		WithPolicy(policy.AlwaysSwitch{}))
+		WithPolicy(p), WithInitialMode(ModePark))
 	if rw.w.cfg.failLimit() != 7 || rw.w.cfg.emptyLim() != 9 || rw.w.cfg.pollBudget() != 11 {
 		t.Fatalf("writer mutex tunables = (%d,%d,%d), want (7,9,11)",
 			rw.w.cfg.failLimit(), rw.w.cfg.emptyLim(), rw.w.cfg.pollBudget())
 	}
-	if rw.w.cfg.pol != nil || rw.w.eng.Policy() != nil {
-		t.Fatal("policy instance must not propagate to the embedded writer mutex")
+	if rw.w.eng.Policy() != p {
+		t.Fatal("policy not installed on the writer mutex")
 	}
-	if rw.eng.Policy() == nil {
-		t.Fatal("policy not installed on the reader protocol")
+	if rw.reng.Policy() != nil {
+		t.Fatal("policy instance must not propagate to the registration engine")
+	}
+	if st := rw.Stats(); st.Mode != ModePark || st.Switches != 1 || st.Readers.Mode != ModeCAS {
+		t.Fatalf("Stats = %+v, want the writer mutex's park mode after 1 switch, cas registration", st)
 	}
 }
 
@@ -174,10 +183,12 @@ func TestRWMutexPanics(t *testing.T) {
 	}
 }
 
-// TestRWMutexSwitchesToParkOnLongWrites: a writer hold longer than the
-// readers' polling budget drives the reader protocol to parking.
-func TestRWMutexSwitchesToParkOnLongWrites(t *testing.T) {
-	rw := NewRWMutex(WithSpinFailLimit(1), WithPollIters(1))
+// TestRWMutexBlockedReaderParks: a reader blocked by a writer that holds
+// past the polling budget parks on the reader queue — on a zero-value
+// lock, with no option steering it — and acquires once the writer
+// releases.
+func TestRWMutexBlockedReaderParks(t *testing.T) {
+	var rw RWMutex
 	rw.Lock()
 	acquired := make(chan struct{})
 	go func() {
@@ -185,81 +196,45 @@ func TestRWMutexSwitchesToParkOnLongWrites(t *testing.T) {
 		rw.RUnlock()
 		close(acquired)
 	}()
-	// Hold long enough that the reader's spin certainly exceeds its
-	// one-iteration budget.
-	time.Sleep(50 * time.Millisecond)
-	rw.Unlock()
-	select {
-	case <-acquired:
-	case <-time.After(5 * time.Second):
-		t.Fatal("reader never acquired after writer release")
-	}
-	if got := rw.Stats().Mode; got != ModePark {
-		t.Fatalf("mode = %v after over-budget reader wait, want park", got)
-	}
-}
-
-// TestRWMutexWaitStreakSemantics pins the reader detection semantics: the
-// over-budget streak counts slow-path waits only. Fast-path reads are
-// neutral (the spin-vs-park choice depends on waiting time *when readers
-// wait*, not on collision frequency — so a read-mostly workload can still
-// reach park mode), while a slow-path wait completed within the budget
-// breaks the streak.
-func TestRWMutexWaitStreakSemantics(t *testing.T) {
-	const budget = 4
-	vote := func(rw *RWMutex) { rw.noteReadWait(budget+1, budget) } // one over-budget wait, as rlockSlow reports it
-	// Fast-path reads interleaved with over-budget waits must not reset
-	// the streak.
-	var rw RWMutex
-	for i := 0; i < DefaultSpinFailLimit; i++ {
-		rw.RLock()
-		rw.RUnlock()
-		vote(&rw)
-	}
-	if got := rw.Stats().Mode; got != ModePark {
-		t.Fatalf("mode = %v: fast-path reads must not mask over-budget waits", got)
-	}
-	// A within-budget slow-path wait breaks it.
-	var rw2 RWMutex
-	for round := 0; round < 3; round++ {
-		for i := 0; i < DefaultSpinFailLimit-1; i++ {
-			vote(&rw2)
+	snap := func() string { return fmt.Sprintf("rwmutex: %+v", rw.Stats()) }
+	parked, stop := make(chan struct{}), make(chan struct{})
+	defer close(stop)
+	go func() {
+		for rw.Stats().Waiters < 1 {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
 		}
-		rw2.noteReadWait(budget, budget) // within-budget wait, as rlockSlow reports it
+		close(parked)
+	}()
+	if err := watchdog.Await(parked, 2*time.Second, snap); err != nil {
+		t.Fatalf("blocked reader never parked: %v", err)
 	}
-	if got := rw2.Stats().Mode; got != ModeSpin {
-		t.Fatalf("mode = %v after broken streaks, want spin", got)
+	rw.Unlock()
+	if err := watchdog.Await(acquired, 2*time.Second, snap); err != nil {
+		t.Fatalf("parked reader never acquired after the writer's release: %v", err)
 	}
-}
-
-// TestRWMutexReturnsToSpinWhenWritersUncontended: writer releases that
-// pass no waiting readers switch the reader protocol back to spin.
-func TestRWMutexReturnsToSpinWhenWritersUncontended(t *testing.T) {
-	var rw RWMutex
-	rw.switchRWMode(ModeSpin, ModePark) // force park mode
-	for i := 0; i < 2*DefaultEmptyLimit; i++ {
-		rw.Lock()
-		rw.Unlock()
-	}
-	if got := rw.Stats().Mode; got != ModeSpin {
-		t.Fatalf("mode = %v after uncontended writer releases, want spin", got)
+	if err := rw.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestRWMutexInjectedPolicy: an always-switch policy flips the reader
-// protocol back to spin on the first reader-free writer release.
+// TestRWMutexInjectedPolicy: the policy steers the writer mutex, so an
+// always-switch policy flips a park-mode RWMutex back to spin on the
+// first uncontended writer release.
 func TestRWMutexInjectedPolicy(t *testing.T) {
-	rw := NewRWMutex(WithPolicy(policy.AlwaysSwitch{}))
-	rw.switchRWMode(ModeSpin, ModePark)
+	rw := NewRWMutex(WithPolicy(policy.AlwaysSwitch{}), WithInitialMode(ModePark))
 	rw.Lock()
 	rw.Unlock()
-	if got := rw.Stats().Mode; got != ModeSpin {
-		t.Fatalf("mode = %v, want spin after one empty release under always-switch", got)
+	if st := rw.Stats(); st.Mode != ModeSpin || st.Switches != 2 {
+		t.Fatalf("Stats = %+v, want spin after one empty release under always-switch (2 switches)", st)
 	}
 }
 
 // TestRWMutexStressForcedModeSwitches hammers readers and writers while
-// the reader protocol is flipped in both directions, with a timeout guard
+// the writer mutex is flipped in both directions, with a timeout guard
 // asserting no reader or writer is stranded by a Park→Spin transition.
 func TestRWMutexStressForcedModeSwitches(t *testing.T) {
 	rw := NewRWMutex(WithPollIters(2)) // park quickly
@@ -282,9 +257,9 @@ func TestRWMutexStressForcedModeSwitches(t *testing.T) {
 			default:
 			}
 			if i%2 == 0 {
-				rw.switchRWMode(ModeSpin, ModePark)
+				rw.w.switchMode(ModeSpin, ModePark)
 			} else {
-				rw.switchRWMode(ModePark, ModeSpin)
+				rw.w.switchMode(ModePark, ModeSpin)
 			}
 			time.Sleep(50 * time.Microsecond)
 		}
@@ -317,7 +292,7 @@ func TestRWMutexStressForcedModeSwitches(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(60 * time.Second):
-		t.Fatalf("stranded waiter across forced reader-protocol switches: %d/%d writes, %d/%d reads",
+		t.Fatalf("stranded waiter across forced writer-mutex switches: %d/%d writes, %d/%d reads",
 			counter, writers*iters, reads.Load(), int64(readers*iters))
 	}
 	close(stop)

@@ -163,7 +163,7 @@ func TestWithInitialMode(t *testing.T) {
 		t.Fatalf("RWMutex initial registration mode = %v, want sharded", got)
 	}
 	if got := rw.Stats().Mode; got != ModeSpin {
-		t.Fatalf("RWMutex wait mode = %v after registration-only option, want spin", got)
+		t.Fatalf("RWMutex writer mode = %v after registration-only option, want spin", got)
 	}
 	rw.RLock()
 	rw.RUnlock()
@@ -171,13 +171,10 @@ func TestWithInitialMode(t *testing.T) {
 	rw.Unlock()
 	rw2 := NewRWMutex(WithInitialMode(ModePark))
 	if got := rw2.Stats().Mode; got != ModePark {
-		t.Fatalf("RWMutex wait mode = %v, want park", got)
+		t.Fatalf("RWMutex writer mode = %v, want park", got)
 	}
 	if got := rw2.Stats().Readers.Mode; got != ModeCAS {
-		t.Fatalf("RWMutex registration mode = %v after wait-only option, want cas", got)
-	}
-	if got := rw2.w.eng.Mode(); got != mSpin {
-		t.Fatalf("embedded writer mutex mode = %v, want spin (initial mode must not propagate)", got)
+		t.Fatalf("RWMutex registration mode = %v after spin/park-only option, want cas", got)
 	}
 }
 
