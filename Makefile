@@ -55,7 +55,12 @@ sim-digests:
 	$(GO) test ./internal/experiments -run 'TestRegistryDigestsGolden$$' -count=1 -update
 
 # Compare simulated output with revision REV, for a change meant to keep
-# every simulated cycle: build reactsim, waitsim and lockstat at REV (a
+# every simulated cycle or every modal decision: internal/sim, machine,
+# memsys, internal/core, internal/waiting, and reactive/modal, whose
+# Decider the simulated reactive algorithms vote through (for
+# reactive/modal, also run TestRegistryDigestsGolden, which pins the
+# native-*-trace and native-fop-policies tables that drive its Engine).
+# Build reactsim, waitsim and lockstat at REV (a
 # `git archive` export in a temp dir) and in this tree, then cmp
 # `reactsim -exp all -json`, `waitsim -exp all -json`, and lockstat's
 # 32-processor sweep of the reactive lock and fetch-and-op and of the MCS

@@ -356,7 +356,7 @@ func BenchmarkNativeFetchOp(b *testing.B) {
 // (read-parallel-4x, 4 goroutines per P), and a 1-in-128-writes mix
 // (read-mostly) that keeps writer drains in the loop. The readermode
 // metric records the registration protocol the lock settled in
-// (2 = centralized CAS word, 3 = sharded per-P slots).
+// (2 = centralized CAS word, 3 = sharded per-P cells, 5 = epoch).
 func BenchmarkNativeRWMutex(b *testing.B) {
 	readerMode := func(b *testing.B, rw *reactive.RWMutex) {
 		b.ReportMetric(float64(rw.Stats().Readers.Mode), "readermode")
@@ -376,9 +376,9 @@ func BenchmarkNativeRWMutex(b *testing.B) {
 			rw.RUnlock()
 		}
 	})
-	// Congestion policy on the reader wait protocol (WithPolicy governs
-	// only that engine; registration keeps its own detection): the
-	// uncontended RLock fast path must not pay for the installed policy.
+	// Congestion policy on the writer mutex (WithPolicy governs only that
+	// engine; registration keeps its own detection): the uncontended
+	// RLock fast path must not pay for the installed policy.
 	b.Run("read-uncontended-congestion/reactive", func(b *testing.B) {
 		rw := reactive.NewRWMutex(reactive.WithPolicy(policy.NewCongestion()))
 		for i := 0; i < b.N; i++ {
@@ -459,7 +459,7 @@ func BenchmarkNativeRWMutex(b *testing.B) {
 		})
 	})
 	b.Run("read-sharded-forced/reactive", func(b *testing.B) {
-		rw := reactive.NewRWMutex(reactive.WithInitialMode(reactive.ModeSharded))
+		rw := reactive.NewRWMutex(reactive.WithInitialReaderMode(reactive.ModeSharded))
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
 				rw.RLock()
@@ -484,8 +484,8 @@ func BenchmarkNativeRWMutex(b *testing.B) {
 		readerMode(b, rw)
 	})
 	// Congestion-policy variant of the forced epoch row: WithPolicy
-	// governs only the reader *wait* engine, so the epoch read fast
-	// path must not pay for the installed feedback-control policy.
+	// governs only the writer mutex, so the epoch read fast path must
+	// not pay for the installed feedback-control policy.
 	b.Run("read-epoch-forced-congestion/reactive", func(b *testing.B) {
 		rw := reactive.NewRWMutex(reactive.WithInitialReaderMode(reactive.ModeEpoch),
 			reactive.WithPolicy(policy.NewCongestion()))

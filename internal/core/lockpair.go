@@ -19,7 +19,7 @@ import (
 )
 
 // Mode values of the pair's mode word. They double as the modal.Mode
-// indices of the owner's transition table (the fetch-and-op adds fopTree).
+// indices of the owner's chain (the fetch-and-op adds fopTree).
 const (
 	modeTTS   = 0
 	modeQueue = 1
@@ -216,10 +216,10 @@ func (l *lockPair) changeQueueToTTS(c machine.Context, i spinlock.QNode) {
 // calls it while holding both protocols' consensus objects, just before
 // releasing to's makes to acquirable by another process, so no other
 // change can come between. It panics unless from is the valid protocol,
-// then makes to the valid one; it also validates the edge against the
-// owner's modal table (the decider panics on an edge the table does not
-// permit — for the fetch-and-op, a TTS↔tree shortcut), tells the policy,
-// and counts the change.
+// then makes to the valid one; it also validates the change against the
+// owner's chain (the decider panics on a move that is not one step —
+// for the fetch-and-op, TTS↔tree), tells the policy, and counts the
+// change.
 func (l *lockPair) finishChange(c machine.Context, from, to uint64) {
 	if from != l.valid {
 		panic(fmt.Sprintf("core: P%d changed protocol %d→%d while %d is valid", c.ProcID(), from, to, l.valid))

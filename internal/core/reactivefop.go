@@ -6,7 +6,6 @@ import (
 	"repro/internal/memsys"
 	"repro/internal/spinlock"
 	"repro/reactive/modal"
-	"repro/reactive/policy"
 )
 
 // fopTree is the fetch-and-op's third mode value and table index, above
@@ -22,24 +21,13 @@ const fopTree = 2
 // combining-rate monitor ends quickly under low contention.
 const reactiveTreePatience machine.Time = 800
 
-// Policy directions for the reactive fetch-and-op: 0 = toward a more
-// scalable protocol (TTS→QUEUE or QUEUE→TREE), 1 = toward a cheaper one.
-const (
-	dirScalable policy.Direction = 0
-	dirCheap    policy.Direction = 1
-)
-
-// fopTable is the fetch-and-op's 3-mode transition table. The chain TTS ↔
-// queue ↔ tree has no shortcut edges: the algorithm scales one protocol at
-// a time, and the decider enforces it. The residuals are the costs fed to
-// the competitive policy: 200 cycles for a queue that should be a tree, 20
-// for every other sub-optimal choice.
-var fopTable = modal.NewTable(3, []modal.Transition{
-	{From: modeTTS, To: modeQueue, Dir: dirScalable, Residual: 20},
-	{From: modeQueue, To: modeTTS, Dir: dirCheap, Residual: 20},
-	{From: modeQueue, To: fopTree, Dir: dirScalable, Residual: 200},
-	{From: fopTree, To: modeQueue, Dir: dirCheap, Residual: 20},
-})
+// fopTable is the fetch-and-op's 3-mode chain, TTS ↔ queue ↔ tree: the
+// algorithm scales one protocol at a time. The residuals are the costs fed
+// to the competitive policy: 200 cycles for a queue that should be a tree,
+// 20 for every other sub-optimal choice.
+var fopTable = modal.NewTable(
+	[]modal.Step{{Residual: 20}, {Residual: 200}},
+	[]modal.Step{{Residual: 20}, {Residual: 20}})
 
 // ReactiveFetchOp is the reactive fetch-and-op algorithm of Appendix C. It
 // selects among three protocols, in increasing order of scalability and

@@ -5,23 +5,12 @@ import (
 	"repro/internal/memsys"
 	"repro/internal/spinlock"
 	"repro/reactive/modal"
-	"repro/reactive/policy"
 )
 
-// Direction indices for policy events.
-const (
-	dirToQueue policy.Direction = 0
-	dirToTTS   policy.Direction = 1
-)
-
-// lockTable is the reactive spin lock's 2-mode transition table, TTS ↔
-// queue. The residuals are the costs fed to the 3-competitive policy
-// (Section 3.5.5: 150 cycles for TTS under high contention, 15 for the
-// queue under low).
-var lockTable = modal.NewTable(2, []modal.Transition{
-	{From: modeTTS, To: modeQueue, Dir: dirToQueue, Residual: 150},
-	{From: modeQueue, To: modeTTS, Dir: dirToTTS, Residual: 15},
-})
+// lockTable is the reactive spin lock's 2-mode chain, TTS ↔ queue. The
+// residuals are the costs fed to the 3-competitive policy (Section 3.5.5:
+// 150 cycles for TTS under high contention, 15 for the queue under low).
+var lockTable = modal.NewTable([]modal.Step{{Residual: 150}}, []modal.Step{{Residual: 15}})
 
 // ReleaseMode tells Release which protocol to release and whether to
 // perform a protocol change (the release_mode of Figure 3.27).

@@ -55,7 +55,7 @@ func telemetrySteps() []telemetryStep {
 	c := reactive.NewCounter(reactive.WithInitialMode(reactive.ModeSharded))
 	f := reactive.NewFetchOp(func(a, b int64) int64 { return a + b }, 0,
 		reactive.WithInitialMode(reactive.ModeCombining))
-	rw := reactive.NewRWMutex(reactive.WithInitialMode(reactive.ModeSharded))
+	rw := reactive.NewRWMutex(reactive.WithInitialReaderMode(reactive.ModeSharded))
 
 	return []telemetryStep{
 		{

@@ -1,11 +1,10 @@
 package experiments
 
 // Native modal experiments: deterministic drives of the reactive/modal
-// engine over the transition tables the native primitives export —
-// FetchOp's (CAS ↔ sharded, plus the combining stage no observation
-// votes for), RWMutex's reader-registration chain (centralized word ↔
-// per-P cells ↔ epoch gate) and Map's (locked table ↔ shard locks ↔
-// published table). Detection is not emulated: each step classifies one
+// engine over the chains the native primitives export — FetchOp's
+// (CAS ↔ sharded, plus the combining stage no observation votes for),
+// RWMutex's reader-registration chain (centralized word ↔ per-P cells ↔
+// epoch gate) and Map's (locked table ↔ shard locks ↔ published table). Detection is not emulated: each step classifies one
 // synthetic request and hands it to Engine.Observe on the primitive's
 // own table, the rule the primitive itself runs. Unlike the wall-clock
 // BenchmarkNative* measurements, these exercise the pure
@@ -48,7 +47,7 @@ func modalPhases(sz Sizes) []modalPhase {
 // chain is one primitive's modal object as the traces drive it: the
 // table the primitive exports, the public mode per engine index, and the
 // share of contended requests that are reads — consulted only in a mode
-// whose table tells contended reads apart (an On: BusyRead edge).
+// whose table tells contended reads apart (a step On: BusyRead).
 type chain struct {
 	tab      *modal.Table
 	modes    []reactive.Mode
@@ -77,20 +76,30 @@ var defaultLimits = [2]int32{reactive.DefaultSpinFailLimit, reactive.DefaultEmpt
 // step serves one synthetic request in the engine's current mode: it met
 // contention with probability p (and was then a read with probability
 // readFrac, where the mode tells reads apart), Observe turns that class
-// into the table's edge events, and a fired transition is committed.
-// With an injected policy the engine routes the same events to it.
+// into the table's step events, and a fired step is committed. With an
+// injected policy the engine routes the same events to it.
 func (c chain) step(e *modal.Engine, rng *rand.Rand, p float64) {
 	from, s := e.Mode(), modal.Calm
 	if rng.Float64() < p {
 		s = modal.Busy
-		tellsReads := func(t modal.Transition) bool { return t.From == from && t.On == modal.BusyRead }
-		if c.readFrac > 0 && slices.ContainsFunc(c.tab.Transitions(), tellsReads) && rng.Float64() < c.readFrac {
+		if c.readFrac > 0 && c.tellsReads(from) && rng.Float64() < c.readFrac {
 			s = modal.BusyRead
 		}
 	}
 	if to, fire := e.Observe(c.tab, from, s, defaultLimits); fire {
 		e.TryCommit(c.tab, from, to)
 	}
+}
+
+// tellsReads reports whether a step out of mode m is voted for by
+// contended reads alone.
+func (c chain) tellsReads(m modal.Mode) bool {
+	for _, to := range [2]modal.Mode{m - 1, m + 1} { // m-1 wraps out of range at 0
+		if int(to) < c.tab.N() && c.tab.Step(m, to).On == modal.BusyRead {
+			return true
+		}
+	}
+	return false
 }
 
 // drive steps the engine through one phase, adding the steps spent in
@@ -161,7 +170,7 @@ func (c chain) trace(sz Sizes, e *modal.Engine, extra ...traceColumn) *stats.Tab
 // contention trace, one row per phase: CAS at idle, sharded from the
 // ramp through saturation, and a return to CAS when contention subsides.
 // The combining column stays at zero — no observation votes for the
-// sharded → combining edge, so detection cannot reach that mode.
+// sharded → combining step, so detection cannot reach that mode.
 func NativeFopTrace(sz Sizes) *stats.Table { return fopChain.trace(sz, new(modal.Engine)) }
 
 // NativeRWReaderEpochTrace tabulates RWMutex's 3-mode
@@ -170,8 +179,8 @@ func NativeFopTrace(sz Sizes) *stats.Table { return fopChain.trace(sz, new(modal
 // reader, and in the cell-based modes that a writer's drain finds
 // readers still active. Read saturation that keeps writer drains busy
 // pushes the engine through sharded cells into epoch stamps, and
-// sustained quiet drains walk it back down the chain — the
-// no-shortcut-edge contract means it always passes through sharded.
+// sustained quiet drains walk it back down the chain, one step at a time,
+// so always through sharded.
 func NativeRWReaderEpochTrace(sz Sizes) *stats.Table { return rwChain.trace(sz, new(modal.Engine)) }
 
 // NativeMapTrace tabulates the adaptive map's 3-mode chain across the

@@ -68,7 +68,7 @@ func Scenarios() []Spec {
 		{
 			Name:        "read-heavy",
 			Mix:         "95% get (2ms deadline) / 5% put",
-			Stress:      "reader-path adaptivity: sharded registration and spin/park under steady load",
+			Stress:      "reader-path adaptivity: the routing map's locked/sharded/epoch chain under steady load",
 			DefaultRate: 3000,
 			Draw:        readHeavyMix,
 		},

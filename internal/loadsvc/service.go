@@ -244,20 +244,3 @@ func spinWork(iters uint32) {
 	}
 	spinSink.Store(x)
 }
-
-// spinWorkYielding burns iters cycles in scheduler-cooperative chunks —
-// the shape of a bulk rebuild, which allocates and pages rather than
-// monopolizing a P. Yielding matters on small-GOMAXPROCS hosts: a
-// non-yielding multi-millisecond spin would freeze every other
-// goroutine out of even *starting* its deadline-bounded acquisition, and
-// the degraded-read path would go unexercised exactly where it is most
-// interesting.
-func spinWorkYielding(iters uint32) {
-	const chunk = 20000
-	for iters > chunk {
-		spinWork(chunk)
-		runtime.Gosched()
-		iters -= chunk
-	}
-	spinWork(iters)
-}

@@ -400,7 +400,7 @@ func TestRLockCtxCancelledInRegistrationRaces(t *testing.T) {
 // and the next writer acquires cleanly after the reader leaves.
 func TestRWMutexLockCtxCancelDuringDrain(t *testing.T) {
 	for _, mode := range []Mode{ModeCAS, ModeSharded} {
-		rw := NewRWMutex(WithInitialMode(mode), WithPollIters(2))
+		rw := NewRWMutex(WithInitialReaderMode(mode), WithPollIters(2))
 		rw.RLock() // the reader the writer will stall draining
 		ctx, cancel := context.WithCancel(context.Background())
 		go func() {

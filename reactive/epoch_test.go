@@ -35,18 +35,17 @@ func TestWithInitialReaderMode(t *testing.T) {
 		t.Fatalf("Stats = %+v, want park wait + epoch registration", got)
 	}
 
-	// When both options name a registration mode, the reader-specific
-	// option wins (it is the more specific request).
-	rw = NewRWMutex(WithInitialMode(ModeSharded), WithInitialReaderMode(ModeEpoch))
-	if got := rw.Stats().Readers.Mode; got != ModeEpoch {
-		t.Fatalf("reader mode = %v, want epoch (reader-specific option wins)", got)
-	}
-
-	// WithInitialMode(ModeEpoch) reaches the same state through the
-	// shared option.
-	rw = NewRWMutex(WithInitialMode(ModeEpoch))
-	if got := rw.Stats().Readers.Mode; got != ModeEpoch {
-		t.Fatalf("reader mode = %v via WithInitialMode, want epoch", got)
+	// WithInitialMode addresses the writer mutex alone: a registration
+	// mode there panics rather than reaching the reader engine.
+	for _, m := range []Mode{ModeCAS, ModeSharded, ModeEpoch} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewRWMutex(WithInitialMode(%v)) did not panic", m)
+				}
+			}()
+			NewRWMutex(WithInitialMode(m), WithInitialReaderMode(ModeEpoch))
+		}()
 	}
 
 	// Forcing epoch and walking back down must leave a working lock:
@@ -92,8 +91,9 @@ func TestRWMutexReadEpochZeroAllocs(t *testing.T) {
 // TestRWMutexEpochQuietGracesDemote pins the scale-down detection
 // deterministically: every writer acquisition in epoch mode is one
 // grace period, EmptyLimit consecutive quiet ones demote to sharded
-// slots, and EmptyLimit further quiet drains retire the slots too — the
-// chain has no shortcut edge, so the walk down passes through sharded.
+// cells, and EmptyLimit further quiet drains retire the cells too — the
+// chain moves one step at a time, so the walk down passes through
+// sharded.
 func TestRWMutexEpochQuietGracesDemote(t *testing.T) {
 	rw := NewRWMutex(WithInitialReaderMode(ModeEpoch))
 	for i := 0; i < DefaultEmptyLimit; i++ {

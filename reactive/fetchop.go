@@ -20,22 +20,17 @@ const (
 
 var fopModes = []Mode{ModeCAS, ModeSharded, ModeCombining}
 
-// fopTable is the 3-mode transition table of the native fetch-and-op,
-// mirroring the simulator's reactive fetch-and-op (Appendix C): a chain
-// from the cheap single-word protocol through the sharded middle
-// protocol to batched combining, with no shortcut edges — a primitive
-// scales up and down one protocol at a time, exactly as the simulated
-// algorithm moves TTS ↔ queue ↔ combining tree. No observation votes for
-// the sharded → combining edge (On: modal.None), so detection never
-// takes it; construction (WithInitialMode) does.
-var fopTable = modal.NewTable(3, []modal.Transition{
-	{From: fCAS, To: fSharded, Dir: dirScaleUp, Residual: ResidualCheapHigh, On: modal.Busy},
-	{From: fSharded, To: fCAS, Dir: dirScaleDown, Residual: ResidualScalableLow, On: modal.Calm},
-	{From: fSharded, To: fCombining, Dir: dirScaleUp, Residual: ResidualCheapHigh},
-	{From: fCombining, To: fSharded, Dir: dirScaleDown, Residual: ResidualScalableLow, On: modal.Calm},
-})
+// fopTable is the native fetch-and-op's 3-mode chain, mirroring the
+// simulator's reactive fetch-and-op (Appendix C): the cheap single-word
+// protocol ↔ the sharded middle protocol ↔ batched combining, as the
+// simulated algorithm moves TTS ↔ queue ↔ combining tree. No observation
+// votes for the sharded → combining step (On: modal.None), so detection
+// never takes it; construction (WithInitialMode) does.
+var fopTable = modal.NewTable(
+	[]modal.Step{{Residual: ResidualCheapHigh, On: modal.Busy}, {Residual: ResidualCheapHigh}},
+	[]modal.Step{{Residual: ResidualScalableLow, On: modal.Calm}, {Residual: ResidualScalableLow, On: modal.Calm}})
 
-// FetchOpTable returns the transition table FetchOp and Counter run on:
+// FetchOpTable returns the chain FetchOp and Counter run on:
 // mode index 0 = ModeCAS, 1 = ModeSharded, 2 = ModeCombining (mode index
 // i is the public mode ModeCAS + i). The table is immutable and shared;
 // it is exported so harnesses and experiments can drive the exact state
@@ -69,7 +64,7 @@ const harvestBuf = 32
 //     reconciles them into the shared word, in a serialized sweep
 //     (sweeps that find at most one active cell demote to CAS).
 //
-// The transition table has a third stage, ModeCombining (deposit in a
+// The chain has a third stage, ModeCombining (deposit in a
 // cell; the depositor that completes a batch folds the cells into the
 // shared word), mirroring the simulator's TTS lock ↔ queue lock ↔
 // combining tree chain. Natively it is dominated by ModeSharded by

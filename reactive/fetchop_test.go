@@ -69,8 +69,8 @@ func TestFetchOpMaxAcrossModes(t *testing.T) {
 	}
 }
 
-// forceMode walks the accumulator to the target mode through the
-// transition chain (the table permits only adjacent steps).
+// forceMode walks the accumulator to the target mode along the chain,
+// one step at a time.
 func (f *FetchOp) forceMode(t *testing.T, want modal.Mode) {
 	t.Helper()
 	for i := 0; f.eng.Mode() != want; i++ {
@@ -82,21 +82,6 @@ func (f *FetchOp) forceMode(t *testing.T, want modal.Mode) {
 		f.switchFop(cur, next)
 		if i > 8 {
 			t.Fatalf("could not force mode %d", want)
-		}
-	}
-}
-
-// TestFetchOpChainOnly: the transition table must not permit the
-// CAS↔combining shortcut, mirroring the simulator's TTS↔tree gap.
-func TestFetchOpChainOnly(t *testing.T) {
-	if fopTable.Has(fCAS, fCombining) || fopTable.Has(fCombining, fCAS) {
-		t.Fatal("fopTable permits a CAS↔combining shortcut")
-	}
-	for _, e := range []struct{ from, to modal.Mode }{
-		{fCAS, fSharded}, {fSharded, fCAS}, {fSharded, fCombining}, {fCombining, fSharded},
-	} {
-		if !fopTable.Has(e.from, e.to) {
-			t.Fatalf("fopTable missing the %d→%d chain edge", e.from, e.to)
 		}
 	}
 }

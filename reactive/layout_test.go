@@ -40,9 +40,10 @@ func fieldOffset[T any](t *testing.T, name string) uintptr {
 }
 
 // TestPrimitiveLayout pins each primitive's size and allocator size
-// class, so a field added or reordered shows up as a test failure and a
-// measured decision rather than as benchmark noise. A change that moves
-// one of these numbers on purpose updates it here.
+// class, and the size of the modal engine they all embed, so a field
+// added or reordered shows up as a test failure and a measured decision
+// rather than as benchmark noise. A change that moves one of these
+// numbers on purpose updates it here.
 func TestPrimitiveLayout(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
@@ -60,6 +61,12 @@ func TestPrimitiveLayout(t *testing.T) {
 			t.Errorf("%s is %d bytes in size class %d, want %d bytes in class %d",
 				c.name, c.got, sizeClass(c.got), c.wantSize, c.wantClass)
 		}
+	}
+	// Every primitive embeds a modal.Engine, so a change to the engine
+	// moves all four sizes above; word, the mode word every operation
+	// loads, leads it.
+	if got, off := unsafe.Sizeof(modal.Engine{}), fieldOffset[modal.Engine](t, "word"); got != 104 || off != 0 {
+		t.Errorf("modal.Engine is %d bytes with word at offset %d, want 104 bytes with word at 0", got, off)
 	}
 }
 

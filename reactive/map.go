@@ -24,21 +24,16 @@ const (
 
 var mapModes = []Mode{ModeLocked, ModeSharded, ModeEpoch}
 
-// mapModeTable is Map's 3-mode transition table: a chain from the
-// single-lock protocol through hash-sharded locks to the published
-// immutable table, with no shortcut edges — like every other chain in
-// this package, the map scales up and down one protocol at a time. It
-// is the first table in the package attached to a data structure rather
-// than a synchronization primitive: the engine, the detection plumbing,
-// and the policy interface are reused unchanged.
-var mapModeTable = modal.NewTable(3, []modal.Transition{
-	{From: mapLocked, To: mapSharded, Dir: dirScaleUp, Residual: ResidualCheapHigh, On: modal.Busy},
-	{From: mapSharded, To: mapLocked, Dir: dirScaleDown, Residual: ResidualScalableLow, On: modal.Calm},
-	{From: mapSharded, To: mapEpoch, Dir: dirScaleUp, Residual: ResidualCheapHigh, On: modal.BusyRead},
-	{From: mapEpoch, To: mapSharded, Dir: dirScaleDown, Residual: ResidualScalableLow, On: modal.Calm},
-})
+// mapModeTable is Map's 3-mode chain: the single-lock protocol ↔
+// hash-sharded locks ↔ the published immutable table. It is the first
+// table in the package attached to a data structure rather than a
+// synchronization primitive: the engine, the detection plumbing, and the
+// policy interface are reused unchanged.
+var mapModeTable = modal.NewTable(
+	[]modal.Step{{Residual: ResidualCheapHigh, On: modal.Busy}, {Residual: ResidualCheapHigh, On: modal.BusyRead}},
+	[]modal.Step{{Residual: ResidualScalableLow, On: modal.Calm}, {Residual: ResidualScalableLow, On: modal.Calm}})
 
-// MapTable returns the transition table Map runs on: mode index 0 =
+// MapTable returns the chain Map runs on: mode index 0 =
 // ModeLocked, 1 = ModeSharded, 2 = ModeEpoch. The table is immutable
 // and shared; it is exported so harnesses and experiments can drive the
 // exact state machine the map uses rather than a hand-maintained copy.
@@ -64,7 +59,7 @@ type mapVersion[K comparable, V any] struct {
 
 // Map is a reactive concurrent hash map — the first adaptive *data
 // structure* in this package, demonstrating that the modal engine
-// generalizes past locks: the same transition table, streak detection,
+// generalizes past locks: the same chain tables, streak detection,
 // Observe/TryCommit plumbing, and installable policy.Congestion that
 // drive Mutex and FetchOp here select among three map protocols as the
 // access pattern changes:

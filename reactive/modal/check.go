@@ -3,13 +3,13 @@ package modal
 import "fmt"
 
 // Check verifies the engine's quiescent-state invariants against its
-// transition table: the selected mode is one the table knows, and the
-// epoch in the packed word agrees with the switch counter. The second
-// clause holds only at quiescence — TryCommit advances the epoch with
-// its CAS and bumps the counter just after, so a checker racing a
-// commit can observe the counter one behind. Call it from tests and
-// torture runs after the engine's users have stopped, never
-// concurrently with transitions.
+// table: the selected mode is one the table knows, and the epoch in the
+// packed word agrees with the switch counter. The second clause holds
+// only at quiescence — TryCommit advances the epoch with its CAS and
+// bumps the counter just after, so a checker racing a commit can
+// observe the counter one behind. Call it from tests and torture runs
+// after the engine's users have stopped, never concurrently with
+// transitions.
 func (e *Engine) Check(t *Table) error {
 	epoch, m := Unpack(e.word.Load())
 	if int(m) >= t.N() {

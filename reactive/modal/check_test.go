@@ -6,7 +6,7 @@ import (
 )
 
 func TestEngineCheck(t *testing.T) {
-	tab := NewTable(2, []Transition{{From: 0, To: 1}, {From: 1, To: 0}})
+	tab := NewTable([]Step{{}}, []Step{{}})
 	var e Engine
 	if err := e.Check(tab); err != nil {
 		t.Fatalf("fresh engine: %v", err)

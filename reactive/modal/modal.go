@@ -1,31 +1,32 @@
-// Package modal implements the generic N-mode modal-object engine at the
-// heart of Lim & Agarwal's reactive synchronization framework. A modal
-// object is a set of N protocols (modes) implementing one synchronization
-// operation, plus a consensus-serialized way to change which protocol is
-// selected. The thesis's reactive spin lock is a 2-mode modal object
-// (test&set vs queue), and its reactive fetch-and-op is a 3-mode one
-// (lock-based central word, queue-based, combining tree); this package is
-// the shape they share, extracted so that every future primitive is a
-// transition table rather than a rewrite.
+// Package modal implements the modal-object engine at the heart of Lim &
+// Agarwal's reactive synchronization framework. A modal object is a set
+// of protocols (modes) implementing one synchronization operation, plus a
+// consensus-serialized way to change which protocol is selected. Every
+// modal object in the thesis moves one protocol at a time — the reactive
+// spin lock along test&set ↔ queue, the reactive fetch-and-op along
+// lock-based central word ↔ queue ↔ combining tree — so a modal object's
+// modes form a chain, and this package is the shape those chains share,
+// extracted so that every future primitive is a table of steps rather
+// than a rewrite.
 //
 // The package deliberately contains only the pure protocol-selection
 // logic:
 //
-//   - Table — an immutable N×N transition table. Each permitted
-//     transition carries the policy direction it reports as
-//     (cheap→scalable or scalable→cheap), the residual cost charged to
-//     a competitive policy when the transition's source mode serves a
-//     request sub-optimally, and the Signal (class of observation) that
-//     votes for it.
+//   - Table — an immutable chain 0 ↔ 1 ↔ … ↔ N-1. Each link has one up
+//     step (toward the more scalable protocol; policy direction 0) and
+//     one down step (toward the cheaper one; direction 1), and each step
+//     carries the residual cost charged to a competitive policy when its
+//     source mode serves a request sub-optimally and the Signal (class of
+//     observation) that votes for it.
 //   - Engine — the goroutine-safe selector used by the native primitives
 //     in package reactive: an epoch-packed mode word changed only by
 //     compare-and-swap (the consensus-object analogue — at most one
-//     writer wins each epoch), per-edge hysteresis streaks or an injected
+//     writer wins each epoch), per-step hysteresis streaks or an injected
 //     policy.Policy serialized by a small randomized-backoff lock.
 //   - Decider — the unsynchronized variant used by the cycle-level
 //     simulator, whose event engine and simulated consensus objects
-//     already serialize detection; it validates transitions against the
-//     same Table and forwards votes to the same policies.
+//     already serialize detection; it validates steps against the same
+//     Table and forwards votes to the same policies.
 //
 // Memory and waiting effects — what a mode *is*, how waiters migrate
 // across a change — stay with the caller; the engine only decides and
@@ -36,6 +37,7 @@ package modal
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/reactive/internal/chaos"
@@ -43,140 +45,110 @@ import (
 )
 
 // Mode indexes a protocol within one modal object. Modes are dense small
-// integers local to the object: a table over N modes uses 0..N-1, and the
-// zero mode is the object's initial (cheapest) protocol.
+// integers local to the object, in chain order: a table over N modes uses
+// 0..N-1, and the zero mode is the object's initial (cheapest) protocol.
 type Mode uint32
 
-// MaxEdges bounds the number of permitted transitions in one Table; the
-// Engine's per-edge streak counters are a fixed-size array so the zero
-// value needs no allocation. N×N tables of practical size (the thesis's
-// largest modal object has N=3 with 4 edges) fit comfortably.
-const MaxEdges = 16
+// streakSlots is the number of steps one Table may hold: the Engine keeps
+// one streak counter per step in a fixed-size array, so the zero value
+// needs no allocation. Eight links (nine modes) fit; the thesis's largest
+// modal object has three modes.
+const streakSlots = 16
 
 // Signal classifies one request a modal object served — the monitoring
 // half of the thesis's monitor/policy split (§3.4). A primitive's
-// detection sites only classify; which edge a class votes for is the
+// detection sites only classify; which step a class votes for is the
 // table's On column, applied by Engine.Observe.
 type Signal uint8
 
 const (
-	// None, the zero value, votes for nothing; as an edge's On it marks a
-	// transition only an explicit TryCommit takes.
+	// None, the zero value, votes for nothing; as a step's On it marks a
+	// step only an explicit TryCommit takes.
 	None Signal = iota
 	// Calm: no contention met — a scalable protocol served sub-optimally.
 	Calm
 	// Busy: contention met — a cheap protocol served sub-optimally.
 	Busy
-	// BusyRead is Busy met by a read-only request. An edge declared
-	// On: BusyRead is voted for by contended reads alone; an edge
+	// BusyRead is Busy met by a read-only request. A step declared
+	// On: BusyRead is voted for by contended reads alone; a step
 	// declared On: Busy accepts both.
 	BusyRead
 )
 
-// accepts reports whether an edge declared On: on takes signal s's vote.
+// accepts reports whether a step declared On: on takes signal s's vote.
 func (on Signal) accepts(s Signal) bool {
 	return s != None && (on == s || on == Busy && s == BusyRead)
 }
 
-// Transition is one permitted protocol change in a Table.
-type Transition struct {
-	From, To Mode
-	// Dir is the policy direction this transition reports detection
-	// events under: by convention 0 for cheap→scalable edges (contention
-	// appeared) and 1 for scalable→cheap edges (contention disappeared),
-	// matching the direction conventions shared by the simulator and the
-	// native primitives.
-	Dir policy.Direction
+// Step is one move along a Table's chain.
+type Step struct {
 	// Residual is the extra cost charged to an injected policy
-	// (policy.Policy.Suboptimal) each time the From protocol serves a
-	// request this edge's detection classifies as sub-optimal.
+	// (policy.Policy.Suboptimal) each time the step's source mode serves
+	// a request this step's detection classifies as sub-optimal.
 	Residual uint64
-	// On is the observation that votes for this transition while From is
-	// selected (see Engine.Observe); every other observation confirms
-	// From over To.
+	// On is the observation that votes for this step while its source
+	// mode is selected (see Engine.Observe); every other observation
+	// confirms the source mode over the step's target.
 	On Signal
 }
 
-// Table is an immutable N×N transition table: which protocol changes a
-// modal object permits, and how each edge's detection events map onto a
-// switching policy. One Table is typically a package-level variable
-// shared by every instance of a primitive; per-instance state lives in
-// the Engine (or Decider).
+// Table is an immutable chain of modes: which protocol changes a modal
+// object permits — one protocol at a time, in either direction — and how
+// each step's detection events map onto a switching policy. One Table is
+// typically a package-level variable shared by every instance of a
+// primitive; per-instance state lives in the Engine (or Decider).
 type Table struct {
-	n     int
-	edges []Transition
-	idx   []int8  // n*n entries, edge index + 1; 0 = transition absent
-	out   [][]int // per mode, the indices of its out-edges
+	// steps is indexed by policy direction: steps[0][i] is the up step
+	// i→i+1, steps[1][i] the down step i+1→i. The step's streak slot is
+	// 2i plus its direction.
+	steps [2][]Step
 }
 
-// NewTable builds a transition table over n modes. It panics — at
-// package init time in practice — on n < 2, more than MaxEdges
-// transitions, an out-of-range or self-looping edge, a duplicate edge, a
-// Dir other than 0 or 1, or a mode with two out-edges one signal would
-// vote for (an observation votes for at most one transition).
-func NewTable(n int, ts []Transition) *Table {
-	if n < 2 {
-		panic("modal: a modal object needs at least 2 modes")
+// NewTable builds the chain whose up[i] is the step i→i+1 (policy
+// direction 0: contention appeared) and whose down[i] is the step i+1→i
+// (direction 1: contention disappeared), over len(up)+1 modes. It panics
+// — at package init time in practice — unless up and down are non-empty
+// and equally long, if the steps outnumber the Engine's streak slots, or
+// if a mode's down and up steps accept one signal (an observation votes
+// for at most one step).
+func NewTable(up, down []Step) *Table {
+	if len(up) == 0 || len(up) != len(down) {
+		panic(fmt.Sprintf("modal: a chain needs as many down steps as up steps, at least one (got %d, %d)", len(up), len(down)))
 	}
-	if len(ts) == 0 {
-		panic("modal: a modal object needs at least one transition")
+	if 2*len(up) > streakSlots {
+		panic(fmt.Sprintf("modal: %d steps exceed the engine's %d streak slots", 2*len(up), streakSlots))
 	}
-	if len(ts) > MaxEdges {
-		panic(fmt.Sprintf("modal: %d transitions exceed MaxEdges=%d", len(ts), MaxEdges))
+	for m := 1; m < len(up); m++ {
+		if d, u := down[m-1].On, up[m].On; d.accepts(u) || u.accepts(d) {
+			panic(fmt.Sprintf("modal: one signal votes for both %d→%d and %d→%d", m, m-1, m, m+1))
+		}
 	}
-	t := &Table{n: n, edges: append([]Transition(nil), ts...), idx: make([]int8, n*n), out: make([][]int, n)}
-	for i, e := range t.edges {
-		if int(e.From) >= n || int(e.To) >= n {
-			panic(fmt.Sprintf("modal: transition %d→%d out of range for %d modes", e.From, e.To, n))
-		}
-		if e.From == e.To {
-			panic(fmt.Sprintf("modal: self-transition %d→%d", e.From, e.To))
-		}
-		at := int(e.From)*n + int(e.To)
-		if t.idx[at] != 0 {
-			panic(fmt.Sprintf("modal: duplicate transition %d→%d", e.From, e.To))
-		}
-		t.idx[at] = int8(i + 1)
-		if e.Dir != 0 && e.Dir != 1 {
-			panic(fmt.Sprintf("modal: transition %d→%d has direction %d, want 0 or 1", e.From, e.To, e.Dir))
-		}
-		for _, j := range t.out[e.From] {
-			if o := t.edges[j]; e.On.accepts(o.On) || o.On.accepts(e.On) {
-				panic(fmt.Sprintf("modal: one signal votes for both %d→%d and %d→%d", e.From, o.To, e.From, e.To))
-			}
-		}
-		t.out[e.From] = append(t.out[e.From], i)
-	}
-	return t
+	return &Table{steps: [2][]Step{slices.Clone(up), slices.Clone(down)}}
 }
 
 // N returns the number of modes.
-func (t *Table) N() int { return t.n }
+func (t *Table) N() int { return len(t.steps[0]) + 1 }
 
-// Transitions returns a copy of the permitted transitions.
-func (t *Table) Transitions() []Transition { return append([]Transition(nil), t.edges...) }
-
-// Has reports whether the table permits the from→to transition.
-func (t *Table) Has(from, to Mode) bool {
-	if int(from) >= t.n || int(to) >= t.n {
-		return false
-	}
-	return t.idx[int(from)*t.n+int(to)] != 0
+// Step returns the from→to step. It panics unless from and to are
+// adjacent modes of the chain.
+func (t *Table) Step(from, to Mode) Step {
+	_, _, s := t.step(from, to)
+	return s
 }
 
-// edge resolves from→to to its dense edge index, panicking on a
-// transition absent from the table — the consensus step every protocol
-// change must pass through; an absent edge is a programming error in the
-// calling primitive, never a data-dependent condition.
-func (t *Table) edge(from, to Mode) int {
-	if int(from) >= t.n || int(to) >= t.n {
-		panic(fmt.Sprintf("modal: mode %d→%d out of range for %d modes", from, to, t.n))
+// step resolves from→to to its streak slot and policy direction,
+// panicking on a move that is not a step of the chain — the consensus
+// step every protocol change must pass through; a non-step is a
+// programming error in the calling primitive, never a data-dependent
+// condition.
+func (t *Table) step(from, to Mode) (slot int, dir policy.Direction, s Step) {
+	switch f, g := int(from), int(to); {
+	case g == f+1 && g < t.N():
+		return 2 * f, 0, t.steps[0][f]
+	case f == g+1 && f < t.N():
+		return 2*g + 1, 1, t.steps[1][g]
 	}
-	i := t.idx[int(from)*t.n+int(to)]
-	if i == 0 {
-		panic(fmt.Sprintf("modal: transition %d→%d absent from table", from, to))
-	}
-	return int(i - 1)
+	panic(fmt.Sprintf("modal: %d→%d is not a step of a %d-mode chain", from, to, t.N()))
 }
 
 // Mode-word layout: the low 32 bits hold the current Mode, the high 32
@@ -205,7 +177,7 @@ type Engine struct {
 	// CAS; everything else only reads it.
 	word atomic.Uint64
 
-	pol policy.Policy // nil: built-in per-edge streak detection
+	pol policy.Policy // nil: built-in per-step streak detection
 
 	// lock serializes calls into pol (policies are deliberately
 	// unsynchronized). Taken only on detection events, never on a
@@ -215,7 +187,7 @@ type Engine struct {
 	lock  atomic.Uint32
 	dirty atomic.Bool // a sub-optimal vote reached pol since the last switch
 
-	streaks  [MaxEdges]atomic.Int32
+	streaks  [streakSlots]atomic.Int32 // one per step, at Table.step's slot
 	switches atomic.Uint64
 }
 
@@ -260,45 +232,70 @@ func (e *Engine) acquire() {
 func (e *Engine) release() { e.lock.Store(0) }
 
 // Observe is the whole detection rule: one request served in mode from
-// was classified as s. The out-edge of from whose On accepts s takes the
-// vote — from was sub-optimal in the way that transition cures — and
-// every other out-edge is confirmed, breaking its streak. fire reports
-// that the caller should attempt from→to now (via TryCommit, after any
-// mode-specific preparation). limits holds the built-in detection's
-// streak thresholds indexed by the voted edge's Dir: the fail limit for
-// cheap→scalable, the empty limit for scalable→cheap.
+// was classified as s. The step out of from whose On accepts s takes the
+// vote — from was sub-optimal in the way that step cures — and the other
+// step out of from, if any, is confirmed, breaking its streak. fire
+// reports that the caller should attempt from→to now (via TryCommit,
+// after any mode-specific preparation). limits holds the built-in
+// detection's streak thresholds indexed by the voted step's direction:
+// the fail limit up the chain, the empty limit down it.
 //
 // An injected policy hears exactly one event per observation: the voted
-// edge's Suboptimal, or — when no edge accepts s — one Optimal. Never
-// both, and never one per edge: the Policy interface keeps no per-edge
-// state, so an Optimal sent for a confirmed edge would erase the
+// step's Suboptimal, or — when no step accepts s — one Optimal, in the
+// down direction if from has a down step and the up direction otherwise.
+// Never both, and never one per step: the Policy interface keeps no
+// per-step state, so an Optimal sent for a confirmed step would erase the
 // pressure the same observation's vote raised (Hysteresis.Optimal zeroes
 // both streaks), and two Optimals would age a WeightedAverage twice for
 // one request. Panics if from is out of range.
 func (e *Engine) Observe(t *Table, from Mode, s Signal, limits [2]int32) (to Mode, fire bool) {
-	out, voted := t.out[from], false
-	for _, i := range out {
-		if ed := &t.edges[i]; ed.On.accepts(s) {
-			to, fire, voted = ed.To, e.Vote(t, from, ed.To, limits[ed.Dir]), true
-		} else if st := &e.streaks[i]; e.pol == nil && st.Load() != 0 {
-			st.Store(0)
+	// The two steps out of from are spelled out rather than looped over or
+	// judged in a helper: Observe is on every primitive's fast path, and
+	// both of those measured 1.5–4 ns slower per call.
+	up, down, f := t.steps[0], t.steps[1], int(from)
+	if f > len(up) {
+		panic(fmt.Sprintf("modal: mode %d out of range for %d modes", from, t.N()))
+	}
+	voted := false
+	if f > 0 { // the down step, at slot 2(f-1)+1
+		if st := &down[f-1]; st.On.accepts(s) {
+			to, fire, voted = from-1, e.vote(2*f-1, 1, st.Residual, limits[1]), true
+		} else if e.pol == nil && e.streaks[2*f-1].Load() != 0 {
+			e.streaks[2*f-1].Store(0)
 		}
 	}
-	if e.pol != nil && !voted && len(out) > 0 {
-		e.optimal(t.edges[out[0]].Dir)
+	if f < len(up) { // the up step, at slot 2f
+		if st := &up[f]; st.On.accepts(s) {
+			to, fire, voted = from+1, e.vote(2*f, 0, st.Residual, limits[0]), true
+		} else if e.pol == nil && e.streaks[2*f].Load() != 0 {
+			e.streaks[2*f].Store(0)
+		}
+	}
+	if e.pol != nil && !voted {
+		dir := policy.Direction(0)
+		if f > 0 {
+			dir = 1
+		}
+		e.optimal(dir)
 	}
 	return to, fire
 }
 
-// Vote is Observe's vote alone, on a named edge: one request served
-// while mode from was sub-optimal in a way the from→to transition would
-// cure, judged against the streak threshold limit — or, with an injected
-// policy, charged the edge's Residual for the policy to decide. Panics if
-// the table does not permit from→to.
+// Vote is Observe's vote alone, on a named step: one request served
+// while mode from was sub-optimal in a way the from→to step would cure,
+// judged against the streak threshold limit — or, with an injected
+// policy, charged the step's Residual for the policy to decide. Panics if
+// from→to is not a step of the table.
 func (e *Engine) Vote(t *Table, from, to Mode, limit int32) bool {
-	i := t.edge(from, to)
+	slot, dir, st := t.step(from, to)
+	return e.vote(slot, dir, st.Residual, limit)
+}
+
+// vote counts one vote for the step at slot: a streak bump with built-in
+// detection, a Suboptimal for an injected policy.
+func (e *Engine) vote(slot int, dir policy.Direction, residual uint64, limit int32) bool {
 	if e.pol == nil {
-		return e.streaks[i].Add(1) >= limit
+		return e.streaks[slot].Add(1) >= limit
 	}
 	e.acquire()
 	// The release is deferred so a panicking user policy cannot leak the
@@ -307,7 +304,7 @@ func (e *Engine) Vote(t *Table, from, to Mode, limit int32) bool {
 	// dirty transitions only under the lock, so a vote racing a switch
 	// cannot leave the flag false while the policy holds pressure.
 	e.dirty.Store(true)
-	return e.pol.Suboptimal(t.edges[i].Dir, t.edges[i].Residual)
+	return e.pol.Suboptimal(dir, residual)
 }
 
 // optimal forwards one optimally served request to the injected policy.
@@ -331,17 +328,17 @@ func (e *Engine) optimal(dir policy.Direction) {
 	}
 }
 
-// TryCommit attempts the from→to transition: the consensus step. It
-// succeeds only if the engine is still in mode from — exactly one caller
-// wins any given epoch, so a primitive performs each protocol change at
-// most once per detection round — and advances the epoch by one in the
-// same atomic word. On success all streaks are reset and the policy is
-// informed. Callers perform mode-specific preparation (building the
-// target protocol's state) before calling, and migration effects (waking
-// stranded waiters) after a true return. Panics if the table does not
-// permit from→to.
+// TryCommit attempts the from→to step: the consensus step. It succeeds
+// only if the engine is still in mode from — exactly one caller wins any
+// given epoch, so a primitive performs each protocol change at most once
+// per detection round — and advances the epoch by one in the same atomic
+// word. On success all streaks are reset and the policy is informed.
+// Callers perform mode-specific preparation (building the target
+// protocol's state) before calling, and migration effects (waking
+// stranded waiters) after a true return. Panics if from→to is not a step
+// of the table.
 func (e *Engine) TryCommit(t *Table, from, to Mode) bool {
-	t.edge(from, to) // validate: every commit passes through the table
+	t.step(from, to) // validate: every commit passes through the table
 	for {
 		w := e.word.Load()
 		if Mode(w&modeMask) != from {
@@ -358,10 +355,10 @@ func (e *Engine) TryCommit(t *Table, from, to Mode) bool {
 	return true
 }
 
-// switched resets detection state after a committed transition.
+// switched resets detection state after a committed step.
 func (e *Engine) switched(t *Table) {
 	if e.pol == nil {
-		for i := range t.edges {
+		for i := range 2 * (t.N() - 1) {
 			e.streaks[i].Store(0)
 		}
 		return
@@ -376,7 +373,7 @@ func (e *Engine) switched(t *Table) {
 // already serialize detection — the cycle-level simulator, whose event
 // engine runs one actor at a time and whose reactive algorithms hold a
 // simulated consensus object across every detection event. It validates
-// transitions against the same Table the native engine uses and forwards
+// steps against the same Table the native engine uses and forwards
 // events to the same policies; the mode itself lives with the caller (in
 // simulated memory), as do streak thresholds computed from simulated
 // signals.
@@ -396,31 +393,28 @@ func NewDecider(t *Table, pol *policy.Policy) *Decider {
 	return &Decider{tab: t, pol: pol}
 }
 
-// Table returns the decider's transition table.
-func (d *Decider) Table() *Table { return d.tab }
-
 // Suboptimal records one request served while mode from was sub-optimal
-// in a way the from→to transition would cure, charging the edge's
-// residual, and reports whether the policy says to switch now. Panics if
-// the table does not permit from→to.
+// in a way the from→to step would cure, charging the step's residual,
+// and reports whether the policy says to switch now. Panics if from→to
+// is not a step of the table.
 func (d *Decider) Suboptimal(from, to Mode) bool {
-	i := d.tab.edge(from, to)
-	return (*d.pol).Suboptimal(d.tab.edges[i].Dir, d.tab.edges[i].Residual)
+	_, dir, st := d.tab.step(from, to)
+	return (*d.pol).Suboptimal(dir, st.Residual)
 }
 
 // Optimal records one request served optimally with respect to the
-// from→to transition. Panics if the table does not permit from→to.
+// from→to step. Panics if from→to is not a step of the table.
 func (d *Decider) Optimal(from, to Mode) {
-	i := d.tab.edge(from, to)
-	(*d.pol).Optimal(d.tab.edges[i].Dir)
+	_, dir, _ := d.tab.step(from, to)
+	(*d.pol).Optimal(dir)
 }
 
 // Switched informs the policy that the from→to protocol change was
 // carried out, validating it against the table — the consensus step a
-// simulated transition must still pass through even though its memory
-// effects happen in simulated memory. Panics if the table does not
-// permit from→to.
+// simulated change must still pass through even though its memory
+// effects happen in simulated memory. Panics if from→to is not a step of
+// the table.
 func (d *Decider) Switched(from, to Mode) {
-	d.tab.edge(from, to)
+	d.tab.step(from, to)
 	(*d.pol).Switched()
 }

@@ -6,42 +6,35 @@ import (
 	"repro/reactive/policy"
 )
 
-// tab3 is a 3-mode chain table mirroring the reactive Map: 0↔1↔2, no
-// direct 0↔2 edge, contention voting up, calm voting down, and the
-// middle mode's up-edge reserved for contended reads.
+// tab3 is a 3-mode chain mirroring the reactive Map: 0↔1↔2, contention
+// voting up, calm voting down, and the middle mode's up step reserved
+// for contended reads.
 func tab3() *Table {
-	return NewTable(3, []Transition{
-		{From: 0, To: 1, Dir: 0, Residual: 150, On: Busy},
-		{From: 1, To: 0, Dir: 1, Residual: 15, On: Calm},
-		{From: 1, To: 2, Dir: 0, Residual: 150, On: BusyRead},
-		{From: 2, To: 1, Dir: 1, Residual: 15, On: Calm},
-	})
+	return NewTable(
+		[]Step{{Residual: 150, On: Busy}, {Residual: 150, On: BusyRead}},
+		[]Step{{Residual: 15, On: Calm}, {Residual: 15, On: Calm}})
 }
 
 // lim3 is a limits pair with the same threshold in both directions.
 var lim3 = [2]int32{3, 3}
 
 func TestNewTableValidation(t *testing.T) {
+	one := []Step{{}}
 	for name, bad := range map[string]func(){
-		"n<2":       func() { NewTable(1, []Transition{{From: 0, To: 0}}) },
-		"empty":     func() { NewTable(2, nil) },
-		"self-loop": func() { NewTable(2, []Transition{{From: 1, To: 1}}) },
-		"range":     func() { NewTable(2, []Transition{{From: 0, To: 2}}) },
-		"duplicate": func() { NewTable(2, []Transition{{From: 0, To: 1}, {From: 0, To: 1}}) },
-		"direction": func() { NewTable(2, []Transition{{From: 0, To: 1, Dir: 2}}) },
-		// One observation votes for at most one transition of a mode.
+		"empty":      func() { NewTable(nil, nil) },
+		"no-down":    func() { NewTable(one, nil) },
+		"mismatched": func() { NewTable(one, []Step{{}, {}}) },
+		"too-many": func() {
+			long := make([]Step, streakSlots/2+1)
+			NewTable(long, long)
+		},
+		// One observation votes for at most one step of a mode: mode 1's
+		// down step (down[0]) and up step (up[1]) must not share a signal.
 		"same-signal": func() {
-			NewTable(3, []Transition{{From: 0, To: 1, On: Calm}, {From: 0, To: 2, On: Calm}})
+			NewTable([]Step{{}, {On: Calm}}, []Step{{On: Calm}, {}})
 		},
 		"busy-takes-busyread": func() {
-			NewTable(3, []Transition{{From: 0, To: 1, On: BusyRead}, {From: 0, To: 2, On: Busy}})
-		},
-		"too-many": func() {
-			ts := make([]Transition, 0, MaxEdges+1)
-			for i := 0; i <= MaxEdges; i++ {
-				ts = append(ts, Transition{From: Mode(i), To: Mode(i + 1)})
-			}
-			NewTable(MaxEdges+2, ts)
+			NewTable([]Step{{}, {On: Busy}}, []Step{{On: BusyRead}, {}})
 		},
 	} {
 		func() {
@@ -53,26 +46,40 @@ func TestNewTableValidation(t *testing.T) {
 			bad()
 		}()
 	}
+	// The longest chain the streak slots hold, and a mode whose two steps
+	// take different signals, are fine.
+	long := make([]Step, streakSlots/2)
+	NewTable(long, long)
+	tab3()
 }
 
-func TestTableHas(t *testing.T) {
+// TestTableStep: Step returns each step as declared, by direction, and
+// panics on every move that is not one step along the chain.
+func TestTableStep(t *testing.T) {
 	tab := tab3()
 	if tab.N() != 3 {
 		t.Fatalf("N = %d, want 3", tab.N())
 	}
 	for _, tc := range []struct {
 		from, to Mode
-		want     bool
+		want     Step
 	}{
-		{0, 1, true}, {1, 0, true}, {1, 2, true}, {2, 1, true},
-		{0, 2, false}, {2, 0, false}, {0, 0, false}, {3, 0, false}, {0, 3, false},
+		{0, 1, Step{150, Busy}}, {1, 0, Step{15, Calm}},
+		{1, 2, Step{150, BusyRead}}, {2, 1, Step{15, Calm}},
 	} {
-		if got := tab.Has(tc.from, tc.to); got != tc.want {
-			t.Errorf("Has(%d,%d) = %v, want %v", tc.from, tc.to, got, tc.want)
+		if got := tab.Step(tc.from, tc.to); got != tc.want {
+			t.Errorf("Step(%d,%d) = %+v, want %+v", tc.from, tc.to, got, tc.want)
 		}
 	}
-	if got := len(tab.Transitions()); got != 4 {
-		t.Errorf("Transitions() has %d edges, want 4", got)
+	for _, tc := range []struct{ from, to Mode }{{0, 2}, {2, 0}, {0, 0}, {2, 3}, {3, 2}, {^Mode(0), 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Step(%d,%d) should panic", tc.from, tc.to)
+				}
+			}()
+			tab.Step(tc.from, tc.to)
+		}()
 	}
 }
 
@@ -84,9 +91,9 @@ func TestEngineZeroValue(t *testing.T) {
 }
 
 // TestEngineStreakDetection pins the built-in hysteresis semantics:
-// limit consecutive votes on one edge approve the transition; an
-// observation the edge's On does not accept breaks the streak; a
-// committed transition resets every streak.
+// limit consecutive votes on one step approve it; an observation the
+// step's On does not accept breaks the streak; a committed step resets
+// every streak.
 func TestEngineStreakDetection(t *testing.T) {
 	tab := tab3()
 	var e Engine
@@ -113,7 +120,7 @@ func TestEngineStreakDetection(t *testing.T) {
 	if e.Mode() != 1 || e.Epoch() != 1 || e.Switches() != 1 {
 		t.Fatalf("after commit: mode=%d epoch=%d switches=%d", e.Mode(), e.Epoch(), e.Switches())
 	}
-	// The commit reset the 1→2 streak too (not just the taken edge's).
+	// The commit reset the 1→2 streak too (not just the taken step's).
 	if e.Vote(tab, 1, 2, 2) {
 		t.Fatal("streaks not reset by commit")
 	}
@@ -143,14 +150,15 @@ func TestEngineAbsentEdgePanics(t *testing.T) {
 	tab := tab3()
 	var e Engine
 	for name, call := range map[string]func(){
-		"vote":    func() { e.Vote(tab, 0, 2, 3) },
-		"observe": func() { e.Observe(tab, 3, Calm, lim3) },
-		"commit":  func() { e.TryCommit(tab, 0, 2) },
+		"vote":           func() { e.Vote(tab, 0, 2, 3) },
+		"observe":        func() { e.Observe(tab, 3, Calm, lim3) },
+		"observe-beyond": func() { e.Observe(tab, 4, Calm, lim3) },
+		"commit":         func() { e.TryCommit(tab, 0, 2) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s on an absent edge or mode should panic", name)
+					t.Errorf("%s on a non-step or an out-of-range mode should panic", name)
 				}
 			}()
 			call()
@@ -158,7 +166,7 @@ func TestEngineAbsentEdgePanics(t *testing.T) {
 	}
 }
 
-// TestEnginePolicyIntegration: an injected policy receives per-edge
+// TestEnginePolicyIntegration: an injected policy receives per-step
 // directions and residuals, Optimal elision re-arms on quiescence, and
 // a commit clears pressure.
 func TestEnginePolicyIntegration(t *testing.T) {
@@ -190,11 +198,11 @@ func TestEnginePolicyIntegration(t *testing.T) {
 }
 
 // TestEngineCompetitiveResiduals: the 3-competitive policy accumulates
-// the per-edge residual cost defined by the table.
+// the per-step residual cost defined by the table.
 func TestEngineCompetitiveResiduals(t *testing.T) {
 	tab := tab3()
 	var e Engine
-	e.SetPolicy(policy.NewCompetitive(300)) // = 2 × the up-edge residual
+	e.SetPolicy(policy.NewCompetitive(300)) // = 2 × the up-step residual
 	if e.Vote(tab, 0, 1, 99) {
 		t.Fatal("competitive switched below threshold")
 	}
@@ -214,7 +222,7 @@ func TestDeciderForwardsEdgeEvents(t *testing.T) {
 		t.Fatal("hysteresis(2,1) did not switch on second up-vote")
 	}
 	d.Switched(0, 1)
-	// Down-edge threshold is 1: a single vote switches.
+	// Down-step threshold is 1: a single vote switches.
 	if !d.Suboptimal(1, 0) {
 		t.Fatal("down-direction vote did not reach the policy with dir=1")
 	}
@@ -226,7 +234,7 @@ func TestDeciderForwardsEdgeEvents(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("Suboptimal on an absent edge should panic")
+				t.Error("Suboptimal on a non-step should panic")
 			}
 		}()
 		d.Suboptimal(0, 2)
@@ -234,7 +242,7 @@ func TestDeciderForwardsEdgeEvents(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("Switched on an absent edge should panic")
+				t.Error("Switched on a non-step should panic")
 			}
 		}()
 		d.Switched(2, 0)

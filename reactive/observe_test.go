@@ -8,8 +8,7 @@ import (
 	"repro/reactive/policy"
 )
 
-// shippedTables is every transition table a primitive in this package
-// runs on.
+// shippedTables is every chain a primitive in this package runs on.
 var shippedTables = map[string]*modal.Table{
 	"spin/park":  spinParkTable,
 	"rw-readers": readerShardTable,
@@ -23,9 +22,9 @@ var allSignals = []modal.Signal{modal.None, modal.Calm, modal.Busy, modal.BusyRe
 // Quiescer, so once a Suboptimal has marked the engine dirty every later
 // Optimal reaches it instead of being elided.
 type countingPolicy struct {
-	sub, opt int
-	dir      policy.Direction
-	residual uint64
+	sub, opt    int
+	dir, optDir policy.Direction
+	residual    uint64
 }
 
 func (p *countingPolicy) Name() string { return "counting" }
@@ -34,74 +33,93 @@ func (p *countingPolicy) Suboptimal(d policy.Direction, r uint64) bool {
 	p.dir, p.residual = d, r
 	return false
 }
-func (p *countingPolicy) Optimal(policy.Direction) { p.opt++ }
-func (p *countingPolicy) Switched()                {}
+func (p *countingPolicy) Optimal(d policy.Direction) { p.opt++; p.optDir = d }
+func (p *countingPolicy) Switched()                  {}
 
-// votedEdge is the test's own statement of the On column's meaning: the
-// out-edge of from that signal s votes for, if any.
-func votedEdge(t *modal.Table, from modal.Mode, s modal.Signal) (modal.Transition, bool) {
-	for _, e := range t.Transitions() {
-		if e.From == from && s != modal.None && (e.On == s || e.On == modal.Busy && s == modal.BusyRead) {
-			return e, true
+// step names one step of a chain, between adjacent modes.
+type step struct{ from, to modal.Mode }
+
+// stepsOf lists every step of tab: per link, up then down.
+func stepsOf(tab *modal.Table) []step {
+	var ss []step
+	for m := modal.Mode(0); int(m)+1 < tab.N(); m++ {
+		ss = append(ss, step{m, m + 1}, step{m + 1, m})
+	}
+	return ss
+}
+
+// votedStep is the test's own statement of the On column's meaning: the
+// step out of from that signal s votes for, if any.
+func votedStep(t *modal.Table, from modal.Mode, s modal.Signal) (step, bool) {
+	for _, st := range stepsOf(t) {
+		if on := t.Step(st.from, st.to).On; st.from == from && s != modal.None && (on == s || on == modal.Busy && s == modal.BusyRead) {
+			return st, true
 		}
 	}
-	return modal.Transition{}, false
+	return step{}, false
 }
 
 // streakIs probes a built-in streak through Vote, which adds one per
 // call: the first probe holds iff the streak was ≥ want, the second iff
 // it was ≤ want.
-func streakIs(e *modal.Engine, t *modal.Table, ed modal.Transition, want int32) bool {
-	return e.Vote(t, ed.From, ed.To, want+1) && !e.Vote(t, ed.From, ed.To, want+3)
+func streakIs(e *modal.Engine, t *modal.Table, st step, want int32) bool {
+	return e.Vote(t, st.from, st.to, want+1) && !e.Vote(t, st.from, st.to, want+3)
 }
 
 // TestObserveOneEventPerObservation covers the whole rule over every
 // shipped table × mode × signal. An injected policy hears exactly one
-// event per observation — the voted edge's Suboptimal with that edge's
-// direction and residual, otherwise one Optimal, never one per out-edge.
-// The built-in path bumps the voted edge's streak, zeroes the mode's
-// other out-edges, and leaves every other mode's streaks alone.
+// event per observation — the voted step's Suboptimal with that step's
+// direction and residual, otherwise one Optimal, down the chain where the
+// mode has a down step and up it from mode 0, never one per step. The
+// built-in path bumps the voted step's streak, zeroes the mode's other
+// step, and leaves every other mode's streaks alone.
 func TestObserveOneEventPerObservation(t *testing.T) {
 	never := [2]int32{1 << 20, 1 << 20}
+	dirOf := func(down bool) policy.Direction { // 0 up the chain, 1 down it
+		if down {
+			return 1
+		}
+		return 0
+	}
 	for name, tab := range shippedTables {
-		edges := tab.Transitions()
+		steps := stepsOf(tab)
 		for from := modal.Mode(0); int(from) < tab.N(); from++ {
 			for _, s := range allSignals {
-				voted, any := votedEdge(tab, from, s)
+				voted, any := votedStep(tab, from, s)
 
 				var pol countingPolicy
 				var e modal.Engine
 				e.SetPolicy(&pol)
-				e.Vote(tab, edges[0].From, edges[0].To, 1) // mark the engine dirty
+				e.Vote(tab, steps[0].from, steps[0].to, 1) // mark the engine dirty
 				pol = countingPolicy{}
 				e.Observe(tab, from, s, never)
 				switch {
 				case pol.sub+pol.opt != 1:
 					t.Errorf("%s mode %d signal %d: %d Suboptimal + %d Optimal, want one event", name, from, s, pol.sub, pol.opt)
-				case any && (pol.sub != 1 || pol.dir != voted.Dir || pol.residual != voted.Residual):
-					t.Errorf("%s mode %d signal %d: policy heard %+v, want one Suboptimal(%d, %d)", name, from, s, pol, voted.Dir, voted.Residual)
-				case !any && pol.opt != 1:
-					t.Errorf("%s mode %d signal %d: policy heard %+v, want one Optimal", name, from, s, pol)
+				case any && (pol.sub != 1 || pol.dir != dirOf(voted.to < voted.from) || pol.residual != tab.Step(voted.from, voted.to).Residual):
+					t.Errorf("%s mode %d signal %d: policy heard %+v, want one Suboptimal on %d→%d", name, from, s, pol, voted.from, voted.to)
+				case !any && (pol.opt != 1 || pol.optDir != dirOf(from > 0)):
+					t.Errorf("%s mode %d signal %d: policy heard %+v, want one Optimal(%d)", name, from, s, pol, dirOf(from > 0))
 				}
 
-				for _, probe := range edges {
+				for _, probe := range steps {
 					var b modal.Engine
-					for _, ed := range edges { // every streak at 2
-						b.Vote(tab, ed.From, ed.To, never[0])
-						b.Vote(tab, ed.From, ed.To, never[0])
+					for _, st := range steps { // every streak at 2
+						b.Vote(tab, st.from, st.to, never[0])
+						b.Vote(tab, st.from, st.to, never[0])
 					}
-					if to, fire := b.Observe(tab, from, s, never); fire || (any && to != voted.To) {
+					if to, fire := b.Observe(tab, from, s, never); fire || (any && to != voted.to) {
 						t.Errorf("%s mode %d signal %d: Observe = (%d, %v) below the limit", name, from, s, to, fire)
 					}
 					want := int32(2)
-					if probe.From == from {
+					if probe.from == from {
 						want = 0
-						if any && probe.To == voted.To {
+						if any && probe.to == voted.to {
 							want = 3
 						}
 					}
 					if !streakIs(&b, tab, probe, want) {
-						t.Errorf("%s mode %d signal %d: streak of %d→%d is not %d", name, from, s, probe.From, probe.To, want)
+						t.Errorf("%s mode %d signal %d: streak of %d→%d is not %d", name, from, s, probe.from, probe.to, want)
 					}
 				}
 			}
@@ -111,8 +129,8 @@ func TestObserveOneEventPerObservation(t *testing.T) {
 
 // TestMapContendedWriteIsOnePolicyEvent pins WithPolicy's documented
 // rule at the primitive: a contended sharded-mode write votes for
-// neither out-edge, and that is one Optimal — not one per out-edge,
-// which aged a WeightedAverage twice for one operation.
+// neither step out of sharded, and that is one Optimal — not one per
+// step, which aged a WeightedAverage twice for one operation.
 func TestMapContendedWriteIsOnePolicyEvent(t *testing.T) {
 	var pol countingPolicy
 	m := NewMap[int, int](WithInitialMode(ModeSharded), WithPolicy(&pol))
@@ -156,7 +174,7 @@ func reachable(tab *modal.Table) []modal.Mode {
 // TestDetectionReachability states which modes detection can select as
 // an assertion on the tables: every mode of the spin/park, reader
 // registration and map chains, and of the fetch-op chain everything but
-// ModeCombining, whose only in-edge no observation votes for.
+// ModeCombining, whose only in-step no observation votes for.
 func TestDetectionReachability(t *testing.T) {
 	for name, tab := range shippedTables {
 		want := []modal.Mode{0, 1, 2}[:tab.N()]

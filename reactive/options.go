@@ -86,12 +86,12 @@ func WithPollIters(n int) Option {
 // reactive algorithms: direction 0 is cheap→scalable (contention
 // appeared), direction 1 is scalable→cheap (contention disappeared), and
 // the residual costs are ResidualCheapHigh and ResidualScalableLow —
-// the per-edge Dir/Residual values of the primitive's reactive/modal
-// transition table. The policy hears exactly one event per observed
+// the up and down steps' Residual values in the primitive's
+// reactive/modal chain. The policy hears exactly one event per observed
 // operation (modal.Engine.Observe): Suboptimal when the operation votes
-// for a transition out of the current protocol, otherwise one Optimal —
-// never both, and never one per transition the protocol could take, so
-// a contended write on a sharded Map ages a WeightedAverage once.
+// for a step out of the current protocol, otherwise one Optimal — never
+// both, and never one per step the protocol could take, so a contended
+// write on a sharded Map ages a WeightedAverage once.
 func WithPolicy(p policy.Policy) Option {
 	return func(c *config) { c.pol = p }
 }
@@ -108,12 +108,10 @@ func WithPolicy(p policy.Policy) Option {
 //
 // Valid modes per constructor: New accepts ModeSpin and ModePark;
 // NewCounter and NewFetchOp accept ModeCAS, ModeSharded, and
-// ModeCombining; NewRWMutex accepts ModeSpin/ModePark (its writer
-// mutex) or ModeCAS/ModeSharded/ModeEpoch (the reader registration
-// protocol) — the two mode spaces are disjoint, so one option
-// configures either engine; NewMap accepts ModeLocked, ModeSharded,
-// and ModeEpoch. The constructor panics on a mode the primitive has no
-// protocol for.
+// ModeCombining; NewRWMutex accepts ModeSpin and ModePark, for its
+// writer mutex (WithInitialReaderMode starts its reader registration
+// protocol); NewMap accepts ModeLocked, ModeSharded, and ModeEpoch. The
+// constructor panics on a mode the primitive has no protocol for.
 func WithInitialMode(m Mode) Option {
 	if m > ModeLocked {
 		panic("reactive: WithInitialMode requires a valid Mode")
@@ -125,8 +123,8 @@ func WithInitialMode(m Mode) Option {
 // protocol in mode m — ModeCAS (the centralized word), ModeSharded
 // (per-P cells), or ModeEpoch (per-P epoch stamps) — walking the
 // registration chain at construction time, exactly as WithInitialMode
-// does for the primary engine. Unlike WithInitialMode it addresses the
-// registration engine specifically, so it composes with a
+// does for the writer mutex. It is the only option that addresses the
+// registration engine, so it composes with a
 // WithInitialMode(ModeSpin/ModePark) writer-mutex choice, and it lets
 // benchmarks and small-GOMAXPROCS hosts pin any of the three reader
 // protocols regardless of whether the host's parallelism would trigger
@@ -159,14 +157,13 @@ func (c *config) tunables() config {
 
 // walkTo is WithInitialMode's construction-time chain walk, shared by
 // every constructor: it drives eng from wherever it is to m's position in
-// modes — the engine's public modes in chain order — one edge per step,
-// so the tables' no-shortcut rule holds, and reports false, leaving eng
-// alone, when modes has no m (the constructor's panic). step is the
-// primitive's own switch routine, which builds the target protocol's
-// state before committing; it runs without the exclusion a live switch
-// needs, sound only because the primitive is not yet shared. M lets step
-// be spelled over engine indices or public modes (for the spin/park
-// engines they coincide).
+// modes — the engine's public modes in chain order — one step at a time,
+// and reports false, leaving eng alone, when modes has no m (the
+// constructor's panic). step is the primitive's own switch routine,
+// which builds the target protocol's state before committing; it runs
+// without the exclusion a live switch needs, sound only because the
+// primitive is not yet shared. M lets step be spelled over engine
+// indices or public modes (for the spin/park engines they coincide).
 func walkTo[M ~uint32](eng *modal.Engine, modes []Mode, m Mode, step func(from, to M)) bool {
 	i := slices.Index(modes, m)
 	if i < 0 {

@@ -75,17 +75,6 @@ import (
 	"repro/reactive/internal/chaos"
 	"repro/reactive/internal/waitq"
 	"repro/reactive/modal"
-	"repro/reactive/policy"
-)
-
-// Policy directions shared by every primitive in this package: 0 votes
-// toward a more scalable protocol (contention appeared while a cheaper
-// protocol was selected), 1 votes toward a cheaper protocol (contention
-// disappeared while a more scalable protocol was selected). These match
-// the direction conventions of the simulator's reactive algorithms.
-const (
-	dirScaleUp   policy.Direction = 0
-	dirScaleDown policy.Direction = 1
 )
 
 // Mode identifies the protocol an adaptive primitive is currently using.
@@ -120,7 +109,7 @@ const (
 	// update contention, but every read pays a full reconciling sweep.
 	ModeSharded
 	// ModeCombining is the third stage of FetchOp's (and Counter's)
-	// transition table, the combining-tree analogue: updates land in
+	// chain, the combining-tree analogue: updates land in
 	// per-processor cells and updaters batch-fold the cells into the
 	// shared word once enough operations accumulate. It is dominated by
 	// ModeSharded by construction — an update is the sharded update plus
@@ -183,14 +172,13 @@ const (
 
 var spinParkModes = []Mode{ModeSpin, ModePark}
 
-// spinParkTable is Mutex's 2-mode transition table — and only Mutex's:
+// spinParkTable is Mutex's 2-mode chain, spin ↔ park — and only Mutex's:
 // RWMutex and Map run it through their embedded writer Mutex. It is the
 // degenerate — but still consensus-serialized — modal object of the
 // thesis's reactive spin lock.
-var spinParkTable = modal.NewTable(2, []modal.Transition{
-	{From: mSpin, To: mPark, Dir: dirScaleUp, Residual: ResidualCheapHigh, On: modal.Busy},
-	{From: mPark, To: mSpin, Dir: dirScaleDown, Residual: ResidualScalableLow, On: modal.Calm},
-})
+var spinParkTable = modal.NewTable(
+	[]modal.Step{{Residual: ResidualCheapHigh, On: modal.Busy}},
+	[]modal.Step{{Residual: ResidualScalableLow, On: modal.Calm}})
 
 // signalOf classifies one request by whether it met contention — all a
 // detection site says; what that votes for is its table's On column.
@@ -283,10 +271,10 @@ func (c *config) pollBudget() int32 {
 	return DefaultPollIters
 }
 
-// limits is the streak-threshold pair Observe indexes by an edge's
+// limits is the streak-threshold pair Observe indexes by a step's
 // direction: the fail limit scaling up, the empty limit scaling down.
 func (c *config) limits() [2]int32 {
-	return [2]int32{dirScaleUp: c.failLimit(), dirScaleDown: c.emptyLim()}
+	return [2]int32{c.failLimit(), c.emptyLim()}
 }
 
 // Stats is the one observability surface shared by every primitive in

@@ -176,7 +176,7 @@ func TestHandlerReaderEngineRate(t *testing.T) {
 	// RWMutex's reader registration switches count toward the switch
 	// rate, and the delta carries the reader sub-struct.
 	var reg Registry
-	rw := reactive.NewRWMutex(reactive.WithInitialMode(reactive.ModeSharded))
+	rw := reactive.NewRWMutex(reactive.WithInitialReaderMode(reactive.ModeSharded))
 	reg.Register("routes", rw)
 	h, clk := newTestHandler(&reg)
 	h.report()

@@ -31,23 +31,19 @@ const (
 
 var readerModes = []Mode{ModeCAS, ModeSharded, ModeEpoch}
 
-// readerShardTable is the 3-mode transition table of RWMutex's reader
-// registration protocol (centralized word ↔ BRAVO-style per-P deposits ↔
-// per-P epoch stamps — a chain with no shortcut edge, mirroring
-// FetchOp's N=3 chain).
-var readerShardTable = modal.NewTable(3, []modal.Transition{
-	{From: rCentral, To: rSharded, Dir: dirScaleUp, Residual: ResidualCheapHigh, On: modal.Busy},
-	{From: rSharded, To: rCentral, Dir: dirScaleDown, Residual: ResidualScalableLow, On: modal.Calm},
-	{From: rSharded, To: rEpoch, Dir: dirScaleUp, Residual: ResidualCheapHigh, On: modal.Busy},
-	{From: rEpoch, To: rSharded, Dir: dirScaleDown, Residual: ResidualScalableLow, On: modal.Calm},
-})
+// readerShardTable is the 3-mode chain of RWMutex's reader registration
+// protocol: centralized word ↔ BRAVO-style per-P deposits ↔ per-P epoch
+// stamps, mirroring FetchOp's N=3 chain.
+var readerShardTable = modal.NewTable(
+	[]modal.Step{{Residual: ResidualCheapHigh, On: modal.Busy}, {Residual: ResidualCheapHigh, On: modal.Busy}},
+	[]modal.Step{{Residual: ResidualScalableLow, On: modal.Calm}, {Residual: ResidualScalableLow, On: modal.Calm}})
 
-// RWReaderTable returns the transition table RWMutex's reader
-// registration protocol runs on: mode index 0 = ModeCAS (centralized
-// word), 1 = ModeSharded (per-P cells validated against that word),
-// 2 = ModeEpoch (the same cells validated against the epoch gate) — the
-// first two follow FetchOpTable's ModeCAS + i convention, index 2 is the
-// public ModeEpoch. The table is immutable and shared; it is exported so
+// RWReaderTable returns the chain RWMutex's reader registration
+// protocol runs on: mode index 0 = ModeCAS (centralized word), 1 =
+// ModeSharded (per-P cells validated against that word), 2 = ModeEpoch
+// (the same cells validated against the epoch gate) — the first two
+// follow FetchOpTable's ModeCAS + i convention, index 2 is the public
+// ModeEpoch. The table is immutable and shared; it is exported so
 // harnesses and experiments can drive the exact state machine the
 // primitive uses rather than a hand-maintained copy.
 func RWReaderTable() *modal.Table { return readerShardTable }
@@ -161,38 +157,31 @@ type RWMutex struct {
 // NewRWMutex builds an RWMutex configured by opts. NewRWMutex() with no
 // options is equivalent to a zero-value RWMutex. The threshold and
 // polling options configure both the embedded writer mutex and the
-// registration protocol's streaks. A policy installed with WithPolicy
-// governs the writer mutex's spin↔park engine: policy instances must not
-// be shared between primitives — or between the engines of one
-// primitive — so the registration engine always uses the built-in streak
-// detection (with the same thresholds).
+// registration protocol's streaks. One option addresses each engine: a
+// policy installed with WithPolicy, and WithInitialMode (ModeSpin or
+// ModePark), govern the writer mutex's spin↔park engine;
+// WithInitialReaderMode starts the registration engine, which always
+// uses the built-in streak detection (with the same thresholds) because
+// policy instances must not be shared between primitives — or between
+// the engines of one primitive.
 func NewRWMutex(opts ...Option) *RWMutex {
 	rw := &RWMutex{}
 	rw.cfg.apply(opts)
 	rw.w.cfg = rw.cfg.tunables()
 	rw.w.eng.SetPolicy(rw.cfg.pol)
-	// Registration commits at construction time are sound without writer
-	// exclusion only because the lock is not yet shared: no reader exists
-	// to span them.
-	stepReg := func(from, to modal.Mode) { rw.commitReaderMode(from, to, false) }
-	// The writer mutex's and the registration engine's mode spaces are
-	// disjoint, so WithInitialMode addresses whichever of them has the
-	// mode.
-	if m := rw.cfg.initMode; rw.cfg.initModeSet &&
-		!walkTo(&rw.w.eng, spinParkModes, m, rw.w.switchMode) && !walkTo(&rw.reng, readerModes, m, stepReg) {
-		panic("reactive: NewRWMutex supports initial modes ModeSpin, ModePark, ModeCAS, ModeSharded, and ModeEpoch")
+	if rw.cfg.initModeSet && !walkTo(&rw.w.eng, spinParkModes, rw.cfg.initMode, rw.w.switchMode) {
+		panic("reactive: NewRWMutex supports initial modes ModeSpin and ModePark (WithInitialReaderMode starts the reader registration protocol)")
 	}
 	if rw.cfg.initRModeSet {
-		// WithInitialReaderMode addresses the registration engine
-		// specifically (and has validated its mode); applied after
-		// WithInitialMode, so when both name a registration mode the
-		// reader-specific option wins.
-		walkTo(&rw.reng, readerModes, rw.cfg.initRMode, stepReg)
+		// Registration commits at construction time are sound without
+		// writer exclusion only because the lock is not yet shared: no
+		// reader exists to span them.
+		walkTo(&rw.reng, readerModes, rw.cfg.initRMode, func(from, to modal.Mode) { rw.commitReaderMode(from, to, false) })
 	}
 	return rw
 }
 
-// commitReaderMode commits one edge of the registration chain. The
+// commitReaderMode commits one step of the registration chain. The
 // caller has full writer exclusion (claimed: it is a writer inside its
 // critical section) or an unshared lock, which is what guarantees no
 // reader's RLock/RUnlock pair spans the change. Every site commits

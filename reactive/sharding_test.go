@@ -158,7 +158,7 @@ func TestWithInitialMode(t *testing.T) {
 	if got := f.Value(); got != 50 {
 		t.Fatalf("forced-combining FetchOp Value = %d, want 50", got)
 	}
-	rw := NewRWMutex(WithInitialMode(ModeSharded))
+	rw := NewRWMutex(WithInitialReaderMode(ModeSharded))
 	if got := rw.Stats().Readers.Mode; got != ModeSharded {
 		t.Fatalf("RWMutex initial registration mode = %v, want sharded", got)
 	}
@@ -185,6 +185,11 @@ func TestWithInitialModeInvalid(t *testing.T) {
 		"counter-spin":      func() { NewCounter(WithInitialMode(ModeSpin)) },
 		"fetchop-park":      func() { NewFetchOp(func(a, b int64) int64 { return a + b }, 0, WithInitialMode(ModePark)) },
 		"rwmutex-combining": func() { NewRWMutex(WithInitialMode(ModeCombining)) },
+		// WithInitialMode starts RWMutex's writer mutex only; the reader
+		// modes go through WithInitialReaderMode.
+		"rwmutex-cas":     func() { NewRWMutex(WithInitialMode(ModeCAS)) },
+		"rwmutex-sharded": func() { NewRWMutex(WithInitialMode(ModeSharded)) },
+		"rwmutex-epoch":   func() { NewRWMutex(WithInitialMode(ModeEpoch)) },
 	} {
 		func() {
 			defer func() {
