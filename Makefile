@@ -137,7 +137,7 @@ fuzz-short:
 
 # The grep keeps detection spelled once: which observation votes for
 # which edge is the tables' On column behind modal.Engine.Observe, so a
-# hand-wired Vote/Good call in the primitives or the experiment traces
+# hand-wired Vote call in the primitives or the experiment traces
 # is a second spelling coming back. The second grep does the same for the
 # simulator: the TTS spin, the queue entry and the protocol changes are
 # internal/core/lockpair.go's, so the two reactive algorithms built on it
@@ -154,7 +154,7 @@ fuzz-short:
 # loop of its own and then calls Wait with a zero budget.
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
-	@out="$$(grep -nE '\.(Vote|Good)\(' reactive/*.go internal/experiments/*.go | grep -v _test.go)"; if [ -n "$$out" ]; then echo "hand-wired detection (use Engine.Observe):"; echo "$$out"; exit 1; fi
+	@out="$$(grep -nE '\.Vote\(' reactive/*.go internal/experiments/*.go | grep -v _test.go)"; if [ -n "$$out" ]; then echo "hand-wired detection (use Engine.Observe):"; echo "$$out"; exit 1; fi
 	@out="$$(cd internal/core && grep -n -e 'FetchAndStore(' -e 'TestAndSet(' reactivelock.go reactivefop.go)"; \
 	if echo "$$out" | grep -q 'FetchAndStore(' || [ "$$(echo "$$out" | grep -c .)" -gt 1 ]; then echo "TTS/queue protocol re-spelled outside lockpair.go:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rn '\.(\*waiting\.' --include='*.go' .)"; if [ -n "$$out" ]; then echo "type assertion on the one waiting algorithm (compare Lpoll instead):"; echo "$$out"; exit 1; fi

@@ -104,9 +104,6 @@ func NewCombTree(mem *memsys.System, nleaves int, patience machine.Time) *CombTr
 // Name implements FetchOp.
 func (t *CombTree) Name() string { return "combining-tree" }
 
-// Central returns the address of the fetch-and-op variable.
-func (t *CombTree) Central() memsys.Addr { return t.central }
-
 // LockRoot and UnlockRoot bracket atomic access to the root node — the
 // consensus object — by a process that is not climbing the tree.
 func (t *CombTree) LockRoot(c machine.Context)   { t.lockNode(c, t.nodes[1]) }
@@ -234,6 +231,3 @@ func (t *CombTree) distribute(c machine.Context, partners []ctPartner, base uint
 		}
 	}
 }
-
-// SetPatience adjusts the combining window (tuning; Section 3.7.2).
-func (t *CombTree) SetPatience(p machine.Time) { t.patience = p }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/reactive"
 )
 
 // shortOpts are the bounded options every test runs under: a fraction
@@ -390,5 +391,26 @@ func TestServiceDirect(t *testing.T) {
 	s.RecordLatency(99)
 	if s.PeakLatency() != 1234 {
 		t.Fatalf("peak %d", s.PeakLatency())
+	}
+}
+
+// TestForcedRouterModeHolds: a forced routing map is still in its mode
+// after the service's filling Puts and a further round of writes, so a
+// forced scenario slice measures the protocol it names.
+func TestForcedRouterModeHolds(t *testing.T) {
+	ctx := context.Background()
+	for _, m := range []reactive.Mode{reactive.ModeLocked, reactive.ModeSharded, reactive.ModeEpoch} {
+		s := NewServiceFor(m)
+		if got := s.RouterStats().Mode; got != m {
+			t.Errorf("NewServiceFor(%v): router in %v after the fill", m, got)
+		}
+		for k := uint64(0); k < TableKeys; k++ {
+			if err := s.Put(ctx, k, k, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := s.RouterStats().Mode; got != m {
+			t.Errorf("NewServiceFor(%v): router in %v after %d more Puts", m, got, TableKeys)
+		}
 	}
 }

@@ -59,7 +59,7 @@ type Spec struct {
 // the (identical) plan against a fresh service; zero fields set nothing.
 type Variant struct {
 	Procs      int           // > 0: GOMAXPROCS for the slice
-	RouterMode reactive.Mode // nonzero: force the routing map's initial protocol
+	RouterMode reactive.Mode // nonzero: pin the routing map to this protocol
 }
 
 // Scenarios returns the load-scenario matrix in its canonical order.
@@ -70,14 +70,6 @@ func Scenarios() []Spec {
 			Mix:         "95% get (2ms deadline) / 5% put",
 			Stress:      "reader-path adaptivity: the routing map's locked/sharded/epoch chain under steady load",
 			DefaultRate: 3000,
-			Draw:        readHeavyMix,
-		},
-		{
-			Name:        "read-heavy-epoch",
-			Mix:         "95% get (2ms deadline) / 5% put; routing map forced to epoch",
-			Stress:      "epoch-stamp read path and writer grace periods under steady load",
-			DefaultRate: 3000,
-			Variants:    []Variant{{RouterMode: reactive.ModeEpoch}},
 			Draw:        readHeavyMix,
 		},
 		{
@@ -251,7 +243,7 @@ const (
 	cancelMean  = 300 * time.Microsecond
 )
 
-// readHeavyMix is the steady 95/5 get/put mix five scenarios share;
+// readHeavyMix is the steady 95/5 get/put mix four scenarios share;
 // they differ in what runs it (churn, variants), not in the plan's shape.
 func readHeavyMix(_ time.Duration, rng *sim.Rand) Req {
 	if rng.Intn(100) < 95 {

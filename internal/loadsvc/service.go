@@ -57,9 +57,8 @@ type Service struct {
 	hits    *reactive.Counter             // total requests accepted
 	peak    *reactive.FetchOp             // max-aggregated request latency (ns)
 
-	puts   int                               // guarded by journal: snapshot cadence
 	snap   atomic.Pointer[map[uint64]uint64] // last published immutable snapshot
-	logLen int64                             // guarded by journal: committed journal entries
+	logLen int64                             // guarded by journal: committed journal entries, the snapshot cadence
 
 	reg *reactivehttp.Registry
 }
@@ -69,16 +68,18 @@ type Service struct {
 // under the names "router", "journal", "hits", and "peak".
 func NewService() *Service { return NewServiceFor(0) }
 
-// NewServiceFor builds a Service whose routing map starts in protocol
-// mode when that is nonzero (ModeLocked, ModeSharded, or ModeEpoch — the
-// epoch scenarios force ModeEpoch so the harness measures the
-// published-table read path regardless of whether the host's
-// parallelism would promote it). The map stays fully adaptive
-// afterward — the forcing is an initial condition, not a pin.
+// NewServiceFor builds a Service whose routing map is pinned to protocol
+// mode when that is nonzero (ModeLocked, ModeSharded, or ModeEpoch), so a
+// scenario measures that protocol whatever the load would promote or
+// demote it to. The pin is the benchmark's forcing: the initial mode plus
+// detection limits no run reaches, which the map's writer mutex inherits.
+// With mode 0 the map is fully adaptive.
 func NewServiceFor(mode reactive.Mode) *Service {
 	var ropts []reactive.Option
 	if mode != 0 {
-		ropts = append(ropts, reactive.WithInitialMode(mode))
+		const never = 1 << 30
+		ropts = append(ropts, reactive.WithInitialMode(mode),
+			reactive.WithSpinFailLimit(never), reactive.WithEmptyLimit(never))
 	}
 	s := &Service{
 		routes:  reactive.NewMap[uint64, uint64](ropts...),
@@ -164,8 +165,7 @@ func (s *Service) Put(ctx context.Context, key, val uint64, work uint32) error {
 		return err
 	}
 	s.logLen++
-	s.puts++
-	republish := s.puts%snapshotEvery == 0
+	republish := s.logLen%snapshotEvery == 0
 	spinWork(work / 2)
 	s.journal.Unlock()
 

@@ -44,9 +44,6 @@ func New(d, c [][]float64) (*System, error) {
 // States returns n, the number of states.
 func (s *System) States() int { return len(s.D) }
 
-// Tasks returns m, the number of task types.
-func (s *System) Tasks() int { return len(s.C[0]) }
-
 // OfflineOptimal returns the minimum total cost of serving seq starting in
 // state start, for a lookahead-one system (the algorithm may change state
 // before serving each request). Standard DP over (position, state).

@@ -99,7 +99,6 @@ type Thread struct {
 	started bool
 
 	doneWaiters []*Thread
-	done        bool
 }
 
 // Spawn creates a thread named name on processor proc running f, beginning
@@ -165,7 +164,6 @@ func (s *Scheduler) dispatchNext(proc int) {
 // exit terminates the thread, waking joiners and dispatching a successor.
 func (t *Thread) exit() {
 	t.state = StateDead
-	t.done = true
 	t.sched.live--
 	for _, w := range t.doneWaiters {
 		w.makeReady()
@@ -218,11 +216,11 @@ func (t *Thread) Yield() {
 // Join blocks until other has finished. (Joining is a signaling wait: the
 // caller blocks and is reenabled by the exiting thread.)
 func (t *Thread) Join(other *Thread) {
-	if other.done {
+	if other.state == StateDead {
 		return
 	}
 	t.Advance(t.sched.costs.Unload)
-	if other.done {
+	if other.state == StateDead {
 		return
 	}
 	t.state = StateBlocked

@@ -13,7 +13,7 @@ import (
 // ReproVersion is the artifact format version. Bump it when the layout
 // or the meaning of a field changes; DecodeRepro rejects other
 // versions rather than silently replaying a different experiment.
-const ReproVersion = "torture/v1"
+const ReproVersion = "torture/v2"
 
 // Repro is the complete, replayable description of one torture run:
 // the case, the derived seed every worker op stream comes from, the

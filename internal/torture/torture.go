@@ -87,7 +87,7 @@ func newPRNG(caseSeed uint64, worker int) *prng {
 func (p *prng) next() uint64 {
 	p.s += 0x9e3779b97f4a7c15
 	z := p.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4b289
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }

@@ -69,6 +69,14 @@ func TestReproDeterministic(t *testing.T) {
 	}
 }
 
+// TestPRNGIsSplitMix64: the op stream is SplitMix64, checked against its
+// published first output from state 0.
+func TestPRNGIsSplitMix64(t *testing.T) {
+	if got := (&prng{}).next(); got != 0xe220a8397b1dcdaf {
+		t.Fatalf("first output from state 0 = %#x, want SplitMix64's 0xe220a8397b1dcdaf", got)
+	}
+}
+
 func TestReproSeedsDistinctAcrossCases(t *testing.T) {
 	seeds := map[uint64]string{}
 	for _, c := range Cases() {

@@ -48,7 +48,8 @@ func (rw *RWMutex) CheckInvariants() error {
 
 // CheckInvariants verifies the accumulator's quiescent-state
 // invariants: the sweep lock is free, no reader is parked on the sweep
-// window, and the modal engine's epoch agrees with its switch counter.
+// window, and the modal engine is in a known mode with its policy lock
+// free.
 // (Cell contents are NOT required to be empty — deposits legitimately
 // rest in cells until the next reconciling sweep; Value is the
 // correctness check for them.) It returns the first violation found,

@@ -95,7 +95,7 @@ type FetchOp struct {
 
 	base atomic.Int64 // CAS-mode value, and the cells' reconciliation target
 
-	// eng is the modal-object engine holding the epoch-packed mode word;
+	// eng is the modal-object engine holding the mode word;
 	// every protocol change goes through its consensus CAS against
 	// fopTable.
 	eng modal.Engine

@@ -29,7 +29,6 @@ package chaos
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 )
 
 // Instrumented point ids, grouped by layer. The const names exist so
@@ -41,10 +40,6 @@ const (
 	PtWaitqPush    = "waitq.push.enter"
 	PtWaitqGrant   = "waitq.grant.enter"
 	PtWaitqAbandon = "waitq.abandon.enter"
-
-	// modal: the consensus window between reading the epoch-packed mode
-	// word and the commit CAS.
-	PtModalCommit = "modal.commit.window"
 
 	// Mutex: a parked waiter's announce-to-recheck window, and the
 	// unlock-to-grant window the no-lost-wakeup argument closes.
@@ -89,27 +84,24 @@ const (
 
 // catalog is the canonical ordered list of instrumented fault points. A
 // Schedule derives one rule per entry, in this order, so schedule bytes
-// are a pure function of the seed. Order is alphabetical for stability;
-// the sync test enforces that the set matches the hook calls compiled
-// into package reactive.
-var catalog = func() []string {
-	pts := []string{
-		PtWaitqPush, PtWaitqGrant, PtWaitqAbandon,
-		PtModalCommit,
-		PtMutexParkAnnounced, PtMutexUnlockRelease,
-		PtEpochStamp, PtEpochOffline,
-		PtRWShardedDeposit,
-		PtRWWriterClaimed, PtRWDrainUndo, PtRWTryLockUndo, PtRWUnlockRelease,
-		PtFopCombineDeposit, PtFopFoldHarvest, PtFopValueSweep, PtFopSweepRelease,
-		PtMapTablePublish, PtMapGraceSweep,
-	}
-	sort.Strings(pts)
-	return pts
-}()
+// are a pure function of the seed. Order is alphabetical for stability
+// (TestCatalogSortedAndUnique checks it); the sync test enforces that
+// the set matches the hook calls compiled into package reactive. It is
+// a static array, not a slice built at init: an init-time allocation
+// lands in a size class the primitives share and shifts where every
+// later Counter or FetchOp sits on its cache lines.
+var catalog = [...]string{
+	PtEpochOffline, PtEpochStamp,
+	PtFopCombineDeposit, PtFopFoldHarvest, PtFopSweepRelease, PtFopValueSweep,
+	PtMapGraceSweep, PtMapTablePublish,
+	PtMutexParkAnnounced, PtMutexUnlockRelease,
+	PtRWDrainUndo, PtRWShardedDeposit, PtRWTryLockUndo, PtRWUnlockRelease, PtRWWriterClaimed,
+	PtWaitqAbandon, PtWaitqGrant, PtWaitqPush,
+}
 
 // Catalog returns the instrumented fault-point ids in canonical
 // (sorted) order.
-func Catalog() []string { return append([]string(nil), catalog...) }
+func Catalog() []string { return append([]string(nil), catalog[:]...) }
 
 // Fault-point ops. A rule's Op says what firing the point does; every
 // op is bounded so no schedule can stall a run indefinitely.

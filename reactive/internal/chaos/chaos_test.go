@@ -87,8 +87,8 @@ var hookCall = regexp.MustCompile(`chaos\.(?:Pinned)?Point\("([^"]+)"\)`)
 // the hook calls actually compiled into the tree: every id used at an
 // instrumentation site must be cataloged, and every cataloged id must
 // appear at a site. The scan covers everything under reactive/ (the
-// primitives, modal, waitq) — the only packages allowed to import this
-// one.
+// primitives, the epoch kernel, waitq) — the only packages allowed to
+// import this one.
 func TestCatalogMatchesInstrumentation(t *testing.T) {
 	root := filepath.FromSlash("../..") // reactive/
 	used := map[string]bool{}

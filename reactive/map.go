@@ -50,13 +50,6 @@ type mapShard[K comparable, V any] struct {
 	_    [affinity.CacheLineSize - 16]byte
 }
 
-// mapVersion is one published epoch-mode table: an immutable-while-
-// published map and the version number it was installed under.
-type mapVersion[K comparable, V any] struct {
-	m   map[K]V
-	ver uint64
-}
-
 // Map is a reactive concurrent hash map — the first adaptive *data
 // structure* in this package, demonstrating that the modal engine
 // generalizes past locks: the same chain tables, streak detection,
@@ -124,11 +117,11 @@ type Map[K comparable, V any] struct {
 	shardsUp   atomic.Bool
 
 	// Epoch-mode state: the published table (cur), the off-line copy
-	// the next writer mutates and publishes (spare, guarded by wl), and
-	// the grace-period kernel readers enter and writers claim and wait
-	// on (ek).
-	cur     atomic.Pointer[mapVersion[K, V]]
-	spare   *mapVersion[K, V]
+	// the next writer mutates and publishes (spare, guarded by wl), how
+	// many tables have been published (version), and the grace-period
+	// kernel readers enter and writers claim and wait on (ek).
+	cur     atomic.Pointer[map[K]V]
+	spare   *map[K]V
 	version atomic.Uint64
 	ek      epoch.Kernel
 }
@@ -316,8 +309,10 @@ func (mp *Map[K, V]) switchMap(want, next modal.Mode) {
 	case want == mapSharded && next == mapEpoch:
 		mp.lockAllShards()
 		pub := mp.gather()
-		mp.cur.Store(&mapVersion[K, V]{m: pub, ver: mp.version.Add(1)})
-		mp.spare = &mapVersion[K, V]{m: maps.Clone(pub)}
+		spare := maps.Clone(pub)
+		mp.version.Add(1)
+		mp.cur.Store(&pub)
+		mp.spare = &spare
 		// Select the kernel before the commit publishes the mode, so the
 		// first Get that dispatches to the epoch path validates
 		// successfully. No claim: the spare has never been published, so
@@ -389,7 +384,7 @@ func (mp *Map[K, V]) get(ctx context.Context, done <-chan struct{}, key K) (V, b
 			// reader's deposit blocks, so the table cannot be mutated in
 			// place while this reader is inside it.
 			if c, _ := mp.ek.Enter(); c != nil {
-				v, ok := mp.cur.Load().m[key]
+				v, ok := (*mp.cur.Load())[key]
 				mp.ek.Exit(c)
 				return v, ok, nil
 			}
@@ -403,7 +398,7 @@ func (mp *Map[K, V]) get(ctx context.Context, done <-chan struct{}, key K) (V, b
 				mp.wl.Unlock()
 				continue
 			}
-			v, ok := mp.cur.Load().m[key]
+			v, ok := (*mp.cur.Load())[key]
 			mp.wl.Unlock()
 			return v, ok, nil
 		}
@@ -493,15 +488,15 @@ func (mp *Map[K, V]) putEpoch(key K, val V, del bool) {
 	// period that retired it proved it reader-free, and no reader has
 	// been able to reach it since (cur no longer points at it).
 	spare := mp.spare
-	if d := mutate(&spare.m, key, val, del); d != 0 {
+	if d := mutate(spare, key, val, del); d != 0 {
 		mp.count.Add(d)
 	}
 
 	// Publish: one atomic store installs the new version; readers that
 	// loaded the old pointer are still inside it — the window the
 	// map.table.publish fault point opens, closed by the grace period.
-	spare.ver = mp.version.Add(1)
 	retired := mp.cur.Load()
+	mp.version.Add(1)
 	mp.cur.Store(spare)
 	mp.spare = retired
 	chaos.Point("map.table.publish")
@@ -509,7 +504,7 @@ func (mp *Map[K, V]) putEpoch(key K, val V, del bool) {
 	if demoted := mp.graceSweep(); !demoted {
 		// Bring the retired copy up to date for the next round. The delta
 		// is dropped: the gauge already moved once, above.
-		mutate(&retired.m, key, val, del)
+		mutate(retired, key, val, del)
 	}
 }
 
@@ -536,7 +531,7 @@ func (mp *Map[K, V]) graceSweep() (demoted bool) {
 		// where the copy-on-write machinery is pure overhead.
 		mp.shardsInit()
 		mp.lockAllShards()
-		mp.scatter(mp.cur.Load().m)
+		mp.scatter(*mp.cur.Load())
 		mp.ek.Select(false, true)
 		mp.eng.TryCommit(mapModeTable, mapEpoch, mapSharded)
 		mp.unlockAllShards()
@@ -603,7 +598,7 @@ func (mp *Map[K, V]) snapshot() map[K]V {
 				mp.wl.Unlock()
 				continue
 			}
-			out := maps.Clone(mp.cur.Load().m)
+			out := maps.Clone(*mp.cur.Load())
 			mp.wl.Unlock()
 			return out
 		}
@@ -618,7 +613,7 @@ func (mp *Map[K, V]) snapshotEpoch() (map[K]V, bool) {
 	if c == nil {
 		return nil, false
 	}
-	out := maps.Clone(mp.cur.Load().m)
+	out := maps.Clone(*mp.cur.Load())
 	mp.ek.Exit(c)
 	return out, true
 }
@@ -668,12 +663,11 @@ func (mp *Map[K, V]) MapStats() MapStats {
 // CheckInvariants verifies the map's quiescent-state invariants: the
 // writer lock is free and sound, every shard lock is free, the epoch
 // kernel is quiescent (no claim, mode bit agreeing with the engine,
-// cells summing to zero), no grace waiter is parked, the published
-// table's version equals the (monotone) version
-// counter, the off-line copy is a full replica of the published table,
-// and the live-key gauge equals the key count of the current mode's
-// authoritative store. See the package note in check.go: quiescent
-// diagnostics, not production code.
+// cells summing to zero), no grace waiter is parked, the off-line copy
+// is a full replica of the published table, and the live-key gauge
+// equals the key count of the current mode's authoritative store. See
+// the package note in check.go: quiescent diagnostics, not production
+// code.
 func (mp *Map[K, V]) CheckInvariants() error {
 	if err := mp.wl.CheckInvariants(); err != nil {
 		return fmt.Errorf("reactive: Map writer mutex: %w", err)
@@ -700,13 +694,9 @@ func (mp *Map[K, V]) CheckInvariants() error {
 			live += len(mp.shards[i].m)
 		}
 	default:
-		t := mp.cur.Load()
-		live = len(t.m)
-		if t.ver != mp.version.Load() {
-			return fmt.Errorf("reactive: Map published table version %d != version counter %d", t.ver, mp.version.Load())
-		}
-		if mp.spare != nil && len(mp.spare.m) != live {
-			return fmt.Errorf("reactive: Map off-line copy holds %d keys, published table holds %d", len(mp.spare.m), live)
+		live = len(*mp.cur.Load())
+		if mp.spare != nil && len(*mp.spare) != live {
+			return fmt.Errorf("reactive: Map off-line copy holds %d keys, published table holds %d", len(*mp.spare), live)
 		}
 	}
 	if c := mp.count.Load(); int(c) != live {

@@ -18,12 +18,12 @@ func TestEngineCheck(t *testing.T) {
 		t.Fatalf("after one commit: %v", err)
 	}
 
-	// Epoch/switch-counter skew is the torn-commit signature.
-	e.switches.Add(1)
-	if err := e.Check(tab); err == nil || !strings.Contains(err.Error(), "switches") {
-		t.Fatalf("skewed switch counter not caught: %v", err)
+	// A mode the table does not know means a commit bypassed the table.
+	e.word.Store(2)
+	if err := e.Check(tab); err == nil || !strings.Contains(err.Error(), "mode 2") {
+		t.Fatalf("out-of-range mode not caught: %v", err)
 	}
-	e.switches.Add(^uint64(0)) // undo
+	e.word.Store(1) // undo
 
 	// A held policy lock at quiescence means a detection event leaked it.
 	e.lock.Store(1)

@@ -21,10 +21,9 @@ func chainTable(n int) *Table {
 
 // TestEngineFuzzVoteSequences mirrors internal/core's fuzz tests for the
 // native engine: random single-threaded sequences of observations, votes,
-// and commit attempts over N-mode chain tables must never produce a torn
-// epoch (word inconsistent with the committed-step count), a skipped
-// consensus step (mode changing without an epoch increment), or a move
-// of more than one step.
+// and commit attempts over N-mode chain tables must never produce a
+// switch count that disagrees with the commits won, an out-of-range mode,
+// or a move of more than one step.
 func TestEngineFuzzVoteSequences(t *testing.T) {
 	f := func(seed uint64, rawN uint8, rawPolicy uint8, ops []uint16) bool {
 		n := int(rawN%5) + 2 // 2..6 modes
@@ -70,9 +69,9 @@ func TestEngineFuzzVoteSequences(t *testing.T) {
 					commits++
 				}
 			}
-			epoch, m := Unpack(e.Word())
-			if uint64(epoch) != commits {
-				t.Errorf("torn/skipped epoch: %d commits but epoch %d", commits, epoch)
+			m := e.Mode()
+			if e.Switches() != commits {
+				t.Errorf("%d commits won but %d switches counted", commits, e.Switches())
 				return false
 			}
 			if int(m) >= n {
@@ -95,9 +94,9 @@ func TestEngineFuzzVoteSequences(t *testing.T) {
 // TestEngineFuzzConcurrentConsensus hammers one engine from many
 // goroutines voting and committing random adjacent transitions (under
 // the race detector when enabled), then checks the consensus invariants:
-// the epoch counts exactly the transitions whose TryCommit returned true
-// (no torn word, no double-won epoch), and every observed word holds an
-// in-range mode.
+// Switches counts exactly the transitions whose TryCommit returned true
+// (no commit won twice out of one mode), and every observed mode is in
+// range.
 func TestEngineFuzzConcurrentConsensus(t *testing.T) {
 	f := func(seed uint64, rawN, rawG, rawPolicy uint8) bool {
 		n := int(rawN%4) + 2 // 2..5 modes
@@ -131,13 +130,13 @@ func TestEngineFuzzConcurrentConsensus(t *testing.T) {
 						continue
 					}
 					// A vote approving the switch, or an occasional direct
-					// commit attempt, races other goroutines for the epoch.
+					// commit attempt, races other goroutines' commits out of the same mode.
 					if e.Vote(tab, mode, to, 2) || rng&6 == 0 {
 						if e.TryCommit(tab, mode, to) {
 							committed.Add(1)
 						}
 					}
-					if _, m := Unpack(e.Word()); int(m) >= n {
+					if int(e.Mode()) >= n {
 						outOfRange.Store(true)
 						return
 					}
@@ -149,13 +148,12 @@ func TestEngineFuzzConcurrentConsensus(t *testing.T) {
 			t.Error("observed an out-of-range mode")
 			return false
 		}
-		epoch, mode := Unpack(e.Word())
-		if uint64(epoch) != committed.Load() || e.Switches() != committed.Load() {
-			t.Errorf("epoch %d, switches %d, but %d commits won — consensus violated",
-				epoch, e.Switches(), committed.Load())
+		if e.Switches() != committed.Load() {
+			t.Errorf("%d switches, but %d commits won — consensus violated",
+				e.Switches(), committed.Load())
 			return false
 		}
-		return int(mode) < n
+		return int(e.Mode()) < n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

@@ -19,9 +19,9 @@
 //     source mode serves a request sub-optimally and the Signal (class of
 //     observation) that votes for it.
 //   - Engine — the goroutine-safe selector used by the native primitives
-//     in package reactive: an epoch-packed mode word changed only by
-//     compare-and-swap (the consensus-object analogue — at most one
-//     writer wins each epoch), per-step hysteresis streaks or an injected
+//     in package reactive: a mode word changed only by compare-and-swap
+//     (the consensus-object analogue — of racing commits out of one mode
+//     exactly one wins), per-step hysteresis streaks or an injected
 //     policy.Policy serialized by a small randomized-backoff lock.
 //   - Decider — the unsynchronized variant used by the cycle-level
 //     simulator, whose event engine and simulated consensus objects
@@ -40,7 +40,6 @@ import (
 	"slices"
 	"sync/atomic"
 
-	"repro/reactive/internal/chaos"
 	"repro/reactive/policy"
 )
 
@@ -151,31 +150,17 @@ func (t *Table) step(from, to Mode) (slot int, dir policy.Direction, s Step) {
 	panic(fmt.Sprintf("modal: %d→%d is not a step of a %d-mode chain", from, to, t.N()))
 }
 
-// Mode-word layout: the low 32 bits hold the current Mode, the high 32
-// bits the epoch, which increments exactly once per committed
-// transition. Readers therefore can never observe a torn change — mode
-// and epoch move in one atomic word — and a CAS from an observed word can
-// succeed only if no transition intervened (the consensus property).
-const modeMask = (1 << 32) - 1
-
-func pack(epoch uint32, m Mode) uint64 { return uint64(epoch)<<32 | uint64(m) }
-
-// Unpack splits a mode word into its epoch and mode halves.
-func Unpack(word uint64) (epoch uint32, m Mode) {
-	return uint32(word >> 32), Mode(word & modeMask)
-}
-
 // Engine is the goroutine-safe modal-object selector. The zero value is
-// an engine in mode 0 at epoch 0 using built-in streak detection; it is
+// an engine in mode 0 using built-in streak detection; it is
 // ready to use with any Table (the table is passed into each call so one
 // static table serves every instance and the zero value stays
 // allocation-free). An Engine must not be copied after first use, and
 // must not be used with more than one Table.
 type Engine struct {
-	// word is the epoch-packed mode word — the consensus object
-	// serializing mode changes. All transitions go through TryCommit's
-	// CAS; everything else only reads it.
-	word atomic.Uint64
+	// word is the current Mode — the consensus object serializing mode
+	// changes. All transitions go through TryCommit's CAS; everything
+	// else only reads it.
+	word atomic.Uint32
 
 	pol policy.Policy // nil: built-in per-step streak detection
 
@@ -202,13 +187,7 @@ func (e *Engine) SetPolicy(p policy.Policy) { e.pol = p }
 func (e *Engine) Policy() policy.Policy { return e.pol }
 
 // Mode returns the currently selected mode.
-func (e *Engine) Mode() Mode { return Mode(e.word.Load() & modeMask) }
-
-// Epoch returns the number of transitions committed so far (mod 2³²).
-func (e *Engine) Epoch() uint32 { epoch, _ := Unpack(e.word.Load()); return epoch }
-
-// Word returns the raw epoch-packed mode word.
-func (e *Engine) Word() uint64 { return e.word.Load() }
+func (e *Engine) Mode() Mode { return Mode(e.word.Load()) }
 
 // Switches returns the number of committed transitions.
 func (e *Engine) Switches() uint64 { return e.switches.Load() }
@@ -328,27 +307,20 @@ func (e *Engine) optimal(dir policy.Direction) {
 	}
 }
 
-// TryCommit attempts the from→to step: the consensus step. It succeeds
-// only if the engine is still in mode from — exactly one caller wins any
-// given epoch, so a primitive performs each protocol change at most once
-// per detection round — and advances the epoch by one in the same atomic
-// word. On success all streaks are reset and the policy is informed.
+// TryCommit attempts the from→to step: the consensus step, one CAS on
+// the mode word. It succeeds only if the engine is still in mode from —
+// of racing commits out of one mode exactly one wins, so a primitive
+// performs each protocol change at most once per detection round. On
+// success the switch is counted, all streaks are reset and the policy is
+// informed.
 // Callers perform mode-specific preparation (building the target
 // protocol's state) before calling, and migration effects (waking
 // stranded waiters) after a true return. Panics if from→to is not a step
 // of the table.
 func (e *Engine) TryCommit(t *Table, from, to Mode) bool {
 	t.step(from, to) // validate: every commit passes through the table
-	for {
-		w := e.word.Load()
-		if Mode(w&modeMask) != from {
-			return false
-		}
-		epoch, _ := Unpack(w)
-		chaos.Point("modal.commit.window")
-		if e.word.CompareAndSwap(w, pack(epoch+1, to)) {
-			break
-		}
+	if !e.word.CompareAndSwap(uint32(from), uint32(to)) {
+		return false
 	}
 	e.switches.Add(1)
 	e.switched(t)

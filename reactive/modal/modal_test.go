@@ -85,8 +85,8 @@ func TestTableStep(t *testing.T) {
 
 func TestEngineZeroValue(t *testing.T) {
 	var e Engine
-	if e.Mode() != 0 || e.Epoch() != 0 || e.Switches() != 0 || e.Dirty() {
-		t.Fatalf("zero engine not at (mode 0, epoch 0): mode=%d epoch=%d", e.Mode(), e.Epoch())
+	if e.Mode() != 0 || e.Switches() != 0 || e.Dirty() {
+		t.Fatalf("zero engine not at mode 0 without switches: mode=%d switches=%d", e.Mode(), e.Switches())
 	}
 }
 
@@ -117,8 +117,8 @@ func TestEngineStreakDetection(t *testing.T) {
 	if !e.TryCommit(tab, 0, 1) {
 		t.Fatal("TryCommit failed from the current mode")
 	}
-	if e.Mode() != 1 || e.Epoch() != 1 || e.Switches() != 1 {
-		t.Fatalf("after commit: mode=%d epoch=%d switches=%d", e.Mode(), e.Epoch(), e.Switches())
+	if e.Mode() != 1 || e.Switches() != 1 {
+		t.Fatalf("after commit: mode=%d switches=%d", e.Mode(), e.Switches())
 	}
 	// The commit reset the 1→2 streak too (not just the taken step's).
 	if e.Vote(tab, 1, 2, 2) {
@@ -136,13 +136,12 @@ func TestEngineCommitConsensus(t *testing.T) {
 		t.Fatal("commit from the current mode must succeed")
 	}
 	// A second identical commit (stale detection round) must fail: the
-	// first one consumed the epoch.
+	// first one moved the engine out of mode 0.
 	if e.TryCommit(tab, 0, 1) {
 		t.Fatal("stale commit succeeded — consensus step skipped")
 	}
-	epoch, mode := Unpack(e.Word())
-	if epoch != 1 || mode != 1 {
-		t.Fatalf("word = (epoch %d, mode %d), want (1, 1)", epoch, mode)
+	if e.Mode() != 1 || e.Switches() != 1 {
+		t.Fatalf("mode %d after %d switches, want mode 1 after 1", e.Mode(), e.Switches())
 	}
 }
 

@@ -223,8 +223,8 @@ const backoffCeiling = 16
 type Mutex struct {
 	state atomic.Uint32 // unlocked / locked / contended
 
-	// eng is the modal-object engine holding the epoch-packed mode word
-	// and the detection state; all protocol changes go through its
+	// eng is the modal-object engine holding the mode word and the
+	// detection state; all protocol changes go through its
 	// consensus CAS.
 	eng modal.Engine
 
@@ -587,9 +587,9 @@ func (m *Mutex) switchMode(want, next Mode) {
 
 // CheckInvariants verifies the mutex's quiescent-state invariants (see
 // check.go for what "quiescent" means): the lock is free, no waiter is
-// queued, the waiter queue is structurally sound, and the modal engine's
-// epoch agrees with its switch counter. It returns the first violation
-// found, or nil.
+// queued, the waiter queue is structurally sound, and the modal engine
+// is in a known mode with its policy lock free. It returns the first
+// violation found, or nil.
 func (m *Mutex) CheckInvariants() error {
 	if s := m.state.Load(); s != unlocked {
 		return fmt.Errorf("reactive: Mutex state %d at quiescence, want unlocked", s)
