@@ -11,9 +11,10 @@ import (
 )
 
 // ReproVersion is the artifact format version. Bump it when the layout
-// or the meaning of a field changes; DecodeRepro rejects other
+// or the meaning of a field changes, or when the chaos catalog drops a
+// point an artifact's schedule may name; DecodeRepro rejects other
 // versions rather than silently replaying a different experiment.
-const ReproVersion = "torture/v2"
+const ReproVersion = "torture/v3"
 
 // Repro is the complete, replayable description of one torture run:
 // the case, the derived seed every worker op stream comes from, the

@@ -173,8 +173,8 @@ func TestStressForcedModeSwitches(t *testing.T) {
 	var wg sync.WaitGroup
 	counter := 0
 	stop := make(chan struct{})
-	// Forcer: flip protocols as fast as possible, exercising the
-	// waiter-handoff path of switchMode in both directions.
+	// Forcer: flip protocols as fast as possible, so waiters parked in
+	// one mode are released by unlocks in the other, in both directions.
 	var fwg sync.WaitGroup
 	fwg.Add(1)
 	go func() {
@@ -186,9 +186,9 @@ func TestStressForcedModeSwitches(t *testing.T) {
 			default:
 			}
 			if i%2 == 0 {
-				m.switchMode(ModeSpin, ModePark)
+				m.switchMode(mSpin, mPark)
 			} else {
-				m.switchMode(ModePark, ModeSpin)
+				m.switchMode(mPark, mSpin)
 			}
 			time.Sleep(50 * time.Microsecond)
 		}

@@ -222,9 +222,9 @@ func TestMutexCancellationStress(t *testing.T) {
 			default:
 			}
 			if i%2 == 0 {
-				m.switchMode(ModeSpin, ModePark)
+				m.switchMode(mSpin, mPark)
 			} else {
-				m.switchMode(ModePark, ModeSpin)
+				m.switchMode(mPark, mSpin)
 			}
 			time.Sleep(50 * time.Microsecond)
 		}
@@ -301,11 +301,11 @@ func TestRWMutexCancellationStress(t *testing.T) {
 			}
 			switch i % 4 {
 			case 0:
-				rw.w.switchMode(ModeSpin, ModePark)
+				rw.w.switchMode(mSpin, mPark)
 			case 1:
 				rw.switchReaderMode(rCentral, rSharded)
 			case 2:
-				rw.w.switchMode(ModePark, ModeSpin)
+				rw.w.switchMode(mPark, mSpin)
 			default:
 				rw.switchReaderMode(rSharded, rCentral)
 			}

@@ -370,7 +370,7 @@ func (f *FetchOp) noteCombineBatch(n int64) {
 // sweep-window waiter queue until the releasing sweeper grants — the
 // same wait Mutex's park path runs (DESIGN.md §5).
 func (f *FetchOp) acquireSweep(ctx context.Context, done <-chan struct{}) error {
-	if f.vq.Wait(f.cfg.pollBudget(), done, func(bool) bool { return f.sweepLock.CompareAndSwap(0, 1) }) {
+	if f.vq.Wait(f.cfg.pollBudget(), done, func() bool { return f.sweepLock.CompareAndSwap(0, 1) }) {
 		return ctx.Err()
 	}
 	return nil

@@ -36,14 +36,16 @@ import (
 // is the canonical ordered list a Schedule is generated over.
 const (
 	// waitq: the announce/grant/abandon triangle of the
-	// handoff-or-abandon proof (DESIGN.md §5).
-	PtWaitqPush    = "waitq.push.enter"
-	PtWaitqGrant   = "waitq.grant.enter"
-	PtWaitqAbandon = "waitq.abandon.enter"
+	// handoff-or-abandon proof (DESIGN.md §5), and the announce-to-retest
+	// window every two-phase wait (Mutex, RWMutex readers, FetchOp's
+	// sweep window, the epoch kernel's grace period) passes through.
+	PtWaitqPush      = "waitq.push.enter"
+	PtWaitqGrant     = "waitq.grant.enter"
+	PtWaitqAbandon   = "waitq.abandon.enter"
+	PtWaitqAnnounced = "waitq.wait.announced"
 
-	// Mutex: a parked waiter's announce-to-recheck window, and the
-	// unlock-to-grant window the no-lost-wakeup argument closes.
-	PtMutexParkAnnounced = "mutex.park.announced"
+	// Mutex: the unlock-to-grant window the no-lost-wakeup argument
+	// closes.
 	PtMutexUnlockRelease = "mutex.unlock.release"
 
 	// epoch kernel (RWMutex's and Map's epoch modes alike): a reader's
@@ -94,9 +96,9 @@ var catalog = [...]string{
 	PtEpochOffline, PtEpochStamp,
 	PtFopCombineDeposit, PtFopFoldHarvest, PtFopSweepRelease, PtFopValueSweep,
 	PtMapGraceSweep, PtMapTablePublish,
-	PtMutexParkAnnounced, PtMutexUnlockRelease,
+	PtMutexUnlockRelease,
 	PtRWDrainUndo, PtRWShardedDeposit, PtRWTryLockUndo, PtRWUnlockRelease, PtRWWriterClaimed,
-	PtWaitqAbandon, PtWaitqGrant, PtWaitqPush,
+	PtWaitqAbandon, PtWaitqGrant, PtWaitqPush, PtWaitqAnnounced,
 }
 
 // Catalog returns the instrumented fault-point ids in canonical

@@ -133,18 +133,19 @@ func (k *Kernel) Exit(c *affinity.Cell) {
 func (k *Kernel) Wake() { k.q.Grant() }
 
 // Wait is the writer's grace period: the shared two-phase wait
-// (waitq.Queue.Wait) on the kernel's queue over the owner's drained
-// predicate, which must include Sum() == 0 and runs once per poll and
-// once per wakeup. The caller has Claimed; the claim and its Release stay
-// the caller's. quiet reports that the first evaluation already held —
-// no wait at all, the owner's scale-down signal. A closed done aborts the
-// wait (a nil done never does). A completed wait counts as a grace period
+// (waitq.Queue.Wait) on the kernel's queue with the owner's drained
+// predicate as its try, which must include Sum() == 0 and runs once up
+// front, once per poll and once per announce. The caller has Claimed;
+// the claim and its Release stay the caller's. quiet reports that the
+// first evaluation already held — no wait at all, the owner's
+// scale-down signal. A closed done aborts the wait (a nil done never
+// does). A completed wait counts as a grace period
 // only while the gate's mode bit is set: an owner's cell-based mode that
 // validates against a word of its own drains the same way but is not the
 // epoch protocol.
 func (k *Kernel) Wait(budget int32, done <-chan struct{}, drained func() bool) (quiet, aborted bool) {
 	quiet = drained()
-	if !quiet && k.q.Wait(budget, done, func(bool) bool { return drained() }) {
+	if !quiet && k.q.Wait(budget, done, drained) {
 		return false, true
 	}
 	if k.gate.Load()&selected != 0 {

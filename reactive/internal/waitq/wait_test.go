@@ -16,7 +16,7 @@ type testLock struct {
 }
 
 func (l *testLock) lock(done <-chan struct{}) (aborted bool) {
-	return l.q.Wait(1, done, func(bool) bool { return l.held.CompareAndSwap(false, true) })
+	return l.q.Wait(1, done, func() bool { return l.held.CompareAndSwap(false, true) })
 }
 
 func (l *testLock) unlock() {
@@ -25,7 +25,8 @@ func (l *testLock) unlock() {
 }
 
 // pollCalls counts the two kinds of try in one Wait: polls of phase one
-// and post-announce re-tests.
+// and post-announce re-tests. With one waiter on the queue, try tells
+// them apart by q.Len() > 0: only a re-test runs with the waiter pushed.
 type pollCalls struct{ polls, retests int }
 
 // pollCase is one run of Wait's poll phase: try succeeds on poll
@@ -45,8 +46,8 @@ func runPollCases(t *testing.T, cases []pollCase) {
 	var q Queue
 	for _, tc := range cases {
 		var got pollCalls
-		aborted := q.Wait(tc.budget, tc.done, func(announced bool) bool {
-			if announced {
+		aborted := q.Wait(tc.budget, tc.done, func() bool {
+			if q.Len() > 0 {
 				got.retests++
 				return tc.retest
 			}
@@ -65,7 +66,7 @@ func runPollCases(t *testing.T, cases []pollCase) {
 // TestWaitPoll pins phase one without a done channel: a zero budget never
 // polls, a success within the budget ends the wait without announcing,
 // and an exhausted budget announces — the post-announce re-test is the
-// first try(true).
+// first try with the waiter queued.
 func TestWaitPoll(t *testing.T) {
 	runPollCases(t, []pollCase{
 		{"zero budget never polls", 0, nil, 1, true, pollCalls{0, 1}, false},
@@ -149,8 +150,8 @@ func TestWaitTryAfterAnnouncePassesGrantOn(t *testing.T) {
 	var q Queue
 	next := get()
 	announcedCalls := 0
-	aborted := q.Wait(0, nil, func(announced bool) bool {
-		if !announced {
+	aborted := q.Wait(0, nil, func() bool {
+		if q.Len() == 0 {
 			t.Fatal("budget 0 must not poll")
 		}
 		announcedCalls++
@@ -164,7 +165,7 @@ func TestWaitTryAfterAnnouncePassesGrantOn(t *testing.T) {
 		t.Fatal("nil done aborted the wait")
 	}
 	if announcedCalls != 1 {
-		t.Fatalf("try(announced) ran %d times, want 1", announcedCalls)
+		t.Fatalf("the post-announce try ran %d times, want 1", announcedCalls)
 	}
 	select {
 	case <-next.ready:
@@ -186,8 +187,8 @@ func TestWaitNilDoneNeverAborts(t *testing.T) {
 	var polls, retests atomic.Int32
 	res := make(chan bool, 1)
 	go func() {
-		res <- q.Wait(3, nil, func(announced bool) bool {
-			if announced {
+		res <- q.Wait(3, nil, func() bool {
+			if q.Len() > 0 {
 				retests.Add(1)
 			} else {
 				polls.Add(1)
@@ -223,7 +224,7 @@ func TestWaitNilDoneNeverAborts(t *testing.T) {
 
 	done := make(chan struct{})
 	close(done)
-	never := func(bool) bool { return false }
+	never := func() bool { return false }
 	if !q.Wait(3, done, never) {
 		t.Fatal("closed done did not abort phase one")
 	}

@@ -240,15 +240,15 @@ func (q *Queue) abandon(w *waiter) bool {
 // queued, or done closed — leaves through abandon, so a grant that raced
 // in is passed on, never lost.
 //
-// try reports whether the awaited condition now holds (for a lock: was
-// just acquired). Its argument says which phase is asking: false while
-// polling, true for the post-announce re-tests, where a caller whose
-// release side must learn that a waiter is announced (Mutex's contended
-// word) records that before reporting false. Wait reports only whether
+// The push is the waiter's one announcement: it raises Len before the
+// re-test, so a releaser that makes try succeed and then finds Len
+// zero is one whose release the re-test sees. try reports whether the
+// awaited condition now holds (for a lock: was just acquired), and is
+// asked the same question in both phases. Wait reports only whether
 // the wait was aborted by done; a nil done never aborts.
-func (q *Queue) Wait(budget int32, done <-chan struct{}, try func(announced bool) bool) (aborted bool) {
+func (q *Queue) Wait(budget int32, done <-chan struct{}, try func() bool) (aborted bool) {
 	for i := int32(0); i < budget; i++ {
-		if try(false) {
+		if try() {
 			return false
 		}
 		select {
@@ -262,7 +262,8 @@ func (q *Queue) Wait(budget int32, done <-chan struct{}, try func(announced bool
 	defer put(w)
 	for {
 		q.push(w)
-		if try(true) {
+		chaos.Point("waitq.wait.announced")
+		if try() {
 			q.abandon(w)
 			return false
 		}

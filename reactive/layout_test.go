@@ -70,31 +70,49 @@ func TestPrimitiveLayout(t *testing.T) {
 	}
 }
 
-// TestRWMutexHotWordsOffQueueLines: every read loads readerCount (the
+// TestHotWordsOffQueueLines: the words a primitive's fast paths load
+// sit at least a cache line from the waiter-queue locks that parking
+// waiters and every grant store to. Mutex's Lock and Unlock load state
+// and the engine's mode word; every RWMutex read loads readerCount (the
 // centralized protocol's CAS word), reng's mode word (the registration
-// dispatch) or the epoch kernel's gate, while the reader queue's lock and
-// the writer mutex's queue lock are stored to by parking readers and
-// writers and by every grant. At least 64 bytes between two naturally
-// aligned words puts them on different 64-byte lines (amd64's and
-// arm64's) whatever the lock's alignment in the heap.
-func TestRWMutexHotWordsOffQueueLines(t *testing.T) {
+// dispatch) or the epoch kernel's gate, while parking readers and
+// writers store to the reader queue's lock and the writer mutex's. At
+// least 64 bytes between two naturally aligned words puts them on
+// different 64-byte lines (amd64's and arm64's) whatever the
+// primitive's alignment in the heap.
+func TestHotWordsOffQueueLines(t *testing.T) {
 	const line = 64
+	engWord := fieldOffset[modal.Engine](t, "word")
+	qLock := fieldOffset[waitq.Queue](t, "lock")
+	var m Mutex
 	var rw RWMutex
-	base := uintptr(unsafe.Pointer(&rw))
-	at := func(p unsafe.Pointer) uintptr { return uintptr(p) - base }
-	hot := map[string]uintptr{
-		"readerCount": at(unsafe.Pointer(&rw.readerCount)),
-		"reng.word":   at(unsafe.Pointer(&rw.reng)) + fieldOffset[modal.Engine](t, "word"),
-		"ek.gate":     at(unsafe.Pointer(&rw.ek)) + fieldOffset[epoch.Kernel](t, "gate"),
-	}
-	locks := map[string]uintptr{
-		"rq.lock":  at(unsafe.Pointer(&rw.rq)) + fieldOffset[waitq.Queue](t, "lock"),
-		"w.q.lock": at(unsafe.Pointer(&rw.w.q)) + fieldOffset[waitq.Queue](t, "lock"),
-	}
-	for h, ho := range hot {
-		for l, lo := range locks {
-			if d := max(ho, lo) - min(ho, lo); d < line {
-				t.Errorf("%s (offset %d) and %s (offset %d) are %d bytes apart, want >= %d", h, ho, l, lo, d, line)
+	// off returns field's offset within the primitive at base.
+	off := func(base, field unsafe.Pointer) uintptr { return uintptr(field) - uintptr(base) }
+	mb, rb := unsafe.Pointer(&m), unsafe.Pointer(&rw)
+	for _, c := range []struct {
+		name       string
+		hot, locks map[string]uintptr
+	}{
+		{"Mutex", map[string]uintptr{
+			"state":    off(mb, unsafe.Pointer(&m.state)),
+			"eng.word": off(mb, unsafe.Pointer(&m.eng)) + engWord,
+		}, map[string]uintptr{
+			"q.lock": off(mb, unsafe.Pointer(&m.q)) + qLock,
+		}},
+		{"RWMutex", map[string]uintptr{
+			"readerCount": off(rb, unsafe.Pointer(&rw.readerCount)),
+			"reng.word":   off(rb, unsafe.Pointer(&rw.reng)) + engWord,
+			"ek.gate":     off(rb, unsafe.Pointer(&rw.ek)) + fieldOffset[epoch.Kernel](t, "gate"),
+		}, map[string]uintptr{
+			"rq.lock":  off(rb, unsafe.Pointer(&rw.rq)) + qLock,
+			"w.q.lock": off(rb, unsafe.Pointer(&rw.w.q)) + qLock,
+		}},
+	} {
+		for h, ho := range c.hot {
+			for l, lo := range c.locks {
+				if d := max(ho, lo) - min(ho, lo); d < line {
+					t.Errorf("%s: %s (offset %d) and %s (offset %d) are %d bytes apart, want >= %d", c.name, h, ho, l, lo, d, line)
+				}
 			}
 		}
 	}

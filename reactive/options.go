@@ -162,9 +162,8 @@ func (c *config) tunables() config {
 // constructor's panic). step is the primitive's own switch routine,
 // which builds the target protocol's state before committing; it runs
 // without the exclusion a live switch needs, sound only because the
-// primitive is not yet shared. M lets step be spelled over engine
-// indices or public modes (for the spin/park engines they coincide).
-func walkTo[M ~uint32](eng *modal.Engine, modes []Mode, m Mode, step func(from, to M)) bool {
+// primitive is not yet shared.
+func walkTo(eng *modal.Engine, modes []Mode, m Mode, step func(from, to modal.Mode)) bool {
 	i := slices.Index(modes, m)
 	if i < 0 {
 		return false
@@ -175,7 +174,7 @@ func walkTo[M ~uint32](eng *modal.Engine, modes []Mode, m Mode, step func(from, 
 		if cur > target {
 			next = cur - 1
 		}
-		step(M(cur), M(next))
+		step(cur, next)
 	}
 	return true
 }

@@ -136,30 +136,31 @@ const (
 	ModeLocked
 )
 
-// String names the mode.
+// modeNames spells each mode's name once, indexed by Mode: String
+// renders from it and UnmarshalText looks names up in it.
+var modeNames = [...]string{
+	ModeSpin:      "spin",
+	ModePark:      "park",
+	ModeCAS:       "cas",
+	ModeSharded:   "sharded",
+	ModeCombining: "combining",
+	ModeEpoch:     "epoch",
+	ModeLocked:    "locked",
+}
+
+// String names the mode; a value outside the defined modes renders as
+// Mode(n), which UnmarshalText rejects.
 func (m Mode) String() string {
-	switch m {
-	case ModePark:
-		return "park"
-	case ModeCAS:
-		return "cas"
-	case ModeSharded:
-		return "sharded"
-	case ModeCombining:
-		return "combining"
-	case ModeEpoch:
-		return "epoch"
-	case ModeLocked:
-		return "locked"
+	if int(m) < len(modeNames) {
+		return modeNames[m]
 	}
-	return "spin"
+	return fmt.Sprintf("Mode(%d)", uint32(m))
 }
 
 // Lock-word states.
 const (
-	unlocked  uint32 = 0
-	locked    uint32 = 1
-	contended uint32 = 2 // locked with (possibly) parked waiters
+	unlocked uint32 = 0
+	locked   uint32 = 1
 )
 
 // Engine-local mode indices for Mutex's spin/park modal object. They
@@ -221,7 +222,7 @@ const backoffCeiling = 16
 // mutex in spin mode with the package-default tunables; New builds one
 // with explicit Options. A Mutex must not be copied after first use.
 type Mutex struct {
-	state atomic.Uint32 // unlocked / locked / contended
+	state atomic.Uint32 // unlocked / locked
 
 	// eng is the modal-object engine holding the mode word and the
 	// detection state; all protocol changes go through its
@@ -387,18 +388,18 @@ func (m *Mutex) lockFast() bool {
 	if m.state.CompareAndSwap(unlocked, locked) {
 		// Detection is mode-directional, as in the simulator's reactive
 		// lock: spin mode monitors the cheap→scalable direction only.
-		// With an injected policy the notification runs under a
-		// panic guard — the lock is already held here, and a panicking
-		// policy must not strand it. The built-in path stays bare: it is
-		// pure atomics, and the guard's defer — or m.observe's call
-		// frame, which does not inline — would tax every acquisition.
+		// With an injected policy the notification goes through
+		// noteSpinAcquire's panic guard — the lock is already held here,
+		// and a panicking policy must not strand it. The built-in path
+		// stays bare: it is pure atomics, and the guard's defer — or a
+		// call frame that does not inline — would tax every acquisition.
 		if m.eng.Mode() == mSpin {
 			if m.eng.Policy() == nil {
 				if to, fire := m.eng.Observe(spinParkTable, mSpin, modal.Calm, m.cfg.limits()); fire {
-					m.switchMode(ModeSpin, Mode(to))
+					m.switchMode(mSpin, to)
 				}
 			} else {
-				m.goodHolding()
+				m.noteSpinAcquire(0)
 			}
 		}
 		return true
@@ -410,22 +411,8 @@ func (m *Mutex) lockFast() bool {
 // out the protocol change detection fires.
 func (m *Mutex) observe(from modal.Mode, s modal.Signal) {
 	if to, fire := m.eng.Observe(spinParkTable, from, s, m.cfg.limits()); fire {
-		m.switchMode(Mode(from), Mode(to))
+		m.switchMode(from, to)
 	}
-}
-
-// goodHolding delivers a spin-mode Optimal notification while the
-// caller holds the lock, releasing the lock before re-raising a policy
-// panic so a faulty injected policy surfaces as a crash, not a wedged
-// mutex.
-func (m *Mutex) goodHolding() {
-	defer func() {
-		if r := recover(); r != nil {
-			m.Unlock()
-			panic(r)
-		}
-	}()
-	m.observe(mSpin, modal.Calm)
 }
 
 // LockCtx acquires the mutex like Lock, but gives up when ctx is
@@ -471,8 +458,9 @@ func (m *Mutex) lockSlow(ctx context.Context, done <-chan struct{}) error {
 // switch ModeSpin → ModePark — exactly the documented streak semantics.
 func (m *Mutex) noteSpinAcquire(fails int) {
 	// The caller holds the lock; with an injected policy the
-	// notifications run under a panic guard (as in lockFast) so a
-	// panicking policy cannot strand it.
+	// notification runs under a panic guard that releases the lock
+	// before re-raising, so a faulty policy surfaces as a crash, not a
+	// wedged mutex. lockFast's injected-policy branch comes here too.
 	if m.eng.Policy() != nil {
 		defer func() {
 			if r := recover(); r != nil {
@@ -513,54 +501,36 @@ func (m *Mutex) lockSpin(done <-chan struct{}) (aborted bool) {
 
 // lockPark is the parking protocol: the shared two-phase wait (poll
 // through the deadline-aware budget, then park on the waiter queue until
-// an unlocker grants a wakeup). Grants are hints, not ownership
-// transfers — the woken waiter re-competes for the state word — so the
-// protocol's invariant is purely about wakeups: whenever the lock is
-// released with a waiter announced, one grant is issued, and any waiter
-// that stops waiting while holding a grant (cancellation, or an
-// acquisition that raced the grant) passes it on via the wait's Abandon.
+// an unlocker grants a wakeup) over TryLock. Grants are hints, not
+// ownership transfers — the woken waiter re-competes for the state word
+// — so the protocol's invariant is purely about wakeups: the wait's push
+// is the waiter's one announcement, every Unlock that finds the queue
+// non-empty grants, and a waiter that stops waiting while holding a
+// grant passes it on through the wait's abandon.
 func (m *Mutex) lockPark(done <-chan struct{}) (aborted bool) {
-	return m.q.Wait(m.cfg.pollBudget(), done, func(announced bool) bool {
-		if !announced {
-			return m.state.CompareAndSwap(unlocked, locked)
-		}
-		// Announce-then-check: the node is queued before the state word
-		// says "contended", so the unlock that observes contended (or a
-		// queued waiter) always has someone to grant to.
-		chaos.Point("mutex.park.announced")
-		for {
-			old := m.state.Load()
-			if old == unlocked {
-				// Acquire as contended: other waiters may be queued behind
-				// this one, and the next unlock must keep granting.
-				if m.state.CompareAndSwap(unlocked, contended) {
-					return true
-				}
-				continue
-			}
-			if old == contended || m.state.CompareAndSwap(locked, contended) {
-				return false
-			}
-		}
-	})
+	return m.q.Wait(m.cfg.pollBudget(), done, m.TryLock)
 }
 
 // Unlock releases the mutex. It must be called by the goroutine that holds
 // the lock.
 func (m *Mutex) Unlock() {
 	mode := m.eng.Mode()
-	old := m.state.Swap(unlocked)
-	if old == unlocked {
+	if m.state.Swap(unlocked) == unlocked {
 		panic("reactive: Unlock of unlocked Mutex")
 	}
 	chaos.Point("mutex.unlock.release")
-	waiters := old == contended || m.q.Len() > 0
+	// Release, then look for an announced waiter: a waiter pushes before
+	// its post-announce TryLock, so either this load sees it or that
+	// TryLock sees the release (DESIGN.md §5). The load stays inline:
+	// Grant does not inline, and its call would tax every uncontended
+	// unlock.
+	waiters := m.q.Len() > 0
 	if waiters {
 		// Wake the oldest parked waiter (a no-op if every announced
-		// waiter is still pre-park: their post-announce state check
-		// covers this release) before notifying the engine: the
-		// observation may call into an injected policy, and a panic there
-		// must not strand the waiter this release owes a wakeup.
+		// waiter is still pre-park: its post-announce TryLock covers
+		// this release) before notifying the engine: the observation
+		// may call into an injected policy, and a panic there must not
+		// strand the waiter this release owes a wakeup.
 		m.q.Grant()
 	}
 	if mode == mPark {
@@ -570,19 +540,13 @@ func (m *Mutex) Unlock() {
 	}
 }
 
-// switchMode performs a protocol change from want to next through the
-// engine's consensus word — at most one caller wins each epoch, so the
-// change happens at most once per detection round.
-func (m *Mutex) switchMode(want, next Mode) {
-	if m.eng.TryCommit(spinParkTable, modal.Mode(want), modal.Mode(next)) {
-		if next == ModeSpin {
-			// Ensure no parked waiter is stranded across the change: one
-			// wakeup suffices, because the woken waiter re-establishes the
-			// contended state before re-parking, which keeps the unlock
-			// side granting.
-			m.q.Grant()
-		}
-	}
+// switchMode commits a protocol change from want to next through the
+// engine's consensus word — at most one caller wins each change. The
+// commit touches only the mode word: Unlock grants whenever a waiter is
+// queued, in either mode, so a mode change owes no parked waiter a
+// wakeup.
+func (m *Mutex) switchMode(want, next modal.Mode) {
+	m.eng.TryCommit(spinParkTable, want, next)
 }
 
 // CheckInvariants verifies the mutex's quiescent-state invariants (see

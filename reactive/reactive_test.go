@@ -121,7 +121,7 @@ func TestSwitchesToParkUnderContention(t *testing.T) {
 
 func TestReturnsToSpinWhenIdle(t *testing.T) {
 	var m Mutex
-	m.switchMode(ModeSpin, ModePark) // force park mode
+	m.switchMode(mSpin, mPark) // force park mode
 	for i := 0; i < 4*DefaultEmptyLimit; i++ {
 		m.Lock()
 		m.Unlock()
@@ -134,7 +134,7 @@ func TestReturnsToSpinWhenIdle(t *testing.T) {
 func TestNoLostWakeups(t *testing.T) {
 	// Hammer lock/unlock with goroutines forced through the park path.
 	var m Mutex
-	m.switchMode(ModeSpin, ModePark)
+	m.switchMode(mSpin, mPark)
 	var wg sync.WaitGroup
 	total := atomic.Int64{}
 	for g := 0; g < 32; g++ {
@@ -155,6 +155,32 @@ func TestNoLostWakeups(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatalf("probable lost wakeup: %d/%d ops completed", total.Load(), 32*300)
 	}
+}
+
+// TestNoLostWakeupsAcrossModeSwitch: a waiter parked in park mode is
+// woken by an Unlock that runs after the mode went back to spin. Unlock
+// grants whenever a waiter is queued, whatever the mode, so a park→spin
+// commit owes parked waiters no wakeup of its own.
+func TestNoLostWakeupsAcrossModeSwitch(t *testing.T) {
+	m := New(WithPollIters(1), WithInitialMode(ModePark))
+	m.Lock()
+	acquired := make(chan struct{})
+	go func() {
+		m.Lock()
+		close(acquired)
+	}()
+	for m.Stats().Waiters == 0 {
+		time.Sleep(20 * time.Microsecond)
+	}
+	time.Sleep(time.Millisecond) // let the announced waiter fail its re-test and park
+	m.switchMode(mPark, mSpin)
+	m.Unlock()
+	select {
+	case <-acquired:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a waiter parked before a park→spin switch was stranded by the next Unlock")
+	}
+	m.Unlock()
 }
 
 func TestZeroValueReady(t *testing.T) {

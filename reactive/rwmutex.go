@@ -401,13 +401,13 @@ func (rw *RWMutex) rlockSlow(ctx context.Context, done <-chan struct{}) error {
 	}
 }
 
-// noClaim is the reader wait's predicate: neither of the writer's claims
-// is in place. Writers clear the centralized word's and then the epoch
-// gate's before broadcasting into rq (Unlock, and the undo of a failed or
+// noClaim is the reader wait's try: neither of the writer's claims is in
+// place. Writers clear the centralized word's and then the epoch gate's
+// before broadcasting into rq (Unlock, and the undo of a failed or
 // cancelled acquisition), so a reader announced on rq either sees both
 // cleared or is woken after they are — and a reader that saw only the
 // first cleared never spins on a registration the lagging gate refuses.
-func (rw *RWMutex) noClaim(bool) bool {
+func (rw *RWMutex) noClaim() bool {
 	return rw.readerCount.Load() >= 0 && !rw.ek.Claimed()
 }
 

@@ -257,9 +257,9 @@ func TestRWMutexStressForcedModeSwitches(t *testing.T) {
 			default:
 			}
 			if i%2 == 0 {
-				rw.w.switchMode(ModeSpin, ModePark)
+				rw.w.switchMode(mSpin, mPark)
 			} else {
-				rw.w.switchMode(ModePark, ModeSpin)
+				rw.w.switchMode(mPark, mSpin)
 			}
 			time.Sleep(50 * time.Microsecond)
 		}

@@ -1,6 +1,9 @@
 package reactive
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // MarshalText implements encoding.TextMarshaler so a Mode renders as its
 // protocol name in JSON ("mode": "sharded") and any other text-based
@@ -10,26 +13,13 @@ func (m Mode) MarshalText() ([]byte, error) {
 }
 
 // UnmarshalText implements encoding.TextUnmarshaler, accepting exactly
-// the names String and MarshalText produce.
+// the names String and MarshalText produce for the defined modes.
 func (m *Mode) UnmarshalText(text []byte) error {
-	switch string(text) {
-	case "spin":
-		*m = ModeSpin
-	case "park":
-		*m = ModePark
-	case "cas":
-		*m = ModeCAS
-	case "sharded":
-		*m = ModeSharded
-	case "combining":
-		*m = ModeCombining
-	case "epoch":
-		*m = ModeEpoch
-	case "locked":
-		*m = ModeLocked
-	default:
+	i := slices.Index(modeNames[:], string(text))
+	if i < 0 {
 		return fmt.Errorf("reactive: unknown mode %q", text)
 	}
+	*m = Mode(i)
 	return nil
 }
 

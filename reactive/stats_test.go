@@ -8,21 +8,25 @@ import (
 	"repro/reactive/modal"
 )
 
+// TestModeTextRoundTrip: every defined mode survives MarshalText →
+// UnmarshalText, and a value past the last mode marshals to a name
+// UnmarshalText rejects instead of one that reads back as another mode.
 func TestModeTextRoundTrip(t *testing.T) {
-	for _, m := range []Mode{ModeSpin, ModePark, ModeCAS, ModeSharded, ModeCombining} {
+	for _, m := range []Mode{ModeSpin, ModePark, ModeCAS, ModeSharded, ModeCombining, ModeEpoch, ModeLocked, Mode(7)} {
 		b, err := m.MarshalText()
 		if err != nil {
-			t.Fatalf("MarshalText(%v): %v", m, err)
+			t.Fatalf("MarshalText(%d): %v", uint32(m), err)
 		}
 		if string(b) != m.String() {
-			t.Fatalf("MarshalText(%v) = %q, want %q", m, b, m.String())
+			t.Fatalf("MarshalText(%d) = %q, want %q", uint32(m), b, m.String())
 		}
 		var back Mode
-		if err := back.UnmarshalText(b); err != nil {
-			t.Fatalf("UnmarshalText(%q): %v", b, err)
+		err = back.UnmarshalText(b)
+		if valid := m <= ModeLocked; valid != (err == nil) {
+			t.Fatalf("UnmarshalText(%q) of mode %d: err %v, want an error iff the mode is undefined", b, uint32(m), err)
 		}
-		if back != m {
-			t.Fatalf("round trip %v -> %q -> %v", m, b, back)
+		if err == nil && back != m {
+			t.Fatalf("round trip %d -> %q -> %d", uint32(m), b, uint32(back))
 		}
 	}
 	var m Mode
