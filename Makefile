@@ -155,7 +155,10 @@ fuzz-short:
 # waitq.Queue.Wait (modal.Poll is gone). The last two keep one spin/park
 # engine and one poll phase: spinParkTable is Mutex's alone (RWMutex and
 # Map run it through their embedded Mutex), and no primitive polls in a
-# loop of its own and then calls Wait with a zero budget.
+# loop of its own and then calls Wait with a zero budget. The last keeps
+# one native case table: bench_test.go's runNative is its one
+# RunParallel call, so a second one is a hand-written native row coming
+# back beside the nativeRows table.
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -nE '\.Vote\(' reactive/*.go internal/experiments/*.go | grep -v _test.go)"; if [ -n "$$out" ]; then echo "hand-wired detection (use Engine.Observe):"; echo "$$out"; exit 1; fi
@@ -168,6 +171,7 @@ lint:
 	@out="$$(grep -rn 'modal\.Poll' --include='*.go' .)"; if [ -n "$$out" ]; then echo "modal.Poll re-spelled (phase one is waitq.Queue.Wait's):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -Hn 'spinParkTable' $$(ls reactive/*.go | grep -v -e _test.go -e '^reactive/reactive.go$$'))"; if [ -n "$$out" ]; then echo "spinParkTable outside reactive.go (the spin/park table is Mutex's alone):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rn --include='*.go' '\.Wait(0,' reactive | grep -v _test.go)"; if [ -n "$$out" ]; then echo "zero-budget Wait (phase one belongs to waitq.Queue.Wait):"; echo "$$out"; exit 1; fi
+	@out="$$(grep -n 'RunParallel(' bench_test.go)"; if [ "$$(echo "$$out" | grep -c .)" -gt 1 ]; then echo "hand-written native row (add it to nativeRows; runNative is the one RunParallel):"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 
 # The CI docs job: documentation that tests can check. The experiment

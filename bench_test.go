@@ -8,9 +8,10 @@
 //
 // The BenchmarkNative* group measures package reactive against the
 // standard library, and its host ns/op numbers ARE the measured
-// quantity: it is the one list of native rows, for a local A/B
-// (-bench=Native -count=10 into benchstat). Whether a primitive got
-// slower is decided by benchmark/run.sh's paired runs.
+// quantity. nativeRows is the one list of native rows and runNative
+// the one runner, for a local A/B (-bench=Native -count=10 into
+// benchstat). Whether a primitive got slower is decided by
+// benchmark/run.sh's paired runs.
 package repro_test
 
 import (
@@ -65,75 +66,131 @@ func BenchmarkExperiments(b *testing.B) {
 // --- Native primitives (package reactive vs the standard library) ---
 //
 // Unlike the simulator benchmarks above, these measure real host ns/op:
-// the adoptable reactive library against its stdlib baseline, uncontended
-// and contended, via testing.B's RunParallel harness.
+// the adoptable reactive library against its stdlib baseline. Every row
+// is an entry of nativeRows, and runNative is the one runner under all
+// five BenchmarkNative<Prim> functions.
 
-func BenchmarkNativeMutex(b *testing.B) {
-	b.Run("uncontended/reactive", func(b *testing.B) {
-		var m reactive.Mutex
-		for i := 0; i < b.N; i++ {
-			m.Lock()
-			m.Unlock()
+func BenchmarkNativeMutex(b *testing.B)   { runNative(b, "Mutex") }
+func BenchmarkNativeCounter(b *testing.B) { runNative(b, "Counter") }
+func BenchmarkNativeFetchOp(b *testing.B) { runNative(b, "FetchOp") }
+func BenchmarkNativeRWMutex(b *testing.B) { runNative(b, "RWMutex") }
+func BenchmarkNativeMap(b *testing.B)     { runNative(b, "Map") }
+
+// An iter drives a row's loop: a serial round for b.N iterations, a
+// parallel one for as long as RunParallel's PB hands them out. A body
+// counts its own iterations and asks it.next(i) before the ith (from 0);
+// next inlines, so neither loop pays an indirect call per iteration.
+type iter struct {
+	pb *testing.PB
+	n  int
+}
+
+func (it iter) next(i int) bool {
+	if it.pb != nil {
+		return it.pb.Next()
+	}
+	return i < it.n
+}
+
+// A loop is a row's per-goroutine loop body: its locals are that
+// goroutine's mix state.
+type loop func(it iter)
+
+// A statser is a reactive primitive whose Stats a row reports.
+type statser interface{ Stats() reactive.Stats }
+
+// A nativeRow is BenchmarkNative<prim>/<name>. par 0 is a serial b.N
+// loop; k runs RunParallel at SetParallelism(k). procs is the least
+// GOMAXPROCS the row runs at. build makes the row's primitive and
+// returns its loop and, for a reactive row, the primitive (nil for a
+// standard-library baseline).
+type nativeRow struct {
+	prim, name string
+	par, procs int
+	build      func() (loop, statser)
+}
+
+// prepare raises GOMAXPROCS to the row's procs and then builds the row,
+// so whatever the primitive sizes at construction (a shard array, the
+// epoch kernel's per-P cells) sees the procs it runs at. restore undoes
+// the raise.
+func (r nativeRow) prepare() (l loop, p statser, restore func()) {
+	restore = func() {}
+	if prev := runtime.GOMAXPROCS(0); prev < r.procs {
+		runtime.GOMAXPROCS(r.procs)
+		restore = func() { runtime.GOMAXPROCS(prev) }
+	}
+	l, p = r.build()
+	return l, p, restore
+}
+
+// runNative runs prim's rows in table order. Every b.N round builds its
+// own primitive, so no round inherits another's detected mode. A reactive
+// row reports the mode its primitive ended in (its reactive.Mode: 0 spin,
+// 1 park, 2 cas, 3 sharded, 4 combining, 5 epoch, 6 locked) and the
+// switches it committed; RWMutex's are its reader registration engine's.
+func runNative(b *testing.B, prim string) {
+	for _, r := range nativeRows {
+		if r.prim != prim {
+			continue
 		}
-	})
-	b.Run("uncontended/sync.Mutex", func(b *testing.B) {
-		var m sync.Mutex
-		for i := 0; i < b.N; i++ {
-			m.Lock()
-			m.Unlock()
-		}
-	})
-	// Carrying the congestion policy must be nearly free on the cheap
-	// path: an uncontended Lock never calls Suboptimal, and the policy's
-	// Quiescent state lets the primitive elide the Optimal bookkeeping,
-	// so this row must track plain uncontended/reactive.
-	b.Run("uncontended-congestion/reactive", func(b *testing.B) {
-		m := reactive.New(reactive.WithPolicy(policy.NewCongestion()))
-		for i := 0; i < b.N; i++ {
-			m.Lock()
-			m.Unlock()
-		}
-	})
-	// The context-aware wrapper must be free: LockCtx(Background) on an
-	// uncontended mutex is the same zero-allocation fast path as Lock.
-	b.Run("lockctx-uncontended/reactive", func(b *testing.B) {
-		var m reactive.Mutex
-		ctx := context.Background()
-		for i := 0; i < b.N; i++ {
-			if m.LockCtx(ctx) != nil {
-				b.Fatal("uncontended LockCtx failed")
+		b.Run(r.name, func(b *testing.B) {
+			l, p, restore := r.prepare()
+			defer restore()
+			b.ResetTimer()
+			if r.par == 0 {
+				l(iter{n: b.N})
+			} else {
+				b.SetParallelism(r.par)
+				b.RunParallel(func(pb *testing.PB) { l(iter{pb: pb}) })
 			}
-			m.Unlock()
-		}
-	})
-	b.Run("contended/reactive", func(b *testing.B) {
-		var m reactive.Mutex
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				m.Lock()
+			if p == nil {
+				return
+			}
+			s := p.Stats()
+			mode, switches := s.Mode, s.Switches
+			if s.Readers != nil {
+				mode, switches = s.Readers.Mode, s.Readers.Switches
+			}
+			b.ReportMetric(float64(mode), "mode")
+			b.ReportMetric(float64(switches), "switches")
+		})
+	}
+}
+
+// nativeRows is the one list of native rows. Forced rows pin a protocol
+// with WithInitialMode (WithInitialReaderMode for RWMutex's registration)
+// so its fast path is measured on any host; the *-congestion rows carry
+// policy.Congestion and must track their policy-free counterparts.
+var nativeRows = []nativeRow{
+	{"Mutex", "uncontended/reactive", 0, 0, mutexLock()},
+	{"Mutex", "uncontended/sync.Mutex", 0, 0, syncMutexLock},
+	// An uncontended Lock never calls Suboptimal and the policy's
+	// Quiescent state elides the Optimal bookkeeping, so this row must
+	// track plain uncontended/reactive.
+	{"Mutex", "uncontended-congestion/reactive", 0, 0, withCongestion(mutexLock)},
+	// LockCtx(Background) is the same zero-allocation fast path as Lock.
+	{"Mutex", "lockctx-uncontended/reactive", 0, 0, func() (loop, statser) {
+		m, ctx := reactive.New(), context.Background()
+		return func(it iter) {
+			for i := 0; it.next(i); i++ {
+				if m.LockCtx(ctx) != nil {
+					panic("uncontended LockCtx failed")
+				}
 				m.Unlock()
 			}
-		})
-	})
-	b.Run("contended/sync.Mutex", func(b *testing.B) {
-		var m sync.Mutex
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				m.Lock()
-				m.Unlock()
-			}
-		})
-	})
-	// Cancellation churn: contended lockers where every eighth
-	// acquisition is a short TryLockFor that may expire mid-wait, so the
-	// waiter-queue engine's handoff-or-abandon path (cancelled waiters
-	// passing grants on) stays on the measured trajectory.
-	b.Run("cancel-churn/reactive", func(b *testing.B) {
+		}, m
+	}},
+	{"Mutex", "contended/reactive", 1, 0, mutexLock()},
+	{"Mutex", "contended/sync.Mutex", 1, 0, syncMutexLock},
+	// Cancellation churn: every eighth acquisition is a short TryLockFor
+	// that may expire mid-wait, keeping the waiter queue's
+	// handoff-or-abandon path on the measured trajectory.
+	{"Mutex", "cancel-churn/reactive", 1, 0, func() (loop, statser) {
 		m := reactive.New(reactive.WithPollIters(4)) // park quickly
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				if i++; i%8 == 0 {
+		return func(it iter) {
+			for i := 0; it.next(i); i++ {
+				if i%8 == 7 {
 					if m.TryLockFor(50 * time.Microsecond) {
 						m.Unlock()
 					}
@@ -142,297 +199,77 @@ func BenchmarkNativeMutex(b *testing.B) {
 					m.Unlock()
 				}
 			}
-		})
-	})
-}
+		}, m
+	}},
 
-func BenchmarkNativeCounter(b *testing.B) {
-	b.Run("uncontended/reactive", func(b *testing.B) {
-		var c reactive.Counter
-		for i := 0; i < b.N; i++ {
-			c.Add(1)
-		}
-	})
-	b.Run("uncontended/atomic.Int64", func(b *testing.B) {
-		var c atomic.Int64
-		for i := 0; i < b.N; i++ {
-			c.Add(1)
-		}
-	})
-	b.Run("contended/reactive", func(b *testing.B) {
-		var c reactive.Counter
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				c.Add(1)
-			}
-		})
-	})
-	b.Run("contended/atomic.Int64", func(b *testing.B) {
-		var c atomic.Int64
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				c.Add(1)
-			}
-		})
-	})
-	// Mixed-read: parallel Adds with a reconciling Load every 64 ops —
-	// the default counter against atomic.Int64, then each protocol
-	// forced (the limits keep detection from moving it), so the row a
-	// default counter should be tracking is on the same page.
-	dc := reactive.NewCounter()
-	b.Run("mixed-read/reactive", mixedRead(dc.Add, dc.Load, dc.Stats))
-	var ac atomic.Int64
-	b.Run("mixed-read/atomic.Int64", mixedRead(func(d int64) { ac.Add(d) }, ac.Load, nil))
-	for _, m := range []reactive.Mode{reactive.ModeCAS, reactive.ModeSharded, reactive.ModeCombining} {
-		fc := reactive.NewCounter(reactive.WithInitialMode(m),
-			reactive.WithSpinFailLimit(1<<30), reactive.WithEmptyLimit(1<<30))
-		b.Run("mixed-read-"+m.String()+"-forced/reactive", mixedRead(fc.Add, fc.Load, fc.Stats))
-	}
-	// Write-only Adds on the forced sharded protocol, plain and carrying
-	// policy.Congestion: BenchmarkNativeFetchOp's pair of the same names,
-	// on the Counter's nil-op (plain atomic add) path.
-	writeOnly := func(c *reactive.Counter) func(*testing.B) {
-		return func(b *testing.B) {
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					c.Add(1)
-				}
-			})
-			b.ReportMetric(float64(c.Stats().Mode), "endmode")
-		}
-	}
-	b.Run("sharded-forced/reactive", writeOnly(reactive.NewCounter(
-		reactive.WithInitialMode(reactive.ModeSharded))))
-	b.Run("sharded-forced-congestion/reactive", writeOnly(reactive.NewCounter(
-		reactive.WithInitialMode(reactive.ModeSharded), reactive.WithPolicy(policy.NewCongestion()))))
-}
+	{"Counter", "uncontended/reactive", 0, 0, counterAdd()},
+	{"Counter", "uncontended/atomic.Int64", 0, 0, atomicAdd},
+	{"Counter", "contended/reactive", 1, 0, counterAdd()},
+	{"Counter", "contended/atomic.Int64", 1, 0, atomicAdd},
+	{"Counter", "mixed-read/reactive", 1, 0, counterMixed()},
+	{"Counter", "mixed-read/atomic.Int64", 1, 0, atomicMixed},
+	{"Counter", "mixed-read-cas-forced/reactive", 1, 0, counterMixed(pinned(reactive.ModeCAS)...)},
+	{"Counter", "mixed-read-sharded-forced/reactive", 1, 0, counterMixed(pinned(reactive.ModeSharded)...)},
+	{"Counter", "mixed-read-combining-forced/reactive", 1, 0, counterMixed(pinned(reactive.ModeCombining)...)},
+	// FetchOp's pair of the same names, on the Counter's nil-op (plain
+	// atomic add) path.
+	{"Counter", "sharded-forced/reactive", 1, 0, counterAdd(reactive.WithInitialMode(reactive.ModeSharded))},
+	{"Counter", "sharded-forced-congestion/reactive", 1, 0, withCongestion(counterAdd, reactive.WithInitialMode(reactive.ModeSharded))},
 
-// mixedRead is the mixed-read workload of BenchmarkNativeCounter and
-// BenchmarkNativeFetchOp: parallel goroutines each calling update(1) per
-// op and read every 64th. With stats, the protocol the primitive ended
-// in is reported as endmode (its reactive.Mode: 2 cas, 3 sharded,
-// 4 combining).
-func mixedRead(update func(int64), read func() int64, stats func() reactive.Stats) func(*testing.B) {
-	return func(b *testing.B) {
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				update(1)
-				if i++; i%64 == 0 {
-					read()
+	// Serial Applies are the CAS protocol's regime and parallel
+	// write-only ones the sharded protocol's; mode shows the crossover.
+	{"FetchOp", "cas-regime/reactive", 0, 0, fetchOpApply()},
+	{"FetchOp", "cas-regime/atomic.Int64", 0, 0, atomicAdd},
+	{"FetchOp", "sharded-regime/reactive", 1, 0, fetchOpApply()},
+	{"FetchOp", "sharded-regime/atomic.Int64", 1, 0, atomicAdd},
+	// Combining is constructible but never detected into, and loses
+	// mixed-read to sharded.
+	{"FetchOp", "mixed-read/reactive", 1, 0, fetchOpMixed()},
+	{"FetchOp", "mixed-read/atomic.Int64", 1, 0, atomicMixed},
+	{"FetchOp", "mixed-read-cas-forced/reactive", 1, 0, fetchOpMixed(pinned(reactive.ModeCAS)...)},
+	{"FetchOp", "mixed-read-sharded-forced/reactive", 1, 0, fetchOpMixed(pinned(reactive.ModeSharded)...)},
+	// The mixed-read mix on forced combining; the name lacks the
+	// mixed-read- prefix so that benchstat keeps pairing the row.
+	{"FetchOp", "combining-forced/reactive", 1, 0, fetchOpMixed(pinned(reactive.ModeCombining)...)},
+	// A running max fed operands almost always below it: nearly every
+	// Apply is absorbed and should cost a load (test-before-write).
+	{"FetchOp", "max-saturated/reactive", 1, 0, func() (loop, statser) {
+		f := reactive.NewFetchOp(func(a, x int64) int64 { return max(a, x) }, math.MinInt64)
+		return saturated(f.Apply), f
+	}},
+	{"FetchOp", "max-saturated/atomic-cas-max", 1, 0, func() (loop, statser) {
+		am := new(atomic.Int64)
+		am.Store(math.MinInt64)
+		return saturated(func(x int64) {
+			for {
+				old := am.Load()
+				if x <= old || am.CompareAndSwap(old, x) {
+					return
 				}
 			}
-		})
-		if stats != nil {
-			b.ReportMetric(float64(stats().Mode), "endmode")
-		}
-	}
-}
+		}), nil
+	}},
+	// Apply-only sharded traffic generates no scale-down votes, so these
+	// rows are mode-stable on any host and the congestion row prices
+	// exactly the cost of carrying the policy on the per-P fast path.
+	{"FetchOp", "sharded-forced/reactive", 1, 0, fetchOpApply(reactive.WithInitialMode(reactive.ModeSharded))},
+	{"FetchOp", "sharded-forced-congestion/reactive", 1, 0, withCongestion(fetchOpApply, reactive.WithInitialMode(reactive.ModeSharded))},
 
-// BenchmarkNativeFetchOp measures the fetch-op against hand-written
-// atomics on four workloads: serial Applies (the CAS protocol's
-// regime), parallel write-only Applies (the sharded protocol's regime),
-// parallel Applies with a reconciling Value every 64 ops (mixed-read:
-// the default accumulator beside each protocol forced — combining is
-// constructible but never detected into, and loses this row to sharded),
-// and a running max whose operands are mostly below it (max-saturated:
-// what test-before-write is for). The endmode metric is the protocol
-// the accumulator ended in (its reactive.Mode: 2 cas, 3 sharded,
-// 4 combining), so a run shows the CAS ↔ sharded crossover.
-func BenchmarkNativeFetchOp(b *testing.B) {
-	add := func(a, x int64) int64 { return a + x }
-	fopMixed := func(f *reactive.FetchOp) func(*testing.B) { return mixedRead(f.Apply, f.Value, f.Stats) }
-	// forced holds a protocol for the whole measurement: detection still
-	// counts its votes, but no streak reaches these limits.
-	forced := func(m reactive.Mode) *reactive.FetchOp {
-		return reactive.NewFetchOp(add, 0, reactive.WithInitialMode(m),
-			reactive.WithSpinFailLimit(1<<30), reactive.WithEmptyLimit(1<<30))
-	}
-	b.Run("cas-regime/reactive", func(b *testing.B) {
-		f := reactive.NewFetchOp(add, 0)
-		for i := 0; i < b.N; i++ {
-			f.Apply(1)
-		}
-		b.ReportMetric(float64(f.Stats().Mode), "endmode")
-	})
-	b.Run("cas-regime/atomic.Int64", func(b *testing.B) {
-		var c atomic.Int64
-		for i := 0; i < b.N; i++ {
-			c.Add(1)
-		}
-	})
-	b.Run("sharded-regime/reactive", func(b *testing.B) {
-		f := reactive.NewFetchOp(add, 0)
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				f.Apply(1)
-			}
-		})
-		b.ReportMetric(float64(f.Stats().Mode), "endmode")
-	})
-	b.Run("sharded-regime/atomic.Int64", func(b *testing.B) {
-		var c atomic.Int64
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				c.Add(1)
-			}
-		})
-	})
-	b.Run("mixed-read/reactive", fopMixed(reactive.NewFetchOp(add, 0)))
-	var ai atomic.Int64
-	b.Run("mixed-read/atomic.Int64", mixedRead(func(d int64) { ai.Add(d) }, ai.Load, nil))
-	b.Run("mixed-read-cas-forced/reactive", fopMixed(forced(reactive.ModeCAS)))
-	b.Run("mixed-read-sharded-forced/reactive", fopMixed(forced(reactive.ModeSharded)))
-	// The mixed-read mix on forced combining; the row keeps the name it
-	// has had since PR 4.
-	b.Run("combining-forced/reactive", fopMixed(forced(reactive.ModeCombining)))
-	// Max-saturated: a running max fed operands that are almost always
-	// below it, so nearly every Apply is absorbed and should cost a load.
-	saturated := func(apply func(x int64)) func(*testing.B) {
-		return func(b *testing.B) {
-			b.RunParallel(func(pb *testing.PB) {
-				r := uint64(1)
-				for pb.Next() {
-					r = r*6364136223846793005 + 1442695040888963407
-					apply(int64(r >> 40))
-				}
-			})
-		}
-	}
-	maxOp := func(a, x int64) int64 {
-		if x > a {
-			return x
-		}
-		return a
-	}
-	mf := reactive.NewFetchOp(maxOp, math.MinInt64)
-	b.Run("max-saturated/reactive", saturated(mf.Apply))
-	var am atomic.Int64
-	am.Store(math.MinInt64)
-	b.Run("max-saturated/atomic-cas-max", saturated(func(x int64) {
-		for {
-			old := am.Load()
-			if x <= old || am.CompareAndSwap(old, x) {
-				return
-			}
-		}
-	}))
-	// Write-only Applies on the forced sharded protocol: the per-P fast
-	// path is exercised even on hosts whose parallelism never triggers
-	// detection.
-	b.Run("sharded-forced/reactive", func(b *testing.B) {
-		f := reactive.NewFetchOp(add, 0, reactive.WithInitialMode(reactive.ModeSharded))
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				f.Apply(1)
-			}
-		})
-		b.ReportMetric(float64(f.Stats().Mode), "endmode")
-	})
-	// Congestion-policy variant of the forced sharded row: same fast
-	// path, with policy.Congestion installed instead of the built-in
-	// streak detection. Apply-only sharded traffic generates no
-	// scale-down votes, so the row is mode-stable on any host and prices
-	// exactly the cost of carrying the feedback-control policy (its
-	// Quiescent elision included) on the per-P fast path.
-	b.Run("sharded-forced-congestion/reactive", func(b *testing.B) {
-		f := reactive.NewFetchOp(add, 0,
-			reactive.WithInitialMode(reactive.ModeSharded),
-			reactive.WithPolicy(policy.NewCongestion()))
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				f.Apply(1)
-			}
-		})
-		b.ReportMetric(float64(f.Stats().Mode), "endmode")
-	})
-}
-
-// BenchmarkNativeRWMutex measures the reactive reader/writer lock
-// against sync.RWMutex. Beyond the original uncontended/contended
-// pair, the read-heavy parallel-scaling variants exercise the regimes
-// the BRAVO-style sharded reader registration targets: pure parallel
-// reads (read-contended), oversubscribed parallel reads
-// (read-parallel-4x, 4 goroutines per P), and a 1-in-128-writes mix
-// (read-mostly) that keeps writer drains in the loop. The readermode
-// metric records the registration protocol the lock settled in
-// (2 = centralized CAS word, 3 = sharded per-P cells, 5 = epoch).
-func BenchmarkNativeRWMutex(b *testing.B) {
-	readerMode := func(b *testing.B, rw *reactive.RWMutex) {
-		b.ReportMetric(float64(rw.Stats().Readers.Mode), "readermode")
-	}
-	b.Run("read-uncontended/reactive", func(b *testing.B) {
-		var rw reactive.RWMutex
-		for i := 0; i < b.N; i++ {
-			rw.RLock()
-			rw.RUnlock()
-		}
-		readerMode(b, &rw)
-	})
-	b.Run("read-uncontended/sync.RWMutex", func(b *testing.B) {
-		var rw sync.RWMutex
-		for i := 0; i < b.N; i++ {
-			rw.RLock()
-			rw.RUnlock()
-		}
-	})
-	// Congestion policy on the writer mutex (WithPolicy governs only that
-	// engine; registration keeps its own detection): the uncontended
-	// RLock fast path must not pay for the installed policy.
-	b.Run("read-uncontended-congestion/reactive", func(b *testing.B) {
-		rw := reactive.NewRWMutex(reactive.WithPolicy(policy.NewCongestion()))
-		for i := 0; i < b.N; i++ {
-			rw.RLock()
-			rw.RUnlock()
-		}
-		readerMode(b, rw)
-	})
-	b.Run("read-contended/reactive", func(b *testing.B) {
-		var rw reactive.RWMutex
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				rw.RLock()
-				rw.RUnlock()
-			}
-		})
-		readerMode(b, &rw)
-	})
-	b.Run("read-contended/sync.RWMutex", func(b *testing.B) {
-		var rw sync.RWMutex
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				rw.RLock()
-				rw.RUnlock()
-			}
-		})
-	})
-	b.Run("read-parallel-4x/reactive", func(b *testing.B) {
-		var rw reactive.RWMutex
-		b.SetParallelism(4)
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				rw.RLock()
-				rw.RUnlock()
-			}
-		})
-		readerMode(b, &rw)
-	})
-	b.Run("read-parallel-4x/sync.RWMutex", func(b *testing.B) {
-		var rw sync.RWMutex
-		b.SetParallelism(4)
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				rw.RLock()
-				rw.RUnlock()
-			}
-		})
-	})
-	b.Run("read-mostly/reactive", func(b *testing.B) {
-		var rw reactive.RWMutex
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				if i++; i%128 == 0 {
+	{"RWMutex", "read-uncontended/reactive", 0, 0, rwRead()},
+	{"RWMutex", "read-uncontended/sync.RWMutex", 0, 0, syncRWRead},
+	// WithPolicy governs only the writer mutex; registration keeps its
+	// own detection, and the RLock fast path must not pay for the policy.
+	{"RWMutex", "read-uncontended-congestion/reactive", 0, 0, withCongestion(rwRead)},
+	{"RWMutex", "read-contended/reactive", 1, 0, rwRead()},
+	{"RWMutex", "read-contended/sync.RWMutex", 1, 0, syncRWRead},
+	{"RWMutex", "read-parallel-4x/reactive", 4, 0, rwRead()},
+	{"RWMutex", "read-parallel-4x/sync.RWMutex", 4, 0, syncRWRead},
+	// One write in 128 keeps writer drains in the loop.
+	{"RWMutex", "read-mostly/reactive", 1, 0, func() (loop, statser) {
+		rw := reactive.NewRWMutex()
+		return func(it iter) {
+			for i := 0; it.next(i); i++ {
+				if i%128 == 127 {
 					rw.Lock()
 					rw.Unlock()
 				} else {
@@ -440,15 +277,13 @@ func BenchmarkNativeRWMutex(b *testing.B) {
 					rw.RUnlock()
 				}
 			}
-		})
-		readerMode(b, &rw)
-	})
-	b.Run("read-mostly/sync.RWMutex", func(b *testing.B) {
-		var rw sync.RWMutex
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				if i++; i%128 == 0 {
+		}, rw
+	}},
+	{"RWMutex", "read-mostly/sync.RWMutex", 1, 0, func() (loop, statser) {
+		rw := new(sync.RWMutex)
+		return func(it iter) {
+			for i := 0; it.next(i); i++ {
+				if i%128 == 127 {
 					rw.Lock()
 					rw.Unlock()
 				} else {
@@ -456,190 +291,213 @@ func BenchmarkNativeRWMutex(b *testing.B) {
 					rw.RUnlock()
 				}
 			}
-		})
-	})
-	b.Run("read-sharded-forced/reactive", func(b *testing.B) {
-		rw := reactive.NewRWMutex(reactive.WithInitialReaderMode(reactive.ModeSharded))
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				rw.RLock()
-				rw.RUnlock()
-			}
-		})
-		readerMode(b, rw)
-	})
-	// The epoch registration fast path: RLock publishes only a per-P
-	// stamp and loads one shared gate word it never stores to, so this
-	// row prices a read with zero shared-cacheline writes. Reader-only
-	// traffic generates no grace periods, so the row is mode-stable on
-	// any host.
-	b.Run("read-epoch-forced/reactive", func(b *testing.B) {
-		rw := reactive.NewRWMutex(reactive.WithInitialReaderMode(reactive.ModeEpoch))
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				rw.RLock()
-				rw.RUnlock()
-			}
-		})
-		readerMode(b, rw)
-	})
-	// Congestion-policy variant of the forced epoch row: WithPolicy
-	// governs only the writer mutex, so the epoch read fast path must
-	// not pay for the installed feedback-control policy.
-	b.Run("read-epoch-forced-congestion/reactive", func(b *testing.B) {
-		rw := reactive.NewRWMutex(reactive.WithInitialReaderMode(reactive.ModeEpoch),
-			reactive.WithPolicy(policy.NewCongestion()))
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				rw.RLock()
-				rw.RUnlock()
-			}
-		})
-		readerMode(b, rw)
-	})
+		}, nil
+	}},
+	{"RWMutex", "read-sharded-forced/reactive", 1, 0, rwRead(reactive.WithInitialReaderMode(reactive.ModeSharded))},
+	// An epoch RLock publishes only a per-P stamp and loads one gate word
+	// it never stores to: a read with zero shared-cacheline writes.
+	// Reader-only traffic runs no grace period, so the row is mode-stable.
+	{"RWMutex", "read-epoch-forced/reactive", 1, 0, rwRead(reactive.WithInitialReaderMode(reactive.ModeEpoch))},
+	{"RWMutex", "read-epoch-forced-congestion/reactive", 1, 0, withCongestion(rwRead, reactive.WithInitialReaderMode(reactive.ModeEpoch))},
+
+	// The map's lookup path in each protocol against sync.Map and a
+	// mutex-guarded map, over a warm table. The limits pin each protocol
+	// (a huge SpinFailLimit blocks promotion, a huge EmptyLimit
+	// demotion), so a row is one protocol's read path, not a mode mix.
+	{"Map", "get-locked/reactive", 0, 0, mapGet(reactive.WithSpinFailLimit(1 << 30))},
+	{"Map", "get-sharded-forced/reactive", 0, 0, mapGet(pinned(reactive.ModeSharded)...)},
+	{"Map", "get-epoch-forced/reactive", 0, 0, mapGet(reactive.WithInitialMode(reactive.ModeEpoch), reactive.WithEmptyLimit(1<<30))},
+	{"Map", "get/sync.Map", 0, 0, syncMapLoad},
+	{"Map", "get/mutex-map", 0, 0, mutexMapLoad},
+	// Pure readers at 4-way parallelism on at least 4 Ps, so the locked
+	// protocol's contention is scheduling-real on any host: the epoch
+	// row's lookup (per-P stamp, no shared-cacheline write, no lock) is
+	// the one a single lock word cannot approach, the map's reason to
+	// climb the chain.
+	{"Map", "read-4x-locked/reactive", 4, 4, mapGet(reactive.WithSpinFailLimit(1 << 30))},
+	{"Map", "read-4x-sharded-forced/reactive", 4, 4, mapGet(pinned(reactive.ModeSharded)...)},
+	{"Map", "read-4x-epoch-forced/reactive", 4, 4, mapGet(reactive.WithInitialMode(reactive.ModeEpoch), reactive.WithEmptyLimit(1<<30))},
+	{"Map", "read-4x/sync.Map", 4, 4, syncMapLoad},
+	{"Map", "read-4x/mutex-map", 4, 4, mutexMapLoad},
 }
 
-// BenchmarkNativeMap prices the adaptive hash map's lookup path in each
-// of its three protocols against sync.Map and a plain mutex-guarded map,
-// over a warm 128-key table. The forcing options pin each protocol for
-// the measurement (a huge SpinFailLimit blocks promotion, a huge
-// EmptyLimit blocks demotion) so every row is one protocol's read path,
-// not a mode mix. The read-4x rows run pure readers at 4-way
-// parallelism (GOMAXPROCS is raised to 4 for the row on smaller hosts,
-// so the parallelism is scheduling-real everywhere): the epoch row's
-// published-table lookup (per-P stamp, no shared-cacheline write, no
-// lock) is the row the locked protocol's single lock word cannot
-// approach — the gap is the map's reason to climb the chain.
-func BenchmarkNativeMap(b *testing.B) {
-	const mapKeys = 128
-	fill := func(m *reactive.Map[uint64, uint64]) *reactive.Map[uint64, uint64] {
+// mixedRead is the mixed-read mix: update(1) on every iteration and a
+// reconciling read on every 64th.
+func mixedRead(update func(int64), read func() int64) loop {
+	return func(it iter) {
+		for i := 0; it.next(i); i++ {
+			update(1)
+			if i%64 == 63 {
+				read()
+			}
+		}
+	}
+}
+
+// saturated applies a per-goroutine LCG's high bits, mostly below a
+// running max.
+func saturated(apply func(x int64)) loop {
+	return func(it iter) {
+		r := uint64(1)
+		for i := 0; it.next(i); i++ {
+			r = r*6364136223846793005 + 1442695040888963407
+			apply(int64(r >> 40))
+		}
+	}
+}
+
+// pinned holds protocol m for the whole measurement: detection still
+// counts its votes, but no streak reaches these limits.
+func pinned(m reactive.Mode) []reactive.Option {
+	return []reactive.Option{reactive.WithInitialMode(m),
+		reactive.WithSpinFailLimit(1 << 30), reactive.WithEmptyLimit(1 << 30)}
+}
+
+// withCongestion is row(opts...) with a fresh policy.Congestion added
+// in each build, since a policy holds its primitive's estimator state.
+func withCongestion(row func(...reactive.Option) func() (loop, statser), opts ...reactive.Option) func() (loop, statser) {
+	return func() (loop, statser) {
+		return row(append(opts[:len(opts):len(opts)], reactive.WithPolicy(policy.NewCongestion()))...)()
+	}
+}
+
+func mutexLock(opts ...reactive.Option) func() (loop, statser) {
+	return func() (loop, statser) {
+		m := reactive.New(opts...)
+		return func(it iter) {
+			for i := 0; it.next(i); i++ {
+				m.Lock()
+				m.Unlock()
+			}
+		}, m
+	}
+}
+
+func syncMutexLock() (loop, statser) {
+	m := new(sync.Mutex)
+	return func(it iter) {
+		for i := 0; it.next(i); i++ {
+			m.Lock()
+			m.Unlock()
+		}
+	}, nil
+}
+
+func counterAdd(opts ...reactive.Option) func() (loop, statser) {
+	return func() (loop, statser) {
+		c := reactive.NewCounter(opts...)
+		return func(it iter) {
+			for i := 0; it.next(i); i++ {
+				c.Add(1)
+			}
+		}, c
+	}
+}
+
+func counterMixed(opts ...reactive.Option) func() (loop, statser) {
+	return func() (loop, statser) {
+		c := reactive.NewCounter(opts...)
+		return mixedRead(c.Add, c.Load), c
+	}
+}
+
+func atomicAdd() (loop, statser) {
+	c := new(atomic.Int64)
+	return func(it iter) {
+		for i := 0; it.next(i); i++ {
+			c.Add(1)
+		}
+	}, nil
+}
+
+func atomicMixed() (loop, statser) {
+	c := new(atomic.Int64)
+	return mixedRead(func(d int64) { c.Add(d) }, c.Load), nil
+}
+
+func addOp(a, x int64) int64 { return a + x }
+
+func fetchOpApply(opts ...reactive.Option) func() (loop, statser) {
+	return func() (loop, statser) {
+		f := reactive.NewFetchOp(addOp, 0, opts...)
+		return func(it iter) {
+			for i := 0; it.next(i); i++ {
+				f.Apply(1)
+			}
+		}, f
+	}
+}
+
+func fetchOpMixed(opts ...reactive.Option) func() (loop, statser) {
+	return func() (loop, statser) {
+		f := reactive.NewFetchOp(addOp, 0, opts...)
+		return mixedRead(f.Apply, f.Value), f
+	}
+}
+
+func rwRead(opts ...reactive.Option) func() (loop, statser) {
+	return func() (loop, statser) {
+		rw := reactive.NewRWMutex(opts...)
+		return func(it iter) {
+			for i := 0; it.next(i); i++ {
+				rw.RLock()
+				rw.RUnlock()
+			}
+		}, rw
+	}
+}
+
+func syncRWRead() (loop, statser) {
+	rw := new(sync.RWMutex)
+	return func(it iter) {
+		for i := 0; it.next(i); i++ {
+			rw.RLock()
+			rw.RUnlock()
+		}
+	}, nil
+}
+
+// mapKeys is the warm table every Map row reads: a goroutine's ith
+// iteration reads key i % mapKeys.
+const mapKeys = 128
+
+func mapGet(opts ...reactive.Option) func() (loop, statser) {
+	return func() (loop, statser) {
+		m := reactive.NewMap[uint64, uint64](opts...)
 		for k := uint64(0); k < mapKeys; k++ {
 			m.Put(k, k)
 		}
-		return m
+		return func(it iter) {
+			for i := 0; it.next(i); i++ {
+				m.Get(uint64(i) % mapKeys)
+			}
+		}, m
 	}
-	mapMode := func(b *testing.B, m *reactive.Map[uint64, uint64]) {
-		b.ReportMetric(float64(m.Stats().Mode), "mapmode")
-	}
-	// run4x drives body from 4-way-parallel readers. On hosts with
-	// GOMAXPROCS < 4 the procs are raised for the row's duration:
-	// without real scheduling parallelism the locked protocol's
-	// contention (the gap these rows exist to price) is invisible.
-	run4x := func(b *testing.B, body func(pb *testing.PB)) {
-		if prev := runtime.GOMAXPROCS(0); prev < 4 {
-			runtime.GOMAXPROCS(4)
-			defer runtime.GOMAXPROCS(prev)
-		}
-		b.SetParallelism(4)
-		b.RunParallel(body)
-	}
+}
 
-	b.Run("get-locked/reactive", func(b *testing.B) {
-		m := fill(reactive.NewMap[uint64, uint64](reactive.WithSpinFailLimit(1 << 30)))
-		for i := 0; i < b.N; i++ {
-			m.Get(uint64(i) % mapKeys)
-		}
-		mapMode(b, m)
-	})
-	b.Run("get-sharded-forced/reactive", func(b *testing.B) {
-		m := fill(reactive.NewMap[uint64, uint64](reactive.WithInitialMode(reactive.ModeSharded),
-			reactive.WithSpinFailLimit(1<<30), reactive.WithEmptyLimit(1<<30)))
-		for i := 0; i < b.N; i++ {
-			m.Get(uint64(i) % mapKeys)
-		}
-		mapMode(b, m)
-	})
-	b.Run("get-epoch-forced/reactive", func(b *testing.B) {
-		m := fill(reactive.NewMap[uint64, uint64](reactive.WithInitialMode(reactive.ModeEpoch),
-			reactive.WithEmptyLimit(1<<30)))
-		for i := 0; i < b.N; i++ {
-			m.Get(uint64(i) % mapKeys)
-		}
-		mapMode(b, m)
-	})
-	b.Run("get/sync.Map", func(b *testing.B) {
-		var m sync.Map
-		for k := uint64(0); k < mapKeys; k++ {
-			m.Store(k, k)
-		}
-		for i := 0; i < b.N; i++ {
+func syncMapLoad() (loop, statser) {
+	m := new(sync.Map)
+	for k := uint64(0); k < mapKeys; k++ {
+		m.Store(k, k)
+	}
+	return func(it iter) {
+		for i := 0; it.next(i); i++ {
 			m.Load(uint64(i) % mapKeys)
 		}
-	})
-	b.Run("get/mutex-map", func(b *testing.B) {
-		m := make(map[uint64]uint64, mapKeys)
-		for k := uint64(0); k < mapKeys; k++ {
-			m[k] = k
-		}
-		var mu sync.Mutex
-		for i := 0; i < b.N; i++ {
+	}, nil
+}
+
+func mutexMapLoad() (loop, statser) {
+	m := make(map[uint64]uint64, mapKeys)
+	for k := uint64(0); k < mapKeys; k++ {
+		m[k] = k
+	}
+	mu := new(sync.Mutex)
+	return func(it iter) {
+		for i := 0; it.next(i); i++ {
 			mu.Lock()
 			_ = m[uint64(i)%mapKeys]
 			mu.Unlock()
 		}
-	})
-	b.Run("read-4x-locked/reactive", func(b *testing.B) {
-		m := fill(reactive.NewMap[uint64, uint64](reactive.WithSpinFailLimit(1 << 30)))
-		run4x(b, func(pb *testing.PB) {
-			i := uint64(0)
-			for pb.Next() {
-				m.Get(i % mapKeys)
-				i++
-			}
-		})
-		mapMode(b, m)
-	})
-	b.Run("read-4x-sharded-forced/reactive", func(b *testing.B) {
-		m := fill(reactive.NewMap[uint64, uint64](reactive.WithInitialMode(reactive.ModeSharded),
-			reactive.WithSpinFailLimit(1<<30), reactive.WithEmptyLimit(1<<30)))
-		run4x(b, func(pb *testing.PB) {
-			i := uint64(0)
-			for pb.Next() {
-				m.Get(i % mapKeys)
-				i++
-			}
-		})
-		mapMode(b, m)
-	})
-	b.Run("read-4x-epoch-forced/reactive", func(b *testing.B) {
-		m := fill(reactive.NewMap[uint64, uint64](reactive.WithInitialMode(reactive.ModeEpoch),
-			reactive.WithEmptyLimit(1<<30)))
-		run4x(b, func(pb *testing.PB) {
-			i := uint64(0)
-			for pb.Next() {
-				m.Get(i % mapKeys)
-				i++
-			}
-		})
-		mapMode(b, m)
-	})
-	b.Run("read-4x/sync.Map", func(b *testing.B) {
-		var m sync.Map
-		for k := uint64(0); k < mapKeys; k++ {
-			m.Store(k, k)
-		}
-		run4x(b, func(pb *testing.PB) {
-			i := uint64(0)
-			for pb.Next() {
-				m.Load(i % mapKeys)
-				i++
-			}
-		})
-	})
-	b.Run("read-4x/mutex-map", func(b *testing.B) {
-		m := make(map[uint64]uint64, mapKeys)
-		for k := uint64(0); k < mapKeys; k++ {
-			m[k] = k
-		}
-		var mu sync.Mutex
-		run4x(b, func(pb *testing.PB) {
-			i := uint64(0)
-			for pb.Next() {
-				mu.Lock()
-				_ = m[i%mapKeys]
-				mu.Unlock()
-				i++
-			}
-		})
-	})
+	}, nil
 }
