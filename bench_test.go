@@ -319,6 +319,15 @@ var nativeRows = []nativeRow{
 	{"Map", "read-4x-epoch-forced/reactive", 4, 4, mapGet(reactive.WithInitialMode(reactive.ModeEpoch), reactive.WithEmptyLimit(1<<30))},
 	{"Map", "read-4x/sync.Map", 4, 4, syncMapLoad},
 	{"Map", "read-4x/mutex-map", 4, 4, mutexMapLoad},
+	// A 95/5 Get/Put mix on at least 2 Ps whose Puts all overwrite warm
+	// keys: the epoch row's Put is one store into the key's value cell,
+	// with no table republished and no grace period, so the mix stays
+	// near its pure-Get row instead of paying a grace period per Put.
+	{"Map", "mix-95-5/reactive", 1, 2, mapMix()},
+	{"Map", "mix-95-5-locked-forced/reactive", 1, 2, mapMix(pinned(reactive.ModeLocked)...)},
+	{"Map", "mix-95-5-sharded-forced/reactive", 1, 2, mapMix(pinned(reactive.ModeSharded)...)},
+	{"Map", "mix-95-5-epoch-forced/reactive", 1, 2, mapMix(pinned(reactive.ModeEpoch)...)},
+	{"Map", "mix-95-5/sync.Map", 1, 2, syncMapMix},
 }
 
 // mixedRead is the mixed-read mix: update(1) on every iteration and a
@@ -463,10 +472,7 @@ const mapKeys = 128
 
 func mapGet(opts ...reactive.Option) func() (loop, statser) {
 	return func() (loop, statser) {
-		m := reactive.NewMap[uint64, uint64](opts...)
-		for k := uint64(0); k < mapKeys; k++ {
-			m.Put(k, k)
-		}
+		m := newMap(opts...)
 		return func(it iter) {
 			for i := 0; it.next(i); i++ {
 				m.Get(uint64(i) % mapKeys)
@@ -475,11 +481,57 @@ func mapGet(opts ...reactive.Option) func() (loop, statser) {
 	}
 }
 
-func syncMapLoad() (loop, statser) {
+// newMap is a Map warmed with every key of mapKeys.
+func newMap(opts ...reactive.Option) *reactive.Map[uint64, uint64] {
+	m := reactive.NewMap[uint64, uint64](opts...)
+	for k := uint64(0); k < mapKeys; k++ {
+		m.Put(k, k)
+	}
+	return m
+}
+
+// mapMix is the overwrite mix: every 20th iteration Puts, the rest Get.
+func mapMix(opts ...reactive.Option) func() (loop, statser) {
+	return func() (loop, statser) {
+		m := newMap(opts...)
+		return func(it iter) {
+			for i := 0; it.next(i); i++ {
+				k := uint64(i) % mapKeys
+				if i%20 == 19 {
+					m.Put(k, uint64(i))
+				} else {
+					m.Get(k)
+				}
+			}
+		}, m
+	}
+}
+
+func syncMapMix() (loop, statser) {
+	m := newSyncMap()
+	return func(it iter) {
+		for i := 0; it.next(i); i++ {
+			k := uint64(i) % mapKeys
+			if i%20 == 19 {
+				m.Store(k, uint64(i))
+			} else {
+				m.Load(k)
+			}
+		}
+	}, nil
+}
+
+// newSyncMap is a sync.Map warmed with every key of mapKeys.
+func newSyncMap() *sync.Map {
 	m := new(sync.Map)
 	for k := uint64(0); k < mapKeys; k++ {
 		m.Store(k, k)
 	}
+	return m
+}
+
+func syncMapLoad() (loop, statser) {
+	m := newSyncMap()
 	return func(it iter) {
 		for i := 0; it.next(i); i++ {
 			m.Load(uint64(i) % mapKeys)

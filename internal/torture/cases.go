@@ -97,7 +97,7 @@ var cases = []Case{
 	},
 	{
 		Name: "map/epoch-churn",
-		Desc: "Epoch-mode readers racing table republish and the in-place update of the retired copy",
+		Desc: "Epoch-mode readers racing in-place value-cell overwrites, table republish and the in-place update of the retired copy",
 		run: func(rc runCtx) error {
 			return mapEpochChurnCase(rc,
 				reactive.WithInitialMode(reactive.ModeEpoch),
@@ -470,17 +470,22 @@ func mapConservationCase(rc runCtx, opts ...reactive.Option) error {
 }
 
 // mapEpochChurnCase pins the map in the epoch mode and races readers
-// against the republish round trip: every write installs a new table
-// version and mutates the retired copy in place after its grace period,
-// so a reader outliving its grace would observe a torn table — caught
-// by the value-shape invariant and by -race through the map's backing
-// arrays. Writers also verify the published version never regresses.
+// against both epoch write paths. A Put of a present key stores into the
+// value cell both table copies share; a Delete, and a Put of a key a
+// delete removed, installs a new table version and mutates the retired
+// copy in place after its grace period, so a reader outliving its grace
+// would observe a torn table — caught by the value-shape invariant and
+// by -race through the map's backing arrays. Writers also verify the
+// published version never regresses, and the run must account for
+// every version: one per delete and one per insert.
 func mapEpochChurnCase(rc runCtx, opts ...reactive.Option) error {
 	m := reactive.NewMap[int, int](opts...)
 	const keys = 128
 	for k := 0; k < keys; k++ {
 		m.Put(k, k*1_000_000)
 	}
+	v0 := m.MapStats().Version
+	var puts, deletes atomic.Uint64
 	snap := func() string { return fmt.Sprintf("map: %+v", m.MapStats()) }
 	err := fleet(rc, snap, func(id int, rng *prng) error {
 		writer := id%4 == 0 // 1 writer per 4 workers: read-mostly, the epoch regime
@@ -488,10 +493,15 @@ func mapEpochChurnCase(rc runCtx, opts ...reactive.Option) error {
 		for i := 0; i < rc.ops; i++ {
 			k := rng.intn(keys)
 			if writer {
-				if rng.intn(8) == 0 {
+				// Every eighth write, from the first, is a Delete, so any
+				// run of three or more ops per worker both republishes and
+				// issues more Puts than Deletes.
+				if i%8 == 0 {
 					m.Delete(k)
+					deletes.Add(1)
 				} else {
 					m.Put(k, k*1_000_000+i)
+					puts.Add(1)
 				}
 				if ms := m.MapStats(); ms.Version < lastVer {
 					return fmt.Errorf("published version regressed: %d -> %d", lastVer, ms.Version)
@@ -523,6 +533,18 @@ func mapEpochChurnCase(rc runCtx, opts ...reactive.Option) error {
 	}
 	if got := m.Stats().Mode; got != reactive.ModeEpoch {
 		return fmt.Errorf("mode = %v at exit, want epoch (empty limit should pin it)", got)
+	}
+	// Every key starts present, so a Put inserts only a key some Delete
+	// removed: inserts ≤ deletes. Every Delete and every insert publishes
+	// one version and an overwrite none, so deletes ≤ published ≤
+	// 2·deletes. With three or more ops per worker the schedule makes
+	// deletes ≥ 1 and puts > deletes, so the bound also proves both paths
+	// ran: at least one table went out, and published ≤ 2·deletes <
+	// puts + deletes leaves some write that published none.
+	published, d, p := m.MapStats().Version-v0, deletes.Load(), puts.Load()
+	if published < d || published > 2*d {
+		return fmt.Errorf("%d puts and %d deletes published %d table versions, want %d..%d (one per delete and per insert, none per overwrite)",
+			p, d, published, d, 2*d)
 	}
 	return m.CheckInvariants()
 }

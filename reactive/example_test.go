@@ -192,9 +192,10 @@ func ExampleRWMutex() {
 // ExampleMap shows the adaptive hash map walking its protocol chain
 // under forced initial modes: one locked table for cheap uncontended
 // use, per-shard locks under mixed contention, and a published
-// immutable table for read-mostly saturation — where a lookup writes no
-// shared cache line and writers pay a journaled republish plus a grace
-// period. Detection walks the chain automatically; WithInitialMode
+// immutable index for read-mostly saturation — where a lookup writes no
+// shared cache line, an overwrite is one store into the key's value
+// cell, and an insert or delete pays a republish plus a grace period.
+// Detection walks the chain automatically; WithInitialMode
 // starts at a stage directly.
 func ExampleMap() {
 	for _, mode := range []reactive.Mode{

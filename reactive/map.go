@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/maphash"
+	"iter"
 	"maps"
 	"sync"
 	"sync/atomic"
@@ -50,6 +51,40 @@ type mapShard[K comparable, V any] struct {
 	_    [affinity.CacheLineSize - 16]byte
 }
 
+// cell is one key's value slot in the epoch mode. The published table
+// and the off-line copy map a key to the same cell, so an overwrite is
+// one atomic store of a fresh, never-mutated box, seen through both
+// copies at once. A cell outlives its key's tables: a delete unlinks it
+// and a later insert of the key makes a new one.
+type cell[V any] struct{ atomic.Pointer[V] }
+
+// newCell boxes v into a fresh cell.
+func newCell[V any](v V) *cell[V] {
+	c := new(cell[V])
+	c.Store(&v)
+	return c
+}
+
+// values yields every key of a cell table with its cell's current value.
+func values[K comparable, V any](cells map[K]*cell[V]) iter.Seq2[K, V] {
+	return func(yield func(K, V) bool) {
+		for k, c := range cells {
+			if !yield(k, *c.Load()) {
+				return
+			}
+		}
+	}
+}
+
+// lookup reads key's value out of a cell table.
+func lookup[K comparable, V any](cells map[K]*cell[V], key K) (v V, ok bool) {
+	c, ok := cells[key]
+	if ok {
+		v = *c.Load()
+	}
+	return v, ok
+}
+
 // Map is a reactive concurrent hash map — the first adaptive *data
 // structure* in this package, demonstrating that the modal engine
 // generalizes past locks: the same chain tables, streak detection,
@@ -64,17 +99,19 @@ type mapShard[K comparable, V any] struct {
 //     each under its own padded spin word. Operations on different
 //     shards proceed in parallel; contention on one key's shard is the
 //     detection signal in both directions.
-//   - ModeEpoch — a read-mostly copy-on-write table in the userspace-
+//   - ModeEpoch — a read-mostly copy-on-write index in the userspace-
 //     RCU style: Get enters the grace-period kernel (a deposit in its
-//     per-P cell) and reads an atomically published immutable table,
-//     writing nothing outside its own cache-line-padded cell —
-//     contended reads generate zero shared-cacheline coherence
-//     traffic. Put and Delete, under the writer lock, apply the
-//     mutation to the off-line table copy, publish that copy as the new
-//     version, and run a grace period (the same reactive/internal/epoch
-//     kernel RWMutex's cell-based modes run on) proving the retired copy
-//     reader-free before the mutation is applied to it in place, for
-//     the next round.
+//     per-P cell), finds the key's value cell in an atomically
+//     published table and loads it, writing nothing outside its own
+//     cache-line-padded cell — contended reads generate zero
+//     shared-cacheline coherence traffic. Both copies of the table
+//     share one value cell per key, so a Put that overwrites a present
+//     key is one atomic store under the writer lock. An insert or a
+//     Delete applies the change to the off-line copy, publishes that
+//     copy as the new version, and runs a grace period (the same
+//     reactive/internal/epoch kernel RWMutex's cell-based modes run on)
+//     proving the retired copy reader-free before the change is applied
+//     to it in place, for the next round.
 //
 // Reads that arrive during an epoch-mode writer's grace claim fall back
 // to the writer lock, so writers cannot starve; a Get never blocks a
@@ -117,11 +154,12 @@ type Map[K comparable, V any] struct {
 	shardsUp   atomic.Bool
 
 	// Epoch-mode state: the published table (cur), the off-line copy
-	// the next writer mutates and publishes (spare, guarded by wl), how
+	// the next insert or delete mutates and publishes (spare, guarded by
+	// wl; between writers it maps every key to the same cell as cur), how
 	// many tables have been published (version), and the grace-period
 	// kernel readers enter and writers claim and wait on (ek).
-	cur     atomic.Pointer[map[K]V]
-	spare   *map[K]V
+	cur     atomic.Pointer[map[K]*cell[V]]
+	spare   *map[K]*cell[V]
 	version atomic.Uint64
 	ek      epoch.Kernel
 }
@@ -217,7 +255,7 @@ func (mp *Map[K, V]) unlockAllShards() {
 
 // scatter moves every key of src into its shard — the key mover of both
 // edges into the sharded mode. The caller holds every shard lock.
-func (mp *Map[K, V]) scatter(src map[K]V) {
+func (mp *Map[K, V]) scatter(src iter.Seq2[K, V]) {
 	for k, v := range src {
 		sh := &mp.shards[mp.shardIndex(k)]
 		if sh.m == nil {
@@ -241,9 +279,10 @@ func (mp *Map[K, V]) gather() map[K]V {
 // mutate applies one Put (or, with del, one Delete) to *store, creating
 // the map on first use, and returns the change in live keys: the one
 // place a mutation and its count accounting are spelled, for the locked
-// table, a shard's partition and both epoch-mode copies. The caller
-// holds store's exclusion, and adds a nonzero delta to the count gauge —
-// skipping the zero keeps an overwrite off the gauge's shared cache line.
+// table, a shard's partition and both epoch-mode copies (whose values
+// are cells). The caller holds store's exclusion, and adds a nonzero
+// delta to the count gauge — skipping the zero keeps an overwrite off
+// the gauge's shared cache line.
 func mutate[K comparable, V any](store *map[K]V, key K, val V, del bool) (delta int64) {
 	_, had := (*store)[key]
 	if del {
@@ -297,7 +336,7 @@ func (mp *Map[K, V]) switchMap(want, next modal.Mode) {
 	case want == mapLocked && next == mapSharded:
 		mp.shardsInit()
 		mp.lockAllShards()
-		mp.scatter(mp.table)
+		mp.scatter(maps.All(mp.table))
 		mp.eng.TryCommit(mapModeTable, mapLocked, mapSharded)
 		mp.unlockAllShards()
 		mp.table = nil
@@ -308,7 +347,10 @@ func (mp *Map[K, V]) switchMap(want, next modal.Mode) {
 		mp.unlockAllShards()
 	case want == mapSharded && next == mapEpoch:
 		mp.lockAllShards()
-		pub := mp.gather()
+		pub := make(map[K]*cell[V], mp.count.Load())
+		for k, v := range mp.gather() {
+			pub[k] = newCell(v)
+		}
 		spare := maps.Clone(pub)
 		mp.version.Add(1)
 		mp.cur.Store(&pub)
@@ -376,15 +418,17 @@ func (mp *Map[K, V]) get(ctx context.Context, done <-chan struct{}, key K) (V, b
 			mp.note(mapSharded, contended, true)
 			return v, ok, nil
 		default: // mapEpoch
-			// One epoch-mode read: enter the kernel, read the published
-			// table, exit. Between a successful enter and its exit the
-			// kernel's exclusion argument (DESIGN.md §8) holds the table
-			// still: a writer retires a table only by publishing its
-			// successor and then running a grace period, which this
-			// reader's deposit blocks, so the table cannot be mutated in
-			// place while this reader is inside it.
+			// One epoch-mode read: enter the kernel, find the key's cell
+			// in the published table and load it, exit. Between a
+			// successful enter and its exit the kernel's exclusion
+			// argument (DESIGN.md §8) holds the table still: a writer
+			// retires a table only by publishing its successor and then
+			// running a grace period, which this reader's deposit blocks,
+			// so the table cannot be mutated in place while this reader is
+			// inside it. The cell itself may take an overwrite meanwhile;
+			// its load is the read's linearization point.
 			if c, _ := mp.ek.Enter(); c != nil {
-				v, ok := (*mp.cur.Load())[key]
+				v, ok := lookup(*mp.cur.Load(), key)
 				mp.ek.Exit(c)
 				return v, ok, nil
 			}
@@ -398,14 +442,17 @@ func (mp *Map[K, V]) get(ctx context.Context, done <-chan struct{}, key K) (V, b
 				mp.wl.Unlock()
 				continue
 			}
-			v, ok := (*mp.cur.Load())[key]
+			v, ok := lookup(*mp.cur.Load(), key)
 			mp.wl.Unlock()
 			return v, ok, nil
 		}
 	}
 }
 
-// Put stores val under key.
+// Put stores val under key. In ModeEpoch, overwriting a present key is
+// one atomic store of a freshly allocated copy of val (as sync.Map.Store
+// allocates), with no table republished and no grace period; only an
+// insert or a Delete republishes the table and waits for readers.
 func (mp *Map[K, V]) Put(key K, val V) {
 	mp.put(nil, nil, key, val, false)
 }
@@ -477,18 +524,30 @@ func (mp *Map[K, V]) put(ctx context.Context, done <-chan struct{}, key K, val V
 	}
 }
 
-// putEpoch applies one epoch-mode mutation, under wl. The republish
-// round trip: apply the mutation to the off-line copy, publish that copy
-// as the new table version, run a grace period proving the retired copy
-// reader-free, then apply the same mutation to the retired copy so both
-// copies are equal again. Between writers the spare is a full replica of
-// the published table — the invariant CheckInvariants verifies.
+// putEpoch applies one epoch-mode mutation, under wl. An overwrite of a
+// present key stores a fresh box into the cell both copies share and is
+// done: readers of either copy see it from that store on. An insert or a
+// delete takes the republish round trip: apply the change to the
+// off-line copy, publish that copy as the new table version, run a grace
+// period proving the retired copy reader-free, then apply the same
+// change to the retired copy so both copies map every key to the same
+// cell again — the invariant CheckInvariants verifies.
 func (mp *Map[K, V]) putEpoch(key K, val V, del bool) {
+	spare := mp.spare
+	c, had := (*spare)[key]
+	if had && !del {
+		box := new(V) // the overwrite's one allocation, made on this branch only
+		*box = val
+		c.Store(box)
+		return
+	}
+	if !del {
+		c = newCell(val) // an insert, or a key re-inserted after a delete
+	}
 	// In-place mutation of the off-line copy is safe because the grace
 	// period that retired it proved it reader-free, and no reader has
 	// been able to reach it since (cur no longer points at it).
-	spare := mp.spare
-	if d := mutate(spare, key, val, del); d != 0 {
+	if d := mutate(spare, key, c, del); d != 0 {
 		mp.count.Add(d)
 	}
 
@@ -504,7 +563,7 @@ func (mp *Map[K, V]) putEpoch(key K, val V, del bool) {
 	if demoted := mp.graceSweep(); !demoted {
 		// Bring the retired copy up to date for the next round. The delta
 		// is dropped: the gauge already moved once, above.
-		mutate(retired, key, val, del)
+		mutate(retired, key, c, del)
 	}
 }
 
@@ -531,7 +590,7 @@ func (mp *Map[K, V]) graceSweep() (demoted bool) {
 		// where the copy-on-write machinery is pure overhead.
 		mp.shardsInit()
 		mp.lockAllShards()
-		mp.scatter(*mp.cur.Load())
+		mp.scatter(values(*mp.cur.Load()))
 		mp.ek.Select(false, true)
 		mp.eng.TryCommit(mapModeTable, mapEpoch, mapSharded)
 		mp.unlockAllShards()
@@ -549,7 +608,9 @@ func (mp *Map[K, V]) Len() int { return int(mp.count.Load()) }
 // Range calls fn for every key/value pair in a weakly consistent
 // snapshot of the map, stopping early if fn returns false. The snapshot
 // is taken first and fn runs on it afterward, so fn is never invoked
-// under any Map lock and may itself call back into the map.
+// under any Map lock and may itself call back into the map. In
+// ModeEpoch the snapshot fixes the keys, and each value is its key's
+// value at some moment between the snapshot and fn's call.
 func (mp *Map[K, V]) Range(fn func(key K, val V) bool) {
 	for k, v := range mp.snapshot() {
 		if !fn(k, v) {
@@ -559,8 +620,9 @@ func (mp *Map[K, V]) Range(fn func(key K, val V) bool) {
 }
 
 // snapshot copies the map's current contents under the current mode's
-// exclusion, retrying if a transition moves the mode mid-copy.
-func (mp *Map[K, V]) snapshot() map[K]V {
+// exclusion, retrying if a transition moves the mode mid-copy, and
+// yields the copy's pairs.
+func (mp *Map[K, V]) snapshot() iter.Seq2[K, V] {
 	for {
 		switch mp.eng.Mode() {
 		case mapLocked:
@@ -571,7 +633,7 @@ func (mp *Map[K, V]) snapshot() map[K]V {
 			}
 			out := maps.Clone(mp.table)
 			mp.wl.Unlock()
-			return out
+			return maps.All(out)
 		case mapSharded:
 			out := make(map[K]V, mp.count.Load())
 			ok := true
@@ -587,35 +649,37 @@ func (mp *Map[K, V]) snapshot() map[K]V {
 				mp.unlockShard(&sh.lock)
 			}
 			if ok {
-				return out
+				return maps.All(out)
 			}
 		default: // mapEpoch
-			if out, valid := mp.snapshotEpoch(); valid {
-				return out
+			if cells, valid := mp.snapshotEpoch(); valid {
+				return values(cells)
 			}
 			mp.wl.Lock()
 			if mp.eng.Mode() != mapEpoch {
 				mp.wl.Unlock()
 				continue
 			}
-			out := maps.Clone(*mp.cur.Load())
+			cells := maps.Clone(*mp.cur.Load())
 			mp.wl.Unlock()
-			return out
+			return values(cells)
 		}
 	}
 }
 
-// snapshotEpoch copies the published table as an epoch reader — the
+// snapshotEpoch copies the published cell table as an epoch reader — the
 // copy (bounded, no user code) is the only work an epoch-mode grace
-// period ever waits on besides lookups.
-func (mp *Map[K, V]) snapshotEpoch() (map[K]V, bool) {
+// period ever waits on besides lookups. The values are loaded from the
+// copy's cells later, outside the read section: cells are never freed
+// and their boxes never change, so the loads need no section.
+func (mp *Map[K, V]) snapshotEpoch() (map[K]*cell[V], bool) {
 	c, _ := mp.ek.Enter()
 	if c == nil {
 		return nil, false
 	}
-	out := maps.Clone(*mp.cur.Load())
+	cells := maps.Clone(*mp.cur.Load())
 	mp.ek.Exit(c)
-	return out, true
+	return cells, true
 }
 
 // MapStats extends the unified Stats shape with the map's own gauges
@@ -664,7 +728,8 @@ func (mp *Map[K, V]) MapStats() MapStats {
 // writer lock is free and sound, every shard lock is free, the epoch
 // kernel is quiescent (no claim, mode bit agreeing with the engine,
 // cells summing to zero), no grace waiter is parked, the off-line copy
-// is a full replica of the published table, and the live-key gauge
+// maps every key to the same value cell as the published table, and
+// the live-key gauge
 // equals the key count of the current mode's authoritative store. See
 // the package note in check.go: quiescent diagnostics, not production
 // code.
@@ -694,9 +759,18 @@ func (mp *Map[K, V]) CheckInvariants() error {
 			live += len(mp.shards[i].m)
 		}
 	default:
-		live = len(*mp.cur.Load())
-		if mp.spare != nil && len(*mp.spare) != live {
+		pub := *mp.cur.Load()
+		live = len(pub)
+		if len(*mp.spare) != live {
 			return fmt.Errorf("reactive: Map off-line copy holds %d keys, published table holds %d", len(*mp.spare), live)
+		}
+		for k, c := range pub {
+			if (*mp.spare)[k] != c {
+				return fmt.Errorf("reactive: Map off-line copy does not share key %v's value cell with the published table", k)
+			}
+			if c.Load() == nil {
+				return fmt.Errorf("reactive: Map key %v's value cell is empty", k)
+			}
 		}
 	}
 	if c := mp.count.Load(); int(c) != live {

@@ -404,6 +404,91 @@ func TestMapEpochGetZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestMapEpochOverwriteInPlace pins the epoch write path's split: an
+// overwrite of a present key is one store into the value cell both
+// table copies share — no table published, no grace period, one
+// allocation — while an insert and a delete each publish one table and
+// wait out one grace period.
+func TestMapEpochOverwriteInPlace(t *testing.T) {
+	m := NewMap[int, int](WithInitialMode(ModeEpoch), WithEmptyLimit(1<<20))
+	const keys = 16
+	for k := 0; k < keys; k++ {
+		m.Put(k, k)
+	}
+	check := func(step string, want map[int]int) {
+		t.Helper()
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("after %s: %v", step, err)
+		}
+		for k, v := range want {
+			if got, ok := m.Get(k); !ok || got != v {
+				t.Fatalf("after %s: Get(%d) = %d,%v, want %d,true", step, k, got, ok, v)
+			}
+		}
+		seen := map[int]int{}
+		m.Range(func(k, v int) bool { seen[k] = v; return true })
+		if !maps.Equal(seen, want) {
+			t.Fatalf("after %s: Range saw %v, want %v", step, seen, want)
+		}
+	}
+	want := map[int]int{}
+	for k := 0; k < keys; k++ {
+		want[k] = k
+	}
+	check("seeding", want)
+	before := m.MapStats()
+
+	for i := 0; i < 100; i++ {
+		k := i % keys
+		m.Put(k, 1000*i+k)
+		want[k] = 1000*i + k
+		check(fmt.Sprintf("overwrite %d", i), want)
+	}
+	if ms := m.MapStats(); ms.Version != before.Version || ms.Graces != before.Graces {
+		t.Fatalf("100 overwrites moved version %d -> %d and graces %d -> %d, want both unchanged",
+			before.Version, ms.Version, before.Graces, ms.Graces)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.Put(3, 3) }); allocs != 1 {
+		t.Fatalf("epoch overwrite allocates %.1f objects/op, want 1 (the value's box)", allocs)
+	}
+	want[3] = 3
+
+	step := func(name string, op func()) {
+		t.Helper()
+		prev := m.MapStats()
+		op()
+		ms := m.MapStats()
+		if ms.Version != prev.Version+1 || ms.Graces != prev.Graces+1 {
+			t.Fatalf("%s moved version %d -> %d and graces %d -> %d, want +1 each",
+				name, prev.Version, ms.Version, prev.Graces, ms.Graces)
+		}
+		check(name, want)
+	}
+	step("insert", func() { m.Put(keys, -1); want[keys] = -1 })
+	step("delete", func() { m.Delete(0); delete(want, 0) })
+	// A re-inserted key gets a fresh cell; overwriting it is in place again.
+	step("re-insert", func() { m.Put(0, 7); want[0] = 7 })
+	prev := m.MapStats()
+	m.Put(0, 8)
+	want[0] = 8
+	if ms := m.MapStats(); ms.Version != prev.Version || ms.Graces != prev.Graces {
+		t.Fatalf("overwrite of a re-inserted key moved version %d -> %d", prev.Version, ms.Version)
+	}
+	check("overwrite after re-insert", want)
+}
+
+// TestMapOverwriteAllocs pins that the epoch mode's value box is its
+// own: an overwrite in the locked and sharded modes allocates nothing.
+func TestMapOverwriteAllocs(t *testing.T) {
+	for _, mode := range []Mode{ModeLocked, ModeSharded} {
+		m := NewMap[int, int](WithInitialMode(mode), WithSpinFailLimit(1<<20), WithEmptyLimit(1<<20))
+		m.Put(1, 1)
+		if allocs := testing.AllocsPerRun(100, func() { m.Put(1, 2) }); allocs != 0 {
+			t.Fatalf("%v overwrite allocates %.1f objects/op, want 0", mode, allocs)
+		}
+	}
+}
+
 func TestMapEpochChurnStress(t *testing.T) {
 	// Stay in epoch mode throughout: readers race writers that are
 	// republishing the table, the interleaving the grace-period proof

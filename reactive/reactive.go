@@ -89,7 +89,8 @@ type Mode uint32
 // against that word) ↔ ModeEpoch (the same cells validated against the
 // epoch gate); Map moves along the chain ModeLocked (one table under the
 // adaptive mutex) ↔ ModeSharded (per-shard locks) ↔ ModeEpoch (published
-// immutable table, republishing writers).
+// immutable index of value cells: overwrites store into a cell, inserts
+// and deletes republish).
 const (
 	// ModeSpin is the test-and-test-and-set analogue: waiters spin with
 	// randomized exponential backoff; unlock releases the lock word for
