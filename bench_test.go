@@ -328,6 +328,17 @@ var nativeRows = []nativeRow{
 	{"Map", "mix-95-5-sharded-forced/reactive", 1, 2, mapMix(pinned(reactive.ModeSharded)...)},
 	{"Map", "mix-95-5-epoch-forced/reactive", 1, 2, mapMix(pinned(reactive.ModeEpoch)...)},
 	{"Map", "mix-95-5/sync.Map", 1, 2, syncMapMix},
+	// The benchmark's oversubscribed-writes map mix: 50 % Put, 1 %
+	// Delete, the rest Get, over the warm keys at 4 goroutines per P. A
+	// delete and the Put that re-inserts its key are each one CAS on the
+	// key's value cell in the epoch mode, so the mix never republishes
+	// the table once the map has reached it.
+	{"Map", "churn-50-1/reactive", 4, 0, mapChurn()},
+	{"Map", "churn-50-1/locked-forced", 4, 0, mapChurn(pinned(reactive.ModeLocked)...)},
+	{"Map", "churn-50-1/sharded-forced", 4, 0, mapChurn(pinned(reactive.ModeSharded)...)},
+	{"Map", "churn-50-1/epoch-forced", 4, 0, mapChurn(pinned(reactive.ModeEpoch)...)},
+	{"Map", "churn-50-1/rwmutex-map", 4, 0, rwMapChurn},
+	{"Map", "churn-50-1/sync.Map", 4, 0, syncMapChurn},
 }
 
 // mixedRead is the mixed-read mix: update(1) on every iteration and a
@@ -519,6 +530,59 @@ func syncMapMix() (loop, statser) {
 			}
 		}
 	}, nil
+}
+
+// churn is the churn mix's loop: a per-goroutine LCG's high bits pick
+// the op (out of 100: 50 Puts, 1 Delete, 49 Gets) and the key.
+func churn(get func(k uint64), put func(k, v uint64), del func(k uint64)) loop {
+	return func(it iter) {
+		r := uint64(1)
+		for i := 0; it.next(i); i++ {
+			r = r*6364136223846793005 + 1442695040888963407
+			k := (r >> 40) % mapKeys
+			switch op := (r >> 20) % 100; {
+			case op < 50:
+				put(k, uint64(i))
+			case op < 51:
+				del(k)
+			default:
+				get(k)
+			}
+		}
+	}
+}
+
+func mapChurn(opts ...reactive.Option) func() (loop, statser) {
+	return func() (loop, statser) {
+		m := newMap(opts...)
+		return churn(func(k uint64) { m.Get(k) }, m.Put, m.Delete), m
+	}
+}
+
+func rwMapChurn() (loop, statser) {
+	m := make(map[uint64]uint64, mapKeys)
+	for k := uint64(0); k < mapKeys; k++ {
+		m[k] = k
+	}
+	mu := new(sync.RWMutex)
+	return churn(func(k uint64) {
+		mu.RLock()
+		_ = m[k]
+		mu.RUnlock()
+	}, func(k, v uint64) {
+		mu.Lock()
+		m[k] = v
+		mu.Unlock()
+	}, func(k uint64) {
+		mu.Lock()
+		delete(m, k)
+		mu.Unlock()
+	}), nil
+}
+
+func syncMapChurn() (loop, statser) {
+	m := newSyncMap()
+	return churn(func(k uint64) { m.Load(k) }, func(k, v uint64) { m.Store(k, v) }, func(k uint64) { m.Delete(k) }), nil
 }
 
 // newSyncMap is a sync.Map warmed with every key of mapKeys.

@@ -60,9 +60,11 @@ var (
 	rwChain = chain{tab: reactive.RWReaderTable(),
 		modes: []reactive.Mode{reactive.ModeCAS, reactive.ModeSharded, reactive.ModeEpoch}}
 	// Only contended *reads* vote Map's sharded store up to the epoch
-	// protocol (promoting a write-heavy map would tax every write with a
-	// grace period), so the trace models the read-mostly workload the
-	// epoch mode exists for.
+	// protocol (its known-key writes are one CAS, but a write-only map
+	// has no reads for it to serve), so the trace models the read-mostly
+	// workload the epoch mode exists for. The trace runs the table at the
+	// default limits; Map.note also stretches the sharded→locked streak
+	// to the live key count, which a keyless trace has no analogue of.
 	mapChain = chain{tab: reactive.MapTable(),
 		modes:    []reactive.Mode{reactive.ModeLocked, reactive.ModeSharded, reactive.ModeEpoch},
 		readFrac: 0.9}

@@ -184,8 +184,9 @@ func (s *Service) Put(ctx context.Context, key, val uint64, work uint32) error {
 // rebuild's service time spread between entries, so the burst holds the
 // write side busy long enough that concurrent reads blow their
 // deadlines in the blocking modes (and sail through in the epoch mode,
-// where every entry overwrites a present key: one store into its value
-// cell, with no grace period) — then republishes the snapshot.
+// where every entry overwrites a present key: one CAS on its value
+// cell, with no lock and no grace period) — then republishes the
+// snapshot.
 func (s *Service) Rebuild(ctx context.Context, gen uint64, work uint32) error {
 	s.hits.Add(1)
 	chunk := work / TableKeys

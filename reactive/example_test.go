@@ -193,8 +193,9 @@ func ExampleRWMutex() {
 // under forced initial modes: one locked table for cheap uncontended
 // use, per-shard locks under mixed contention, and a published
 // immutable index for read-mostly saturation — where a lookup writes no
-// shared cache line, an overwrite is one store into the key's value
-// cell, and an insert or delete pays a republish plus a grace period.
+// shared cache line, a Put or Delete of a known key is one CAS on the
+// key's value cell, and an insert of a fresh key pays a republish plus a
+// grace period.
 // Detection walks the chain automatically; WithInitialMode
 // starts at a stage directly.
 func ExampleMap() {

@@ -183,10 +183,10 @@ func (f *FetchOp) Apply(x int64) {
 			return
 		}
 		if f.base.CompareAndSwap(v, n) {
-			// Spelled out rather than f.observe: the helper does not
-			// inline, and this path is ten nanoseconds long.
-			if to, fire := f.eng.Observe(fopTable, fCAS, modal.Calm, f.cfg.limits()); fire {
-				f.switchFop(fCAS, to)
+			// CalmBottom inlines, and this path is ten nanoseconds long;
+			// only an injected policy takes the observe call.
+			if !f.eng.CalmBottom(fopTable) {
+				f.observe(fCAS, modal.Calm)
 			}
 			return
 		}

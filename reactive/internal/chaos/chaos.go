@@ -74,12 +74,14 @@ const (
 	PtFopValueSweep     = "fetchop.value.sweep"
 	PtFopSweepRelease   = "fetchop.sweep.release"
 
-	// Map: the two proof-critical windows of the epoch-mode republish
-	// protocol — the instant a new table version is published while
-	// readers may still hold the old one, and the grace period that
+	// Map: the three proof-critical windows of the epoch mode — a cell
+	// writer's load-to-CAS window, where a compaction's expunge CAS can
+	// land first; the instant a new table version is published while
+	// readers may still hold the old one; and the grace period that
 	// proves the retired table reader-free before it is mutated in place
 	// (the point fires before every cell sweep: in the
 	// claim-to-first-sweep window, then between re-sweeps).
+	PtMapCellStore    = "map.cell.store"
 	PtMapTablePublish = "map.table.publish"
 	PtMapGraceSweep   = "map.grace.sweep"
 )
@@ -95,7 +97,7 @@ const (
 var catalog = [...]string{
 	PtEpochOffline, PtEpochStamp,
 	PtFopCombineDeposit, PtFopFoldHarvest, PtFopSweepRelease, PtFopValueSweep,
-	PtMapGraceSweep, PtMapTablePublish,
+	PtMapCellStore, PtMapGraceSweep, PtMapTablePublish,
 	PtMutexUnlockRelease,
 	PtRWDrainUndo, PtRWShardedDeposit, PtRWTryLockUndo, PtRWUnlockRelease, PtRWWriterClaimed,
 	PtWaitqAbandon, PtWaitqGrant, PtWaitqPush, PtWaitqAnnounced,

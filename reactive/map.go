@@ -6,6 +6,7 @@ import (
 	"hash/maphash"
 	"iter"
 	"maps"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -52,24 +53,35 @@ type mapShard[K comparable, V any] struct {
 }
 
 // cell is one key's value slot in the epoch mode. The published table
-// and the off-line copy map a key to the same cell, so an overwrite is
-// one atomic store of a fresh, never-mutated box, seen through both
-// copies at once. A cell outlives its key's tables: a delete unlinks it
-// and a later insert of the key makes a new one.
+// and the off-line copy map a key to the same cell, so a write to a key
+// that has a cell is one compare-and-swap of a fresh, never-mutated box
+// (or of nil, a tombstone: the key is absent but keeps its cell), seen
+// through both copies at once. A cell outlives its key's tables: the
+// compaction that drops a tombstoned cell first marks it expunged (see
+// Map.expunged), and a later insert of the key makes a new one.
 type cell[V any] struct{ atomic.Pointer[V] }
 
-// newCell boxes v into a fresh cell.
-func newCell[V any](v V) *cell[V] {
-	c := new(cell[V])
-	c.Store(&v)
-	return c
+// newExpunged allocates a Map's expunged sentinel: a *V no box can
+// equal, never dereferenced. It points into a struct one byte longer
+// than V, so it is a heap address of its own even for a zero-size V,
+// where every new(V) returns one shared address.
+func newExpunged[V any]() *V {
+	return &new(struct {
+		v V
+		_ byte
+	}).v
 }
 
-// values yields every key of a cell table with its cell's current value.
-func values[K comparable, V any](cells map[K]*cell[V]) iter.Seq2[K, V] {
+// present reports whether a value cell's load p is a value: nil is a
+// tombstone and expunged a dropped cell, and both read as absent.
+func present[V any](p, expunged *V) bool { return p != nil && p != expunged }
+
+// values yields every key of a cell table whose cell holds a value,
+// with that value.
+func (mp *Map[K, V]) values(cells map[K]*cell[V]) iter.Seq2[K, V] {
 	return func(yield func(K, V) bool) {
 		for k, c := range cells {
-			if !yield(k, *c.Load()) {
+			if p := c.Load(); present(p, mp.expunged) && !yield(k, *p) {
 				return
 			}
 		}
@@ -77,12 +89,13 @@ func values[K comparable, V any](cells map[K]*cell[V]) iter.Seq2[K, V] {
 }
 
 // lookup reads key's value out of a cell table.
-func lookup[K comparable, V any](cells map[K]*cell[V], key K) (v V, ok bool) {
-	c, ok := cells[key]
-	if ok {
-		v = *c.Load()
+func (mp *Map[K, V]) lookup(cells map[K]*cell[V], key K) (v V, ok bool) {
+	if c, had := cells[key]; had {
+		if p := c.Load(); present(p, mp.expunged) {
+			return *p, true
+		}
 	}
-	return v, ok
+	return v, false
 }
 
 // Map is a reactive concurrent hash map — the first adaptive *data
@@ -105,20 +118,24 @@ func lookup[K comparable, V any](cells map[K]*cell[V], key K) (v V, ok bool) {
 //     published table and loads it, writing nothing outside its own
 //     cache-line-padded cell — contended reads generate zero
 //     shared-cacheline coherence traffic. Both copies of the table
-//     share one value cell per key, so a Put that overwrites a present
-//     key is one atomic store under the writer lock. An insert or a
-//     Delete applies the change to the off-line copy, publishes that
-//     copy as the new version, and runs a grace period (the same
-//     reactive/internal/epoch kernel RWMutex's cell-based modes run on)
-//     proving the retired copy reader-free before the change is applied
-//     to it in place, for the next round.
+//     share one value cell per key, and a Delete leaves its key's cell
+//     in place holding nil, so a Put or Delete of a key that has a cell
+//     finds it as a Get does and compare-and-swaps it: no lock, no
+//     table published, no grace period. Only an insert of a key with no
+//     cell takes the writer lock, applies the change to the off-line
+//     copy, publishes that copy as the new version, and runs a grace
+//     period (the same reactive/internal/epoch kernel RWMutex's
+//     cell-based modes run on) proving the retired copy reader-free
+//     before the change is applied to it in place, for the next round.
+//     Once tombstoned cells outnumber live keys, that insert also drops
+//     them from both copies.
 //
-// Reads that arrive during an epoch-mode writer's grace claim fall back
-// to the writer lock, so writers cannot starve; a Get never blocks a
-// Get. Mode transitions run as a writer-drain-style consensus — writer
-// lock plus every shard lock, or writer lock plus a completed grace
-// period — and move every key exactly once, so no transition can lose
-// or duplicate a key.
+// Reads and writes that arrive during an epoch-mode writer's grace
+// claim fall back to the writer lock, so writers cannot starve; a Get
+// never blocks a Get. Mode transitions run as a writer-drain-style
+// consensus — writer lock plus every shard lock, or writer lock plus a
+// completed grace period — and move every key exactly once, so no
+// transition can lose or duplicate a key.
 //
 // The zero value is an empty ModeLocked map ready for use. A Map must
 // not be copied after first use. All methods are safe for concurrent
@@ -135,7 +152,8 @@ type Map[K comparable, V any] struct {
 	cfg config
 
 	// count is the live-key gauge, maintained under each mode's
-	// exclusion so Len is O(1) in every mode.
+	// exclusion (in ModeEpoch, by what each cell CAS replaced) so Len is
+	// O(1) in every mode.
 	count atomic.Int64
 
 	// table is the ModeLocked store; guarded by wl.
@@ -154,14 +172,19 @@ type Map[K comparable, V any] struct {
 	shardsUp   atomic.Bool
 
 	// Epoch-mode state: the published table (cur), the off-line copy
-	// the next insert or delete mutates and publishes (spare, guarded by
-	// wl; between writers it maps every key to the same cell as cur), how
-	// many tables have been published (version), and the grace-period
-	// kernel readers enter and writers claim and wait on (ek).
-	cur     atomic.Pointer[map[K]*cell[V]]
-	spare   *map[K]*cell[V]
-	version atomic.Uint64
-	ek      epoch.Kernel
+	// the next insert mutates and publishes (spare, guarded by wl;
+	// between writers it maps every key to the same cell as cur), the
+	// value a compaction CASes into a tombstoned cell before dropping it
+	// from both copies (expunged, from newExpunged: set once, before the
+	// epoch mode is first published, and never changed), how many tables
+	// have been published (version), and the grace-period kernel readers
+	// and cell writers enter and inserting writers claim and wait on
+	// (ek).
+	cur      atomic.Pointer[map[K]*cell[V]]
+	expunged *V
+	spare    *map[K]*cell[V]
+	version  atomic.Uint64
+	ek       epoch.Kernel
 }
 
 // NewMap builds a Map with the given options. NewMap() is equivalent to
@@ -278,9 +301,9 @@ func (mp *Map[K, V]) gather() map[K]V {
 
 // mutate applies one Put (or, with del, one Delete) to *store, creating
 // the map on first use, and returns the change in live keys: the one
-// place a mutation and its count accounting are spelled, for the locked
-// table, a shard's partition and both epoch-mode copies (whose values
-// are cells). The caller holds store's exclusion, and adds a nonzero
+// place a mutation and its count accounting are spelled for the locked
+// table and a shard's partition (the epoch mode's cells count in
+// storeCell). The caller holds store's exclusion, and adds a nonzero
 // delta to the count gauge — skipping the zero keeps an overwrite off
 // the gauge's shared cache line.
 func mutate[K comparable, V any](store *map[K]V, key K, val V, del bool) (delta int64) {
@@ -307,14 +330,22 @@ func mutate[K comparable, V any](store *map[K]V, key K, val V, del bool) (delta 
 // contended. Contended reads are told apart because only they vote the
 // sharded store up to the epoch protocol (readers colliding on a shard
 // word is exactly the coherence traffic the published-table mode
-// eliminates), while a contended write only breaks the down-streak —
-// promoting a write-heavy map would tax every write with a grace period.
+// eliminates), while a contended write only breaks the down-streak: the
+// epoch mode writes a known key with one compare-and-swap, but a
+// write-only map has no reads for it to serve. The sharded→locked step
+// gathers every key, so its calm streak is priced like a competitive
+// switch (and like sync.Map's promotion, by the keys it moves): at
+// least max(EmptyLimit, live keys) uncontended operations in a row.
 func (mp *Map[K, V]) note(from modal.Mode, contended, read bool) {
 	s := signalOf(contended)
 	if contended && read {
 		s = modal.BusyRead
 	}
-	if to, fire := mp.eng.Observe(mapModeTable, from, s, mp.cfg.limits()); fire {
+	lim := mp.cfg.limits()
+	if from == mapSharded {
+		lim[1] = int32(max(int64(lim[1]), min(mp.count.Load(), math.MaxInt32)))
+	}
+	if to, fire := mp.eng.Observe(mapModeTable, from, s, lim); fire {
 		mp.switchMap(from, to)
 	}
 }
@@ -349,9 +380,14 @@ func (mp *Map[K, V]) switchMap(want, next modal.Mode) {
 		mp.lockAllShards()
 		pub := make(map[K]*cell[V], mp.count.Load())
 		for k, v := range mp.gather() {
-			pub[k] = newCell(v)
+			c := new(cell[V])
+			c.Store(&v)
+			pub[k] = c
 		}
 		spare := maps.Clone(pub)
+		if mp.expunged == nil {
+			mp.expunged = newExpunged[V]()
+		}
 		mp.version.Add(1)
 		mp.cur.Store(&pub)
 		mp.spare = &spare
@@ -401,7 +437,9 @@ func (mp *Map[K, V]) get(ctx context.Context, done <-chan struct{}, key K) (V, b
 			}
 			v, ok := mp.table[key]
 			mp.wl.Unlock()
-			mp.note(mapLocked, contended, true)
+			if contended || !mp.eng.CalmBottom(mapModeTable) {
+				mp.note(mapLocked, contended, true)
+			}
 			return v, ok, nil
 		case mapSharded:
 			sh := &mp.shards[mp.shardIndex(key)]
@@ -425,10 +463,10 @@ func (mp *Map[K, V]) get(ctx context.Context, done <-chan struct{}, key K) (V, b
 			// retires a table only by publishing its successor and then
 			// running a grace period, which this reader's deposit blocks,
 			// so the table cannot be mutated in place while this reader is
-			// inside it. The cell itself may take an overwrite meanwhile;
-			// its load is the read's linearization point.
+			// inside it. The cell itself may take a write meanwhile; its
+			// load is the read's linearization point.
 			if c, _ := mp.ek.Enter(); c != nil {
-				v, ok := lookup(*mp.cur.Load(), key)
+				v, ok := mp.lookup(*mp.cur.Load(), key)
 				mp.ek.Exit(c)
 				return v, ok, nil
 			}
@@ -442,17 +480,20 @@ func (mp *Map[K, V]) get(ctx context.Context, done <-chan struct{}, key K) (V, b
 				mp.wl.Unlock()
 				continue
 			}
-			v, ok := lookup(*mp.cur.Load(), key)
+			v, ok := mp.lookup(*mp.cur.Load(), key)
 			mp.wl.Unlock()
 			return v, ok, nil
 		}
 	}
 }
 
-// Put stores val under key. In ModeEpoch, overwriting a present key is
-// one atomic store of a freshly allocated copy of val (as sync.Map.Store
-// allocates), with no table republished and no grace period; only an
-// insert or a Delete republishes the table and waits for readers.
+// Put stores val under key. In ModeEpoch, a Put of a key that has a
+// value cell — present, or deleted since the table last dropped its
+// tombstones — is one compare-and-swap of a freshly allocated copy of
+// val (as sync.Map.Store allocates) inside an epoch read section, with
+// no lock taken, no table republished and no grace period; only an
+// insert of a key with no cell takes the writer lock, republishes the
+// table and waits for readers.
 func (mp *Map[K, V]) Put(key K, val V) {
 	mp.put(nil, nil, key, val, false)
 }
@@ -470,7 +511,9 @@ func (mp *Map[K, V]) PutCtx(ctx context.Context, key K, val V) error {
 	return mp.put(ctx, ctx.Done(), key, val, false)
 }
 
-// Delete removes the value stored under key, if any.
+// Delete removes the value stored under key, if any. In ModeEpoch it
+// never takes a lock: it leaves the key's value cell in place, holding
+// nil.
 func (mp *Map[K, V]) Delete(key K) {
 	mp.put(nil, nil, key, *new(V), true)
 }
@@ -491,7 +534,9 @@ func (mp *Map[K, V]) put(ctx context.Context, done <-chan struct{}, key K, val V
 				mp.count.Add(d)
 			}
 			mp.wl.Unlock()
-			mp.note(mapLocked, contended, false)
+			if contended || !mp.eng.CalmBottom(mapModeTable) {
+				mp.note(mapLocked, contended, false)
+			}
 			return nil
 		case mapSharded:
 			sh := &mp.shards[mp.shardIndex(key)]
@@ -510,6 +555,16 @@ func (mp *Map[K, V]) put(ctx context.Context, done <-chan struct{}, key K, val V
 			mp.note(mapSharded, contended, false)
 			return nil
 		default: // mapEpoch
+			// A Delete's box is nil, the tombstone; a Put's is the epoch
+			// write's one allocation, made on this branch only.
+			var box *V
+			if !del {
+				box = new(V)
+				*box = val
+			}
+			if mp.storeEpoch(key, box) {
+				return nil
+			}
 			if _, err := mp.lockW(ctx, done); err != nil {
 				return err
 			}
@@ -517,39 +572,112 @@ func (mp *Map[K, V]) put(ctx context.Context, done <-chan struct{}, key K, val V
 				mp.wl.Unlock()
 				continue
 			}
-			mp.putEpoch(key, val, del)
+			mp.putEpoch(key, box)
 			mp.wl.Unlock()
 			return nil
 		}
 	}
 }
 
-// putEpoch applies one epoch-mode mutation, under wl. An overwrite of a
-// present key stores a fresh box into the cell both copies share and is
-// done: readers of either copy see it from that store on. An insert or a
-// delete takes the republish round trip: apply the change to the
-// off-line copy, publish that copy as the new table version, run a grace
-// period proving the retired copy reader-free, then apply the same
-// change to the retired copy so both copies map every key to the same
-// cell again — the invariant CheckInvariants verifies.
-func (mp *Map[K, V]) putEpoch(key K, val V, del bool) {
+// storeEpoch is the lock-free epoch write: inside an epoch read
+// section, as Get does, it finds key's value cell in the published
+// table and stores box into it (storeCell). It reports false, having
+// changed nothing, when the write needs the writer lock: a refused
+// Enter (a grace claim is in place, or the mode moved), a Put of a key
+// with no cell, or a Put into an expunged cell. A Delete of a key with
+// no cell is done: the key is absent in the table just loaded.
+//
+// The open section is what makes the store safe without wl: every
+// table change that could drop the cell or move the key out of the
+// epoch protocol (a compaction, a demotion to ModeSharded) completes
+// only after a grace period, which this section blocks.
+func (mp *Map[K, V]) storeEpoch(key K, box *V) bool {
+	rc, _ := mp.ek.Enter()
+	if rc == nil {
+		return false
+	}
+	done := box == nil
+	if c, ok := (*mp.cur.Load())[key]; ok {
+		done = mp.storeCell(c, box)
+	}
+	mp.ek.Exit(rc)
+	return done
+}
+
+// storeCell compare-and-swaps box (nil for a Delete) into a value cell,
+// moving the live-key gauge by what the swap replaced: a value into a
+// tombstone is an insert, nil over a value a delete. A Delete of a
+// tombstone changes nothing. An expunged cell has left, or is leaving,
+// both tables: the key is absent, which is a Delete's whole effect, and
+// a Put reports false to insert under wl. A compaction's expunge CAS
+// (nil → expunged) and a Put's CAS out of the nil it loaded cannot both
+// succeed, so no write lands in a dropped cell.
+func (mp *Map[K, V]) storeCell(c *cell[V], box *V) bool {
+	for {
+		old := c.Load()
+		if old == mp.expunged {
+			return box == nil
+		}
+		if old == nil && box == nil {
+			return true
+		}
+		chaos.Point("map.cell.store")
+		if c.CompareAndSwap(old, box) {
+			switch {
+			case old == nil:
+				mp.count.Add(1)
+			case box == nil:
+				mp.count.Add(-1)
+			}
+			return true
+		}
+	}
+}
+
+// putEpoch applies one epoch-mode write under wl: the fallback of a
+// write storeEpoch could not finish. Between writers no cell of either
+// copy is expunged (a compaction drops them from both before it
+// releases wl), so a key with a cell takes storeCell, which cannot fail
+// here. A Put of a key with no cell is an insert and takes the
+// republish round trip: add a new cell to the off-line copy, publish
+// that copy as the new table version, run a grace period proving the
+// retired copy reader-free, then add the same cell to the retired copy
+// so both copies map every key to the same cell again — the invariant
+// CheckInvariants verifies.
+//
+// Compaction rides the round trip. When tombstones outnumber live keys,
+// each tombstoned cell is CASed from nil to expunged and dropped from
+// the off-line copy before it is published, and dropped from the
+// retired copy after the grace period, with the insert's own change. A
+// cell revived by a lock-free Put before its expunge CAS stays. No
+// grace period is added: readers and writers still inside the retired
+// table read an expunged cell as absent, and the grace period that
+// already runs waits them out before the retired copy is touched.
+func (mp *Map[K, V]) putEpoch(key K, box *V) {
 	spare := mp.spare
-	c, had := (*spare)[key]
-	if had && !del {
-		box := new(V) // the overwrite's one allocation, made on this branch only
-		*box = val
-		c.Store(box)
+	if c, ok := (*spare)[key]; ok {
+		mp.storeCell(c, box)
 		return
 	}
-	if !del {
-		c = newCell(val) // an insert, or a key re-inserted after a delete
+	if box == nil {
+		return // a Delete of an absent key
+	}
+	c := new(cell[V])
+	c.Store(box)
+	cells, keys := int64(len(*spare)), mp.count.Load()
+	compact := cells-keys > keys
+	if compact {
+		for k, tc := range *spare {
+			if tc.CompareAndSwap(nil, mp.expunged) {
+				delete(*spare, k)
+			}
+		}
 	}
 	// In-place mutation of the off-line copy is safe because the grace
 	// period that retired it proved it reader-free, and no reader has
 	// been able to reach it since (cur no longer points at it).
-	if d := mutate(spare, key, c, del); d != 0 {
-		mp.count.Add(d)
-	}
+	(*spare)[key] = c
+	mp.count.Add(1)
 
 	// Publish: one atomic store installs the new version; readers that
 	// loaded the old pointer are still inside it — the window the
@@ -561,9 +689,15 @@ func (mp *Map[K, V]) putEpoch(key K, val V, del bool) {
 	chaos.Point("map.table.publish")
 
 	if demoted := mp.graceSweep(); !demoted {
-		// Bring the retired copy up to date for the next round. The delta
-		// is dropped: the gauge already moved once, above.
-		mutate(retired, key, c, del)
+		// Bring the retired copy up to date for the next round.
+		(*retired)[key] = c
+		if compact {
+			for k, tc := range *retired {
+				if tc.Load() == mp.expunged {
+					delete(*retired, k)
+				}
+			}
+		}
 	}
 }
 
@@ -590,7 +724,7 @@ func (mp *Map[K, V]) graceSweep() (demoted bool) {
 		// where the copy-on-write machinery is pure overhead.
 		mp.shardsInit()
 		mp.lockAllShards()
-		mp.scatter(values(*mp.cur.Load()))
+		mp.scatter(mp.values(*mp.cur.Load()))
 		mp.ek.Select(false, true)
 		mp.eng.TryCommit(mapModeTable, mapEpoch, mapSharded)
 		mp.unlockAllShards()
@@ -609,8 +743,9 @@ func (mp *Map[K, V]) Len() int { return int(mp.count.Load()) }
 // snapshot of the map, stopping early if fn returns false. The snapshot
 // is taken first and fn runs on it afterward, so fn is never invoked
 // under any Map lock and may itself call back into the map. In
-// ModeEpoch the snapshot fixes the keys, and each value is its key's
-// value at some moment between the snapshot and fn's call.
+// ModeEpoch the snapshot fixes which keys are visited (those with a
+// value cell, deleted ones included), and each is read at some moment
+// between the snapshot and fn's call and yielded if it held a value.
 func (mp *Map[K, V]) Range(fn func(key K, val V) bool) {
 	for k, v := range mp.snapshot() {
 		if !fn(k, v) {
@@ -653,7 +788,7 @@ func (mp *Map[K, V]) snapshot() iter.Seq2[K, V] {
 			}
 		default: // mapEpoch
 			if cells, valid := mp.snapshotEpoch(); valid {
-				return values(cells)
+				return mp.values(cells)
 			}
 			mp.wl.Lock()
 			if mp.eng.Mode() != mapEpoch {
@@ -662,14 +797,14 @@ func (mp *Map[K, V]) snapshot() iter.Seq2[K, V] {
 			}
 			cells := maps.Clone(*mp.cur.Load())
 			mp.wl.Unlock()
-			return values(cells)
+			return mp.values(cells)
 		}
 	}
 }
 
 // snapshotEpoch copies the published cell table as an epoch reader — the
 // copy (bounded, no user code) is the only work an epoch-mode grace
-// period ever waits on besides lookups. The values are loaded from the
+// period ever waits on besides lookups and cell writes. The values are loaded from the
 // copy's cells later, outside the read section: cells are never freed
 // and their boxes never change, so the loads need no section.
 func (mp *Map[K, V]) snapshotEpoch() (map[K]*cell[V], bool) {
@@ -728,9 +863,10 @@ func (mp *Map[K, V]) MapStats() MapStats {
 // writer lock is free and sound, every shard lock is free, the epoch
 // kernel is quiescent (no claim, mode bit agreeing with the engine,
 // cells summing to zero), no grace waiter is parked, the off-line copy
-// maps every key to the same value cell as the published table, and
-// the live-key gauge
-// equals the key count of the current mode's authoritative store. See
+// maps every key to the same value cell as the published table, no
+// cell of either is expunged (a tombstone, nil, is legal), and the
+// live-key gauge equals the key count of the current mode's
+// authoritative store — in ModeEpoch, the cells holding a value. See
 // the package note in check.go: quiescent diagnostics, not production
 // code.
 func (mp *Map[K, V]) CheckInvariants() error {
@@ -760,16 +896,18 @@ func (mp *Map[K, V]) CheckInvariants() error {
 		}
 	default:
 		pub := *mp.cur.Load()
-		live = len(pub)
-		if len(*mp.spare) != live {
-			return fmt.Errorf("reactive: Map off-line copy holds %d keys, published table holds %d", len(*mp.spare), live)
+		if len(*mp.spare) != len(pub) {
+			return fmt.Errorf("reactive: Map off-line copy holds %d cells, published table holds %d", len(*mp.spare), len(pub))
 		}
 		for k, c := range pub {
 			if (*mp.spare)[k] != c {
 				return fmt.Errorf("reactive: Map off-line copy does not share key %v's value cell with the published table", k)
 			}
-			if c.Load() == nil {
-				return fmt.Errorf("reactive: Map key %v's value cell is empty", k)
+			switch p := c.Load(); {
+			case p == mp.expunged:
+				return fmt.Errorf("reactive: Map key %v's value cell is expunged but still in the tables", k)
+			case p != nil:
+				live++
 			}
 		}
 	}

@@ -310,20 +310,24 @@ func TestMapChainWalkBothDirections(t *testing.T) {
 	}
 	verify(ModeEpoch)
 
-	// Epoch writers see version numbers advance.
+	// Epoch inserts of fresh keys see version numbers advance; their
+	// deletes leave tombstones and publish nothing.
 	v0 := m.MapStats().Version
 	m.Put(n, 0)
-	m.Delete(n)
+	m.Put(n+1, 0)
 	if v1 := m.MapStats().Version; v1 < v0+2 {
-		t.Fatalf("version %d after two epoch writes from %d, want >= %d", v1, v0, v0+2)
+		t.Fatalf("version %d after two epoch inserts from %d, want >= %d", v1, v0, v0+2)
 	}
+	m.Delete(n)
+	m.Delete(n + 1)
+	verify(ModeEpoch)
 
-	// Down: a quiet grace period (a write with no concurrent readers)
+	// Down: a quiet grace period (an insert with no concurrent readers)
 	// demotes back to sharded on a hair-trigger empty limit.
 	m.cfg.emptyLimit = 1
-	m.Put(n, 0)
+	m.Put(n+2, 0)
 	m.cfg.emptyLimit = 1 << 20
-	m.Delete(n) // runs sharded already; restores the key count
+	m.Delete(n + 2) // runs sharded already; restores the key count
 	verify(ModeSharded)
 	ms := m.MapStats()
 	if ms.Graces == 0 || ms.QuietGraces == 0 {
@@ -405,10 +409,11 @@ func TestMapEpochGetZeroAllocs(t *testing.T) {
 }
 
 // TestMapEpochOverwriteInPlace pins the epoch write path's split: an
-// overwrite of a present key is one store into the value cell both
-// table copies share — no table published, no grace period, one
-// allocation — while an insert and a delete each publish one table and
-// wait out one grace period.
+// overwrite of a present key, a delete, and a re-insert of a deleted key
+// are each one compare-and-swap on the value cell both table copies
+// share — no table published, no grace period, one allocation for a Put
+// — while only an insert of a fresh key publishes one table and waits
+// out one grace period.
 func TestMapEpochOverwriteInPlace(t *testing.T) {
 	m := NewMap[int, int](WithInitialMode(ModeEpoch), WithEmptyLimit(1<<20))
 	const keys = 16
@@ -453,28 +458,54 @@ func TestMapEpochOverwriteInPlace(t *testing.T) {
 	}
 	want[3] = 3
 
-	step := func(name string, op func()) {
+	// step runs op and checks that it moved Version and Graces by
+	// published each.
+	step := func(name string, published uint64, op func()) {
 		t.Helper()
 		prev := m.MapStats()
 		op()
 		ms := m.MapStats()
-		if ms.Version != prev.Version+1 || ms.Graces != prev.Graces+1 {
-			t.Fatalf("%s moved version %d -> %d and graces %d -> %d, want +1 each",
-				name, prev.Version, ms.Version, prev.Graces, ms.Graces)
+		if ms.Version != prev.Version+published || ms.Graces != prev.Graces+published {
+			t.Fatalf("%s moved version %d -> %d and graces %d -> %d, want +%d each",
+				name, prev.Version, ms.Version, prev.Graces, ms.Graces, published)
 		}
 		check(name, want)
 	}
-	step("insert", func() { m.Put(keys, -1); want[keys] = -1 })
-	step("delete", func() { m.Delete(0); delete(want, 0) })
-	// A re-inserted key gets a fresh cell; overwriting it is in place again.
-	step("re-insert", func() { m.Put(0, 7); want[0] = 7 })
-	prev := m.MapStats()
-	m.Put(0, 8)
-	want[0] = 8
-	if ms := m.MapStats(); ms.Version != prev.Version || ms.Graces != prev.Graces {
-		t.Fatalf("overwrite of a re-inserted key moved version %d -> %d", prev.Version, ms.Version)
+	step("insert", 1, func() { m.Put(keys, -1); want[keys] = -1 })
+	step("delete", 0, func() { m.Delete(0); delete(want, 0) })
+	step("delete of a tombstone", 0, func() { m.Delete(0) })
+	// A re-inserted key takes its tombstoned cell back.
+	step("re-insert", 0, func() { m.Put(0, 7); want[0] = 7 })
+	step("overwrite after re-insert", 0, func() { m.Put(0, 8); want[0] = 8 })
+	step("insert of another fresh key", 1, func() { m.Put(keys+1, -2); want[keys+1] = -2 })
+}
+
+// TestMapEpochCompactionBoundsCells churns many fresh keys through a
+// forced-epoch map — insert one, delete the one inserted live keys
+// before it — so every delete leaves a tombstoned cell. Compaction must
+// keep both table copies within twice the live keys plus a small floor
+// at quiescence; without it they would hold a cell for every key ever
+// inserted.
+func TestMapEpochCompactionBoundsCells(t *testing.T) {
+	m := NewMap[int, int](WithInitialMode(ModeEpoch), WithEmptyLimit(1<<20))
+	const churn, live = 5000, 16
+	for k := 0; k < churn; k++ {
+		m.Put(k, k)
+		if k >= live {
+			m.Delete(k - live)
+		}
 	}
-	check("overwrite after re-insert", want)
+	if got := m.Len(); got != live {
+		t.Fatalf("Len = %d, want %d", got, live)
+	}
+	for name, cells := range map[string]int{"published table": len(*m.cur.Load()), "off-line copy": len(*m.spare)} {
+		if cells > 2*live+4 {
+			t.Errorf("%s holds %d cells for %d live keys after %d fresh keys, want <= %d", name, cells, live, churn, 2*live+4)
+		}
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestMapOverwriteAllocs pins that the epoch mode's value box is its

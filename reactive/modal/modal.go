@@ -233,7 +233,7 @@ func (e *Engine) Observe(t *Table, from Mode, s Signal, limits [2]int32) (to Mod
 	// both of those measured 1.5–4 ns slower per call.
 	up, down, f := t.steps[0], t.steps[1], int(from)
 	if f > len(up) {
-		panic(fmt.Sprintf("modal: mode %d out of range for %d modes", from, t.N()))
+		panicRange(from, t)
 	}
 	voted := false
 	if f > 0 { // the down step, at slot 2(f-1)+1
@@ -258,6 +258,32 @@ func (e *Engine) Observe(t *Table, from Mode, s Signal, limits [2]int32) (to Mod
 		e.optimal(dir)
 	}
 	return to, fire
+}
+
+// panicRange is Observe's out-of-range panic, out of line: its
+// formatting would otherwise count against Observe's own body.
+//
+//go:noinline
+func panicRange(from Mode, t *Table) {
+	panic(fmt.Sprintf("modal: mode %d out of range for %d modes", from, t.N()))
+}
+
+// CalmBottom is Observe(t, 0, Calm, …) on a primitive's uncontended fast
+// path, small enough to inline: with built-in detection, a Calm in the
+// chain's bottom mode votes for nothing (mode 0 has no down step) and
+// only confirms the up step, resetting its streak if it is nonzero.
+// CalmBottom does that and reports true. With an injected policy, or a
+// table whose bottom up step is itself voted by Calm, it does nothing
+// and reports false, and the caller calls Observe. The caller has
+// observed mode 0.
+func (e *Engine) CalmBottom(t *Table) bool {
+	if e.pol != nil || t.steps[0][0].On == Calm {
+		return false
+	}
+	if e.streaks[0].Load() != 0 {
+		e.streaks[0].Store(0)
+	}
+	return true
 }
 
 // Vote is Observe's vote alone, on a named step: one request served

@@ -89,8 +89,8 @@ type Mode uint32
 // against that word) ↔ ModeEpoch (the same cells validated against the
 // epoch gate); Map moves along the chain ModeLocked (one table under the
 // adaptive mutex) ↔ ModeSharded (per-shard locks) ↔ ModeEpoch (published
-// immutable index of value cells: overwrites store into a cell, inserts
-// and deletes republish).
+// immutable index of value cells: Puts and Deletes of known keys CAS a
+// cell without a lock, inserts of fresh keys republish).
 const (
 	// ModeSpin is the test-and-test-and-set analogue: waiters spin with
 	// randomized exponential backoff; unlock releases the lock word for
@@ -389,19 +389,14 @@ func (m *Mutex) lockFast() bool {
 	if m.state.CompareAndSwap(unlocked, locked) {
 		// Detection is mode-directional, as in the simulator's reactive
 		// lock: spin mode monitors the cheap→scalable direction only.
-		// With an injected policy the notification goes through
-		// noteSpinAcquire's panic guard — the lock is already held here,
-		// and a panicking policy must not strand it. The built-in path
-		// stays bare: it is pure atomics, and the guard's defer — or a
-		// call frame that does not inline — would tax every acquisition.
-		if m.eng.Mode() == mSpin {
-			if m.eng.Policy() == nil {
-				if to, fire := m.eng.Observe(spinParkTable, mSpin, modal.Calm, m.cfg.limits()); fire {
-					m.switchMode(mSpin, to)
-				}
-			} else {
-				m.noteSpinAcquire(0)
-			}
+		// The built-in path is CalmBottom, which inlines: an uncontended
+		// acquisition in the bottom mode votes for nothing, and the
+		// guard's defer — or a call frame that does not inline — would
+		// tax every acquisition. With an injected policy the notification
+		// goes through noteSpinAcquire's panic guard — the lock is
+		// already held here, and a panicking policy must not strand it.
+		if m.eng.Mode() == mSpin && !m.eng.CalmBottom(spinParkTable) {
+			m.noteSpinAcquire(0)
 		}
 		return true
 	}
