@@ -321,8 +321,8 @@ var nativeRows = []nativeRow{
 	{"Map", "read-4x/mutex-map", 4, 4, mutexMapLoad},
 	// A 95/5 Get/Put mix on at least 2 Ps whose Puts all overwrite warm
 	// keys: the epoch row's Put is one store into the key's value cell,
-	// with no table republished and no grace period, so the mix stays
-	// near its pure-Get row instead of paying a grace period per Put.
+	// with no lock and no grace period, so the mix stays near its
+	// pure-Get row instead of paying a grace period per Put.
 	{"Map", "mix-95-5/reactive", 1, 2, mapMix()},
 	{"Map", "mix-95-5-locked-forced/reactive", 1, 2, mapMix(pinned(reactive.ModeLocked)...)},
 	{"Map", "mix-95-5-sharded-forced/reactive", 1, 2, mapMix(pinned(reactive.ModeSharded)...)},
@@ -331,8 +331,8 @@ var nativeRows = []nativeRow{
 	// The benchmark's oversubscribed-writes map mix: 50 % Put, 1 %
 	// Delete, the rest Get, over the warm keys at 4 goroutines per P. A
 	// delete and the Put that re-inserts its key are each one CAS on the
-	// key's value cell in the epoch mode, so the mix never republishes
-	// the table once the map has reached it.
+	// key's value cell in the epoch mode, so the mix never changes the
+	// table, or waits a grace period, once the map has reached it.
 	{"Map", "churn-50-1/reactive", 4, 0, mapChurn()},
 	{"Map", "churn-50-1/locked-forced", 4, 0, mapChurn(pinned(reactive.ModeLocked)...)},
 	{"Map", "churn-50-1/sharded-forced", 4, 0, mapChurn(pinned(reactive.ModeSharded)...)},

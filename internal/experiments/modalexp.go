@@ -4,7 +4,7 @@ package experiments
 // engine over the chains the native primitives export — FetchOp's
 // (CAS ↔ sharded, plus the combining stage no observation votes for),
 // RWMutex's reader-registration chain (centralized word ↔ per-P cells ↔
-// epoch gate) and Map's (locked table ↔ shard locks ↔ published table). Detection is not emulated: each step classifies one
+// epoch gate) and Map's (locked table ↔ shard locks ↔ epoch table). Detection is not emulated: each step classifies one
 // synthetic request and hands it to Engine.Observe on the primitive's
 // own table, the rule the primitive itself runs. Unlike the wall-clock
 // BenchmarkNative* measurements, these exercise the pure

@@ -137,7 +137,7 @@ type GetResult struct {
 // the last published snapshot (stale routing beats no routing), while
 // an outright cancellation — the client has gone away — aborts the
 // request with ctx.Err(). In the epoch mode the lookup reads the
-// published table without blocking, so degraded reads vanish — exactly
+// map's cell table without blocking, so degraded reads vanish — exactly
 // the property the map's read-mostly protocol exists for. work models
 // the request's service time in spin iterations.
 func (s *Service) Get(ctx context.Context, key uint64, work uint32) (GetResult, error) {

@@ -97,7 +97,7 @@ var cases = []Case{
 	},
 	{
 		Name: "map/epoch-churn",
-		Desc: "Epoch-mode readers racing lock-free value-cell writes, then fresh-key inserts that republish and compact the table",
+		Desc: "Epoch-mode readers racing lock-free value-cell writes, then fresh-key inserts that grow and compact the table in place",
 		run: func(rc runCtx) error {
 			return mapEpochChurnCase(rc,
 				reactive.WithInitialMode(reactive.ModeEpoch),
@@ -473,15 +473,15 @@ func mapConservationCase(rc runCtx, opts ...reactive.Option) error {
 // against both epoch write paths, in two phases. In the first, writers
 // Put and Delete keys that all start present: every one of those writes
 // is a compare-and-swap on the key's value cell, which a delete leaves
-// in place as a tombstone, so the phase must publish no table at all.
-// In the second, writers insert fresh keys and delete them again: each
-// insert installs a new table version, compacts the tombstones away
-// once they outnumber live keys, and mutates the retired copy in place
-// after its grace period, so a reader outliving its grace would observe
-// a torn table — caught by the value-shape invariant and by -race
-// through the map's backing arrays. That phase must publish exactly one
-// version per insert. Writers also verify the published version never
-// regresses.
+// in place as a tombstone, so the phase must not move the table version
+// at all. In the second, writers insert fresh keys and delete them
+// again: each insert adds its cell to the one table in place after its
+// grace period, and compacts the tombstones away once they outnumber
+// live keys, so a reader outliving its grace would observe a torn table
+// — caught by the value-shape invariant, by the runtime's concurrent
+// map access check and by -race through the map's backing arrays. That
+// phase must move the version by exactly one per insert. Writers also
+// verify the version never regresses.
 func mapEpochChurnCase(rc runCtx, opts ...reactive.Option) error {
 	m := reactive.NewMap[int, int](opts...)
 	const keys = 128
@@ -500,7 +500,7 @@ func mapEpochChurnCase(rc runCtx, opts ...reactive.Option) error {
 				if writer {
 					write(id, i, rng)
 					if ms := m.MapStats(); ms.Version < lastVer {
-						return fmt.Errorf("published version regressed: %d -> %d", lastVer, ms.Version)
+						return fmt.Errorf("table version regressed: %d -> %d", lastVer, ms.Version)
 					} else {
 						lastVer = ms.Version
 					}
@@ -545,7 +545,7 @@ func mapEpochChurnCase(rc runCtx, opts ...reactive.Option) error {
 		return err
 	}
 	if published, d, p := m.MapStats().Version-v0, deletes.Load(), puts.Load(); d > 0 && published != 0 {
-		return fmt.Errorf("%d puts and %d deletes of known keys published %d table versions, want 0 (each a store into the key's value cell)", p, d, published)
+		return fmt.Errorf("%d puts and %d deletes of known keys moved the table version by %d, want 0 (each a store into the key's value cell)", p, d, published)
 	}
 
 	// Phase 2: every write inserts a key no earlier write used, then
@@ -561,7 +561,7 @@ func mapEpochChurnCase(rc runCtx, opts ...reactive.Option) error {
 		return err
 	}
 	if published, n := m.MapStats().Version-v1, inserts.Load(); published != n {
-		return fmt.Errorf("%d fresh-key inserts published %d table versions, want one each", n, published)
+		return fmt.Errorf("%d fresh-key inserts moved the table version by %d, want one each", n, published)
 	}
 	if got := m.Stats().Mode; got != reactive.ModeEpoch {
 		return fmt.Errorf("mode = %v at exit, want epoch (empty limit should pin it)", got)

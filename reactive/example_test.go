@@ -191,11 +191,10 @@ func ExampleRWMutex() {
 
 // ExampleMap shows the adaptive hash map walking its protocol chain
 // under forced initial modes: one locked table for cheap uncontended
-// use, per-shard locks under mixed contention, and a published
-// immutable index for read-mostly saturation — where a lookup writes no
+// use, per-shard locks under mixed contention, and an index of per-key
+// value cells for read-mostly saturation — where a lookup writes no
 // shared cache line, a Put or Delete of a known key is one CAS on the
-// key's value cell, and an insert of a fresh key pays a republish plus a
-// grace period.
+// key's value cell, and an insert of a fresh key pays a grace period.
 // Detection walks the chain automatically; WithInitialMode
 // starts at a stage directly.
 func ExampleMap() {

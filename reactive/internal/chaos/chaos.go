@@ -74,16 +74,14 @@ const (
 	PtFopValueSweep     = "fetchop.value.sweep"
 	PtFopSweepRelease   = "fetchop.sweep.release"
 
-	// Map: the three proof-critical windows of the epoch mode — a cell
-	// writer's load-to-CAS window, where a compaction's expunge CAS can
-	// land first; the instant a new table version is published while
-	// readers may still hold the old one; and the grace period that
-	// proves the retired table reader-free before it is mutated in place
-	// (the point fires before every cell sweep: in the
-	// claim-to-first-sweep window, then between re-sweeps).
-	PtMapCellStore    = "map.cell.store"
-	PtMapTablePublish = "map.table.publish"
-	PtMapGraceSweep   = "map.grace.sweep"
+	// Map: the two proof-critical windows of the epoch mode — a cell
+	// writer's load-to-CAS window, where another writer's CAS can land
+	// first; and the grace period an insert waits out under its claim
+	// before it changes the table in place (the point fires before every
+	// cell sweep: in the claim-to-first-sweep window, then between
+	// re-sweeps).
+	PtMapCellStore  = "map.cell.store"
+	PtMapGraceSweep = "map.grace.sweep"
 )
 
 // catalog is the canonical ordered list of instrumented fault points. A
@@ -97,7 +95,7 @@ const (
 var catalog = [...]string{
 	PtEpochOffline, PtEpochStamp,
 	PtFopCombineDeposit, PtFopFoldHarvest, PtFopSweepRelease, PtFopValueSweep,
-	PtMapCellStore, PtMapGraceSweep, PtMapTablePublish,
+	PtMapCellStore, PtMapGraceSweep,
 	PtMutexUnlockRelease,
 	PtRWDrainUndo, PtRWShardedDeposit, PtRWTryLockUndo, PtRWUnlockRelease, PtRWWriterClaimed,
 	PtWaitqAbandon, PtWaitqGrant, PtWaitqPush, PtWaitqAnnounced,

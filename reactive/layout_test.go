@@ -55,9 +55,10 @@ func TestPrimitiveLayout(t *testing.T) {
 		{"Mutex", unsafe.Sizeof(Mutex{}), 192, 192},
 		{"RWMutex", unsafe.Sizeof(RWMutex{}), 480, 480},
 		{"FetchOp", unsafe.Sizeof(FetchOp{}), 288, 288},
-		// Map's expunged sentinel (8 bytes) took it from 528 to 536, inside
-		// the same size class.
-		{"Map[uint64,uint64]", unsafe.Sizeof(Map[uint64, uint64]{}), 536, 576},
+		// Map's epoch mode keeps one cell table, a plain map pointer, where
+		// it kept three words for two table copies and a sentinel value:
+		// 536 to 520 bytes, the same size class.
+		{"Map[uint64,uint64]", unsafe.Sizeof(Map[uint64, uint64]{}), 520, 576},
 	} {
 		if c.got != c.wantSize || sizeClass(c.got) != c.wantClass {
 			t.Errorf("%s is %d bytes in size class %d, want %d bytes in class %d",
@@ -78,7 +79,11 @@ func TestPrimitiveLayout(t *testing.T) {
 // and the engine's mode word; every RWMutex read loads readerCount (the
 // centralized protocol's CAS word), reng's mode word (the registration
 // dispatch) or the epoch kernel's gate, while parking readers and
-// writers store to the reader queue's lock and the writer mutex's. At
+// writers store to the reader queue's lock and the writer mutex's. Every
+// epoch-mode Map Get and lock-free Put loads the engine's mode word, the
+// kernel's gate and the cell table's header pointer, while writers
+// parking on the writer lock and an inserter parked in a grace period
+// store to the writer mutex's queue lock and the kernel's. At
 // least 64 bytes between two naturally aligned words puts them on
 // different 64-byte lines (amd64's and arm64's) whatever the
 // primitive's alignment in the heap.
@@ -86,11 +91,13 @@ func TestHotWordsOffQueueLines(t *testing.T) {
 	const line = 64
 	engWord := fieldOffset[modal.Engine](t, "word")
 	qLock := fieldOffset[waitq.Queue](t, "lock")
+	kGate, kQ := fieldOffset[epoch.Kernel](t, "gate"), fieldOffset[epoch.Kernel](t, "q")
 	var m Mutex
 	var rw RWMutex
+	var mp Map[uint64, uint64]
 	// off returns field's offset within the primitive at base.
 	off := func(base, field unsafe.Pointer) uintptr { return uintptr(field) - uintptr(base) }
-	mb, rb := unsafe.Pointer(&m), unsafe.Pointer(&rw)
+	mb, rb, pb := unsafe.Pointer(&m), unsafe.Pointer(&rw), unsafe.Pointer(&mp)
 	for _, c := range []struct {
 		name       string
 		hot, locks map[string]uintptr
@@ -104,10 +111,18 @@ func TestHotWordsOffQueueLines(t *testing.T) {
 		{"RWMutex", map[string]uintptr{
 			"readerCount": off(rb, unsafe.Pointer(&rw.readerCount)),
 			"reng.word":   off(rb, unsafe.Pointer(&rw.reng)) + engWord,
-			"ek.gate":     off(rb, unsafe.Pointer(&rw.ek)) + fieldOffset[epoch.Kernel](t, "gate"),
+			"ek.gate":     off(rb, unsafe.Pointer(&rw.ek)) + kGate,
 		}, map[string]uintptr{
 			"rq.lock":  off(rb, unsafe.Pointer(&rw.rq)) + qLock,
 			"w.q.lock": off(rb, unsafe.Pointer(&rw.w.q)) + qLock,
+		}},
+		{"Map", map[string]uintptr{
+			"eng.word": off(pb, unsafe.Pointer(&mp.eng)) + engWord,
+			"ek.gate":  off(pb, unsafe.Pointer(&mp.ek)) + kGate,
+			"cells":    off(pb, unsafe.Pointer(&mp.cells)),
+		}, map[string]uintptr{
+			"wl.q.lock": off(pb, unsafe.Pointer(&mp.wl.q)) + qLock,
+			"ek.q.lock": off(pb, unsafe.Pointer(&mp.ek)) + kQ + qLock,
 		}},
 	} {
 		for h, ho := range c.hot {

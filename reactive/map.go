@@ -52,46 +52,29 @@ type mapShard[K comparable, V any] struct {
 	_    [affinity.CacheLineSize - 16]byte
 }
 
-// cell is one key's value slot in the epoch mode. The published table
-// and the off-line copy map a key to the same cell, so a write to a key
-// that has a cell is one compare-and-swap of a fresh, never-mutated box
-// (or of nil, a tombstone: the key is absent but keeps its cell), seen
-// through both copies at once. A cell outlives its key's tables: the
-// compaction that drops a tombstoned cell first marks it expunged (see
-// Map.expunged), and a later insert of the key makes a new one.
+// cell is one key's value slot in the epoch mode: a pointer to a fresh,
+// never-mutated box holding the key's value, or nil, a tombstone (the
+// key is absent but keeps its cell). A write to a key that has a cell
+// is one compare-and-swap of the cell, which leaves the table as it is.
 type cell[V any] struct{ atomic.Pointer[V] }
-
-// newExpunged allocates a Map's expunged sentinel: a *V no box can
-// equal, never dereferenced. It points into a struct one byte longer
-// than V, so it is a heap address of its own even for a zero-size V,
-// where every new(V) returns one shared address.
-func newExpunged[V any]() *V {
-	return &new(struct {
-		v V
-		_ byte
-	}).v
-}
-
-// present reports whether a value cell's load p is a value: nil is a
-// tombstone and expunged a dropped cell, and both read as absent.
-func present[V any](p, expunged *V) bool { return p != nil && p != expunged }
 
 // values yields every key of a cell table whose cell holds a value,
 // with that value.
-func (mp *Map[K, V]) values(cells map[K]*cell[V]) iter.Seq2[K, V] {
+func values[K comparable, V any](cells map[K]*cell[V]) iter.Seq2[K, V] {
 	return func(yield func(K, V) bool) {
 		for k, c := range cells {
-			if p := c.Load(); present(p, mp.expunged) && !yield(k, *p) {
+			if p := c.Load(); p != nil && !yield(k, *p) {
 				return
 			}
 		}
 	}
 }
 
-// lookup reads key's value out of a cell table.
-func (mp *Map[K, V]) lookup(cells map[K]*cell[V], key K) (v V, ok bool) {
-	if c, had := cells[key]; had {
-		if p := c.Load(); present(p, mp.expunged) {
+// lookup reads key's value out of the epoch table. The caller is inside
+// an epoch read section or holds wl.
+func (mp *Map[K, V]) lookup(key K) (v V, ok bool) {
+	if c, had := mp.cells[key]; had {
+		if p := c.Load(); p != nil {
 			return *p, true
 		}
 	}
@@ -112,23 +95,19 @@ func (mp *Map[K, V]) lookup(cells map[K]*cell[V], key K) (v V, ok bool) {
 //     each under its own padded spin word. Operations on different
 //     shards proceed in parallel; contention on one key's shard is the
 //     detection signal in both directions.
-//   - ModeEpoch — a read-mostly copy-on-write index in the userspace-
-//     RCU style: Get enters the grace-period kernel (a deposit in its
-//     per-P cell), finds the key's value cell in an atomically
-//     published table and loads it, writing nothing outside its own
-//     cache-line-padded cell — contended reads generate zero
-//     shared-cacheline coherence traffic. Both copies of the table
-//     share one value cell per key, and a Delete leaves its key's cell
-//     in place holding nil, so a Put or Delete of a key that has a cell
-//     finds it as a Get does and compare-and-swaps it: no lock, no
-//     table published, no grace period. Only an insert of a key with no
-//     cell takes the writer lock, applies the change to the off-line
-//     copy, publishes that copy as the new version, and runs a grace
-//     period (the same reactive/internal/epoch kernel RWMutex's
-//     cell-based modes run on) proving the retired copy reader-free
-//     before the change is applied to it in place, for the next round.
-//     Once tombstoned cells outnumber live keys, that insert also drops
-//     them from both copies.
+//   - ModeEpoch — a read-mostly index in the userspace-RCU style: Get
+//     enters the grace-period kernel (a deposit in its per-P cell),
+//     finds the key's value cell in the table and loads it, writing
+//     nothing outside its own cache-line-padded cell — contended reads
+//     generate zero shared-cacheline coherence traffic. A Delete leaves
+//     its key's cell in place holding nil, so a Put or Delete of a key
+//     that has a cell finds it as a Get does and compare-and-swaps it:
+//     no lock, no grace period. Only an insert of a key with no cell
+//     changes the table: it takes the writer lock, claims the kernel
+//     (the same reactive/internal/epoch kernel RWMutex's cell-based
+//     modes run on), waits out a grace period proving no reader or cell
+//     writer inside, and adds the key's cell in place. Once tombstoned
+//     cells outnumber live keys, that insert also drops them.
 //
 // Reads and writes that arrive during an epoch-mode writer's grace
 // claim fall back to the writer lock, so writers cannot starve; a Get
@@ -171,20 +150,16 @@ type Map[K comparable, V any] struct {
 	shardsOnce sync.Once
 	shardsUp   atomic.Bool
 
-	// Epoch-mode state: the published table (cur), the off-line copy
-	// the next insert mutates and publishes (spare, guarded by wl;
-	// between writers it maps every key to the same cell as cur), the
-	// value a compaction CASes into a tombstoned cell before dropping it
-	// from both copies (expunged, from newExpunged: set once, before the
-	// epoch mode is first published, and never changed), how many tables
-	// have been published (version), and the grace-period kernel readers
-	// and cell writers enter and inserting writers claim and wait on
-	// (ek).
-	cur      atomic.Pointer[map[K]*cell[V]]
-	expunged *V
-	spare    *map[K]*cell[V]
-	version  atomic.Uint64
-	ek       epoch.Kernel
+	// Epoch-mode state: the key → value cell table (cells: read inside
+	// an epoch section or under wl, changed in place only under wl and
+	// the kernel's claim after a grace period, and ordered to readers by
+	// the gate's store and load, as RWMutex's epoch mode orders its
+	// data), how many times it has been built or gained a key (version),
+	// and the grace-period kernel readers and cell writers enter and
+	// inserting writers claim and wait on (ek).
+	cells   map[K]*cell[V]
+	version atomic.Uint64
+	ek      epoch.Kernel
 }
 
 // NewMap builds a Map with the given options. NewMap() is equivalent to
@@ -355,8 +330,8 @@ func (mp *Map[K, V]) note(from modal.Mode, contended, read bool) {
 // play. Every op revalidates the mode after acquiring its own lock, so
 // with all locks held no operation is mid-protocol and the key move is
 // atomic — no transition can lose or duplicate a key. The epoch →
-// sharded edge is not handled here: it commits inside graceSweep, under
-// the writer's claim, where reader exclusion is already proved.
+// sharded edge is not handled here: it commits inside putEpoch, under
+// the inserter's claim, where reader exclusion is already proved.
 func (mp *Map[K, V]) switchMap(want, next modal.Mode) {
 	mp.wl.Lock()
 	defer mp.wl.Unlock()
@@ -378,23 +353,18 @@ func (mp *Map[K, V]) switchMap(want, next modal.Mode) {
 		mp.unlockAllShards()
 	case want == mapSharded && next == mapEpoch:
 		mp.lockAllShards()
-		pub := make(map[K]*cell[V], mp.count.Load())
+		mp.cells = make(map[K]*cell[V], mp.count.Load())
 		for k, v := range mp.gather() {
 			c := new(cell[V])
 			c.Store(&v)
-			pub[k] = c
-		}
-		spare := maps.Clone(pub)
-		if mp.expunged == nil {
-			mp.expunged = newExpunged[V]()
+			mp.cells[k] = c
 		}
 		mp.version.Add(1)
-		mp.cur.Store(&pub)
-		mp.spare = &spare
 		// Select the kernel before the commit publishes the mode, so the
 		// first Get that dispatches to the epoch path validates
-		// successfully. No claim: the spare has never been published, so
-		// its in-place mutation needs no grace period.
+		// successfully. No claim: until this store sets the gate's mode
+		// bit every Enter is refused, so no reader was inside the table
+		// while it was built.
 		mp.ek.Select(true, false)
 		mp.eng.TryCommit(mapModeTable, mapSharded, mapEpoch)
 		mp.unlockAllShards()
@@ -457,16 +427,14 @@ func (mp *Map[K, V]) get(ctx context.Context, done <-chan struct{}, key K) (V, b
 			return v, ok, nil
 		default: // mapEpoch
 			// One epoch-mode read: enter the kernel, find the key's cell
-			// in the published table and load it, exit. Between a
-			// successful enter and its exit the kernel's exclusion
-			// argument (DESIGN.md §8) holds the table still: a writer
-			// retires a table only by publishing its successor and then
-			// running a grace period, which this reader's deposit blocks,
-			// so the table cannot be mutated in place while this reader is
-			// inside it. The cell itself may take a write meanwhile; its
-			// load is the read's linearization point.
+			// in the table and load it, exit. Between a successful enter
+			// and its exit the kernel's exclusion argument (DESIGN.md §8)
+			// holds the table still: a writer changes it only under a
+			// claim, after a grace period this reader's deposit blocks.
+			// The cell itself may take a write meanwhile; its load is the
+			// read's linearization point.
 			if c, _ := mp.ek.Enter(); c != nil {
-				v, ok := mp.lookup(*mp.cur.Load(), key)
+				v, ok := mp.lookup(key)
 				mp.ek.Exit(c)
 				return v, ok, nil
 			}
@@ -480,7 +448,7 @@ func (mp *Map[K, V]) get(ctx context.Context, done <-chan struct{}, key K) (V, b
 				mp.wl.Unlock()
 				continue
 			}
-			v, ok := mp.lookup(*mp.cur.Load(), key)
+			v, ok := mp.lookup(key)
 			mp.wl.Unlock()
 			return v, ok, nil
 		}
@@ -491,9 +459,8 @@ func (mp *Map[K, V]) get(ctx context.Context, done <-chan struct{}, key K) (V, b
 // value cell — present, or deleted since the table last dropped its
 // tombstones — is one compare-and-swap of a freshly allocated copy of
 // val (as sync.Map.Store allocates) inside an epoch read section, with
-// no lock taken, no table republished and no grace period; only an
-// insert of a key with no cell takes the writer lock, republishes the
-// table and waits for readers.
+// no lock taken and no grace period; only an insert of a key with no
+// cell takes the writer lock and waits out the readers to add it.
 func (mp *Map[K, V]) Put(key K, val V) {
 	mp.put(nil, nil, key, val, false)
 }
@@ -580,46 +547,38 @@ func (mp *Map[K, V]) put(ctx context.Context, done <-chan struct{}, key K, val V
 }
 
 // storeEpoch is the lock-free epoch write: inside an epoch read
-// section, as Get does, it finds key's value cell in the published
-// table and stores box into it (storeCell). It reports false, having
-// changed nothing, when the write needs the writer lock: a refused
-// Enter (a grace claim is in place, or the mode moved), a Put of a key
-// with no cell, or a Put into an expunged cell. A Delete of a key with
-// no cell is done: the key is absent in the table just loaded.
+// section, as Get does, it finds key's value cell and stores box into
+// it (storeCell). It reports false, having changed nothing, when the
+// write needs the writer lock: a refused Enter (a grace claim is in
+// place, or the mode moved) or a Put of a key with no cell. A Delete of
+// a key with no cell is done: the key is absent.
 //
 // The open section is what makes the store safe without wl: every
-// table change that could drop the cell or move the key out of the
-// epoch protocol (a compaction, a demotion to ModeSharded) completes
-// only after a grace period, which this section blocks.
+// change to the table (an insert, its compaction, a demotion to
+// ModeSharded) is made under a claim after a grace period, which this
+// section blocks.
 func (mp *Map[K, V]) storeEpoch(key K, box *V) bool {
 	rc, _ := mp.ek.Enter()
 	if rc == nil {
 		return false
 	}
-	done := box == nil
-	if c, ok := (*mp.cur.Load())[key]; ok {
-		done = mp.storeCell(c, box)
+	c, ok := mp.cells[key]
+	if ok {
+		mp.storeCell(c, box)
 	}
 	mp.ek.Exit(rc)
-	return done
+	return ok || box == nil
 }
 
 // storeCell compare-and-swaps box (nil for a Delete) into a value cell,
 // moving the live-key gauge by what the swap replaced: a value into a
 // tombstone is an insert, nil over a value a delete. A Delete of a
-// tombstone changes nothing. An expunged cell has left, or is leaving,
-// both tables: the key is absent, which is a Delete's whole effect, and
-// a Put reports false to insert under wl. A compaction's expunge CAS
-// (nil → expunged) and a Put's CAS out of the nil it loaded cannot both
-// succeed, so no write lands in a dropped cell.
-func (mp *Map[K, V]) storeCell(c *cell[V], box *V) bool {
+// tombstone changes nothing.
+func (mp *Map[K, V]) storeCell(c *cell[V], box *V) {
 	for {
 		old := c.Load()
-		if old == mp.expunged {
-			return box == nil
-		}
 		if old == nil && box == nil {
-			return true
+			return
 		}
 		chaos.Point("map.cell.store")
 		if c.CompareAndSwap(old, box) {
@@ -629,33 +588,24 @@ func (mp *Map[K, V]) storeCell(c *cell[V], box *V) bool {
 			case box == nil:
 				mp.count.Add(-1)
 			}
-			return true
+			return
 		}
 	}
 }
 
 // putEpoch applies one epoch-mode write under wl: the fallback of a
-// write storeEpoch could not finish. Between writers no cell of either
-// copy is expunged (a compaction drops them from both before it
-// releases wl), so a key with a cell takes storeCell, which cannot fail
-// here. A Put of a key with no cell is an insert and takes the
-// republish round trip: add a new cell to the off-line copy, publish
-// that copy as the new table version, run a grace period proving the
-// retired copy reader-free, then add the same cell to the retired copy
-// so both copies map every key to the same cell again — the invariant
-// CheckInvariants verifies.
-//
-// Compaction rides the round trip. When tombstones outnumber live keys,
-// each tombstoned cell is CASed from nil to expunged and dropped from
-// the off-line copy before it is published, and dropped from the
-// retired copy after the grace period, with the insert's own change. A
-// cell revived by a lock-free Put before its expunge CAS stays. No
-// grace period is added: readers and writers still inside the retired
-// table read an expunged cell as absent, and the grace period that
-// already runs waits them out before the retired copy is touched.
+// write storeEpoch could not finish. A key with a cell takes storeCell.
+// A Put of a key with no cell is an insert, the one write that changes
+// the table: claim the kernel and wait out a grace period, after which
+// no reader or cell writer is inside the table and none can enter until
+// the claim is released (a refused one falls back to wl, held here).
+// The wait is uncancellable — epoch read sections run no user code, so
+// it is bounded. Then, once tombstoned cells outnumber live keys, drop
+// every one of them (no cell writer can revive one meanwhile), and add
+// the key's cell in place. Last, run the epoch protocol's scale-down
+// detection, which may demote the map, and release the claim.
 func (mp *Map[K, V]) putEpoch(key K, box *V) {
-	spare := mp.spare
-	if c, ok := (*spare)[key]; ok {
+	if c, ok := mp.cells[key]; ok {
 		mp.storeCell(c, box)
 		return
 	}
@@ -664,52 +614,6 @@ func (mp *Map[K, V]) putEpoch(key K, box *V) {
 	}
 	c := new(cell[V])
 	c.Store(box)
-	cells, keys := int64(len(*spare)), mp.count.Load()
-	compact := cells-keys > keys
-	if compact {
-		for k, tc := range *spare {
-			if tc.CompareAndSwap(nil, mp.expunged) {
-				delete(*spare, k)
-			}
-		}
-	}
-	// In-place mutation of the off-line copy is safe because the grace
-	// period that retired it proved it reader-free, and no reader has
-	// been able to reach it since (cur no longer points at it).
-	(*spare)[key] = c
-	mp.count.Add(1)
-
-	// Publish: one atomic store installs the new version; readers that
-	// loaded the old pointer are still inside it — the window the
-	// map.table.publish fault point opens, closed by the grace period.
-	retired := mp.cur.Load()
-	mp.version.Add(1)
-	mp.cur.Store(spare)
-	mp.spare = retired
-	chaos.Point("map.table.publish")
-
-	if demoted := mp.graceSweep(); !demoted {
-		// Bring the retired copy up to date for the next round.
-		(*retired)[key] = c
-		if compact {
-			for k, tc := range *retired {
-				if tc.Load() == mp.expunged {
-					delete(*retired, k)
-				}
-			}
-		}
-	}
-}
-
-// graceSweep runs one grace period, under wl: claim the kernel, wait
-// (Kernel.Wait, which also counts the grace period) until every reader
-// that might hold the retired table has exited, run the epoch protocol's
-// scale-down detection, and release the claim. The wait is uncancellable
-// — epoch read sections run no user code, so it is bounded. Reports
-// whether detection demoted the map out of the epoch mode; in that case
-// the commit ran here, under the claim, where reader exclusion is
-// already proved.
-func (mp *Map[K, V]) graceSweep() (demoted bool) {
 	mp.ek.Claim()
 	// Readers are internal enter/exit pairs, so unlike RWMutex a
 	// negative sum would be a package bug, not caller misuse;
@@ -718,21 +622,29 @@ func (mp *Map[K, V]) graceSweep() (demoted bool) {
 		chaos.Point("map.grace.sweep")
 		return mp.ek.Sum() == 0
 	})
+	if keys := mp.count.Load(); int64(len(mp.cells))-keys > keys {
+		for k, tc := range mp.cells {
+			if tc.Load() == nil {
+				delete(mp.cells, k)
+			}
+		}
+	}
+	mp.cells[key] = c
+	mp.count.Add(1)
+	mp.version.Add(1)
 	if _, fire := mp.eng.Observe(mapModeTable, mapEpoch, signalOf(!quiet), mp.cfg.limits()); fire {
-		// A streak of quiet grace periods: the published table went
-		// unread across whole writer rounds — the write-dominated regime
-		// where the copy-on-write machinery is pure overhead.
+		// A streak of quiet grace periods: the table went unread across
+		// whole writer rounds — the write-dominated regime where the
+		// grace periods are pure overhead.
 		mp.shardsInit()
 		mp.lockAllShards()
-		mp.scatter(mp.values(*mp.cur.Load()))
+		mp.scatter(values(mp.cells))
+		mp.cells = nil
 		mp.ek.Select(false, true)
 		mp.eng.TryCommit(mapModeTable, mapEpoch, mapSharded)
 		mp.unlockAllShards()
-		mp.spare = nil
-		demoted = true
 	}
 	mp.ek.Release()
-	return demoted
 }
 
 // Len reports the number of keys in the map. It is an O(1) gauge read,
@@ -788,31 +700,32 @@ func (mp *Map[K, V]) snapshot() iter.Seq2[K, V] {
 			}
 		default: // mapEpoch
 			if cells, valid := mp.snapshotEpoch(); valid {
-				return mp.values(cells)
+				return values(cells)
 			}
 			mp.wl.Lock()
 			if mp.eng.Mode() != mapEpoch {
 				mp.wl.Unlock()
 				continue
 			}
-			cells := maps.Clone(*mp.cur.Load())
+			cells := maps.Clone(mp.cells)
 			mp.wl.Unlock()
-			return mp.values(cells)
+			return values(cells)
 		}
 	}
 }
 
-// snapshotEpoch copies the published cell table as an epoch reader — the
-// copy (bounded, no user code) is the only work an epoch-mode grace
-// period ever waits on besides lookups and cell writes. The values are loaded from the
-// copy's cells later, outside the read section: cells are never freed
-// and their boxes never change, so the loads need no section.
+// snapshotEpoch copies the cell table as an epoch reader — the copy
+// (bounded, no user code) is the only work an epoch-mode grace period
+// ever waits on besides lookups and cell writes. The values are loaded
+// from the copy's cells later, outside the read section: cells are
+// never freed and their boxes never change, so the loads need no
+// section.
 func (mp *Map[K, V]) snapshotEpoch() (map[K]*cell[V], bool) {
 	c, _ := mp.ek.Enter()
 	if c == nil {
 		return nil, false
 	}
-	cells := maps.Clone(*mp.cur.Load())
+	cells := maps.Clone(mp.cells)
 	mp.ek.Exit(c)
 	return cells, true
 }
@@ -824,8 +737,8 @@ type MapStats struct {
 	// Shards is the shard-array size, 0 until the sharded store has
 	// been built. A gauge.
 	Shards int `json:"shards"`
-	// Version is the published-table version: how many epoch-mode
-	// tables have ever been installed. Monotonic.
+	// Version is the epoch table's version: how many times it has been
+	// built from the sharded store or gained a fresh key. Monotonic.
 	Version uint64 `json:"version"`
 	// Graces counts completed epoch-mode grace periods; QuietGraces
 	// counts those that found no online reader at all (the scale-down
@@ -862,11 +775,9 @@ func (mp *Map[K, V]) MapStats() MapStats {
 // CheckInvariants verifies the map's quiescent-state invariants: the
 // writer lock is free and sound, every shard lock is free, the epoch
 // kernel is quiescent (no claim, mode bit agreeing with the engine,
-// cells summing to zero), no grace waiter is parked, the off-line copy
-// maps every key to the same value cell as the published table, no
-// cell of either is expunged (a tombstone, nil, is legal), and the
-// live-key gauge equals the key count of the current mode's
-// authoritative store — in ModeEpoch, the cells holding a value. See
+// cells summing to zero), no grace waiter is parked, and the live-key
+// gauge equals the key count of the current mode's authoritative store
+// — in ModeEpoch, the cells holding a value (a tombstone is legal). See
 // the package note in check.go: quiescent diagnostics, not production
 // code.
 func (mp *Map[K, V]) CheckInvariants() error {
@@ -895,18 +806,8 @@ func (mp *Map[K, V]) CheckInvariants() error {
 			live += len(mp.shards[i].m)
 		}
 	default:
-		pub := *mp.cur.Load()
-		if len(*mp.spare) != len(pub) {
-			return fmt.Errorf("reactive: Map off-line copy holds %d cells, published table holds %d", len(*mp.spare), len(pub))
-		}
-		for k, c := range pub {
-			if (*mp.spare)[k] != c {
-				return fmt.Errorf("reactive: Map off-line copy does not share key %v's value cell with the published table", k)
-			}
-			switch p := c.Load(); {
-			case p == mp.expunged:
-				return fmt.Errorf("reactive: Map key %v's value cell is expunged but still in the tables", k)
-			case p != nil:
+		for _, c := range mp.cells {
+			if c.Load() != nil {
 				live++
 			}
 		}

@@ -14,11 +14,11 @@ import (
 // over recorded histories (internal/linearize): each key's sub-history
 // must be a register-with-delete history. The runs target the windows
 // the epoch mode's lock-free cell writes open — a delete and a
-// re-insert of one key racing readers, a compaction's expunge racing
-// writers that loaded the cell it drops — and the mode transitions
-// every key must cross exactly once. Under -tags reactive_chaos the
-// map.cell.store point widens the load-to-CAS window the expunge race
-// lives in.
+// re-insert of one key racing readers, an insert's compaction dropping
+// the tombstoned cells other writers store into — and the mode
+// transitions every key must cross exactly once. Under -tags
+// reactive_chaos the map.cell.store point widens the load-to-CAS window
+// of racing cell writers.
 
 // linearizeOps scales a run: each worker's operation count.
 func linearizeOps() int {
@@ -29,8 +29,10 @@ func linearizeOps() int {
 }
 
 // recordMap runs workers goroutines of body against m, recording every
-// Get, Put and Delete, and checks the history from init.
-func recordMap(t *testing.T, m *Map[int, int], init map[int]int, workers int, body func(h *linearize.History, w int, rng *rand.Rand)) {
+// Get, Put and Delete, and checks the history from init. quiesce, if
+// not nil, runs once the workers are done and stops whatever else the
+// test has driving m, so m.CheckInvariants sees it at rest.
+func recordMap(t *testing.T, m *Map[int, int], init map[int]int, workers int, quiesce func(), body func(h *linearize.History, w int, rng *rand.Rand)) {
 	t.Helper()
 	h := linearize.NewHistory(workers)
 	var wg sync.WaitGroup
@@ -42,6 +44,9 @@ func recordMap(t *testing.T, m *Map[int, int], init map[int]int, workers int, bo
 		}()
 	}
 	wg.Wait()
+	if quiesce != nil {
+		quiesce()
+	}
 	if err := linearize.Check(init, h.Ops()); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +77,8 @@ func TestMapLinearizableModeFlips(t *testing.T) {
 		}
 	}()
 	ops := linearizeOps()
-	recordMap(t, m, nil, 4, func(h *linearize.History, w int, rng *rand.Rand) {
+	quiesce := func() { close(stop); fwg.Wait() }
+	recordMap(t, m, nil, 4, quiesce, func(h *linearize.History, w int, rng *rand.Rand) {
 		for i := range ops {
 			k := rng.IntN(6)
 			switch r := rng.IntN(10); {
@@ -85,8 +91,6 @@ func TestMapLinearizableModeFlips(t *testing.T) {
 			}
 		}
 	})
-	close(stop)
-	fwg.Wait()
 	if m.Stats().Switches == 0 {
 		t.Fatal("no mode switches during the run")
 	}
@@ -100,7 +104,7 @@ func TestMapLinearizableDeleteReinsert(t *testing.T) {
 	m.Put(0, -1)
 	ops := linearizeOps()
 	v0 := m.MapStats().Version
-	recordMap(t, m, map[int]int{0: -1}, 4, func(h *linearize.History, w int, rng *rand.Rand) {
+	recordMap(t, m, map[int]int{0: -1}, 4, nil, func(h *linearize.History, w int, rng *rand.Rand) {
 		for i := range ops {
 			switch {
 			case w >= 2:
@@ -123,14 +127,14 @@ func TestMapLinearizableDeleteReinsert(t *testing.T) {
 // TestMapLinearizableCompaction: in the epoch mode, writers Put and
 // Delete a few hot keys without the writer lock while one worker
 // inserts and deletes fresh keys, so tombstones keep outnumbering live
-// keys and nearly every insert compacts — expunging hot cells the
-// writers may have just loaded.
+// keys and nearly every insert compacts — dropping tombstoned hot cells
+// the writers store into whenever its claim lets them in.
 func TestMapLinearizableCompaction(t *testing.T) {
 	m := NewMap[int, int](WithInitialMode(ModeEpoch), WithEmptyLimit(1<<20))
 	const hot = 4
 	ops := linearizeOps()
 	v0 := m.MapStats().Version
-	recordMap(t, m, nil, 4, func(h *linearize.History, w int, rng *rand.Rand) {
+	recordMap(t, m, nil, 4, nil, func(h *linearize.History, w int, rng *rand.Rand) {
 		for i := range ops {
 			if w == 0 { // the inserter: a fresh key, then its delete
 				k := hot + i
@@ -155,7 +159,7 @@ func TestMapLinearizableCompaction(t *testing.T) {
 	}
 	// At most hot keys (and the inserter's one fresh key) are ever live
 	// together, so a compacting table never holds many more cells.
-	if cells := len(*m.cur.Load()); cells > 4*hot {
+	if cells := len(m.cells); cells > 4*hot {
 		t.Fatalf("%d cells after %d fresh inserts over %d hot keys: compaction did not run", cells, ops, hot)
 	}
 }

@@ -393,7 +393,7 @@ func TestMapGetCtxPutCtxCancel(t *testing.T) {
 
 // TestMapEpochGetZeroAllocs pins the acceptance property of the epoch
 // read path: a forced-epoch Get allocates nothing — it stamps a per-P
-// cell, validates one gate word, and reads the published table.
+// cell, validates one gate word, and reads the cell table.
 func TestMapEpochGetZeroAllocs(t *testing.T) {
 	m := NewMap[int, int](WithInitialMode(ModeEpoch))
 	for i := 0; i < 64; i++ {
@@ -410,10 +410,10 @@ func TestMapEpochGetZeroAllocs(t *testing.T) {
 
 // TestMapEpochOverwriteInPlace pins the epoch write path's split: an
 // overwrite of a present key, a delete, and a re-insert of a deleted key
-// are each one compare-and-swap on the value cell both table copies
-// share — no table published, no grace period, one allocation for a Put
-// — while only an insert of a fresh key publishes one table and waits
-// out one grace period.
+// are each one compare-and-swap on the key's value cell — no table
+// change, no grace period, one allocation for a Put — while only an
+// insert of a fresh key moves the table version by one and waits out
+// one grace period.
 func TestMapEpochOverwriteInPlace(t *testing.T) {
 	m := NewMap[int, int](WithInitialMode(ModeEpoch), WithEmptyLimit(1<<20))
 	const keys = 16
@@ -483,8 +483,8 @@ func TestMapEpochOverwriteInPlace(t *testing.T) {
 // TestMapEpochCompactionBoundsCells churns many fresh keys through a
 // forced-epoch map — insert one, delete the one inserted live keys
 // before it — so every delete leaves a tombstoned cell. Compaction must
-// keep both table copies within twice the live keys plus a small floor
-// at quiescence; without it they would hold a cell for every key ever
+// keep the cell table within twice the live keys plus a small floor at
+// quiescence; without it the table would hold a cell for every key ever
 // inserted.
 func TestMapEpochCompactionBoundsCells(t *testing.T) {
 	m := NewMap[int, int](WithInitialMode(ModeEpoch), WithEmptyLimit(1<<20))
@@ -498,10 +498,8 @@ func TestMapEpochCompactionBoundsCells(t *testing.T) {
 	if got := m.Len(); got != live {
 		t.Fatalf("Len = %d, want %d", got, live)
 	}
-	for name, cells := range map[string]int{"published table": len(*m.cur.Load()), "off-line copy": len(*m.spare)} {
-		if cells > 2*live+4 {
-			t.Errorf("%s holds %d cells for %d live keys after %d fresh keys, want <= %d", name, cells, live, churn, 2*live+4)
-		}
+	if cells := len(m.cells); cells > 2*live+4 {
+		t.Errorf("cell table holds %d cells for %d live keys after %d fresh keys, want <= %d", cells, live, churn, 2*live+4)
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -522,8 +520,8 @@ func TestMapOverwriteAllocs(t *testing.T) {
 
 func TestMapEpochChurnStress(t *testing.T) {
 	// Stay in epoch mode throughout: readers race writers that are
-	// republishing the table, the interleaving the grace-period proof
-	// is about. Values encode their key (v/1000 == k) so a torn or
+	// changing the table, the interleaving the grace-period proof is
+	// about. Values encode their key (v/1000 == k) so a torn or
 	// reclaimed-too-early read is detectable, and the version gauge
 	// must be monotone across the run.
 	m := NewMap[int, int](WithInitialMode(ModeEpoch), WithEmptyLimit(1<<20))

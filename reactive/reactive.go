@@ -26,8 +26,8 @@
 //     queue on a Mutex) between a centralized reader count,
 //     BRAVO-style per-processor deposits validated against it, and the
 //     same deposits validated against an epoch gate no reader writes;
-//     Map among one locked table, hash-sharded tables, and a published
-//     immutable table; and
+//     Map among one locked table, hash-sharded tables, and a table of
+//     per-key value cells read on the epoch kernel; and
 //   - two-phase waiting wherever a primitive blocks, with Lpoll a fixed
 //     count of polling iterations (WithPollIters), not calibrated per host.
 //
@@ -88,9 +88,10 @@ type Mode uint32
 // ModeCAS (centralized word) ↔ ModeSharded (per-P cells validated
 // against that word) ↔ ModeEpoch (the same cells validated against the
 // epoch gate); Map moves along the chain ModeLocked (one table under the
-// adaptive mutex) ↔ ModeSharded (per-shard locks) ↔ ModeEpoch (published
-// immutable index of value cells: Puts and Deletes of known keys CAS a
-// cell without a lock, inserts of fresh keys republish).
+// adaptive mutex) ↔ ModeSharded (per-shard locks) ↔ ModeEpoch (one index
+// of value cells read on the epoch kernel: Puts and Deletes of known
+// keys CAS a cell without a lock, an insert of a fresh key adds its
+// cell under a grace-period claim).
 const (
 	// ModeSpin is the test-and-test-and-set analogue: waiters spin with
 	// randomized exponential backoff; unlock releases the lock word for
