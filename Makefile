@@ -159,7 +159,10 @@ fuzz-short:
 # loop of its own and then calls Wait with a zero budget. The last keeps
 # one native case table: bench_test.go's runNative is its one
 # RunParallel call, so a second one is a hand-written native row coming
-# back beside the nativeRows table.
+# back beside the nativeRows table. The last keeps one short-term spin
+# word: a CompareAndSwap(0, 1) in package reactive outside
+# waitq/lock.go is a hand-rolled test-and-set lock coming back, and
+# Backoff is waitq's, not modal's.
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -nE '\.Vote\(' reactive/*.go internal/experiments/*.go | grep -v _test.go)"; if [ -n "$$out" ]; then echo "hand-wired detection (use Engine.Observe):"; echo "$$out"; exit 1; fi
@@ -173,6 +176,7 @@ lint:
 	@out="$$(grep -Hn 'spinParkTable' $$(ls reactive/*.go | grep -v -e _test.go -e '^reactive/reactive.go$$'))"; if [ -n "$$out" ]; then echo "spinParkTable outside reactive.go (the spin/park table is Mutex's alone):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rn --include='*.go' '\.Wait(0,' reactive | grep -v _test.go)"; if [ -n "$$out" ]; then echo "zero-budget Wait (phase one belongs to waitq.Queue.Wait):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -n 'RunParallel(' bench_test.go)"; if [ "$$(echo "$$out" | grep -c .)" -gt 1 ]; then echo "hand-written native row (add it to nativeRows; runNative is the one RunParallel):"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rn --include='*.go' -e 'CompareAndSwap(0, 1)' reactive | grep -v -e _test.go -e '^reactive/internal/waitq/lock.go:'; grep -rn --include='*.go' 'modal\.Backoff' .)"; if [ -n "$$out" ]; then echo "hand-rolled spin word or modal.Backoff (use waitq.Lock and waitq.Backoff):"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 
 # The CI docs job: documentation that tests can check. The experiment

@@ -264,35 +264,16 @@ var nativeRows = []nativeRow{
 	{"RWMutex", "read-contended/sync.RWMutex", 1, 0, syncRWRead},
 	{"RWMutex", "read-parallel-4x/reactive", 4, 0, rwRead()},
 	{"RWMutex", "read-parallel-4x/sync.RWMutex", 4, 0, syncRWRead},
-	// One write in 128 keeps writer drains in the loop.
-	{"RWMutex", "read-mostly/reactive", 1, 0, func() (loop, statser) {
-		rw := reactive.NewRWMutex()
-		return func(it iter) {
-			for i := 0; it.next(i); i++ {
-				if i%128 == 127 {
-					rw.Lock()
-					rw.Unlock()
-				} else {
-					rw.RLock()
-					rw.RUnlock()
-				}
-			}
-		}, rw
-	}},
-	{"RWMutex", "read-mostly/sync.RWMutex", 1, 0, func() (loop, statser) {
-		rw := new(sync.RWMutex)
-		return func(it iter) {
-			for i := 0; it.next(i); i++ {
-				if i%128 == 127 {
-					rw.Lock()
-					rw.Unlock()
-				} else {
-					rw.RLock()
-					rw.RUnlock()
-				}
-			}
-		}, nil
-	}},
+	// One write in 128 keeps writer drains in the loop. One in 64 is
+	// the benchmark's read-mostly cell, where each drain is a
+	// registration detection event; the forced rows hold each
+	// cell-based registration mode, which detection alone would leave.
+	{"RWMutex", "read-mostly/reactive", 1, 0, rwReadMostly(128)},
+	{"RWMutex", "read-mostly/sync.RWMutex", 1, 0, syncRWReadMostly(128)},
+	{"RWMutex", "read-mostly-64/reactive", 1, 0, rwReadMostly(64)},
+	{"RWMutex", "read-mostly-64-sharded-forced/reactive", 1, 0, rwReadMostly(64, rwPinned(reactive.ModeSharded)...)},
+	{"RWMutex", "read-mostly-64-epoch-forced/reactive", 1, 0, rwReadMostly(64, rwPinned(reactive.ModeEpoch)...)},
+	{"RWMutex", "read-mostly-64/sync.RWMutex", 1, 0, syncRWReadMostly(64)},
 	{"RWMutex", "read-sharded-forced/reactive", 1, 0, rwRead(reactive.WithInitialReaderMode(reactive.ModeSharded))},
 	// An epoch RLock publishes only a per-P stamp and loads one gate word
 	// it never stores to: a read with zero shared-cacheline writes.
@@ -370,6 +351,13 @@ func saturated(apply func(x int64)) loop {
 // counts its votes, but no streak reaches these limits.
 func pinned(m reactive.Mode) []reactive.Option {
 	return []reactive.Option{reactive.WithInitialMode(m),
+		reactive.WithSpinFailLimit(1 << 30), reactive.WithEmptyLimit(1 << 30)}
+}
+
+// rwPinned holds an RWMutex's reader registration in m, as pinned holds
+// a primitive's mode (its writer mutex stays in spin).
+func rwPinned(m reactive.Mode) []reactive.Option {
+	return []reactive.Option{reactive.WithInitialReaderMode(m),
 		reactive.WithSpinFailLimit(1 << 30), reactive.WithEmptyLimit(1 << 30)}
 }
 
@@ -475,6 +463,47 @@ func syncRWRead() (loop, statser) {
 			rw.RUnlock()
 		}
 	}, nil
+}
+
+// rwReadMostly reads under RLock and writes once every period ops. The
+// period is a power of two, so picking the write is a mask, not a
+// division.
+func rwReadMostly(period int, opts ...reactive.Option) func() (loop, statser) {
+	mask := period - 1
+	return func() (loop, statser) {
+		rw := reactive.NewRWMutex(opts...)
+		return func(it iter) {
+			for i := 0; it.next(i); i++ {
+				if i&mask == mask {
+					rw.Lock()
+					rw.Unlock()
+				} else {
+					rw.RLock()
+					rw.RUnlock()
+				}
+			}
+		}, rw
+	}
+}
+
+// syncRWReadMostly is rwReadMostly over sync.RWMutex, spelled out so
+// neither row pays an interface call the other does not.
+func syncRWReadMostly(period int) func() (loop, statser) {
+	mask := period - 1
+	return func() (loop, statser) {
+		rw := new(sync.RWMutex)
+		return func(it iter) {
+			for i := 0; it.next(i); i++ {
+				if i&mask == mask {
+					rw.Lock()
+					rw.Unlock()
+				} else {
+					rw.RLock()
+					rw.RUnlock()
+				}
+			}
+		}, nil
+	}
 }
 
 // mapKeys is the warm table every Map row reads: a goroutine's ith

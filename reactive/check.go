@@ -55,7 +55,7 @@ func (rw *RWMutex) CheckInvariants() error {
 // correctness check for them.) It returns the first violation found,
 // or nil.
 func (f *FetchOp) CheckInvariants() error {
-	if l := f.sweepLock.Load(); l != 0 {
+	if f.sweepLock.Held() {
 		return fmt.Errorf("reactive: FetchOp sweep lock held at quiescence")
 	}
 	if n := f.vq.Len(); n != 0 {

@@ -163,11 +163,11 @@ func TestFetchOpAndCounterCheckInvariants(t *testing.T) {
 		t.Fatalf("after contention: %v", err)
 	}
 
-	c.f.sweepLock.Store(1)
+	c.f.sweepLock.TryLock()
 	if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "sweep lock") {
 		t.Fatalf("held sweep lock not caught: %v", err)
 	}
-	c.f.sweepLock.Store(0)
+	c.f.sweepLock.Unlock()
 
 	f := NewFetchOp(func(a, b int64) int64 {
 		if a > b {

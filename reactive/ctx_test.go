@@ -380,15 +380,13 @@ func TestRWMutexCancellationStress(t *testing.T) {
 
 // TestRLockCtxCancelledInRegistrationRaces pins the slow-path check
 // placement: a reader whose context is already done when it enters the
-// slow path returns ctx.Err() on the first iteration even with no writer
-// claim in place — the registration-race retry paths (reader-reader CAS
-// losses, protocol-change redispatches) must not starve the cancellation
-// check.
+// slow path aborts on the first iteration even with no writer claim in
+// place — the registration-race retry paths (reader-reader CAS losses,
+// protocol-change redispatches) must not starve the cancellation check.
 func TestRLockCtxCancelledInRegistrationRaces(t *testing.T) {
 	var rw RWMutex
-	ctx := cancelledCtx()
-	if err := rw.rlockSlow(ctx, ctx.Done()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("rlockSlow(cancelled, no writer) = %v, want context.Canceled", err)
+	if !rw.rlockSlow(cancelledCtx().Done()) {
+		t.Fatal("rlockSlow(cancelled, no writer) registered, want aborted")
 	}
 	// No registration may have leaked.
 	rw.Lock()
@@ -466,9 +464,7 @@ func TestValueCtxCancelDuringSweep(t *testing.T) {
 		WithInitialMode(ModeSharded), WithPollIters(2))
 	f.Apply(41)
 	f.Apply(1)
-	if err := f.acquireSweep(nil, nil); err != nil { // hold the sweep window
-		t.Fatalf("acquireSweep = %v", err)
-	}
+	f.sweepLock.TryLock() // hold the sweep window
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	assertPromptErr(t, "ValueCtx(held sweep)", context.DeadlineExceeded, func() error {

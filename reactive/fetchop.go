@@ -112,7 +112,7 @@ type FetchOp struct {
 	// poll through the budget, then park on vq (the shared waiter-queue
 	// engine) until the releasing sweeper grants — the combining window's
 	// cancellable wait (ValueCtx).
-	sweepLock atomic.Uint32
+	sweepLock waitq.Lock
 	vq        waitq.Queue
 
 	// rescue banks operands a panicking user op stranded mid-fold:
@@ -203,8 +203,7 @@ func (f *FetchOp) Apply(x int64) {
 // SpinFailLimit consecutive contended Applies (built-in detection) or the
 // injected policy's say-so switch ModeCAS → ModeSharded.
 func (f *FetchOp) applyContended(x int64) {
-	var bo modal.Backoff
-	bo.Max = backoffCeiling
+	bo := waitq.Backoff{Max: waitq.ShortBackoffMax}
 	for {
 		if f.eng.Mode() != fCAS {
 			f.Apply(x) // mode changed under us: redispatch
@@ -260,7 +259,7 @@ func (f *FetchOp) applyCell(x int64) {
 func (f *FetchOp) applyCombining(x int64) {
 	f.applyCell(x)
 	chaos.Point("fetchop.combine.deposit")
-	if f.pending.Add(1) >= f.combineBatch() && f.sweepLock.CompareAndSwap(0, 1) {
+	if f.pending.Add(1) >= f.combineBatch() && f.sweepLock.TryLock() {
 		n := func() int64 {
 			// Released by defer so a panicking user op inside the fold
 			// cannot leak the lock and wedge every future sweep.
@@ -365,21 +364,10 @@ func (f *FetchOp) noteCombineBatch(n int64) {
 	f.observe(fCombining, signalOf(n > 1))
 }
 
-// acquireSweep takes the sweepLock through the shared two-phase wait:
-// poll through the (deadline-aware) budget, then park on the
-// sweep-window waiter queue until the releasing sweeper grants — the
-// same wait Mutex's park path runs (DESIGN.md §5).
-func (f *FetchOp) acquireSweep(ctx context.Context, done <-chan struct{}) error {
-	if f.vq.Wait(f.cfg.pollBudget(), done, func() bool { return f.sweepLock.CompareAndSwap(0, 1) }) {
-		return ctx.Err()
-	}
-	return nil
-}
-
 // releaseSweep releases the sweepLock and hands the sweep window to the
 // oldest parked waiter, if any.
 func (f *FetchOp) releaseSweep() {
-	f.sweepLock.Store(0)
+	f.sweepLock.Unlock()
 	chaos.Point("fetchop.sweep.release")
 	f.vq.Grant()
 }
@@ -399,7 +387,7 @@ func (f *FetchOp) releaseSweep() {
 // the call (the same guarantee sync/atomic-style sharded counters give).
 // It is the uncancellable special case of ValueCtx.
 func (f *FetchOp) Value() int64 {
-	v, _ := f.value(nil, nil)
+	v, _ := f.value(nil)
 	return v
 }
 
@@ -413,22 +401,28 @@ func (f *FetchOp) ValueCtx(ctx context.Context) (int64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	return f.value(ctx, ctx.Done())
+	v, aborted := f.value(ctx.Done())
+	return v, ctxErr(ctx, aborted)
 }
 
-func (f *FetchOp) value(ctx context.Context, done <-chan struct{}) (int64, error) {
+// value is Value, reporting aborted, with a zero value, when done
+// closes while it waits for the sweep window.
+func (f *FetchOp) value(done <-chan struct{}) (v int64, aborted bool) {
 	cells := f.cells.Built()
 	if cells == nil {
-		return f.base.Load(), nil
+		return f.base.Load(), false
 	}
 	// Sweeps are serialized by the sweepLock, shared with combining-mode
 	// batch folds: a concurrent Value must not read the base while
 	// another sweeper holds harvested-but-unfolded cell values (it would
 	// miss them — including an Apply that completed before this Value
 	// started), and a trailing Value sweeping just-emptied cells must not
-	// mistake the empty sweep for low contention.
-	if err := f.acquireSweep(ctx, done); err != nil {
-		return 0, err
+	// mistake the empty sweep for low contention. The wait is the
+	// shared two-phase one Mutex's park path runs (DESIGN.md §5): poll
+	// through the budget, then park on vq until the releasing sweeper
+	// grants.
+	if f.vq.Wait(f.cfg.pollBudget(), done, f.sweepLock.TryLock) {
+		return 0, true
 	}
 	defer f.releaseSweep()
 	chaos.Point("fetchop.value.sweep")
@@ -452,7 +446,7 @@ func (f *FetchOp) value(ctx context.Context, done <-chan struct{}) (int64, error
 		}
 		f.noteCombineBatch(n)
 	}
-	return sum, nil
+	return sum, false
 }
 
 // switchFop performs a protocol change from want to next through the

@@ -59,11 +59,10 @@ const (
 	// RWMutex: the deposit-to-claim-validation window of the sharded
 	// registration (the kernel's proof with readerCount as the validated
 	// word, DESIGN.md §4), the writer's claim-to-sweep window, and the
-	// three paths that retract a claim.
+	// release tail every path that retracts a claim runs (Unlock, and
+	// the undo of a cancelled drain or a failed TryLock).
 	PtRWShardedDeposit = "rwmutex.sharded.deposit"
 	PtRWWriterClaimed  = "rwmutex.writer.claimed"
-	PtRWDrainUndo      = "rwmutex.drain.undo"
-	PtRWTryLockUndo    = "rwmutex.trylock.undo"
 	PtRWUnlockRelease  = "rwmutex.unlock.release"
 
 	// FetchOp: the combining deposit-to-threshold window, the
@@ -97,7 +96,7 @@ var catalog = [...]string{
 	PtFopCombineDeposit, PtFopFoldHarvest, PtFopSweepRelease, PtFopValueSweep,
 	PtMapCellStore, PtMapGraceSweep,
 	PtMutexUnlockRelease,
-	PtRWDrainUndo, PtRWShardedDeposit, PtRWTryLockUndo, PtRWUnlockRelease, PtRWWriterClaimed,
+	PtRWShardedDeposit, PtRWUnlockRelease, PtRWWriterClaimed,
 	PtWaitqAbandon, PtWaitqGrant, PtWaitqPush, PtWaitqAnnounced,
 }
 

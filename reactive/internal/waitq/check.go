@@ -10,8 +10,8 @@ import "fmt"
 // it serializes against all queue operations, so it is cheap but not
 // free; production paths never call it.
 func (q *Queue) Check() error {
-	q.acquire()
-	defer q.release()
+	q.lock.Lock(nil)
+	defer q.lock.Unlock()
 	var (
 		walked int32
 		prev   *waiter

@@ -1,6 +1,8 @@
-// Package waitq is the shared waiter-queue engine behind every two-phase
-// wait in package reactive that parks. Queue.Wait polls (phase one) and
-// then parks (phase two); it is the one parking mechanism that replaced
+// Package waitq holds both ways package reactive waits: the short spin
+// of Lock, a test-and-test-and-set word with randomized Backoff, and the
+// two-phase park of Queue, the waiter-queue engine behind every wait
+// that parks. Queue.Wait polls (phase one) and then parks (phase two);
+// it is the one parking mechanism that replaced
 // the three ad-hoc ones the primitives used to carry (Mutex's capacity-1
 // channel semaphore, RWMutex's reader condition variable, and RWMutex's
 // writer-drain channel). Every caller passes its configured polling
@@ -27,10 +29,9 @@
 // so the node and its lifecycle are unexported; the surface is Wait, Grant,
 // GrantAll, Len and Check.
 //
-// All queue state is guarded by a small randomized-backoff spin lock; the
-// critical sections are a handful of pointer moves and one non-blocking
-// channel send. Nodes are pooled (get/put), so steady-state parking
-// allocates nothing.
+// All queue state is guarded by a Lock; the critical sections are a
+// handful of pointer moves and one non-blocking channel send. Nodes are
+// pooled (get/put), so steady-state parking allocates nothing.
 package waitq
 
 import (
@@ -39,7 +40,6 @@ import (
 	"sync/atomic"
 
 	"repro/reactive/internal/chaos"
-	"repro/reactive/modal"
 )
 
 // waiter states, guarded by the owning queue's lock.
@@ -85,25 +85,12 @@ func put(w *waiter) {
 // A Queue is a FIFO of parked waiters. The zero value is an empty queue
 // ready to use. A Queue must not be copied after first use.
 type Queue struct {
-	lock       atomic.Uint32 // spin lock guarding the list and waiter states
+	lock       Lock // guards the list and waiter states
 	head, tail *waiter
 	// n mirrors the list length so Len — the "any waiters?" fast check on
 	// every unlock path — is one atomic load, never a lock acquisition.
 	n atomic.Int32
 }
-
-func (q *Queue) acquire() {
-	if q.lock.CompareAndSwap(0, 1) {
-		return
-	}
-	var bo modal.Backoff
-	bo.Max = 16
-	for !q.lock.CompareAndSwap(0, 1) {
-		bo.Pause()
-	}
-}
-
-func (q *Queue) release() { q.lock.Store(0) }
 
 // Len returns the number of queued waiters (parked or committing to park).
 func (q *Queue) Len() int { return int(q.n.Load()) }
@@ -114,12 +101,12 @@ func (q *Queue) Len() int { return int(q.n.Load()) }
 // calling abandon.
 func (q *Queue) push(w *waiter) {
 	chaos.Point("waitq.push.enter")
-	q.acquire()
+	q.lock.Lock(nil)
 	// stateGranted with an empty channel is a consumed grant — a normal
 	// re-push after a wakeup; only a still-queued node or an unconsumed
 	// token marks a wait that has not ended.
 	if w.state == stateQueued || len(w.ready) != 0 {
-		q.release()
+		q.lock.Unlock()
 		panic("waitq: push of a waiter whose previous wait has not ended")
 	}
 	w.state = stateQueued
@@ -132,7 +119,7 @@ func (q *Queue) push(w *waiter) {
 	}
 	q.tail = w
 	q.n.Add(1)
-	q.release()
+	q.lock.Unlock()
 }
 
 // unlink removes w from the list. Callers hold the lock and have checked
@@ -162,16 +149,16 @@ func (q *Queue) Grant() bool {
 		return false
 	}
 	chaos.Point("waitq.grant.enter")
-	q.acquire()
+	q.lock.Lock(nil)
 	w := q.head
 	if w == nil {
-		q.release()
+		q.lock.Unlock()
 		return false
 	}
 	q.unlink(w)
 	w.state = stateGranted
 	w.ready <- struct{}{}
-	q.release()
+	q.lock.Unlock()
 	return true
 }
 
@@ -181,7 +168,7 @@ func (q *Queue) GrantAll() int {
 	if q.n.Load() == 0 {
 		return 0
 	}
-	q.acquire()
+	q.lock.Lock(nil)
 	woken := 0
 	for w := q.head; w != nil; {
 		next := w.next
@@ -191,7 +178,7 @@ func (q *Queue) GrantAll() int {
 		woken++
 		w = next
 	}
-	q.release()
+	q.lock.Unlock()
 	return woken
 }
 
@@ -207,23 +194,23 @@ func (q *Queue) GrantAll() int {
 // be re-pushed or put back in the pool.
 func (q *Queue) abandon(w *waiter) bool {
 	chaos.Point("waitq.abandon.enter")
-	q.acquire()
+	q.lock.Lock(nil)
 	switch w.state {
 	case stateQueued:
 		q.unlink(w)
 		w.state = stateIdle
-		q.release()
+		q.lock.Unlock()
 		return true
 	case stateGranted:
 		w.state = stateIdle
-		q.release()
+		q.lock.Unlock()
 		// The token was sent under the lock before the granted state we
 		// just observed was set, so this receive never blocks.
 		<-w.ready
 		q.Grant()
 		return false
 	}
-	q.release()
+	q.lock.Unlock()
 	panic("waitq: abandon of a waiter that is not waiting")
 }
 

@@ -13,6 +13,7 @@ import (
 	"repro/reactive/internal/affinity"
 	"repro/reactive/internal/chaos"
 	"repro/reactive/internal/epoch"
+	"repro/reactive/internal/waitq"
 	"repro/reactive/modal"
 )
 
@@ -43,11 +44,11 @@ func MapTable() *modal.Table { return mapModeTable }
 
 // mapShard is one sharded-mode partition: a spin word and the partition
 // map, padded so neighboring shard locks never share a coherence
-// granule. The lock is a plain test-and-set word (not a Mutex): shard
+// granule. The lock is the short-term spin word (not a Mutex): shard
 // critical sections are single bounded map operations, so parking
 // machinery would cost more than the longest possible wait.
 type mapShard[K comparable, V any] struct {
-	lock atomic.Uint32
+	lock waitq.Lock
 	m    map[K]V
 	_    [affinity.CacheLineSize - 16]byte
 }
@@ -192,48 +193,14 @@ func (mp *Map[K, V]) shardIndex(key K) int {
 }
 
 // lockW acquires the writer lock, reporting whether the acquisition
-// contended (the ModeLocked detection signal). A nil done means the
-// uncancellable path.
-func (mp *Map[K, V]) lockW(ctx context.Context, done <-chan struct{}) (contended bool, err error) {
+// contended (the ModeLocked detection signal) and whether done closed
+// first. A nil done means the uncancellable path.
+func (mp *Map[K, V]) lockW(done <-chan struct{}) (contended, aborted bool) {
 	if mp.wl.TryLock() {
-		return false, nil
+		return false, false
 	}
-	if done == nil {
-		mp.wl.Lock()
-		return true, nil
-	}
-	if err := mp.wl.LockCtx(ctx); err != nil {
-		return true, err
-	}
-	return true, nil
+	return true, !mp.wl.lockFast() && mp.wl.lockSlow(done)
 }
-
-// lockShard acquires one shard's spin word, reporting whether the
-// acquisition contended. Shard critical sections are single bounded map
-// operations, so the loop spins with randomized backoff and never
-// parks; a cancellable caller's done aborts between pauses.
-func (mp *Map[K, V]) lockShard(l *atomic.Uint32, ctx context.Context, done <-chan struct{}) (contended bool, err error) {
-	if l.CompareAndSwap(0, 1) {
-		return false, nil
-	}
-	var bo modal.Backoff
-	bo.Max = backoffCeiling
-	for {
-		if done != nil {
-			select {
-			case <-done:
-				return true, ctx.Err()
-			default:
-			}
-		}
-		if l.Load() == 0 && l.CompareAndSwap(0, 1) {
-			return true, nil
-		}
-		bo.Pause()
-	}
-}
-
-func (mp *Map[K, V]) unlockShard(l *atomic.Uint32) { l.Store(0) }
 
 // lockAllShards acquires every shard lock in index order — one half of
 // the transition consensus: with wl and all shard locks held, no
@@ -241,13 +208,13 @@ func (mp *Map[K, V]) unlockShard(l *atomic.Uint32) { l.Store(0) }
 // hold their shard, and both revalidate the mode after acquiring).
 func (mp *Map[K, V]) lockAllShards() {
 	for i := range mp.shards {
-		mp.lockShard(&mp.shards[i].lock, nil, nil)
+		mp.shards[i].lock.Lock(nil)
 	}
 }
 
 func (mp *Map[K, V]) unlockAllShards() {
 	for i := range mp.shards {
-		mp.unlockShard(&mp.shards[i].lock)
+		mp.shards[i].lock.Unlock()
 	}
 }
 
@@ -375,7 +342,7 @@ func (mp *Map[K, V]) switchMap(want, next modal.Mode) {
 // performs no allocation and writes nothing outside its own per-P
 // cache-line-padded cell.
 func (mp *Map[K, V]) Get(key K) (V, bool) {
-	v, ok, _ := mp.get(nil, nil, key)
+	v, ok, _ := mp.get(nil, key)
 	return v, ok
 }
 
@@ -389,17 +356,20 @@ func (mp *Map[K, V]) GetCtx(ctx context.Context, key K) (V, bool, error) {
 		var zero V
 		return zero, false, err
 	}
-	return mp.get(ctx, ctx.Done(), key)
+	v, ok, aborted := mp.get(ctx.Done(), key)
+	return v, ok, ctxErr(ctx, aborted)
 }
 
-func (mp *Map[K, V]) get(ctx context.Context, done <-chan struct{}, key K) (V, bool, error) {
+// get looks key up. Its third result reports that done closed while the
+// lookup waited for a lock.
+func (mp *Map[K, V]) get(done <-chan struct{}, key K) (V, bool, bool) {
 	var zero V
 	for {
 		switch mp.eng.Mode() {
 		case mapLocked:
-			contended, err := mp.lockW(ctx, done)
-			if err != nil {
-				return zero, false, err
+			contended, aborted := mp.lockW(done)
+			if aborted {
+				return zero, false, true
 			}
 			if mp.eng.Mode() != mapLocked {
 				mp.wl.Unlock()
@@ -410,21 +380,21 @@ func (mp *Map[K, V]) get(ctx context.Context, done <-chan struct{}, key K) (V, b
 			if contended || !mp.eng.CalmBottom(mapModeTable) {
 				mp.note(mapLocked, contended, true)
 			}
-			return v, ok, nil
+			return v, ok, false
 		case mapSharded:
 			sh := &mp.shards[mp.shardIndex(key)]
-			contended, err := mp.lockShard(&sh.lock, ctx, done)
-			if err != nil {
-				return zero, false, err
+			contended, aborted := sh.lock.Lock(done)
+			if aborted {
+				return zero, false, true
 			}
 			if mp.eng.Mode() != mapSharded {
-				mp.unlockShard(&sh.lock)
+				sh.lock.Unlock()
 				continue
 			}
 			v, ok := sh.m[key]
-			mp.unlockShard(&sh.lock)
+			sh.lock.Unlock()
 			mp.note(mapSharded, contended, true)
-			return v, ok, nil
+			return v, ok, false
 		default: // mapEpoch
 			// One epoch-mode read: enter the kernel, find the key's cell
 			// in the table and load it, exit. Between a successful enter
@@ -436,13 +406,13 @@ func (mp *Map[K, V]) get(ctx context.Context, done <-chan struct{}, key K) (V, b
 			if c, _ := mp.ek.Enter(); c != nil {
 				v, ok := mp.lookup(key)
 				mp.ek.Exit(c)
-				return v, ok, nil
+				return v, ok, false
 			}
 			// Refused: a writer's grace claim is in place (or the mode
 			// just moved). Read authoritatively under the writer lock, so
 			// writers cannot starve behind a read storm.
-			if _, err := mp.lockW(ctx, done); err != nil {
-				return zero, false, err
+			if _, aborted := mp.lockW(done); aborted {
+				return zero, false, true
 			}
 			if mp.eng.Mode() != mapEpoch {
 				mp.wl.Unlock()
@@ -450,7 +420,7 @@ func (mp *Map[K, V]) get(ctx context.Context, done <-chan struct{}, key K) (V, b
 			}
 			v, ok := mp.lookup(key)
 			mp.wl.Unlock()
-			return v, ok, nil
+			return v, ok, false
 		}
 	}
 }
@@ -462,7 +432,7 @@ func (mp *Map[K, V]) get(ctx context.Context, done <-chan struct{}, key K) (V, b
 // no lock taken and no grace period; only an insert of a key with no
 // cell takes the writer lock and waits out the readers to add it.
 func (mp *Map[K, V]) Put(key K, val V) {
-	mp.put(nil, nil, key, val, false)
+	mp.put(nil, key, val, false)
 }
 
 // PutCtx is Put with cancellable blocking: if ctx has already ended,
@@ -475,23 +445,25 @@ func (mp *Map[K, V]) PutCtx(ctx context.Context, key K, val V) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return mp.put(ctx, ctx.Done(), key, val, false)
+	return ctxErr(ctx, mp.put(ctx.Done(), key, val, false))
 }
 
 // Delete removes the value stored under key, if any. In ModeEpoch it
 // never takes a lock: it leaves the key's value cell in place, holding
 // nil.
 func (mp *Map[K, V]) Delete(key K) {
-	mp.put(nil, nil, key, *new(V), true)
+	mp.put(nil, key, *new(V), true)
 }
 
-func (mp *Map[K, V]) put(ctx context.Context, done <-chan struct{}, key K, val V, del bool) error {
+// put stores val under key (with del, deletes key). It reports true,
+// with the map unchanged, when done closes while it waits for a lock.
+func (mp *Map[K, V]) put(done <-chan struct{}, key K, val V, del bool) bool {
 	for {
 		switch mp.eng.Mode() {
 		case mapLocked:
-			contended, err := mp.lockW(ctx, done)
-			if err != nil {
-				return err
+			contended, aborted := mp.lockW(done)
+			if aborted {
+				return true
 			}
 			if mp.eng.Mode() != mapLocked {
 				mp.wl.Unlock()
@@ -504,23 +476,23 @@ func (mp *Map[K, V]) put(ctx context.Context, done <-chan struct{}, key K, val V
 			if contended || !mp.eng.CalmBottom(mapModeTable) {
 				mp.note(mapLocked, contended, false)
 			}
-			return nil
+			return false
 		case mapSharded:
 			sh := &mp.shards[mp.shardIndex(key)]
-			contended, err := mp.lockShard(&sh.lock, ctx, done)
-			if err != nil {
-				return err
+			contended, aborted := sh.lock.Lock(done)
+			if aborted {
+				return true
 			}
 			if mp.eng.Mode() != mapSharded {
-				mp.unlockShard(&sh.lock)
+				sh.lock.Unlock()
 				continue
 			}
 			if d := mutate(&sh.m, key, val, del); d != 0 {
 				mp.count.Add(d)
 			}
-			mp.unlockShard(&sh.lock)
+			sh.lock.Unlock()
 			mp.note(mapSharded, contended, false)
-			return nil
+			return false
 		default: // mapEpoch
 			// A Delete's box is nil, the tombstone; a Put's is the epoch
 			// write's one allocation, made on this branch only.
@@ -530,10 +502,10 @@ func (mp *Map[K, V]) put(ctx context.Context, done <-chan struct{}, key K, val V
 				*box = val
 			}
 			if mp.storeEpoch(key, box) {
-				return nil
+				return false
 			}
-			if _, err := mp.lockW(ctx, done); err != nil {
-				return err
+			if _, aborted := mp.lockW(done); aborted {
+				return true
 			}
 			if mp.eng.Mode() != mapEpoch {
 				mp.wl.Unlock()
@@ -541,7 +513,7 @@ func (mp *Map[K, V]) put(ctx context.Context, done <-chan struct{}, key K, val V
 			}
 			mp.putEpoch(key, box)
 			mp.wl.Unlock()
-			return nil
+			return false
 		}
 	}
 }
@@ -686,14 +658,14 @@ func (mp *Map[K, V]) snapshot() iter.Seq2[K, V] {
 			ok := true
 			for i := range mp.shards {
 				sh := &mp.shards[i]
-				mp.lockShard(&sh.lock, nil, nil)
+				sh.lock.Lock(nil)
 				if mp.eng.Mode() != mapSharded {
-					mp.unlockShard(&sh.lock)
+					sh.lock.Unlock()
 					ok = false
 					break
 				}
 				maps.Copy(out, sh.m)
-				mp.unlockShard(&sh.lock)
+				sh.lock.Unlock()
 			}
 			if ok {
 				return maps.All(out)
@@ -789,7 +761,7 @@ func (mp *Map[K, V]) CheckInvariants() error {
 	}
 	if mp.shardsUp.Load() {
 		for i := range mp.shards {
-			if l := mp.shards[i].lock.Load(); l != 0 {
+			if mp.shards[i].lock.Held() {
 				return fmt.Errorf("reactive: Map shard %d lock held at quiescence", i)
 			}
 		}

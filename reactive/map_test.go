@@ -374,13 +374,13 @@ func TestMapGetCtxPutCtxCancel(t *testing.T) {
 	s := NewMap[int, int](WithInitialMode(ModeSharded), WithSpinFailLimit(1<<20), WithEmptyLimit(1<<20))
 	s.Put(1, 1)
 	sh := &s.shards[s.shardIndex(1)]
-	s.lockShard(&sh.lock, nil, nil)
+	sh.lock.Lock(nil)
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel2()
 	if _, _, err := s.GetCtx(ctx2, 1); err != context.DeadlineExceeded {
 		t.Fatalf("sharded GetCtx under held shard = %v, want DeadlineExceeded", err)
 	}
-	s.unlockShard(&sh.lock)
+	sh.lock.Unlock()
 	if _, _, err := s.GetCtx(context.Background(), 1); err != nil {
 		t.Fatalf("GetCtx after release = %v", err)
 	}

@@ -11,7 +11,7 @@ func (e *Engine) Check(t *Table) error {
 	if m := e.Mode(); int(m) >= t.N() {
 		return fmt.Errorf("modal: engine in mode %d, table has %d modes", m, t.N())
 	}
-	if e.lock.Load() != 0 {
+	if e.lock.Held() {
 		return fmt.Errorf("modal: policy lock held at quiescence")
 	}
 	return nil

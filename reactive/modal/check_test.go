@@ -26,11 +26,11 @@ func TestEngineCheck(t *testing.T) {
 	e.word.Store(1) // undo
 
 	// A held policy lock at quiescence means a detection event leaked it.
-	e.lock.Store(1)
+	e.lock.TryLock()
 	if err := e.Check(tab); err == nil || !strings.Contains(err.Error(), "policy lock") {
 		t.Fatalf("held policy lock not caught: %v", err)
 	}
-	e.lock.Store(0)
+	e.lock.Unlock()
 	if err := e.Check(tab); err != nil {
 		t.Fatalf("restored engine: %v", err)
 	}

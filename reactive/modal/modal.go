@@ -22,7 +22,7 @@
 //     in package reactive: a mode word changed only by compare-and-swap
 //     (the consensus-object analogue — of racing commits out of one mode
 //     exactly one wins), per-step hysteresis streaks or an injected
-//     policy.Policy serialized by a small randomized-backoff lock.
+//     policy.Policy serialized by a waitq.Lock.
 //   - Decider — the unsynchronized variant used by the cycle-level
 //     simulator, whose event engine and simulated consensus objects
 //     already serialize detection; it validates steps against the same
@@ -30,9 +30,8 @@
 //
 // Memory and waiting effects — what a mode *is*, how waiters migrate
 // across a change — stay with the caller; the engine only decides and
-// serializes. Backoff, the randomized exponential backoff every spin loop
-// in package reactive pauses with, lives here too; the two-phase wait
-// itself (poll, then park) is reactive/internal/waitq's Queue.Wait.
+// serializes. Both ways a caller waits, the short spin and the two-phase
+// park, are reactive/internal/waitq's.
 package modal
 
 import (
@@ -40,6 +39,7 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"repro/reactive/internal/waitq"
 	"repro/reactive/policy"
 )
 
@@ -166,10 +166,9 @@ type Engine struct {
 
 	// lock serializes calls into pol (policies are deliberately
 	// unsynchronized). Taken only on detection events, never on a
-	// primitive's uncontended fast path, and contended waiters back off
-	// with randomized exponential backoff so a hot injected policy does
-	// not become a contention hotspot.
-	lock  atomic.Uint32
+	// primitive's uncontended fast path; its waiters back off randomly,
+	// so a hot injected policy does not become a contention hotspot.
+	lock  waitq.Lock
 	dirty atomic.Bool // a sub-optimal vote reached pol since the last switch
 
 	streaks  [streakSlots]atomic.Int32 // one per step, at Table.step's slot
@@ -197,18 +196,6 @@ func (e *Engine) Switches() uint64 { return e.switches.Load() }
 // Optimal events are currently being forwarded rather than elided. Always
 // false with built-in detection. Intended for tests and introspection.
 func (e *Engine) Dirty() bool { return e.dirty.Load() }
-
-// acquire takes the policy-serialization lock with randomized
-// exponential backoff.
-func (e *Engine) acquire() {
-	var bo Backoff
-	bo.Max = 32
-	for !e.lock.CompareAndSwap(0, 1) {
-		bo.Pause()
-	}
-}
-
-func (e *Engine) release() { e.lock.Store(0) }
 
 // Observe is the whole detection rule: one request served in mode from
 // was classified as s. The step out of from whose On accepts s takes the
@@ -302,10 +289,10 @@ func (e *Engine) vote(slot int, dir policy.Direction, residual uint64, limit int
 	if e.pol == nil {
 		return e.streaks[slot].Add(1) >= limit
 	}
-	e.acquire()
+	e.lock.Lock(nil)
 	// The release is deferred so a panicking user policy cannot leak the
 	// lock and wedge every later detection event on this engine.
-	defer e.release()
+	defer e.lock.Unlock()
 	// dirty transitions only under the lock, so a vote racing a switch
 	// cannot leave the flag false while the policy holds pressure.
 	e.dirty.Store(true)
@@ -323,10 +310,10 @@ func (e *Engine) vote(slot int, dir policy.Direction, residual uint64, limit int
 // as soon as its pressure has decayed to zero, returning a long-lived
 // primitive's fast path to a single atomic load.
 func (e *Engine) optimal(dir policy.Direction) {
-	if !e.dirty.Load() || !e.lock.CompareAndSwap(0, 1) {
+	if !e.dirty.Load() || !e.lock.TryLock() {
 		return
 	}
-	defer e.release()
+	defer e.lock.Unlock()
 	e.pol.Optimal(dir)
 	if q, ok := e.pol.(policy.Quiescer); ok && q.Quiescent() {
 		e.dirty.Store(false)
@@ -361,8 +348,8 @@ func (e *Engine) switched(t *Table) {
 		}
 		return
 	}
-	e.acquire()
-	defer e.release()
+	e.lock.Lock(nil)
+	defer e.lock.Unlock()
 	e.pol.Switched()
 	e.dirty.Store(false)
 }

@@ -247,21 +247,3 @@ func TestDeciderForwardsEdgeEvents(t *testing.T) {
 		d.Switched(2, 0)
 	}()
 }
-
-func TestBackoffPausesAndDoubles(t *testing.T) {
-	var b Backoff
-	b.Max = 8
-	for i := 0; i < 20; i++ {
-		b.Pause()
-	}
-	if b.mean != 8 {
-		t.Fatalf("mean = %d after many pauses, want capped at 8", b.mean)
-	}
-	// Two zero-value backoffs must not share a seed (decorrelation).
-	var b1, b2 Backoff
-	b1.Pause()
-	b2.Pause()
-	if b1.seed == b2.seed {
-		t.Fatal("independent Backoffs share a seed")
-	}
-}

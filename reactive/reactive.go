@@ -211,15 +211,6 @@ const (
 	DefaultPollIters = 60
 )
 
-// backoffCeiling caps the mean pause length (modal.Backoff.Max, in
-// scheduler yields) of every short-term retry loop in this package —
-// contended CAS-mode updates and Map's shard spin words. It is
-// deliberately below modal.DefaultBackoffMax: these loops guard windows
-// a peer exits quickly (one CAS, one bounded map operation), so long
-// pauses only add latency. One constant so the ceiling is tuned in one
-// place.
-const backoffCeiling = 16
-
 // Mutex is a reactive mutual-exclusion lock. The zero value is an unlocked
 // mutex in spin mode with the package-default tunables; New builds one
 // with explicit Options. A Mutex must not be copied after first use.
@@ -381,7 +372,7 @@ func (m *Mutex) Lock() {
 	if m.lockFast() {
 		return
 	}
-	m.lockSlow(nil, nil)
+	m.lockSlow(nil)
 }
 
 // lockFast is the optimistic fast path (the thesis's optimistic
@@ -428,25 +419,27 @@ func (m *Mutex) LockCtx(ctx context.Context) error {
 	if m.lockFast() {
 		return nil
 	}
-	return m.lockSlow(ctx, ctx.Done())
+	return ctxErr(ctx, m.lockSlow(ctx.Done()))
 }
 
-// lockSlow dispatches a contended acquisition to the selected waiting
-// protocol. A nil ctx (and done) means the wait is uncancellable; the
-// nil-ness of done, not ctx, gates every cancellation check so Lock pays
-// nothing for the context plumbing, and ctx itself is consulted only
-// here, to name the error of an aborted wait.
-func (m *Mutex) lockSlow(ctx context.Context, done <-chan struct{}) error {
-	var aborted bool
-	if m.eng.Mode() == mSpin {
-		aborted = m.lockSpin(done)
-	} else {
-		aborted = m.lockPark(done)
-	}
+// ctxErr is what a *Ctx method returns after a wait that reported
+// aborted: ctx.Err() if it did, nil if it did not. The unexported waits
+// take only ctx.Done(), so a nil done makes them uncancellable.
+func ctxErr(ctx context.Context, aborted bool) error {
 	if aborted {
 		return ctx.Err()
 	}
 	return nil
+}
+
+// lockSlow dispatches a contended acquisition to the selected waiting
+// protocol and reports whether done closed first. A nil done means the
+// wait is uncancellable, so Lock pays nothing for the context plumbing.
+func (m *Mutex) lockSlow(done <-chan struct{}) (aborted bool) {
+	if m.eng.Mode() == mSpin {
+		return m.lockSpin(done)
+	}
+	return m.lockPark(done)
 }
 
 // noteSpinAcquire classifies one spin-mode acquisition: one that failed
@@ -473,7 +466,7 @@ func (m *Mutex) noteSpinAcquire(fails int) {
 // exponential backoff. It migrates to the parking protocol if the mode
 // changes mid-wait, and gives up between attempts once done closes.
 func (m *Mutex) lockSpin(done <-chan struct{}) (aborted bool) {
-	var bo modal.Backoff
+	var bo waitq.Backoff
 	fails := 0
 	for {
 		// Read-poll (cached) before attempting the RMW.

@@ -229,7 +229,7 @@ func (rw *RWMutex) RLock() {
 	if rw.register() == regOK {
 		return
 	}
-	rw.rlockSlow(nil, nil)
+	rw.rlockSlow(nil)
 }
 
 // RLockCtx acquires the lock for reading like RLock, but gives up when
@@ -243,7 +243,7 @@ func (rw *RWMutex) RLockCtx(ctx context.Context) error {
 	if rw.register() == regOK {
 		return nil
 	}
-	return rw.rlockSlow(ctx, ctx.Done())
+	return ctxErr(ctx, rw.rlockSlow(ctx.Done()))
 }
 
 // regResult says how one registration attempt ended: the reason a
@@ -362,16 +362,16 @@ func (rw *RWMutex) TryRLock() bool {
 // the budget, yielding between attempts, then park until a releasing
 // writer broadcasts. Reader-reader CAS races retry at once — but each
 // loss to another reader is exactly the coherence traffic the sharded
-// protocol removes, so it votes toward sharded registration. A non-nil
-// done aborts with ctx.Err(), checked before every attempt so the
-// registration races observe it too.
-func (rw *RWMutex) rlockSlow(ctx context.Context, done <-chan struct{}) error {
+// protocol removes, so it votes toward sharded registration. A closed
+// done aborts, checked before every attempt so the registration races
+// observe it too; rlockSlow reports whether it did.
+func (rw *RWMutex) rlockSlow(done <-chan struct{}) (aborted bool) {
 	casLosses := 0
 	for {
 		if done != nil {
 			select {
 			case <-done:
-				return ctx.Err()
+				return true
 			default:
 			}
 		}
@@ -384,7 +384,7 @@ func (rw *RWMutex) rlockSlow(ctx context.Context, done <-chan struct{}) error {
 				// threshold.
 				rw.noteRegistration(false)
 			}
-			return nil
+			return false
 		case regLost:
 			// Lost the centralized word to another reader: the cheap
 			// registration protocol is serializing readers on one cache
@@ -393,7 +393,7 @@ func (rw *RWMutex) rlockSlow(ctx context.Context, done <-chan struct{}) error {
 			rw.noteRegistration(true)
 		case regClaimed:
 			if rw.rq.Wait(rw.cfg.pollBudget(), done, rw.noClaim) {
-				return ctx.Err()
+				return true
 			}
 		}
 		// regMoved — the registration protocol changed under the attempt —
@@ -473,14 +473,11 @@ func (rw *RWMutex) LockCtx(ctx context.Context) error {
 		return err
 	}
 	if rw.claim() && rw.drainReaders(ctx.Done()) {
-		// Cancelled mid-drain: retract both claims and wake the readers
+		// Cancelled mid-drain: retract both claims, waking the readers
 		// the transient claim may have parked (the same undo TryLock
-		// performs), then release the writer mutex.
+		// performs).
 		rw.readerCount.Add(rwBias)
-		rw.ek.Release()
-		chaos.Point("rwmutex.drain.undo")
-		rw.rq.GrantAll()
-		rw.w.Unlock()
+		rw.release()
 		return ctx.Err()
 	}
 	return nil
@@ -500,13 +497,10 @@ func (rw *RWMutex) TryLock() bool {
 		// Active sharded or epoch readers (or a transient deposit): with
 		// the claims already in place a single sweep reading zero proves
 		// quiescence, so a nonzero read means waiting — undo and fail.
+		// The undo wakes the readers the transient claim may have
+		// parked, which otherwise only a later writer would free.
 		rw.readerCount.Add(rwBias)
-		rw.ek.Release()
-		chaos.Point("rwmutex.trylock.undo")
-		// A reader may have parked during the transient claim; without
-		// this wake only a later writer's release would free it.
-		rw.rq.GrantAll()
-		rw.w.Unlock()
+		rw.release()
 		return false
 	}
 	return true
@@ -569,6 +563,14 @@ func (rw *RWMutex) Unlock() {
 	if rw.readerCount.Add(rwBias) != 0 {
 		panic("reactive: Unlock of unlocked RWMutex")
 	}
+	rw.release()
+}
+
+// release is the writer's release tail, shared by Unlock and the undo of
+// a cancelled or failed acquisition; the caller has already retracted
+// its claim on readerCount. It retracts the gate claim, wakes the parked
+// readers and releases the writer mutex.
+func (rw *RWMutex) release() {
 	rw.ek.Release()
 	chaos.Point("rwmutex.unlock.release")
 	// Broadcast after both claims clear: a reader that announces later

@@ -12,20 +12,27 @@ import (
 	"repro/internal/watchdog"
 )
 
-// TestTryLockUndoVsEpochReaders hammers the epoch-mode TryLock undo
-// path from the epoch-registration work: a failing TryLock claims the
-// gate (advancing the global grace epoch), sweeps, sees an online
-// reader, retracts the claim, and broadcasts to any reader its
-// transient claim parked. The test races that
-// claim/advance/retract/re-grant cycle against epoch readers (whose
-// stamp-validate window the claim must catch), deadline-bounded reader
-// waits, and occasional real writers, and verifies that (a) exclusion
-// never breaks — asserted through plain unsynchronized variables, so
-// the race detector turns any violation into a hard failure — (b)
-// nobody is stranded parked behind a retracted claim (watchdog), and
-// (c) the lock is structurally sound afterward.
+// TestTryLockUndoVsEpochReaders hammers the TryLock undo path from the
+// epoch-registration work: a failing TryLock claims the gate (advancing
+// the global grace epoch), sweeps, sees an online reader, retracts the
+// claim, and broadcasts to any reader its transient claim parked. The
+// test races that claim/advance/retract/re-grant cycle against epoch
+// readers (whose stamp-validate window the claim must catch),
+// deadline-bounded reader waits, and occasional real writers, and
+// verifies that (a) exclusion never breaks — asserted through plain
+// unsynchronized variables, so the race detector turns any violation
+// into a hard failure — (b) nobody is stranded parked behind a
+// retracted claim (watchdog), and (c) the lock is structurally sound
+// afterward. The central and sharded registration modes run it too:
+// Unlock and both undo paths share one release tail.
 func TestTryLockUndoVsEpochReaders(t *testing.T) {
-	rw := NewRWMutex(WithInitialReaderMode(ModeEpoch), WithInitialMode(ModePark))
+	for _, m := range []Mode{ModeEpoch, ModeCAS, ModeSharded} {
+		t.Run(m.String(), func(t *testing.T) { tryLockUndoVsReaders(t, m) })
+	}
+}
+
+func tryLockUndoVsReaders(t *testing.T, readerMode Mode) {
+	rw := NewRWMutex(WithInitialReaderMode(readerMode), WithInitialMode(ModePark))
 
 	const (
 		readers  = 4
