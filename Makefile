@@ -162,7 +162,9 @@ fuzz-short:
 # back beside the nativeRows table. The last keeps one short-term spin
 # word: a CompareAndSwap(0, 1) in package reactive outside
 # waitq/lock.go is a hand-rolled test-and-set lock coming back, and
-# Backoff is waitq's, not modal's.
+# Backoff is waitq's, not modal's. The last keeps one construction step:
+# an .apply( call in package reactive outside options.go is a
+# constructor folding its options beside construct.
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -nE '\.Vote\(' reactive/*.go internal/experiments/*.go | grep -v _test.go)"; if [ -n "$$out" ]; then echo "hand-wired detection (use Engine.Observe):"; echo "$$out"; exit 1; fi
@@ -177,6 +179,7 @@ lint:
 	@out="$$(grep -rn --include='*.go' '\.Wait(0,' reactive | grep -v _test.go)"; if [ -n "$$out" ]; then echo "zero-budget Wait (phase one belongs to waitq.Queue.Wait):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -n 'RunParallel(' bench_test.go)"; if [ "$$(echo "$$out" | grep -c .)" -gt 1 ]; then echo "hand-written native row (add it to nativeRows; runNative is the one RunParallel):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rn --include='*.go' -e 'CompareAndSwap(0, 1)' reactive | grep -v -e _test.go -e '^reactive/internal/waitq/lock.go:'; grep -rn --include='*.go' 'modal\.Backoff' .)"; if [ -n "$$out" ]; then echo "hand-rolled spin word or modal.Backoff (use waitq.Lock and waitq.Backoff):"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rn --include='*.go' '\.apply(' reactive | grep -v -e _test.go -e '^reactive/options.go:')"; if [ -n "$$out" ]; then echo "options folded outside construct (every constructor calls construct):"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 
 # The CI docs job: documentation that tests can check. The experiment

@@ -1,6 +1,9 @@
 package reactive
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -72,10 +75,19 @@ func TestNewDefaultsMatchZeroValue(t *testing.T) {
 }
 
 func TestOptionsConfigureThresholds(t *testing.T) {
-	m := New(WithSpinFailLimit(7), WithEmptyLimit(9), WithPollIters(11))
-	if m.cfg.failLimit() != 7 || m.cfg.emptyLim() != 9 || m.cfg.pollBudget() != 11 {
-		t.Fatalf("options not applied: got (%d,%d,%d)",
-			m.cfg.failLimit(), m.cfg.emptyLim(), m.cfg.pollBudget())
+	opts := []Option{WithSpinFailLimit(7), WithEmptyLimit(9), WithPollIters(11)}
+	// Each primitive keeps one copy of the tunables: Map's lives in its
+	// writer lock, as RWMutex's does (TestRWMutexOptionsReachWriterMutex).
+	for name, cfg := range map[string]*config{
+		"Mutex":   &New(opts...).cfg,
+		"Counter": &NewCounter(opts...).f.cfg,
+		"FetchOp": &NewFetchOp(func(a, b int64) int64 { return a * b }, 1, opts...).cfg,
+		"Map":     &NewMap[int, int](opts...).wl.cfg,
+	} {
+		if cfg.failLimit() != 7 || cfg.emptyLim() != 9 || cfg.pollBudget() != 11 {
+			t.Fatalf("%s: options not applied: got (%d,%d,%d)",
+				name, cfg.failLimit(), cfg.emptyLim(), cfg.pollBudget())
+		}
 	}
 	for _, bad := range []func(){
 		func() { WithSpinFailLimit(0) },
@@ -217,5 +229,50 @@ func TestStressForcedModeSwitches(t *testing.T) {
 	fwg.Wait()
 	if counter != goroutines*iters {
 		t.Fatalf("counter = %d, want %d", counter, goroutines*iters)
+	}
+}
+
+// TestConstructorsInitialModes: the one construction step walks each
+// constructor's engine to every mode its chain has, and panics on every
+// other mode with one message that lists the chain. WithInitialReaderMode
+// checks its mode against the registration chain when it is called.
+func TestConstructorsInitialModes(t *testing.T) {
+	mul := func(a, b int64) int64 { return a * b }
+	for _, c := range []struct {
+		name  string
+		modes []Mode
+		build func(Mode) Mode // the mode the built primitive reports
+	}{
+		{"New", []Mode{ModeSpin, ModePark},
+			func(m Mode) Mode { return New(WithInitialMode(m)).Stats().Mode }},
+		{"NewRWMutex", []Mode{ModeSpin, ModePark},
+			func(m Mode) Mode { return NewRWMutex(WithInitialMode(m)).Stats().Mode }},
+		{"NewCounter", []Mode{ModeCAS, ModeSharded, ModeCombining},
+			func(m Mode) Mode { return NewCounter(WithInitialMode(m)).Stats().Mode }},
+		{"NewFetchOp", []Mode{ModeCAS, ModeSharded, ModeCombining},
+			func(m Mode) Mode { return NewFetchOp(mul, 1, WithInitialMode(m)).Stats().Mode }},
+		{"NewMap", []Mode{ModeLocked, ModeSharded, ModeEpoch},
+			func(m Mode) Mode { return NewMap[int, int](WithInitialMode(m)).Stats().Mode }},
+		{"WithInitialReaderMode", []Mode{ModeCAS, ModeSharded, ModeEpoch},
+			func(m Mode) Mode { return NewRWMutex(WithInitialReaderMode(m)).Stats().Readers.Mode }},
+	} {
+		for m := ModeSpin; m <= ModeLocked; m++ {
+			var got Mode
+			var msg any
+			func() {
+				defer func() { msg = recover() }()
+				got = c.build(m)
+			}()
+			switch {
+			case !slices.Contains(c.modes, m):
+				if s, _ := msg.(string); !strings.Contains(s, fmt.Sprint(c.modes)) {
+					t.Errorf("%s(%v) panicked with %v, want a message listing %v", c.name, m, msg, c.modes)
+				}
+			case msg != nil:
+				t.Errorf("%s(%v) panicked on a mode of its chain: %v", c.name, m, msg)
+			case got != m:
+				t.Errorf("%s(%v) built a primitive in mode %v", c.name, m, got)
+			}
+		}
 	}
 }

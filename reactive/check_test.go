@@ -125,11 +125,12 @@ func TestRWMutexCheckCatchesGateSkew(t *testing.T) {
 	rw := NewRWMutex(WithInitialReaderMode(ModeEpoch))
 	rw.RLock()
 	rw.RUnlock()
-	rw.ek.Select(false, false) // mode bit off while the engine says epoch
+	rw.ek.Select(false) // mode bit off while the engine says epoch
 	if err := rw.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "mode bit") {
 		t.Fatalf("gate/engine skew not caught: %v", err)
 	}
-	rw.ek.Select(true, true) // a claim no writer holds
+	rw.ek.Select(true)
+	rw.ek.Claim() // a claim no writer holds
 	if err := rw.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "claim") {
 		t.Fatalf("stale claim not caught: %v", err)
 	}

@@ -1,10 +1,6 @@
 package reactive
 
-import (
-	"context"
-
-	"repro/reactive/modal"
-)
+import "context"
 
 // Counter is a reactive fetch-and-add counter: the add-only
 // specialization of FetchOp (operation +, identity 0), with the
@@ -29,9 +25,7 @@ type Counter struct {
 // parking (Add never parks).
 func NewCounter(opts ...Option) *Counter {
 	c := &Counter{}
-	c.f.cfg.apply(opts)
-	c.f.eng.SetPolicy(c.f.cfg.pol)
-	c.f.applyInitMode()
+	construct(opts, &c.f.cfg, &c.f.eng, fopModes, c.f.switchFop)
 	return c
 }
 
@@ -50,7 +44,3 @@ func (c *Counter) Load() int64 { return c.f.Value() }
 // ctx.Err() when ctx ends while waiting for the reconciliation sweep
 // window; see FetchOp.ValueCtx.
 func (c *Counter) LoadCtx(ctx context.Context) (int64, error) { return c.f.ValueCtx(ctx) }
-
-// noteContendedAdd records one contended CAS-mode Add with the detection
-// machinery (test hook shared with the forced-mode-switch stress tests).
-func (c *Counter) noteContendedAdd() { c.f.observe(fCAS, modal.Busy) }

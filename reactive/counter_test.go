@@ -31,7 +31,7 @@ func TestCounterZeroValue(t *testing.T) {
 func forceSharded(t *testing.T, c *Counter) {
 	t.Helper()
 	for i := 0; c.Stats().Mode != ModeSharded; i++ {
-		c.noteContendedAdd()
+		c.f.observe(fCAS, modal.Busy)
 		if i > 10*DefaultSpinFailLimit {
 			t.Fatal("could not force sharded mode")
 		}
@@ -44,16 +44,16 @@ func forceSharded(t *testing.T, c *Counter) {
 func TestCounterDetectionStreak(t *testing.T) {
 	var c Counter
 	for i := 0; i < DefaultSpinFailLimit-1; i++ {
-		c.noteContendedAdd()
+		c.f.observe(fCAS, modal.Busy)
 	}
 	c.Add(1) // uncontended: break the streak
 	for i := 0; i < DefaultSpinFailLimit-1; i++ {
-		c.noteContendedAdd()
+		c.f.observe(fCAS, modal.Busy)
 		if c.Stats().Mode != ModeCAS {
 			t.Fatalf("switched after %d contended Adds, want %d", i+1, DefaultSpinFailLimit)
 		}
 	}
-	c.noteContendedAdd()
+	c.f.observe(fCAS, modal.Busy)
 	if c.Stats().Mode != ModeSharded {
 		t.Fatal("did not switch after a full contended streak")
 	}
@@ -321,7 +321,7 @@ func TestCounterSwitchesUnderContention(t *testing.T) {
 // single-writer Load.
 func TestCounterInjectedPolicy(t *testing.T) {
 	c := NewCounter(WithPolicy(policy.AlwaysSwitch{}))
-	c.noteContendedAdd()
+	c.f.observe(fCAS, modal.Busy)
 	if c.Stats().Mode != ModeSharded {
 		t.Fatal("always-switch policy did not switch on first contended Add")
 	}

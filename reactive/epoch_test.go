@@ -76,6 +76,40 @@ func TestWithInitialReaderModeInvalid(t *testing.T) {
 	}
 }
 
+// TestReaderCommitsKeepTheWriterClaim commits every edge of the
+// registration chain from inside a writer's critical section, one edge
+// per critical section, as the drain's detection and switchReaderMode
+// do. Whatever mode a commit publishes, no reader — an epoch Enter
+// included — gets in beside the writer: the kernel's Select leaves the
+// writer's claim on the gate, and a writer whose claim predates the
+// cells commits only to the sharded mode, whose readers validate
+// against readerCount. After Unlock the lock is quiescent and works.
+func TestReaderCommitsKeepTheWriterClaim(t *testing.T) {
+	rw := NewRWMutex()
+	for _, e := range []struct{ from, to modal.Mode }{
+		{rCentral, rSharded}, {rSharded, rEpoch}, {rEpoch, rSharded}, {rSharded, rCentral},
+	} {
+		rw.Lock()
+		rw.commitReaderMode(e.from, e.to)
+		if got := rw.reng.Mode(); got != e.to {
+			t.Fatalf("%v→%v: registration mode %v after the commit", e.from, e.to, got)
+		}
+		if c, _ := rw.ek.Enter(); c != nil {
+			rw.ek.Exit(c)
+			t.Fatalf("%v→%v: an epoch reader entered beside the writer", e.from, e.to)
+		}
+		if rw.TryRLock() {
+			t.Fatalf("%v→%v: TryRLock succeeded beside the writer", e.from, e.to)
+		}
+		rw.Unlock()
+		if err := rw.CheckInvariants(); err != nil {
+			t.Fatalf("%v→%v: %v", e.from, e.to, err)
+		}
+		rw.RLock()
+		rw.RUnlock()
+	}
+}
+
 // --- Epoch fast path ------------------------------------------------
 
 func TestRWMutexReadEpochZeroAllocs(t *testing.T) {

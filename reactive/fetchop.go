@@ -137,20 +137,8 @@ func NewFetchOp(op func(a, b int64) int64, identity int64, opts ...Option) *Fetc
 	}
 	f := &FetchOp{op: op, id: identity}
 	f.base.Store(identity)
-	f.cfg.apply(opts)
-	f.eng.SetPolicy(f.cfg.pol)
-	f.applyInitMode()
+	construct(opts, &f.cfg, &f.eng, fopModes, f.switchFop)
 	return f
-}
-
-// applyInitMode walks the transition chain to the configured initial
-// mode at construction time, before the accumulator is shared (a
-// WithInitialMode-built primitive skips the detection ramp; see the
-// option's documentation).
-func (f *FetchOp) applyInitMode() {
-	if f.cfg.initModeSet && !walkTo(&f.eng, fopModes, f.cfg.initMode, f.switchFop) {
-		panic("reactive: Counter and FetchOp support initial modes ModeCAS, ModeSharded, and ModeCombining")
-	}
 }
 
 // comb applies the operation (addition when op is nil).

@@ -31,47 +31,28 @@ import (
 	"fmt"
 )
 
-// Instrumented point ids, grouped by layer. The const names exist so
-// instrumentation sites and tests share one spelling; the catalog below
-// is the canonical ordered list a Schedule is generated over.
-const (
-	// waitq: the announce/grant/abandon triangle of the
-	// handoff-or-abandon proof (DESIGN.md §5), and the announce-to-retest
-	// window every two-phase wait (Mutex, RWMutex readers, FetchOp's
-	// sweep window, the epoch kernel's grace period) passes through.
-	PtWaitqPush      = "waitq.push.enter"
-	PtWaitqGrant     = "waitq.grant.enter"
-	PtWaitqAbandon   = "waitq.abandon.enter"
-	PtWaitqAnnounced = "waitq.wait.announced"
-
-	// Mutex: the unlock-to-grant window the no-lost-wakeup argument
-	// closes.
-	PtMutexUnlockRelease = "mutex.unlock.release"
-
+// catalog is the canonical ordered list of instrumented fault points,
+// and the only spelling of each id outside its hook call. A Schedule
+// derives one rule per entry, in this order, so schedule bytes are a
+// pure function of the seed. Order is alphabetical for stability
+// (TestCatalogSortedAndUnique checks it); the sync test enforces that
+// the set matches the hook calls compiled into package reactive. It is
+// a static array, not a slice built at init: an init-time allocation
+// lands in a size class the primitives share and shifts where every
+// later Counter or FetchOp sits on its cache lines.
+var catalog = [...]string{
 	// epoch kernel (RWMutex's and Map's epoch modes alike): a reader's
-	// deposit-to-gate-validation window, and its decrement-to-claim-check
-	// window on exit — the two reader-side windows of the grace-period
-	// proof (DESIGN.md §8). RWMutex's sharded registration exits through
-	// the kernel too, so the second is its exit window as well.
-	PtEpochStamp   = "epoch.stamp"
-	PtEpochOffline = "epoch.offline"
-
-	// RWMutex: the deposit-to-claim-validation window of the sharded
-	// registration (the kernel's proof with readerCount as the validated
-	// word, DESIGN.md §4), the writer's claim-to-sweep window, and the
-	// release tail every path that retracts a claim runs (Unlock, and
-	// the undo of a cancelled drain or a failed TryLock).
-	PtRWShardedDeposit = "rwmutex.sharded.deposit"
-	PtRWWriterClaimed  = "rwmutex.writer.claimed"
-	PtRWUnlockRelease  = "rwmutex.unlock.release"
+	// decrement-to-claim-check window on exit, and its
+	// deposit-to-gate-validation window — the two reader-side windows of
+	// the grace-period proof (DESIGN.md §8). RWMutex's sharded
+	// registration exits through the kernel too, so the first is its exit
+	// window as well.
+	"epoch.offline", "epoch.stamp",
 
 	// FetchOp: the combining deposit-to-threshold window, the
 	// harvested-but-unfolded window the single sweepLock exists for, the
-	// reconciling sweep itself, and the release-to-grant handoff.
-	PtFopCombineDeposit = "fetchop.combine.deposit"
-	PtFopFoldHarvest    = "fetchop.fold.harvest"
-	PtFopValueSweep     = "fetchop.value.sweep"
-	PtFopSweepRelease   = "fetchop.sweep.release"
+	// release-to-grant handoff, and the reconciling sweep itself.
+	"fetchop.combine.deposit", "fetchop.fold.harvest", "fetchop.sweep.release", "fetchop.value.sweep",
 
 	// Map: the two proof-critical windows of the epoch mode — a cell
 	// writer's load-to-CAS window, where another writer's CAS can land
@@ -79,25 +60,24 @@ const (
 	// before it changes the table in place (the point fires before every
 	// cell sweep: in the claim-to-first-sweep window, then between
 	// re-sweeps).
-	PtMapCellStore  = "map.cell.store"
-	PtMapGraceSweep = "map.grace.sweep"
-)
+	"map.cell.store", "map.grace.sweep",
 
-// catalog is the canonical ordered list of instrumented fault points. A
-// Schedule derives one rule per entry, in this order, so schedule bytes
-// are a pure function of the seed. Order is alphabetical for stability
-// (TestCatalogSortedAndUnique checks it); the sync test enforces that
-// the set matches the hook calls compiled into package reactive. It is
-// a static array, not a slice built at init: an init-time allocation
-// lands in a size class the primitives share and shifts where every
-// later Counter or FetchOp sits on its cache lines.
-var catalog = [...]string{
-	PtEpochOffline, PtEpochStamp,
-	PtFopCombineDeposit, PtFopFoldHarvest, PtFopSweepRelease, PtFopValueSweep,
-	PtMapCellStore, PtMapGraceSweep,
-	PtMutexUnlockRelease,
-	PtRWShardedDeposit, PtRWUnlockRelease, PtRWWriterClaimed,
-	PtWaitqAbandon, PtWaitqGrant, PtWaitqPush, PtWaitqAnnounced,
+	// Mutex: the unlock-to-grant window the no-lost-wakeup argument
+	// closes.
+	"mutex.unlock.release",
+
+	// RWMutex: the deposit-to-claim-validation window of the sharded
+	// registration (the kernel's proof with readerCount as the validated
+	// word, DESIGN.md §4), the release tail every path that retracts a
+	// claim runs (Unlock, and the undo of a cancelled drain or a failed
+	// TryLock), and the writer's claim-to-sweep window.
+	"rwmutex.sharded.deposit", "rwmutex.unlock.release", "rwmutex.writer.claimed",
+
+	// waitq: the announce/grant/abandon triangle of the
+	// handoff-or-abandon proof (DESIGN.md §5), and the announce-to-retest
+	// window every two-phase wait (Mutex, RWMutex readers, FetchOp's
+	// sweep window, the epoch kernel's grace period) passes through.
+	"waitq.abandon.enter", "waitq.grant.enter", "waitq.push.enter", "waitq.wait.announced",
 }
 
 // Catalog returns the instrumented fault-point ids in canonical

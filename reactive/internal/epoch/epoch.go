@@ -2,10 +2,10 @@
 // package reactive: RWMutex's third reader-registration protocol and
 // Map's published-table protocol are both this one userspace-RCU-style
 // machine, written down once (DESIGN.md §8 is its proof). RWMutex's
-// sharded registration borrows the cells, the exit and the wait (Build,
-// Cell, Exit, Wait) and validates its deposit against a word of
-// RWMutex's own, which the same writers claim alongside the gate — the
-// proof with that word read for "the gate".
+// sharded registration borrows the cells, the exit and the wait (Select
+// with the mode bit off, Cell, Exit, Wait) and validates its deposit
+// against a word of RWMutex's own, which the same writers claim
+// alongside the gate — the proof with that word read for "the gate".
 //
 // The machine has two sides, and the kernel owns both. Readers Enter
 // and Exit: a reader deposits +1 in its processor's padded cell,
@@ -167,12 +167,6 @@ func (k *Kernel) Cell(p int) *affinity.Cell {
 	return &cells[p&(len(cells)-1)]
 }
 
-// Build creates the cells without touching the gate: the owner is about
-// to publish a mode whose readers deposit in them (through Cell) but
-// validate against a word of the owner's own. From here on Claim and
-// Release take effect, Sum sweeps, and Exit wakes a claiming writer.
-func (k *Kernel) Build() { k.cells.Build(0) }
-
 // Claim places the writer's claim on the gate, before the caller's Wait.
 // A no-op until the cells exist — no reader can be registered, and
 // a writer of an owner that never built them pays one load. Once they
@@ -196,24 +190,20 @@ func (k *Kernel) Release() {
 // waits out before it enters again.
 func (k *Kernel) Claimed() bool { return k.gate.Load() < 0 }
 
-// Select raises (building the cells first) or lowers the gate's mode
-// bit. The caller has writer exclusion — or an unshared owner — and
-// commits its engine afterwards, so the order every site gets is cells
-// built → bit set → mode published, and a reader that observed the mode
-// finds both. claimed says the caller is a writer still inside its
-// critical section: its Claim may have been the no-op that predates the
-// cells, so the claim is raised in the same store as the mode bit —
-// otherwise a reader still carrying the epoch mode from an earlier era
-// could validate against a selected, unclaimed gate while the writer is
-// inside.
-func (k *Kernel) Select(on, claimed bool) {
+// Select builds the cells, then sets (on) or clears the gate's mode
+// bit, leaving any claim on the gate as it is. The caller has writer
+// exclusion — or an unshared owner — and commits its engine afterwards,
+// so the order every site gets is cells built → bit set → mode
+// published, and a reader that observed the mode finds both. From here
+// on Claim and Release take effect, Sum sweeps, and Exit wakes a
+// claiming writer; Select(false) is how an owner whose readers validate
+// against a word of its own (RWMutex's sharded registration) gets the
+// cells without selecting the epoch mode.
+func (k *Kernel) Select(on bool) {
+	k.cells.Build(0)
 	g := k.gate.Load() &^ selected
 	if on {
-		k.cells.Build(0)
 		g |= selected
-	}
-	if claimed {
-		g |= claim
 	}
 	k.gate.Store(g)
 }

@@ -36,7 +36,7 @@ func mustEnter(t *testing.T, k *Kernel) *affinity.Cell {
 // unselected kernel — is refused, says which, and leaves the sum at zero.
 func TestEnterValidatesAgainstGate(t *testing.T) {
 	var k Kernel
-	k.Select(true, false)
+	k.Select(true)
 
 	c := mustEnter(t, &k)
 	k.Claim()
@@ -58,7 +58,7 @@ func TestEnterValidatesAgainstGate(t *testing.T) {
 	k.Release()
 	k.Exit(mustEnter(t, &k))
 
-	k.Select(false, false)
+	k.Select(false)
 	if c, claimed := k.Enter(); c != nil || claimed {
 		t.Fatalf("Enter on an unselected kernel = (%v, %v), want refused with no claim", c, claimed)
 	}
@@ -67,44 +67,27 @@ func TestEnterValidatesAgainstGate(t *testing.T) {
 	}
 }
 
-// TestSelectUnderClaim: a writer that selects the epoch mode from inside
-// its critical section — its own Claim was the no-op that predates the
-// cells — must come out with the claim in place, or a reader carrying
-// the mode from an earlier era would be admitted beside it.
-func TestSelectUnderClaim(t *testing.T) {
+// TestSelectOffIsGateNeutral: Select(false) is how an owner whose
+// readers validate against a word of its own (RWMutex's sharded
+// registration) gets the cells without selecting the epoch mode. The
+// gate stays unselected — an epoch reader is still refused — while
+// deposits through Cell are swept, and Claim and Release stop being the
+// no-ops they are before the cells exist.
+func TestSelectOffIsGateNeutral(t *testing.T) {
 	var k Kernel
 	k.Claim() // no cells yet: nothing to claim, and nothing may stick
 	if err := k.Check(false); err != nil {
 		t.Fatalf("Claim before the cells exist left state behind: %v", err)
 	}
-	k.Select(true, true)
-	if c, claimed := k.Enter(); c != nil || !claimed {
-		t.Fatalf("Enter beside the selecting writer = (%v, %v), want refused by its claim", c, claimed)
-	}
-	k.Release()
-	k.Exit(mustEnter(t, &k))
-	if err := k.Check(true); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBuildIsGateNeutral: Build is how an owner whose readers validate
-// against a word of its own (RWMutex's sharded registration) gets the
-// cells without selecting the epoch mode. The gate stays unselected — an
-// epoch reader is still refused — while deposits through Cell are swept,
-// and Claim and Release stop being the no-ops they are before the cells
-// exist.
-func TestBuildIsGateNeutral(t *testing.T) {
-	var k Kernel
-	k.Build()
+	k.Select(false)
 	if k.Cells() == 0 {
-		t.Fatal("Build left the kernel without cells")
+		t.Fatal("Select(false) left the kernel without cells")
 	}
 	if err := k.Check(false); err != nil {
-		t.Fatalf("Build moved the gate: %v", err)
+		t.Fatalf("Select(false) moved the gate: %v", err)
 	}
 	if c, claimed := k.Enter(); c != nil || claimed {
-		t.Fatalf("Enter after Build alone = (%v, %v), want refused with no claim", c, claimed)
+		t.Fatalf("Enter after Select(false) = (%v, %v), want refused with no claim", c, claimed)
 	}
 
 	c := deposit(&k)
@@ -113,7 +96,13 @@ func TestBuildIsGateNeutral(t *testing.T) {
 		t.Fatalf("sweep under the claim read %d, want the deposit's 1", sum)
 	}
 	if err := k.Check(false); err == nil {
-		t.Fatal("Claim after Build left no claim on the gate")
+		t.Fatal("Claim after Select(false) left no claim on the gate")
+	}
+	for _, on := range []bool{true, false} {
+		k.Select(on) // a mode commit inside the writer leaves its claim
+		if !k.Claimed() {
+			t.Fatalf("Select(%v) under a claim dropped it", on)
+		}
 	}
 	k.Exit(c)
 	k.Release()
@@ -140,7 +129,7 @@ func deposit(k *Kernel) *affinity.Cell {
 // detector reports.
 func TestEpochClaimExcludesReaders(t *testing.T) {
 	var k Kernel
-	k.Select(true, false)
+	k.Select(true)
 	var (
 		wl      sync.Mutex // the owner's writer lock
 		shared  int
@@ -209,7 +198,7 @@ func TestEpochClaimExcludesReaders(t *testing.T) {
 // sleep forever and the watchdog trips.
 func TestExitWakesParkedWriter(t *testing.T) {
 	var k Kernel
-	k.Select(true, false)
+	k.Select(true)
 	c := mustEnter(t, &k)
 	k.Claim()
 	var evals atomic.Int32
@@ -238,7 +227,7 @@ func TestExitWakesParkedWriter(t *testing.T) {
 
 // TestWaitCountsGraces: a Wait counts a grace period only while the
 // gate's mode bit is set — an owner's cell mode that validates against a
-// word of its own (Build alone) drains without counting — and counts it
+// word of its own (Select(false)) drains without counting — and counts it
 // quiet when the first evaluation already held. An aborted Wait counts
 // nothing.
 func TestWaitCountsGraces(t *testing.T) {
@@ -251,7 +240,7 @@ func TestWaitCountsGraces(t *testing.T) {
 		}
 	}
 
-	k.Build()
+	k.Select(false)
 	k.Claim()
 	if quiet, aborted := k.Wait(0, nil, drained); !quiet || aborted {
 		t.Fatalf("Wait on an empty unselected kernel = (%v, %v), want quiet", quiet, aborted)
@@ -259,7 +248,7 @@ func TestWaitCountsGraces(t *testing.T) {
 	k.Release()
 	wantGraces(0, 0)
 
-	k.Select(true, false)
+	k.Select(true)
 	k.Claim()
 	if quiet, _ := k.Wait(0, nil, drained); !quiet {
 		t.Fatal("first sweep read zero but the grace was not quiet")
@@ -313,7 +302,7 @@ func TestQueueOffTheGateLine(t *testing.T) {
 // both ways a reader can hand its cell back.
 func TestEnterExitZeroAllocs(t *testing.T) {
 	var k Kernel
-	k.Select(true, false)
+	k.Select(true)
 	if n := testing.AllocsPerRun(1000, func() {
 		c, _ := k.Enter()
 		k.Exit(c)
@@ -346,7 +335,7 @@ func TestCheckCatchesEachViolation(t *testing.T) {
 	}
 	wantErr(k.Check(true), "mode bit")
 
-	k.Select(true, false)
+	k.Select(true)
 	if err := k.Check(true); err != nil {
 		t.Fatalf("selected kernel: %v", err)
 	}
@@ -368,7 +357,7 @@ func TestCheckCatchesEachViolation(t *testing.T) {
 		t.Fatalf("restored: %v", err)
 	}
 
-	k.Select(false, false)
+	k.Select(false)
 	if err := k.Check(false); err != nil {
 		t.Fatalf("deselected: %v", err)
 	}

@@ -7,7 +7,6 @@ import (
 	"iter"
 	"maps"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"repro/reactive/internal/affinity"
@@ -129,7 +128,6 @@ type Map[K comparable, V any] struct {
 	wl Mutex
 
 	eng modal.Engine
-	cfg config
 
 	// count is the live-key gauge, maintained under each mode's
 	// exclusion (in ModeEpoch, by what each cell CAS replaced) so Len is
@@ -145,11 +143,11 @@ type Map[K comparable, V any] struct {
 	// whatever processor it runs on — so the exact-P index that works
 	// for commutative per-P cells (Counter, FetchOp) would scatter one
 	// key across shards here. The affinity substrate still sizes the
-	// array (next power of two ≥ GOMAXPROCS).
-	seed       maphash.Seed
-	shards     []mapShard[K, V]
-	shardsOnce sync.Once
-	shardsUp   atomic.Bool
+	// array (next power of two ≥ GOMAXPROCS). shardsUp tells MapStats,
+	// which reads without wl, that the array exists.
+	seed     maphash.Seed
+	shards   []mapShard[K, V]
+	shardsUp atomic.Bool
 
 	// Epoch-mode state: the key → value cell table (cells: read inside
 	// an epoch section or under wl, changed in place only under wl and
@@ -165,26 +163,23 @@ type Map[K comparable, V any] struct {
 
 // NewMap builds a Map with the given options. NewMap() is equivalent to
 // a zero-value Map; WithInitialMode accepts ModeLocked, ModeSharded,
-// and ModeEpoch.
+// and ModeEpoch. The tunables live in the writer lock, which the
+// map's own detection and grace periods read them from.
 func NewMap[K comparable, V any](opts ...Option) *Map[K, V] {
 	mp := &Map[K, V]{}
-	mp.cfg.apply(opts)
-	mp.eng.SetPolicy(mp.cfg.pol)
-	mp.wl.cfg = mp.cfg.tunables()
-	if mp.cfg.initModeSet && !walkTo(&mp.eng, mapModes, mp.cfg.initMode, mp.switchMap) {
-		panic("reactive: Map supports initial modes ModeLocked, ModeSharded, and ModeEpoch")
-	}
+	construct(opts, &mp.wl.cfg, &mp.eng, mapModes, mp.switchMap)
 	return mp
 }
 
-// shardsInit lazily builds the shard array and the hash seed, exactly
-// once, before the sharded mode is ever published.
+// shardsInit builds the shard array and the hash seed the first time
+// the sharded mode is entered, before it is published. The caller holds
+// wl, which is all the once-ness needs.
 func (mp *Map[K, V]) shardsInit() {
-	mp.shardsOnce.Do(func() {
+	if mp.shards == nil {
 		mp.seed = maphash.MakeSeed()
 		mp.shards = make([]mapShard[K, V], affinity.Shards())
 		mp.shardsUp.Store(true)
-	})
+	}
 }
 
 // shardIndex places a key: hash, masked into the power-of-two array.
@@ -283,7 +278,7 @@ func (mp *Map[K, V]) note(from modal.Mode, contended, read bool) {
 	if contended && read {
 		s = modal.BusyRead
 	}
-	lim := mp.cfg.limits()
+	lim := mp.wl.cfg.limits()
 	if from == mapSharded {
 		lim[1] = int32(max(int64(lim[1]), min(mp.count.Load(), math.MaxInt32)))
 	}
@@ -332,7 +327,7 @@ func (mp *Map[K, V]) switchMap(want, next modal.Mode) {
 		// successfully. No claim: until this store sets the gate's mode
 		// bit every Enter is refused, so no reader was inside the table
 		// while it was built.
-		mp.ek.Select(true, false)
+		mp.ek.Select(true)
 		mp.eng.TryCommit(mapModeTable, mapSharded, mapEpoch)
 		mp.unlockAllShards()
 	}
@@ -590,7 +585,7 @@ func (mp *Map[K, V]) putEpoch(key K, box *V) {
 	// Readers are internal enter/exit pairs, so unlike RWMutex a
 	// negative sum would be a package bug, not caller misuse;
 	// CheckInvariants verifies zero at quiescence.
-	quiet, _ := mp.ek.Wait(mp.cfg.pollBudget(), nil, func() bool {
+	quiet, _ := mp.ek.Wait(mp.wl.cfg.pollBudget(), nil, func() bool {
 		chaos.Point("map.grace.sweep")
 		return mp.ek.Sum() == 0
 	})
@@ -604,7 +599,7 @@ func (mp *Map[K, V]) putEpoch(key K, box *V) {
 	mp.cells[key] = c
 	mp.count.Add(1)
 	mp.version.Add(1)
-	if _, fire := mp.eng.Observe(mapModeTable, mapEpoch, signalOf(!quiet), mp.cfg.limits()); fire {
+	if _, fire := mp.eng.Observe(mapModeTable, mapEpoch, signalOf(!quiet), mp.wl.cfg.limits()); fire {
 		// A streak of quiet grace periods: the table went unread across
 		// whole writer rounds — the write-dominated regime where the
 		// grace periods are pure overhead.
@@ -612,7 +607,7 @@ func (mp *Map[K, V]) putEpoch(key K, box *V) {
 		mp.lockAllShards()
 		mp.scatter(values(mp.cells))
 		mp.cells = nil
-		mp.ek.Select(false, true)
+		mp.ek.Select(false)
 		mp.eng.TryCommit(mapModeTable, mapEpoch, mapSharded)
 		mp.unlockAllShards()
 	}

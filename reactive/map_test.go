@@ -275,7 +275,7 @@ func TestMapChainWalkBothDirections(t *testing.T) {
 	m := NewMap[int, int]()
 	// Pin against auto-demotion while the verify sweeps run; each
 	// down-step below re-arms the empty limit explicitly.
-	m.cfg.emptyLimit = 1 << 20
+	m.wl.cfg.emptyLimit = 1 << 20
 	const n = 100
 	for i := 0; i < n; i++ {
 		m.Put(i, i*7)
@@ -324,9 +324,9 @@ func TestMapChainWalkBothDirections(t *testing.T) {
 
 	// Down: a quiet grace period (an insert with no concurrent readers)
 	// demotes back to sharded on a hair-trigger empty limit.
-	m.cfg.emptyLimit = 1
+	m.wl.cfg.emptyLimit = 1
 	m.Put(n+2, 0)
-	m.cfg.emptyLimit = 1 << 20
+	m.wl.cfg.emptyLimit = 1 << 20
 	m.Delete(n + 2) // runs sharded already; restores the key count
 	verify(ModeSharded)
 	ms := m.MapStats()
@@ -335,9 +335,9 @@ func TestMapChainWalkBothDirections(t *testing.T) {
 	}
 
 	// Down: an uncontended sharded operation demotes to locked.
-	m.cfg.emptyLimit = 1
+	m.wl.cfg.emptyLimit = 1
 	m.note(mapSharded, false, true)
-	m.cfg.emptyLimit = 1 << 20
+	m.wl.cfg.emptyLimit = 1 << 20
 	verify(ModeLocked)
 
 	if sw := m.Stats().Switches; sw != 4 {

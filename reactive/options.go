@@ -1,6 +1,7 @@
 package reactive
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/reactive/modal"
@@ -10,7 +11,9 @@ import (
 // config carries the tunables shared by every adaptive primitive in this
 // package. The zero value means "use the package defaults", so
 // zero-value primitives and primitives built by the constructors with no
-// options behave identically.
+// options behave identically. A primitive keeps only the three tunables
+// (construct); the policy and the initial modes are read once, at
+// construction.
 type config struct {
 	spinFailLimit int32
 	emptyLimit    int32
@@ -132,10 +135,8 @@ func WithInitialMode(m Mode) Option {
 // is one of the three registration modes; constructors other than
 // NewRWMutex accept and ignore the option.
 func WithInitialReaderMode(m Mode) Option {
-	switch m {
-	case ModeCAS, ModeSharded, ModeEpoch:
-	default:
-		panic("reactive: WithInitialReaderMode requires ModeCAS, ModeSharded, or ModeEpoch")
+	if !slices.Contains(readerModes, m) {
+		panic(fmt.Sprintf("reactive: WithInitialReaderMode(%v): the registration modes are %v", m, readerModes))
 	}
 	return func(c *config) { c.initRMode = m; c.initRModeSet = true }
 }
@@ -147,26 +148,33 @@ func (c *config) apply(opts []Option) {
 	}
 }
 
-// tunables returns the config an embedded writer mutex inherits from its
-// owner: the thresholds and the polling budget, never the policy (a
-// policy.Policy is single-engine state; the owner installs it on the one
-// engine it governs) nor an initial mode (the owner walks it).
-func (c *config) tunables() config {
-	return config{spinFailLimit: c.spinFailLimit, emptyLimit: c.emptyLimit, pollIters: c.pollIters}
+// construct is the one construction step every constructor runs, before
+// the primitive is shared: it folds opts into a config, stores the three
+// tunables in *tun — the one copy the primitive reads them from — installs
+// the policy on eng and walks eng to the initial mode. It returns the
+// folded config for what only one constructor reads (NewRWMutex's
+// WithInitialReaderMode).
+func construct(opts []Option, tun *config, eng *modal.Engine, modes []Mode, step func(from, to modal.Mode)) config {
+	var c config
+	c.apply(opts)
+	*tun = config{spinFailLimit: c.spinFailLimit, emptyLimit: c.emptyLimit, pollIters: c.pollIters}
+	eng.SetPolicy(c.pol)
+	if c.initModeSet {
+		walkTo(eng, modes, c.initMode, step)
+	}
+	return c
 }
 
-// walkTo is WithInitialMode's construction-time chain walk, shared by
-// every constructor: it drives eng from wherever it is to m's position in
-// modes — the engine's public modes in chain order — one step at a time,
-// and reports false, leaving eng alone, when modes has no m (the
-// constructor's panic). step is the primitive's own switch routine,
-// which builds the target protocol's state before committing; it runs
-// without the exclusion a live switch needs, sound only because the
-// primitive is not yet shared.
-func walkTo(eng *modal.Engine, modes []Mode, m Mode, step func(from, to modal.Mode)) bool {
+// walkTo is the construction-time chain walk: it drives eng from
+// wherever it is to m's position in modes — the engine's public modes in
+// chain order — one step at a time, and panics when modes has no m.
+// step is the primitive's own switch routine, which builds the target
+// protocol's state before committing; it runs without the exclusion a
+// live switch needs, sound only because the primitive is not yet shared.
+func walkTo(eng *modal.Engine, modes []Mode, m Mode, step func(from, to modal.Mode)) {
 	i := slices.Index(modes, m)
 	if i < 0 {
-		return false
+		panic(fmt.Sprintf("reactive: WithInitialMode(%v): this primitive's modes are %v", m, modes))
 	}
 	target := modal.Mode(i)
 	for cur := eng.Mode(); cur != target; cur = eng.Mode() {
@@ -176,7 +184,6 @@ func walkTo(eng *modal.Engine, modes []Mode, m Mode, step func(from, to modal.Mo
 		}
 		step(cur, next)
 	}
-	return true
 }
 
 // Residual costs fed to injected policies (policy.Policy.Suboptimal), in

@@ -234,11 +234,7 @@ type Mutex struct {
 // equivalent to a zero-value Mutex.
 func New(opts ...Option) *Mutex {
 	m := &Mutex{}
-	m.cfg.apply(opts)
-	m.eng.SetPolicy(m.cfg.pol)
-	if m.cfg.initModeSet && !walkTo(&m.eng, spinParkModes, m.cfg.initMode, m.switchMode) {
-		panic("reactive: New supports initial modes ModeSpin and ModePark")
-	}
+	construct(opts, &m.cfg, &m.eng, spinParkModes, m.switchMode)
 	return m
 }
 

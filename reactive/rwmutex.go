@@ -150,52 +150,43 @@ type RWMutex struct {
 	// two-phase wait, on the shared waiter-queue engine,
 	// reactive/internal/waitq); a releasing writer broadcasts into it.
 	rq waitq.Queue
-
-	cfg config
 }
 
 // NewRWMutex builds an RWMutex configured by opts. NewRWMutex() with no
 // options is equivalent to a zero-value RWMutex. The threshold and
 // polling options configure both the embedded writer mutex and the
-// registration protocol's streaks. One option addresses each engine: a
-// policy installed with WithPolicy, and WithInitialMode (ModeSpin or
-// ModePark), govern the writer mutex's spin↔park engine;
-// WithInitialReaderMode starts the registration engine, which always
-// uses the built-in streak detection (with the same thresholds) because
-// policy instances must not be shared between primitives — or between
-// the engines of one primitive.
+// registration protocol's streaks, which read them from the writer
+// mutex. One option addresses each engine: a policy installed with
+// WithPolicy, and WithInitialMode (ModeSpin or ModePark), govern the
+// writer mutex's spin↔park engine; WithInitialReaderMode starts the
+// registration engine, which always uses the built-in streak detection
+// (with the same thresholds) because policy instances must not be
+// shared between primitives — or between the engines of one primitive.
 func NewRWMutex(opts ...Option) *RWMutex {
 	rw := &RWMutex{}
-	rw.cfg.apply(opts)
-	rw.w.cfg = rw.cfg.tunables()
-	rw.w.eng.SetPolicy(rw.cfg.pol)
-	if rw.cfg.initModeSet && !walkTo(&rw.w.eng, spinParkModes, rw.cfg.initMode, rw.w.switchMode) {
-		panic("reactive: NewRWMutex supports initial modes ModeSpin and ModePark (WithInitialReaderMode starts the reader registration protocol)")
-	}
-	if rw.cfg.initRModeSet {
+	c := construct(opts, &rw.w.cfg, &rw.w.eng, spinParkModes, rw.w.switchMode)
+	if c.initRModeSet {
 		// Registration commits at construction time are sound without
 		// writer exclusion only because the lock is not yet shared: no
 		// reader exists to span them.
-		walkTo(&rw.reng, readerModes, rw.cfg.initRMode, func(from, to modal.Mode) { rw.commitReaderMode(from, to, false) })
+		walkTo(&rw.reng, readerModes, c.initRMode, rw.commitReaderMode)
 	}
 	return rw
 }
 
 // commitReaderMode commits one step of the registration chain. The
-// caller has full writer exclusion (claimed: it is a writer inside its
-// critical section) or an unshared lock, which is what guarantees no
-// reader's RLock/RUnlock pair spans the change. Every site commits
-// through here so the order cannot vary: per-P cells built, then the
-// epoch gate's mode bit, then the engine commit that publishes the mode
-// — a reader that observed a cell-based mode finds its cell and, in
-// epoch mode, a gate that validates.
-func (rw *RWMutex) commitReaderMode(want, next modal.Mode, claimed bool) {
-	if next != rCentral {
-		rw.ek.Build()
-	}
-	if want == rEpoch || next == rEpoch {
-		rw.ek.Select(next == rEpoch, claimed)
-	}
+// caller has full writer exclusion (it is a writer inside its critical
+// section) or an unshared lock, which is what guarantees no reader's
+// RLock/RUnlock pair spans the change. Every edge commits through here
+// so the order cannot vary: kernel Select — per-P cells built, then the
+// epoch gate's mode bit — then the engine commit that publishes the
+// mode, so a reader that observed a cell-based mode finds its cell and,
+// in epoch mode, a gate that validates. Select leaves a writer's claim
+// on the gate, and the chain has no central↔epoch step: a writer enters
+// the epoch mode only from the sharded one, so the cells existed when
+// it claimed and its claim refuses every epoch reader.
+func (rw *RWMutex) commitReaderMode(want, next modal.Mode) {
+	rw.ek.Select(next == rEpoch)
 	rw.reng.TryCommit(readerShardTable, want, next)
 }
 
@@ -392,7 +383,7 @@ func (rw *RWMutex) rlockSlow(done <-chan struct{}) (aborted bool) {
 			casLosses++
 			rw.noteRegistration(true)
 		case regClaimed:
-			if rw.rq.Wait(rw.cfg.pollBudget(), done, rw.noClaim) {
+			if rw.rq.Wait(rw.w.cfg.pollBudget(), done, rw.noClaim) {
 				return true
 			}
 		}
@@ -415,7 +406,7 @@ func (rw *RWMutex) noClaim() bool {
 // centralized word: lost to another reader, or completed loss-free. A
 // fired promotion takes the write lock itself (switchReaderMode).
 func (rw *RWMutex) noteRegistration(lost bool) {
-	if to, fire := rw.reng.Observe(readerShardTable, rCentral, signalOf(lost), rw.cfg.limits()); fire {
+	if to, fire := rw.reng.Observe(readerShardTable, rCentral, signalOf(lost), rw.w.cfg.limits()); fire {
 		rw.switchReaderMode(rCentral, to)
 	}
 }
@@ -548,10 +539,10 @@ func (rw *RWMutex) drained() bool {
 // can span them. A closed done aborts the wait; the caller retracts the
 // claim.
 func (rw *RWMutex) drainReaders(done <-chan struct{}) (aborted bool) {
-	idle, aborted := rw.ek.Wait(rw.cfg.pollBudget(), done, rw.drained)
+	idle, aborted := rw.ek.Wait(rw.w.cfg.pollBudget(), done, rw.drained)
 	if from := rw.reng.Mode(); !aborted && from != rCentral {
-		if to, fire := rw.reng.Observe(readerShardTable, from, signalOf(!idle), rw.cfg.limits()); fire {
-			rw.commitReaderMode(from, to, true)
+		if to, fire := rw.reng.Observe(readerShardTable, from, signalOf(!idle), rw.w.cfg.limits()); fire {
+			rw.commitReaderMode(from, to)
 		}
 	}
 	return aborted
@@ -592,7 +583,7 @@ func (rw *RWMutex) switchReaderMode(want, next modal.Mode) {
 	// writer exclusion), so a re-check here decides the whole critical
 	// section.
 	if rw.reng.Mode() == want {
-		rw.commitReaderMode(want, next, true)
+		rw.commitReaderMode(want, next)
 	}
 	rw.Unlock()
 }

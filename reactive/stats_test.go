@@ -195,7 +195,7 @@ func TestStatsPollingRace(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < flips; i++ {
 			for j := 0; j < DefaultSpinFailLimit; j++ {
-				c.noteContendedAdd()
+				c.f.observe(fCAS, modal.Busy)
 			}
 			for j := 0; j < DefaultEmptyLimit; j++ {
 				c.Add(1)
