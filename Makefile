@@ -19,16 +19,17 @@ benchmark-check:
 
 # The CI test job: race detector on, slow experiment tables skipped;
 # then the no-lost-wakeup tests of Mutex and the shared two-phase wait,
-# and Map's linearizability runs, repeated ten times under -race (about
-# 11 s on two cores), since one pass rarely lands in the
-# announce/release or load-to-CAS window they guard; plus the
+# and Map's linearizability and concurrent-Range runs, repeated ten
+# times under -race (about 11 s on two cores), since one pass rarely
+# lands in the announce/release, load-to-CAS or mid-copy transition
+# window they guard; plus the
 # portable affinity-fallback build tag (including the
 # cancellation/handoff stress under -race, so the portable waiter paths
 # can't rot, and the FetchOp/Counter suites, whose cell selection the
 # stripe hash changes most).
 test:
 	$(GO) test -race -short ./...
-	$(GO) test -race -short -count=10 -run 'NoLostWakeups|HandoffNotLost|MutexCancellationStress|GrantVsCancel|GrantVsAbandon|TryAfterAnnounce|NilDoneNeverAborts|MapLinearizable' ./reactive/ ./reactive/internal/waitq/
+	$(GO) test -race -short -count=10 -run 'NoLostWakeups|HandoffNotLost|MutexCancellationStress|GrantVsCancel|GrantVsAbandon|TryAfterAnnounce|NilDoneNeverAborts|MapLinearizable|MapRangeModeFlips' ./reactive/ ./reactive/internal/waitq/
 	$(GO) build -tags reactive_noprocpin ./...
 	$(GO) test -tags reactive_noprocpin -short ./reactive/...
 	$(GO) test -tags reactive_noprocpin -race -short -run 'Ctx|Cancel|Handoff|Stress|Epoch|GOMAXPROCS|Misuse|Panic|Invariants|Fuzz|Map|FetchOp|Counter' ./reactive/...
@@ -164,7 +165,10 @@ fuzz-short:
 # waitq/lock.go is a hand-rolled test-and-set lock coming back, and
 # Backoff is waitq's, not modal's. The last keeps one construction step:
 # an .apply( call in package reactive outside options.go is a
-# constructor folding its options beside construct.
+# constructor folding its options beside construct. The last keeps
+# snapshots flat: Map.Range appends the pairs to one slice, so a
+# maps.Clone( in non-test reactive code is a rehashing snapshot coming
+# back.
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -nE '\.Vote\(' reactive/*.go internal/experiments/*.go | grep -v _test.go)"; if [ -n "$$out" ]; then echo "hand-wired detection (use Engine.Observe):"; echo "$$out"; exit 1; fi
@@ -180,6 +184,7 @@ lint:
 	@out="$$(grep -n 'RunParallel(' bench_test.go)"; if [ "$$(echo "$$out" | grep -c .)" -gt 1 ]; then echo "hand-written native row (add it to nativeRows; runNative is the one RunParallel):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rn --include='*.go' -e 'CompareAndSwap(0, 1)' reactive | grep -v -e _test.go -e '^reactive/internal/waitq/lock.go:'; grep -rn --include='*.go' 'modal\.Backoff' .)"; if [ -n "$$out" ]; then echo "hand-rolled spin word or modal.Backoff (use waitq.Lock and waitq.Backoff):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rn --include='*.go' '\.apply(' reactive | grep -v -e _test.go -e '^reactive/options.go:')"; if [ -n "$$out" ]; then echo "options folded outside construct (every constructor calls construct):"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rn --include='*.go' 'maps\.Clone(' reactive | grep -v _test.go)"; if [ -n "$$out" ]; then echo "maps.Clone in reactive (a snapshot appends to one slice; see Map.snapshot):"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 
 # The CI docs job: documentation that tests can check. The experiment

@@ -320,6 +320,15 @@ var nativeRows = []nativeRow{
 	{"Map", "churn-50-1/epoch-forced", 4, 0, mapChurn(pinned(reactive.ModeEpoch)...)},
 	{"Map", "churn-50-1/rwmutex-map", 4, 0, rwMapChurn},
 	{"Map", "churn-50-1/sync.Map", 4, 0, syncMapChurn},
+	// One serial Range over rangeKeys keys: the snapshot the service
+	// publishes for its stale reads. Range copies the pairs under the
+	// protocol's exclusion and calls fn afterward; the RWMutex-guarded
+	// baseline does the same into a reused slice, and sync.Map's Range
+	// copies nothing.
+	{"Map", "range-256/reactive", 0, 0, mapRange()},
+	{"Map", "range-256/reactive-epoch-forced", 0, 0, mapRange(pinned(reactive.ModeEpoch)...)},
+	{"Map", "range-256/rwmutex-map", 0, 0, rwMapRange},
+	{"Map", "range-256/sync.Map", 0, 0, syncMapRange},
 }
 
 // mixedRead is the mixed-read mix: update(1) on every iteration and a
@@ -612,6 +621,64 @@ func rwMapChurn() (loop, statser) {
 func syncMapChurn() (loop, statser) {
 	m := newSyncMap()
 	return churn(func(k uint64) { m.Load(k) }, func(k, v uint64) { m.Store(k, v) }, func(k uint64) { m.Delete(k) }), nil
+}
+
+// rangeKeys is the key count of the range rows, the service's table.
+const rangeKeys = 256
+
+// rangeSum folds in every value the range rows visit, so the visit is
+// not dead code. The rows are serial, so nothing races on it.
+var rangeSum uint64
+
+func sumPair(_, v uint64) bool { rangeSum += v; return true }
+
+func mapRange(opts ...reactive.Option) func() (loop, statser) {
+	return func() (loop, statser) {
+		m := reactive.NewMap[uint64, uint64](opts...)
+		for k := uint64(0); k < rangeKeys; k++ {
+			m.Put(k, k)
+		}
+		return func(it iter) {
+			for i := 0; it.next(i); i++ {
+				m.Range(sumPair)
+			}
+		}, m
+	}
+}
+
+func rwMapRange() (loop, statser) {
+	m := make(map[uint64]uint64, rangeKeys)
+	for k := uint64(0); k < rangeKeys; k++ {
+		m[k] = k
+	}
+	mu := new(sync.RWMutex)
+	type pair struct{ k, v uint64 }
+	return func(it iter) {
+		buf := make([]pair, 0, rangeKeys)
+		for i := 0; it.next(i); i++ {
+			buf = buf[:0]
+			mu.RLock()
+			for k, v := range m {
+				buf = append(buf, pair{k, v})
+			}
+			mu.RUnlock()
+			for _, p := range buf {
+				sumPair(p.k, p.v)
+			}
+		}
+	}, nil
+}
+
+func syncMapRange() (loop, statser) {
+	m := new(sync.Map)
+	for k := uint64(0); k < rangeKeys; k++ {
+		m.Store(k, k)
+	}
+	return func(it iter) {
+		for i := 0; it.next(i); i++ {
+			m.Range(func(k, v any) bool { return sumPair(k.(uint64), v.(uint64)) })
+		}
+	}, nil
 }
 
 // newSyncMap is a sync.Map warmed with every key of mapKeys.

@@ -394,6 +394,64 @@ func TestServiceDirect(t *testing.T) {
 	}
 }
 
+// TestStaleSnapshotContract pins what a degraded read serves, with the
+// routing map in each mode: after every committed Put, the stale table
+// is the live table as of at most snapshotEvery Puts earlier; after a
+// Rebuild it is the live table; and publish allocates one array beyond
+// what Range itself allocates.
+func TestStaleSnapshotContract(t *testing.T) {
+	ctx := context.Background()
+	// An expired deadline degrades every read before it reaches the map.
+	expired, cancel := context.WithDeadline(ctx, time.Unix(0, 0))
+	defer cancel()
+	stale := func(s *Service) (tab [TableKeys]uint64) {
+		for k := range tab {
+			res, err := s.Get(expired, uint64(k), 0)
+			if err != nil || !res.Stale {
+				t.Fatalf("Get(%d) under an expired deadline: %+v, %v; want a stale read", k, res, err)
+			}
+			tab[k] = res.Val
+		}
+		return tab
+	}
+	for _, mode := range []reactive.Mode{0, reactive.ModeLocked, reactive.ModeSharded, reactive.ModeEpoch} {
+		s := NewServiceFor(mode)
+		// tables[j] is the live table after j committed Puts.
+		tables := make([][TableKeys]uint64, 1, 4*snapshotEvery+1)
+		for k := range tables[0] {
+			tables[0][k] = uint64(k * k)
+		}
+		for i := 1; i < cap(tables); i++ {
+			k := uint64(i*37) % TableKeys
+			if err := s.Put(ctx, k, uint64(i)<<8|k, 0); err != nil {
+				t.Fatal(err)
+			}
+			tables = append(tables, tables[i-1])
+			tables[i][k] = uint64(i)<<8 | k
+			got, j := stale(s), i
+			for j >= 0 && tables[j] != got {
+				j--
+			}
+			if j < 0 || i-j > snapshotEvery {
+				t.Fatalf("mode %v: after %d Puts the stale table is the live one after %d, want at most %d Puts old", mode, i, j, snapshotEvery)
+			}
+		}
+		if err := s.Rebuild(ctx, 7, 0); err != nil {
+			t.Fatal(err)
+		}
+		got := stale(s)
+		for k := range got {
+			if v, _ := s.routes.Get(uint64(k)); got[k] != v {
+				t.Fatalf("mode %v: after Rebuild the stale table holds %d=%d, the live table %d", mode, k, got[k], v)
+			}
+		}
+		rangeAllocs := testing.AllocsPerRun(20, func() { s.routes.Range(func(uint64, uint64) bool { return true }) })
+		if a := testing.AllocsPerRun(20, s.publish); a > rangeAllocs+1 {
+			t.Errorf("mode %v: publish allocates %.1f objects, want at most Range's %.1f plus the array", mode, a, rangeAllocs)
+		}
+	}
+}
+
 // TestForcedRouterModeHolds: a forced routing map is still in its mode
 // after the service's filling Puts and a further round of writes, so a
 // forced scenario slice measures the protocol it names.

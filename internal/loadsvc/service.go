@@ -6,14 +6,15 @@
 //
 // The service is deliberately the workload the paper's primitives are
 // for: every request bumps a hit counter (reactive.Counter), reads
-// route through an adaptive hash map under a per-request GetCtx
-// deadline and degrade to an atomically-published stale snapshot when
-// the deadline expires (reactive.Map — the routing table IS the
-// adaptive data structure, walking locked ↔ sharded ↔ epoch as the
-// read/write mix shifts), writes append to a commit journal under
-// Mutex.LockCtx before installing the new routing entry, and every
-// completed request folds its latency into a max-aggregating
-// reactive.FetchOp. All four primitives are named in a
+// route through an adaptive hash map (reactive.Map — the routing table
+// IS the adaptive data structure, walking locked ↔ sharded ↔ epoch as
+// the read/write mix shifts) under a per-request GetCtx deadline and
+// degrade, when the deadline expires, to a stale snapshot: an immutable
+// array indexed by key that Range copies the table into every
+// snapshotEvery-th write and after every rebuild. Writes append to a
+// commit journal under Mutex.LockCtx before installing the new routing
+// entry, and every completed request folds its latency into a
+// max-aggregating reactive.FetchOp. All four primitives are named in a
 // reactivehttp.Registry, so the executor scrapes their per-scenario
 // Stats.Sub deltas through the /debug/reactive endpoint exactly the way
 // a production scraper would.
@@ -57,7 +58,7 @@ type Service struct {
 	hits    *reactive.Counter             // total requests accepted
 	peak    *reactive.FetchOp             // max-aggregated request latency (ns)
 
-	snap   atomic.Pointer[map[uint64]uint64] // last published immutable snapshot
+	snap   atomic.Pointer[[TableKeys]uint64] // last published stale-read table, indexed by key; never written after publish
 	logLen int64                             // guarded by journal: committed journal entries, the snapshot cadence
 
 	reg *reactivehttp.Registry
@@ -111,17 +112,18 @@ func (s *Service) Registry() *reactivehttp.Registry { return s.reg }
 // table version, journal depth) for reports and tests.
 func (s *Service) RouterStats() reactive.MapStats { return s.routes.MapStats() }
 
-// publish copies the routing table into a fresh immutable snapshot for
-// the degraded-read path. The copy is a weakly consistent Range — the
-// snapshot is advertised as stale data, so tearing against concurrent
-// writes is within contract.
+// publish copies the routing table into a fresh immutable array for the
+// degraded-read path: keys are dense (every key is below TableKeys), so
+// each pair lands at its key's index. The copy is a weakly consistent
+// Range — the snapshot is advertised as stale data, so tearing against
+// concurrent writes is within contract.
 func (s *Service) publish() {
-	c := make(map[uint64]uint64, TableKeys)
+	c := new([TableKeys]uint64)
 	s.routes.Range(func(k, v uint64) bool {
 		c[k] = v
 		return true
 	})
-	s.snap.Store(&c)
+	s.snap.Store(c)
 }
 
 // GetResult is a read's outcome: the routed value and whether it was

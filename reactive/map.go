@@ -625,76 +625,97 @@ func (mp *Map[K, V]) Len() int { return int(mp.count.Load()) }
 // ModeEpoch the snapshot fixes which keys are visited (those with a
 // value cell, deleted ones included), and each is read at some moment
 // between the snapshot and fn's call and yielded if it held a value.
+// The snapshot is one slice of pairs, sized by Len; no hash table is
+// built for it.
 func (mp *Map[K, V]) Range(fn func(key K, val V) bool) {
-	for k, v := range mp.snapshot() {
-		if !fn(k, v) {
+	for _, e := range mp.snapshot() {
+		v := e.val
+		if e.c != nil {
+			p := e.c.Load()
+			if p == nil {
+				continue
+			}
+			v = *p
+		}
+		if !fn(e.key, v) {
 			return
 		}
 	}
 }
 
-// snapshot copies the map's current contents under the current mode's
-// exclusion, retrying if a transition moves the mode mid-copy, and
-// yields the copy's pairs.
-func (mp *Map[K, V]) snapshot() iter.Seq2[K, V] {
+// entry is one pair of a Range snapshot. An epoch-mode entry holds the
+// key's value cell, loaded when Range reaches it, in place of its value.
+type entry[K comparable, V any] struct {
+	key K
+	val V
+	c   *cell[V]
+}
+
+// snapshot appends the map's contents to one slice under the current
+// mode's exclusion, starting over if a transition moves the mode
+// mid-copy. The epoch mode's copy is made inside a read section (bounded
+// work, no user code), or under wl if the section is refused; cells are
+// never freed and their boxes never change, so loading them needs none.
+func (mp *Map[K, V]) snapshot() []entry[K, V] {
+	// The gauge can read below zero for a moment: an epoch-mode cell
+	// writer moves it after its CAS, so a racing Delete's -1 can land
+	// before the +1 of the insert it deleted.
+	out := make([]entry[K, V], 0, max(mp.count.Load(), 0))
 	for {
-		switch mp.eng.Mode() {
-		case mapLocked:
-			mp.wl.Lock()
-			if mp.eng.Mode() != mapLocked {
-				mp.wl.Unlock()
-				continue
-			}
-			out := maps.Clone(mp.table)
-			mp.wl.Unlock()
-			return maps.All(out)
+		out = out[:0]
+		switch m := mp.eng.Mode(); m {
 		case mapSharded:
-			out := make(map[K]V, mp.count.Load())
 			ok := true
-			for i := range mp.shards {
+			for i := 0; ok && i < len(mp.shards); i++ {
 				sh := &mp.shards[i]
 				sh.lock.Lock(nil)
-				if mp.eng.Mode() != mapSharded {
-					sh.lock.Unlock()
-					ok = false
-					break
+				if ok = mp.eng.Mode() == mapSharded; ok {
+					out = appendPairs(out, sh.m)
 				}
-				maps.Copy(out, sh.m)
 				sh.lock.Unlock()
 			}
 			if ok {
-				return maps.All(out)
+				return out
 			}
-		default: // mapEpoch
-			if cells, valid := mp.snapshotEpoch(); valid {
-				return values(cells)
+		case mapEpoch:
+			if c, _ := mp.ek.Enter(); c != nil {
+				out = mp.appendCells(out)
+				mp.ek.Exit(c)
+				return out
 			}
+			fallthrough
+		default: // mapLocked, or a refused epoch section: copy under wl
 			mp.wl.Lock()
-			if mp.eng.Mode() != mapEpoch {
+			if mp.eng.Mode() != m {
 				mp.wl.Unlock()
 				continue
 			}
-			cells := maps.Clone(mp.cells)
+			if m == mapLocked {
+				out = appendPairs(out, mp.table)
+			} else {
+				out = mp.appendCells(out)
+			}
 			mp.wl.Unlock()
-			return values(cells)
+			return out
 		}
 	}
 }
 
-// snapshotEpoch copies the cell table as an epoch reader — the copy
-// (bounded, no user code) is the only work an epoch-mode grace period
-// ever waits on besides lookups and cell writes. The values are loaded
-// from the copy's cells later, outside the read section: cells are
-// never freed and their boxes never change, so the loads need no
-// section.
-func (mp *Map[K, V]) snapshotEpoch() (map[K]*cell[V], bool) {
-	c, _ := mp.ek.Enter()
-	if c == nil {
-		return nil, false
+// appendPairs appends a locked table's or a shard's pairs to out.
+func appendPairs[K comparable, V any](out []entry[K, V], store map[K]V) []entry[K, V] {
+	for k, v := range store {
+		out = append(out, entry[K, V]{key: k, val: v})
 	}
-	cells := maps.Clone(mp.cells)
-	mp.ek.Exit(c)
-	return cells, true
+	return out
+}
+
+// appendCells appends the epoch table's keys and value cells to out.
+// The caller is inside an epoch read section or holds wl.
+func (mp *Map[K, V]) appendCells(out []entry[K, V]) []entry[K, V] {
+	for k, c := range mp.cells {
+		out = append(out, entry[K, V]{key: k, c: c})
+	}
+	return out
 }
 
 // MapStats extends the unified Stats shape with the map's own gauges

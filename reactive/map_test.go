@@ -518,6 +518,33 @@ func TestMapOverwriteAllocs(t *testing.T) {
 	}
 }
 
+// TestMapRangeAllocs pins what a snapshot costs: a Range over 256 keys
+// allocates the one slice its pairs are appended to, in every mode. A
+// snapshot that clones the store into a hash map allocates that map's
+// memory as well: 9 allocations per Range when every mode cloned.
+func TestMapRangeAllocs(t *testing.T) {
+	for _, mode := range []Mode{ModeLocked, ModeSharded, ModeEpoch} {
+		m := NewMap[uint64, uint64](WithInitialMode(mode), WithSpinFailLimit(1<<20), WithEmptyLimit(1<<20))
+		for k := uint64(0); k < 256; k++ {
+			m.Put(k, k)
+		}
+		n := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			n = 0
+			m.Range(func(uint64, uint64) bool { n++; return true })
+		})
+		if n != 256 {
+			t.Fatalf("%v Range yielded %d pairs, want 256", mode, n)
+		}
+		if allocs > 1 {
+			t.Fatalf("%v Range allocates %.1f objects, want 1 (the snapshot slice)", mode, allocs)
+		}
+		if got := m.Stats().Mode; got != mode {
+			t.Fatalf("mode drifted to %v, want %v", got, mode)
+		}
+	}
+}
+
 func TestMapEpochChurnStress(t *testing.T) {
 	// Stay in epoch mode throughout: readers race writers that are
 	// changing the table, the interleaving the grace-period proof is
@@ -654,6 +681,105 @@ func TestMapStressModeFlips(t *testing.T) {
 	}
 	if sw := m.Stats().Switches; sw == 0 {
 		t.Fatal("no mode switches during flip storm")
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMapRangeModeFlips runs Range against concurrent writers while an
+// always-switch policy and a flipper goroutine drag the map through all
+// three modes. Every value a writer stores under key k is seq<<8|k with
+// a fresh seq, recorded before the Put, so each yielded value must name
+// a Put that wrote it under that key. Within one Range no key may
+// repeat, and the stable keys, stored before the run and never written
+// again, must all be yielded.
+func TestMapRangeModeFlips(t *testing.T) {
+	const stable, keys, writers = 16, 48, 3
+	m := NewMap[uint64, uint64](WithPolicy(policy.AlwaysSwitch{}))
+	ops := linearizeOps()
+	// wrote[seq] is one more than the key the Put numbered seq wrote.
+	wrote := make([]atomic.Uint64, stable+writers*ops+1)
+	var seq atomic.Uint64
+	put := func(k uint64) {
+		s := seq.Add(1)
+		wrote[s].Store(k + 1)
+		m.Put(k, s<<8|k)
+	}
+	for k := uint64(0); k < stable; k++ {
+		put(k)
+	}
+	stop := make(chan struct{})
+	var bg sync.WaitGroup
+	bg.Add(2)
+	go func() { // the flipper
+		defer bg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			m.switchMap(mapLocked, mapSharded)
+			m.switchMap(mapSharded, mapEpoch)
+			time.Sleep(20 * time.Microsecond)
+		}
+	}()
+	ranges := 0
+	go func() { // the ranger
+		defer bg.Done()
+		for ; ; ranges++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var seen [keys]bool
+			m.Range(func(k, v uint64) bool {
+				switch {
+				case k >= keys:
+					t.Errorf("Range yielded key %d, never written", k)
+				case seen[k]:
+					t.Errorf("Range yielded key %d twice", k)
+				case v&0xff != k || v>>8 >= uint64(len(wrote)) || wrote[v>>8].Load() != k+1:
+					t.Errorf("Range yielded %d=%#x, which no Put wrote under that key", k, v)
+				default:
+					seen[k] = true
+					return true
+				}
+				return false
+			})
+			for k := range stable {
+				if !seen[k] {
+					t.Errorf("Range missed stable key %d", k)
+				}
+			}
+			if t.Failed() {
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(uint64(w), 0x72616e))
+			for range ops {
+				k := stable + rng.Uint64N(keys-stable)
+				if rng.IntN(10) < 7 {
+					put(k)
+				} else {
+					m.Delete(k)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	bg.Wait()
+	if m.Stats().Switches == 0 || ranges == 0 {
+		t.Fatalf("%d switches and %d Ranges during the run, want both nonzero", m.Stats().Switches, ranges)
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
