@@ -185,6 +185,7 @@ lint:
 	@out="$$(grep -rn --include='*.go' -e 'CompareAndSwap(0, 1)' reactive | grep -v -e _test.go -e '^reactive/internal/waitq/lock.go:'; grep -rn --include='*.go' 'modal\.Backoff' .)"; if [ -n "$$out" ]; then echo "hand-rolled spin word or modal.Backoff (use waitq.Lock and waitq.Backoff):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rn --include='*.go' '\.apply(' reactive | grep -v -e _test.go -e '^reactive/options.go:')"; if [ -n "$$out" ]; then echo "options folded outside construct (every constructor calls construct):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rn --include='*.go' 'maps\.Clone(' reactive | grep -v _test.go)"; if [ -n "$$out" ]; then echo "maps.Clone in reactive (a snapshot appends to one slice; see Map.snapshot):"; echo "$$out"; exit 1; fi
+	@out="$$(awk '/^type /{t=$$2} /^[[:space:]]+[A-Za-z_]+[[:space:]]+map\[K\]V[[:space:]]*(\/\/.*)?$$/ && !(t ~ /^mapStore\[/ && $$1 == "m"){print FILENAME":"FNR": "$$0}' reactive/map.go)"; if [ -n "$$out" ]; then echo "a second locked table in Map (ModeLocked is the sharded store at one partition; use mapStore):"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 
 # The CI docs job: documentation that tests can check. The experiment

@@ -9,10 +9,8 @@ import (
 // scheduler yields.
 const DefaultBackoffMax = 64
 
-// ShortBackoffMax is the ceiling of the short-window retry loops, Lock's
-// and the CAS-mode fetch-and-op's: their peers leave after a few pointer
-// moves, one CAS or one bounded map operation, so long pauses only add
-// latency.
+// ShortBackoffMax is the retry ceiling of the CAS-mode fetch-and-op: a
+// peer leaves its window after one CAS, so long pauses only add latency.
 const ShortBackoffMax = 16
 
 // backoffSeq seeds each Backoff differently so independent spinners
@@ -68,9 +66,10 @@ func (b *Backoff) Pause() {
 
 // A Lock is the short-term spin lock of package reactive: one
 // test-and-test-and-set word whose waiters back off randomly up to
-// ShortBackoffMax and never park (FetchOp's sweep window parks its
-// waiters on a Queue of its own, over TryLock). The zero value is
-// unlocked. A Lock must not be copied after first use.
+// DefaultBackoffMax, as the spin-mode Mutex's do, and never park
+// (FetchOp's sweep window parks its waiters on a Queue of its own, over
+// TryLock). The zero value is unlocked. A Lock must not be copied after
+// first use.
 type Lock struct {
 	word atomic.Uint32
 }
@@ -98,7 +97,7 @@ func (l *Lock) Lock(done <-chan struct{}) (contended, aborted bool) {
 // spin is Lock's contended loop: check done, read-poll the word before
 // the compare-and-swap, back off.
 func (l *Lock) spin(done <-chan struct{}) (aborted bool) {
-	bo := Backoff{Max: ShortBackoffMax}
+	var bo Backoff
 	for {
 		if done != nil {
 			select {

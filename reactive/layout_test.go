@@ -56,7 +56,7 @@ func TestPrimitiveLayout(t *testing.T) {
 		// RWMutex and Map keep their tunables in the writer mutex's config.
 		{"RWMutex", unsafe.Sizeof(RWMutex{}), 432, 448},
 		{"FetchOp", unsafe.Sizeof(FetchOp{}), 288, 288},
-		{"Map[uint64,uint64]", unsafe.Sizeof(Map[uint64, uint64]{}), 464, 480},
+		{"Map[uint64,uint64]", unsafe.Sizeof(Map[uint64, uint64]{}), 472, 480},
 	} {
 		if c.got != c.wantSize || sizeClass(c.got) != c.wantClass {
 			t.Errorf("%s is %d bytes in size class %d, want %d bytes in class %d",
@@ -79,9 +79,10 @@ func TestPrimitiveLayout(t *testing.T) {
 // dispatch) or the epoch kernel's gate, while parking readers and
 // writers store to the reader queue's lock and the writer mutex's. Every
 // epoch-mode Map Get and lock-free Put loads the engine's mode word, the
-// kernel's gate and the cell table's header pointer, while writers
-// parking on the writer lock and an inserter parked in a grace period
-// store to the writer mutex's queue lock and the kernel's. At
+// kernel's gate and the cell table's header pointer, and every
+// locked-mode operation takes the locked store's spin word, while
+// writers parking on the writer lock and an inserter parked in a grace
+// period store to the writer mutex's queue lock and the kernel's. At
 // least 64 bytes between two naturally aligned words puts them on
 // different 64-byte lines (amd64's and arm64's) whatever the
 // primitive's alignment in the heap.
@@ -118,6 +119,7 @@ func TestHotWordsOffQueueLines(t *testing.T) {
 			"eng.word": off(pb, unsafe.Pointer(&mp.eng)) + engWord,
 			"ek.gate":  off(pb, unsafe.Pointer(&mp.ek)) + kGate,
 			"cells":    off(pb, unsafe.Pointer(&mp.cells)),
+			"one.lock": off(pb, unsafe.Pointer(&mp.one.lock)),
 		}, map[string]uintptr{
 			"wl.q.lock": off(pb, unsafe.Pointer(&mp.wl.q)) + qLock,
 			"ek.q.lock": off(pb, unsafe.Pointer(&mp.ek)) + kQ + qLock,

@@ -41,15 +41,21 @@ var mapModeTable = modal.NewTable(
 // exact state machine the map uses rather than a hand-maintained copy.
 func MapTable() *modal.Table { return mapModeTable }
 
-// mapShard is one sharded-mode partition: a spin word and the partition
-// map, padded so neighboring shard locks never share a coherence
-// granule. The lock is the short-term spin word (not a Mutex): shard
-// critical sections are single bounded map operations, so parking
-// machinery would cost more than the longest possible wait.
-type mapShard[K comparable, V any] struct {
+// mapStore is one partition of the lock-based modes: a spin word and
+// the map it guards. ModeLocked runs on one store, ModeSharded on an
+// array of them. The lock is the short-term spin word (not a Mutex): a
+// store's critical sections are single bounded map operations, so
+// parking machinery would cost more than the longest possible wait.
+type mapStore[K comparable, V any] struct {
 	lock waitq.Lock
 	m    map[K]V
-	_    [affinity.CacheLineSize - 16]byte
+}
+
+// mapShard is one sharded-mode store, padded so neighboring shard locks
+// never share a coherence granule.
+type mapShard[K comparable, V any] struct {
+	mapStore[K, V]
+	_ [affinity.CacheLineSize - 16]byte
 }
 
 // cell is one key's value slot in the epoch mode: a pointer to a fresh,
@@ -88,9 +94,9 @@ func (mp *Map[K, V]) lookup(key K) (v V, ok bool) {
 // drive Mutex and FetchOp here select among three map protocols as the
 // access pattern changes:
 //
-//   - ModeLocked — one hash table guarded by the adaptive Mutex. One
-//     lock word per operation; the zero-value default, cheapest while
-//     operations rarely collide.
+//   - ModeLocked — one hash table under one spin word: the sharded
+//     store at one partition. One lock word per operation; the
+//     zero-value default, cheapest while operations rarely collide.
 //   - ModeSharded — a power-of-two array of hash-partitioned shards,
 //     each under its own padded spin word. Operations on different
 //     shards proceed in parallel; contention on one key's shard is the
@@ -112,7 +118,7 @@ func (mp *Map[K, V]) lookup(key K) (v V, ok bool) {
 // Reads and writes that arrive during an epoch-mode writer's grace
 // claim fall back to the writer lock, so writers cannot starve; a Get
 // never blocks a Get. Mode transitions run as a writer-drain-style
-// consensus — writer lock plus every shard lock, or writer lock plus a
+// consensus — writer lock plus every store lock, or writer lock plus a
 // completed grace period — and move every key exactly once, so no
 // transition can lose or duplicate a key.
 //
@@ -120,11 +126,11 @@ func (mp *Map[K, V]) lookup(key K) (v V, ok bool) {
 // not be copied after first use. All methods are safe for concurrent
 // use; Range and Len are weakly consistent snapshots, as in sync.Map.
 type Map[K comparable, V any] struct {
-	// wl is the writer lock: the ModeLocked table lock, the epoch-mode
-	// writer serializer, and the transition lock, in every mode. It is
-	// itself adaptive (spin ↔ park), so the locked mode inherits the
-	// mutex chain's waiting behavior, and its waitq gives GetCtx and
-	// PutCtx their cancellable parked waits.
+	// wl is the writer lock: the transition lock in every mode, the
+	// epoch-mode writer serializer, and the fallback of an epoch-mode
+	// operation the kernel refuses. It is itself adaptive (spin ↔ park),
+	// its waitq gives those fallbacks their cancellable parked waits,
+	// and its config holds the map's tunables.
 	wl Mutex
 
 	eng modal.Engine
@@ -134,8 +140,9 @@ type Map[K comparable, V any] struct {
 	// O(1) in every mode.
 	count atomic.Int64
 
-	// table is the ModeLocked store; guarded by wl.
-	table map[K]V
+	// one is the ModeLocked store. The lock order is wl, one, then the
+	// shards in index order.
+	one mapStore[K, V]
 
 	// Sharded-mode state. The shard for a key is chosen by hash, not by
 	// the affinity.Pin P-index the per-P cells use: a map shard is data
@@ -187,46 +194,63 @@ func (mp *Map[K, V]) shardIndex(key K) int {
 	return int(maphash.Comparable(mp.seed, key)) & (len(mp.shards) - 1)
 }
 
-// lockW acquires the writer lock, reporting whether the acquisition
-// contended (the ModeLocked detection signal) and whether done closed
-// first. A nil done means the uncancellable path.
-func (mp *Map[K, V]) lockW(done <-chan struct{}) (contended, aborted bool) {
-	if mp.wl.TryLock() {
-		return false, false
+// store returns the store that holds key in lock-based mode m: the
+// locked store, or the key's shard.
+func (mp *Map[K, V]) store(m modal.Mode, key K) *mapStore[K, V] {
+	if m == mapLocked {
+		return &mp.one
 	}
-	return true, !mp.wl.lockFast() && mp.wl.lockSlow(done)
+	return &mp.shards[mp.shardIndex(key)].mapStore
 }
 
-// lockAllShards acquires every shard lock in index order — one half of
-// the transition consensus: with wl and all shard locks held, no
-// operation is inside any protocol (locked ops hold wl, sharded ops
-// hold their shard, and both revalidate the mode after acquiring).
-func (mp *Map[K, V]) lockAllShards() {
-	for i := range mp.shards {
-		mp.shards[i].lock.Lock(nil)
+// stores yields every store in lock order: the locked store, then the
+// shards once they exist. A store outside the current mode is empty.
+func (mp *Map[K, V]) stores() iter.Seq[*mapStore[K, V]] {
+	return func(yield func(*mapStore[K, V]) bool) {
+		if !yield(&mp.one) || !mp.shardsUp.Load() {
+			return
+		}
+		for i := range mp.shards {
+			if !yield(&mp.shards[i].mapStore) {
+				return
+			}
+		}
 	}
 }
 
-func (mp *Map[K, V]) unlockAllShards() {
-	for i := range mp.shards {
-		mp.shards[i].lock.Unlock()
+// lockW acquires the writer lock, reporting whether done closed first.
+// A nil done means the uncancellable path.
+func (mp *Map[K, V]) lockW(done <-chan struct{}) (aborted bool) {
+	return !mp.wl.lockFast() && mp.wl.lockSlow(done)
+}
+
+// lockAll acquires every store lock in lock order — one half of the
+// transition consensus: with wl and every store lock held, no operation
+// is inside a lock-based protocol (each holds its store and revalidates
+// the mode after acquiring it).
+func (mp *Map[K, V]) lockAll() {
+	for st := range mp.stores() {
+		st.lock.Lock(nil)
+	}
+}
+
+func (mp *Map[K, V]) unlockAll() {
+	for st := range mp.stores() {
+		st.lock.Unlock()
 	}
 }
 
 // scatter moves every key of src into its shard — the key mover of both
-// edges into the sharded mode. The caller holds every shard lock.
+// edges into the sharded mode; the keys move, so the gauge stays. The
+// caller holds every store lock.
 func (mp *Map[K, V]) scatter(src iter.Seq2[K, V]) {
 	for k, v := range src {
-		sh := &mp.shards[mp.shardIndex(k)]
-		if sh.m == nil {
-			sh.m = make(map[K]V)
-		}
-		sh.m[k] = v
+		mp.shards[mp.shardIndex(k)].mutate(k, v, false)
 	}
 }
 
 // gather empties the shards into one fresh table — the key mover of both
-// edges out of the sharded mode. The caller holds every shard lock.
+// edges out of the sharded mode. The caller holds every store lock.
 func (mp *Map[K, V]) gather() map[K]V {
 	out := make(map[K]V, mp.count.Load())
 	for i := range mp.shards {
@@ -236,26 +260,26 @@ func (mp *Map[K, V]) gather() map[K]V {
 	return out
 }
 
-// mutate applies one Put (or, with del, one Delete) to *store, creating
-// the map on first use, and returns the change in live keys: the one
-// place a mutation and its count accounting are spelled for the locked
-// table and a shard's partition (the epoch mode's cells count in
-// storeCell). The caller holds store's exclusion, and adds a nonzero
-// delta to the count gauge — skipping the zero keeps an overwrite off
-// the gauge's shared cache line.
-func mutate[K comparable, V any](store *map[K]V, key K, val V, del bool) (delta int64) {
-	_, had := (*store)[key]
+// mutate applies one Put (or, with del, one Delete) to the store,
+// creating its map on first use, and returns the change in live keys:
+// the one place a mutation and its count accounting are spelled for the
+// lock-based modes (the epoch mode's cells count in storeCell). The
+// caller holds the store's lock, and adds a nonzero delta to the count
+// gauge — skipping the zero keeps an overwrite off the gauge's shared
+// cache line.
+func (st *mapStore[K, V]) mutate(key K, val V, del bool) (delta int64) {
+	_, had := st.m[key]
 	if del {
-		delete(*store, key)
+		delete(st.m, key)
 		if had {
 			return -1
 		}
 		return 0
 	}
-	if *store == nil {
-		*store = make(map[K]V)
+	if st.m == nil {
+		st.m = make(map[K]V)
 	}
-	(*store)[key] = val
+	st.m[key] = val
 	if had {
 		return 0
 	}
@@ -263,13 +287,13 @@ func mutate[K comparable, V any](store *map[K]V, key K, val V, del bool) (delta 
 }
 
 // note classifies one ModeLocked or ModeSharded operation after it
-// released its lock (wl or its shard), by whether the acquisition
-// contended. Contended reads are told apart because only they vote the
-// sharded store up to the epoch protocol (readers colliding on a shard
-// word is exactly the coherence traffic the published-table mode
-// eliminates), while a contended write only breaks the down-streak: the
-// epoch mode writes a known key with one compare-and-swap, but a
-// write-only map has no reads for it to serve. The sharded→locked step
+// released its store's lock, by whether the acquisition contended.
+// Contended reads are told apart because only they vote the sharded
+// store up to the epoch protocol (readers colliding on a shard word is
+// exactly the coherence traffic the published-table mode eliminates),
+// while a contended write only breaks the down-streak: the epoch mode
+// writes a known key with one compare-and-swap, but a write-only map
+// has no reads for it to serve. The sharded→locked step
 // gathers every key, so its calm streak is priced like a competitive
 // switch (and like sync.Map's promotion, by the keys it moves): at
 // least max(EmptyLimit, live keys) uncontended operations in a row.
@@ -288,33 +312,28 @@ func (mp *Map[K, V]) note(from modal.Mode, contended, read bool) {
 }
 
 // switchMap performs one transition of the chain under the full
-// consensus: wl, plus every shard lock when the sharded store is in
-// play. Every op revalidates the mode after acquiring its own lock, so
-// with all locks held no operation is mid-protocol and the key move is
-// atomic — no transition can lose or duplicate a key. The epoch →
-// sharded edge is not handled here: it commits inside putEpoch, under
-// the inserter's claim, where reader exclusion is already proved.
+// consensus: wl plus every store lock. Every op revalidates the mode
+// after acquiring its own lock, so with all locks held no operation is
+// mid-protocol and the key move is atomic — no transition can lose or
+// duplicate a key. The epoch → sharded edge is not handled here: it
+// commits inside putEpoch, under the inserter's claim, where reader
+// exclusion is already proved.
 func (mp *Map[K, V]) switchMap(want, next modal.Mode) {
 	mp.wl.Lock()
 	defer mp.wl.Unlock()
 	if mp.eng.Mode() != want {
 		return // lost the race to another transition
 	}
+	mp.shardsInit()
+	mp.lockAll()
+	defer mp.unlockAll()
 	switch {
-	case want == mapLocked && next == mapSharded:
-		mp.shardsInit()
-		mp.lockAllShards()
-		mp.scatter(maps.All(mp.table))
-		mp.eng.TryCommit(mapModeTable, mapLocked, mapSharded)
-		mp.unlockAllShards()
-		mp.table = nil
-	case want == mapSharded && next == mapLocked:
-		mp.lockAllShards()
-		mp.table = mp.gather()
-		mp.eng.TryCommit(mapModeTable, mapSharded, mapLocked)
-		mp.unlockAllShards()
-	case want == mapSharded && next == mapEpoch:
-		mp.lockAllShards()
+	case want == mapLocked: // locked → sharded
+		mp.scatter(maps.All(mp.one.m))
+		mp.one.m = nil
+	case next == mapLocked: // sharded → locked
+		mp.one.m = mp.gather()
+	default: // sharded → epoch
 		mp.cells = make(map[K]*cell[V], mp.count.Load())
 		for k, v := range mp.gather() {
 			c := new(cell[V])
@@ -328,9 +347,8 @@ func (mp *Map[K, V]) switchMap(want, next modal.Mode) {
 		// bit every Enter is refused, so no reader was inside the table
 		// while it was built.
 		mp.ek.Select(true)
-		mp.eng.TryCommit(mapModeTable, mapSharded, mapEpoch)
-		mp.unlockAllShards()
 	}
+	mp.eng.TryCommit(mapModeTable, want, next)
 }
 
 // Get reports the value stored under key. In ModeEpoch the fast path
@@ -342,7 +360,7 @@ func (mp *Map[K, V]) Get(key K) (V, bool) {
 }
 
 // GetCtx is Get with cancellable blocking: if ctx has already ended,
-// or the lookup must wait on the writer lock or a shard lock and ctx
+// or the lookup must wait on a store lock or the writer lock and ctx
 // ends first, it returns ctx.Err(). The epoch-mode fast path never
 // blocks, but the entry check still fires — a dead context never
 // observes the map, matching LockCtx/RLockCtx.
@@ -360,35 +378,22 @@ func (mp *Map[K, V]) GetCtx(ctx context.Context, key K) (V, bool, error) {
 func (mp *Map[K, V]) get(done <-chan struct{}, key K) (V, bool, bool) {
 	var zero V
 	for {
-		switch mp.eng.Mode() {
-		case mapLocked:
-			contended, aborted := mp.lockW(done)
+		switch m := mp.eng.Mode(); m {
+		case mapLocked, mapSharded:
+			st := mp.store(m, key)
+			contended, aborted := st.lock.Lock(done)
 			if aborted {
 				return zero, false, true
 			}
-			if mp.eng.Mode() != mapLocked {
-				mp.wl.Unlock()
+			if mp.eng.Mode() != m {
+				st.lock.Unlock()
 				continue
 			}
-			v, ok := mp.table[key]
-			mp.wl.Unlock()
-			if contended || !mp.eng.CalmBottom(mapModeTable) {
-				mp.note(mapLocked, contended, true)
+			v, ok := st.m[key]
+			st.lock.Unlock()
+			if m == mapSharded || contended || !mp.eng.CalmBottom(mapModeTable) {
+				mp.note(m, contended, true)
 			}
-			return v, ok, false
-		case mapSharded:
-			sh := &mp.shards[mp.shardIndex(key)]
-			contended, aborted := sh.lock.Lock(done)
-			if aborted {
-				return zero, false, true
-			}
-			if mp.eng.Mode() != mapSharded {
-				sh.lock.Unlock()
-				continue
-			}
-			v, ok := sh.m[key]
-			sh.lock.Unlock()
-			mp.note(mapSharded, contended, true)
 			return v, ok, false
 		default: // mapEpoch
 			// One epoch-mode read: enter the kernel, find the key's cell
@@ -406,7 +411,7 @@ func (mp *Map[K, V]) get(done <-chan struct{}, key K) (V, bool, bool) {
 			// Refused: a writer's grace claim is in place (or the mode
 			// just moved). Read authoritatively under the writer lock, so
 			// writers cannot starve behind a read storm.
-			if _, aborted := mp.lockW(done); aborted {
+			if mp.lockW(done) {
 				return zero, false, true
 			}
 			if mp.eng.Mode() != mapEpoch {
@@ -431,7 +436,7 @@ func (mp *Map[K, V]) Put(key K, val V) {
 }
 
 // PutCtx is Put with cancellable blocking: if ctx has already ended,
-// or the store must wait on the writer lock or a shard lock and ctx
+// or the store must wait on a store lock or the writer lock and ctx
 // ends first, it returns ctx.Err() with the map unchanged. Once the
 // locks are held the mutation always completes — in ModeEpoch that
 // includes the grace period (bounded: epoch readers run no user code),
@@ -454,39 +459,24 @@ func (mp *Map[K, V]) Delete(key K) {
 // with the map unchanged, when done closes while it waits for a lock.
 func (mp *Map[K, V]) put(done <-chan struct{}, key K, val V, del bool) bool {
 	for {
-		switch mp.eng.Mode() {
-		case mapLocked:
-			contended, aborted := mp.lockW(done)
+		switch m := mp.eng.Mode(); m {
+		case mapLocked, mapSharded:
+			st := mp.store(m, key)
+			contended, aborted := st.lock.Lock(done)
 			if aborted {
 				return true
 			}
-			if mp.eng.Mode() != mapLocked {
-				mp.wl.Unlock()
+			if mp.eng.Mode() != m {
+				st.lock.Unlock()
 				continue
 			}
-			if d := mutate(&mp.table, key, val, del); d != 0 {
+			if d := st.mutate(key, val, del); d != 0 {
 				mp.count.Add(d)
 			}
-			mp.wl.Unlock()
-			if contended || !mp.eng.CalmBottom(mapModeTable) {
-				mp.note(mapLocked, contended, false)
+			st.lock.Unlock()
+			if m == mapSharded || contended || !mp.eng.CalmBottom(mapModeTable) {
+				mp.note(m, contended, false)
 			}
-			return false
-		case mapSharded:
-			sh := &mp.shards[mp.shardIndex(key)]
-			contended, aborted := sh.lock.Lock(done)
-			if aborted {
-				return true
-			}
-			if mp.eng.Mode() != mapSharded {
-				sh.lock.Unlock()
-				continue
-			}
-			if d := mutate(&sh.m, key, val, del); d != 0 {
-				mp.count.Add(d)
-			}
-			sh.lock.Unlock()
-			mp.note(mapSharded, contended, false)
 			return false
 		default: // mapEpoch
 			// A Delete's box is nil, the tombstone; a Put's is the epoch
@@ -499,7 +489,7 @@ func (mp *Map[K, V]) put(done <-chan struct{}, key K, val V, del bool) bool {
 			if mp.storeEpoch(key, box) {
 				return false
 			}
-			if _, aborted := mp.lockW(done); aborted {
+			if mp.lockW(done) {
 				return true
 			}
 			if mp.eng.Mode() != mapEpoch {
@@ -604,12 +594,12 @@ func (mp *Map[K, V]) putEpoch(key K, box *V) {
 		// whole writer rounds — the write-dominated regime where the
 		// grace periods are pure overhead.
 		mp.shardsInit()
-		mp.lockAllShards()
+		mp.lockAll()
 		mp.scatter(values(mp.cells))
 		mp.cells = nil
 		mp.ek.Select(false)
 		mp.eng.TryCommit(mapModeTable, mapEpoch, mapSharded)
-		mp.unlockAllShards()
+		mp.unlockAll()
 	}
 	mp.ek.Release()
 }
@@ -621,41 +611,27 @@ func (mp *Map[K, V]) Len() int { return int(mp.count.Load()) }
 // Range calls fn for every key/value pair in a weakly consistent
 // snapshot of the map, stopping early if fn returns false. The snapshot
 // is taken first and fn runs on it afterward, so fn is never invoked
-// under any Map lock and may itself call back into the map. In
-// ModeEpoch the snapshot fixes which keys are visited (those with a
-// value cell, deleted ones included), and each is read at some moment
-// between the snapshot and fn's call and yielded if it held a value.
-// The snapshot is one slice of pairs, sized by Len; no hash table is
-// built for it.
+// under any Map lock and may itself call back into the map. The
+// snapshot is one slice of pairs, sized by Len; no hash table is built
+// for it.
 func (mp *Map[K, V]) Range(fn func(key K, val V) bool) {
 	for _, e := range mp.snapshot() {
-		v := e.val
-		if e.c != nil {
-			p := e.c.Load()
-			if p == nil {
-				continue
-			}
-			v = *p
-		}
-		if !fn(e.key, v) {
+		if !fn(e.key, e.val) {
 			return
 		}
 	}
 }
 
-// entry is one pair of a Range snapshot. An epoch-mode entry holds the
-// key's value cell, loaded when Range reaches it, in place of its value.
+// entry is one pair of a Range snapshot.
 type entry[K comparable, V any] struct {
 	key K
 	val V
-	c   *cell[V]
 }
 
-// snapshot appends the map's contents to one slice under the current
-// mode's exclusion, starting over if a transition moves the mode
-// mid-copy. The epoch mode's copy is made inside a read section (bounded
-// work, no user code), or under wl if the section is refused; cells are
-// never freed and their boxes never change, so loading them needs none.
+// snapshot appends the map's pairs to one slice, starting over if a
+// transition moves the mode mid-copy: in a lock-based mode each store
+// under its own lock, in the epoch mode inside a read section (bounded
+// work, no user code), or under wl if the section is refused.
 func (mp *Map[K, V]) snapshot() []entry[K, V] {
 	// The gauge can read below zero for a moment: an epoch-mode cell
 	// writer moves it after its CAS, so a racing Delete's -1 can land
@@ -663,57 +639,39 @@ func (mp *Map[K, V]) snapshot() []entry[K, V] {
 	out := make([]entry[K, V], 0, max(mp.count.Load(), 0))
 	for {
 		out = out[:0]
-		switch m := mp.eng.Mode(); m {
-		case mapSharded:
-			ok := true
-			for i := 0; ok && i < len(mp.shards); i++ {
-				sh := &mp.shards[i]
-				sh.lock.Lock(nil)
-				if ok = mp.eng.Mode() == mapSharded; ok {
-					out = appendPairs(out, sh.m)
+		m := mp.eng.Mode()
+		ok := true
+		if m != mapEpoch {
+			for st := range mp.stores() {
+				st.lock.Lock(nil)
+				if ok = mp.eng.Mode() == m; ok {
+					out = appendPairs(out, maps.All(st.m))
 				}
-				sh.lock.Unlock()
+				st.lock.Unlock()
+				if !ok {
+					break
+				}
 			}
-			if ok {
-				return out
-			}
-		case mapEpoch:
-			if c, _ := mp.ek.Enter(); c != nil {
-				out = mp.appendCells(out)
-				mp.ek.Exit(c)
-				return out
-			}
-			fallthrough
-		default: // mapLocked, or a refused epoch section: copy under wl
+		} else if c, _ := mp.ek.Enter(); c != nil {
+			out = appendPairs(out, values(mp.cells))
+			mp.ek.Exit(c)
+		} else {
 			mp.wl.Lock()
-			if mp.eng.Mode() != m {
-				mp.wl.Unlock()
-				continue
-			}
-			if m == mapLocked {
-				out = appendPairs(out, mp.table)
-			} else {
-				out = mp.appendCells(out)
+			if ok = mp.eng.Mode() == m; ok {
+				out = appendPairs(out, values(mp.cells))
 			}
 			mp.wl.Unlock()
+		}
+		if ok {
 			return out
 		}
 	}
 }
 
-// appendPairs appends a locked table's or a shard's pairs to out.
-func appendPairs[K comparable, V any](out []entry[K, V], store map[K]V) []entry[K, V] {
-	for k, v := range store {
-		out = append(out, entry[K, V]{key: k, val: v})
-	}
-	return out
-}
-
-// appendCells appends the epoch table's keys and value cells to out.
-// The caller is inside an epoch read section or holds wl.
-func (mp *Map[K, V]) appendCells(out []entry[K, V]) []entry[K, V] {
-	for k, c := range mp.cells {
-		out = append(out, entry[K, V]{key: k, c: c})
+// appendPairs appends src's pairs to out.
+func appendPairs[K comparable, V any](out []entry[K, V], src iter.Seq2[K, V]) []entry[K, V] {
+	for k, v := range src {
+		out = append(out, entry[K, V]{k, v})
 	}
 	return out
 }
@@ -761,11 +719,11 @@ func (mp *Map[K, V]) MapStats() MapStats {
 }
 
 // CheckInvariants verifies the map's quiescent-state invariants: the
-// writer lock is free and sound, every shard lock is free, the epoch
+// writer lock is free and sound, every store lock is free, the epoch
 // kernel is quiescent (no claim, mode bit agreeing with the engine,
 // cells summing to zero), no grace waiter is parked, and the live-key
-// gauge equals the key count of the current mode's authoritative store
-// — in ModeEpoch, the cells holding a value (a tombstone is legal). See
+// gauge equals the keys in the stores plus the cells holding a value (a
+// tombstone is legal; only the current mode's store is nonempty). See
 // the package note in check.go: quiescent diagnostics, not production
 // code.
 func (mp *Map[K, V]) CheckInvariants() error {
@@ -775,30 +733,18 @@ func (mp *Map[K, V]) CheckInvariants() error {
 	if err := mp.eng.Check(mapModeTable); err != nil {
 		return fmt.Errorf("reactive: Map engine: %w", err)
 	}
-	if mp.shardsUp.Load() {
-		for i := range mp.shards {
-			if mp.shards[i].lock.Held() {
-				return fmt.Errorf("reactive: Map shard %d lock held at quiescence", i)
-			}
+	live := 0
+	for st := range mp.stores() {
+		if st.lock.Held() {
+			return fmt.Errorf("reactive: Map store lock held at quiescence")
 		}
+		live += len(st.m)
 	}
 	if err := mp.ek.Check(mp.eng.Mode() == mapEpoch); err != nil {
 		return fmt.Errorf("reactive: Map %w", err)
 	}
-	live := 0
-	switch mp.eng.Mode() {
-	case mapLocked:
-		live = len(mp.table)
-	case mapSharded:
-		for i := range mp.shards {
-			live += len(mp.shards[i].m)
-		}
-	default:
-		for _, c := range mp.cells {
-			if c.Load() != nil {
-				live++
-			}
-		}
+	for range values(mp.cells) {
+		live++
 	}
 	if c := mp.count.Load(); int(c) != live {
 		return fmt.Errorf("reactive: Map count gauge %d != live keys %d", c, live)

@@ -345,13 +345,49 @@ func TestMapChainWalkBothDirections(t *testing.T) {
 	}
 }
 
-// --- ctx variants ----------------------------------------------------
-
-func TestMapGetCtxPutCtxCancel(t *testing.T) {
-	// Locked mode: block the writer lock directly.
+// TestMapLockedSkipsWriterLock pins that the locked mode is the sharded
+// store at one partition: its operations take the locked store's spin
+// word, never the writer lock, which serves transitions and the epoch
+// mode's writers and refused operations.
+func TestMapLockedSkipsWriterLock(t *testing.T) {
 	m := NewMap[int, int](WithSpinFailLimit(1 << 20))
 	m.Put(1, 1)
 	m.wl.Lock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		m.Put(2, 2)
+		m.Delete(1)
+		if v, ok := m.Get(2); !ok || v != 2 {
+			t.Errorf("Get(2) = %d, %v, want 2, true", v, ok)
+		}
+		n := 0
+		m.Range(func(int, int) bool { n++; return true })
+		if n != 1 {
+			t.Errorf("Range yielded %d pairs, want 1", n)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("locked-mode operations blocked on the held writer lock")
+	}
+	m.wl.Unlock()
+	if got := m.Stats().Mode; got != ModeLocked {
+		t.Fatalf("mode drifted to %v, want locked", got)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// --- ctx variants ----------------------------------------------------
+
+func TestMapGetCtxPutCtxCancel(t *testing.T) {
+	// Locked mode: block the locked store's spin word directly.
+	m := NewMap[int, int](WithSpinFailLimit(1 << 20))
+	m.Put(1, 1)
+	m.one.lock.Lock(nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	if _, _, err := m.GetCtx(ctx, 1); err != context.DeadlineExceeded {
@@ -360,7 +396,7 @@ func TestMapGetCtxPutCtxCancel(t *testing.T) {
 	if err := m.PutCtx(ctx, 2, 2); err != context.DeadlineExceeded {
 		t.Fatalf("PutCtx under held lock = %v, want DeadlineExceeded", err)
 	}
-	m.wl.Unlock()
+	m.one.lock.Unlock()
 
 	// The failed attempts must have left no residue.
 	if _, ok := m.Get(2); ok {
@@ -694,12 +730,19 @@ func TestMapStressModeFlips(t *testing.T) {
 // a Put that wrote it under that key. Within one Range no key may
 // repeat, and the stable keys, stored before the run and never written
 // again, must all be yielded.
+//
+// Each writer runs its ops, then goes on, pausing before each further
+// operation, until the flipper has committed a switch and the ranger has
+// finished a Range: on a loaded host the ops alone can end before
+// either. The deadline ends that tail, and the pause bounds how many
+// operations it adds.
 func TestMapRangeModeFlips(t *testing.T) {
 	const stable, keys, writers = 16, 48, 3
+	const pause, deadline = time.Millisecond, 10 * time.Second
 	m := NewMap[uint64, uint64](WithPolicy(policy.AlwaysSwitch{}))
 	ops := linearizeOps()
 	// wrote[seq] is one more than the key the Put numbered seq wrote.
-	wrote := make([]atomic.Uint64, stable+writers*ops+1)
+	wrote := make([]atomic.Uint64, stable+writers*(ops+int(deadline/pause))+1)
 	var seq atomic.Uint64
 	put := func(k uint64) {
 		s := seq.Add(1)
@@ -725,10 +768,10 @@ func TestMapRangeModeFlips(t *testing.T) {
 			time.Sleep(20 * time.Microsecond)
 		}
 	}()
-	ranges := 0
+	var ranges atomic.Int64
 	go func() { // the ranger
 		defer bg.Done()
-		for ; ; ranges++ {
+		for ; ; ranges.Add(1) {
 			select {
 			case <-stop:
 				return
@@ -765,7 +808,14 @@ func TestMapRangeModeFlips(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			rng := rand.New(rand.NewPCG(uint64(w), 0x72616e))
-			for range ops {
+			end := time.Now().Add(deadline)
+			for i := 0; i < ops || m.Stats().Switches == 0 || ranges.Load() == 0; i++ {
+				if i >= ops {
+					if time.Now().After(end) {
+						return
+					}
+					time.Sleep(pause)
+				}
 				k := stable + rng.Uint64N(keys-stable)
 				if rng.IntN(10) < 7 {
 					put(k)
@@ -778,8 +828,8 @@ func TestMapRangeModeFlips(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	bg.Wait()
-	if m.Stats().Switches == 0 || ranges == 0 {
-		t.Fatalf("%d switches and %d Ranges during the run, want both nonzero", m.Stats().Switches, ranges)
+	if m.Stats().Switches == 0 || ranges.Load() == 0 {
+		t.Fatalf("%d switches and %d Ranges during the run, want both nonzero", m.Stats().Switches, ranges.Load())
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)

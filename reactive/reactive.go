@@ -26,8 +26,9 @@
 //     queue on a Mutex) between a centralized reader count,
 //     BRAVO-style per-processor deposits validated against it, and the
 //     same deposits validated against an epoch gate no reader writes;
-//     Map among one locked table, hash-sharded tables, and a table of
-//     per-key value cells read on the epoch kernel; and
+//     Map among one spin-locked table (its sharded store at one
+//     partition), hash-sharded tables, and a table of per-key value
+//     cells read on the epoch kernel; and
 //   - two-phase waiting wherever a primitive blocks, with Lpoll a fixed
 //     count of polling iterations (WithPollIters), not calibrated per host.
 //
@@ -87,8 +88,8 @@ type Mode uint32
 // registration protocol (Stats().Readers) moves along its own chain
 // ModeCAS (centralized word) ↔ ModeSharded (per-P cells validated
 // against that word) ↔ ModeEpoch (the same cells validated against the
-// epoch gate); Map moves along the chain ModeLocked (one table under the
-// adaptive mutex) ↔ ModeSharded (per-shard locks) ↔ ModeEpoch (one index
+// epoch gate); Map moves along the chain ModeLocked (one table under one
+// spin word) ↔ ModeSharded (per-shard spin words) ↔ ModeEpoch (one index
 // of value cells read on the epoch kernel: Puts and Deletes of known
 // keys CAS a cell without a lock, an insert of a fresh key adds its
 // cell under a grace-period claim).
@@ -129,11 +130,11 @@ const (
 	// until every registered reader has gone offline. Best when reads
 	// vastly outnumber writes; writers pay a full grace period.
 	ModeEpoch
-	// ModeLocked is Map's cheapest protocol: one hash table guarded by
-	// the adaptive Mutex, so every operation pays one lock word and the
-	// detection ramp is the mutex's own spin/park machinery. Cheapest
-	// when operations are rare or single-threaded; collapses when
-	// readers and writers collide, which is what promotes the map to
+	// ModeLocked is Map's cheapest protocol: the sharded store at one
+	// partition, one hash table under one short-term spin word, so every
+	// operation pays one lock word. Cheapest when operations are rare or
+	// single-threaded; collapses when readers and writers collide, and
+	// SpinFailLimit contended operations in a row promote the map to
 	// ModeSharded.
 	ModeLocked
 )
