@@ -102,6 +102,12 @@ type FetchOp struct {
 
 	cells affinity.Cells // lazily built; a cell holds id (its fill) when empty
 
+	// cfg sits between the words every Apply loads (base, the mode word,
+	// the cells header) and the ones sweepers write (pending, sweepLock,
+	// vq), so the two groups are a cache line apart
+	// (TestHotWordsOffQueueLines).
+	cfg config
+
 	pending atomic.Int64 // combining mode: deposits since the last sweep
 
 	// sweepLock serializes every cell sweep — reconciling Values and
@@ -122,8 +128,6 @@ type FetchOp struct {
 	// Guarded by sweepLock; drained at the start of the next fold, so
 	// once the op heals no operand is lost.
 	rescue []int64
-
-	cfg config
 }
 
 // NewFetchOp builds a FetchOp over op and its identity element,
@@ -191,7 +195,7 @@ func (f *FetchOp) Apply(x int64) {
 // SpinFailLimit consecutive contended Applies (built-in detection) or the
 // injected policy's say-so switch ModeCAS → ModeSharded.
 func (f *FetchOp) applyContended(x int64) {
-	bo := waitq.Backoff{Max: waitq.ShortBackoffMax}
+	var bo waitq.Backoff
 	for {
 		if f.eng.Mode() != fCAS {
 			f.Apply(x) // mode changed under us: redispatch

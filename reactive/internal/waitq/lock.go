@@ -5,13 +5,9 @@ import (
 	"sync/atomic"
 )
 
-// DefaultBackoffMax is the cap on Backoff's mean pause length, in
-// scheduler yields.
-const DefaultBackoffMax = 64
-
-// ShortBackoffMax is the retry ceiling of the CAS-mode fetch-and-op: a
-// peer leaves its window after one CAS, so long pauses only add latency.
-const ShortBackoffMax = 16
+// BackoffMax is the cap on Backoff's mean pause length, in scheduler
+// yields.
+const BackoffMax = 64
 
 // backoffSeq seeds each Backoff differently so independent spinners
 // decorrelate even when they start in the same scheduler quantum.
@@ -19,16 +15,12 @@ var backoffSeq atomic.Uint32
 
 // Backoff is randomized exponential backoff for spin loops: each Pause
 // yields the processor a uniformly random number of times drawn from a
-// mean that doubles up to Max. Randomization breaks the lock-step
+// mean that doubles up to BackoffMax. Randomization breaks the lock-step
 // convoys that plain doubling produces when many spinners observe the
-// same event. The zero value is ready to use (mean 1, cap
-// DefaultBackoffMax); a Backoff is single-goroutine state and is
-// typically a local variable of one waiting loop.
+// same event. The zero value is ready to use (mean 1); a Backoff is
+// single-goroutine state and is typically a local variable of one
+// waiting loop.
 type Backoff struct {
-	// Max caps the mean pause length in yields; 0 means
-	// DefaultBackoffMax.
-	Max uint32
-
 	mean uint32
 	seed uint32
 }
@@ -52,21 +44,15 @@ func (b *Backoff) Pause() {
 	for i := 0; i < spins; i++ {
 		runtime.Gosched()
 	}
-	max := b.Max
-	if max == 0 {
-		max = DefaultBackoffMax
-	}
-	if b.mean < max {
+	if b.mean < BackoffMax { // a power of two, so doubling lands on it
 		b.mean *= 2
-		if b.mean > max {
-			b.mean = max
-		}
 	}
 }
 
 // A Lock is the short-term spin lock of package reactive: one
 // test-and-test-and-set word whose waiters back off randomly up to
-// DefaultBackoffMax, as the spin-mode Mutex's do, and never park
+// BackoffMax, as the spin-mode Mutex's and the contended CAS-mode
+// fetch-and-op's do, and never park
 // (FetchOp's sweep window parks its waiters on a Queue of its own, over
 // TryLock). The zero value is unlocked. A Lock must not be copied after
 // first use.

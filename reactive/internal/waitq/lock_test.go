@@ -83,12 +83,11 @@ func TestLockExcludes(t *testing.T) {
 
 func TestBackoffPausesAndDoubles(t *testing.T) {
 	var b Backoff
-	b.Max = 8
 	for i := 0; i < 20; i++ {
 		b.Pause()
 	}
-	if b.mean != 8 {
-		t.Fatalf("mean = %d after many pauses, want capped at 8", b.mean)
+	if b.mean != BackoffMax {
+		t.Fatalf("mean = %d after many pauses, want capped at %d", b.mean, BackoffMax)
 	}
 	// Two zero-value backoffs must not share a seed (decorrelation).
 	var b1, b2 Backoff

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/reactive/internal/affinity"
 	"repro/reactive/internal/epoch"
 	"repro/reactive/internal/waitq"
 	"repro/reactive/modal"
@@ -52,11 +53,22 @@ func TestPrimitiveLayout(t *testing.T) {
 		name                     string
 		got, wantSize, wantClass uintptr
 	}{
-		{"Mutex", unsafe.Sizeof(Mutex{}), 192, 192},
+		// 144 and 240 are not multiples of 64, so a Mutex's or FetchOp's
+		// phase on a line varies; each layout is the unpadded order that
+		// passes TestHotWordsOffQueueLines (Mutex: q last; FetchOp: cfg
+		// between Apply's words and the sweepers'). Against the 192- and
+		// 288-byte layouts around a 104-byte engine, in 6 interleaved 1 s
+		// runs per side (2-vCPU amd64, go1.24), medians in ns/op of the
+		// BenchmarkNative rows: Mutex/uncontended 23.7 → 22.3,
+		// Mutex/contended 33.5 → 34.8, FetchOp/cas-regime 15.8 → 16.1,
+		// FetchOp/sharded-regime 8.4 → 8.9, Counter/contended 8.1 → 8.8
+		// (8.8 → 8.8 in a second set); each inside the older layout's
+		// run-to-run range but the first Counter set, 0.02 ns above it.
+		{"Mutex", unsafe.Sizeof(Mutex{}), 136, 144},
 		// RWMutex and Map keep their tunables in the writer mutex's config.
-		{"RWMutex", unsafe.Sizeof(RWMutex{}), 432, 448},
-		{"FetchOp", unsafe.Sizeof(FetchOp{}), 288, 288},
-		{"Map[uint64,uint64]", unsafe.Sizeof(Map[uint64, uint64]{}), 472, 480},
+		{"RWMutex", unsafe.Sizeof(RWMutex{}), 320, 320},
+		{"FetchOp", unsafe.Sizeof(FetchOp{}), 232, 240},
+		{"Map[uint64,uint64]", unsafe.Sizeof(Map[uint64, uint64]{}), 360, 384},
 	} {
 		if c.got != c.wantSize || sizeClass(c.got) != c.wantClass {
 			t.Errorf("%s is %d bytes in size class %d, want %d bytes in class %d",
@@ -66,8 +78,8 @@ func TestPrimitiveLayout(t *testing.T) {
 	// Every primitive embeds a modal.Engine, so a change to the engine
 	// moves all four sizes above; word, the mode word every operation
 	// loads, leads it.
-	if got, off := unsafe.Sizeof(modal.Engine{}), fieldOffset[modal.Engine](t, "word"); got != 104 || off != 0 {
-		t.Errorf("modal.Engine is %d bytes with word at offset %d, want 104 bytes with word at 0", got, off)
+	if got, off := unsafe.Sizeof(modal.Engine{}), fieldOffset[modal.Engine](t, "word"); got != 48 || off != 0 {
+		t.Errorf("modal.Engine is %d bytes with word at offset %d, want 48 bytes with word at 0", got, off)
 	}
 }
 
@@ -78,6 +90,9 @@ func TestPrimitiveLayout(t *testing.T) {
 // centralized protocol's CAS word), reng's mode word (the registration
 // dispatch) or the epoch kernel's gate, while parking readers and
 // writers store to the reader queue's lock and the writer mutex's. Every
+// FetchOp Apply loads base (the CAS mode's word) and the mode word, and
+// every sharded one the cell array's header, while sweepers store to
+// sweepLock and readers parked behind a sweep to vq's lock. Every
 // epoch-mode Map Get and lock-free Put loads the engine's mode word, the
 // kernel's gate and the cell table's header pointer, and every
 // locked-mode operation takes the locked store's spin word, while
@@ -93,10 +108,11 @@ func TestHotWordsOffQueueLines(t *testing.T) {
 	kGate, kQ := fieldOffset[epoch.Kernel](t, "gate"), fieldOffset[epoch.Kernel](t, "q")
 	var m Mutex
 	var rw RWMutex
+	var f FetchOp
 	var mp Map[uint64, uint64]
 	// off returns field's offset within the primitive at base.
 	off := func(base, field unsafe.Pointer) uintptr { return uintptr(field) - uintptr(base) }
-	mb, rb, pb := unsafe.Pointer(&m), unsafe.Pointer(&rw), unsafe.Pointer(&mp)
+	mb, rb, fb, pb := unsafe.Pointer(&m), unsafe.Pointer(&rw), unsafe.Pointer(&f), unsafe.Pointer(&mp)
 	for _, c := range []struct {
 		name       string
 		hot, locks map[string]uintptr
@@ -114,6 +130,16 @@ func TestHotWordsOffQueueLines(t *testing.T) {
 		}, map[string]uintptr{
 			"rq.lock":  off(rb, unsafe.Pointer(&rw.rq)) + qLock,
 			"w.q.lock": off(rb, unsafe.Pointer(&rw.w.q)) + qLock,
+		}},
+		// Counter is a FetchOp and inherits its layout.
+		{"FetchOp", map[string]uintptr{
+			"base":        off(fb, unsafe.Pointer(&f.base)),
+			"eng.word":    off(fb, unsafe.Pointer(&f.eng)) + engWord,
+			"cells.cells": off(fb, unsafe.Pointer(&f.cells)) + fieldOffset[affinity.Cells](t, "cells"),
+			"cells.once":  off(fb, unsafe.Pointer(&f.cells)) + fieldOffset[affinity.Cells](t, "once"),
+		}, map[string]uintptr{
+			"sweepLock": off(fb, unsafe.Pointer(&f.sweepLock)),
+			"vq.lock":   off(fb, unsafe.Pointer(&f.vq)) + qLock,
 		}},
 		{"Map", map[string]uintptr{
 			"eng.word": off(pb, unsafe.Pointer(&mp.eng)) + engWord,

@@ -126,14 +126,24 @@ func (mp *Map[K, V]) lookup(key K) (v V, ok bool) {
 // not be copied after first use. All methods are safe for concurrent
 // use; Range and Len are weakly consistent snapshots, as in sync.Map.
 type Map[K comparable, V any] struct {
-	// wl is the writer lock: the transition lock in every mode, the
-	// epoch-mode writer serializer, and the fallback of an epoch-mode
-	// operation the kernel refuses. It is itself adaptive (spin ↔ park),
-	// its waitq gives those fallbacks their cancellable parked waits,
-	// and its config holds the map's tunables.
-	wl Mutex
-
 	eng modal.Engine
+
+	// seed and cells (see below) fill eng's cache line with the words a
+	// Get loads, which only detection stores to; the words operations
+	// write follow, and the queue locks come a line later.
+	seed  maphash.Seed
+	cells map[K]*cell[V]
+
+	// Sharded-mode state. The shard for a key is chosen by hashing with
+	// seed, not by the affinity.Pin P-index the per-P cells use: a map
+	// shard is data placement — every operation on one key must reach
+	// one partition whatever processor it runs on — so the exact-P index
+	// that works for commutative per-P cells (Counter, FetchOp) would
+	// scatter one key across shards here. The affinity substrate still
+	// sizes the array (next power of two ≥ GOMAXPROCS). shardsUp tells
+	// MapStats, which reads without wl, that the array exists.
+	shards   []mapShard[K, V]
+	shardsUp atomic.Bool
 
 	// count is the live-key gauge, maintained under each mode's
 	// exclusion (in ModeEpoch, by what each cell CAS replaced) so Len is
@@ -144,18 +154,6 @@ type Map[K comparable, V any] struct {
 	// shards in index order.
 	one mapStore[K, V]
 
-	// Sharded-mode state. The shard for a key is chosen by hash, not by
-	// the affinity.Pin P-index the per-P cells use: a map shard is data
-	// placement — every operation on one key must reach one partition
-	// whatever processor it runs on — so the exact-P index that works
-	// for commutative per-P cells (Counter, FetchOp) would scatter one
-	// key across shards here. The affinity substrate still sizes the
-	// array (next power of two ≥ GOMAXPROCS). shardsUp tells MapStats,
-	// which reads without wl, that the array exists.
-	seed     maphash.Seed
-	shards   []mapShard[K, V]
-	shardsUp atomic.Bool
-
 	// Epoch-mode state: the key → value cell table (cells: read inside
 	// an epoch section or under wl, changed in place only under wl and
 	// the kernel's claim after a grace period, and ordered to readers by
@@ -163,9 +161,15 @@ type Map[K comparable, V any] struct {
 	// data), how many times it has been built or gained a key (version),
 	// and the grace-period kernel readers and cell writers enter and
 	// inserting writers claim and wait on (ek).
-	cells   map[K]*cell[V]
 	version atomic.Uint64
 	ek      epoch.Kernel
+
+	// wl is the writer lock: the transition lock in every mode, the
+	// epoch-mode writer serializer, and the fallback of an epoch-mode
+	// operation the kernel refuses. It is itself adaptive (spin ↔ park),
+	// its waitq gives those fallbacks their cancellable parked waits,
+	// and its config holds the map's tunables.
+	wl Mutex
 }
 
 // NewMap builds a Map with the given options. NewMap() is equivalent to

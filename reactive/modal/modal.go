@@ -21,7 +21,8 @@
 //   - Engine — the goroutine-safe selector used by the native primitives
 //     in package reactive: a mode word changed only by compare-and-swap
 //     (the consensus-object analogue — of racing commits out of one mode
-//     exactly one wins), per-step hysteresis streaks or an injected
+//     exactly one wins), and either the built-in detector — the thesis's
+//     hysteresis(x, y), one streak per policy direction — or an injected
 //     policy.Policy serialized by a waitq.Lock.
 //   - Decider — the unsynchronized variant used by the cycle-level
 //     simulator, whose event engine and simulated consensus objects
@@ -47,12 +48,6 @@ import (
 // integers local to the object, in chain order: a table over N modes uses
 // 0..N-1, and the zero mode is the object's initial (cheapest) protocol.
 type Mode uint32
-
-// streakSlots is the number of steps one Table may hold: the Engine keeps
-// one streak counter per step in a fixed-size array, so the zero value
-// needs no allocation. Eight links (nine modes) fit; the thesis's largest
-// modal object has three modes.
-const streakSlots = 16
 
 // Signal classifies one request a modal object served — the monitoring
 // half of the thesis's monitor/policy split (§3.4). A primitive's
@@ -98,24 +93,19 @@ type Step struct {
 // primitive; per-instance state lives in the Engine (or Decider).
 type Table struct {
 	// steps is indexed by policy direction: steps[0][i] is the up step
-	// i→i+1, steps[1][i] the down step i+1→i. The step's streak slot is
-	// 2i plus its direction.
+	// i→i+1, steps[1][i] the down step i+1→i.
 	steps [2][]Step
 }
 
 // NewTable builds the chain whose up[i] is the step i→i+1 (policy
 // direction 0: contention appeared) and whose down[i] is the step i+1→i
-// (direction 1: contention disappeared), over len(up)+1 modes. It panics
-// — at package init time in practice — unless up and down are non-empty
-// and equally long, if the steps outnumber the Engine's streak slots, or
-// if a mode's down and up steps accept one signal (an observation votes
-// for at most one step).
+// (direction 1: contention disappeared), over len(up)+1 modes, of any
+// number. It panics — at package init time in practice — unless up and
+// down are non-empty and equally long, or if a mode's down and up steps
+// accept one signal (an observation votes for at most one step).
 func NewTable(up, down []Step) *Table {
 	if len(up) == 0 || len(up) != len(down) {
 		panic(fmt.Sprintf("modal: a chain needs as many down steps as up steps, at least one (got %d, %d)", len(up), len(down)))
-	}
-	if 2*len(up) > streakSlots {
-		panic(fmt.Sprintf("modal: %d steps exceed the engine's %d streak slots", 2*len(up), streakSlots))
 	}
 	for m := 1; m < len(up); m++ {
 		if d, u := down[m-1].On, up[m].On; d.accepts(u) || u.accepts(d) {
@@ -131,27 +121,26 @@ func (t *Table) N() int { return len(t.steps[0]) + 1 }
 // Step returns the from→to step. It panics unless from and to are
 // adjacent modes of the chain.
 func (t *Table) Step(from, to Mode) Step {
-	_, _, s := t.step(from, to)
+	_, s := t.step(from, to)
 	return s
 }
 
-// step resolves from→to to its streak slot and policy direction,
-// panicking on a move that is not a step of the chain — the consensus
-// step every protocol change must pass through; a non-step is a
-// programming error in the calling primitive, never a data-dependent
-// condition.
-func (t *Table) step(from, to Mode) (slot int, dir policy.Direction, s Step) {
+// step resolves from→to to its policy direction, panicking on a move
+// that is not a step of the chain — the consensus step every protocol
+// change must pass through; a non-step is a programming error in the
+// calling primitive, never a data-dependent condition.
+func (t *Table) step(from, to Mode) (dir policy.Direction, s Step) {
 	switch f, g := int(from), int(to); {
 	case g == f+1 && g < t.N():
-		return 2 * f, 0, t.steps[0][f]
+		return 0, t.steps[0][f]
 	case f == g+1 && f < t.N():
-		return 2*g + 1, 1, t.steps[1][g]
+		return 1, t.steps[1][g]
 	}
 	panic(fmt.Sprintf("modal: %d→%d is not a step of a %d-mode chain", from, to, t.N()))
 }
 
 // Engine is the goroutine-safe modal-object selector. The zero value is
-// an engine in mode 0 using built-in streak detection; it is
+// an engine in mode 0 using built-in detection (see Observe); it is
 // ready to use with any Table (the table is passed into each call so one
 // static table serves every instance and the zero value stays
 // allocation-free). An Engine must not be copied after first use, and
@@ -162,7 +151,7 @@ type Engine struct {
 	// else only reads it.
 	word atomic.Uint32
 
-	pol policy.Policy // nil: built-in per-step streak detection
+	pol policy.Policy // nil: built-in per-direction streak detection
 
 	// lock serializes calls into pol (policies are deliberately
 	// unsynchronized). Taken only on detection events, never on a
@@ -171,7 +160,7 @@ type Engine struct {
 	lock  waitq.Lock
 	dirty atomic.Bool // a sub-optimal vote reached pol since the last switch
 
-	streaks  [streakSlots]atomic.Int32 // one per step, at Table.step's slot
+	streaks  [2]atomic.Int32 // built-in detection's, indexed by policy direction
 	switches atomic.Uint64
 }
 
@@ -200,11 +189,19 @@ func (e *Engine) Dirty() bool { return e.dirty.Load() }
 // Observe is the whole detection rule: one request served in mode from
 // was classified as s. The step out of from whose On accepts s takes the
 // vote — from was sub-optimal in the way that step cures — and the other
-// step out of from, if any, is confirmed, breaking its streak. fire
+// step out of from, if any, is confirmed, breaking its direction's
+// streak. fire
 // reports that the caller should attempt from→to now (via TryCommit,
 // after any mode-specific preparation). limits holds the built-in
 // detection's streak thresholds indexed by the voted step's direction:
 // the fail limit up the chain, the empty limit down it.
+//
+// Built-in detection is hysteresis(x, y) without a lock: one streak per
+// direction, not per step, zeroed by every commit, so observations made
+// in the current mode decide as policy.NewHysteresis(limits[0],
+// limits[1]) does. An observation made with a stale from (a step was
+// committed since the caller loaded it) counts in its direction's streak,
+// which now serves the current mode, as an injected policy counts it.
 //
 // An injected policy hears exactly one event per observation: the voted
 // step's Suboptimal, or — when no step accepts s — one Optimal, in the
@@ -223,18 +220,18 @@ func (e *Engine) Observe(t *Table, from Mode, s Signal, limits [2]int32) (to Mod
 		panicRange(from, t)
 	}
 	voted := false
-	if f > 0 { // the down step, at slot 2(f-1)+1
+	if f > 0 { // the down step, direction 1
 		if st := &down[f-1]; st.On.accepts(s) {
-			to, fire, voted = from-1, e.vote(2*f-1, 1, st.Residual, limits[1]), true
-		} else if e.pol == nil && e.streaks[2*f-1].Load() != 0 {
-			e.streaks[2*f-1].Store(0)
+			to, fire, voted = from-1, e.vote(1, st.Residual, limits[1]), true
+		} else if e.pol == nil && e.streaks[1].Load() != 0 {
+			e.streaks[1].Store(0)
 		}
 	}
-	if f < len(up) { // the up step, at slot 2f
+	if f < len(up) { // the up step, direction 0
 		if st := &up[f]; st.On.accepts(s) {
-			to, fire, voted = from+1, e.vote(2*f, 0, st.Residual, limits[0]), true
-		} else if e.pol == nil && e.streaks[2*f].Load() != 0 {
-			e.streaks[2*f].Store(0)
+			to, fire, voted = from+1, e.vote(0, st.Residual, limits[0]), true
+		} else if e.pol == nil && e.streaks[0].Load() != 0 {
+			e.streaks[0].Store(0)
 		}
 	}
 	if e.pol != nil && !voted {
@@ -258,7 +255,7 @@ func panicRange(from Mode, t *Table) {
 // CalmBottom is Observe(t, 0, Calm, …) on a primitive's uncontended fast
 // path, small enough to inline: with built-in detection, a Calm in the
 // chain's bottom mode votes for nothing (mode 0 has no down step) and
-// only confirms the up step, resetting its streak if it is nonzero.
+// only confirms the up step, resetting the up streak if it is nonzero.
 // CalmBottom does that and reports true. With an injected policy, or a
 // table whose bottom up step is itself voted by Calm, it does nothing
 // and reports false, and the caller calls Observe. The caller has
@@ -276,18 +273,19 @@ func (e *Engine) CalmBottom(t *Table) bool {
 // Vote is Observe's vote alone, on a named step: one request served
 // while mode from was sub-optimal in a way the from→to step would cure,
 // judged against the streak threshold limit — or, with an injected
-// policy, charged the step's Residual for the policy to decide. Panics if
+// policy, charged the step's Residual for the policy to decide. The vote
+// counts in the built-in streak of the step's direction. Panics if
 // from→to is not a step of the table.
 func (e *Engine) Vote(t *Table, from, to Mode, limit int32) bool {
-	slot, dir, st := t.step(from, to)
-	return e.vote(slot, dir, st.Residual, limit)
+	dir, st := t.step(from, to)
+	return e.vote(dir, st.Residual, limit)
 }
 
-// vote counts one vote for the step at slot: a streak bump with built-in
+// vote counts one vote in direction dir: a streak bump with built-in
 // detection, a Suboptimal for an injected policy.
-func (e *Engine) vote(slot int, dir policy.Direction, residual uint64, limit int32) bool {
+func (e *Engine) vote(dir policy.Direction, residual uint64, limit int32) bool {
 	if e.pol == nil {
-		return e.streaks[slot].Add(1) >= limit
+		return e.streaks[dir].Add(1) >= limit
 	}
 	e.lock.Lock(nil)
 	// The release is deferred so a panicking user policy cannot leak the
@@ -336,16 +334,15 @@ func (e *Engine) TryCommit(t *Table, from, to Mode) bool {
 		return false
 	}
 	e.switches.Add(1)
-	e.switched(t)
+	e.switched()
 	return true
 }
 
 // switched resets detection state after a committed step.
-func (e *Engine) switched(t *Table) {
+func (e *Engine) switched() {
 	if e.pol == nil {
-		for i := range 2 * (t.N() - 1) {
-			e.streaks[i].Store(0)
-		}
+		e.streaks[0].Store(0)
+		e.streaks[1].Store(0)
 		return
 	}
 	e.lock.Lock(nil)
@@ -383,14 +380,14 @@ func NewDecider(t *Table, pol *policy.Policy) *Decider {
 // and reports whether the policy says to switch now. Panics if from→to
 // is not a step of the table.
 func (d *Decider) Suboptimal(from, to Mode) bool {
-	_, dir, st := d.tab.step(from, to)
+	dir, st := d.tab.step(from, to)
 	return (*d.pol).Suboptimal(dir, st.Residual)
 }
 
 // Optimal records one request served optimally with respect to the
 // from→to step. Panics if from→to is not a step of the table.
 func (d *Decider) Optimal(from, to Mode) {
-	_, dir, _ := d.tab.step(from, to)
+	dir, _ := d.tab.step(from, to)
 	(*d.pol).Optimal(dir)
 }
 

@@ -1,6 +1,7 @@
 package reactive
 
 import (
+	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -59,9 +60,9 @@ func votedStep(t *modal.Table, from modal.Mode, s modal.Signal) (step, bool) {
 	return step{}, false
 }
 
-// streakIs probes a built-in streak through Vote, which adds one per
-// call: the first probe holds iff the streak was ≥ want, the second iff
-// it was ≤ want.
+// streakIs probes a built-in streak — the one of st's direction —
+// through Vote, which adds one per call: the first probe holds iff the
+// streak was ≥ want, the second iff it was ≤ want.
 func streakIs(e *modal.Engine, t *modal.Table, st step, want int32) bool {
 	return e.Vote(t, st.from, st.to, want+1) && !e.Vote(t, st.from, st.to, want+3)
 }
@@ -71,8 +72,9 @@ func streakIs(e *modal.Engine, t *modal.Table, st step, want int32) bool {
 // event per observation — the voted step's Suboptimal with that step's
 // direction and residual, otherwise one Optimal, down the chain where the
 // mode has a down step and up it from mode 0, never one per step. The
-// built-in path bumps the voted step's streak, zeroes the mode's other
-// step, and leaves every other mode's streaks alone.
+// built-in path keeps one streak per direction: it bumps the voted
+// step's, zeroes the direction of the mode's other step, and leaves a
+// direction the mode has no step in alone.
 func TestObserveOneEventPerObservation(t *testing.T) {
 	never := [2]int32{1 << 20, 1 << 20}
 	dirOf := func(down bool) policy.Direction { // 0 up the chain, 1 down it
@@ -102,9 +104,9 @@ func TestObserveOneEventPerObservation(t *testing.T) {
 					t.Errorf("%s mode %d signal %d: policy heard %+v, want one Optimal(%d)", name, from, s, pol, dirOf(from > 0))
 				}
 
-				for _, probe := range steps {
+				for d, probe := range steps[:2] { // 0→1 probes the up streak, 1→0 the down one
 					var b modal.Engine
-					for _, st := range steps { // every streak at 2
+					for _, st := range steps[:2] { // both streaks at 2
 						b.Vote(tab, st.from, st.to, never[0])
 						b.Vote(tab, st.from, st.to, never[0])
 					}
@@ -112,16 +114,54 @@ func TestObserveOneEventPerObservation(t *testing.T) {
 						t.Errorf("%s mode %d signal %d: Observe = (%d, %v) below the limit", name, from, s, to, fire)
 					}
 					want := int32(2)
-					if probe.from == from {
+					if up := d == 0; up && int(from)+1 < tab.N() || !up && from > 0 {
 						want = 0
-						if any && probe.to == voted.to {
+						if any && (voted.to > voted.from) == up {
 							want = 3
 						}
 					}
 					if !streakIs(&b, tab, probe, want) {
-						t.Errorf("%s mode %d signal %d: streak of %d→%d is not %d", name, from, s, probe.from, probe.to, want)
+						t.Errorf("%s mode %d signal %d: streak of direction %d is not %d", name, from, s, d, want)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestBuiltinDetectionIsHysteresis: the built-in detector is the
+// thesis's hysteresis(x, y) policy run without a lock. On every shipped
+// table and a spread of limits, an engine with built-in detection and
+// one running policy.NewHysteresis(x, y) hear the same seeded signal
+// stream — each observing from its own current mode and committing
+// whenever Observe fires — and must fire, and so switch, in lockstep.
+func TestBuiltinDetectionIsHysteresis(t *testing.T) {
+	for name, tab := range shippedTables {
+		for _, lim := range [][2]int32{{3, 8}, {1, 1}, {2, 5}} {
+			var builtin, hyst modal.Engine
+			hyst.SetPolicy(policy.NewHysteresis(uint64(lim[0]), uint64(lim[1])))
+			rng := rand.New(rand.NewPCG(uint64(lim[0]), uint64(lim[1])))
+			s := modal.None
+			for i := range 200_000 {
+				if rng.IntN(8) == 0 { // runs of one signal, so long streaks occur
+					s = allSignals[rng.IntN(len(allSignals))]
+				}
+				toB, fireB := builtin.Observe(tab, builtin.Mode(), s, lim)
+				toH, fireH := hyst.Observe(tab, hyst.Mode(), s, lim)
+				if fireB != fireH || toB != toH {
+					t.Fatalf("%s limits %v, signal %d of mode %d at %d: built-in (%d, %v), hysteresis (%d, %v)",
+						name, lim, s, builtin.Mode(), i, toB, fireB, toH, fireH)
+				}
+				if fireB {
+					builtin.TryCommit(tab, builtin.Mode(), toB)
+					hyst.TryCommit(tab, hyst.Mode(), toH)
+				}
+				if builtin.Mode() != hyst.Mode() {
+					t.Fatalf("%s limits %v at %d: built-in in mode %d, hysteresis in %d", name, lim, i, builtin.Mode(), hyst.Mode())
+				}
+			}
+			if builtin.Switches() == 0 {
+				t.Errorf("%s limits %v: no switch in the stream, so nothing was compared", name, lim)
 			}
 		}
 	}

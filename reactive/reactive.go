@@ -223,12 +223,14 @@ type Mutex struct {
 	// consensus CAS.
 	eng modal.Engine
 
+	cfg config
+
 	// q holds the parked waiters of the two-phase parking protocol: the
 	// shared waiter-queue engine every primitive in this package blocks
-	// through (see reactive/internal/waitq and DESIGN.md §5).
+	// through (see reactive/internal/waitq and DESIGN.md §5). It comes
+	// last so its lock word, which every park and grant stores to, sits a
+	// cache line past state and the mode word (TestHotWordsOffQueueLines).
 	q waitq.Queue
-
-	cfg config
 }
 
 // New builds a Mutex configured by opts. New() with no options is

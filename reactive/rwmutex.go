@@ -119,8 +119,6 @@ func RWReaderTable() *modal.Table { return readerShardTable }
 // sum is provable misuse rather than a transient — and the panic fires
 // on the writer's goroutine.
 type RWMutex struct {
-	w Mutex // serializes writers; its spin↔park engine is Stats().Mode
-
 	// readerCount is the centralized registration word: the number of
 	// centrally-registered active readers, minus rwBias while a writer
 	// has claimed the lock. The claim bit doubles as the gate sharded
@@ -150,6 +148,11 @@ type RWMutex struct {
 	// two-phase wait, on the shared waiter-queue engine,
 	// reactive/internal/waitq); a releasing writer broadcasts into it.
 	rq waitq.Queue
+
+	// w serializes writers; its spin↔park engine is Stats().Mode. It
+	// comes last so its queue lock sits a cache line past the reader
+	// words (TestHotWordsOffQueueLines).
+	w Mutex
 }
 
 // NewRWMutex builds an RWMutex configured by opts. NewRWMutex() with no
