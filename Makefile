@@ -25,17 +25,17 @@ benchmark-check:
 
 # The CI test job: race detector on, slow experiment tables skipped;
 # then the no-lost-wakeup tests of Mutex and the shared two-phase wait,
-# and Map's linearizability and concurrent-Range runs, repeated ten
-# times under -race (about 11 s on two cores), since one pass rarely
-# lands in the announce/release, load-to-CAS or mid-copy transition
-# window they guard; plus the
+# Map's linearizability and concurrent-Range runs, and RWMutex's
+# transient reader-add tests, repeated ten times under -race (about 11 s
+# on two cores), since one pass rarely lands in the announce/release,
+# load-to-CAS, mid-copy or add-to-undo window they guard; plus the
 # portable affinity-fallback build tag (including the
 # cancellation/handoff stress under -race, so the portable waiter paths
 # can't rot, and the FetchOp/Counter suites, whose cell selection the
 # stripe hash changes most).
 test:
 	$(GO) test -race -short ./...
-	$(GO) test -race -short -count=10 -run 'NoLostWakeups|HandoffNotLost|MutexCancellationStress|GrantVsCancel|GrantVsAbandon|TryAfterAnnounce|NilDoneNeverAborts|MapLinearizable|MapRangeModeFlips' ./reactive/ ./reactive/internal/waitq/
+	$(GO) test -race -short -count=10 -run 'NoLostWakeups|HandoffNotLost|MutexCancellationStress|GrantVsCancel|GrantVsAbandon|TryAfterAnnounce|NilDoneNeverAborts|MapLinearizable|MapRangeModeFlips|RWMutexTransient' ./reactive/ ./reactive/internal/waitq/
 	$(GO) build -tags reactive_noprocpin ./...
 	$(GO) test -tags reactive_noprocpin -short ./reactive/...
 	$(GO) test -tags reactive_noprocpin -race -short -run 'Ctx|Cancel|Handoff|Stress|Epoch|GOMAXPROCS|Misuse|Panic|Invariants|Fuzz|Map|FetchOp|Counter' ./reactive/...

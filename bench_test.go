@@ -204,6 +204,11 @@ var nativeRows = []nativeRow{
 
 	{"Counter", "uncontended/reactive", 0, 0, counterAdd()},
 	{"Counter", "uncontended/atomic.Int64", 0, 0, atomicAdd},
+	// Adds of 64: the CAS mode's contention probe is sampled by a
+	// random draw, not by the count, so a large delta probes no more
+	// often than an add of 1 and this row should read like the one above.
+	{"Counter", "uncontended-delta-64/reactive", 0, 0, counterAdd64},
+	{"Counter", "uncontended-delta-64/atomic.Int64", 0, 0, atomicAdd64},
 	{"Counter", "contended/reactive", 1, 0, counterAdd()},
 	{"Counter", "contended/atomic.Int64", 1, 0, atomicAdd},
 	{"Counter", "mixed-read/reactive", 1, 0, counterMixed()},
@@ -274,6 +279,11 @@ var nativeRows = []nativeRow{
 	{"RWMutex", "read-mostly-64-sharded-forced/reactive", 1, 0, rwReadMostly(64, rwPinned(reactive.ModeSharded)...)},
 	{"RWMutex", "read-mostly-64-epoch-forced/reactive", 1, 0, rwReadMostly(64, rwPinned(reactive.ModeEpoch)...)},
 	{"RWMutex", "read-mostly-64/sync.RWMutex", 1, 0, syncRWReadMostly(64)},
+	// Half writes at 4 goroutines per P: the benchmark's
+	// oversubscribed-writes RWMutex mix, where readers meet writers'
+	// claims and every refused centralized add is undone.
+	{"RWMutex", "write-50/reactive", 4, 0, rwReadMostly(2)},
+	{"RWMutex", "write-50/sync.RWMutex", 4, 0, syncRWReadMostly(2)},
 	{"RWMutex", "read-sharded-forced/reactive", 1, 0, rwRead(reactive.WithInitialReaderMode(reactive.ModeSharded))},
 	// An epoch RLock publishes only a per-P stamp and loads one gate word
 	// it never stores to: a read with zero shared-cacheline writes.
@@ -423,6 +433,24 @@ func atomicAdd() (loop, statser) {
 	return func(it iter) {
 		for i := 0; it.next(i); i++ {
 			c.Add(1)
+		}
+	}, nil
+}
+
+func counterAdd64() (loop, statser) {
+	c := reactive.NewCounter()
+	return func(it iter) {
+		for i := 0; it.next(i); i++ {
+			c.Add(64)
+		}
+	}, c
+}
+
+func atomicAdd64() (loop, statser) {
+	c := new(atomic.Int64)
+	return func(it iter) {
+		for i := 0; it.next(i); i++ {
+			c.Add(64)
 		}
 	}, nil
 }

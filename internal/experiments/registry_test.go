@@ -179,6 +179,17 @@ func TestMatrixSerialParallelIdentical(t *testing.T) {
 	}
 }
 
+// TestHostMillisNamesRegistered keeps the runner's dispatch costs on
+// registered names: an entry left behind by a rename would silently
+// demote the renamed spec to the end of the dispatch order.
+func TestHostMillisNamesRegistered(t *testing.T) {
+	for name := range hostMillis {
+		if _, ok := Default.Lookup(name); !ok {
+			t.Errorf("hostMillis names %q, which is not a registered spec", name)
+		}
+	}
+}
+
 func TestRunnerRecoversPanics(t *testing.T) {
 	specs := []Spec{
 		{Name: "ok", Figure: "f", Title: "t", Tool: ToolReactsim, Run: func(Sizes) *stats.Table {

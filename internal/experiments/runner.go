@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/stats"
@@ -32,7 +33,28 @@ type Runner struct {
 	BaseSeed uint64 // matrix base seed (0: DefaultSeed)
 }
 
-// Run executes the specs and returns one Result per spec, in input order.
+// hostMillis is the host time, in milliseconds, of the registered specs
+// that take most of a run at Tiny sizes (the tier-1 test matrix),
+// recorded once on a 2-vCPU amd64 host (go1.24). Every other spec took
+// 250 ms or less there and is left out. Run hands specs to its workers
+// longest first, so a long spec does not start last while the other
+// workers idle; a spec missing here counts as 0 and keeps its input
+// position among its equals. Only the dispatch order reads it: results
+// come back in input order and a spec's seed depends only on its name,
+// so a stale entry costs wall time, never a different table. The order
+// at other sizes is not measured: the benchmark's four-spec phase
+// names none of these specs and keeps its input order.
+var hostMillis = map[string]int{
+	"fig3.24-fetchop-apps":  8224,
+	"fig3.22-competitive":   6422,
+	"fig3.21-timevary":      5067,
+	"fig3.23-hysteresis":    4642,
+	"fig3.17-multilock":     1432,
+	"fig3.25-spinlock-apps": 922,
+}
+
+// Run executes the specs, longest first by hostMillis, and returns one
+// Result per spec, in input order.
 func (r *Runner) Run(specs []Spec) []Result {
 	workers := r.Parallel
 	if workers <= 0 {
@@ -45,6 +67,13 @@ func (r *Runner) Run(specs []Spec) []Result {
 	if base == 0 {
 		base = DefaultSeed
 	}
+	order := make([]int, len(specs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return hostMillis[specs[b].Name] - hostMillis[specs[a].Name]
+	})
 	results := make([]Result, len(specs))
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -57,7 +86,7 @@ func (r *Runner) Run(specs []Spec) []Result {
 			}
 		}()
 	}
-	for i := range specs {
+	for _, i := range order {
 		idx <- i
 	}
 	close(idx)

@@ -14,7 +14,7 @@ import (
 // or the meaning of a field changes, or when the chaos catalog drops a
 // point an artifact's schedule may name; DecodeRepro rejects other
 // versions rather than silently replaying a different experiment.
-const ReproVersion = "torture/v5"
+const ReproVersion = "torture/v6"
 
 // Repro is the complete, replayable description of one torture run:
 // the case, the derived seed every worker op stream comes from, the

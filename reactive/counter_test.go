@@ -39,23 +39,94 @@ func forceSharded(t *testing.T, c *Counter) {
 }
 
 // TestCounterDetectionStreak pins Counter's cheap→scalable detection to
-// the documented semantics: SpinFailLimit consecutive contended Adds
-// switch ModeCAS → ModeSharded; an uncontended Add breaks the streak.
+// the documented semantics: a probe that finds the word moved since its
+// own add (another writer's update landed in between) is Busy,
+// SpinFailLimit consecutive Busy probes switch ModeCAS → ModeSharded,
+// and a probe that finds the word unchanged is Calm and breaks the
+// streak.
 func TestCounterDetectionStreak(t *testing.T) {
 	var c Counter
+	c.Add(100)
+	busy := func() { c.probe(c.f.base.Load() - 1) } // another writer added 1
 	for i := 0; i < DefaultSpinFailLimit-1; i++ {
-		c.f.observe(fCAS, modal.Busy)
+		busy()
 	}
-	c.Add(1) // uncontended: break the streak
+	c.probe(c.f.base.Load()) // Calm: break the streak
 	for i := 0; i < DefaultSpinFailLimit-1; i++ {
-		c.f.observe(fCAS, modal.Busy)
+		busy()
 		if c.Stats().Mode != ModeCAS {
-			t.Fatalf("switched after %d contended Adds, want %d", i+1, DefaultSpinFailLimit)
+			t.Fatalf("switched after %d Busy probes, want %d", i+1, DefaultSpinFailLimit)
 		}
 	}
-	c.f.observe(fCAS, modal.Busy)
+	busy()
 	if c.Stats().Mode != ModeSharded {
-		t.Fatal("did not switch after a full contended streak")
+		t.Fatal("did not switch after a full Busy streak")
+	}
+	if got := c.Load(); got != 100 {
+		t.Fatalf("Load = %d, want 100: a probe must not write", got)
+	}
+}
+
+// TestCounterProbeRule pins which ModeCAS adds probe: about one in 32,
+// whatever the delta's sign or size and whatever the count's value — an
+// add oscillating inside a small range probes as often as a growing one
+// — and Add(0) never. The adds here are uncontended, so every probe is
+// Calm; an injected counting policy, made dirty by one Busy vote, hears
+// each as one Optimal.
+func TestCounterProbeRule(t *testing.T) {
+	const adds = probeEvery * 256 // expect 256 probes, σ ≈ 16
+	for _, tc := range []struct {
+		name  string
+		from  int64
+		delta func(i int) int64
+	}{
+		{"+1", 0, func(int) int64 { return 1 }},
+		{"-1", 0, func(int) int64 { return -1 }},
+		{"+64", 5, func(int) int64 { return 64 }},
+		{"-500", 10, func(int) int64 { return -500 }},
+		{"+2^40", 0, func(int) int64 { return 1 << 40 }},
+		{"±1 inside one window", 10, func(i int) int64 { return 1 - 2*int64(i&1) }},
+		{"±63 inside one window", 0, func(i int) int64 { return 63 - 126*int64(i&1) }},
+		{"0", 63, func(int) int64 { return 0 }},
+	} {
+		p := &countingPolicy{}
+		c := NewCounter(WithPolicy(p))
+		c.f.base.Store(tc.from)
+		c.f.observe(fCAS, modal.Busy) // dirty: later Optimals reach p
+		want := tc.from
+		for i := 0; i < adds; i++ {
+			d := tc.delta(i)
+			c.Add(d)
+			want += d
+		}
+		if got := c.f.base.Load(); got != want {
+			t.Fatalf("%s: word %d, want %d", tc.name, got, want)
+		}
+		if p.sub != 1 || c.Stats().Mode != ModeCAS {
+			t.Fatalf("%s: %d Busy votes, mode %v: an uncontended probe must be Calm", tc.name, p.sub-1, c.Stats().Mode)
+		}
+		lo, hi := adds/probeEvery/2, 2*adds/probeEvery
+		if tc.name == "0" {
+			lo, hi = 0, 0
+		}
+		if p.opt < lo || p.opt > hi {
+			t.Errorf("%s: %d probes in %d adds, want within [%d, %d]", tc.name, p.opt, adds, lo, hi)
+		}
+	}
+}
+
+// TestCounterAddZeroWritesNothing: Add(0) returns before touching the
+// counter in every mode — no add, no cell deposit, no vote.
+func TestCounterAddZeroWritesNothing(t *testing.T) {
+	for _, m := range []Mode{ModeCAS, ModeSharded, ModeCombining} {
+		c := NewCounter(WithInitialMode(m))
+		c.Add(0)
+		if got := c.Load(); got != 0 {
+			t.Fatalf("%v: Load = %d after Add(0), want 0", m, got)
+		}
+		if m == ModeCombining && c.f.pending.Load() != 0 {
+			t.Fatalf("%v: Add(0) deposited", m)
+		}
 	}
 }
 
@@ -313,6 +384,54 @@ func TestCounterSwitchesUnderContention(t *testing.T) {
 	wg.Wait()
 	if c.Stats().Switches == 0 {
 		t.Fatal("no protocol switches recorded")
+	}
+}
+
+// TestCounterOscillationPromotes: a contended counter whose value never
+// leaves a small range — an in-flight gauge, every goroutine adding 1
+// and then -1 — still switches to sharded at the default limit, because
+// the probe is sampled by a random draw, not by the count's value.
+func TestCounterOscillationPromotes(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs ≥ 2 CPUs to generate update contention")
+	}
+	c := NewCounter()
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 2*runtime.GOMAXPROCS(0); g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i := 0; i < 64; i++ {
+					c.Add(1)
+					c.Add(-1)
+				}
+			}
+		}()
+	}
+	deadline := time.After(10 * time.Second)
+	promoted := true
+	for promoted && c.Stats().Mode != ModeSharded {
+		select {
+		case <-deadline:
+			promoted = false
+		default:
+			time.Sleep(time.Millisecond)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if !promoted {
+		t.Fatalf("contended ±1 oscillation never left ModeCAS: %+v", c.Stats())
+	}
+	if got := c.Load(); got != 0 {
+		t.Fatalf("Load = %d after balanced adds, want 0", got)
 	}
 }
 

@@ -380,15 +380,28 @@ func TestRWMutexCancellationStress(t *testing.T) {
 
 // TestRLockCtxCancelledInRegistrationRaces pins the slow-path check
 // placement: a reader whose context is already done when it enters the
-// slow path aborts on the first iteration even with no writer claim in
-// place — the registration-race retry paths (reader-reader CAS losses,
-// protocol-change redispatches) must not starve the cancellation check.
+// slow path aborts before its next attempt even with no writer claim in
+// place — the registration-race retry paths (protocol-change
+// redispatches, a fired promotion) must not starve the cancellation
+// check, and neither leaves an add behind.
 func TestRLockCtxCancelledInRegistrationRaces(t *testing.T) {
 	var rw RWMutex
-	if !rw.rlockSlow(cancelledCtx().Done()) {
-		t.Fatal("rlockSlow(cancelled, no writer) registered, want aborted")
+	if !rw.rlockSlow(cancelledCtx().Done(), regMoved) {
+		t.Fatal("rlockSlow(cancelled, moved, no writer) registered, want aborted")
+	}
+	// A fired promotion arrives registered: the slow path undoes the add
+	// and commits before it looks at done.
+	rw.readerCount.Add(1)
+	if !rw.rlockSlow(cancelledCtx().Done(), regPromote) {
+		t.Fatal("rlockSlow(cancelled, promote, no writer) registered, want aborted")
+	}
+	if got := rw.Stats().Readers.Mode; got != ModeSharded {
+		t.Fatalf("reader mode = %v after a promotion, want sharded", got)
 	}
 	// No registration may have leaked.
+	if err := rw.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 	rw.Lock()
 	rw.Unlock()
 }

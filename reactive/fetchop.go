@@ -57,9 +57,10 @@ const harvestBuf = 32
 // identity MinInt64; bitwise-or with identity 0; ...), moving between two
 // protocols as contention changes:
 //
-//   - ModeCAS — one shared word updated by compare-and-swap. Cheapest
-//     uncontended; collapses under update contention (contended Applies
-//     promote to sharded).
+//   - ModeCAS — one shared word updated by compare-and-swap (Counter:
+//     by one atomic add). Cheapest uncontended; collapses under update
+//     contention (contended Applies promote to sharded; a Counter's
+//     contention probe, Counter.Add, plays the failed CAS's part).
 //   - ModeSharded — operands land in per-processor cells; only Value
 //     reconciles them into the shared word, in a serialized sweep
 //     (sweeps that find at most one active cell demote to CAS).
@@ -73,12 +74,14 @@ const harvestBuf = 32
 // same sweep — so it is constructible (WithInitialMode), self-demoting
 // (idle sweeps retire it) and never selected by detection.
 //
-// Every protocol tests before it writes: an update whose operand the
-// target already absorbs (op(v, x) == v: a max fed a smaller value, an
-// add of zero) returns after the load. The load is its linearization
+// Every protocol of a user-supplied op tests before it writes: an update
+// whose operand the target already absorbs (op(v, x) == v: a max fed a
+// smaller value) returns after the load. The load is its linearization
 // point — op is associative and commutative, so op(v, x) == v implies
 // op(op(v, r), x) == op(v, r) for every later state — and it is no
-// detection event. Counter is the add-only specialization of this type.
+// detection event. Counter is the add-only specialization of this type;
+// addition absorbs only 0, so its Add tests the operand instead of the
+// word, and Add(0) returns before touching anything.
 //
 // FetchOp accumulates; it does not return per-operation fetch values
 // (the sharded and combining protocols deliberately avoid serializing

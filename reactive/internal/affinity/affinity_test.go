@@ -86,3 +86,23 @@ func TestPinAllocs(t *testing.T) {
 		t.Fatalf("Pin/Unpin allocates %v per op, want 0", avg)
 	}
 }
+
+// TestRandSamplesEvenly: Rand is what Counter samples its contention
+// probe with (one draw in 32), so its low bits must hit a residue about
+// as often as a fair draw would, and a draw allocates nothing.
+func TestRandSamplesEvenly(t *testing.T) {
+	const draws, every = 1 << 16, 64
+	hits := 0
+	for i := 0; i < draws; i++ {
+		if Rand()%every == 0 {
+			hits++
+		}
+	}
+	// Expect draws/every = 1024 (σ ≈ 32); the bounds are 16σ wide.
+	if lo, hi := draws/every/2, 2*draws/every; hits < lo || hits > hi {
+		t.Fatalf("%d of %d draws ≡ 0 mod %d, want within [%d, %d]", hits, draws, every, lo, hi)
+	}
+	if avg := testing.AllocsPerRun(1000, func() { Rand() }); avg != 0 {
+		t.Fatalf("Rand allocates %v per op, want 0", avg)
+	}
+}

@@ -3,6 +3,7 @@
 package affinity
 
 import (
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 )
@@ -36,3 +37,7 @@ func Pin() int {
 
 // Unpin is a no-op in the fallback implementation.
 func Unpin() {}
+
+// Rand returns a pseudo-random value; the fallback draws from
+// math/rand/v2's global source.
+func Rand() uint32 { return rand.Uint32() }

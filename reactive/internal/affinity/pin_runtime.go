@@ -19,6 +19,13 @@ func runtime_procPin() int
 //go:nosplit
 func runtime_procUnpin()
 
+// runtime.cheaprand is pushed for linkname users (runtime/rand.go keeps
+// its signature fixed for them, go.dev/issue/67401).
+//
+//go:linkname cheaprand runtime.cheaprand
+//go:nosplit
+func cheaprand() uint32
+
 // Exact reports that Pin returns the exact current P index (the
 // procPin implementation, not the stripe-hash fallback).
 const Exact = true
@@ -30,3 +37,9 @@ func Pin() int { return runtime_procPin() }
 
 // Unpin re-enables preemption after a Pin.
 func Unpin() { runtime_procUnpin() }
+
+// Rand returns a cheap pseudo-random value from the running thread's
+// generator (runtime.cheaprand, wyrand state kept on the M): no shared
+// write and no lock, about a nanosecond. It samples events; it is not
+// for anything that needs good randomness.
+func Rand() uint32 { return cheaprand() }

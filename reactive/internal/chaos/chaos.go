@@ -66,12 +66,15 @@ var catalog = [...]string{
 	// closes.
 	"mutex.unlock.release",
 
-	// RWMutex: the deposit-to-claim-validation window of the sharded
-	// registration (the kernel's proof with readerCount as the validated
-	// word, DESIGN.md §4), the release tail every path that retracts a
-	// claim runs (Unlock, and the undo of a cancelled drain or a failed
-	// TryLock), and the writer's claim-to-sweep window.
-	"rwmutex.sharded.deposit", "rwmutex.unlock.release", "rwmutex.writer.claimed",
+	// RWMutex: the add-to-mode-re-check window of the centralized
+	// registration (a claim or a commit landing there makes the add
+	// transient, and its undo must wake a draining writer, DESIGN.md §8),
+	// the deposit-to-claim-validation window of the sharded registration
+	// (the kernel's proof with readerCount as the validated word, DESIGN.md
+	// §4), the release tail every path that retracts a claim runs (Unlock,
+	// and the undo of a cancelled drain or a failed TryLock), and the
+	// writer's claim-to-sweep window.
+	"rwmutex.central.added", "rwmutex.sharded.deposit", "rwmutex.unlock.release", "rwmutex.writer.claimed",
 
 	// waitq: the announce/grant/abandon triangle of the
 	// handoff-or-abandon proof (DESIGN.md §5), and the announce-to-retest

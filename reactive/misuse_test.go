@@ -57,6 +57,18 @@ func TestMisusePanics(t *testing.T) {
 			rw.Unlock()
 			rw.Unlock()
 		}},
+		{"RWMutex/unlock while read-locked", unlockRW, func() {
+			var rw RWMutex
+			rw.RLock()
+			rw.Unlock()
+		}},
+		{"RWMutex/double unlock past a reader's pending add", unlockRW, func() {
+			var rw RWMutex
+			rw.Lock()
+			rw.readerCount.Add(1) // a reader's add under the claim, not yet undone
+			rw.Unlock()           // the residue of 1 is not misuse
+			rw.Unlock()
+		}},
 		{"RWMutex/runlock central, never locked", runlockRW, func() {
 			var rw RWMutex
 			rw.RUnlock()

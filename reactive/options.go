@@ -33,9 +33,10 @@ type config struct {
 type Option func(*config)
 
 // WithSpinFailLimit sets how many consecutive scale-up observations —
-// contended acquisitions for Mutex and RWMutex's writer mutex, reader
-// CAS losses and busy drains for RWMutex's registration protocol,
-// contended CAS updates for Counter and FetchOp — the built-in detection tolerates before
+// contended acquisitions for Mutex and RWMutex's writer mutex,
+// overlapped centralized registrations and busy drains for RWMutex's
+// registration protocol, contended CAS updates for FetchOp and Busy
+// contention probes for Counter — the built-in detection tolerates before
 // switching to the next, more scalable protocol. n must be positive. Default: DefaultSpinFailLimit.
 // Ignored when WithPolicy installs an explicit switching policy.
 func WithSpinFailLimit(n int) Option {

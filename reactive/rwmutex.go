@@ -57,9 +57,9 @@ func RWReaderTable() *modal.Table { return readerShardTable }
 // own, over how readers *register* when no writer is about
 // (Stats().Readers):
 //
-//   - ModeCAS — readers compare-and-swap one centralized reader count.
-//     Cheapest for occasional reads, but every RLock/RUnlock from every
-//     core bounces that one cache line.
+//   - ModeCAS — readers add to one centralized reader count, as
+//     sync.RWMutex's do. Cheapest for occasional reads, but every
+//     RLock/RUnlock from every core bounces that one cache line.
 //   - ModeSharded — BRAVO-style sharded registration: each reader
 //     deposits a +1 in its processor's padded cell (selected through the
 //     per-P affinity substrate), validates it against the centralized
@@ -77,8 +77,9 @@ func RWReaderTable() *modal.Table { return readerShardTable }
 // Detection only classifies (modal.Busy or modal.Calm; the table's On
 // column says which transition each votes for, SpinFailLimit consecutive
 // Busy scaling up, EmptyLimit consecutive Calm scaling down). A
-// slow-path centralized registration is Busy when its CAS lost to
-// another *reader*; a writer's drain in the cell-based modes is Busy
+// centralized registration is Busy when the count its add returns shows
+// another *reader* registered beside it, and Calm when it is alone; a
+// writer's drain in the cell-based modes is Busy
 // when it found active readers — from the sharded mode that is the
 // read-saturated regime where even the cell deposits bounce against the
 // drain — and Calm when the lock was already quiet (in epoch mode, a
@@ -86,12 +87,15 @@ func RWReaderTable() *modal.Table { return readerShardTable }
 // under full writer exclusion, so no reader's RLock/RUnlock pair ever
 // spans one.
 //
-// Readers register by compare-and-swap from a non-negative count (or by
-// a cell deposit re-validated against the writer claim), never by a
-// blind increment, so a reader can become active only while no writer
-// claim is in place, and a writer enters its critical section only
-// after the centralized count and the cell sum show zero active readers —
-// mutual exclusion holds by construction. The cost is that writers are
+// A centralized reader registers with one blind add and keeps it only
+// if the count it returns carries no writer claim and the mode is still
+// centralized; otherwise it undoes the add, waking a writer that the
+// add held up. A cell reader deposits in its cell and re-validates
+// against the writer claim the same way. A reader therefore becomes
+// active only if its registration preceded any claim, which then waits
+// for it, and a writer enters its critical section only after the
+// centralized count and the cell sum show zero active readers — mutual
+// exclusion holds by construction (DESIGN.md §8). The cost is that writers are
 // strictly preferred: readers arriving during a writer's drain or hold
 // wait for its release, and a stream of back-to-back writers can keep
 // readers waiting longer than sync.RWMutex would.
@@ -107,10 +111,12 @@ func RWReaderTable() *modal.Table { return readerShardTable }
 // builds one with explicit Options. An RWMutex must not be copied after
 // first use.
 // As with sync.RWMutex, recursive read locking is prohibited: if a
-// goroutine holds the read lock while anything performs a write
-// acquisition — an application writer, or a reader-driven registration
-// protocol change, which takes the write lock itself — a nested RLock
-// deadlocks, so even a writer-free program must not nest read locks.
+// goroutine holds the read lock while a writer acquires, a nested RLock
+// deadlocks. A reader-driven registration protocol change never waits:
+// it takes the write lock only by TryLock, when its reader is the one
+// registered, and otherwise leaves the switch for a later reader, so
+// readers that wait on one another with no writer about do not
+// deadlock, as with sync.RWMutex.
 // Calling RUnlock without a matching RLock panics, as with
 // sync.RWMutex. In centralized mode the panic is immediate (the
 // reader count goes negative); in the sharded and epoch modes the
@@ -215,15 +221,10 @@ func (rw *RWMutex) Stats() Stats {
 
 // RLock acquires the lock for reading. It is the uncancellable special
 // case of RLockCtx.
-//
-// The fast path records no detection event: only a CAS lost to another
-// reader signals that the centralized word is the bottleneck, and that
-// happens in the slow path (rlockSlow).
 func (rw *RWMutex) RLock() {
-	if rw.register() == regOK {
-		return
+	if res := rw.register(); res != regOK {
+		rw.rlockSlow(nil, res)
 	}
-	rw.rlockSlow(nil)
 }
 
 // RLockCtx acquires the lock for reading like RLock, but gives up when
@@ -234,10 +235,10 @@ func (rw *RWMutex) RLockCtx(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if rw.register() == regOK {
-		return nil
+	if res := rw.register(); res != regOK {
+		return ctxErr(ctx, rw.rlockSlow(ctx.Done(), res))
 	}
-	return ctxErr(ctx, rw.rlockSlow(ctx.Done()))
+	return nil
 }
 
 // regResult says how one registration attempt ended: the reason a
@@ -248,32 +249,77 @@ type regResult uint8
 const (
 	regOK      regResult = iota
 	regClaimed           // a writer's claim is in place: wait for its release (a Try fails)
-	regLost              // the centralized CAS lost to another reader: retry — and the sharded protocol's signal
 	regMoved             // the registration protocol changed under the attempt: redispatch
+	regPromote           // registered centrally, and detection fired ModeCAS → ModeSharded
 )
 
 // register attempts one read registration under the current
-// registration protocol, never waiting.
-//
-// The cell-based protocols deposit +1 in this P's cell and then validate
-// — the sharded one that the centralized word carries no writer claim
-// and the mode is still sharded, the epoch one (epoch.Kernel.Enter)
-// against the single gate word readers never store to, so an epoch read
-// writes nothing outside its own cell. Either validation failing undoes
-// the deposit, so writers cannot starve. The order is what makes the
-// writer's sweep exclusion-safe: the deposit happens before the
-// validating load, and the writer places its claims before sweeping, so
-// a reader that observed no claim has its +1 visible to every sweep of
-// that drain (DESIGN.md §8). The sharded deposit and validation run
-// pinned, as Enter's do (three atomic ops, no user code): preemption
-// cannot widen the window in which a sweeping writer sees a deposit
-// whose validation is still pending.
+// registration protocol, never waiting. The centralized protocol is the
+// fast path: a load of the mode, one add on readerCount and a re-load of
+// the mode, which shares readerCount's cache line. An add that returned
+// 1 with the mode unchanged is a registration no other reader
+// overlapped — Calm — and anything else leaves through settle. The
+// cell-based protocols are registerCell.
 //
 // Once registered, under any protocol, the mode cannot change until
 // this reader RUnlocks: every registration-protocol commit happens under
 // a full writer drain that the registration blocks. RUnlock therefore
 // always observes the mode the registration used.
 func (rw *RWMutex) register() regResult {
+	if rw.reng.Mode() != rCentral {
+		return rw.registerCell()
+	}
+	r := rw.readerCount.Add(1)
+	chaos.Point("rwmutex.central.added")
+	if r == 1 && rw.reng.Mode() == rCentral && rw.reng.CalmBottom(readerShardTable) {
+		return regOK
+	}
+	return rw.settle(r)
+}
+
+// settle finishes a centralized registration whose add returned r. The
+// add is blind: it lands whether or not a writer has claimed the word
+// and whether or not the mode it was chosen under still holds. An r of
+// 0 or below is a writer's claim, and a moved mode means the reader
+// loaded the centralized mode before a commit to a cell-based one whose
+// writer has since released; either way the add is undone
+// (runlockCentral, which wakes a draining writer the add held up).
+// Otherwise the reader is registered — its add precedes any later claim
+// in readerCount's order, so that claim's drain waits for its RUnlock —
+// and r is the detection signal: r > 1, another centralized reader
+// registered at the same time, is Busy; r == 1 is Calm. SpinFailLimit
+// consecutive Busy registrations fire ModeCAS → ModeSharded (regPromote,
+// still registered: see promote).
+func (rw *RWMutex) settle(r int32) regResult {
+	if r <= 0 || rw.reng.Mode() != rCentral {
+		rw.runlockCentral()
+		if r <= 0 {
+			return regClaimed
+		}
+		return regMoved
+	}
+	if _, fire := rw.reng.Observe(readerShardTable, rCentral, signalOf(r > 1), rw.w.cfg.limits()); fire {
+		return regPromote
+	}
+	return regOK
+}
+
+// registerCell attempts one registration under a cell-based protocol.
+//
+// Both deposit +1 in this P's cell and then validate — the sharded one
+// that the centralized word carries no writer claim and the mode is
+// still sharded, the epoch one (epoch.Kernel.Enter) against the single
+// gate word readers never store to, so an epoch read writes nothing
+// outside its own cell. Either validation failing undoes the deposit, so
+// writers cannot starve. The order is what makes the writer's sweep
+// exclusion-safe: the deposit happens before the validating load, and
+// the writer places its claims before sweeping, so a reader that
+// observed no claim has its +1 visible to every sweep of that drain
+// (DESIGN.md §8). The sharded deposit and validation run pinned, as
+// Enter's do (three atomic ops, no user code): preemption cannot widen
+// the window in which a sweeping writer sees a deposit whose validation
+// is still pending.
+func (rw *RWMutex) registerCell() regResult {
 	switch rw.reng.Mode() {
 	case rSharded:
 		c := rw.ek.Cell(affinity.Pin())
@@ -294,23 +340,7 @@ func (rw *RWMutex) register() regResult {
 			return regClaimed
 		}
 	default:
-		v := rw.readerCount.Load()
-		if v >= 0 && rw.readerCount.CompareAndSwap(v, v+1) {
-			// Re-validate the mode: the read that chose the centralized
-			// protocol may predate a commit to sharded whose writer has
-			// since released. Our +1 is registered, so the mode is frozen
-			// from here until RUnlock (a commit's drain cannot pass it);
-			// if the re-check still says centralized, RUnlock will too.
-			if rw.reng.Mode() == rCentral {
-				return regOK
-			}
-			rw.runlockCentral()
-			return regMoved
-		}
-		if v >= 0 && rw.readerCount.Load() >= 0 {
-			return regLost
-		}
-		return regClaimed
+		return regMoved // back to centralized since the caller's load
 	}
 	// A refused cell registration: a writer's claim, or the mode moved.
 	if rw.readerCount.Load() < 0 {
@@ -319,49 +349,72 @@ func (rw *RWMutex) register() regResult {
 	return regMoved
 }
 
-// runlockCentral releases one centralized registration (or undoes a
-// stale one), waking a draining writer when the last reader leaves.
+// runlockCentral releases one centralized registration, or undoes a
+// transient add; runlockClaimed takes the rare negative result.
 func (rw *RWMutex) runlockCentral() {
-	r := rw.readerCount.Add(-1)
-	if r >= 0 {
-		return
+	if r := rw.readerCount.Add(-1); r < 0 {
+		rw.runlockClaimed(r)
 	}
+}
+
+// runlockClaimed judges a release that left readerCount at r < 0: an
+// RUnlock that never registered (r == -1, or below the claim), or a
+// release under a writer's claim, which wakes the draining writer when
+// it was the last registered reader. (A cell-registered reader's Exit
+// wakes it on its own.)
+//
+//go:noinline
+func (rw *RWMutex) runlockClaimed(r int32) {
 	if r == -1 || r < -rwBias {
 		panic("reactive: RUnlock of unlocked RWMutex")
 	}
-	// A writer is draining; if this was the last active reader, wake it.
-	// (A cell-registered reader's Exit wakes it on its own.)
 	if r == -rwBias {
 		rw.ek.Wake()
 	}
 }
 
-// TryRLock attempts to acquire the lock for reading without waiting.
+// TryRLock attempts to acquire the lock for reading without waiting. A
+// registration whose detection fired keeps its hold and leaves the
+// commit to a later RLock (promote).
 func (rw *RWMutex) TryRLock() bool {
 	for {
 		switch rw.register() {
-		case regOK:
+		case regOK, regPromote:
 			return true
 		case regClaimed:
 			return false
 		}
-		// Lost to another reader, or the registration protocol changed
-		// under us: neither is a writer, so go again.
+		// The registration protocol changed under us: not a writer, so go
+		// again.
 	}
 }
 
-// rlockSlow waits for the writer claims to clear and re-registers under
-// whichever registration protocol is then selected. The wait is the one
-// every waiter in this package makes, rq.Wait over noClaim: poll through
-// the budget, yielding between attempts, then park until a releasing
-// writer broadcasts. Reader-reader CAS races retry at once — but each
-// loss to another reader is exactly the coherence traffic the sharded
-// protocol removes, so it votes toward sharded registration. A closed
-// done aborts, checked before every attempt so the registration races
-// observe it too; rlockSlow reports whether it did.
-func (rw *RWMutex) rlockSlow(done <-chan struct{}) (aborted bool) {
-	casLosses := 0
+// rlockSlow carries a registration attempt that ended in res to a hold.
+// A writer's claim is waited out the way every waiter in this package
+// waits, rq.Wait over noClaim: poll through the budget, yielding between
+// attempts, then park until a releasing writer broadcasts. A fired
+// promotion is tried once per call (promote) and never waited for; once
+// tried, a registration that fires again keeps its hold. A moved mode, a
+// tried promotion and a claim waited out re-register under whichever
+// protocol is then selected. A closed done aborts, checked before every
+// attempt; rlockSlow reports whether it did. No path leaves an add or a
+// deposit behind.
+func (rw *RWMutex) rlockSlow(done <-chan struct{}, res regResult) (aborted bool) {
+	tried := false
 	for {
+		switch res {
+		case regOK:
+			return false
+		case regPromote:
+			if tried || !rw.promote() {
+				return false
+			}
+			tried = true
+		case regClaimed:
+			if rw.rq.Wait(rw.w.cfg.pollBudget(), done, rw.noClaim) {
+				return true
+			}
+		}
 		if done != nil {
 			select {
 			case <-done:
@@ -369,30 +422,35 @@ func (rw *RWMutex) rlockSlow(done <-chan struct{}) (aborted bool) {
 			default:
 			}
 		}
-		switch rw.register() {
-		case regOK:
-			if casLosses == 0 && rw.reng.Mode() == rCentral {
-				// A loss-free registration breaks the reader-contention
-				// streak, so only *consecutive* losses — not losses
-				// accumulated over the lock's lifetime — reach the switch
-				// threshold.
-				rw.noteRegistration(false)
-			}
-			return false
-		case regLost:
-			// Lost the centralized word to another reader: the cheap
-			// registration protocol is serializing readers on one cache
-			// line — the regime sharded cells are built for.
-			casLosses++
-			rw.noteRegistration(true)
-		case regClaimed:
-			if rw.rq.Wait(rw.w.cfg.pollBudget(), done, rw.noClaim) {
-				return true
-			}
-		}
-		// regMoved — the registration protocol changed under the attempt —
-		// redispatches at once, like a loss.
+		res = rw.register()
 	}
+}
+
+// promote acts on a centralized registration whose detection fired
+// ModeCAS → ModeSharded. The commit needs full writer exclusion, and a
+// reader must not wait for other readers to get it: readers may wait on
+// one another when no writer exists, as sync.RWMutex allows, and a read
+// hold may be long. So the commit is made only when this reader is the
+// one registered: promote undoes its add, takes the write lock with
+// TryLock, commits, releases and reports true, and the caller
+// re-registers (in a cell, or centrally if the TryLock lost to an
+// arriving reader or writer). With another reader registered it reports
+// false and the reader keeps its hold; the streak stays at its limit, so
+// the next Busy registration tries again.
+func (rw *RWMutex) promote() bool {
+	if rw.readerCount.Load() != 1 {
+		return false
+	}
+	rw.runlockCentral()
+	if rw.TryLock() {
+		// The write lock freezes the mode (commits happen only under
+		// writer exclusion), so this re-check decides the commit.
+		if rw.reng.Mode() == rCentral {
+			rw.commitReaderMode(rCentral, rSharded)
+		}
+		rw.Unlock()
+	}
+	return true
 }
 
 // noClaim is the reader wait's try: neither of the writer's claims is in
@@ -405,15 +463,6 @@ func (rw *RWMutex) noClaim() bool {
 	return rw.readerCount.Load() >= 0 && !rw.ek.Claimed()
 }
 
-// noteRegistration classifies one slow-path registration attempt on the
-// centralized word: lost to another reader, or completed loss-free. A
-// fired promotion takes the write lock itself (switchReaderMode).
-func (rw *RWMutex) noteRegistration(lost bool) {
-	if to, fire := rw.reng.Observe(readerShardTable, rCentral, signalOf(lost), rw.w.cfg.limits()); fire {
-		rw.switchReaderMode(rCentral, to)
-	}
-}
-
 // RUnlock releases one read hold. The registration mode it observes is
 // the one RLock registered under: a registered reader blocks every
 // registration-protocol commit until it releases (see register).
@@ -422,6 +471,14 @@ func (rw *RWMutex) RUnlock() {
 		rw.runlockCentral()
 		return
 	}
+	rw.runlockCell()
+}
+
+// runlockCell releases one cell registration, out of line so RUnlock's
+// centralized path is a load and one add.
+//
+//go:noinline
+func (rw *RWMutex) runlockCell() {
 	c := rw.ek.Cell(affinity.Pin())
 	affinity.Unpin()
 	rw.ek.Exit(c)
@@ -536,7 +593,7 @@ func (rw *RWMutex) drained() bool {
 // a drain that found the lock already quiet is Calm — the cell machinery
 // went unused across a whole writer round — and one that found active
 // readers is Busy, the read-saturation signal. The centralized mode's
-// detector listens to reader CAS losses only (noteRegistration), so a
+// detector listens to the counts reader adds return (settle), so a
 // drain there observes nothing. Commits happen right here, under the
 // writer's own exclusion (claim in place, drain complete), so no reader
 // can span them. A closed done aborts the wait; the caller retracts the
@@ -553,8 +610,12 @@ func (rw *RWMutex) drainReaders(done <-chan struct{}) (aborted bool) {
 
 // Unlock releases the write hold, waking parked readers so they can
 // re-register.
+//
+// A reader's add can land under the claim and be undone after this
+// release (see settle), so the count may read a small positive residue
+// here; only a count outside [0, rwBias) is misuse.
 func (rw *RWMutex) Unlock() {
-	if rw.readerCount.Add(rwBias) != 0 {
+	if r := rw.readerCount.Add(rwBias); r < 0 || r >= rwBias {
 		panic("reactive: Unlock of unlocked RWMutex")
 	}
 	rw.release()
@@ -573,20 +634,4 @@ func (rw *RWMutex) release() {
 	// The writer mutex goes last: its release may call into an injected
 	// policy, and a panic there must unwind with the claims already gone.
 	rw.w.Unlock()
-}
-
-// switchReaderMode performs a registration-protocol change from want to
-// next by taking the write lock: commits are sound only under full
-// writer exclusion (claim in place, all registration paths drained).
-// Callers already holding the write lock (the drain's detection) commit
-// directly instead.
-func (rw *RWMutex) switchReaderMode(want, next modal.Mode) {
-	rw.Lock()
-	// Holding the write lock freezes the mode (commits happen only under
-	// writer exclusion), so a re-check here decides the whole critical
-	// section.
-	if rw.reng.Mode() == want {
-		rw.commitReaderMode(want, next)
-	}
-	rw.Unlock()
 }

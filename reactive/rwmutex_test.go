@@ -1,6 +1,7 @@
 package reactive
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -9,8 +10,24 @@ import (
 	"time"
 
 	"repro/internal/watchdog"
+	"repro/reactive/modal"
 	"repro/reactive/policy"
 )
+
+// switchReaderMode forces a registration-protocol change from want to
+// next by taking the write lock: commits are sound only under full
+// writer exclusion (claim in place, all registration paths drained), and
+// holding the write lock freezes the mode, so the re-check decides the
+// whole critical section. Tests drive the chain with it; the lock itself
+// commits only in a writer's drain (drainReaders) and in a reader's
+// non-waiting promotion (promote).
+func (rw *RWMutex) switchReaderMode(want, next modal.Mode) {
+	rw.Lock()
+	if rw.reng.Mode() == want {
+		rw.commitReaderMode(want, next)
+	}
+	rw.Unlock()
+}
 
 // TestRWMutexOptionsReachWriterMutex: threshold and polling options
 // configure the embedded writer mutex, and so do an injected policy and
@@ -299,5 +316,205 @@ func TestRWMutexStressForcedModeSwitches(t *testing.T) {
 	fwg.Wait()
 	if counter != writers*iters {
 		t.Fatalf("writes = %d, want %d", counter, writers*iters)
+	}
+}
+
+// --- The centralized add: transient adds and their undo ----------------
+//
+// A centralized RLock adds to readerCount before it knows whether a
+// writer has claimed the word or the mode has moved; settle undoes such
+// an add. These tests hold an add open by hand (readerCount.Add(1), then
+// settle) to pin what the rest of the lock sees in that window.
+
+// TestRWMutexTransientAddUnderClaim: a reader arriving under a writer's
+// claim leaves readerCount exactly as it found it, and the writer's drain
+// still completes when the registered reader leaves.
+func TestRWMutexTransientAddUnderClaim(t *testing.T) {
+	var rw RWMutex
+	rw.RLock()
+	locked := make(chan struct{})
+	go func() {
+		rw.Lock() // claims, then drains the reader above
+		close(locked)
+	}()
+	for rw.readerCount.Load() >= 0 {
+		runtime.Gosched()
+	}
+	before := rw.readerCount.Load()
+	if rw.TryRLock() {
+		t.Fatal("TryRLock under a writer's claim succeeded")
+	}
+	if got := rw.settle(rw.readerCount.Add(1)); got != regClaimed {
+		t.Fatalf("settle under a claim = %v, want regClaimed", got)
+	}
+	if got := rw.readerCount.Load(); got != before {
+		t.Fatalf("readerCount = %d after a refused reader, want %d", got, before)
+	}
+	rw.RUnlock()
+	snap := func() string { return fmt.Sprintf("rwmutex: %+v", rw.Stats()) }
+	if err := watchdog.Await(locked, 5*time.Second, snap); err != nil {
+		t.Fatalf("writer's drain never completed: %v", err)
+	}
+	if got := rw.readerCount.Load(); got != -rwBias {
+		t.Fatalf("readerCount = %d under the write lock, want %d", got, -rwBias)
+	}
+	rw.Unlock()
+	if err := rw.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRWMutexTransientAddWakesDrain: an add that a writer's claim finds
+// in place holds up its drain, even when the add will be undone, and the
+// undo wakes the drain — no lost wakeup. The add here is a stale
+// centralized reader's in a sharded lock, whose drain would otherwise
+// find nothing to wait for.
+func TestRWMutexTransientAddWakesDrain(t *testing.T) {
+	rw := NewRWMutex(WithInitialReaderMode(ModeSharded), WithPollIters(1))
+	r := rw.readerCount.Add(1)
+	locked := make(chan struct{})
+	go func() {
+		rw.Lock()
+		close(locked)
+	}()
+	for rw.readerCount.Load() >= 0 {
+		runtime.Gosched()
+	}
+	select {
+	case <-locked:
+		t.Fatal("writer entered past a pending add")
+	case <-time.After(10 * time.Millisecond): // long enough to park
+	}
+	if got := rw.settle(r); got != regMoved {
+		t.Fatalf("settle of a stale centralized add = %v, want regMoved", got)
+	}
+	snap := func() string { return fmt.Sprintf("rwmutex: %+v", rw.Stats()) }
+	if err := watchdog.Await(locked, 5*time.Second, snap); err != nil {
+		t.Fatalf("the undo did not wake the writer's drain: %v", err)
+	}
+	rw.Unlock()
+	if err := rw.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRWMutexTransientStaleCentralReader: a reader that loaded the
+// centralized mode before a commit to sharded undoes its add when the
+// re-check sees the new mode, and its next attempt registers in a cell.
+func TestRWMutexTransientStaleCentralReader(t *testing.T) {
+	var rw RWMutex
+	rw.switchReaderMode(rCentral, rSharded) // lands between the load and the add
+	res := rw.settle(rw.readerCount.Add(1))
+	if res != regMoved {
+		t.Fatalf("settle = %v, want regMoved", res)
+	}
+	if got := rw.readerCount.Load(); got != 0 {
+		t.Fatalf("readerCount = %d after the undo, want 0", got)
+	}
+	if rw.rlockSlow(nil, res) {
+		t.Fatal("rlockSlow with no done aborted")
+	}
+	if got, cells := rw.readerCount.Load(), rw.ek.Sum(); got != 0 || cells != 1 {
+		t.Fatalf("readerCount = %d, cell sum = %d after re-registering, want 0 and 1", got, cells)
+	}
+	rw.RUnlock()
+	if err := rw.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRWMutexTransientTryLock: a TryLock racing a reader's add fails and
+// leaves the lock as it was, in either mode the add can meet: the
+// centralized one (where it becomes a registration) and a cell-based one
+// (where it is undone).
+func TestRWMutexTransientTryLock(t *testing.T) {
+	for _, m := range []Mode{ModeCAS, ModeSharded} {
+		rw := NewRWMutex(WithInitialReaderMode(m))
+		r := rw.readerCount.Add(1)
+		if rw.TryLock() {
+			t.Fatalf("%v: TryLock succeeded over a reader's add", m)
+		}
+		if got := rw.readerCount.Load(); got != 1 {
+			t.Fatalf("%v: readerCount = %d after the failed TryLock, want 1", m, got)
+		}
+		switch res := rw.settle(r); {
+		case m == ModeCAS && res == regOK:
+			rw.RUnlock()
+		case m == ModeSharded && res == regMoved:
+		default:
+			t.Fatalf("%v: settle = %v", m, res)
+		}
+		if err := rw.CheckInvariants(); err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		if !rw.TryLock() {
+			t.Fatalf("%v: TryLock on a quiet lock failed", m)
+		}
+		rw.Unlock()
+	}
+}
+
+// TestRWMutexTransientUnlockResidue: a writer may release while a
+// reader's add from under its claim is still pending. Unlock accepts the
+// positive residue, and the reader's undo leaves the lock clean.
+func TestRWMutexTransientUnlockResidue(t *testing.T) {
+	var rw RWMutex
+	rw.Lock()
+	r := rw.readerCount.Add(1)
+	rw.Unlock()
+	if got := rw.readerCount.Load(); got != 1 {
+		t.Fatalf("readerCount = %d after Unlock, want the residue 1", got)
+	}
+	if got := rw.settle(r); got != regClaimed {
+		t.Fatalf("settle = %v, want regClaimed (the add met the claim)", got)
+	}
+	if err := rw.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if !rw.TryRLock() {
+		t.Fatal("TryRLock after the writer left failed")
+	}
+	rw.RUnlock()
+}
+
+// TestRWMutexNestedReadersNeverWait: a read holder that waits on another
+// goroutine's read acquisitions — which sync.RWMutex allows when no
+// writer exists — does not deadlock when those registrations fire the
+// promotion. With the holder registered, a registration whose detection
+// fires keeps its hold instead of taking the write lock, under RLock and
+// RLockCtx alike, so no reader waits on another reader.
+func TestRWMutexNestedReadersNeverWait(t *testing.T) {
+	var rw RWMutex
+	rw.RLock()
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i <= DefaultSpinFailLimit; i++ {
+			if i%2 == 0 {
+				rw.RLock()
+			} else if err := rw.RLockCtx(context.Background()); err != nil {
+				done <- err
+				return
+			}
+			rw.RUnlock()
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("a nested reader waited on the holder: %+v, readerCount %d", rw.Stats(), rw.readerCount.Load())
+	}
+	if got := rw.readerCount.Load(); got != 1 {
+		t.Fatalf("readerCount = %d with only the holder registered, want 1", got)
+	}
+	rw.RUnlock()
+	if got := rw.Stats().Readers; got.Mode != ModeCAS || got.Switches != 0 {
+		t.Fatalf("Stats().Readers = %+v, want cas with no switch: no reader was ever alone to commit", got)
+	}
+	if err := rw.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

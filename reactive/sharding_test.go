@@ -268,16 +268,39 @@ func TestCounterGOMAXPROCS1ModeTransitions(t *testing.T) {
 // --- Sharded reader registration (RWMutex) --------------------------
 
 // TestRWMutexReaderContentionPromotesToSharded pins the up-edge
-// detection semantics deterministically: SpinFailLimit consecutive
-// reader-reader CAS losses (as rlockSlow reports them) switch the
-// registration protocol to sharded slots.
+// detection semantics deterministically: a centralized registration
+// whose add returns more than 1 (another reader is registered) is Busy,
+// and SpinFailLimit consecutive ones fire ModeCAS → ModeSharded. The
+// registration that fires commits only when it is then the one
+// registered reader (promote), and never waits: here the holder leaves
+// between the last add and its settle, so the promoting reader undoes
+// its add, takes the write lock with TryLock, commits and registers in a
+// cell.
 func TestRWMutexReaderContentionPromotesToSharded(t *testing.T) {
 	var rw RWMutex
-	for i := 0; i < DefaultSpinFailLimit; i++ {
-		rw.noteRegistration(true)
+	rw.RLock() // the holder: every later add returns 2
+	for i := 0; i < DefaultSpinFailLimit-1; i++ {
+		rw.RLock()
+		rw.RUnlock()
 	}
+	if got := rw.Stats().Readers; got.Mode != ModeCAS {
+		t.Fatalf("Stats().Readers = %+v after %d overlapped registrations, want cas", got, DefaultSpinFailLimit-1)
+	}
+	r := rw.readerCount.Add(1) // the streak's last Busy add, held open
+	rw.RUnlock()               // the holder leaves before it settles
+	res := rw.settle(r)
+	if res != regPromote {
+		t.Fatalf("settle of the streak's last overlapped add = %v, want regPromote", res)
+	}
+	if rw.rlockSlow(nil, res) {
+		t.Fatal("rlockSlow with no done aborted")
+	}
+	if got, cells := rw.readerCount.Load(), rw.ek.Sum(); got != 0 || cells != 1 {
+		t.Fatalf("readerCount = %d, cell sum = %d after the promotion, want 0 and 1", got, cells)
+	}
+	rw.RUnlock()
 	if got := rw.Stats().Readers; got.Mode != ModeSharded || got.Switches != 1 {
-		t.Fatalf("Stats().Readers = %+v after %d CAS losses, want sharded after 1 switch",
+		t.Fatalf("Stats().Readers = %+v after %d overlapped registrations, want sharded after 1 switch",
 			got, DefaultSpinFailLimit)
 	}
 	// Readers must still work, concurrently, in the new mode.
@@ -293,23 +316,32 @@ func TestRWMutexReaderContentionPromotesToSharded(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if err := rw.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestRWMutexRegistrationStreakSemantics pins the up-edge streak
-// semantics: a loss-free slow-path registration (as rlockSlow reports
-// it) breaks the reader-contention streak, so only consecutive
-// CAS losses — never losses accumulated across the lock's lifetime —
-// reach the switch threshold.
+// semantics: a registration whose add returns 1 (no other reader
+// registered) is Calm and breaks the reader-contention streak, so only
+// consecutive overlapped registrations — never ones accumulated across
+// the lock's lifetime — reach the switch threshold.
 func TestRWMutexRegistrationStreakSemantics(t *testing.T) {
 	var rw RWMutex
 	for round := 0; round < 3; round++ {
+		rw.RLock() // the holder
 		for i := 0; i < DefaultSpinFailLimit-1; i++ {
-			rw.noteRegistration(true)
+			if !rw.TryRLock() { // Busy
+				t.Fatal("TryRLock failed with no writer")
+			}
+			rw.RUnlock()
 		}
-		rw.noteRegistration(false) // loss-free registration
+		rw.RUnlock()
+		rw.RLock() // alone: Calm
+		rw.RUnlock()
 	}
 	if got := rw.Stats().Readers.Mode; got != ModeCAS {
-		t.Fatalf("reader mode = %v after broken loss streaks, want cas", got)
+		t.Fatalf("reader mode = %v after broken Busy streaks, want cas", got)
 	}
 }
 
