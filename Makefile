@@ -25,17 +25,17 @@ benchmark-check:
 
 # The CI test job: race detector on, slow experiment tables skipped;
 # then the no-lost-wakeup tests of Mutex and the shared two-phase wait,
-# Map's linearizability and concurrent-Range runs, and RWMutex's
-# transient reader-add tests, repeated ten times under -race (about 11 s
-# on two cores), since one pass rarely lands in the announce/release,
-# load-to-CAS, mid-copy or add-to-undo window they guard; plus the
-# portable affinity-fallback build tag (including the
-# cancellation/handoff stress under -race, so the portable waiter paths
-# can't rot, and the FetchOp/Counter suites, whose cell selection the
-# stripe hash changes most).
+# Map's linearizability, concurrent-Range and slab-moving runs, and
+# RWMutex's transient reader-add tests, repeated ten times under -race
+# (about 10 s on two cores), since one pass rarely lands in the
+# announce/release, load-to-CAS, mid-copy, mid-move or add-to-undo
+# window they guard; plus the portable affinity-fallback build tag
+# (including the cancellation/handoff stress under -race, so the
+# portable waiter paths can't rot, and the FetchOp/Counter suites,
+# whose cell selection the stripe hash changes most).
 test:
 	$(GO) test -race -short ./...
-	$(GO) test -race -short -count=10 -run 'NoLostWakeups|HandoffNotLost|MutexCancellationStress|GrantVsCancel|GrantVsAbandon|TryAfterAnnounce|NilDoneNeverAborts|MapLinearizable|MapRangeModeFlips|RWMutexTransient' ./reactive/ ./reactive/internal/waitq/
+	$(GO) test -race -short -count=10 -run 'NoLostWakeups|HandoffNotLost|MutexCancellationStress|GrantVsCancel|GrantVsAbandon|TryAfterAnnounce|NilDoneNeverAborts|MapLinearizable|MapRangeModeFlips|MapEpochSlabMoves|RWMutexTransient' ./reactive/ ./reactive/internal/waitq/
 	$(GO) build -tags reactive_noprocpin ./...
 	$(GO) test -tags reactive_noprocpin -short ./reactive/...
 	$(GO) test -tags reactive_noprocpin -race -short -run 'Ctx|Cancel|Handoff|Stress|Epoch|GOMAXPROCS|Misuse|Panic|Invariants|Fuzz|Map|FetchOp|Counter' ./reactive/...
@@ -174,7 +174,10 @@ fuzz-short:
 # constructor folding its options beside construct. The last keeps
 # snapshots flat: Map.Range appends the pairs to one slice, so a
 # maps.Clone( in non-test reactive code is a rehashing snapshot coming
-# back.
+# back. The last keeps the epoch table walked through its slab: Range,
+# the epoch → sharded scatter and CheckInvariants walk mp.slab, so a
+# range over the index (mp.cells) in reactive/map.go is a hash-map walk
+# coming back.
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -nE '\.Vote\(' reactive/*.go internal/experiments/*.go | grep -v _test.go)"; if [ -n "$$out" ]; then echo "hand-wired detection (use Engine.Observe):"; echo "$$out"; exit 1; fi
@@ -192,6 +195,7 @@ lint:
 	@out="$$(grep -rn --include='*.go' '\.apply(' reactive | grep -v -e _test.go -e '^reactive/options.go:')"; if [ -n "$$out" ]; then echo "options folded outside construct (every constructor calls construct):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rn --include='*.go' 'maps\.Clone(' reactive | grep -v _test.go)"; if [ -n "$$out" ]; then echo "maps.Clone in reactive (a snapshot appends to one slice; see Map.snapshot):"; echo "$$out"; exit 1; fi
 	@out="$$(awk '/^type /{t=$$2} /^[[:space:]]+[A-Za-z_]+[[:space:]]+map\[K\]V[[:space:]]*(\/\/.*)?$$/ && !(t ~ /^mapStore\[/ && $$1 == "m"){print FILENAME":"FNR": "$$0}' reactive/map.go)"; if [ -n "$$out" ]; then echo "a second locked table in Map (ModeLocked is the sharded store at one partition; use mapStore):"; echo "$$out"; exit 1; fi
+	@out="$$(grep -nE 'range[[:space:]]+mp\.cells\b|maps\.[A-Za-z]+\(mp\.cells\b' reactive/map.go)"; if [ -n "$$out" ]; then echo "Map's epoch index walked (walk the slab, mp.slab):"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 
 # The CI docs job: documentation that tests can check. The experiment

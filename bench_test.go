@@ -330,6 +330,14 @@ var nativeRows = []nativeRow{
 	{"Map", "churn-50-1/epoch-forced", 4, 0, mapChurn(pinned(reactive.ModeEpoch)...)},
 	{"Map", "churn-50-1/rwmutex-map", 4, 0, rwMapChurn},
 	{"Map", "churn-50-1/sync.Map", 4, 0, syncMapChurn},
+	// Fresh-key inserts, serial: each Put stores a key no earlier Put
+	// used and deletes the key mapKeys Puts back, so the table holds
+	// mapKeys keys and every epoch Put is an insert of a key with no
+	// cell — a grace period each, and the slab's growth and compactions
+	// as they fall due — which churn-50-1 almost never makes.
+	{"Map", "insert-fresh-epoch-forced/reactive", 0, 0, mapInsertFresh(pinned(reactive.ModeEpoch)...)},
+	{"Map", "insert-fresh/rwmutex-map", 0, 0, rwMapInsertFresh},
+	{"Map", "insert-fresh/sync.Map", 0, 0, syncMapInsertFresh},
 	// One serial Range over rangeKeys keys: the snapshot the service
 	// publishes for its stale reads. Range copies the pairs under the
 	// protocol's exclusion and calls fn afterward; the RWMutex-guarded
@@ -649,6 +657,46 @@ func rwMapChurn() (loop, statser) {
 func syncMapChurn() (loop, statser) {
 	m := newSyncMap()
 	return churn(func(k uint64) { m.Load(k) }, func(k, v uint64) { m.Store(k, v) }, func(k uint64) { m.Delete(k) }), nil
+}
+
+// insertFresh is the fresh-insert loop: iteration i Puts key i and
+// deletes key i-mapKeys.
+func insertFresh(put func(k, v uint64), del func(k uint64)) loop {
+	return func(it iter) {
+		for i := 0; it.next(i); i++ {
+			k := uint64(i)
+			put(k, k)
+			if k >= mapKeys {
+				del(k - mapKeys)
+			}
+		}
+	}
+}
+
+func mapInsertFresh(opts ...reactive.Option) func() (loop, statser) {
+	return func() (loop, statser) {
+		m := reactive.NewMap[uint64, uint64](opts...)
+		return insertFresh(m.Put, m.Delete), m
+	}
+}
+
+func rwMapInsertFresh() (loop, statser) {
+	m := make(map[uint64]uint64, mapKeys)
+	mu := new(sync.RWMutex)
+	return insertFresh(func(k, v uint64) {
+		mu.Lock()
+		m[k] = v
+		mu.Unlock()
+	}, func(k uint64) {
+		mu.Lock()
+		delete(m, k)
+		mu.Unlock()
+	}), nil
+}
+
+func syncMapInsertFresh() (loop, statser) {
+	m := new(sync.Map)
+	return insertFresh(func(k, v uint64) { m.Store(k, v) }, func(k uint64) { m.Delete(k) }), nil
 }
 
 // rangeKeys is the key count of the range rows, the service's table.

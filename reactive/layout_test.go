@@ -68,7 +68,9 @@ func TestPrimitiveLayout(t *testing.T) {
 		// RWMutex and Map keep their tunables in the writer mutex's config.
 		{"RWMutex", unsafe.Sizeof(RWMutex{}), 320, 320},
 		{"FetchOp", unsafe.Sizeof(FetchOp{}), 232, 240},
-		{"Map[uint64,uint64]", unsafe.Sizeof(Map[uint64, uint64]{}), 360, 384},
+		// Map's epoch slab header (24 bytes) took it from 360 to 384
+		// bytes, the class it was already in.
+		{"Map[uint64,uint64]", unsafe.Sizeof(Map[uint64, uint64]{}), 384, 384},
 	} {
 		if c.got != c.wantSize || sizeClass(c.got) != c.wantClass {
 			t.Errorf("%s is %d bytes in size class %d, want %d bytes in class %d",
@@ -94,7 +96,7 @@ func TestPrimitiveLayout(t *testing.T) {
 // every sharded one the cell array's header, while sweepers store to
 // sweepLock and readers parked behind a sweep to vq's lock. Every
 // epoch-mode Map Get and lock-free Put loads the engine's mode word, the
-// kernel's gate and the cell table's header pointer, and every
+// kernel's gate and the cell index's header pointer, and every
 // locked-mode operation takes the locked store's spin word, while
 // writers parking on the writer lock and an inserter parked in a grace
 // period store to the writer mutex's queue lock and the kernel's. At
@@ -158,5 +160,16 @@ func TestHotWordsOffQueueLines(t *testing.T) {
 				}
 			}
 		}
+	}
+	// Map is 384 bytes, a multiple of 64, so its offsets are line
+	// offsets: the two words an epoch Get loads share the first line,
+	// and the shard array's header, which every sharded operation loads,
+	// sits a line from count, which every sharded insert and delete
+	// writes.
+	if o := off(pb, unsafe.Pointer(&mp.cells)); o >= line {
+		t.Errorf("Map: cells at offset %d, want it on the mode word's line (< %d)", o, line)
+	}
+	if c, s := off(pb, unsafe.Pointer(&mp.count)), off(pb, unsafe.Pointer(&mp.shards)); max(c, s)-min(c, s) < line {
+		t.Errorf("Map: count (offset %d) and shards (offset %d) are less than %d bytes apart", c, s, line)
 	}
 }

@@ -58,22 +58,61 @@ type mapShard[K comparable, V any] struct {
 	_ [affinity.CacheLineSize - 16]byte
 }
 
-// cell is one key's value slot in the epoch mode: a pointer to a fresh,
-// never-mutated box holding the key's value, or nil, a tombstone (the
-// key is absent but keeps its cell). A write to a key that has a cell
-// is one compare-and-swap of the cell, which leaves the table as it is.
-type cell[V any] struct{ atomic.Pointer[V] }
+// cell is one key's slot in the epoch mode's slab: the key, and a
+// pointer to a fresh, never-mutated box holding the key's value, or nil,
+// a tombstone (the key is absent but keeps its cell). A write to a key
+// that has a cell is one compare-and-swap of the cell, which leaves the
+// slab and its index as they are.
+type cell[K comparable, V any] struct {
+	atomic.Pointer[V]
+	key K
+}
 
-// values yields every key of a cell table whose cell holds a value,
-// with that value.
-func values[K comparable, V any](cells map[K]*cell[V]) iter.Seq2[K, V] {
+// values yields every key of a slab whose cell holds a value, with that
+// value, in slab order.
+func values[K comparable, V any](slab []cell[K, V]) iter.Seq2[K, V] {
 	return func(yield func(K, V) bool) {
-		for k, c := range cells {
-			if p := c.Load(); p != nil && !yield(k, *p) {
+		for i := range slab {
+			if p := slab[i].Load(); p != nil && !yield(slab[i].key, *p) {
 				return
 			}
 		}
 	}
+}
+
+// appendCell appends key's cell, holding box, to the slab.
+func appendCell[K comparable, V any](slab []cell[K, V], key K, box *V) []cell[K, V] {
+	slab = append(slab, cell[K, V]{key: key})
+	slab[len(slab)-1].Store(box)
+	return slab
+}
+
+// reindex points every index entry at its key's cell in the slab, after
+// the slab was built or moved. The caller holds wl and either a claim
+// past its grace period or an unpublished mode.
+func (mp *Map[K, V]) reindex() {
+	for i := range mp.slab {
+		mp.cells[mp.slab[i].key] = &mp.slab[i]
+	}
+}
+
+// relocate copies the slab's live cells into a fresh slab with room for
+// n cells, drops each tombstoned key from the index, and points the
+// index at the copies: the one way the slab moves, whether it is full
+// (growth) or mostly tombstones (compaction). The caller holds wl and a
+// claim past its grace period, so no reader or cell writer is inside.
+func (mp *Map[K, V]) relocate(n int) {
+	fresh := make([]cell[K, V], 0, n)
+	for i := range mp.slab {
+		c := &mp.slab[i]
+		if p := c.Load(); p != nil {
+			fresh = appendCell(fresh, c.key, p)
+		} else {
+			delete(mp.cells, c.key)
+		}
+	}
+	mp.slab = fresh
+	mp.reindex()
 }
 
 // lookup reads key's value out of the epoch table. The caller is inside
@@ -101,19 +140,22 @@ func (mp *Map[K, V]) lookup(key K) (v V, ok bool) {
 //     each under its own padded spin word. Operations on different
 //     shards proceed in parallel; contention on one key's shard is the
 //     detection signal in both directions.
-//   - ModeEpoch — a read-mostly index in the userspace-RCU style: Get
-//     enters the grace-period kernel (a deposit in its per-P cell),
-//     finds the key's value cell in the table and loads it, writing
-//     nothing outside its own cache-line-padded cell — contended reads
-//     generate zero shared-cacheline coherence traffic. A Delete leaves
-//     its key's cell in place holding nil, so a Put or Delete of a key
-//     that has a cell finds it as a Get does and compare-and-swaps it:
-//     no lock, no grace period. Only an insert of a key with no cell
+//   - ModeEpoch — a read-mostly table in the userspace-RCU style: one
+//     dense slab of value cells, each holding its key, and an index from
+//     key to cell. Get enters the grace-period kernel (a deposit in its
+//     per-P cell), finds the key's cell through the index and loads it,
+//     writing nothing outside its own cache-line-padded cell — contended
+//     reads generate zero shared-cacheline coherence traffic. A Delete
+//     leaves its key's cell in place holding nil, so a Put or Delete of
+//     a key that has a cell finds it as a Get does and compare-and-swaps
+//     it: no lock, no grace period. Only an insert of a key with no cell
 //     changes the table: it takes the writer lock, claims the kernel
 //     (the same reactive/internal/epoch kernel RWMutex's cell-based
 //     modes run on), waits out a grace period proving no reader or cell
-//     writer inside, and adds the key's cell in place. Once tombstoned
-//     cells outnumber live keys, that insert also drops them.
+//     writer inside, and appends the key's cell to the slab. When the
+//     slab is full, or tombstoned cells outnumber live keys, that insert
+//     first copies the live cells into a fresh slab twice their number.
+//     Range walks the slab, not the index.
 //
 // Reads and writes that arrive during an epoch-mode writer's grace
 // claim fall back to the writer lock, so writers cannot starve; a Get
@@ -132,18 +174,7 @@ type Map[K comparable, V any] struct {
 	// Get loads, which only detection stores to; the words operations
 	// write follow, and the queue locks come a line later.
 	seed  maphash.Seed
-	cells map[K]*cell[V]
-
-	// Sharded-mode state. The shard for a key is chosen by hashing with
-	// seed, not by the affinity.Pin P-index the per-P cells use: a map
-	// shard is data placement — every operation on one key must reach
-	// one partition whatever processor it runs on — so the exact-P index
-	// that works for commutative per-P cells (Counter, FetchOp) would
-	// scatter one key across shards here. The affinity substrate still
-	// sizes the array (next power of two ≥ GOMAXPROCS). shardsUp tells
-	// MapStats, which reads without wl, that the array exists.
-	shards   []mapShard[K, V]
-	shardsUp atomic.Bool
+	cells map[K]*cell[K, V]
 
 	// count is the live-key gauge, maintained under each mode's
 	// exclusion (in ModeEpoch, by what each cell CAS replaced) so Len is
@@ -154,15 +185,31 @@ type Map[K comparable, V any] struct {
 	// shards in index order.
 	one mapStore[K, V]
 
-	// Epoch-mode state: the key → value cell table (cells: read inside
-	// an epoch section or under wl, changed in place only under wl and
-	// the kernel's claim after a grace period, and ordered to readers by
-	// the gate's store and load, as RWMutex's epoch mode orders its
-	// data), how many times it has been built or gained a key (version),
-	// and the grace-period kernel readers and cell writers enter and
-	// inserting writers claim and wait on (ek).
-	version atomic.Uint64
-	ek      epoch.Kernel
+	// Epoch-mode state: the table — slab, the dense array of value cells,
+	// and cells, the index from each key to its cell in slab; both read
+	// inside an epoch section or under wl, changed in place only under wl
+	// and the kernel's claim after a grace period (or before the mode is
+	// published), and ordered to readers by the gate's store and load, as
+	// RWMutex's epoch mode orders its data — how many times it has been
+	// built or gained a key (version), and the grace-period kernel readers
+	// and cell writers enter and inserting writers claim and wait on (ek).
+	// A Get loads cells but not slab, which Range and inserts load.
+	slab     []cell[K, V]
+	shardsUp atomic.Bool // see shards
+	version  atomic.Uint64
+	ek       epoch.Kernel
+
+	// Sharded-mode state. The shard for a key is chosen by hashing with
+	// seed, not by the affinity.Pin P-index the per-P cells use: a map
+	// shard is data placement — every operation on one key must reach
+	// one partition whatever processor it runs on — so the exact-P index
+	// that works for commutative per-P cells (Counter, FetchOp) would
+	// scatter one key across shards here. The affinity substrate still
+	// sizes the array (next power of two ≥ GOMAXPROCS). shardsUp tells
+	// MapStats, which reads without wl, that the array exists. The header
+	// sits past the kernel, a line from count, which every sharded insert
+	// and delete writes.
+	shards []mapShard[K, V]
 
 	// wl is the writer lock: the transition lock in every mode, the
 	// epoch-mode writer serializer, and the fallback of an epoch-mode
@@ -245,16 +292,18 @@ func (mp *Map[K, V]) unlockAll() {
 }
 
 // scatter moves every key of src into its shard — the key mover of both
-// edges into the sharded mode; the keys move, so the gauge stays. The
-// caller holds every store lock.
+// edges into the sharded mode (from the locked store, or from the epoch
+// slab); the keys move, so the gauge stays. The caller holds every store
+// lock.
 func (mp *Map[K, V]) scatter(src iter.Seq2[K, V]) {
 	for k, v := range src {
 		mp.shards[mp.shardIndex(k)].mutate(k, v, false)
 	}
 }
 
-// gather empties the shards into one fresh table — the key mover of both
-// edges out of the sharded mode. The caller holds every store lock.
+// gather empties the shards into one fresh table — the key mover of the
+// sharded → locked edge (sharded → epoch appends the shards' keys to its
+// slab directly). The caller holds every store lock.
 func (mp *Map[K, V]) gather() map[K]V {
 	out := make(map[K]V, mp.count.Load())
 	for i := range mp.shards {
@@ -338,12 +387,15 @@ func (mp *Map[K, V]) switchMap(want, next modal.Mode) {
 	case next == mapLocked: // sharded → locked
 		mp.one.m = mp.gather()
 	default: // sharded → epoch
-		mp.cells = make(map[K]*cell[V], mp.count.Load())
-		for k, v := range mp.gather() {
-			c := new(cell[V])
-			c.Store(&v)
-			mp.cells[k] = c
+		mp.slab = make([]cell[K, V], 0, mp.count.Load())
+		for i := range mp.shards {
+			for k, v := range mp.shards[i].m {
+				mp.slab = appendCell(mp.slab, k, &v)
+			}
+			mp.shards[i].m = nil
 		}
+		mp.cells = make(map[K]*cell[K, V], len(mp.slab))
+		mp.reindex()
 		mp.version.Add(1)
 		// Select the kernel before the commit publishes the mode, so the
 		// first Get that dispatches to the epoch path validates
@@ -401,10 +453,12 @@ func (mp *Map[K, V]) get(done <-chan struct{}, key K) (V, bool, bool) {
 			return v, ok, false
 		default: // mapEpoch
 			// One epoch-mode read: enter the kernel, find the key's cell
-			// in the table and load it, exit. Between a successful enter
-			// and its exit the kernel's exclusion argument (DESIGN.md §8)
-			// holds the table still: a writer changes it only under a
-			// claim, after a grace period this reader's deposit blocks.
+			// through the index and load it, exit. Between a successful
+			// enter and its exit the kernel's exclusion argument
+			// (DESIGN.md §8) holds the table still, slab and index: a
+			// writer changes it only under a claim, after a grace period
+			// this reader's deposit blocks, so the cell found stays in
+			// the slab until the exit.
 			// The cell itself may take a write meanwhile; its load is the
 			// read's linearization point.
 			if c, _ := mp.ek.Enter(); c != nil {
@@ -515,9 +569,10 @@ func (mp *Map[K, V]) put(done <-chan struct{}, key K, val V, del bool) bool {
 // a key with no cell is done: the key is absent.
 //
 // The open section is what makes the store safe without wl: every
-// change to the table (an insert, its compaction, a demotion to
-// ModeSharded) is made under a claim after a grace period, which this
-// section blocks.
+// change to the table (an insert, the slab's growth or compaction, a
+// demotion to ModeSharded) is made under a claim after a grace period,
+// which this section blocks, so the cell found is still the key's cell
+// in the current slab when the store lands.
 func (mp *Map[K, V]) storeEpoch(key K, box *V) bool {
 	rc, _ := mp.ek.Enter()
 	if rc == nil {
@@ -535,7 +590,7 @@ func (mp *Map[K, V]) storeEpoch(key K, box *V) bool {
 // moving the live-key gauge by what the swap replaced: a value into a
 // tombstone is an insert, nil over a value a delete. A Delete of a
 // tombstone changes nothing.
-func (mp *Map[K, V]) storeCell(c *cell[V], box *V) {
+func (mp *Map[K, V]) storeCell(c *cell[K, V], box *V) {
 	for {
 		old := c.Load()
 		if old == nil && box == nil {
@@ -561,9 +616,10 @@ func (mp *Map[K, V]) storeCell(c *cell[V], box *V) {
 // no reader or cell writer is inside the table and none can enter until
 // the claim is released (a refused one falls back to wl, held here).
 // The wait is uncancellable — epoch read sections run no user code, so
-// it is bounded. Then, once tombstoned cells outnumber live keys, drop
-// every one of them (no cell writer can revive one meanwhile), and add
-// the key's cell in place. Last, run the epoch protocol's scale-down
+// it is bounded. Then, if the slab is full or tombstoned cells outnumber
+// live keys, relocate the live cells into a fresh slab with room for
+// twice their number (no cell writer can revive a tombstone meanwhile),
+// and append the key's cell. Last, run the epoch protocol's scale-down
 // detection, which may demote the map, and release the claim.
 func (mp *Map[K, V]) putEpoch(key K, box *V) {
 	if c, ok := mp.cells[key]; ok {
@@ -573,8 +629,6 @@ func (mp *Map[K, V]) putEpoch(key K, box *V) {
 	if box == nil {
 		return // a Delete of an absent key
 	}
-	c := new(cell[V])
-	c.Store(box)
 	mp.ek.Claim()
 	// Readers are internal enter/exit pairs, so unlike RWMutex a
 	// negative sum would be a package bug, not caller misuse;
@@ -583,14 +637,11 @@ func (mp *Map[K, V]) putEpoch(key K, box *V) {
 		chaos.Point("map.grace.sweep")
 		return mp.ek.Sum() == 0
 	})
-	if keys := mp.count.Load(); int64(len(mp.cells))-keys > keys {
-		for k, tc := range mp.cells {
-			if tc.Load() == nil {
-				delete(mp.cells, k)
-			}
-		}
+	if n, keys := len(mp.slab), int(mp.count.Load()); n == cap(mp.slab) || n-keys > keys {
+		mp.relocate(2 * (keys + 1))
 	}
-	mp.cells[key] = c
+	mp.slab = appendCell(mp.slab, key, box)
+	mp.cells[key] = &mp.slab[len(mp.slab)-1]
 	mp.count.Add(1)
 	mp.version.Add(1)
 	if _, fire := mp.eng.Observe(mapModeTable, mapEpoch, signalOf(!quiet), mp.wl.cfg.limits()); fire {
@@ -599,8 +650,8 @@ func (mp *Map[K, V]) putEpoch(key K, box *V) {
 		// grace periods are pure overhead.
 		mp.shardsInit()
 		mp.lockAll()
-		mp.scatter(values(mp.cells))
-		mp.cells = nil
+		mp.scatter(values(mp.slab))
+		mp.slab, mp.cells = nil, nil
 		mp.ek.Select(false)
 		mp.eng.TryCommit(mapModeTable, mapEpoch, mapSharded)
 		mp.unlockAll()
@@ -657,12 +708,12 @@ func (mp *Map[K, V]) snapshot() []entry[K, V] {
 				}
 			}
 		} else if c, _ := mp.ek.Enter(); c != nil {
-			out = appendPairs(out, values(mp.cells))
+			out = appendPairs(out, values(mp.slab))
 			mp.ek.Exit(c)
 		} else {
 			mp.wl.Lock()
 			if ok = mp.eng.Mode() == m; ok {
-				out = appendPairs(out, values(mp.cells))
+				out = appendPairs(out, values(mp.slab))
 			}
 			mp.wl.Unlock()
 		}
@@ -725,11 +776,13 @@ func (mp *Map[K, V]) MapStats() MapStats {
 // CheckInvariants verifies the map's quiescent-state invariants: the
 // writer lock is free and sound, every store lock is free, the epoch
 // kernel is quiescent (no claim, mode bit agreeing with the engine,
-// cells summing to zero), no grace waiter is parked, and the live-key
-// gauge equals the keys in the stores plus the cells holding a value (a
-// tombstone is legal; only the current mode's store is nonempty). See
-// the package note in check.go: quiescent diagnostics, not production
-// code.
+// cells summing to zero), no grace waiter is parked, the epoch index
+// maps each slab cell's key to that cell and holds nothing else, the
+// slab is at least half full (its growth and compaction bound), and the
+// live-key gauge equals the keys in the stores plus the cells holding a
+// value (a tombstone is legal; only the current mode's store is
+// nonempty). See the package note in check.go: quiescent diagnostics,
+// not production code.
 func (mp *Map[K, V]) CheckInvariants() error {
 	if err := mp.wl.CheckInvariants(); err != nil {
 		return fmt.Errorf("reactive: Map writer mutex: %w", err)
@@ -747,8 +800,18 @@ func (mp *Map[K, V]) CheckInvariants() error {
 	if err := mp.ek.Check(mp.eng.Mode() == mapEpoch); err != nil {
 		return fmt.Errorf("reactive: Map %w", err)
 	}
-	for range values(mp.cells) {
-		live++
+	if len(mp.cells) != len(mp.slab) || cap(mp.slab) > 2*len(mp.slab) {
+		return fmt.Errorf("reactive: Map index holds %d keys for a slab of %d cells with room for %d, want as many keys and room for at most twice the cells",
+			len(mp.cells), len(mp.slab), cap(mp.slab))
+	}
+	for i := range mp.slab {
+		c := &mp.slab[i]
+		if mp.cells[c.key] != c {
+			return fmt.Errorf("reactive: Map index entry of slab cell %d (key %v) does not point at it", i, c.key)
+		}
+		if c.Load() != nil {
+			live++
+		}
 	}
 	if c := mp.count.Load(); int(c) != live {
 		return fmt.Errorf("reactive: Map count gauge %d != live keys %d", c, live)

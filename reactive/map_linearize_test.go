@@ -3,6 +3,7 @@ package reactive
 import (
 	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -159,7 +160,56 @@ func TestMapLinearizableCompaction(t *testing.T) {
 	}
 	// At most hot keys (and the inserter's one fresh key) are ever live
 	// together, so a compacting table never holds many more cells.
-	if cells := len(m.cells); cells > 4*hot {
+	if cells := len(m.slab); cells > 4*hot {
 		t.Fatalf("%d cells after %d fresh inserts over %d hot keys: compaction did not run", cells, ops, hot)
+	}
+}
+
+// TestMapLinearizableSlabMoves: in the epoch mode, one worker's fresh
+// inserts grow and compact the slab again and again (moveSlab) while two
+// writers Put and Delete hot keys without the writer lock and a reader
+// Gets hot and fresh keys, so the cells they find are copied into a
+// fresh slab under them.
+func TestMapLinearizableSlabMoves(t *testing.T) {
+	m := NewMap[int, int](WithInitialMode(ModeEpoch), WithEmptyLimit(1<<20))
+	const hot = 4
+	init := map[int]int{}
+	for k := range hot {
+		m.Put(k, -1-k)
+		init[k] = -1 - k
+	}
+	ops := linearizeOps()
+	var inserted atomic.Int64
+	var grown, compacted int
+	recordMap(t, m, init, 4, nil, func(h *linearize.History, w int, rng *rand.Rand) {
+		switch w {
+		case 0: // the inserter
+			grown, compacted = moveSlab(m, hot, ops,
+				func(k int) { h.Put(w, m, k, k); inserted.Add(1) },
+				func(k int) { h.Delete(w, m, k) })
+		case 1, 2: // the cell writers
+			for i := range ops {
+				k := rng.IntN(hot)
+				switch r := rng.IntN(10); {
+				case r < 4:
+					h.Put(w, m, k, w<<20|i)
+				case r < 7:
+					h.Delete(w, m, k)
+				default:
+					h.Get(w, m, k)
+				}
+			}
+		default: // the reader
+			for range 2 * ops {
+				k := rng.IntN(hot)
+				if n := inserted.Load(); n > 0 && rng.IntN(2) == 0 {
+					k = hot + rng.IntN(int(n))
+				}
+				h.Get(w, m, k)
+			}
+		}
+	})
+	if grown < 2 || compacted < 2 {
+		t.Fatalf("the slab grew %d times and compacted %d times, want at least 2 of each", grown, compacted)
 	}
 }

@@ -519,9 +519,11 @@ func TestMapEpochOverwriteInPlace(t *testing.T) {
 // TestMapEpochCompactionBoundsCells churns many fresh keys through a
 // forced-epoch map — insert one, delete the one inserted live keys
 // before it — so every delete leaves a tombstoned cell. Compaction must
-// keep the cell table within twice the live keys plus a small floor at
-// quiescence; without it the table would hold a cell for every key ever
-// inserted.
+// keep the slab's length and capacity within twice the live keys plus a
+// small floor at quiescence; without it the slab would hold a cell for
+// every key ever inserted. The invariants, the index's agreement with
+// the slab among them, must hold after every step, through each growth
+// of the slab and each compaction.
 func TestMapEpochCompactionBoundsCells(t *testing.T) {
 	m := NewMap[int, int](WithInitialMode(ModeEpoch), WithEmptyLimit(1<<20))
 	const churn, live = 5000, 16
@@ -530,12 +532,177 @@ func TestMapEpochCompactionBoundsCells(t *testing.T) {
 		if k >= live {
 			m.Delete(k - live)
 		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("after inserting key %d: %v", k, err)
+		}
 	}
 	if got := m.Len(); got != live {
 		t.Fatalf("Len = %d, want %d", got, live)
 	}
-	if cells := len(m.cells); cells > 2*live+4 {
-		t.Errorf("cell table holds %d cells for %d live keys after %d fresh keys, want <= %d", cells, live, churn, 2*live+4)
+	if n, c := len(m.slab), cap(m.slab); n > 2*live+4 || c > 2*live+4 {
+		t.Errorf("slab holds %d cells with room for %d for %d live keys after %d fresh keys, want both <= %d", n, c, live, churn, 2*live+4)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// slabBlock is the block length of moveSlab's climbs and falls.
+const slabBlock = 32
+
+// moveSlab is the inserter of the slab-moving tests: ops Puts, through
+// put, of the fresh keys first, first+1, and so on, in blocks of
+// slabBlock. An even block deletes nothing; an odd one deletes, through
+// del, the two oldest fresh keys still live after each Put, so the live
+// fresh keys climb to slabBlock and fall back to none: each climb grows
+// the epoch slab several times and each fall compacts it. It returns how
+// many Puts (with their deletes) left the slab with more room, and how
+// many left it shorter, reading the slab under wl between them.
+func moveSlab(m *Map[int, int], first, ops int, put, del func(k int)) (grown, compacted int) {
+	slab := func() (n, c int) {
+		m.wl.Lock()
+		defer m.wl.Unlock()
+		return len(m.slab), cap(m.slab)
+	}
+	oldest := first
+	for i := range ops {
+		n0, c0 := slab()
+		put(first + i)
+		for d := 0; d < 2 && i/slabBlock%2 == 1 && oldest <= first+i; d++ {
+			del(oldest)
+			oldest++
+		}
+		n1, c1 := slab()
+		if c1 > c0 {
+			grown++
+		}
+		if n1 < n0 {
+			compacted++
+		}
+	}
+	return grown, compacted
+}
+
+// TestMapEpochSlabMoves keeps readers, a Range loop and known-key cell
+// writers running on a forced-epoch map while fresh-key inserts move
+// its slab (moveSlab): the cells they find are copied into a fresh slab
+// under them, again and again. Every value a Put stores under key k is
+// seq<<8|k&0xff with a fresh seq, recorded before the Put, so each value
+// a Get or Range returns must name a Put that wrote it under that key.
+// Within one Range no key may repeat, and the stable keys, stored before
+// the run and never written again, must all be yielded.
+func TestMapEpochSlabMoves(t *testing.T) {
+	const stable, hot, writers, readers = 8, 8, 2, 2
+	m := NewMap[int, int](WithInitialMode(ModeEpoch), WithEmptyLimit(1<<20))
+	ops := linearizeOps()
+	// wrote[seq] is one more than the key the Put numbered seq wrote.
+	wrote := make([]atomic.Int64, stable+hot+(writers+1)*ops+1)
+	var seq atomic.Int64
+	put := func(k int) {
+		s := seq.Add(1)
+		wrote[s].Store(int64(k) + 1)
+		m.Put(k, int(s)<<8|k&0xff)
+	}
+	wrote1 := func(k, v int) bool {
+		s := v >> 8
+		return v&0xff == k&0xff && s > 0 && s < len(wrote) && wrote[s].Load() == int64(k)+1
+	}
+	for k := range stable + hot {
+		put(k)
+	}
+	// Fresh keys stable+hot up to stable+hot+inserted have been Put.
+	var inserted atomic.Int64
+	stop := make(chan struct{})
+	var bg sync.WaitGroup
+	for r := range readers {
+		bg.Add(1)
+		go func() {
+			defer bg.Done()
+			rng := rand.New(rand.NewPCG(uint64(r), 0x736c6162))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := rng.IntN(stable + hot)
+				if n := inserted.Load(); n > 0 && rng.IntN(2) == 0 {
+					k = stable + hot + rng.IntN(int(n))
+				}
+				switch v, ok := m.Get(k); {
+				case ok && !wrote1(k, v):
+					t.Errorf("Get(%d) = %#x, which no Put wrote under that key", k, v)
+					return
+				case !ok && k < stable:
+					t.Errorf("Get missed stable key %d", k)
+					return
+				}
+			}
+		}()
+	}
+	var ranges atomic.Int64
+	bg.Add(1)
+	go func() { // the ranger
+		defer bg.Done()
+		for ; ; ranges.Add(1) {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			seen := map[int]bool{}
+			m.Range(func(k, v int) bool {
+				switch {
+				case seen[k]:
+					t.Errorf("Range yielded key %d twice", k)
+				case !wrote1(k, v):
+					t.Errorf("Range yielded %d=%#x, which no Put wrote under that key", k, v)
+				default:
+					seen[k] = true
+					return true
+				}
+				return false
+			})
+			for k := range stable {
+				if !seen[k] {
+					t.Errorf("Range missed stable key %d", k)
+				}
+			}
+			if t.Failed() {
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() { // a known-key cell writer
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(uint64(w), 0x63656c6c))
+			for range ops {
+				k := stable + rng.IntN(hot)
+				if rng.IntN(10) < 7 {
+					put(k)
+				} else {
+					m.Delete(k)
+				}
+			}
+		}()
+	}
+	grown, compacted := moveSlab(m, stable+hot, ops, func(k int) { put(k); inserted.Add(1) }, m.Delete)
+	wg.Wait()
+	// On a loaded host the inserts can end before the ranger's first
+	// Range does; the deadline ends that wait.
+	for end := time.Now().Add(10 * time.Second); ranges.Load() == 0 && time.Now().Before(end); {
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	bg.Wait()
+	if grown < 2 || compacted < 2 || ranges.Load() == 0 {
+		t.Fatalf("the slab grew %d times and compacted %d times under %d Ranges, want at least 2, 2 and 1", grown, compacted, ranges.Load())
+	}
+	if got := m.Stats().Mode; got != ModeEpoch {
+		t.Fatalf("mode = %v, want epoch", got)
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
