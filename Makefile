@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build benchmark-check test test-full sim-digests sim-cmp bench loadtest lint examples docs-check torture fuzz-short
+.PHONY: all build benchmark-check test test-full sim-digests sim-cmp pair bench loadtest lint examples docs-check torture fuzz-short
 
 all: lint build benchmark-check test
 
@@ -25,17 +25,17 @@ benchmark-check:
 
 # The CI test job: race detector on, slow experiment tables skipped;
 # then the no-lost-wakeup tests of Mutex and the shared two-phase wait,
-# Map's linearizability, concurrent-Range and slab-moving runs, and
-# RWMutex's transient reader-add tests, repeated ten times under -race
-# (about 10 s on two cores), since one pass rarely lands in the
-# announce/release, load-to-CAS, mid-copy, mid-move or add-to-undo
-# window they guard; plus the portable affinity-fallback build tag
+# Map's linearizability, concurrent-Range, slab-moving and dense-store
+# reference runs, and RWMutex's transient reader-add tests, repeated ten
+# times under -race (about 10 s on two cores), since one pass rarely
+# lands in the announce/release, load-to-CAS, mid-copy, mid-move,
+# swap-remove or add-to-undo window they guard; plus the portable affinity-fallback build tag
 # (including the cancellation/handoff stress under -race, so the
 # portable waiter paths can't rot, and the FetchOp/Counter suites,
 # whose cell selection the stripe hash changes most).
 test:
 	$(GO) test -race -short ./...
-	$(GO) test -race -short -count=10 -run 'NoLostWakeups|HandoffNotLost|MutexCancellationStress|GrantVsCancel|GrantVsAbandon|TryAfterAnnounce|NilDoneNeverAborts|MapLinearizable|MapRangeModeFlips|MapEpochSlabMoves|RWMutexTransient' ./reactive/ ./reactive/internal/waitq/
+	$(GO) test -race -short -count=10 -run 'NoLostWakeups|HandoffNotLost|MutexCancellationStress|GrantVsCancel|GrantVsAbandon|TryAfterAnnounce|NilDoneNeverAborts|MapLinearizable|MapRangeModeFlips|MapEpochSlabMoves|MapStoreMatchesReference|RWMutexTransient' ./reactive/ ./reactive/internal/waitq/
 	$(GO) build -tags reactive_noprocpin ./...
 	$(GO) test -tags reactive_noprocpin -short ./reactive/...
 	$(GO) test -tags reactive_noprocpin -race -short -run 'Ctx|Cancel|Handoff|Stress|Epoch|GOMAXPROCS|Misuse|Panic|Invariants|Fuzz|Map|FetchOp|Counter' ./reactive/...
@@ -100,6 +100,42 @@ sim-cmp:
 	bad=0; for f in reactsim.json waitsim.json $$(cd "$$d/here" && ls lockstat-*.txt); do \
 		if cmp -s "$$d/rev/$$f" "$$d/here/$$f"; then echo "identical: $$f"; else echo "DIFFERS:   $$f"; bad=1; fi; \
 	done; exit $$bad
+
+# Paired end-to-end runs against revision REV, the evidence for a claimed
+# gain or a kept bound. Export REV with `git archive` into a temp dir (as
+# sim-cmp does); then, for each of PAIRS pairs and each of WORKLOADS, run
+# benchmark/run.sh --trace 0 in both trees on the pair's own seed
+# (SEED+i; SEED defaults to the clock, so every invocation runs fresh
+# seeds), alternating which tree runs first, and append each record with
+# --json to $(PAIR_OUT)/rev.json and $(PAIR_OUT)/here.json. Last, print
+# `reactive-bench -agree rev.json here.json`: per workload and metric,
+# both medians, how much worse this tree is, and the wider quartile
+# spread, against BENCHMARK.json's bounds. REV=HEAD compares the
+# uncommitted tree with its parent. About PAIRS × workloads × 2 ×
+# (SECONDS + 15) seconds, plus a first build in the export. Not a CI job.
+PAIRS ?= 10
+SECONDS ?= 36
+SEED ?= $(shell date +%s)
+WORKLOADS ?= uncontended contended-reads oversubscribed-writes
+PAIR_OUT ?= .pair
+pair:
+	@test -n "$(REV)" || { echo "usage: make pair REV=<rev> [WORKLOADS=...] [PAIRS=10] [SECONDS=36] [SEED=n]"; exit 2; }
+	@set -e; d="$$(mktemp -d)"; trap 'rm -rf "$$d"' EXIT; \
+	git archive "$(REV)" | tar -x -C "$$d"; \
+	mkdir -p "$(PAIR_OUT)"; out="$$(cd "$(PAIR_OUT)" && pwd)"; rm -f "$$out/rev.json" "$$out/here.json"; \
+	for i in $$(seq 0 $$(($(PAIRS) - 1))); do \
+		seed=$$(($(SEED) + i)); \
+		for w in $(WORKLOADS); do \
+			if [ $$((i % 2)) = 0 ]; then order="rev here"; else order="here rev"; fi; \
+			for s in $$order; do \
+				if [ $$s = rev ]; then root="$$d"; else root=.; fi; \
+				echo "pair: $$((i + 1))/$(PAIRS) $$w seed $$seed $$s"; \
+				bash "$$root/benchmark/run.sh" --workload "$$w" --seed "$$seed" --seconds $(SECONDS) --trace 0 --json "$$out/$$s.json" > /dev/null; \
+			done; \
+		done; \
+	done; \
+	echo "pair: A = $(REV) ($$out/rev.json), B = this tree ($$out/here.json)"; \
+	.bench_build/reactive-bench -agree "$$out/rev.json" "$$out/here.json"
 
 # The CI bench job: one pass over every benchmark, kept as bench.txt —
 # Go benchmark text, benchstat's own input. Every row is host ns/op —
@@ -174,10 +210,14 @@ fuzz-short:
 # constructor folding its options beside construct. The last keeps
 # snapshots flat: Map.Range appends the pairs to one slice, so a
 # maps.Clone( in non-test reactive code is a rehashing snapshot coming
-# back. The last keeps the epoch table walked through its slab: Range,
-# the epoch → sharded scatter and CheckInvariants walk mp.slab, so a
-# range over the index (mp.cells) in reactive/map.go is a hash-map walk
-# coming back.
+# back. The next keeps one locked table in Map: ModeLocked is the
+# sharded store at one partition, so a map[K]V field in reactive/map.go,
+# or a map[K]int32 or []entry[K, V] field other than mapStore's idx and
+# pairs, is a second one coming back. The last keeps every Map table
+# walked through its dense array: Range, the transitions and
+# CheckInvariants walk mp.slab and each store's pairs, so a range over an
+# index (mp.cells, a store's idx) or any maps. call in reactive/map.go is
+# a hash-map walk coming back.
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -nE '\.Vote\(' reactive/*.go internal/experiments/*.go | grep -v _test.go)"; if [ -n "$$out" ]; then echo "hand-wired detection (use Engine.Observe):"; echo "$$out"; exit 1; fi
@@ -194,8 +234,8 @@ lint:
 	@out="$$(grep -rn --include='*.go' -e 'CompareAndSwap(0, 1)' reactive | grep -v -e _test.go -e '^reactive/internal/waitq/lock.go:'; grep -rn --include='*.go' 'modal\.Backoff' .)"; if [ -n "$$out" ]; then echo "hand-rolled spin word or modal.Backoff (use waitq.Lock and waitq.Backoff):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rn --include='*.go' '\.apply(' reactive | grep -v -e _test.go -e '^reactive/options.go:')"; if [ -n "$$out" ]; then echo "options folded outside construct (every constructor calls construct):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rn --include='*.go' 'maps\.Clone(' reactive | grep -v _test.go)"; if [ -n "$$out" ]; then echo "maps.Clone in reactive (a snapshot appends to one slice; see Map.snapshot):"; echo "$$out"; exit 1; fi
-	@out="$$(awk '/^type /{t=$$2} /^[[:space:]]+[A-Za-z_]+[[:space:]]+map\[K\]V[[:space:]]*(\/\/.*)?$$/ && !(t ~ /^mapStore\[/ && $$1 == "m"){print FILENAME":"FNR": "$$0}' reactive/map.go)"; if [ -n "$$out" ]; then echo "a second locked table in Map (ModeLocked is the sharded store at one partition; use mapStore):"; echo "$$out"; exit 1; fi
-	@out="$$(grep -nE 'range[[:space:]]+mp\.cells\b|maps\.[A-Za-z]+\(mp\.cells\b' reactive/map.go)"; if [ -n "$$out" ]; then echo "Map's epoch index walked (walk the slab, mp.slab):"; echo "$$out"; exit 1; fi
+	@out="$$(awk '/^type /{t=$$2} /^[[:space:]]+[A-Za-z_][A-Za-z0-9_]*[[:space:]]+(map\[K\](V|int32)|\[\]entry\[K, V\])[[:space:]]*(\/\/.*)?$$/ && !(t ~ /^mapStore\[/ && ($$1 == "idx" && $$2 == "map[K]int32" || $$1 == "pairs" && $$2 == "[]entry[K,")){print FILENAME":"FNR": "$$0}' reactive/map.go)"; if [ -n "$$out" ]; then echo "a second locked table in Map (ModeLocked is the sharded store at one partition; use mapStore):"; echo "$$out"; exit 1; fi
+	@out="$$(grep -nE 'range[[:space:]]+([^[:space:]]*\.)?(cells|idx)\b|\bmaps\.[A-Za-z]+\(' reactive/map.go | grep -vE '^[0-9]+:[[:space:]]*//')"; if [ -n "$$out" ]; then echo "a Map index walked (walk the dense array: mp.slab, a store's pairs):"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 
 # The CI docs job: documentation that tests can check. The experiment

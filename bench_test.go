@@ -340,10 +340,12 @@ var nativeRows = []nativeRow{
 	{"Map", "insert-fresh/sync.Map", 0, 0, syncMapInsertFresh},
 	// One serial Range over rangeKeys keys: the snapshot the service
 	// publishes for its stale reads. Range copies the pairs under the
-	// protocol's exclusion and calls fn afterward; the RWMutex-guarded
-	// baseline does the same into a reused slice, and sync.Map's Range
-	// copies nothing.
+	// protocol's exclusion and calls fn afterward — in each of the three
+	// protocols (the locked default, the shards, the epoch slab) from a
+	// dense array; the RWMutex-guarded baseline does the same into a
+	// reused slice, and sync.Map's Range copies nothing.
 	{"Map", "range-256/reactive", 0, 0, mapRange()},
+	{"Map", "range-256/reactive-sharded-forced", 0, 0, mapRange(pinned(reactive.ModeSharded)...)},
 	{"Map", "range-256/reactive-epoch-forced", 0, 0, mapRange(pinned(reactive.ModeEpoch)...)},
 	{"Map", "range-256/rwmutex-map", 0, 0, rwMapRange},
 	{"Map", "range-256/sync.Map", 0, 0, syncMapRange},

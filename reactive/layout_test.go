@@ -69,8 +69,12 @@ func TestPrimitiveLayout(t *testing.T) {
 		{"RWMutex", unsafe.Sizeof(RWMutex{}), 320, 320},
 		{"FetchOp", unsafe.Sizeof(FetchOp{}), 232, 240},
 		// Map's epoch slab header (24 bytes) took it from 360 to 384
-		// bytes, the class it was already in.
-		{"Map[uint64,uint64]", unsafe.Sizeof(Map[uint64, uint64]{}), 384, 384},
+		// bytes, the class it was already in. The locked store's pairs
+		// array (a 24-byte header; the store went from 16 to 40 bytes)
+		// took it to 408, and the pool of spare Range snapshots (a
+		// 40-byte sync.Pool) to 448, a multiple of 64; 408 would have
+		// been in the 416 class, at a line phase varying by map.
+		{"Map[uint64,uint64]", unsafe.Sizeof(Map[uint64, uint64]{}), 448, 448},
 	} {
 		if c.got != c.wantSize || sizeClass(c.got) != c.wantClass {
 			t.Errorf("%s is %d bytes in size class %d, want %d bytes in class %d",
@@ -82,6 +86,11 @@ func TestPrimitiveLayout(t *testing.T) {
 	// loads, leads it.
 	if got, off := unsafe.Sizeof(modal.Engine{}), fieldOffset[modal.Engine](t, "word"); got != 48 || off != 0 {
 		t.Errorf("modal.Engine is %d bytes with word at offset %d, want 48 bytes with word at 0", got, off)
+	}
+	// A Map shard is padded to whole lines, so neighboring shard locks
+	// never share one, whatever the store's size.
+	if sz := unsafe.Sizeof(mapShard[uint64, uint64]{}); sz%affinity.CacheLineSize != 0 {
+		t.Errorf("mapShard is %d bytes, want a multiple of affinity.CacheLineSize (%d)", sz, affinity.CacheLineSize)
 	}
 }
 
@@ -161,7 +170,7 @@ func TestHotWordsOffQueueLines(t *testing.T) {
 			}
 		}
 	}
-	// Map is 384 bytes, a multiple of 64, so its offsets are line
+	// Map is 448 bytes, a multiple of 64, so its offsets are line
 	// offsets: the two words an epoch Get loads share the first line,
 	// and the shard array's header, which every sharded operation loads,
 	// sits a line from count, which every sharded insert and delete

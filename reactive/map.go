@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"hash/maphash"
 	"iter"
-	"maps"
 	"math"
+	"slices"
+	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/reactive/internal/affinity"
 	"repro/reactive/internal/chaos"
@@ -42,20 +44,23 @@ var mapModeTable = modal.NewTable(
 func MapTable() *modal.Table { return mapModeTable }
 
 // mapStore is one partition of the lock-based modes: a spin word and
-// the map it guards. ModeLocked runs on one store, ModeSharded on an
-// array of them. The lock is the short-term spin word (not a Mutex): a
-// store's critical sections are single bounded map operations, so
-// parking machinery would cost more than the longest possible wait.
+// the table it guards — the store's pairs in one dense array, and idx,
+// each key's slot in it (CPython's compact dict). ModeLocked runs on one
+// store, ModeSharded on an array of them. The lock is the short-term
+// spin word (not a Mutex): a store's critical sections are single
+// bounded table operations, so parking machinery would cost more than
+// the longest possible wait.
 type mapStore[K comparable, V any] struct {
-	lock waitq.Lock
-	m    map[K]V
+	lock  waitq.Lock
+	idx   map[K]int32
+	pairs []entry[K, V]
 }
 
-// mapShard is one sharded-mode store, padded so neighboring shard locks
-// never share a coherence granule.
+// mapShard is one sharded-mode store, padded to a whole line so
+// neighboring shard locks never share a coherence granule.
 type mapShard[K comparable, V any] struct {
 	mapStore[K, V]
-	_ [affinity.CacheLineSize - 16]byte
+	_ [affinity.CacheLineSize - unsafe.Sizeof(mapStore[K, V]{})]byte
 }
 
 // cell is one key's slot in the epoch mode's slab: the key, and a
@@ -68,16 +73,15 @@ type cell[K comparable, V any] struct {
 	key K
 }
 
-// values yields every key of a slab whose cell holds a value, with that
-// value, in slab order.
-func values[K comparable, V any](slab []cell[K, V]) iter.Seq2[K, V] {
-	return func(yield func(K, V) bool) {
-		for i := range slab {
-			if p := slab[i].Load(); p != nil && !yield(slab[i].key, *p) {
-				return
-			}
+// appendLive appends every key of a slab whose cell holds a value, with
+// that value, to out, in slab order.
+func appendLive[K comparable, V any](out []entry[K, V], slab []cell[K, V]) []entry[K, V] {
+	for i := range slab {
+		if p := slab[i].Load(); p != nil {
+			out = append(out, entry[K, V]{slab[i].key, *p})
 		}
 	}
+	return out
 }
 
 // appendCell appends key's cell, holding box, to the slab.
@@ -133,9 +137,10 @@ func (mp *Map[K, V]) lookup(key K) (v V, ok bool) {
 // drive Mutex and FetchOp here select among three map protocols as the
 // access pattern changes:
 //
-//   - ModeLocked — one hash table under one spin word: the sharded
-//     store at one partition. One lock word per operation; the
-//     zero-value default, cheapest while operations rarely collide.
+//   - ModeLocked — one dense array of pairs and an index into it,
+//     under one spin word: the sharded store at one partition. One lock
+//     word per operation; the zero-value default, cheapest while
+//     operations rarely collide.
 //   - ModeSharded — a power-of-two array of hash-partitioned shards,
 //     each under its own padded spin word. Operations on different
 //     shards proceed in parallel; contention on one key's shard is the
@@ -155,7 +160,9 @@ func (mp *Map[K, V]) lookup(key K) (v V, ok bool) {
 //     writer inside, and appends the key's cell to the slab. When the
 //     slab is full, or tombstoned cells outnumber live keys, that insert
 //     first copies the live cells into a fresh slab twice their number.
-//     Range walks the slab, not the index.
+//
+// Every mode keeps its pairs in dense arrays, found through an index;
+// Range and the transitions copy the arrays and never walk an index.
 //
 // Reads and writes that arrive during an epoch-mode writer's grace
 // claim fall back to the writer lock, so writers cannot starve; a Get
@@ -217,6 +224,11 @@ type Map[K comparable, V any] struct {
 	// its waitq gives those fallbacks their cancellable parked waits,
 	// and its config holds the map's tunables.
 	wl Mutex
+
+	// snaps holds spare Range snapshots (*[]entry[K, V]), each cleared,
+	// so a Range in steady state allocates nothing. It is last: Range
+	// alone touches it.
+	snaps sync.Pool
 }
 
 // NewMap builds a Map with the given options. NewMap() is equivalent to
@@ -291,51 +303,74 @@ func (mp *Map[K, V]) unlockAll() {
 	}
 }
 
-// scatter moves every key of src into its shard — the key mover of both
-// edges into the sharded mode (from the locked store, or from the epoch
-// slab); the keys move, so the gauge stays. The caller holds every store
-// lock.
-func (mp *Map[K, V]) scatter(src iter.Seq2[K, V]) {
-	for k, v := range src {
-		mp.shards[mp.shardIndex(k)].mutate(k, v, false)
-	}
-}
-
-// gather empties the shards into one fresh table — the key mover of the
-// sharded → locked edge (sharded → epoch appends the shards' keys to its
-// slab directly). The caller holds every store lock.
-func (mp *Map[K, V]) gather() map[K]V {
-	out := make(map[K]V, mp.count.Load())
+// scatter moves every pair of src into its shard — the key mover of both
+// edges into the sharded mode (from the locked store's pairs, or from the
+// epoch slab's live cells); the keys move, so the gauge stays. Each shard
+// is built with room for a quarter more than its even share, so filling
+// it rarely grows it. The caller holds every store lock.
+func (mp *Map[K, V]) scatter(src []entry[K, V]) {
 	for i := range mp.shards {
-		maps.Copy(out, mp.shards[i].m)
-		mp.shards[i].m = nil
+		mp.shards[i].reserve((len(src) + len(src)/4) / len(mp.shards))
 	}
-	return out
+	for _, e := range src {
+		mp.shards[mp.shardIndex(e.key)].mutate(e.key, e.val, false)
+	}
 }
 
-// mutate applies one Put (or, with del, one Delete) to the store,
-// creating its map on first use, and returns the change in live keys:
-// the one place a mutation and its count accounting are spelled for the
-// lock-based modes (the epoch mode's cells count in storeCell). The
-// caller holds the store's lock, and adds a nonzero delta to the count
-// gauge — skipping the zero keeps an overwrite off the gauge's shared
-// cache line.
-func (st *mapStore[K, V]) mutate(key K, val V, del bool) (delta int64) {
-	_, had := st.m[key]
-	if del {
-		delete(st.m, key)
-		if had {
-			return -1
+// gather empties the shards into the locked store, sized by the gauge —
+// the key mover of the sharded → locked edge (sharded → epoch appends
+// the shards' pairs to its slab directly). The caller holds every store
+// lock.
+func (mp *Map[K, V]) gather() {
+	mp.one.reserve(int(mp.count.Load()))
+	for i := range mp.shards {
+		for _, e := range mp.shards[i].pairs {
+			mp.one.mutate(e.key, e.val, false)
 		}
+		mp.shards[i].reserve(0)
+	}
+}
+
+// reserve empties the store, leaving room for n keys; n = 0 releases its
+// table. The caller, a transition, holds every store lock.
+func (st *mapStore[K, V]) reserve(n int) {
+	st.idx, st.pairs = nil, nil
+	if n > 0 {
+		st.idx, st.pairs = make(map[K]int32, n), make([]entry[K, V], 0, n)
+	}
+}
+
+// mutate applies one Put (or, with del, one Delete) to the store and
+// returns the change in live keys: the one place a mutation and its
+// count accounting are spelled for the lock-based modes (the epoch
+// mode's cells count in storeCell). A Delete swap-removes: the last
+// pair moves into the hole, its key's index entry follows it (undone by
+// the delete when the hole is the last slot), and the vacated slot is
+// cleared so it keeps no key or value reachable. The caller holds the
+// store's lock, and adds a nonzero delta to the count gauge — skipping
+// the zero keeps an overwrite off the gauge's shared cache line.
+func (st *mapStore[K, V]) mutate(key K, val V, del bool) (delta int64) {
+	i, had := st.idx[key]
+	switch {
+	case had && del:
+		last := len(st.pairs) - 1
+		st.pairs[i] = st.pairs[last]
+		st.idx[st.pairs[i].key] = i
+		delete(st.idx, key)
+		st.pairs[last] = entry[K, V]{}
+		st.pairs = st.pairs[:last]
+		return -1
+	case had:
+		st.pairs[i].val = val
+		return 0
+	case del:
 		return 0
 	}
-	if st.m == nil {
-		st.m = make(map[K]V)
+	if st.idx == nil {
+		st.idx = make(map[K]int32)
 	}
-	st.m[key] = val
-	if had {
-		return 0
-	}
+	st.idx[key] = int32(len(st.pairs))
+	st.pairs = append(st.pairs, entry[K, V]{key, val})
 	return 1
 }
 
@@ -382,17 +417,18 @@ func (mp *Map[K, V]) switchMap(want, next modal.Mode) {
 	defer mp.unlockAll()
 	switch {
 	case want == mapLocked: // locked → sharded
-		mp.scatter(maps.All(mp.one.m))
-		mp.one.m = nil
+		mp.scatter(mp.one.pairs)
+		mp.one.reserve(0)
 	case next == mapLocked: // sharded → locked
-		mp.one.m = mp.gather()
+		mp.gather()
 	default: // sharded → epoch
 		mp.slab = make([]cell[K, V], 0, mp.count.Load())
 		for i := range mp.shards {
-			for k, v := range mp.shards[i].m {
-				mp.slab = appendCell(mp.slab, k, &v)
+			for _, e := range mp.shards[i].pairs {
+				v := e.val
+				mp.slab = appendCell(mp.slab, e.key, &v)
 			}
-			mp.shards[i].m = nil
+			mp.shards[i].reserve(0)
 		}
 		mp.cells = make(map[K]*cell[K, V], len(mp.slab))
 		mp.reindex()
@@ -445,7 +481,10 @@ func (mp *Map[K, V]) get(done <-chan struct{}, key K) (V, bool, bool) {
 				st.lock.Unlock()
 				continue
 			}
-			v, ok := st.m[key]
+			v, ok := zero, false
+			if i, had := st.idx[key]; had {
+				v, ok = st.pairs[i].val, true
+			}
 			st.lock.Unlock()
 			if m == mapSharded || contended || !mp.eng.CalmBottom(mapModeTable) {
 				mp.note(m, contended, true)
@@ -650,7 +689,7 @@ func (mp *Map[K, V]) putEpoch(key K, box *V) {
 		// grace periods are pure overhead.
 		mp.shardsInit()
 		mp.lockAll()
-		mp.scatter(values(mp.slab))
+		mp.scatter(appendLive(make([]entry[K, V], 0, mp.count.Load()), mp.slab))
 		mp.slab, mp.cells = nil, nil
 		mp.ek.Select(false)
 		mp.eng.TryCommit(mapModeTable, mapEpoch, mapSharded)
@@ -667,31 +706,43 @@ func (mp *Map[K, V]) Len() int { return int(mp.count.Load()) }
 // snapshot of the map, stopping early if fn returns false. The snapshot
 // is taken first and fn runs on it afterward, so fn is never invoked
 // under any Map lock and may itself call back into the map. The
-// snapshot is one slice of pairs, sized by Len; no hash table is built
-// for it.
+// snapshot is one slice of pairs, sized by Len, copied from the mode's
+// dense arrays: no hash table is built or walked for it. The slice is
+// a spare one from an earlier Range when one is free, and is cleared
+// when fn is done, so a spare keeps no key or value reachable.
 func (mp *Map[K, V]) Range(fn func(key K, val V) bool) {
-	for _, e := range mp.snapshot() {
+	p, _ := mp.snaps.Get().(*[]entry[K, V])
+	if p == nil {
+		p = new([]entry[K, V])
+	}
+	out := mp.snapshot(*p)
+	for _, e := range out {
 		if !fn(e.key, e.val) {
-			return
+			break
 		}
 	}
+	clear(out)
+	*p = out[:0]
+	mp.snaps.Put(p)
 }
 
-// entry is one pair of a Range snapshot.
+// entry is one key/value pair: a slot of a lock-based store, and of a
+// Range snapshot.
 type entry[K comparable, V any] struct {
 	key K
 	val V
 }
 
-// snapshot appends the map's pairs to one slice, starting over if a
-// transition moves the mode mid-copy: in a lock-based mode each store
-// under its own lock, in the epoch mode inside a read section (bounded
-// work, no user code), or under wl if the section is refused.
-func (mp *Map[K, V]) snapshot() []entry[K, V] {
+// snapshot copies the map's pairs into out, grown to the live-key
+// gauge, starting over if a transition moves the mode mid-copy: in a
+// lock-based mode each store under its own lock, in the epoch mode
+// inside a read section (bounded work, no user code), or under wl if
+// the section is refused.
+func (mp *Map[K, V]) snapshot(out []entry[K, V]) []entry[K, V] {
 	// The gauge can read below zero for a moment: an epoch-mode cell
 	// writer moves it after its CAS, so a racing Delete's -1 can land
 	// before the +1 of the insert it deleted.
-	out := make([]entry[K, V], 0, max(mp.count.Load(), 0))
+	out = slices.Grow(out[:0], int(max(mp.count.Load(), 0)))
 	for {
 		out = out[:0]
 		m := mp.eng.Mode()
@@ -700,7 +751,7 @@ func (mp *Map[K, V]) snapshot() []entry[K, V] {
 			for st := range mp.stores() {
 				st.lock.Lock(nil)
 				if ok = mp.eng.Mode() == m; ok {
-					out = appendPairs(out, maps.All(st.m))
+					out = append(out, st.pairs...)
 				}
 				st.lock.Unlock()
 				if !ok {
@@ -708,12 +759,12 @@ func (mp *Map[K, V]) snapshot() []entry[K, V] {
 				}
 			}
 		} else if c, _ := mp.ek.Enter(); c != nil {
-			out = appendPairs(out, values(mp.slab))
+			out = appendLive(out, mp.slab)
 			mp.ek.Exit(c)
 		} else {
 			mp.wl.Lock()
 			if ok = mp.eng.Mode() == m; ok {
-				out = appendPairs(out, values(mp.slab))
+				out = appendLive(out, mp.slab)
 			}
 			mp.wl.Unlock()
 		}
@@ -721,14 +772,6 @@ func (mp *Map[K, V]) snapshot() []entry[K, V] {
 			return out
 		}
 	}
-}
-
-// appendPairs appends src's pairs to out.
-func appendPairs[K comparable, V any](out []entry[K, V], src iter.Seq2[K, V]) []entry[K, V] {
-	for k, v := range src {
-		out = append(out, entry[K, V]{k, v})
-	}
-	return out
 }
 
 // MapStats extends the unified Stats shape with the map's own gauges
@@ -776,8 +819,9 @@ func (mp *Map[K, V]) MapStats() MapStats {
 // CheckInvariants verifies the map's quiescent-state invariants: the
 // writer lock is free and sound, every store lock is free, the epoch
 // kernel is quiescent (no claim, mode bit agreeing with the engine,
-// cells summing to zero), no grace waiter is parked, the epoch index
-// maps each slab cell's key to that cell and holds nothing else, the
+// cells summing to zero), no grace waiter is parked, each store's index
+// names each pair's slot under its key and holds nothing else, the epoch
+// index maps each slab cell's key to that cell and holds nothing else, the
 // slab is at least half full (its growth and compaction bound), and the
 // live-key gauge equals the keys in the stores plus the cells holding a
 // value (a tombstone is legal; only the current mode's store is
@@ -795,7 +839,15 @@ func (mp *Map[K, V]) CheckInvariants() error {
 		if st.lock.Held() {
 			return fmt.Errorf("reactive: Map store lock held at quiescence")
 		}
-		live += len(st.m)
+		if len(st.idx) != len(st.pairs) {
+			return fmt.Errorf("reactive: Map store index holds %d keys for %d pairs, want as many", len(st.idx), len(st.pairs))
+		}
+		for j, e := range st.pairs {
+			if i, ok := st.idx[e.key]; !ok || int(i) != j {
+				return fmt.Errorf("reactive: Map store index entry of pair %d (key %v) does not name its slot", j, e.key)
+			}
+		}
+		live += len(st.pairs)
 	}
 	if err := mp.ek.Check(mp.eng.Mode() == mapEpoch); err != nil {
 		return fmt.Errorf("reactive: Map %w", err)

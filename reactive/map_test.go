@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/reactive/modal"
 	"repro/reactive/policy"
 )
 
@@ -150,6 +151,81 @@ func TestMapDifferentialAgainstOracle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestMapStoreMatchesReference pins the lock-based stores' dense layout:
+// one seeded random Put/Delete/Get sequence over a few keys, so deletes
+// swap-remove from every slot (last, first and between) and re-inserts
+// append into the vacated tail, runs through a map against a plain map.
+// CheckInvariants after every step checks that each store's index names
+// each pair's slot under its key and holds nothing else, and Range at
+// the end checks the contents. The first pass pins ModeLocked, then
+// ModeSharded; the second forces locked → sharded → locked → sharded →
+// epoch between batches, so every key mover runs on stores that have
+// taken swap-removes.
+func TestMapStoreMatchesReference(t *testing.T) {
+	const batch, keys = 600, 12
+	pinned := func(m Mode) *Map[int, int] {
+		return NewMap[int, int](WithInitialMode(m), WithSpinFailLimit(1<<20), WithEmptyLimit(1<<20))
+	}
+	run := func(t *testing.T, m *Map[int, int], ref map[int]int, rng *rand.Rand) {
+		t.Helper()
+		for i := 0; i < batch; i++ {
+			k := rng.IntN(keys)
+			switch r := rng.IntN(10); {
+			case r < 4:
+				v := rng.Int()
+				m.Put(k, v)
+				ref[k] = v
+			case r < 7:
+				m.Delete(k)
+				delete(ref, k)
+			default:
+				got, ok := m.Get(k)
+				if want, had := ref[k]; ok != had || got != want {
+					t.Fatalf("step %d: Get(%d) = %d,%v, reference has %d,%v", i, k, got, ok, want, had)
+				}
+			}
+			if err := m.CheckInvariants(); err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
+		}
+	}
+	check := func(t *testing.T, m *Map[int, int], ref map[int]int) {
+		t.Helper()
+		seen := map[int]int{}
+		m.Range(func(k, v int) bool { seen[k] = v; return true })
+		if !maps.Equal(seen, ref) || m.Len() != len(ref) {
+			t.Fatalf("Range yielded %v (Len %d), reference holds %v", seen, m.Len(), ref)
+		}
+	}
+	for _, mode := range []Mode{ModeLocked, ModeSharded} {
+		t.Run(mode.String(), func(t *testing.T) {
+			m, ref := pinned(mode), map[int]int{}
+			run(t, m, ref, rand.New(rand.NewPCG(0x6964, uint64(mode))))
+			check(t, m, ref)
+			if got := m.Stats().Mode; got != mode {
+				t.Fatalf("mode drifted to %v", got)
+			}
+		})
+	}
+	t.Run("transitions", func(t *testing.T) {
+		m, ref := pinned(ModeLocked), map[int]int{}
+		rng := rand.New(rand.NewPCG(0x6964, 0x7478))
+		run(t, m, ref, rng)
+		for _, e := range [][2]modal.Mode{{mapLocked, mapSharded}, {mapSharded, mapLocked}, {mapLocked, mapSharded}, {mapSharded, mapEpoch}} {
+			m.switchMap(e[0], e[1])
+			if got := m.eng.Mode(); got != e[1] {
+				t.Fatalf("switch %v → %v left mode %v", e[0], e[1], got)
+			}
+			if err := m.CheckInvariants(); err != nil {
+				t.Fatalf("after %v → %v: %v", e[0], e[1], err)
+			}
+			check(t, m, ref)
+			run(t, m, ref, rng)
+			check(t, m, ref)
+		}
+	})
 }
 
 // TestMapDemotesWhenUncontended verifies the scale-down half of the
@@ -744,6 +820,40 @@ func TestMapRangeAllocs(t *testing.T) {
 		}
 		if got := m.Stats().Mode; got != mode {
 			t.Fatalf("mode drifted to %v, want %v", got, mode)
+		}
+	}
+}
+
+// TestMapRangeReusesSnapshot pins the spare snapshots: once a Range has
+// run, the next one over 256 keys allocates nothing, in every mode; and
+// a Range that fn starts inside another copies into a slice of its own,
+// so clearing it leaves the outer snapshot's pairs intact. Under the
+// race detector, which makes sync.Pool drop spares at random, only the
+// second half holds.
+func TestMapRangeReusesSnapshot(t *testing.T) {
+	for _, mode := range []Mode{ModeLocked, ModeSharded, ModeEpoch} {
+		m := NewMap[uint64, uint64](WithInitialMode(mode), WithSpinFailLimit(1<<20), WithEmptyLimit(1<<20))
+		for k := uint64(0); k < 256; k++ {
+			m.Put(k, k+1)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			m.Range(func(uint64, uint64) bool { return true })
+		})
+		if allocs != 0 && !raceEnabled {
+			t.Fatalf("%v Range allocates %.1f objects once warm, want 0", mode, allocs)
+		}
+		outer, inner := 0, 0
+		m.Range(func(k, v uint64) bool {
+			if v != k+1 {
+				t.Fatalf("%v outer Range yielded %d=%d after a nested Range, want %d", mode, k, v, k+1)
+			}
+			if outer++; outer == 1 {
+				m.Range(func(uint64, uint64) bool { inner++; return true })
+			}
+			return true
+		})
+		if outer != 256 || inner != 256 {
+			t.Fatalf("%v outer Range yielded %d pairs and nested %d, want 256 each", mode, outer, inner)
 		}
 	}
 }

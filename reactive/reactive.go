@@ -131,11 +131,11 @@ const (
 	// vastly outnumber writes; writers pay a full grace period.
 	ModeEpoch
 	// ModeLocked is Map's cheapest protocol: the sharded store at one
-	// partition, one hash table under one short-term spin word, so every
-	// operation pays one lock word. Cheapest when operations are rare or
-	// single-threaded; collapses when readers and writers collide, and
-	// SpinFailLimit contended operations in a row promote the map to
-	// ModeSharded.
+	// partition, one dense array of pairs and an index into it under one
+	// short-term spin word, so every operation pays one lock word.
+	// Cheapest when operations are rare or single-threaded; collapses
+	// when readers and writers collide, and SpinFailLimit contended
+	// operations in a row promote the map to ModeSharded.
 	ModeLocked
 )
 
